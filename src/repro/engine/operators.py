@@ -254,13 +254,19 @@ class Aggregation:
         return key + self._values(state)
 
     def consume_batch(self, rows: Sequence[tuple], sign: int = 1,
-                      collect: bool = True) -> Optional[List[tuple]]:
+                      collect: bool = True, dead_as_none: bool = False
+                      ) -> Optional[List[Optional[tuple]]]:
         """Apply a whole batch of input rows in one pass.
 
         With ``collect=True`` returns the group's current output row after
         each input (what per-row ``consume`` returns -- online semantics);
         with ``collect=False`` state is updated without materialising the
         per-row outputs, which is what snapshot-mode consumers want.
+
+        An input row that cancels its group out yields the group key
+        padded with zeros, as ``consume`` does -- indistinguishable from a
+        live group whose aggregates are all zero.  ``dead_as_none`` yields
+        ``None`` for it instead (the upsert changelog needs to know).
 
         Snapshot-mode :class:`ColumnBatch` input with a single ndarray
         group column reduces vectorized (``np.unique`` + ``bincount`` /
@@ -293,7 +299,8 @@ class Aggregation:
             if state.counts == 0:
                 del groups[key]
                 if collect:
-                    outputs.append(key + (0,) * n_aggs)
+                    outputs.append(
+                        None if dead_as_none else key + (0,) * n_aggs)
             elif collect:
                 outputs.append(key + self._values(state))
         self.consumed += len(rows)

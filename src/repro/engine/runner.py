@@ -35,6 +35,10 @@ from repro.storm.topology import Bolt, Spout, Topology, TopologyBuilder
 from repro.util import round_robin_assignment
 
 RETRACT_SUFFIX = ":retract"
+#: stream of an ordered signed changelog: every row is a ``(sign, row)``
+#: pair, applied in sequence by the consumer (the continuous runtime's
+#: aggregation -> sink edge; see :class:`repro.streaming.runner.DeltaAggBolt`)
+CHANGES_SUFFIX = ":changes"
 
 
 class SourceSpout(Spout):
@@ -544,7 +548,7 @@ def build_topology(
             return SinkBolt()
 
     builder.set_bolt(plan.sink.name, sink_factory, 1).global_grouping(
-        last, streams=[last, last + RETRACT_SUFFIX]
+        last, streams=[last, last + RETRACT_SUFFIX, last + CHANGES_SUFFIX]
     )
 
     return builder.build(), partitioners

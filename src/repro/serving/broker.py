@@ -119,6 +119,12 @@ class BrokerSubscription:
             timeout: Optional[float] = None) -> Optional[Delta]:
         return self.subscription.pop(block=block, timeout=timeout)
 
+    def drain(self, block: bool = False,
+              timeout: Optional[float] = None) -> List[Delta]:
+        """Everything buffered, in order (see
+        :meth:`~repro.streaming.deltas.Subscription.drain`)."""
+        return self.subscription.drain(block=block, timeout=timeout)
+
     def __iter__(self) -> Iterator[Delta]:
         return iter(self.subscription)
 

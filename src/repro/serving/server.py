@@ -33,10 +33,14 @@ topology's stream/checkpoint counters, and -- for topologies running
 with ``observe='metrics'``/``'trace'`` -- the observer registry's
 latency histograms, row counters and skew gauges.
 
-The blocking subscription pops run in the event loop's default executor
-(`run_in_executor`), so one stalled client never blocks the loop; each
-client's ring bounds its memory and the broker sheds it on overflow
-exactly as for in-process subscribers.
+The blocking subscription drains run in the event loop's default
+executor (`run_in_executor`), so one stalled client never blocks the
+loop; each wake-up takes everything the ring buffered and writes its
+frames with one flush per ``FLUSH_FRAMES`` of them (a usual chunk is
+one flush; an unbounded ring's backlog still meets the transport's
+backpressure slice by slice).  Each client's ring bounds its memory
+and the broker sheds it on overflow exactly as for in-process
+subscribers.
 """
 
 from __future__ import annotations
@@ -50,6 +54,9 @@ from repro.core.options import ExecutionOptions
 from repro.serving.broker import AdmissionError, QueryBroker
 from repro.sql.catalog import SqlSession
 from repro.streaming.deltas import SubscriberOverflow
+
+#: delta frames written between two ``writer.drain()`` calls
+FLUSH_FRAMES = 256
 
 
 def _frame(kind: str, payload: dict) -> bytes:
@@ -209,20 +216,27 @@ class DeltaServer:
         loop = asyncio.get_running_loop()
         while True:
             try:
-                # the pop blocks in a worker thread, not the event loop;
-                # the timeout keeps the coroutine cancellable
-                delta = await loop.run_in_executor(
-                    None, lambda: subscription.pop(
+                # the drain blocks (for its first delta) in a worker
+                # thread, not the event loop; the timeout keeps the
+                # coroutine cancellable
+                deltas = await loop.run_in_executor(
+                    None, lambda: subscription.drain(
                         block=True, timeout=self.poll_timeout))
             except SubscriberOverflow as exc:
                 writer.write(_frame("error", {
                     "error": "subscriber_overflow", "detail": str(exc)}))
                 await writer.drain()
                 return
-            if delta is not None:
-                writer.write(_frame("delta", {
-                    "sign": delta.sign, "row": list(delta.row)}))
-                await writer.drain()
+            if deltas:
+                # one executor hop per buffered chunk, one flush per
+                # slice of it, so a large backlog is encoded only as fast
+                # as the transport's backpressure lets it out
+                for start in range(0, len(deltas), FLUSH_FRAMES):
+                    writer.writelines([
+                        _frame("delta", {"sign": delta.sign,
+                                         "row": list(delta.row)})
+                        for delta in deltas[start:start + FLUSH_FRAMES]])
+                    await writer.drain()
                 continue
             if subscription.closed:
                 writer.write(_frame("end", {"stats": _jsonable(

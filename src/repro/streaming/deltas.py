@@ -8,11 +8,14 @@ multiset and -- once the sources are exhausted -- equals the batch
 engine's answer for the same data (pinned by
 ``tests/test_streaming_equivalence.py``).
 
-``DeltaSink`` consumes exactly the streams the batch
-:class:`~repro.engine.runner.SinkBolt` does: rows on the data stream are
-insertions, rows on the ``:retract`` stream remove one stored instance
-(a retraction of a row that is not present is ignored, matching the
-batch sink's compensation semantics).
+``DeltaSink`` consumes the streams the batch
+:class:`~repro.engine.runner.SinkBolt` does -- rows on the data stream
+are insertions, rows on the ``:retract`` stream remove one stored
+instance (a retraction of a row that is not present is ignored, matching
+the batch sink's compensation semantics) -- plus the ``:changes`` stream
+of :class:`~repro.streaming.runner.DeltaAggBolt`, whose rows are
+``(sign, row)`` pairs applied in sequence: one aggregation batch arrives
+as one ordered changelog and is published with one fan-out.
 
 Fan-out (the serving layer's delivery path): one sink serves N
 subscribers, each through its own **bounded ring buffer**.  Publishing
@@ -31,11 +34,12 @@ import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from itertools import repeat
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 
 from repro.core.columnar import ColumnBatch
-from repro.engine.runner import RETRACT_SUFFIX
+from repro.engine.runner import CHANGES_SUFFIX, RETRACT_SUFFIX
 from repro.storm.topology import Bolt
 
 
@@ -66,7 +70,8 @@ class Subscription:
     """An ordered feed of one sink's deltas, optionally bounded.
 
     Iterating blocks until the next delta (or end of query); :meth:`pop`
-    is the non-blocking form the inline driver uses between pump rounds.
+    takes one delta and :meth:`drain` everything buffered, in one lock
+    acquisition -- the form the inline driver uses between pump rounds.
 
     Args:
         max_buffer: bounded-ring capacity; ``None`` keeps the legacy
@@ -96,6 +101,19 @@ class Subscription:
         sink.execute_batch("J", "J", [(1,), (2,)])
         assert feed.pop().row == (1,)      # deltas arrive in order
         assert feed.pop().sign == +1       # insertions carry sign +1
+
+    Bulk drain -- one signed changelog batch in, one list out::
+
+        from repro.streaming.deltas import DeltaSink
+
+        sink = DeltaSink()
+        feed = sink.subscribe()
+        sink.execute_batch("agg", "agg:changes", [
+            (1, ("a", 1)), (-1, ("a", 1)), (1, ("a", 2))])
+        assert [str(d) for d in feed.drain()] == [
+            "+('a', 1)", "-('a', 1)", "+('a', 2)"]
+        assert feed.drain() == [] and feed.backlog == 0
+        assert feed.delivered == feed.published == 3
     """
 
     #: squall-lint lock-discipline contract: ring state is only touched
@@ -232,6 +250,27 @@ class Subscription:
         else:
             self._fire_detach()
 
+    def _wait(self, timeout: Optional[float]):  # squall-lint: holds=_cond
+        """Block (holding the condition) until the ring has deltas or
+        went terminal, or ``timeout`` elapsed."""
+        self._cond.wait_for(
+            lambda: self._deltas or self._closed or self._overflowed,
+            timeout=timeout)
+
+    def _took(self, count: int):  # squall-lint: holds=_cond
+        """Account ``count`` deltas leaving the ring (holding the
+        condition).  Only an ``on_overflow='block'`` publisher ever
+        waits for ring space, so only that policy pays a notify."""
+        self.delivered += count
+        if self.on_overflow == "block" and self.max_buffer is not None:
+            self._cond.notify_all()
+
+    def _shed_error(self) -> SubscriberOverflow:
+        return SubscriberOverflow(
+            f"subscriber shed: fell more than {self.max_buffer} "
+            f"deltas behind the pipeline (on_overflow='shed'); "
+            f"re-subscribe to resume from the current snapshot")
+
     def pop(self, block: bool = False,
             timeout: Optional[float] = None) -> Optional[Delta]:
         """Next delta, or None (buffer empty / query over / timed out).
@@ -240,21 +279,33 @@ class Subscription:
         ring is found terminal."""
         with self._cond:
             if block:
-                self._cond.wait_for(
-                    lambda: self._deltas or self._closed or self._overflowed,
-                    timeout=timeout)
+                self._wait(timeout)
             if self._deltas:
-                delta = self._deltas.popleft()
-                self.delivered += 1
-                if self.max_buffer is not None:
-                    self._cond.notify_all()  # wake a blocked publisher
-                return delta
+                self._took(1)
+                return self._deltas.popleft()
             if self._overflowed:
-                raise SubscriberOverflow(
-                    f"subscriber shed: fell more than {self.max_buffer} "
-                    f"deltas behind the pipeline (on_overflow='shed'); "
-                    f"re-subscribe to resume from the current snapshot")
+                raise self._shed_error()
             return None
+
+    def drain(self, block: bool = False,
+              timeout: Optional[float] = None) -> List[Delta]:
+        """Every buffered delta, in order, under one lock acquisition
+        (empty list: buffer empty / query over / timed out).
+
+        The bulk form of :meth:`pop`, with the same blocking and
+        :class:`SubscriberOverflow` behaviour; the returned deltas count
+        as delivered the moment they leave the ring."""
+        with self._cond:
+            if block:
+                self._wait(timeout)
+            if self._deltas:
+                deltas = list(self._deltas)
+                self._deltas.clear()
+                self._took(len(deltas))
+                return deltas
+            if self._overflowed:
+                raise self._shed_error()
+            return []
 
     def __iter__(self) -> Iterator[Delta]:
         while True:
@@ -276,6 +327,13 @@ class DeltaSink(Bolt):
     batch is published to each attached :class:`Subscription`'s own
     ring, and subscriptions that report themselves dead (shed, closed,
     detached) are dropped from the fan-out list on the spot.
+
+    A batch on a ``:changes`` stream is a signed changelog -- ``(sign,
+    row)`` pairs, applied strictly in sequence under one lock
+    acquisition and published with one fan-out.  Sequence matters: a
+    ``-row`` is ignored unless the multiset holds the row *at that point
+    of the batch*, so ``[(+1, r), (-1, r)]`` publishes both deltas and
+    ``[(-1, r), (+1, r)]`` on an empty sink only the insertion.
     """
 
     #: coordinator-owned: checkpoints snapshot the multiset via
@@ -295,7 +353,10 @@ class DeltaSink(Bolt):
     def __init__(self):
         self._counts: Counter = Counter()
         self._lock = threading.Lock()
-        self._subscriptions: List[Subscription] = []
+        #: the fan-out list, copy-on-write: an immutable tuple replaced
+        #: (never mutated) on subscribe/detach/shed, so a publish reads
+        #: it under the lock and iterates it outside without copying
+        self._subscriptions: Tuple[Subscription, ...] = ()
         self.delta_count = 0
         #: subscribers dropped because their ring overflowed
         self.shed_count = 0
@@ -309,31 +370,33 @@ class DeltaSink(Bolt):
     def execute_batch(self, source: str, stream: str, rows):
         if isinstance(rows, ColumnBatch):
             # one materialization at the subscription boundary; the per-row
-            # loops below then run over plain tuples
+            # loop below then runs over plain tuples
             rows = rows.to_rows()
-        retract = stream.endswith(RETRACT_SUFFIX)
+        if stream.endswith(CHANGES_SUFFIX):
+            changes = rows
+        else:
+            changes = zip(
+                repeat(-1 if stream.endswith(RETRACT_SUFFIX) else 1), rows)
         deltas: List[Delta] = []
         with self._lock:
             counts = self._counts
-            if retract:
-                for row in rows:
-                    if counts[row] > 0:
-                        counts[row] -= 1
-                        if not counts[row]:
-                            del counts[row]
-                        deltas.append(Delta(-1, row))
-                    # absent row: ignore, as the batch SinkBolt does
-            else:
-                for row in rows:
+            for sign, row in changes:
+                if sign > 0:
                     counts[row] += 1
-                    deltas.append(Delta(1, row))
+                elif counts[row] > 0:
+                    counts[row] -= 1
+                    if not counts[row]:
+                        del counts[row]
+                else:
+                    continue  # absent row: ignore, as the batch SinkBolt does
+                deltas.append(Delta(sign, row))
             self.delta_count += len(deltas)
-            subscriptions = list(self._subscriptions)
+            subscriptions = self._subscriptions
         if subscriptions and deltas:
             self._fan_out(subscriptions, deltas)
         return []
 
-    def _fan_out(self, subscriptions: List[Subscription],
+    def _fan_out(self, subscriptions: Tuple[Subscription, ...],
                  deltas: List[Delta]):
         """Publish one delta batch to every subscriber ring."""
         produced_at = time.monotonic()
@@ -342,12 +405,13 @@ class DeltaSink(Bolt):
             if not subscription._publish(deltas, produced_at):
                 dead.append(subscription)
         if dead:
+            gone = set(dead)
             with self._lock:
-                for subscription in dead:
-                    if subscription in self._subscriptions:
-                        self._subscriptions.remove(subscription)
-                    if subscription.overflowed:
-                        self.shed_count += 1
+                self._subscriptions = tuple(
+                    subscription for subscription in self._subscriptions
+                    if subscription not in gone)
+                self.shed_count += sum(
+                    subscription.overflowed for subscription in dead)
             for subscription in dead:
                 subscription._fire_detach()
 
@@ -386,7 +450,7 @@ class DeltaSink(Bolt):
             self._counts = Counter(
                 {row: count for row, count in target.items() if count > 0})
             self.delta_count += len(deltas)
-            subscriptions = list(self._subscriptions)
+            subscriptions = self._subscriptions
         if subscriptions and deltas:
             self._fan_out(subscriptions, deltas)
         return len(deltas)
@@ -395,8 +459,8 @@ class DeltaSink(Bolt):
         """End of query: close every subscription."""
         with self._lock:
             self.completed = True
-            subscriptions = list(self._subscriptions)
-            self._subscriptions.clear()
+            subscriptions = self._subscriptions
+            self._subscriptions = ()
         for subscription in subscriptions:
             subscription._close()
             subscription._fire_detach()
@@ -441,7 +505,7 @@ class DeltaSink(Bolt):
                 subscription._publish(catch_up, time.monotonic(),
                                       force=True)
             if not completed:
-                self._subscriptions.append(subscription)
+                self._subscriptions += (subscription,)
         if completed:
             subscription._close()
             subscription._fire_detach()
@@ -450,8 +514,9 @@ class DeltaSink(Bolt):
     def detach(self, subscription: Subscription):
         """Drop one subscription from the fan-out (consumer cancelled)."""
         with self._lock:
-            if subscription in self._subscriptions:
-                self._subscriptions.remove(subscription)
+            self._subscriptions = tuple(
+                other for other in self._subscriptions
+                if other is not subscription)
         subscription._fire_detach()
 
     @property

@@ -23,12 +23,19 @@ engine plus incrementality, never a different answer.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.columnar import ColumnBatch
 from repro.core.options import ExecutionOptions, merge_options
 from repro.engine.component import PhysicalPlan, SourceComponent
 from repro.engine.operators import Projection, Selection
-from repro.engine.runner import RETRACT_SUFFIX, AggBolt, build_topology
+from repro.engine.runner import (
+    CHANGES_SUFFIX,
+    RETRACT_SUFFIX,
+    AggBolt,
+    build_topology,
+)
 from repro.storm.executor import ExecutorError
 from repro.storm.topology import Spout
 from repro.streaming.cluster import StreamingCluster
@@ -54,11 +61,39 @@ class DeltaAggBolt(AggBolt):
     sink -- the final snapshot is byte-for-byte the batch engine's
     answer, it just exists *at every moment along the way*.
 
+    One ``execute_batch`` / ``advance_watermark`` call emits its changes
+    as **one ordered changelog** on the ``<name>:changes`` stream: rows
+    are ``(sign, row)`` pairs, ``(-1, old)`` directly ahead of its
+    ``(+1, new)``, in the order the input rows changed their groups.
+    Being a single stream, the whole changelog routes as one micro-batch
+    (one sink call, one pipe message) however many groups it touches.
+    The order inside the batch is the contract: the sink ignores a
+    ``-row`` it does not hold, so a retraction moved ahead of the
+    insertion it undoes would be lost.  Nothing is netted -- a group
+    changed twice in one batch publishes both ``-old/+new`` pairs, at
+    every batch size the same per-group feed.
+
     Modes: unwindowed and sliding-window snapshot aggregations get the
     upsert treatment (sliding expirations -- arrival- or
     watermark-driven -- also emit deltas); tumbling windows and online
     aggregations already emit incrementally in batch mode and keep their
     semantics unchanged.
+
+    Example::
+
+        from repro.engine.component import AggComponent
+        from repro.engine.operators import count
+        from repro.streaming.runner import DeltaAggBolt
+
+        bolt = DeltaAggBolt(AggComponent(
+            "agg", group_positions=[0], aggregates=[count()]))
+        changes = bolt.execute_batch("J", "J", [("a",), ("b",), ("a",)])
+        assert changes == [
+            ("agg:changes", (1, ("a", 1))),
+            ("agg:changes", (1, ("b", 1))),
+            ("agg:changes", (-1, ("a", 1))),   # -old directly ahead
+            ("agg:changes", (1, ("a", 2))),    # of its +new
+        ]
     """
 
     def __init__(self, component):
@@ -66,16 +101,22 @@ class DeltaAggBolt(AggBolt):
         self._upsert = not component.online and (
             component.window is None or component.window.kind == "sliding"
         )
+        self._changes_stream = component.name + CHANGES_SUFFIX
+        #: unwindowed upsert: group key -> the group's row as last
+        #: published -- what the sink holds for the group, so a change
+        #: costs one lookup instead of two reads of the aggregation state
+        self._published: Dict[tuple, tuple] = {}
 
-    def _changes_to_emissions(self, changes) -> List[Tuple[str, tuple]]:
-        name = self.component.name
-        retract = name + RETRACT_SUFFIX
+    def _changelog(self, changes) -> List[Tuple[str, tuple]]:
+        """``(old, new)`` output-row pairs (None = group absent) as one
+        ordered run on the changes stream."""
+        stream = self._changes_stream
         out: List[Tuple[str, tuple]] = []
         for old, new in changes:
             if old is not None:
-                out.append((retract, old))
+                out.append((stream, (-1, old)))
             if new is not None:
-                out.append((name, new))
+                out.append((stream, (1, new)))
         return out
 
     def execute(self, source: str, stream: str, values: tuple):
@@ -87,27 +128,43 @@ class DeltaAggBolt(AggBolt):
         if not self._upsert:
             return super().execute_batch(source, stream, rows)
         sign = -1 if stream.endswith(RETRACT_SUFFIX) else 1
-        changes: List[Tuple[Optional[tuple], Optional[tuple]]] = []
         if self.sliding_state is not None:
+            # expiry is per arrival, so the window consumes row by row
+            changes: list = []
+            consume = self.sliding_state.consume
             for row in rows:
-                changes.extend(self.sliding_state.consume(row, sign))
-        else:
-            aggregation = self.aggregation
-            for row in rows:
-                key = aggregation.key_of(row)
-                old = aggregation.current(key)
-                aggregation.consume(row, sign)
-                new = aggregation.current(key)
-                if old != new:
-                    changes.append((old, new))
-        return self._changes_to_emissions(changes)
+                changes.extend(consume(row, sign))
+            return self._changelog(changes)
+        if isinstance(rows, ColumnBatch):
+            rows = rows.to_rows()
+        aggregation = self.aggregation
+        n_group = len(aggregation.group_positions)
+        published = self._published
+        changes_stream = self._changes_stream
+        out: List[Tuple[str, tuple]] = []
+        # consume_batch hands back the group's output row after each
+        # input row, None once the group's input rows cancelled out
+        outputs = aggregation.consume_batch(rows, sign, dead_as_none=True)
+        for row, new in zip(rows, outputs):
+            if new is None:
+                old = published.pop(aggregation.key_of(row))
+                out.append((changes_stream, (-1, old)))
+                continue
+            key = new[:n_group]
+            old = published.get(key)
+            if new != old:
+                published[key] = new
+                if old is not None:
+                    out.append((changes_stream, (-1, old)))
+                out.append((changes_stream, (1, new)))
+        return out
 
     def advance_watermark(self, watermark):
         if self._upsert and self.sliding_state is not None:
             window = self.component.window
             if window.ts_positions is None:
                 return []
-            return self._changes_to_emissions(
+            return self._changelog(
                 self.sliding_state.advance_time(watermark))
         return super().advance_watermark(watermark)
 
@@ -291,13 +348,19 @@ class StreamingQuery:
         #: the resolved execution options this query runs under
         self.options = options
         self._subscription: Optional[Subscription] = None
+        #: deltas drained from the subscription but not yet handed to a
+        #: consumer; held on the query, not in an iterator, so abandoning
+        #: one iterator and starting another resumes without a gap
+        self._pending: Deque[Delta] = deque()
 
     @property
     def subscription(self) -> Subscription:
         """The delta feed, created on first use: a run()-and-snapshot()
         consumer never buffers the changelog.  Subscribe (or start
         iterating) before driving the query to observe it from the
-        beginning; a later subscriber starts from the current state."""
+        beginning; a later subscriber starts from the current state.
+        Consume it either here or by iterating the query: the query's
+        iterators read ahead of this handle by one drained chunk."""
         if self._subscription is None:
             self._subscription = self.cluster.subscribe()
         return self._subscription
@@ -305,18 +368,26 @@ class StreamingQuery:
     def deltas(self) -> Iterator[Delta]:
         """Live delta iterator.
 
-        Inline: each empty poll drives one pump round.  Threads: blocks
+        Refills from the subscription with one bulk
+        :meth:`~repro.streaming.deltas.Subscription.drain` per empty
+        buffer instead of one lock acquisition per delta.  The drained
+        chunk is the query's, not the iterator's: break out of a loop
+        and iterate again (or interleave two iterators) and every delta
+        is still delivered once, in order.
+        Inline: each empty drain drives one pump round.  Threads: blocks
         on the subscription's condition variable, so a delta published by
         a background worker wakes the consumer immediately."""
         cluster = self.cluster
+        pending = self._pending
         threaded = cluster.executor == "threads"
         if threaded:
             cluster.start()
         while True:
-            delta = self.subscription.pop(
-                block=threaded, timeout=0.1 if threaded else None)
-            if delta is not None:
-                yield delta
+            while pending:
+                yield pending.popleft()
+            pending.extend(self.subscription.drain(
+                block=threaded, timeout=0.1 if threaded else None))
+            if pending:
                 continue
             if self.subscription.closed:
                 return

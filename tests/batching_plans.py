@@ -112,6 +112,58 @@ def plan_two_joins() -> PhysicalPlan:
     )
 
 
+def stream_events(n: int = 300, keys: int = 5, seed: int = 71):
+    """``(ts, key, value)`` events in timestamp order."""
+    rng = random.Random(seed)
+    return Relation("events", Schema.of("ts", "key", "value"),
+                    [(ts, rng.randrange(keys), rng.randrange(20))
+                     for ts in range(n)])
+
+
+def plan_stream_count_sum(window=None) -> PhysicalPlan:
+    """One source straight into COUNT/SUM by key on two tasks: each
+    group's input order is the source order at every batch size and
+    under every executor, so the per-group delta feed is a pinned
+    sequence (a join upstream would reorder a group's rows with the
+    batching)."""
+    return PhysicalPlan(
+        sources=[SourceComponent("events", stream_events())],
+        joins=[],
+        aggregation=AggComponent("agg", group_positions=[1],
+                                 aggregates=[count(), total(2)],
+                                 parallelism=2, window=window),
+    )
+
+
+def plan_stream_sliding() -> PhysicalPlan:
+    """The same aggregation over a sliding event-time window: every
+    event is inserted and later retracted."""
+    from repro.engine.windows import WindowSpec
+
+    return plan_stream_count_sum(
+        window=WindowSpec.sliding(40, ts_positions={"": 0}))
+
+
+def retraction_script():
+    """Emissions for :func:`plan_stream_count_sum`'s ``events`` source
+    with compensations: every 9th event is delivered twice and the
+    duplicates retracted at the end; one group dies and is reborn; one
+    row is retracted ahead of its insertion (the group passes through a
+    negative count)."""
+    from repro.engine.runner import RETRACT_SUFFIX
+
+    clean = [("events", row) for row in stream_events().rows]
+    replayed = clean[::9]
+    script = list(clean)
+    script[60:60] = replayed
+    retract = "events" + RETRACT_SUFFIX
+    script[150:150] = [("events", (150, 77, 3)), (retract, (150, 77, 3)),
+                       ("events", (150, 77, 4)),
+                       (retract, (150, 88, 5)), ("events", (150, 88, 5))]
+    script.extend((retract, row) for _stream, row in replayed)
+    return script
+
+
 #: name -> plan builder; every entry has a golden capture
 GOLDEN_PLANS = {
     "join_only": plan_join_only,

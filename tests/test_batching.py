@@ -239,6 +239,17 @@ class TestOperatorBatch:
         assert outputs == [(1, 1, 3), (1, 0, 0)]
         assert agg.group_count == 0
 
+    def test_aggregation_batch_dead_as_none_tells_death_from_zero(self):
+        """A live group summing to zero and a group that just died print
+        the same padded row; ``dead_as_none`` keeps them apart."""
+        agg = Aggregation([0], [total(1)])
+        outputs = agg.consume_batch([(1, 4), (1, -4)], dead_as_none=True)
+        assert outputs == [(1, 4), (1, 0)]  # two rows in: alive at zero
+        outputs = agg.consume_batch([(1, 4), (1, -4)], sign=-1,
+                                    dead_as_none=True)
+        assert outputs == [(1, -4), None]
+        assert agg.group_count == 0
+
 
 # ---------------------------------------------------------------------------
 # local joins
