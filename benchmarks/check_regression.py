@@ -12,7 +12,10 @@ statistic a shared CI runner can offer; the generous default threshold
 absorbs normal runner-to-runner jitter while still catching real
 algorithmic slowdowns.  Benchmarks present on only one side are
 reported but never fail the gate (new benchmarks must be able to land,
-and retired ones to leave, without a baseline edit race).
+and retired ones to leave, without a baseline edit race).  Neither does
+a benchmark both sides measured on *different core counts* (each records
+``extra_info["cpus"]``): a 1-core baseline says nothing about a 2-core
+run of a parallel backend, so the row reads ``skipped (cpus a≠b)``.
 
 Refresh the committed baseline by downloading a green run's
 ``BENCH_<sha>.json`` artifact (or running
@@ -92,8 +95,11 @@ def main(argv=None) -> int:
 
     baseline = load_stats(args.baseline)
     current = load_stats(args.current)
+    baseline_info = load_extra_info(args.baseline)
+    current_info = load_extra_info(args.current)
 
     regressions = []
+    compared = 0
     print(f"{'benchmark':<60}{'baseline':>12}{'current':>12}{'ratio':>8}")
     for name in sorted(set(baseline) | set(current)):
         if name not in baseline:
@@ -104,6 +110,13 @@ def main(argv=None) -> int:
             continue
         base_min = baseline[name]["min"]
         cur_min = current[name]["min"]
+        base_cpus = baseline_info[name].get("cpus")
+        cur_cpus = current_info[name].get("cpus")
+        if None not in (base_cpus, cur_cpus) and base_cpus != cur_cpus:
+            print(f"{name:<60}{base_min:>12.4f}{cur_min:>12.4f}"
+                  f"  skipped (cpus {base_cpus}≠{cur_cpus})")
+            continue
+        compared += 1
         ratio = cur_min / base_min if base_min else float("inf")
         flag = ""
         if ratio > 1.0 + args.threshold:
@@ -119,7 +132,7 @@ def main(argv=None) -> int:
             print(f"{name:<60}{row_min:>12.4f}{col_min:>12.4f}"
                   f"{speedup:>7.2f}x")
 
-    scalings = fanout_scalings(load_extra_info(args.current))
+    scalings = fanout_scalings(current_info)
     if scalings:
         print(f"\n{'serving fan-out':<60}{'subs':>12}{'p99 (ms)':>12}"
               f"{'scaling':>8}")
@@ -134,7 +147,7 @@ def main(argv=None) -> int:
             print(f"  {name}: {ratio:.2f}x")
         return 1
     print(f"\nOK: no benchmark regressed by more than {args.threshold:.0%} "
-          f"({len(set(baseline) & set(current))} compared)")
+          f"({compared} compared)")
     return 0
 
 

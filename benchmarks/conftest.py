@@ -10,7 +10,8 @@ terminal summary and written to ``benchmarks/results/``.
 from __future__ import annotations
 
 import os
-from typing import List, Sequence
+import time
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import pytest
 
@@ -45,6 +46,27 @@ def record_table(name: str, title: str, headers: Sequence[str],
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(text + "\n")
+
+
+def interleaved_best_of(runs: Dict[str, Callable[[], object]], rounds: int
+                        ) -> Tuple[Dict[str, float], Dict[str, object]]:
+    """Best-of-``rounds`` wall seconds of every named run, plus each
+    run's last return value.
+
+    The runs take turns inside every round instead of each doing its
+    rounds back to back, so a noisy stretch of the machine hits all of
+    them alike rather than whichever happened to be running; the minimum
+    is the statistic least moved by what else the box is doing.  One
+    untimed call of each run comes first (imports, allocator, caches).
+    """
+    results = {name: run() for name, run in runs.items()}
+    best = {name: float("inf") for name in runs}
+    for _round in range(rounds):
+        for name, run in runs.items():
+            started = time.perf_counter()
+            results[name] = run()
+            best[name] = min(best[name], time.perf_counter() - started)
+    return best, results
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

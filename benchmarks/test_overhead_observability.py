@@ -21,15 +21,13 @@ observer object exists, and the result multiset is identical at every
 level.
 """
 
-import time
-
 import pytest
 
 from repro.bench import multiway_join_plan
 from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 
-from benchmarks.conftest import record_table
+from benchmarks.conftest import interleaved_best_of, record_table
 
 N_ROWS = 2000
 MACHINES = 8
@@ -77,15 +75,11 @@ def test_overhead_observability(benchmark, level):
 
 def test_observability_overhead_within_gates():
     plan = multiway_join_plan(n_rows=N_ROWS, machines=MACHINES)
-    observed_run(plan, "off")  # warmup: imports, allocator, caches
-    best = {level: float("inf") for level in LEVELS}
-    results = {}
-    for _round in range(GATE_ROUNDS):
-        for level in LEVELS:
-            start = time.perf_counter()
-            result = observed_run(plan, level)
-            best[level] = min(best[level], time.perf_counter() - start)
-            results[level] = sorted(result.results)
+    best, last = interleaved_best_of(
+        {level: (lambda level=level: observed_run(plan, level))
+         for level in LEVELS}, GATE_ROUNDS)
+    results = {level: sorted(result.results)
+               for level, result in last.items()}
 
     rows = []
     for level in LEVELS:

@@ -191,6 +191,34 @@ class _GrowColumn:
             return np.empty(0, dtype=object)
         return self.data[:self.n]
 
+    def __getstate__(self):
+        """The ``n`` live values only.
+
+        The doubled capacity behind them is ``np.empty`` garbage: pickled
+        along, it bloats every checkpoint blob and makes the blob's
+        digest differ between two identical states.
+
+        >>> import pickle
+        >>> import numpy as np
+        >>> from repro.joins.dbtoaster import _GrowColumn
+        >>> column = _GrowColumn()
+        >>> column.append(np.arange(3))
+        >>> len(column.data), column.n
+        (16, 3)
+        >>> restored = pickle.loads(pickle.dumps(column))
+        >>> len(restored.data), restored.view().tolist()
+        (3, [0, 1, 2])
+        >>> restored.append(np.arange(3, 6))    # grows again by doubling
+        >>> restored.view().tolist()
+        [0, 1, 2, 3, 4, 5]
+        """
+        # a 1-tuple: pickle skips __setstate__ for a falsy state
+        return (None if self.data is None else self.data[:self.n],)
+
+    def __setstate__(self, state):
+        (self.data,) = state
+        self.n = 0 if self.data is None else len(self.data)
+
     def append(self, values: np.ndarray):
         k = len(values)
         if k == 0:
@@ -234,6 +262,40 @@ class _ColumnarView:
         self.mults = _GrowColumn()
         self.indexes: Dict[Tuple[int, ...], IdIndex] = {}
         self.total = 0
+
+    def __getstate__(self):
+        """Columns, multiplicities, total -- and of the indexes only
+        *which* key positions are indexed, in order (``retract`` resolves
+        rows through the first one).
+
+        The id buckets are derived: :meth:`ensure_index` rebuilds a
+        bucket as the ascending live ids of its key, which is exactly
+        what incremental ``extend``/``retract`` maintenance leaves
+        behind, so a rebuilt index answers every probe as the original
+        would.  A restored view holds a ``None`` placeholder per index
+        until its owner (:meth:`DBToasterJoin._plan_columnar`) has them
+        rebuilt before the next probe.
+
+        >>> import pickle
+        >>> import numpy as np
+        >>> from repro.joins.dbtoaster import _ColumnarView
+        >>> view = _ColumnarView(2)
+        >>> _ = view.ensure_index((1,))
+        >>> view.extend([np.array([1, 2, 3]), np.array([7, 8, 7])],
+        ...             np.ones(3, dtype=np.int64))
+        >>> view.retract([np.array([1]), np.array([7])],
+        ...              np.ones(1, dtype=np.int64))
+        >>> restored = pickle.loads(pickle.dumps(view))
+        >>> restored.indexes
+        {(1,): None}
+        >>> restored.ensure_index((1,)).get(7), view.indexes[(1,)].get(7)
+        ([2], [2])
+        """
+        return (self.cols, self.mults, self.total, tuple(self.indexes))
+
+    def __setstate__(self, state):
+        self.cols, self.mults, self.total, indexed = state
+        self.indexes = dict.fromkeys(indexed)
 
     @staticmethod
     def _keys_of(columns, flat_positions: Tuple[int, ...]) -> list:
@@ -418,8 +480,7 @@ class DBToasterJoin(LocalJoin):
 
     def _activate_columnar(self):
         """Switch to the columnar kernel: convert existing view state to
-        id-addressed column vectors and precompute per-(target, prober)
-        gather maps.
+        id-addressed column vectors.
 
         Deltas are whole-batch: since none of the probed component views
         contains the prober relation, every row of an incoming batch sees
@@ -440,6 +501,18 @@ class DBToasterJoin(LocalJoin):
                 ]
                 cview.extend(columns, mults)
             self._cviews[subset] = cview
+
+    def _plan_columnar(self):
+        """Derive everything the columnar kernel probes through from the
+        columnar views: the id indexes and the per-(target, prober)
+        gather maps.
+
+        The one place that builds them -- after activation, and again
+        after unpickling (:meth:`__getstate__` ships neither).
+        """
+        for cview in self._cviews.values():
+            for flat_positions in cview.indexes:  # a restored view's own
+                cview.ensure_index(flat_positions)
         self._cplans = {}
         for (subset, rel), plans in self._plans.items():
             target_layout = (self.views[subset].layout if subset in self.views
@@ -459,6 +532,39 @@ class DBToasterJoin(LocalJoin):
                     (cview, plan.key_prober, plan.key_flat, col_map))
             self._cplans[(subset, rel)] = (target_layout.arity, prober_map,
                                            plan_entries)
+
+    def __getstate__(self):
+        """Everything but the probe plans, which -- like the id indexes
+        the columnar views leave out of *their* pickles -- are derived
+        state: a blob holds columns, multiplicities and index key
+        positions, and the first batch after a restore rebuilds the rest
+        (:meth:`_plan_columnar`).  ``run_plan`` reads only ``work`` and
+        ``state_size()`` off the joins a ``processes`` run ships home,
+        so there the rebuild never happens at all.
+
+        >>> import pickle
+        >>> from repro.core.columnar import ColumnBatch
+        >>> from repro.core.predicates import (
+        ...     EquiCondition, JoinSpec, RelationInfo)
+        >>> from repro.core.schema import Schema
+        >>> from repro.joins.dbtoaster import DBToasterJoin
+        >>> spec = JoinSpec(
+        ...     [RelationInfo("R", Schema.of("x", "y"), 4),
+        ...      RelationInfo("S", Schema.of("y", "z"), 4)],
+        ...     [EquiCondition(("R", "y"), ("S", "y"))])
+        >>> join = DBToasterJoin(spec)
+        >>> _ = join.insert_batch("R", ColumnBatch.from_rows([(1, 7), (2, 8)]))
+        >>> twin = pickle.loads(pickle.dumps(join))
+        >>> twin._cplans is None
+        True
+        >>> twin.insert_batch("S", ColumnBatch.from_rows([(7, 0)])).to_rows()
+        [(1, 7, 7, 0)]
+        >>> pickle.dumps(twin) == pickle.dumps(pickle.loads(pickle.dumps(twin)))
+        True
+        """
+        state = dict(self.__dict__)
+        state["_cplans"] = None
+        return state
 
     def _delta_batch(self, rel_name: str, batch_cols: List[np.ndarray],
                      n: int, subset: FrozenSet[str], bucket_cache: dict,
@@ -535,6 +641,8 @@ class DBToasterJoin(LocalJoin):
         n = batch.length
         if n == 0:
             return ColumnBatch([], 0, sign)
+        if self._cplans is None:
+            self._plan_columnar()
         batch_cols = [_as_array(col) for col in batch.columns]
         bucket_cache: dict = {}
         key_cache: dict = {}

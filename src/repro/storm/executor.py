@@ -21,11 +21,17 @@ Execution is *staged*: components are grouped into topological levels
 runs as one parallel wave with a barrier after it.  Within a wave every
 worker drains or executes only the tasks it owns, routes the emissions
 task-locally through its own copy of the stream groupings, and hands the
-routed micro-batches back to the coordinator, which delivers them to the
-owning workers in later waves.  The barrier guarantees what the inline
-loop gets for free: a component's ``finish()`` runs only after every
-upstream tuple has been delivered, so snapshot aggregations and
-retractions stay correct.
+routed work back to the coordinator, which delivers it to the owning
+workers in later waves.  The barrier guarantees what the inline loop gets
+for free: a component's ``finish()`` runs only after every upstream tuple
+has been delivered, so snapshot aggregations and retractions stay correct.
+
+The barrier also means a task's whole input for a wave is known before it
+runs, so routed work travels and executes *coalesced*
+(:class:`WaveBuffer`): per task, every run of deliveries from one
+``(source, stream)`` is one batch, however many micro-batches the
+upstream tasks produced it in -- the pipes carry a few large payloads and
+a joiner pays its per-batch costs once per input relation.
 
 Workers merge deterministically (worker-id order), so a run is
 reproducible; result *multisets* and per-component totals are identical
@@ -222,6 +228,102 @@ class Router:
 
 
 # ---------------------------------------------------------------------------
+# Wave coalescing
+# ---------------------------------------------------------------------------
+
+#: what a task is handed for one run: ``(source, stream, rows, ctx)``;
+#: ``ctx`` is the span context of the hop that produced the rows (None
+#: unless the run is traced)
+Delivery = Tuple[str, str, object, object]
+
+
+def _mergeable(earlier, later) -> bool:
+    """Whether two payloads may execute as one batch: both non-empty and
+    of one representation (row lists; or ColumnBatches of equal sign and
+    arity)."""
+    if not len(earlier) or not len(later):
+        return False
+    if isinstance(earlier, ColumnBatch):
+        return (isinstance(later, ColumnBatch)
+                and earlier.sign == later.sign
+                and len(earlier.columns) == len(later.columns))
+    return not isinstance(later, ColumnBatch)
+
+
+def _concat(parts: list):
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], ColumnBatch):
+        return ColumnBatch.concat(parts)
+    return [row for part in parts for row in part]
+
+
+class WaveBuffer:
+    """Routed work awaiting a later wave, coalesced per ``(target, task)``.
+
+    A level barrier hands every task its *complete* input, so the staged
+    backends never promised per-tuple interleaving; what a task does see
+    is its deliveries in arrival order.  The buffer keeps that order and
+    folds every maximal run of deliveries that share ``(source, stream)``,
+    span context and representation into one batch -- a joiner fed 48
+    spout batches of one relation executes one batch of their rows.  A
+    ``:retract`` stream is a different stream, so runs never merge across
+    a retraction; traced hops carry distinct contexts and never merge (one
+    span has one parent); an empty payload stays a delivery of its own.
+
+    Workers fill one while they assemble a wave's routed output and the
+    coordinator folds the replies into one in worker-id order, so both
+    pipe hops carry a few large payloads and delivery stays deterministic.
+    """
+
+    def __init__(self):
+        #: (target, task) -> runs, each ``[source, stream, ctx, parts]``
+        self._runs: Dict[Tuple[str, int], List[list]] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._runs)
+
+    def keys(self):
+        return self._runs.keys()
+
+    def depth(self) -> int:
+        """Deliveries waiting (the staged queue-depth sample)."""
+        return sum(len(runs) for runs in self._runs.values())
+
+    def _append(self, key, source, stream, rows, ctx):
+        runs = self._runs.get(key)
+        if runs is None:
+            self._runs[key] = [[source, stream, ctx, [rows]]]
+            return
+        last = runs[-1]
+        if (last[0] == source and last[1] == stream and last[2] == ctx
+                and _mergeable(last[3][-1], rows)):
+            last[3].append(rows)
+        else:
+            runs.append([source, stream, ctx, [rows]])
+
+    def add(self, items: List[WorkItem], ctx=None):
+        """Buffer one ``Router.route`` result, all parented by ``ctx``."""
+        for target, task_index, source, stream, rows in items:
+            self._append((target, task_index), source, stream, rows, ctx)
+
+    def fold(self, deliveries: Dict[Tuple[str, int], List[Delivery]]):
+        """Buffer another buffer's :meth:`drain` (a worker's reply)."""
+        for key, entries in deliveries.items():
+            for source, stream, rows, ctx in entries:
+                self._append(key, source, stream, rows, ctx)
+
+    def pop(self, key) -> List[Delivery]:
+        """Remove and return one task's deliveries, each run merged."""
+        return [(source, stream, _concat(parts), ctx)
+                for source, stream, ctx, parts in self._runs.pop(key, ())]
+
+    def drain(self) -> Dict[Tuple[str, int], List[Delivery]]:
+        """Everything buffered, per task, each run merged."""
+        return {key: self.pop(key) for key in list(self._runs)}
+
+
+# ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
@@ -264,23 +366,25 @@ class WorkerState:
                 self.owned.setdefault(name, {})[task_index] = tasks[name][task_index]
 
     def run_wave(self, components: Sequence[str],
-                 delivered: Dict[Tuple[str, int], List[Tuple[str, str, List[tuple]]]],
-                 ) -> Tuple[List[WorkItem], MetricDeltas]:
+                 delivered: Dict[Tuple[str, int], List[Delivery]],
+                 ) -> Tuple[Dict[Tuple[str, int], List[Delivery]],
+                            MetricDeltas]:
         """Execute one topological level on this worker's owned tasks.
 
         Spout components are drained to exhaustion in ``batch_size``
         micro-batches; bolt components execute their delivered batches in
         arrival order and then flush (``finish``) -- the coordinator's
         barrier guarantees every input batch has already been delivered.
+        The routed output goes home coalesced (:class:`WaveBuffer`).
 
         Observed runs take :meth:`_run_wave_observed` instead -- same
         scheduling, plus per-batch timings (and spans at the trace
-        level, where delivered entries and routed items grow a trailing
-        span-context element).
+        level, where every delivery carries the span context of the hop
+        that produced it).
         """
         if self.obs is not None:
             return self._run_wave_observed(components, delivered)
-        out: List[WorkItem] = []
+        out = WaveBuffer()
         emits: List[tuple] = []
         receives: List[tuple] = []
         batches: List[tuple] = []
@@ -300,7 +404,7 @@ class WorkerState:
                             break
                         emits.append((name, task_index, len(emissions)))
                         batches.append((name, task_index))
-                        out.extend(route(name, emissions))
+                        out.add(route(name, emissions))
                         # a short batch means exhaustion unless the spout
                         # says otherwise (a columnar spout's selection can
                         # thin a mid-stream chunk below batch_size)
@@ -310,7 +414,8 @@ class WorkerState:
             else:
                 for task_index in sorted(owned):
                     bolt = owned[task_index]
-                    for source, stream, rows in delivered.get((name, task_index), ()):
+                    for source, stream, rows, _ctx in delivered.get(
+                            (name, task_index), ()):
                         receives.append((source, name, task_index, len(rows)))
                         batches.append((name, task_index))
                         if isinstance(rows, ColumnBatch):
@@ -322,18 +427,17 @@ class WorkerState:
                         emissions = bolt.execute_batch(source, stream, rows)
                         if emissions:
                             emits.append((name, task_index, len(emissions)))
-                            out.extend(route(name, emissions))
+                            out.add(route(name, emissions))
                     emissions = bolt.finish()
                     if emissions:
                         emits.append((name, task_index, len(emissions)))
-                        out.extend(route(name, emissions))
-        return out, (emits, receives, batches, paths, None)
+                        out.add(route(name, emissions))
+        return out.drain(), (emits, receives, batches, paths, None)
 
     def _run_wave_observed(self, components, delivered):
         """The observed twin of :meth:`run_wave`."""
         obs = self.obs
-        trace = obs.trace
-        out: List[tuple] = []
+        out = WaveBuffer()
         emits: List[tuple] = []
         receives: List[tuple] = []
         batches: List[tuple] = []
@@ -357,25 +461,18 @@ class WorkerState:
                         emits.append((name, task_index, len(emissions)))
                         batches.append((name, task_index))
                         obs.record(name, task_index, len(emissions), elapsed)
-                        items = route(name, emissions)
-                        if trace:
-                            ctx = obs.root(name, task_index, len(emissions),
-                                           elapsed)
-                            out.extend(item + (ctx,) for item in items)
-                        else:
-                            out.extend(items)
+                        # None below the trace level
+                        ctx = obs.root(name, task_index, len(emissions),
+                                       elapsed)
+                        out.add(route(name, emissions), ctx)
                         if len(emissions) < self.batch_size and not (
                                 has_more is not None and has_more()):
                             break
             else:
                 for task_index in sorted(owned):
                     bolt = owned[task_index]
-                    for entry in delivered.get((name, task_index), ()):
-                        if trace:
-                            source, stream, rows, ctx = entry
-                        else:
-                            source, stream, rows = entry
-                            ctx = None
+                    for source, stream, rows, ctx in delivered.get(
+                            (name, task_index), ()):
                         receives.append((source, name, task_index, len(rows)))
                         batches.append((name, task_index))
                         if isinstance(rows, ColumnBatch):
@@ -392,21 +489,13 @@ class WorkerState:
                                          elapsed)
                         if emissions:
                             emits.append((name, task_index, len(emissions)))
-                            items = route(name, emissions)
-                            if trace:
-                                out.extend(item + (child,) for item in items)
-                            else:
-                                out.extend(items)
+                            out.add(route(name, emissions), child)
                     emissions = bolt.finish()
                     if emissions:
                         emits.append((name, task_index, len(emissions)))
-                        items = route(name, emissions)
-                        if trace:
-                            # flush emissions are punctuations, untraced
-                            out.extend(item + (None,) for item in items)
-                        else:
-                            out.extend(items)
-        return out, (emits, receives, batches, paths, obs.drain())
+                        # flush emissions are punctuations, untraced
+                        out.add(route(name, emissions))
+        return out.drain(), (emits, receives, batches, paths, obs.drain())
 
     def exports(self) -> Dict[Tuple[str, int], object]:
         """Final owned task instances, for post-run state extraction."""
@@ -469,8 +558,10 @@ class _ThreadWorker:
     def recv(self):
         return self._outbox.get()
 
-    def stop(self):
+    def signal_stop(self):
         self._inbox.put(("stop",))
+
+    def join(self):
         self._thread.join(timeout=30)
 
 
@@ -498,11 +589,13 @@ class _ProcessWorker:
     def recv(self):
         return self._parent_conn.recv()
 
-    def stop(self):
+    def signal_stop(self):
         try:
             self._parent_conn.send(("stop",))
         except (BrokenPipeError, OSError):
             pass
+
+    def join(self):
         self._process.join(timeout=30)
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.terminate()
@@ -570,11 +663,10 @@ class StagedExecutor:
         cluster = self.cluster
         metrics = cluster.metrics
         observer = cluster.observer
-        trace = observer is not None and observer.trace
         levels = topological_levels(cluster.topology)
         workers = self._start_workers(batch_size)
         try:
-            pending: Dict[Tuple[str, int], List[tuple]] = {}
+            pending = WaveBuffer()
             for level in levels:
                 for worker_id, worker in enumerate(workers):
                     delivered = {}
@@ -584,9 +676,9 @@ class StagedExecutor:
                             key = (name, task_index)
                             if self.assignment[key] != worker_id:
                                 continue
-                            items = pending.pop(key, None)
-                            if items:
-                                delivered[key] = items
+                            entries = pending.pop(key)
+                            if entries:
+                                delivered[key] = entries
                     worker.send(("wave", level, delivered))
                 # barrier: collect every worker's wave in worker-id order,
                 # so the merged delivery order is deterministic
@@ -602,29 +694,22 @@ class StagedExecutor:
                     metrics.merge_path_counts(*paths)
                     if observer is not None:
                         observer.merge_worker_obs(obs_payload)
-                    if trace:
-                        for target, task_index, source, stream, rows, ctx \
-                                in routed:
-                            pending.setdefault((target, task_index), []).append(
-                                (source, stream, rows, ctx)
-                            )
-                    else:
-                        for target, task_index, source, stream, rows in routed:
-                            pending.setdefault((target, task_index), []).append(
-                                (source, stream, rows)
-                            )
+                    pending.fold(routed)
                 if observer is not None and pending:
-                    observer.on_queue_depth(
-                        "staged",
-                        sum(len(items) for items in pending.values()))
+                    observer.on_queue_depth("staged", pending.depth())
             if pending:  # pragma: no cover - level invariant violated
                 raise ExecutorError(
-                    f"undelivered batches after final wave: {sorted(pending)}"
+                    f"undelivered batches after final wave: "
+                    f"{sorted(pending.keys())}"
                 )
             self._finalize(workers)
         finally:
+            # signal every worker before waiting on any: their exits
+            # overlap instead of queueing behind one another's join
             for worker in workers:
-                worker.stop()
+                worker.signal_stop()
+            for worker in workers:
+                worker.join()
         return metrics
 
     def _reply(self, worker):

@@ -13,7 +13,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnBatch, bucket_by_task, hash_key_columns
+from repro.core.columnar import (
+    ColumnBatch,
+    bucket_by_task,
+    hash_column,
+    hash_key_columns,
+)
 from repro.partitioning.base import Partitioner
 from repro.util import stable_hash
 
@@ -307,6 +312,17 @@ class KeyMappedGrouping(Grouping):
     def __init__(self, position: int, mapping: Dict[object, int]):
         self.position = position
         self.mapping = dict(mapping)
+        #: (sorted keys, their tasks) for ``int64`` key columns, or None
+        #: when some mapped key is not a plain in-range int (the per-row
+        #: dict lookup then decides what such a key equals)
+        self._int_lookup: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        info = np.iinfo(np.int64)
+        if self.mapping and all(
+                type(key) is int and info.min <= key <= info.max
+                for key in self.mapping):
+            keys = np.array(sorted(self.mapping), dtype=np.int64)
+            self._int_lookup = (keys, np.array(
+                [self.mapping[key] for key in keys.tolist()], dtype=np.int64))
 
     def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
         key = values[self.position]
@@ -321,6 +337,17 @@ class KeyMappedGrouping(Grouping):
         position = self.position
         mapping = self.mapping
         if isinstance(rows, ColumnBatch):
+            column = rows.columns[position]
+            if (self._int_lookup is not None and isinstance(column, np.ndarray)
+                    and column.dtype == np.int64):
+                keys, assigned = self._int_lookup
+                slot = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
+                tasks = assigned[slot]
+                unseen = keys[slot] != column
+                if unseen.any():
+                    # unseen key: hash, as ``targets`` does
+                    tasks[unseen] = hash_column(column[unseen])
+                return bucket_by_task(rows, tasks % n_tasks)
             values = rows.column_list(position)
             tasks = np.fromiter(
                 ((mapping[key] if key in mapping else stable_hash(key))

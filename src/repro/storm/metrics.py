@@ -26,7 +26,9 @@ class TopologyMetrics:
     received: Dict[str, List[int]] = field(default_factory=dict)
     emitted: Dict[str, List[int]] = field(default_factory=dict)
     edge_transfers: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: micro-batches handled per task: spout pulls and bolt deliveries.
+    #: micro-batches handled per task: spout pulls and *executed* bolt
+    #: batches (the staged backends execute a wave's deliveries coalesced,
+    #: so a bolt's count there is its runs, not its upstream's pulls).
     #: The load-balance signal of the parallel backends -- per-task *tuple*
     #: counts alone cannot tell an idle spout task from a starved one.
     batches: Dict[str, List[int]] = field(default_factory=dict)

@@ -9,6 +9,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
@@ -113,6 +114,46 @@ class TestTargetsBatch:
     def test_key_mapped_including_unseen_keys(self):
         mapping = round_robin_assignment(["k0", "k1", "k2"], 4)  # k3, k4 unseen
         self.check_matches_per_tuple(lambda: KeyMappedGrouping(2, mapping))
+
+    _EDGE_KEYS = [0, 1, -1, 2**31, 2**32, 2**32 + 1, -2**32, 2**63 - 1,
+                  -2**63]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mapped=st.lists(st.one_of(st.integers(-5, 20), st.sampled_from(
+            _EDGE_KEYS)), unique=True, max_size=12),
+        keys=st.lists(st.one_of(st.integers(-8, 24), st.sampled_from(
+            _EDGE_KEYS)), min_size=1, max_size=30),
+        n_tasks=st.integers(1, 5),
+        extra=st.sampled_from([None, "a", 1.0, True, 2**70]),
+    )
+    def test_key_mapped_int64_column_routes_like_per_row_targets(
+            self, mapped, keys, n_tasks, extra):
+        """The vectorised lookup (sorted keys + searchsorted, unseen
+        keys through ``hash_column``) lands every row where ``targets``
+        does -- unseen, negative and >= 2**32 keys included; a mapping
+        with a key that is not a plain int (``1.0 == True == 1`` to a
+        dict) keeps the per-row path, and must still agree."""
+        from repro.core.columnar import ColumnBatch
+
+        mapping = {key: 3 * slot + 1 for slot, key in enumerate(mapped)}
+        if extra is not None:
+            mapping[extra] = 2
+        grouping = KeyMappedGrouping(1, mapping)
+        # (1.0 and True collide with a mapped 1 and leave its int key)
+        assert (grouping._int_lookup is not None) == (
+            bool(mapping) and all(type(key) is int and -2**63 <= key < 2**63
+                                  for key in mapping))
+        rows = [(i, key) for i, key in enumerate(keys)]
+        expected = {}
+        for row in rows:
+            (task,) = grouping.targets("s", row, n_tasks)
+            expected.setdefault(task, []).append(row)
+        got = grouping.targets_batch("s", ColumnBatch.from_rows(rows),
+                                     n_tasks)
+        # dict order is first-assignment order, the bucket contract
+        assert [(task, bucket.to_rows()) for task, bucket in got] == \
+            list(expected.items())
 
     def test_hypercube(self):
         from repro.partitioning.hash_hypercube import HashHypercube

@@ -8,10 +8,13 @@ from benchmarks.check_regression import main as check_main
 from repro.bench import multiway_join_plan, speedup_table
 
 
-def write_bench_json(path, minima):
+def write_bench_json(path, minima, cpus=None):
+    """``cpus``: name -> core count recorded in the entry's extra_info."""
     payload = {
         "benchmarks": [
-            {"fullname": name, "stats": {"min": value}}
+            {"fullname": name, "stats": {"min": value},
+             **({"extra_info": {"cpus": cpus[name]}}
+                if cpus and name in cpus else {})}
             for name, value in minima.items()
         ]
     }
@@ -40,6 +43,27 @@ class TestCheckRegression:
         base = write_bench_json(tmp_path / "base.json", {"old": 1.0})
         cur = write_bench_json(tmp_path / "cur.json", {"new": 9.9})
         assert check_main([base, cur]) == 0
+
+    def test_unlike_core_counts_are_reported_not_gated(self, tmp_path,
+                                                       capsys):
+        """A slowdown measured on another core count is no regression;
+        the same slowdown on like cores -- or where either side never
+        recorded its cores -- still is."""
+        base = write_bench_json(tmp_path / "base.json",
+                                {"procs": 1.0, "inline": 1.0, "old": 1.0},
+                                cpus={"procs": 1, "inline": 2})
+        cur = write_bench_json(tmp_path / "cur.json",
+                               {"procs": 3.0, "inline": 1.0, "old": 1.0},
+                               cpus={"procs": 2, "inline": 2, "old": 2})
+        assert check_main([base, cur]) == 0
+        out = capsys.readouterr().out
+        assert "skipped (cpus 1≠2)" in out and "(2 compared)" in out
+        like = write_bench_json(tmp_path / "like.json", {"procs": 3.0},
+                                cpus={"procs": 1})
+        assert check_main([base, like]) == 1
+        unrecorded = write_bench_json(tmp_path / "bare.json", {"old": 3.0},
+                                      cpus={"old": 2})
+        assert check_main([base, unrecorded]) == 1
 
     def test_committed_baseline_matches_current_bench_names(self):
         """The seeded baseline must gate the benchmarks that exist."""

@@ -110,6 +110,70 @@ class TestColumnBatchRoundTrip:
         assert batch.take_columns([1]).to_rows() == [("a",), ("b",), ("c",)]
 
 
+class TestConcat:
+    """``ColumnBatch.concat`` types a column the way ``make_column`` and
+    the join's growable columns do: one dtype stays a vector, anything
+    else a list -- never a numeric coercion."""
+
+    def test_equal_dtype_vectors_concatenate(self):
+        merged = ColumnBatch.concat([ColumnBatch.from_rows([(1,), (2,)]),
+                                     ColumnBatch.from_rows([(3,)])])
+        assert merged.columns[0].dtype == np.int64
+        assert merged.columns[0].tolist() == [1, 2, 3] and len(merged) == 3
+
+    def test_int_and_float_parts_become_a_list_keeping_value_types(self):
+        merged = ColumnBatch.concat([ColumnBatch.from_rows([(1,), (2,)]),
+                                     ColumnBatch.from_rows([(0.5,)])])
+        assert merged.columns[0] == [1, 2, 0.5]
+        assert [type(v) for v in merged.columns[0]] == [int, int, float]
+
+    def test_list_columns_and_object_vectors(self):
+        strings = ColumnBatch.from_rows([("a", 1), (None, 2)])
+        objects = ColumnBatch([np.array(["b"], dtype=object),
+                               np.array([3])], 1)
+        merged = ColumnBatch.concat([strings, objects, strings])
+        assert merged.columns[0] == ["a", None, "b", "a", None]
+        assert merged.columns[1].tolist() == [1, 2, 3, 1, 2]
+
+    def test_retraction_sign_is_kept_and_must_agree(self):
+        minus = ColumnBatch.from_rows([(1,)], sign=-1)
+        assert ColumnBatch.concat([minus, minus]).sign == -1
+        with pytest.raises(ValueError, match="sign"):
+            ColumnBatch.concat([minus, ColumnBatch.from_rows([(1,)])])
+
+    def test_arity_must_agree(self):
+        with pytest.raises(ValueError, match="column count"):
+            ColumnBatch.concat([ColumnBatch.from_rows([(1,)]),
+                                ColumnBatch.from_rows([(1, 2)])])
+
+    def test_zero_length_parts_hold_no_value_and_no_type(self):
+        ints = ColumnBatch.from_rows([(1,), (2,)])
+        hollow = ColumnBatch([[]], 0)  # one list column, no rows
+        merged = ColumnBatch.concat([hollow, ints, hollow, ints])
+        assert merged.columns[0].dtype == np.int64 and len(merged) == 4
+        assert ColumnBatch.concat([hollow, ints]) is ints
+        assert len(ColumnBatch.concat([hollow, hollow])) == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(row_batches(), min_size=1, max_size=4))
+    def test_concat_is_row_concatenation(self, drawn):
+        sign = drawn[0][1]
+        arity = len(drawn[0][0][0]) if drawn[0][0] else 0
+        parts = [rows for rows, _sign in drawn
+                 if rows and len(rows[0]) == arity]
+        if not parts:
+            return
+        merged = ColumnBatch.concat(
+            [ColumnBatch.from_rows(rows, sign) for rows in parts])
+        expected = [row for rows in parts for row in rows]
+        got = merged.to_rows()
+        assert len(got) == len(expected) and merged.sign == sign
+        for mine, theirs in zip(got, expected):
+            assert [type(v) for v in mine] == [type(v) for v in theirs]
+            assert all(a == b or (a != a and b != b)
+                       for a, b in zip(mine, theirs))
+
+
 class TestColumnBatchPickle:
     @settings(max_examples=50, deadline=None)
     @given(row_batches())
@@ -165,6 +229,29 @@ class TestColumnEmissions:
 
 
 class TestBucketByTask:
+    @staticmethod
+    def reference(batch, tasks):
+        """The function as it was before the argsort: ``np.unique`` for
+        the first-assignment order, one scan per distinct task."""
+        uniq, first = np.unique(tasks, return_index=True)
+        return [(int(uniq[k]), batch.take(np.flatnonzero(tasks == uniq[k])))
+                for k in np.argsort(first, kind="stable")]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 7), st.integers(-3, 70_000),
+                              st.integers(-2**62, 2**62)),
+                    max_size=40),
+           st.sampled_from([np.int64, np.uint64]))
+    def test_same_buckets_in_the_same_order_as_the_scan(self, tasks, dtype):
+        if dtype is np.uint64:
+            tasks = [abs(task) for task in tasks]
+        tasks = np.array(tasks, dtype=dtype)
+        batch = ColumnBatch.from_rows([(i, str(i)) for i in range(len(tasks))])
+        got = bucket_by_task(batch, tasks)
+        expected = self.reference(batch, tasks)
+        assert [(task, bucket.to_rows()) for task, bucket in got] == \
+            [(task, bucket.to_rows()) for task, bucket in expected]
+
     def test_single_task_returns_shared_batch(self):
         batch = ColumnBatch.from_rows([(1,), (2,)])
         buckets = bucket_by_task(batch, np.array([3, 3]))

@@ -53,3 +53,18 @@ def test_every_python_block_executes(path):
             pytest.fail(
                 f"{path.relative_to(REPO)} block at line {line} failed: "
                 f"{type(exc).__name__}: {exc}")
+
+
+#: modules whose docstring examples (``>>>``) are part of the docs
+DOCTEST_MODULES = ["repro.core.columnar", "repro.core.schema",
+                   "repro.joins.dbtoaster"]
+
+
+@pytest.mark.parametrize("module_name", DOCTEST_MODULES)
+def test_docstring_examples_run(module_name):
+    import doctest
+    import importlib
+
+    results = doctest.testmod(importlib.import_module(module_name))
+    assert results.attempted, f"{module_name} has no docstring examples"
+    assert not results.failed

@@ -8,13 +8,15 @@ backends' load-balance tests their signal.
 """
 
 import pickle
+from collections import Counter
 
 import pytest
 
+from repro.core.columnar import ColumnBatch
 from repro.core.expressions import col
 from repro.core.schema import Schema
 from repro.engine.operators import Projection, Selection
-from repro.engine.runner import SinkBolt
+from repro.engine.runner import AggBolt, SinkBolt
 from repro.storm import (
     Bolt,
     ExecutorError,
@@ -26,6 +28,7 @@ from repro.storm.executor import (
     EXECUTOR_NAMES,
     Router,
     ThreadExecutor,
+    WaveBuffer,
     assign_tasks,
     create_executor,
     default_parallelism,
@@ -339,3 +342,223 @@ class TestRouter:
         sink = SinkBolt()
         sink.execute_batch("J", "J", [(1,), (2,)])
         assert sink.store == [(1,), (2,)]
+
+
+def _shape(deliveries):
+    """Deliveries with their payloads spelled out as (kind, rows)."""
+    return [(source, stream,
+             ("columns" if isinstance(rows, ColumnBatch) else "rows",
+              list(rows)), ctx)
+            for source, stream, rows, ctx in deliveries]
+
+
+class TestWaveBuffer:
+    """The coalescing rule itself: per (target, task), every maximal run
+    of deliveries sharing (source, stream), span context and
+    representation becomes one batch, in arrival order."""
+
+    def test_a_run_of_one_stream_becomes_one_batch_per_task(self):
+        buffer = WaveBuffer()
+        buffer.add([("J", 0, "R", "R", [(1,), (2,)]),
+                    ("J", 1, "R", "R", [(3,)])])
+        buffer.add([("J", 0, "R", "R", [(4,)])])
+        assert buffer.depth() == 2 and set(buffer.keys()) == {("J", 0),
+                                                               ("J", 1)}
+        assert buffer.pop(("J", 0)) == [
+            ("R", "R", [(1,), (2,), (4,)], None)]
+        assert buffer.pop(("J", 1)) == [("R", "R", [(3,)], None)]
+        assert not buffer and buffer.pop(("J", 0)) == []
+
+    def test_a_single_delivery_is_handed_over_untouched(self):
+        rows = [(1,)]
+        buffer = WaveBuffer()
+        buffer.add([("J", 0, "R", "R", rows)])
+        assert buffer.pop(("J", 0))[0][2] is rows
+
+    def test_streams_sources_and_retractions_split_runs_in_order(self):
+        buffer = WaveBuffer()
+        for source, stream in [("R", "R"), ("R", "R"), ("R", "R:retract"),
+                               ("R", "R"), ("S", "R"), ("S", "R")]:
+            buffer.add([("J", 0, source, stream, [(source, stream)])])
+        assert [(source, stream, len(rows)) for source, stream, rows, _ctx
+                in buffer.pop(("J", 0))] == [
+            ("R", "R", 2), ("R", "R:retract", 1), ("R", "R", 1),
+            ("S", "R", 2)]
+
+    def test_a_row_list_run_then_a_column_batch_run_are_two_batches(self):
+        buffer = WaveBuffer()
+        buffer.add([("J", 0, "R", "R", [(1,)])])
+        buffer.add([("J", 0, "R", "R", [(2,)])])
+        buffer.add([("J", 0, "R", "R", ColumnBatch.from_rows([(3,)]))])
+        buffer.add([("J", 0, "R", "R", ColumnBatch.from_rows([(4,)]))])
+        assert _shape(buffer.pop(("J", 0))) == [
+            ("R", "R", ("rows", [(1,), (2,)]), None),
+            ("R", "R", ("columns", [(3,), (4,)]), None)]
+
+    def test_column_batches_merge_only_on_equal_sign_and_arity(self):
+        buffer = WaveBuffer()
+        for batch in (ColumnBatch.from_rows([(1,)]),
+                      ColumnBatch.from_rows([(2,)], sign=-1),
+                      ColumnBatch.from_rows([(3,)], sign=-1),
+                      ColumnBatch.from_rows([(4, 4)], sign=-1)):
+            buffer.add([("J", 0, "R", "R", batch)])
+        merged = [rows for _s, _t, rows, _c in buffer.pop(("J", 0))]
+        assert [(batch.sign, batch.to_rows()) for batch in merged] == [
+            (1, [(1,)]), (-1, [(2,), (3,)]), (-1, [(4, 4)])]
+
+    @pytest.mark.parametrize("empty", [[], ColumnBatch.from_rows([])],
+                             ids=["rows", "columns"])
+    def test_an_empty_batch_stays_a_delivery_of_its_own(self, empty):
+        """Neither merged away nor merged into: a bolt that was handed
+        an empty batch between two others still is."""
+        full = (lambda rows: rows) if isinstance(empty, list) \
+            else ColumnBatch.from_rows
+        buffer = WaveBuffer()
+        for rows in (full([(1,)]), empty, full([(2,)]), full([(3,)])):
+            buffer.add([("J", 0, "R", "R", rows)])
+        assert [list(rows) for _s, _t, rows, _c in buffer.pop(("J", 0))] == [
+            [(1,)], [], [(2,), (3,)]]
+
+    def test_hops_of_distinct_spans_never_merge(self):
+        from repro.obs.tracing import SpanContext
+
+        first, second = SpanContext("R.0.1", "w0.1"), SpanContext("R.0.2",
+                                                                  "w0.2")
+        buffer = WaveBuffer()
+        buffer.add([("agg", 0, "R", "R", [(1,)])], first)
+        buffer.add([("agg", 0, "R", "R", [(2,)])], SpanContext(*first))
+        buffer.add([("agg", 0, "R", "R", [(3,)])], second)
+        buffer.add([("agg", 0, "R", "R", [(4,)])])  # an untraced flush
+        buffer.add([("agg", 0, "R", "R", [(5,)])])
+        assert buffer.pop(("agg", 0)) == [
+            ("R", "R", [(1,), (2,)], first), ("R", "R", [(3,)], second),
+            ("R", "R", [(4,), (5,)], None)]
+
+    def test_replies_fold_in_the_order_given_and_merge_across_workers(self):
+        """The coordinator folds worker 0's reply, then worker 1's: a run
+        that continues across the two is one batch, and a task's
+        deliveries keep worker-id order."""
+        workers = [WaveBuffer(), WaveBuffer()]
+        workers[0].add([("agg", 0, "J", "J", [(1,)]),
+                        ("agg", 1, "J", "J", [(2,)])])
+        workers[1].add([("agg", 0, "J", "J", [(3,)])])
+        workers[1].add([("agg", 0, "J", "J:retract", [(1,)])])
+        pending = WaveBuffer()
+        for worker in workers:
+            pending.fold(worker.drain())
+            assert not worker
+        assert pending.drain() == {
+            ("agg", 0): [("J", "J", [(1,), (3,)], None),
+                         ("J", "J:retract", [(1,)], None)],
+            ("agg", 1): [("J", "J", [(2,)], None)]}
+
+
+class LoggingAggBolt(AggBolt):
+    """Remembers every batch it was handed (module level: it is shipped
+    home over a pipe)."""
+
+    def __init__(self, component):
+        super().__init__(component)
+        self.log = []
+
+    def execute_batch(self, source, stream, rows):
+        self.log.append((stream, list(rows)))
+        return super().execute_batch(source, stream, rows)
+
+
+class TestWaveCoalescing:
+    """End to end on the staged backends (timing-free): a task executes
+    one batch per run it was delivered, and nothing that is counted in
+    rows moves."""
+
+    N_ROWS = 400
+    BATCH_SIZE = 64
+
+    def chain_plan(self):
+        from repro.bench import multiway_join_plan
+
+        return multiway_join_plan(n_rows=self.N_ROWS, machines=8)
+
+    @pytest.mark.parametrize("executor", PARALLEL)
+    def test_joiners_execute_one_batch_per_source_relation(self, executor):
+        from repro.engine import run_plan
+
+        inline = run_plan(self.chain_plan(), batch_size=self.BATCH_SIZE)
+        staged = run_plan(self.chain_plan(), batch_size=self.BATCH_SIZE,
+                          executor=executor, parallelism=2)
+        # each single-task source reaches a joiner as one run, however
+        # many spout batches it was read in (7 here)
+        spout_batches = staged.metrics.batch_counts("R")
+        assert spout_batches == [-(-self.N_ROWS // self.BATCH_SIZE)]
+        joiner_batches = staged.metrics.batch_counts("J")
+        assert len(joiner_batches) == 8
+        assert all(1 <= count <= 3 for count in joiner_batches)
+        assert min(inline.metrics.batch_counts("J")) > 2 * spout_batches[0]
+        # all joiners' outputs for one aggregation task are one run
+        assert staged.metrics.batch_counts("agg") == [1, 1, 1, 1]
+        assert staged.metrics.columnar_batches > 0
+        for component in ("J", "agg", "sink"):
+            assert staged.metrics.component_input(component) == \
+                inline.metrics.component_input(component)
+        for component in ("R", "S", "T", "J", "agg"):
+            assert staged.metrics.component_output(component) == \
+                inline.metrics.component_output(component)
+        assert staged.metrics.received == inline.metrics.received
+        assert Counter(staged.results) == Counter(inline.results)
+        assert inline.results
+        assert staged.join_state == inline.join_state
+
+    def test_backends_deliver_the_same_batches_to_every_joiner(self):
+        """Join *work* counts probes against whatever state arrived
+        first, so it moves with the delivery order (and differs from the
+        inline interleaving); equal work on the two staged backends
+        says their merged deliveries are the same."""
+        from repro.engine import run_plan
+
+        work = [run_plan(self.chain_plan(), batch_size=self.BATCH_SIZE,
+                         executor=executor, parallelism=2).join_work
+                for executor in PARALLEL]
+        assert work[0] == work[1] and all(work[0]["J"])
+
+    @pytest.mark.parametrize("executor", PARALLEL)
+    def test_retraction_runs_stay_apart_and_in_order(self, executor):
+        """The compensation script of ``tests.batching_plans`` through
+        the count/sum plan: an aggregation task sees its ``events`` and
+        ``events:retract`` rows in script order, as alternating runs --
+        never an insert merged past the retraction that follows it."""
+        from repro.engine.runner import build_topology
+        from repro.storm.groupings import FieldsGrouping
+        from tests.batching_plans import (
+            plan_stream_count_sum,
+            retraction_script,
+        )
+        from tests.test_retractions import ScriptSpout
+
+        def run(executor):
+            plan = plan_stream_count_sum()
+            topology, _partitioners = build_topology(
+                plan,
+                spout_factory=lambda source: (
+                    lambda i, p: ScriptSpout(retraction_script())),
+                agg_bolt_factory=LoggingAggBolt)
+            cluster = LocalCluster(topology)
+            cluster.run(batch_size=16, executor=executor, parallelism=2,
+                        columnar=False)
+            return cluster
+
+        staged, inline = run(executor), run("inline")
+        assert sorted(staged.task("sink", 0).store) == \
+            sorted(inline.task("sink", 0).store)
+        grouping = FieldsGrouping([1])
+        for task_index in range(2):
+            expected = []  # this task's share of the script, as runs
+            for stream, row in retraction_script():
+                if grouping.targets(stream, row, 2) != [task_index]:
+                    continue
+                if expected and expected[-1][0] == stream:
+                    expected[-1][1].append(row)
+                else:
+                    expected.append((stream, [row]))
+            assert staged.task("agg", task_index).log == expected
+            assert len(expected) >= 4  # inserts and retractions alternate
+            assert len(inline.task("agg", task_index).log) > len(expected)

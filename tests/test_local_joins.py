@@ -1,11 +1,14 @@
 """Tests for the local join algorithms: traditional vs DBToaster."""
 
+import itertools
+import pickle
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.columnar import ColumnBatch
 from repro.core.predicates import (
     BandCondition,
     EquiCondition,
@@ -310,3 +313,144 @@ def test_property_dbtoaster_equals_traditional(seed, y_domain, z_domain):
     out_traditional = run_stream(TraditionalJoin(spec), list(stream))
     assert Counter(out_toaster) == Counter(out_traditional)
     assert Counter(out_toaster) == Counter(reference_join(spec, data))
+
+
+# ---------------------------------------------------------------------------
+# A pickled columnar join is columns + multiplicities + index key
+# positions; indexes and probe plans are rebuilt.  A restored twin must
+# be indistinguishable from the original on everything it is fed next.
+# ---------------------------------------------------------------------------
+
+JOIN_SHAPES = {
+    # name -> (relation names, columnar ops draw rows from make_rst_data)
+    "two_way": ("R", "S"),
+    "chain": ("R", "S", "T"),
+}
+
+
+def shape_spec(shape):
+    names = JOIN_SHAPES[shape]
+    schemas = {"R": Schema.of("x", "y"), "S": Schema.of("y", "z"),
+               "T": Schema.of("z", "t")}
+    conditions = [EquiCondition(("R", "y"), ("S", "y"))]
+    if "T" in names:
+        conditions.append(EquiCondition(("S", "z"), ("T", "z")))
+    return JoinSpec([RelationInfo(name, schemas[name], 40) for name in names],
+                    conditions)
+
+
+def columnar_script(shape, seed, n=14, retract_share=0.4):
+    """``(sign, relation, ColumnBatch)`` operations: the relations' rows
+    in shuffled micro-batches of 1-4, with retractions of rows inserted
+    earlier (duplicates included) mixed in."""
+    rng = random.Random(seed)
+    data = make_rst_data(seed=seed, n=n, y_domain=3, z_domain=3)
+    stream = [(rel, row) for rel, row in interleaved_stream(data, seed=seed)
+              if rel in JOIN_SHAPES[shape]]
+    ops = []
+    live = {name: [] for name in JOIN_SHAPES[shape]}
+    position = 0
+    while position < len(stream):
+        rel = stream[position][0]
+        rows = [stream[position][1]]
+        position += 1
+        while (position < len(stream) and stream[position][0] == rel
+               and len(rows) < 4):
+            rows.append(stream[position][1])
+            position += 1
+        ops.append((+1, rel, rows))
+        live[rel].extend(rows)
+        if live[rel] and rng.random() < retract_share:
+            rng.shuffle(live[rel])
+            gone = [live[rel].pop() for _ in range(min(len(live[rel]),
+                                                        rng.randrange(1, 4)))]
+            ops.append((-1, rel, gone))
+    return ops
+
+
+def apply_op(join, op):
+    """Feed one scripted operation; the emitted batch as rows, in order."""
+    sign, rel, rows = op
+    batch = ColumnBatch.from_rows(list(rows), sign=sign)
+    emitted = (join.insert_batch if sign > 0 else join.delete_batch)(rel, batch)
+    return (emitted.sign, emitted.to_rows())
+
+
+def assert_twins_agree(shape, original, twin, ops):
+    for op in ops:
+        assert apply_op(twin, op) == apply_op(original, op)
+    subsets = [names for size in (1, 2, 3)
+               for names in itertools.combinations(JOIN_SHAPES[shape], size)
+               if frozenset(names) in original.views]
+    assert subsets
+    for names in subsets:
+        assert twin.view_size(*names) == original.view_size(*names)
+    assert twin.state_size() == original.state_size()
+    assert twin.work == original.work
+    assert twin.intermediate_tuples == original.intermediate_tuples
+
+
+def pickle_twin(join):
+    return pickle.loads(pickle.dumps(join))
+
+
+class TestColumnarPickle:
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(JOIN_SHAPES)),
+           seed=st.integers(min_value=0, max_value=10_000),
+           split=st.floats(min_value=0.0, max_value=1.0),
+           store_result=st.booleans())
+    def test_restored_twin_answers_like_the_original(self, shape, seed,
+                                                     split, store_result):
+        ops = columnar_script(shape, seed)
+        cut = int(split * len(ops))
+        original = DBToasterJoin(shape_spec(shape), store_result=store_result)
+        for op in ops[:cut]:
+            apply_op(original, op)
+        twin = pickle_twin(original)
+        assert_twins_agree(shape, original, twin, ops[cut:])
+
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    @pytest.mark.parametrize("deletes_before_split", [False, True])
+    def test_never_probed_result_view_gets_its_whole_row_index(
+            self, shape, deletes_before_split):
+        """The stored full result is probed by nothing, so its only
+        index is the whole-row one ``retract`` builds lazily: pickled
+        before it exists it must still appear on the first delete, and
+        pickled after, it must come back."""
+        ops = columnar_script(shape, seed=5, retract_share=0.0)
+        inserts_only, rest = ops[:len(ops) // 2], ops[len(ops) // 2:]
+        deletes = [(-1, rel, rows) for _sign, rel, rows in inserts_only[:4]]
+        original = DBToasterJoin(shape_spec(shape), store_result=True)
+        for op in inserts_only:
+            apply_op(original, op)
+        full = original._cviews[frozenset(JOIN_SHAPES[shape])]
+        if deletes_before_split:
+            for op in deletes[:2]:
+                apply_op(original, op)
+            deletes = deletes[2:]
+            assert list(full.indexes) == [tuple(range(len(full.cols)))]
+        else:
+            assert not full.indexes
+        twin = pickle_twin(original)
+        assert_twins_agree(shape, original, twin, deletes + rest)
+        assert full.indexes  # the path under test was taken
+
+    def test_a_pickle_holds_neither_indexes_nor_plans(self):
+        original = DBToasterJoin(shape_spec("chain"))
+        for op in columnar_script("chain", seed=3)[:10]:
+            apply_op(original, op)
+        twin = pickle_twin(original)
+        assert original._cplans is not None and twin._cplans is None
+        for subset, cview in twin._cviews.items():
+            assert list(cview.indexes) == list(
+                original._cviews[subset].indexes)
+            assert all(index is None for index in cview.indexes.values())
+
+    def test_a_join_pickled_before_activation_still_activates(self):
+        original = DBToasterJoin(shape_spec("chain"))
+        twin = pickle_twin(original)
+        assert twin._cviews is None
+        assert_twins_agree("chain", original, twin,
+                           columnar_script("chain", seed=4))
+        assert twin._cviews is not None

@@ -212,6 +212,64 @@ class TestKillRecovery:
         assert rows == expected
         assert query.snapshot() == expected
 
+    def test_columnar_dbtoaster_state_is_restored_and_fed_on(
+            self, monkeypatch):
+        """The matrix above dies before a columnar join state was ever
+        committed.  Here the restore point holds one: the blobs carry
+        columns without indexes or probe plans, and the replayed batches
+        probe the rebuilt ones."""
+        import random
+
+        from repro.core.predicates import (
+            EquiCondition,
+            JoinSpec,
+            RelationInfo,
+        )
+        from repro.core.schema import Relation, Schema
+        from repro.engine import JoinComponent, PhysicalPlan, SourceComponent
+        from repro.storm.executor import ResidentWorkerPool
+
+        def plan():
+            rng = random.Random(65)
+            n, domain = 300, 40
+            R = Relation("R", Schema.of("x", "y"),
+                         [(i, rng.randrange(domain)) for i in range(n)])
+            S = Relation("S", Schema.of("y", "z"),
+                         [(rng.randrange(domain), rng.randrange(domain))
+                          for _ in range(n)])
+            T = Relation("T", Schema.of("z", "t"),
+                         [(rng.randrange(domain), i) for i in range(n)])
+            spec = JoinSpec(
+                [RelationInfo(rel.name, rel.schema, n) for rel in (R, S, T)],
+                [EquiCondition(("R", "y"), ("S", "y")),
+                 EquiCondition(("S", "z"), ("T", "z"))])
+            return PhysicalPlan(
+                sources=[SourceComponent(rel.name, rel) for rel in (R, S, T)],
+                joins=[JoinComponent("J", spec, machines=4, scheme="hash",
+                                     local_join="dbtoaster")])
+
+        shipped = []
+        restore = ResidentWorkerPool.restore
+        monkeypatch.setattr(
+            ResidentWorkerPool, "restore",
+            lambda self, blobs: (shipped.append(dict(blobs)),
+                                 restore(self, blobs))[1])
+        expected = batch_snapshot(plan())
+        injector = FaultInjector().kill_worker_of("J", 0, after_batches=9)
+        query = stream_plan(
+            plan(),
+            options=processes_options(batch_size=64, checkpoint_interval=1,
+                                      parallelism=2),
+            fault_injector=injector).run()
+        stats = query.checkpoint_stats()
+        assert stats["recoveries"] == 1 and stats["replayed_rows"] > 0
+        assert query.snapshot() == expected and expected
+        joins = [pickle.loads(blob)._local
+                 for blobs in shipped for blob in blobs.values()]
+        assert joins and all(join._cviews is not None for join in joins)
+        assert all(join.state_size() > 0 and join._cplans is None
+                   for join in joins)
+
     def test_gives_up_after_max_recoveries(self):
         injector = FaultInjector([
             WorkerKill("J", 0, after_batches=n) for n in range(1, 9)
