@@ -2,13 +2,14 @@
 
 An :class:`Observer` exists only when a run asked for it
 (``ExecutionOptions(observe="metrics")`` or ``"trace"``); the off level
-is represented by *no observer at all*, so the hot paths keep their
-exact pre-observability shape.  The coordinator-side Observer owns the
-:class:`~repro.obs.registry.MetricsRegistry` and the
+is represented by *no observer at all*, so an unobserved run pays one
+``is None`` test per executed batch (in the step kernel,
+:mod:`repro.storm.kernel`) and nothing else.  The coordinator-side
+Observer owns the :class:`~repro.obs.registry.MetricsRegistry` and the
 :class:`~repro.obs.tracing.TraceBuffer`; shared-nothing workers carry a
 :class:`WorkerObs` accumulator instead (plain lists, fork/pickle-safe)
-whose payload rides back in the wave/execute reply deltas and is merged
-here in worker-id order.
+whose payload rides back with each wave/execute reply and is merged here
+in worker-id order.
 
 Instruments recorded per executed batch:
 
@@ -91,11 +92,18 @@ class Observer:
             self._rows[key] = counter
         return counter
 
-    def on_execute(self, component: str, task: int, rows: int,
-                   seconds: float) -> None:
-        """One batch of ``rows`` executed at (component, task)."""
+    def record(self, component: str, task: int, rows: int,
+               seconds: float) -> None:
+        """One batch of ``rows`` executed at (component, task).
+
+        ``record`` / ``span`` / ``root`` are the three calls the step
+        kernel (:mod:`repro.storm.kernel`) makes, answered under the
+        same names by :class:`WorkerObs`."""
         self._hist(component, task).observe(seconds)
         self._row_counter(component, task).inc(rows)
+
+    #: the coordinator-side spelling (direct recording, payload merge)
+    on_execute = record
 
     def on_queue_depth(self, queue_name: str, depth: int) -> None:
         gauge = self._depths.get(queue_name)
@@ -179,7 +187,7 @@ class WorkerObs:
     No locks (each worker is single-threaded) and only plain lists and
     strings, so it forks and pickles cleanly with the worker state.  The
     drained payload -- ``{"timings": [(component, task, rows, seconds)],
-    "spans": [span dicts]}`` -- rides the existing reply deltas; span
+    "spans": [span dicts]}`` -- rides the worker's replies; span
     ids carry the ``w<worker-id>`` prefix so reassembled traces never
     collide with coordinator-issued ids.
     """

@@ -359,15 +359,9 @@ class QueryBroker:
         try:
             resident.query.run()
         except Exception as exc:  # surfaced through subscriber stats
+            # the cluster has already torn itself down: feeds closed (the
+            # detach hooks ran the usual refcount teardown), workers gone
             resident.error = f"{type(exc).__name__}: {exc}"
-            cluster = resident.query.cluster
-            cluster._done.set()
-            try:
-                # close the feeds so no consumer blocks on a dead query;
-                # the detach hooks run the usual refcount teardown
-                cluster.sink.finish()
-            except Exception:
-                pass
 
     def _release_hook(self, resident: ResidentTopology
                       ) -> Callable[[Subscription], None]:

@@ -26,16 +26,12 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.columnar import ColumnBatch
 from repro.core.options import ExecutionOptions
 from repro.obs import Observer
 from repro.storm.executor import ExecutorError, Router, create_executor
+from repro.storm.kernel import deliver, pull, source_hop
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyError
-
-#: one unit of pending work: rows of `stream` (emitted by `source`)
-#: awaiting execution at task `task` of component `target`
-_WorkItem = Tuple[str, int, str, str, List[tuple]]
 
 
 class LocalCluster:
@@ -60,12 +56,20 @@ class LocalCluster:
                 instances.append(instance)
             self._tasks[name] = instances
             self.metrics.register(name, spec.parallelism)
+        #: every bolt task, upstream components first: the order
+        #: punctuations (watermarks, the end-of-stream flush) visit them in
+        self._bolt_keys: List[Tuple[str, int]] = [
+            (name, task_index)
+            for name in topology.topological_order()
+            if not topology.components[name].is_spout
+            for task_index in range(topology.components[name].parallelism)
+        ]
         # static routing table over the topology's own groupings: routing
         # is identical to the seed engine's per-dispatch edge walk
         self._router = Router(topology)
         self._coalesce = False
-        #: per-run observability context; None = observe='off', which
-        #: keeps every hot path byte-identical to the unobserved engine
+        #: per-run observability context; None = observe='off': no
+        #: observer object, one ``is None`` test per executed batch
         self._observer: Optional[Observer] = None
 
     def task(self, component: str, index: int):
@@ -157,15 +161,11 @@ class LocalCluster:
             backend = create_executor(executor, self, parallelism)
             return backend.run(batch_size=batch_size)
         self._coalesce = batch_size > 1
-        observer = self._observer
-        trace = observer is not None and observer.trace
         spouts: List[Tuple[str, int, Spout]] = []
         for name, spec in self.topology.components.items():
             if spec.is_spout:
                 for task_index, instance in enumerate(self._tasks[name]):
                     spouts.append((name, task_index, instance))
-        stack: List[_WorkItem] = []
-        ctx_stack: Optional[list] = [] if trace else None
         pulled = 0
         active = list(spouts)
         while active:
@@ -176,38 +176,15 @@ class LocalCluster:
                     limit = min(limit, max_tuples - pulled)
                     if limit <= 0:
                         return self.metrics
-                if observer is not None:
-                    started = time.perf_counter()
-                    emissions = spout.next_batch(limit)
-                    pull_time = time.perf_counter() - started
-                else:
-                    emissions = spout.next_batch(limit)
+                emissions, ctx, more = pull(spout, name, task_index, limit,
+                                            self.metrics, self._observer)
                 if not emissions:
                     continue
-                self.metrics.record_emit(name, task_index, len(emissions))
-                self.metrics.record_batch(name, task_index)
                 pulled += len(emissions)
-                items = self._route_emissions(name, emissions)
-                if observer is None:
-                    self._push(stack, items)
-                    self._drain(stack)
-                else:
-                    observer.on_execute(name, task_index, len(emissions),
-                                        pull_time)
-                    ctx = observer.root(name, task_index, len(emissions),
-                                        pull_time)
-                    self._push(stack, items)
-                    if trace:
-                        ctx_stack.extend([ctx] * len(items))
-                    self._drain_observed(stack, ctx_stack, observer)
+                self._drain(name, emissions, ctx)
                 if max_tuples is not None and pulled >= max_tuples:
                     return self.metrics
-                # a short batch normally means exhaustion, but a columnar
-                # spout's selection can thin a mid-stream chunk below the
-                # limit -- keep any spout that says it has rows left
-                has_more = getattr(spout, "has_more", None)
-                if len(emissions) == limit or (
-                        has_more is not None and has_more()):
+                if more:
                     still_active.append((name, task_index, spout))
             active = still_active
         self.flush_bolts()
@@ -249,114 +226,64 @@ class LocalCluster:
         the same work-stack drain as spout batches."""
         if not emissions:
             return
-        self.metrics.record_emit(source, task_index, len(emissions))
-        self.metrics.record_batch(source, task_index)
-        stack: List[_WorkItem] = []
-        items = self._route_emissions(source, emissions)
-        observer = self._observer
-        if observer is None:
-            self._push(stack, items)
-            self._drain(stack)
-            return
-        ctx = None
-        if self.topology.components[source].is_spout:
-            # a new source batch starts a new trace; watermark-driven
-            # injections (bolt components) stay untraced punctuations
-            observer.on_execute(source, task_index, len(emissions), 0.0)
-            ctx = observer.root(source, task_index, len(emissions), 0.0)
-        ctx_stack: Optional[list] = [] if observer.trace else None
-        self._push(stack, items)
-        if ctx_stack is not None:
-            ctx_stack.extend([ctx] * len(items))
-        self._drain_observed(stack, ctx_stack, observer)
+        # a new source batch starts a new trace; watermark-driven
+        # injections (bolt components) stay untraced punctuations
+        is_source = self.topology.components[source].is_spout
+        ctx = source_hop(source, task_index, len(emissions), 0.0, self.metrics,
+                         self._observer if is_source else None)
+        self._drain(source, emissions, ctx)
+
+    def advance_watermark(self, watermark: float):
+        """Apply one watermark punctuation to every windowed bolt task, in
+        topological order, and run the expirations to quiescence."""
+        for name, task_index in self._bolt_keys:
+            hook = getattr(self._tasks[name][task_index],
+                           "advance_watermark", None)
+            emissions = hook(watermark) if hook is not None else None
+            if emissions:
+                self.inject(name, emissions, task_index=task_index)
 
     def flush_bolts(self):
         """Run every bolt's ``finish()`` in topological order (end of
         stream): upstream components finish before downstream ones, so a
         snapshot aggregation flushes only after all its input arrived."""
-        observer = self._observer
-        stack: List[_WorkItem] = []
-        ctx_stack: Optional[list] = \
-            [] if (observer is not None and observer.trace) else None
-        for name in self.topology.topological_order():
-            spec = self.topology.components[name]
-            if spec.is_spout:
-                continue
-            for task_index, bolt in enumerate(self._tasks[name]):
-                emissions = bolt.finish()
-                if not emissions:
-                    continue
+        for name, task_index in self._bolt_keys:
+            emissions = self._tasks[name][task_index].finish()
+            if emissions:
                 self.metrics.record_emit(name, task_index, len(emissions))
-                items = self._route_emissions(name, emissions)
-                self._push(stack, items)
-                if observer is None:
-                    self._drain(stack)
-                else:
-                    # flush emissions are end-of-stream punctuations, not
-                    # part of any source batch's trace
-                    if ctx_stack is not None:
-                        ctx_stack.extend([None] * len(items))
-                    self._drain_observed(stack, ctx_stack, observer)
+                # flush emissions are end-of-stream punctuations, not
+                # part of any source batch's trace
+                self._drain(name, emissions)
 
     # -- work queue --------------------------------------------------------
 
-    @staticmethod
-    def _push(stack: List[_WorkItem], items: List[_WorkItem]):
-        """Push routed work so the stack pops it in generation order."""
-        if items:
-            stack.extend(reversed(items))
-
-    def _drain(self, stack: List[_WorkItem]):
-        """Run pending work to exhaustion (iterative depth-first)."""
-        tasks = self._tasks
-        metrics = self.metrics
-        while stack:
-            target, task, source, stream, rows = stack.pop()
-            metrics.record_receive(source, target, task, len(rows))
-            metrics.record_batch(target, task)
-            metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-            bolt: Bolt = tasks[target][task]
-            emissions = bolt.execute_batch(source, stream, rows)
-            if emissions:
-                metrics.record_emit(target, task, len(emissions))
-                self._push(stack, self._route_emissions(target, emissions))
-
-    def _drain_observed(self, stack: List[_WorkItem],
-                        ctx_stack: Optional[list], observer: Observer):
-        """The observed twin of :meth:`_drain`: same scheduling, plus
-        per-batch timing, queue-depth sampling, and (at the trace level)
-        one span per hop.  ``ctx_stack`` stays aligned 1:1 with the work
-        stack; a ``None`` context marks an untraced punctuation batch."""
-        tasks = self._tasks
-        metrics = self.metrics
-        trace = ctx_stack is not None
-        while stack:
-            target, task, source, stream, rows = stack.pop()
-            ctx = ctx_stack.pop() if trace else None
-            metrics.record_receive(source, target, task, len(rows))
-            metrics.record_batch(target, task)
-            metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-            observer.on_queue_depth("inline", len(stack) + 1)
-            bolt: Bolt = tasks[target][task]
-            started = time.perf_counter()
-            emissions = bolt.execute_batch(source, stream, rows)
-            elapsed = time.perf_counter() - started
-            observer.on_execute(target, task, len(rows), elapsed)
-            child = observer.span(ctx, target, task, len(rows), elapsed)
-            if emissions:
-                metrics.record_emit(target, task, len(emissions))
-                items = self._route_emissions(target, emissions)
-                if items:
-                    stack.extend(reversed(items))
-                    if trace:
-                        ctx_stack.extend([child] * len(items))
-
-    def _route_emissions(self, source: str,
-                         emissions: List[Tuple[str, tuple]]) -> List[_WorkItem]:
-        """Turn one component's emissions into routed work items.
+    def _drain(self, source: str, emissions: List[Tuple[str, tuple]],
+               ctx=None):
+        """Route one component's emissions and run them, and everything
+        they cause downstream, to exhaustion (iterative depth-first).
 
         In per-tuple mode every emission is routed individually (exactly
         the seed engine's recursive dispatch order); in batch mode
         consecutive emissions on the same stream are routed as one batch.
-        """
-        return self._router.route(source, emissions, coalesce=self._coalesce)
+        The stack pops work in generation order; ``ctxs`` holds, entry for
+        entry, the span context of the hop that produced it (``ctx`` for
+        the initial emissions; None unless the run is traced, and for
+        punctuation batches)."""
+        tasks = self._tasks
+        metrics = self.metrics
+        observer = self._observer
+        route = self._router.route
+        coalesce = self._coalesce
+        stack = route(source, emissions, coalesce)[::-1]
+        ctxs = [ctx] * len(stack)
+        while stack:
+            if observer is not None:
+                observer.on_queue_depth("inline", len(stack))
+            target, task, source, stream, rows = stack.pop()
+            emissions, child = deliver(tasks[target][task], target, task,
+                                       source, stream, rows, ctxs.pop(),
+                                       metrics, observer)
+            if emissions:
+                routed = route(target, emissions, coalesce)
+                stack.extend(reversed(routed))
+                ctxs.extend([child] * len(routed))

@@ -46,12 +46,13 @@ import os
 import pickle
 import queue
 import threading
-import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.obs import WorkerObs
+from repro.storm.kernel import deliver, pull
+from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
 
 #: one routed unit of work: rows of `stream` (emitted by `source`)
@@ -327,15 +328,6 @@ class WaveBuffer:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: counter deltas one worker accumulated during a wave:
-#: (emits, receives, batches) as lists of argument tuples for
-#: TopologyMetrics, the worker's execution-path counters
-#: [columnar_rows, columnar_batches, row_rows, row_batches], and the
-#: worker's observability payload (a WorkerObs.drain() dict, or None
-#: when the run is unobserved)
-MetricDeltas = Tuple[List[tuple], List[tuple], List[tuple], List[int],
-                     Optional[dict]]
-
 
 class WorkerState:
     """Everything one shared-nothing worker owns: tasks + routing state."""
@@ -345,14 +337,16 @@ class WorkerState:
     #: determinism rules even though this is not a Bolt subclass
     PIPE_PICKLED = True
 
+    #: coordinator command -> method (see :func:`worker_loop`)
+    COMMANDS = {"wave": "run_wave", "collect": "exports"}
+
     def __init__(self, worker_id: int, topology: Topology,
                  tasks: Dict[str, List[object]],
                  assignment: Dict[Tuple[str, int], int], batch_size: int,
                  observe: str = "off"):
         self.worker_id = worker_id
         self.batch_size = batch_size
-        #: worker-side observability accumulator (None = observe='off':
-        #: the wave loop keeps its exact unobserved shape)
+        #: worker-side observability accumulator (None = observe='off')
         self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
         self.is_spout = {
             name: spec.is_spout for name, spec in topology.components.items()
@@ -364,138 +358,60 @@ class WorkerState:
         for (name, task_index), owner in assignment.items():
             if owner == worker_id:
                 self.owned.setdefault(name, {})[task_index] = tasks[name][task_index]
+        #: component -> parallelism of every owned component: the shape
+        #: of the counters each wave ships home
+        self.shape = {name: topology.components[name].parallelism
+                      for name in self.owned}
 
     def run_wave(self, components: Sequence[str],
-                 delivered: Dict[Tuple[str, int], List[Delivery]],
-                 ) -> Tuple[Dict[Tuple[str, int], List[Delivery]],
-                            MetricDeltas]:
+                 delivered: Dict[Tuple[str, int], List[Delivery]]):
         """Execute one topological level on this worker's owned tasks.
 
         Spout components are drained to exhaustion in ``batch_size``
         micro-batches; bolt components execute their delivered batches in
         arrival order and then flush (``finish``) -- the coordinator's
         barrier guarantees every input batch has already been delivered.
-        The routed output goes home coalesced (:class:`WaveBuffer`).
 
-        Observed runs take :meth:`_run_wave_observed` instead -- same
-        scheduling, plus per-batch timings (and spans at the trace
-        level, where every delivery carries the span context of the hop
-        that produced it).
+        Returns ``(routed, counters, obs_payload)``: the routed output,
+        coalesced (:class:`WaveBuffer`) and parented by the span context
+        of the hop that produced it; what this wave counted, as a
+        ``TopologyMetrics`` of the worker's own for the coordinator to
+        ``merge``; and the ``WorkerObs.drain()`` payload (None when the
+        run is unobserved).
         """
-        if self.obs is not None:
-            return self._run_wave_observed(components, delivered)
-        out = WaveBuffer()
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]  # columnar rows/batches, row rows/batches
-        route = self.router.route
-        for name in components:
-            owned = self.owned.get(name)
-            if not owned:
-                continue
-            if self.is_spout[name]:
-                for task_index in sorted(owned):
-                    spout = owned[task_index]
-                    has_more = getattr(spout, "has_more", None)
-                    while True:
-                        emissions = spout.next_batch(self.batch_size)
-                        if not emissions:
-                            break
-                        emits.append((name, task_index, len(emissions)))
-                        batches.append((name, task_index))
-                        out.add(route(name, emissions))
-                        # a short batch means exhaustion unless the spout
-                        # says otherwise (a columnar spout's selection can
-                        # thin a mid-stream chunk below batch_size)
-                        if len(emissions) < self.batch_size and not (
-                                has_more is not None and has_more()):
-                            break
-            else:
-                for task_index in sorted(owned):
-                    bolt = owned[task_index]
-                    for source, stream, rows, _ctx in delivered.get(
-                            (name, task_index), ()):
-                        receives.append((source, name, task_index, len(rows)))
-                        batches.append((name, task_index))
-                        if isinstance(rows, ColumnBatch):
-                            paths[0] += len(rows)
-                            paths[1] += 1
-                        else:
-                            paths[2] += len(rows)
-                            paths[3] += 1
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        if emissions:
-                            emits.append((name, task_index, len(emissions)))
-                            out.add(route(name, emissions))
-                    emissions = bolt.finish()
-                    if emissions:
-                        emits.append((name, task_index, len(emissions)))
-                        out.add(route(name, emissions))
-        return out.drain(), (emits, receives, batches, paths, None)
-
-    def _run_wave_observed(self, components, delivered):
-        """The observed twin of :meth:`run_wave`."""
         obs = self.obs
         out = WaveBuffer()
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]
+        counters = TopologyMetrics.of(self.shape)
         route = self.router.route
-        perf = time.perf_counter
         for name in components:
             owned = self.owned.get(name)
             if not owned:
                 continue
             if self.is_spout[name]:
                 for task_index in sorted(owned):
-                    spout = owned[task_index]
-                    has_more = getattr(spout, "has_more", None)
-                    while True:
-                        started = perf()
-                        emissions = spout.next_batch(self.batch_size)
-                        elapsed = perf() - started
-                        if not emissions:
-                            break
-                        emits.append((name, task_index, len(emissions)))
-                        batches.append((name, task_index))
-                        obs.record(name, task_index, len(emissions), elapsed)
-                        # None below the trace level
-                        ctx = obs.root(name, task_index, len(emissions),
-                                       elapsed)
-                        out.add(route(name, emissions), ctx)
-                        if len(emissions) < self.batch_size and not (
-                                has_more is not None and has_more()):
-                            break
+                    more = True
+                    while more:
+                        emissions, ctx, more = pull(
+                            owned[task_index], name, task_index,
+                            self.batch_size, counters, obs)
+                        if emissions:
+                            out.add(route(name, emissions), ctx)
             else:
                 for task_index in sorted(owned):
                     bolt = owned[task_index]
                     for source, stream, rows, ctx in delivered.get(
                             (name, task_index), ()):
-                        receives.append((source, name, task_index, len(rows)))
-                        batches.append((name, task_index))
-                        if isinstance(rows, ColumnBatch):
-                            paths[0] += len(rows)
-                            paths[1] += 1
-                        else:
-                            paths[2] += len(rows)
-                            paths[3] += 1
-                        started = perf()
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        elapsed = perf() - started
-                        obs.record(name, task_index, len(rows), elapsed)
-                        child = obs.span(ctx, name, task_index, len(rows),
-                                         elapsed)
+                        emissions, child = deliver(
+                            bolt, name, task_index, source, stream, rows,
+                            ctx, counters, obs)
                         if emissions:
-                            emits.append((name, task_index, len(emissions)))
                             out.add(route(name, emissions), child)
                     emissions = bolt.finish()
                     if emissions:
-                        emits.append((name, task_index, len(emissions)))
+                        counters.record_emit(name, task_index, len(emissions))
                         # flush emissions are punctuations, untraced
                         out.add(route(name, emissions))
-        return out.drain(), (emits, receives, batches, paths, obs.drain())
+        return out.drain(), counters, None if obs is None else obs.drain()
 
     def exports(self) -> Dict[Tuple[str, int], object]:
         """Final owned task instances, for post-run state extraction."""
@@ -506,37 +422,46 @@ class WorkerState:
         }
 
 
-def worker_loop(state: WorkerState, recv, send):
-    """Command loop shared by the thread and process backends.
+def worker_loop(state, recv, send):
+    """The command loop of every worker: thread or forked, staged or
+    resident.
 
-    ``recv()`` yields coordinator commands; ``send(reply)`` must raise in
-    the *caller* on serialization failure (queue.Queue and Connection.send
-    both do) so errors surface as ``("error", traceback)`` replies instead
-    of hangs.
+    ``state.COMMANDS`` names the method behind each coordinator command;
+    the rest of the message is its arguments.  Every command gets exactly
+    one reply -- ``("ok", result)``, or ``("error", traceback)`` if it
+    raised -- so the protocol stays in lock-step; ``stop`` ends the loop.
+    ``send(reply)`` must raise in the *caller* on serialization failure
+    (queue.Queue and Connection.send both do) so that too becomes an error
+    reply instead of a hang.
     """
+    commands = state.COMMANDS
     while True:
-        message = recv()
-        kind = message[0]
-        if kind == "wave":
-            _kind, components, delivered = message
-            try:
-                send(("ok", state.run_wave(components, delivered)))
-            except Exception:
-                send(("error", traceback.format_exc()))
-        elif kind == "collect":
-            try:
-                send(("ok", state.exports()))
-            except Exception:
-                send(("error", traceback.format_exc()))
-        elif kind == "stop":
+        kind, *args = recv()
+        if kind == "stop":
             return
-        else:  # pragma: no cover - protocol bug
-            send(("error", f"unknown command {kind!r}"))
+        try:
+            send(("ok", getattr(state, commands[kind])(*args)))
+        except Exception:
+            send(("error", traceback.format_exc()))
 
 
 # ---------------------------------------------------------------------------
 # Coordinator side
 # ---------------------------------------------------------------------------
+
+
+class WorkerDied(ExecutorError):
+    """A forked worker process is gone (crash, SIGKILL, lost pipe).
+
+    Raised by :class:`ForkedWorker` on a dead pipe and by
+    :class:`ResidentWorkerPool` commands; carries the dead worker ids so
+    a supervisor (the streaming coordinator) can respawn exactly those
+    workers and run the recovery protocol.
+    """
+
+    def __init__(self, worker_ids: List[int]):
+        super().__init__(f"worker(s) {sorted(worker_ids)} died")
+        self.worker_ids = sorted(worker_ids)
 
 
 class _ThreadWorker:
@@ -565,37 +490,74 @@ class _ThreadWorker:
         self._thread.join(timeout=30)
 
 
-class _ProcessWorker:
-    """A forked worker process fed through pipes (pickled micro-batches).
+def fork_context():
+    """The multiprocessing context of every forked backend."""
+    import multiprocessing
 
-    ``fork`` copies the whole task table into the child; the worker then
-    touches only its owned slice, so state lives inside the owning worker
-    and only serialized batches and final task exports cross the pipe.
-    ``Connection.send`` pickles in the caller, so a pickle-unsafe reply
-    becomes an ``("error", ...)`` message instead of a silent hang.
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ExecutorError(
+            "the 'processes' backends need the fork start method "
+            "(component factories are closures and cannot be pickled); "
+            "use executor='threads' or 'inline' on this platform"
+        )
+    return multiprocessing.get_context("fork")
+
+
+class ForkedWorker:
+    """One forked worker process behind a duplex pipe.
+
+    ``fork`` copies the state (and with it the task table) into the
+    child, which runs :func:`worker_loop` over it; only pickled commands
+    and replies cross the pipe.  ``Connection.send`` pickles in the
+    caller, so a pickle-unsafe reply becomes an ``("error", ...)`` message
+    instead of a silent hang.  A pipe that fails on either side of a
+    command means the process is gone: :meth:`send` and :meth:`recv` raise
+    :class:`WorkerDied` naming this worker.
     """
 
-    def __init__(self, context, state: WorkerState):
+    def __init__(self, context, state):
+        self.worker_id = state.worker_id
         self._parent_conn, child_conn = context.Pipe()
         self._process = context.Process(
-            target=_process_worker_main, args=(state, child_conn), daemon=True
+            target=_forked_worker_main, args=(state, child_conn), daemon=True
         )
         self._process.start()
         child_conn.close()
 
+    @property
+    def pid(self) -> Optional[int]:
+        return self._process.pid
+
+    def alive(self) -> bool:
+        return self._process.is_alive()
+
+    def exit_code(self) -> Optional[int]:
+        """How a dead worker ended (``-9``: SIGKILLed); waits briefly for
+        the exit the dead pipe announced."""
+        self._process.join(timeout=5)
+        return self._process.exitcode
+
     def send(self, message):
-        self._parent_conn.send(message)
+        try:
+            self._parent_conn.send(message)
+        except OSError:  # BrokenPipeError: the reader is gone
+            raise WorkerDied([self.worker_id]) from None
 
     def recv(self):
-        return self._parent_conn.recv()
+        try:
+            return self._parent_conn.recv()
+        except (EOFError, OSError):
+            raise WorkerDied([self.worker_id]) from None
 
     def signal_stop(self):
         try:
             self._parent_conn.send(("stop",))
-        except (BrokenPipeError, OSError):
+        except OSError:  # already dead
             pass
 
     def join(self):
+        """Wait for the exit (signalled, or already dead) and release the
+        process + pipe resources."""
         self._process.join(timeout=30)
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.terminate()
@@ -603,7 +565,7 @@ class _ProcessWorker:
         self._parent_conn.close()
 
 
-def _process_worker_main(state: WorkerState, conn):
+def _forked_worker_main(state, conn):
     def send(reply):
         try:
             conn.send(reply)
@@ -627,7 +589,6 @@ class StagedExecutor:
     """
 
     name = "staged"
-    needs_fork = False
     reimports_tasks = False
 
     def __init__(self, cluster, parallelism: Optional[int] = None):
@@ -665,9 +626,11 @@ class StagedExecutor:
         observer = cluster.observer
         levels = topological_levels(cluster.topology)
         workers = self._start_workers(batch_size)
+        doing = "start"
         try:
             pending = WaveBuffer()
             for level in levels:
+                doing = f"level {level}"
                 for worker_id, worker in enumerate(workers):
                     delivered = {}
                     for name in level:
@@ -683,15 +646,8 @@ class StagedExecutor:
                 # barrier: collect every worker's wave in worker-id order,
                 # so the merged delivery order is deterministic
                 for worker in workers:
-                    routed, deltas = self._reply(worker)
-                    emits, receives, batches, paths, obs_payload = deltas
-                    for name, task_index, count in emits:
-                        metrics.record_emit(name, task_index, count)
-                    for source, target, task_index, count in receives:
-                        metrics.record_receive(source, target, task_index, count)
-                    for name, task_index in batches:
-                        metrics.record_batch(name, task_index)
-                    metrics.merge_path_counts(*paths)
+                    routed, counters, obs_payload = self._reply(worker)
+                    metrics.merge(counters)
                     if observer is not None:
                         observer.merge_worker_obs(obs_payload)
                     pending.fold(routed)
@@ -702,10 +658,21 @@ class StagedExecutor:
                     f"undelivered batches after final wave: "
                     f"{sorted(pending.keys())}"
                 )
+            doing = "collect"
             self._finalize(workers)
+        except WorkerDied as death:
+            # a worker process vanished mid-protocol (OOM kill, segfault):
+            # a batch run has no checkpoint to recover from -- fail naming
+            # who died, doing what, and how
+            worker_id = death.worker_ids[0]
+            raise ExecutorError(
+                f"{self.name} worker {worker_id} died running {doing} "
+                f"(exit code {workers[worker_id].exit_code()})"
+            ) from None
         finally:
             # signal every worker before waiting on any: their exits
             # overlap instead of queueing behind one another's join
+            # (survivors of a dead peer included)
             for worker in workers:
                 worker.signal_stop()
             for worker in workers:
@@ -756,17 +723,9 @@ class ProcessExecutor(StagedExecutor):
     reimports_tasks = True
 
     def _start_workers(self, batch_size):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ExecutorError(
-                "the 'processes' backend needs the fork start method "
-                "(component factories are closures and cannot be pickled); "
-                "use executor='threads' or 'inline' on this platform"
-            )
-        context = multiprocessing.get_context("fork")
+        context = fork_context()
         return [
-            _ProcessWorker(context, self._make_state(worker_id, batch_size))
+            ForkedWorker(context, self._make_state(worker_id, batch_size))
             for worker_id in range(self.n_workers)
         ]
 
@@ -774,19 +733,6 @@ class ProcessExecutor(StagedExecutor):
 # ---------------------------------------------------------------------------
 # Resident workers (the streaming 'processes' executor)
 # ---------------------------------------------------------------------------
-
-
-class WorkerDied(ExecutorError):
-    """A resident worker process is gone (crash, SIGKILL, lost pipe).
-
-    Raised by :class:`ResidentWorkerPool` commands; carries the dead
-    worker ids so the supervisor (the streaming coordinator) can respawn
-    exactly those workers and run the recovery protocol.
-    """
-
-    def __init__(self, worker_ids: List[int]):
-        super().__init__(f"resident worker(s) {sorted(worker_ids)} died")
-        self.worker_ids = sorted(worker_ids)
 
 
 class ResidentWorkerState:
@@ -809,11 +755,20 @@ class ResidentWorkerState:
     #: squall-lint's pickle-safety and determinism rules
     PIPE_PICKLED = True
 
+    #: coordinator command -> method (see :func:`worker_loop`)
+    COMMANDS = {"execute": "execute", "watermark": "advance_watermark",
+                "finish": "finish_component", "checkpoint": "checkpoint",
+                "restore": "restore"}
+
     def __init__(self, worker_id: int, owned: Dict[Tuple[str, int], object],
+                 shape: Dict[str, int],
                  kill_after: Optional[List[Tuple[int, int]]] = None,
                  observe: str = "off"):
         self.worker_id = worker_id
         self.owned = owned  # (component, task_index) -> task instance
+        #: component -> parallelism of every owned component: the shape
+        #: of the counters each reply ships home
+        self.shape = shape
         self.batches_executed = 0
         #: [(after_batches, signal), ...], sorted; consumed front to back
         self.kill_after = sorted(kill_after or [])
@@ -827,78 +782,30 @@ class ResidentWorkerState:
         if self.batches_executed >= after:
             os.kill(os.getpid(), signal)  # SIGKILL: never returns
 
-    def execute(self, items: List[WorkItem]):
-        """Run delivered batches in order; return raw emissions + metrics."""
-        if self.obs is not None:
-            return self._execute_observed(items)
-        outputs: List[Tuple[str, int, object]] = []
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]
-        for target, task_index, source, stream, rows in items:
-            bolt = self.owned[(target, task_index)]
-            receives.append((source, target, task_index, len(rows)))
-            batches.append((target, task_index))
-            if isinstance(rows, ColumnBatch):
-                paths[0] += len(rows)
-                paths[1] += 1
-            else:
-                paths[2] += len(rows)
-                paths[3] += 1
-            emissions = bolt.execute_batch(source, stream, rows)
-            self.batches_executed += 1
-            if emissions:
-                emits.append((target, task_index, len(emissions)))
-                outputs.append((target, task_index, emissions))
-            self._maybe_die()
-        return outputs, (emits, receives, batches, paths, None)
+    def execute(self, items: List[tuple]):
+        """Run delivered batches in order, un-coalesced (the armed kill
+        points count them one by one).
 
-    def _execute_observed(self, items: List[WorkItem]):
-        """``execute`` with per-batch timings and (at 'trace') spans.
-
-        Trace-level items carry a trailing span context (6-tuples) and
-        trace-level outputs grow a trailing child context (4-tuples) so
-        the coordinator can parent downstream hops; 'metrics' keeps the
-        off-level wire shapes and only ships timings in the deltas.
+        ``items`` are work items with the span context of the hop that
+        produced them appended, ``(target, task, source, stream, rows,
+        ctx)``; returns ``(outputs, counters, obs_payload)`` where
+        ``outputs`` are the raw emissions ``(target, task, emissions,
+        child_ctx)`` for the coordinator to route and the rest is as for
+        :meth:`WorkerState.run_wave`.  Both contexts are None unless the
+        run is traced.
         """
         obs = self.obs
-        trace = obs.trace
-        perf = time.perf_counter
+        counters = TopologyMetrics.of(self.shape)
         outputs: List[tuple] = []
-        emits: List[tuple] = []
-        receives: List[tuple] = []
-        batches: List[tuple] = []
-        paths = [0, 0, 0, 0]
-        for item in items:
-            if trace:
-                target, task_index, source, stream, rows, ctx = item
-            else:
-                target, task_index, source, stream, rows = item
-                ctx = None
-            bolt = self.owned[(target, task_index)]
-            receives.append((source, target, task_index, len(rows)))
-            batches.append((target, task_index))
-            if isinstance(rows, ColumnBatch):
-                paths[0] += len(rows)
-                paths[1] += 1
-            else:
-                paths[2] += len(rows)
-                paths[3] += 1
-            started = perf()
-            emissions = bolt.execute_batch(source, stream, rows)
-            elapsed = perf() - started
+        for target, task_index, source, stream, rows, ctx in items:
+            emissions, child = deliver(
+                self.owned[(target, task_index)], target, task_index,
+                source, stream, rows, ctx, counters, obs)
             self.batches_executed += 1
-            obs.record(target, task_index, len(rows), elapsed)
-            child = obs.span(ctx, target, task_index, len(rows), elapsed)
             if emissions:
-                emits.append((target, task_index, len(emissions)))
-                if trace:
-                    outputs.append((target, task_index, emissions, child))
-                else:
-                    outputs.append((target, task_index, emissions))
+                outputs.append((target, task_index, emissions, child))
             self._maybe_die()
-        return outputs, (emits, receives, batches, paths, obs.drain())
+        return outputs, counters, None if obs is None else obs.drain()
 
     def advance_watermark(self, watermark: float):
         """Apply one watermark punctuation to every owned windowed task."""
@@ -950,101 +857,6 @@ class ResidentWorkerState:
         return len(blobs)
 
 
-def resident_worker_loop(state: ResidentWorkerState, recv, send):
-    """Command loop of one resident worker process.
-
-    Commands: ``execute`` (micro-batches), ``watermark`` (punctuation),
-    ``finish`` (per-component end-of-stream flush), ``checkpoint``
-    (hash-diff snapshot), ``restore`` (load snapshot state), ``ping``
-    (liveness), ``stop``.  Every command gets exactly one reply, so the
-    coordinator's pipe protocol stays in lock-step; a worker death
-    between command and reply surfaces as EOF on the coordinator side.
-    """
-    while True:
-        message = recv()
-        kind = message[0]
-        try:
-            if kind == "execute":
-                send(("ok", state.execute(message[1])))
-            elif kind == "watermark":
-                send(("ok", state.advance_watermark(message[1])))
-            elif kind == "finish":
-                send(("ok", state.finish_component(message[1])))
-            elif kind == "checkpoint":
-                send(("ok", state.checkpoint(message[1])))
-            elif kind == "restore":
-                send(("ok", state.restore(message[1])))
-            elif kind == "ping":
-                send(("ok", state.worker_id))
-            elif kind == "stop":
-                return
-            else:  # pragma: no cover - protocol bug
-                send(("error", f"unknown command {kind!r}"))
-        except Exception:
-            send(("error", traceback.format_exc()))
-
-
-class ResidentWorker:
-    """One long-lived forked worker process behind a duplex pipe."""
-
-    def __init__(self, context, state: ResidentWorkerState):
-        self.worker_id = state.worker_id
-        self._parent_conn, child_conn = context.Pipe()
-        self._process = context.Process(
-            target=_resident_worker_main, args=(state, child_conn),
-            daemon=True,
-        )
-        self._process.start()
-        child_conn.close()
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid
-
-    def alive(self) -> bool:
-        return self._process.is_alive()
-
-    def send(self, message):
-        self._parent_conn.send(message)
-
-    def recv(self):
-        return self._parent_conn.recv()
-
-    def stop(self):
-        try:
-            self._parent_conn.send(("stop",))
-        except (BrokenPipeError, OSError):
-            pass
-        self._process.join(timeout=10)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=5)
-        self._parent_conn.close()
-
-    def reap(self):
-        """Release a dead worker's process + pipe resources."""
-        self._process.join(timeout=5)
-        try:
-            self._parent_conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-
-def _resident_worker_main(state: ResidentWorkerState, conn):
-    def send(reply):
-        try:
-            conn.send(reply)
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
-
-    try:
-        resident_worker_loop(state, conn.recv, send)
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - shutdown
-        pass
-    finally:
-        conn.close()
-
-
 class ResidentWorkerPool:
     """Supervisor for the streaming ``processes`` backend.
 
@@ -1064,14 +876,7 @@ class ResidentWorkerPool:
                  exclude: Optional[set] = None,
                  kill_plan: Optional[Dict[int, List[Tuple[int, int]]]] = None,
                  observe: str = "off"):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ExecutorError(
-                "the resident 'processes' backend needs the fork start "
-                "method; use executor='threads' or 'inline' on this platform"
-            )
-        self._context = multiprocessing.get_context("fork")
+        self._context = fork_context()
         self._topology = topology
         self._tasks = tasks
         exclude = exclude or set()
@@ -1093,7 +898,7 @@ class ResidentWorkerPool:
         #: armed fault-injection kills per worker (consumed on death)
         self._kill_plan = {w: list(specs)
                            for w, specs in (kill_plan or {}).items()}
-        self._workers: Dict[int, ResidentWorker] = {}
+        self._workers: Dict[int, ForkedWorker] = {}
         self.respawn_count = 0
         #: observability level shipped into every worker incarnation
         self._observe = observe
@@ -1117,23 +922,25 @@ class ResidentWorkerPool:
     def _make_state(self, worker_id: int) -> ResidentWorkerState:
         owned = {key: self._tasks[key[0]][key[1]]
                  for key in self.owned_keys(worker_id)}
+        shape = {name: self._topology.components[name].parallelism
+                 for name, _task_index in owned}
         return ResidentWorkerState(
-            worker_id, owned, kill_after=self._kill_plan.get(worker_id),
-            observe=self._observe)
+            worker_id, owned, shape,
+            kill_after=self._kill_plan.get(worker_id), observe=self._observe)
 
     def start(self):
         if not self.assignment:
             return
         for worker_id in range(self.n_workers):
-            self._workers[worker_id] = ResidentWorker(
+            self._workers[worker_id] = ForkedWorker(
                 self._context, self._make_state(worker_id))
 
     def stop(self):
+        """Signal every worker, then join them (dead ones are reaped)."""
         for worker in self._workers.values():
-            if worker.alive():
-                worker.stop()
-            else:
-                worker.reap()
+            worker.signal_stop()
+        for worker in self._workers.values():
+            worker.join()
         self._workers.clear()
 
     def pids(self) -> Dict[int, Optional[int]]:
@@ -1160,11 +967,11 @@ class ResidentWorkerPool:
         for worker_id in worker_ids:
             worker = self._workers.get(worker_id)
             if worker is not None:
-                worker.reap()
+                worker.join()
             remaining = sorted(self._kill_plan.pop(worker_id, []))[1:]
             if remaining:
                 self._kill_plan[worker_id] = remaining
-            self._workers[worker_id] = ResidentWorker(
+            self._workers[worker_id] = ForkedWorker(
                 self._context, self._make_state(worker_id))
             self.respawn_count += 1
 
@@ -1186,13 +993,13 @@ class ResidentWorkerPool:
             try:
                 self._workers[worker_id].send(message)
                 sent.append(worker_id)
-            except (BrokenPipeError, EOFError, OSError):
+            except WorkerDied:
                 dead.append(worker_id)
         replies: Dict[int, object] = {}
         for worker_id in sent:
             try:
                 status, payload = self._workers[worker_id].recv()
-            except (BrokenPipeError, EOFError, OSError):
+            except WorkerDied:
                 dead.append(worker_id)
                 continue
             if status != "ok":
@@ -1205,24 +1012,26 @@ class ResidentWorkerPool:
             raise WorkerDied(dead)
         return replies
 
-    def execute(self, per_worker: Dict[int, List[WorkItem]]):
-        """Deliver routed micro-batches; returns (outputs, metric deltas).
+    def execute(self, per_worker: Dict[int, List[tuple]]):
+        """Deliver routed micro-batches (:meth:`ResidentWorkerState.
+        execute` items); returns ``(outputs, tallies)``.
 
         Workers execute their slices concurrently (each in its own
-        process); outputs are merged in worker-id order so delivery
-        stays deterministic for a fixed assignment.
+        process); outputs -- and the per-worker ``(counters,
+        obs_payload)`` tallies -- are merged in worker-id order so
+        delivery stays deterministic for a fixed assignment.
         """
         replies = self._command({
             worker_id: ("execute", items)
             for worker_id, items in per_worker.items() if items
         })
-        outputs: List[Tuple[str, int, object]] = []
-        deltas: List[MetricDeltas] = []
+        outputs: List[tuple] = []
+        tallies: List[tuple] = []
         for worker_id in sorted(replies):
-            worker_outputs, worker_deltas = replies[worker_id]
+            worker_outputs, counters, obs_payload = replies[worker_id]
             outputs.extend(worker_outputs)
-            deltas.append(worker_deltas)
-        return outputs, deltas
+            tallies.append((counters, obs_payload))
+        return outputs, tallies
 
     def broadcast_watermark(self, watermark: float):
         """Punctuate every worker; returns merged hook emissions."""
@@ -1289,8 +1098,3 @@ def create_executor(name: str, cluster, parallelism: Optional[int] = None):
             f"unknown executor {name!r}; choose one of {EXECUTOR_NAMES}"
         ) from None
     return backend(cluster, parallelism)
-
-
-def pickle_roundtrip(obj):
-    """Helper used by tests and docs to check worker pickle-safety."""
-    return pickle.loads(pickle.dumps(obj))

@@ -43,6 +43,14 @@ class TopologyMetrics:
     #: LocalCluster.run); basis for the per-component rows/sec monitor
     elapsed: float = 0.0
 
+    @classmethod
+    def of(cls, shape: Dict[str, int]) -> "TopologyMetrics":
+        """Zeroed counters for ``{component: parallelism}``."""
+        metrics = cls()
+        for component, parallelism in shape.items():
+            metrics.register(component, parallelism)
+        return metrics
+
     def register(self, component: str, parallelism: int):
         self.received[component] = [0] * parallelism
         self.emitted[component] = [0] * parallelism
@@ -74,13 +82,24 @@ class TopologyMetrics:
             self.row_rows += rows
             self.row_batches += 1
 
-    def merge_path_counts(self, columnar_rows: int, columnar_batches: int,
-                          row_rows: int, row_batches: int):
-        """Fold in path counters collected by a parallel worker."""
-        self.columnar_rows += columnar_rows
-        self.columnar_batches += columnar_batches
-        self.row_rows += row_rows
-        self.row_batches += row_batches
+    def merge(self, other: "TopologyMetrics"):
+        """Fold in what a shared-nothing worker counted.
+
+        Workers count into a ``TopologyMetrics`` of their own, registered
+        for the components they own, and ship it home with each reply."""
+        for totals, counted in ((self.received, other.received),
+                                (self.emitted, other.emitted),
+                                (self.batches, other.batches)):
+            for component, counts in counted.items():
+                per_task = totals[component]
+                for task, count in enumerate(counts):
+                    per_task[task] += count
+        for edge, count in other.edge_transfers.items():
+            self.edge_transfers[edge] = self.edge_transfers.get(edge, 0) + count
+        self.columnar_rows += other.columnar_rows
+        self.columnar_batches += other.columnar_batches
+        self.row_rows += other.row_rows
+        self.row_batches += other.row_batches
 
     def rows_per_second(self, component: str) -> float:
         """Input rows of ``component`` over the run's wall-clock time."""

@@ -8,23 +8,26 @@ dataplane (no per-tuple regression), watermark punctuations drive window
 expiration between batches, and the :class:`~repro.streaming.deltas.\
 DeltaSink` at the bottom feeds live ``+row/-row`` deltas to subscribers.
 
-Three executors:
+One pump round (:meth:`StreamingCluster.step`) serves three executors:
+it polls every source for one micro-batch, ``inject``s it, and then
+``advance_watermark``s the merged watermark -- and at end of stream
+``flush_bolts`` -- on the executor's *transport*:
 
-- ``inline`` -- a single-threaded pump loop over the resident
-  :class:`LocalCluster`.  Each round polls every source for one
-  micro-batch, drives it to quiescence depth-first (identical scheduling
-  to ``LocalCluster.run``, so at equal batch size the delivery order --
-  and hence every per-task counter -- matches the finite engine), then
-  advances the merged watermark at the quiescent point.
+- ``inline`` -- the resident :class:`LocalCluster` itself.  Every
+  injected batch is driven to quiescence depth-first in the calling
+  thread (identical scheduling to ``LocalCluster.run``, so at equal
+  batch size the delivery order -- and hence every per-task counter --
+  matches the finite engine), and the watermark advances at the
+  quiescent point.
 - ``threads`` -- one worker thread per bolt task, fed through a
-  **bounded queue** (``queue_capacity`` micro-batches).  A full queue
-  blocks the producer's ``put`` -- backpressure propagates hop by hop
-  from a slow consumer back to the source pumps.  Watermark and
-  end-of-stream punctuations travel through the same FIFO queues as
-  data and are merged per upstream task, so a promise can never overtake
-  the rows it vouches for.  Routing state is cloned per worker
-  (``Grouping.task_local``); partitioners that adapt to the globally
-  observed stream are refused up front, exactly as in
+  **bounded queue** (``queue_capacity`` micro-batches) and pumped from a
+  background thread.  A full queue blocks the producer's ``put`` --
+  backpressure propagates hop by hop from a slow consumer back to the
+  source pumps.  Watermark and end-of-stream punctuations travel through
+  the same FIFO queues as data and are merged per upstream task, so a
+  promise can never overtake the rows it vouches for.  Routing state is
+  cloned per worker (``Grouping.task_local``); partitioners that adapt
+  to the globally observed stream are refused up front, exactly as in
   :mod:`repro.storm.executor`.
 - ``processes`` -- **resident forked worker processes** holding the
   topology's join/aggregation tasks, exchanging serialized micro-batches
@@ -53,6 +56,7 @@ import pickle
 import queue
 import threading
 import time
+import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
@@ -66,11 +70,15 @@ from repro.storm.executor import (
     ResidentWorkerPool,
     Router,
     WorkerDied,
-    WorkItem,
     ensure_task_local_routing,
 )
 from repro.storm.failures import FaultInjector
-from repro.storm.metrics import CheckpointMetrics, StreamMetrics
+from repro.storm.kernel import deliver, source_hop
+from repro.storm.metrics import (
+    CheckpointMetrics,
+    StreamMetrics,
+    TopologyMetrics,
+)
 from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
 from repro.streaming.sources import Emission, PushSource
@@ -137,6 +145,293 @@ class SourcePump:
         return self.source.exhausted()
 
 
+class _PoolTransport:
+    """The ``processes`` transport: routed waves cross the resident
+    workers' pipes until no data is in flight anywhere.
+
+    Worker-owned tasks execute remotely (one pipe round-trip per wave,
+    workers in parallel); coordinator-owned sink tasks execute here, so
+    deltas fan out to subscriptions without serializing the sink.  Worker
+    emissions come back raw and are routed here -- routing state lives
+    only in the coordinator, so recovery never reconciles diverged
+    per-worker routing.
+
+    Everything injected is logged *before* it is dispatched: if a worker
+    dies mid-delivery, the supervisor's replay re-applies it to the
+    restored state.  While :attr:`replaying`, nothing is re-logged,
+    re-counted at the source or observed -- contexts are withheld and
+    worker obs payloads discarded, so a replayed batch never duplicates
+    spans or timings.
+    """
+
+    def __init__(self, pool: ResidentWorkerPool, topology: Topology,
+                 local_tasks: Dict[Tuple[str, int], object],
+                 metrics: TopologyMetrics, observer: Optional[Observer],
+                 coalesce: bool):
+        self.pool = pool
+        self.router = Router(topology, clone=True)
+        #: coordinator-owned tasks: (component, task_index) -> task
+        self.local_tasks = local_tasks
+        self.log = ChangeLog()
+        self.replaying = False
+        self._topology = topology
+        self._metrics = metrics
+        self._observer = observer
+        self._coalesce = coalesce
+
+    def inject(self, source: str, emissions: Sequence[Emission]):
+        ctx = None
+        if not self.replaying:
+            self.log.record_data(source, emissions)
+            ctx = source_hop(source, 0, len(emissions), 0.0, self._metrics,
+                             self._observer)
+        self._drive([(source, emissions, ctx)])
+
+    def advance_watermark(self, watermark: float):
+        # logged before the broadcast, so a worker that dies mid-fanout
+        # still sees the punctuation once: global restore rewinds the
+        # survivors that already applied it, and the replay re-delivers
+        # it to everyone
+        if not self.replaying:
+            self.log.record_watermark(watermark)
+        expirations = []
+        for component, task_index, emissions in \
+                self.pool.broadcast_watermark(watermark):
+            self._metrics.record_emit(component, task_index, len(emissions))
+            expirations.append((component, emissions, None))
+        self._drive(expirations)
+
+    def flush_bolts(self):
+        for name in self._topology.topological_order():
+            spec = self._topology.components[name]
+            if spec.is_spout:
+                continue
+            if self.pool.owner(name, 0) is None:  # coordinator-owned
+                outputs = [
+                    (name, task_index,
+                     self.local_tasks[(name, task_index)].finish())
+                    for task_index in range(spec.parallelism)]
+            else:
+                outputs = self.pool.finish_component(name)
+            for component, task_index, emissions in outputs:
+                if emissions:
+                    self._metrics.record_emit(
+                        component, task_index, len(emissions))
+                    self._drive([(component, emissions, None)])
+        self.pool.stop()
+
+    def _drive(self, pending: List[Tuple[str, Sequence[Emission], object]]):
+        """Deliver ``(source, emissions, parent ctx)`` entries, and
+        whatever they cause downstream, wave by wave."""
+        metrics = self._metrics
+        observer = None if self.replaying else self._observer
+        while pending:
+            per_worker: Dict[int, List[tuple]] = {}
+            local: List[tuple] = []
+            for source, emissions, ctx in pending:
+                for item in self.router.route(
+                        source, emissions, coalesce=self._coalesce):
+                    owner = self.pool.owner(item[0], item[1])
+                    if owner is None:
+                        local.append(item + (ctx,))
+                    else:
+                        per_worker.setdefault(owner, []).append(item + (ctx,))
+            pending = []
+            if observer is not None and (per_worker or local):
+                observer.on_queue_depth(
+                    "processes",
+                    sum(len(items) for items in per_worker.values())
+                    + len(local))
+            if per_worker:
+                outputs, tallies = self.pool.execute(per_worker)
+                for counters, obs_payload in tallies:
+                    metrics.merge(counters)
+                    if observer is not None:
+                        observer.merge_worker_obs(obs_payload)
+                for component, _task_index, emissions, child in outputs:
+                    pending.append((component, emissions, child))
+            for target, task_index, source, stream, rows, ctx in local:
+                emissions, child = deliver(
+                    self.local_tasks[(target, task_index)], target,
+                    task_index, source, stream, rows, ctx, metrics, observer)
+                if emissions:
+                    pending.append((target, emissions, child))
+
+
+class _LockedCounters:
+    """``TopologyMetrics.record_*`` under the cluster lock: where the
+    threads executor's pump and workers, recording concurrently, count."""
+
+    def __init__(self, metrics: TopologyMetrics, lock: threading.Lock):
+        self._metrics = metrics
+        self._lock = lock
+
+    def record_emit(self, component: str, task: int, count: int = 1):
+        with self._lock:
+            self._metrics.record_emit(component, task, count)
+
+    def record_receive(self, source: str, target: str, task: int,
+                       count: int = 1):
+        with self._lock:
+            self._metrics.record_receive(source, target, task, count)
+
+    def record_batch(self, component: str, task: int):
+        with self._lock:
+            self._metrics.record_batch(component, task)
+
+    def record_path(self, columnar: bool, rows: int):
+        with self._lock:
+            self._metrics.record_path(columnar, rows)
+
+
+class _QueueTransport:
+    """The ``threads`` transport: one worker thread per bolt task behind
+    a bounded queue, each routing through its own copy of the groupings;
+    ``put`` on a full queue is the backpressure edge."""
+
+    def __init__(self, topology: Topology,
+                 bolt_tasks: List[Tuple[str, int, object]], capacity: int,
+                 coalesce: bool, counters: _LockedCounters,
+                 observer: Optional[Observer],
+                 on_failure: Callable[[str], None]):
+        self._topology = topology
+        self._coalesce = coalesce
+        self._counters = counters
+        self._observer = observer
+        self._on_failure = on_failure
+        self._router = Router(topology, clone=True)  # the pump's copy
+        self._sources = [name for name, spec in topology.components.items()
+                         if spec.is_spout]
+        self._queues: Dict[Tuple[str, int], "queue.Queue"] = {
+            (name, task_index): queue.Queue(capacity)
+            for name, task_index, _task in bolt_tasks}
+        # per-bolt upstream task keys (who must punctuate before we act)
+        self._upstream_keys: Dict[str, List[Tuple[str, int]]] = {}
+        # per-component downstream tasks (who receives our punctuations)
+        self._downstream: Dict[str, List[Tuple[str, int]]] = {}
+        for name, spec in topology.components.items():
+            ups: List[Tuple[str, int]] = []
+            for up in topology.upstream(name):
+                up_spec = topology.components[up]
+                count = 1 if up_spec.is_spout else up_spec.parallelism
+                ups.extend((up, i) for i in range(count))
+            self._upstream_keys[name] = ups
+            downs: List[Tuple[str, int]] = []
+            for target in sorted({e.target for e in topology.out_edges(name)}):
+                downs.extend(
+                    (target, i)
+                    for i in range(topology.components[target].parallelism)
+                )
+            self._downstream[name] = downs
+        self._threads = [
+            threading.Thread(
+                target=self._worker_loop, args=(name, task_index, task),
+                name=f"stream-{name}-{task_index}", daemon=True)
+            for name, task_index, task in bolt_tasks]
+
+    def start(self):
+        for thread in self._threads:
+            thread.start()
+
+    def inject(self, source: str, emissions: Sequence[Emission]):
+        ctx = source_hop(source, 0, len(emissions), 0.0, self._counters,
+                         self._observer)
+        self._dispatch(self._router, source, emissions, ctx)
+
+    def advance_watermark(self, watermark: float):
+        for source in self._sources:
+            self._broadcast(source, (_WM, (source, 0), watermark))
+
+    def flush_bolts(self):
+        # workers cascade EOS downstream, finish (DeltaSink.finish closes
+        # the subscriptions) and exit on their own
+        for source in self._sources:
+            self._broadcast(source, (_EOS, (source, 0)))
+        for thread in self._threads:
+            thread.join()
+
+    def _dispatch(self, router: Router, source: str,
+                  emissions: Sequence[Emission], ctx=None):
+        """Route one component's emissions into the owning task queues.
+
+        ``ctx`` is the parent span context riding with every routed batch
+        (None when unobserved or for untraced punctuation-driven
+        emissions)."""
+        if not isinstance(emissions, ColumnEmissions):
+            # materialize generators; a columnar batch must NOT be listed
+            # out here or it would degrade to per-row pairs
+            emissions = list(emissions)
+        for target, task, src, stream, rows in router.route(
+                source, emissions, coalesce=self._coalesce):
+            self._queues[(target, task)].put((_DATA, src, stream, rows, ctx))
+
+    def _broadcast(self, source: str, message: tuple):
+        for key in self._downstream[source]:
+            self._queues[key].put(message)
+
+    def _worker_loop(self, name: str, task_index: int, bolt):
+        try:
+            inbox = self._queues[(name, task_index)]
+            observer = self._observer
+            counters = self._counters
+            router = Router(self._topology, clone=True)
+            tracker = WatermarkTracker()
+            for key in self._upstream_keys[name]:
+                tracker.register(key)
+            last_wm: Optional[float] = None
+            hook = getattr(bolt, "advance_watermark", None)
+
+            def advance_merged():
+                """Apply + forward the merged watermark if it moved."""
+                nonlocal last_wm
+                merged = tracker.merged()
+                if merged is None or (
+                        last_wm is not None and merged <= last_wm):
+                    return
+                last_wm = merged
+                if hook is not None and merged != math.inf:
+                    emissions = hook(merged)
+                    if emissions:
+                        counters.record_emit(name, task_index, len(emissions))
+                        self._dispatch(router, name, emissions)
+                self._broadcast(name, (_WM, (name, task_index), merged))
+
+            while True:
+                message = inbox.get()
+                kind = message[0]
+                if kind == _DATA:
+                    _kind, source, stream, rows, ctx = message
+                    if observer is not None:
+                        observer.on_queue_depth("threads", inbox.qsize() + 1)
+                    emissions, child = deliver(
+                        bolt, name, task_index, source, stream, rows, ctx,
+                        counters, observer)
+                    if emissions:
+                        self._dispatch(router, name, emissions, child)
+                elif kind == _WM:
+                    _kind, key, watermark = message
+                    tracker.update(key, watermark)
+                    advance_merged()
+                elif kind == _EOS:
+                    _kind, key = message
+                    tracker.mark_done(key)
+                    if not tracker.all_done():
+                        # the finished input stops constraining the merge,
+                        # which may itself advance the watermark -- act on
+                        # it now, not at the next unrelated punctuation
+                        advance_merged()
+                        continue
+                    emissions = bolt.finish()
+                    if emissions:
+                        counters.record_emit(name, task_index, len(emissions))
+                        self._dispatch(router, name, emissions)
+                    self._broadcast(name, (_EOS, (name, task_index)))
+                    return
+        except Exception:
+            self._on_failure(f"worker {name}[{task_index}] failed:\n"
+                             + traceback.format_exc())
+
+
 class StreamingCluster:
     """A continuously running topology over push sources.
 
@@ -185,14 +480,13 @@ class StreamingCluster:
                 f"sources {sorted(sources)} do not match the topology's "
                 f"spout components {spout_names}"
             )
-        if executor == "threads":
-            ensure_task_local_routing(topology, "threads")
-        if executor == "processes":
-            # adaptive partitioners reshape with the observed stream; a
-            # recovery replay would route the replayed rows through the
-            # *post*-failure shape and land them on different partitions
-            # than the original delivery -- refuse, as the staged backends do
-            ensure_task_local_routing(topology, "processes")
+        if executor != "inline":
+            # adaptive partitioners reshape with the observed stream:
+            # per-thread routing copies would diverge, and a recovery
+            # replay would route the replayed rows through the
+            # *post*-failure shape, onto different partitions than the
+            # original delivery -- refuse, as the staged backends do
+            ensure_task_local_routing(topology, executor)
         self.topology = topology
         self.batch_size = batch_size
         self.executor = executor
@@ -242,7 +536,6 @@ class StreamingCluster:
             task for _n, _i, task in self._bolt_tasks
             if isinstance(task, DeltaSink)
         ]
-        self._threads: List[threading.Thread] = []
         self._worker_error: List[str] = []
         # -- processes executor: checkpointed resident workers ------------
         self.checkpoint_interval = (
@@ -255,26 +548,44 @@ class StreamingCluster:
         if self.observer is not None:
             self.observer.registry.register_collector(self.checkpoints.collect)
         self._fault_injector = fault_injector
-        self._pool: Optional[ResidentWorkerPool] = None
-        self._pool_parallelism = parallelism
         self._store = CheckpointStore(directory=checkpoint_dir)
-        self._log = ChangeLog()
         self._epoch = 0
         self._rounds_since_checkpoint = 0
         self._recoveries = 0
-        if executor == "processes":
+        #: what a pump round drives: ``inject`` / ``advance_watermark`` /
+        #: ``flush_bolts`` -- the resident LocalCluster itself (inline:
+        #: every batch runs to quiescence, depth-first, in the calling
+        #: thread), the queue fabric or the worker pool
+        self._transport = self.cluster
+        self._pool: Optional[ResidentWorkerPool] = None
+        if executor == "threads":
+            self._transport = _QueueTransport(
+                topology, self._bolt_tasks, queue_capacity, batch_size > 1,
+                _LockedCounters(self.metrics, self._lock), self.observer,
+                on_failure=self._thread_failed)
+        elif executor == "processes":
             # sinks stay in the coordinator: their subscriptions hold live
             # condition variables and must survive any worker crash
-            self._coordinator_owned = {
-                name for name, _i, task in self._bolt_tasks
+            sink_components = {
+                name for name, _task_index, task in self._bolt_tasks
                 if isinstance(task, DeltaSink)
             }
-            self._local_tasks: Dict[Tuple[str, int], object] = {
+            local_tasks = {
                 (name, task_index): task
                 for name, task_index, task in self._bolt_tasks
-                if name in self._coordinator_owned
+                if name in sink_components
             }
-            self._proc_router = Router(topology, clone=True)
+            # forked on first use (_start_pool), not here
+            self._pool = ResidentWorkerPool(
+                topology, {name: self.cluster.tasks(name)
+                           for name in topology.components},
+                parallelism=parallelism,
+                exclude=sink_components,
+                observe=observe,
+            )
+            self._transport = _PoolTransport(
+                self._pool, topology, local_tasks, self.metrics,
+                self.observer, coalesce=batch_size > 1)
 
     # -- public surface ----------------------------------------------------
 
@@ -317,27 +628,21 @@ class StreamingCluster:
         """Drive the query until every source is exhausted and the
         topology flushed.  Under ``threads`` this starts the workers (if
         needed) and blocks until completion."""
-        if self.executor == "threads":
-            self.start()
-            self._done.wait()
-            self._raise_worker_error()
-            return self.metrics
-        self._started = True  # stop(wait=True) may rely on this driver
-        while not self.done:
-            if not self.step():
-                time.sleep(self.idle_sleep)
+        self.start()  # stop(wait=True) may rely on this driver
+        while not self.advance(timeout=None):
+            pass
         return self.metrics
 
     def start(self):
         """Start background execution (threads executor only; the inline
         executor is driven by the caller through step()/run())."""
-        if self.executor != "threads":
-            self._started = True
-            return
         if self._started:
             return
         self._started = True
-        self._start_threads()
+        if self.executor == "threads":
+            self._transport.start()
+            threading.Thread(target=self._pump_loop, name="stream-pump",
+                             daemon=True).start()
 
     def stop(self, wait: bool = True, timeout: Optional[float] = 10.0):
         """Tear a resident query down without waiting for exhaustion.
@@ -356,7 +661,7 @@ class StreamingCluster:
             self._done.wait(timeout)
             self._raise_worker_error()
 
-    def advance(self, timeout: float = 0.05) -> bool:
+    def advance(self, timeout: Optional[float] = 0.05) -> bool:
         """One scheduling quantum for delta iterators: inline runs one
         pump round; threads waits briefly for background progress."""
         if self.executor == "threads":
@@ -368,19 +673,24 @@ class StreamingCluster:
             time.sleep(self.idle_sleep)
         return self.done
 
-    # -- inline executor ---------------------------------------------------
+    # -- the pump round ----------------------------------------------------
 
     def step(self) -> bool:
-        """One inline pump round; returns whether any progress was made.
+        """One pump round; returns whether any progress was made.
 
         Polls every live source for at most one micro-batch, drives each
         batch to quiescence, then -- at the quiescent point, where no
         data is in flight anywhere -- advances the merged watermark and
         finally flushes the topology once all sources are exhausted.
+
+        Under ``processes`` the round is supervised: a worker death
+        detected anywhere in it (EOF on a pipe, the liveness sweep)
+        abandons the round and runs the recovery protocol; the change log
+        guarantees nothing injected this round is lost and nothing already
+        checkpointed is applied twice.  Anything else that escapes a round
+        tears the query down (:meth:`_abort`) before it propagates.
         """
-        if self.executor == "processes":
-            return self._step_processes()
-        if self.executor != "inline":
+        if self.executor == "threads":
             raise ExecutorError(
                 "step() drives the inline executor; the threads executor "
                 "runs in the background (use run(), advance() or the "
@@ -388,14 +698,37 @@ class StreamingCluster:
             )
         if self.done:
             return False
+        try:
+            if self._pool is None:
+                return self._pump_round()
+            self._start_pool()
+            try:
+                dead = self._pool.reap_dead()
+                if dead:
+                    raise WorkerDied(dead)
+                progressed = self._pump_round()
+                if not self.done:
+                    self._rounds_since_checkpoint += 1
+                    if (progressed and self._transport.log
+                            and self._rounds_since_checkpoint
+                            >= self.checkpoint_interval):
+                        self._checkpoint()
+                return progressed
+            except WorkerDied as death:
+                self._recover(death.worker_ids)
+                return True
+        except Exception:
+            self._abort()
+            raise
+
+    def _pump_round(self) -> bool:
+        transport = self._transport
         if self._stop.is_set():
             # forced teardown: stop polling, flush so subscriptions get
             # their final deltas and close, and declare the query done
-            self.cluster.flush_bolts()
-            self._done.set()
+            self._finish()
             return True
         progressed = False
-        cluster = self.cluster
         for name, pump in self._pumps.items():
             if name in self._finished_sources:
                 continue
@@ -405,7 +738,7 @@ class StreamingCluster:
             if emissions:
                 self.stats.record_events(
                     len(emissions), pump.source.max_event_time)
-                cluster.inject(name, emissions)
+                transport.inject(name, emissions)
             if pump.exhausted():
                 # also reached by sources that were empty to begin with:
                 # they must still mark themselves done, or the merged
@@ -431,8 +764,7 @@ class StreamingCluster:
                 # watermark before the flush (same rows either way; this
                 # also settles stats -- lag reaches its true final value)
                 self._advance_watermark(min(self._final_watermarks))
-            cluster.flush_bolts()  # DeltaSink.finish closes subscriptions
-            self._done.set()
+            self._finish()
             progressed = True
         return progressed
 
@@ -449,16 +781,33 @@ class StreamingCluster:
             return False
         self._broadcast_wm = merged
         self.stats.record_watermark(merged)
-        for name, task_index, task in self._bolt_tasks:
-            hook = getattr(task, "advance_watermark", None)
-            if hook is None:
-                continue
-            emissions = hook(merged)
-            if emissions:
-                self.cluster.inject(name, emissions, task_index=task_index)
+        self._transport.advance_watermark(merged)
         return True
 
-    # -- processes executor: resident workers + checkpoint/recovery --------
+    def _finish(self):
+        """End of stream (or forced stop): flush the topology -- every
+        subscription receives its final deltas and is closed -- and
+        declare the query done."""
+        if self._pool is not None:
+            # a checkpoint right before the flush makes the flush itself
+            # recoverable: a worker killed mid-finish rolls everything
+            # back to this barrier (empty change log) and the flush reruns
+            self._checkpoint()
+        self._transport.flush_bolts()
+        self._done.set()
+
+    def _abort(self):
+        """The one failure path, for whatever escaped a pump round on any
+        executor: no worker process stays behind, every subscription is
+        closed (a consumer blocked on the feed wakes up) and the query
+        says it is over.  The caller re-raises."""
+        self._done.set()
+        if self._pool is not None:
+            self._pool.stop()
+        for sink in self._sinks:
+            sink.finish()
+
+    # -- processes executor: supervision of the resident workers -----------
 
     def worker_pids(self) -> Dict[int, Optional[int]]:
         """Live resident-worker pids (kill targets for chaos testing)."""
@@ -466,236 +815,16 @@ class StreamingCluster:
             return {}
         return self._pool.pids()
 
-    def _ensure_pool(self):
+    def _start_pool(self):
         """Fork the resident workers on first use; epoch 0 is committed
         immediately, so recovery always has a restore point."""
-        if self._pool is not None:
+        if self._epoch:  # epoch 0 is committed: the pool is up
             return
-        pool = ResidentWorkerPool(
-            self.topology, {name: list(self.cluster.tasks(name))
-                            for name in self.topology.components},
-            parallelism=self._pool_parallelism,
-            exclude=self._coordinator_owned,
-            observe="off" if self.observer is None else self.observer.level,
-        )
         if self._fault_injector is not None:
-            pool.arm_kills(self._fault_injector.kill_plan(pool.assignment))
-        pool.start()
-        self._pool = pool
+            self._pool.arm_kills(
+                self._fault_injector.kill_plan(self._pool.assignment))
+        self._pool.start()
         self._checkpoint()
-
-    def _step_processes(self) -> bool:
-        """One coordinator round: poll -> log -> dispatch -> punctuate ->
-        checkpoint, with crash recovery wrapped around the whole round.
-
-        Any worker death detected mid-round (EOF on a pipe, a liveness
-        sweep) abandons the round and runs the recovery protocol; the
-        change log guarantees nothing injected this round is lost and
-        nothing already checkpointed is applied twice.
-        """
-        if self.done:
-            return False
-        self._ensure_pool()
-        try:
-            dead = self._pool.reap_dead()
-            if dead:
-                raise WorkerDied(dead)
-            return self._step_processes_round()
-        except WorkerDied as death:
-            self._recover(death.worker_ids)
-            return True
-
-    def _step_processes_round(self) -> bool:
-        if self._stop.is_set():
-            self._flush_processes()
-            return True
-        progressed = False
-        for name, pump in self._pumps.items():
-            if name in self._finished_sources:
-                continue
-            emissions = pump.poll(self.batch_size)
-            if pump.last_poll_raw:
-                progressed = True
-            if emissions:
-                self.stats.record_events(
-                    len(emissions), pump.source.max_event_time)
-                # logged before dispatch: if a worker dies mid-delivery,
-                # the replay re-applies this batch to the restored state
-                self._log.record_data(name, emissions)
-                self._inject_processes(name, emissions)
-            if pump.exhausted():
-                progressed = True
-                watermark = pump.watermark()
-                if watermark is not None and watermark != math.inf:
-                    self._source_wm.update(name, watermark)
-                    self._final_watermarks.append(watermark)
-                self._finished_sources.add(name)
-                self._source_wm.mark_done(name)
-            else:
-                watermark = pump.watermark()
-                if watermark is not None:
-                    self._source_wm.update(name, watermark)
-        if self._event_time and self._advance_watermark_processes(
-                self._source_wm.merged()):
-            progressed = True
-        if len(self._finished_sources) == len(self._pumps):
-            self._flush_processes()
-            return True
-        self._rounds_since_checkpoint += 1
-        if (progressed and self._log
-                and self._rounds_since_checkpoint >= self.checkpoint_interval):
-            self._checkpoint()
-        return progressed
-
-    def _inject_processes(self, source: str, emissions: Sequence[Emission],
-                          replay: bool = False):
-        """Route one source batch and drive it to quiescence."""
-        ctx = None
-        if not replay:
-            self.metrics.record_emit(source, 0, len(emissions))
-            self.metrics.record_batch(source, 0)
-            if self.observer is not None:
-                self.observer.on_execute(source, 0, len(emissions), 0.0)
-                ctx = self.observer.root(source, 0, len(emissions), 0.0)
-        self._drive_processes([(source, emissions, ctx)], replay=replay)
-
-    def _drive_processes(self,
-                         pending: List[Tuple[str, Sequence[Emission], object]],
-                         replay: bool = False):
-        """Deliver routed waves until no data is in flight anywhere.
-
-        Worker-owned tasks execute remotely (one pipe round-trip per
-        wave, workers in parallel); coordinator-owned sink tasks execute
-        locally so deltas fan out to subscriptions without serializing
-        the sink.  Worker emissions come back raw and are re-routed here
-        -- routing state lives only in the coordinator, so recovery never
-        reconciles diverged per-worker routing.
-
-        Pending entries carry the parent span context (None when
-        unobserved or for untraced punctuations).  During a recovery
-        replay contexts are withheld and worker obs payloads discarded,
-        so a replayed batch never duplicates spans or timings.
-        """
-        metrics = self.metrics
-        coalesce = self.batch_size > 1
-        # wire shape is set by the *pool's* level (workers unpack trace
-        # items as 6-tuples even during replay); recording is not
-        observer = None if replay else self.observer
-        trace = self.observer is not None and self.observer.trace
-        while pending:
-            per_worker: Dict[int, List[tuple]] = {}
-            local: List[Tuple[WorkItem, object]] = []
-            for source, emissions, ctx in pending:
-                for item in self._proc_router.route(
-                        source, emissions, coalesce=coalesce):
-                    owner = self._pool.owner(item[0], item[1])
-                    if owner is None:
-                        local.append((item, ctx))
-                    elif trace:
-                        per_worker.setdefault(owner, []).append(item + (ctx,))
-                    else:
-                        per_worker.setdefault(owner, []).append(item)
-            pending = []
-            if observer is not None and (per_worker or local):
-                observer.on_queue_depth(
-                    "processes",
-                    sum(len(items) for items in per_worker.values())
-                    + len(local))
-            if per_worker:
-                outputs, deltas = self._pool.execute(per_worker)
-                for emits, receives, batches, paths, obs_payload in deltas:
-                    for name, task_index, count in emits:
-                        metrics.record_emit(name, task_index, count)
-                    for source, target, task_index, count in receives:
-                        metrics.record_receive(source, target, task_index,
-                                               count)
-                    for name, task_index in batches:
-                        metrics.record_batch(name, task_index)
-                    metrics.merge_path_counts(*paths)
-                    if observer is not None:
-                        observer.merge_worker_obs(obs_payload)
-                if trace:
-                    for component, task_index, emissions, child in outputs:
-                        pending.append((component, emissions, child))
-                else:
-                    for component, task_index, emissions in outputs:
-                        pending.append((component, emissions, None))
-            for item, ctx in local:
-                target, task_index, source, stream, rows = item
-                metrics.record_receive(source, target, task_index, len(rows))
-                metrics.record_batch(target, task_index)
-                metrics.record_path(isinstance(rows, ColumnBatch), len(rows))
-                task = self._local_tasks[(target, task_index)]
-                if observer is not None:
-                    started = time.perf_counter()
-                    emissions = task.execute_batch(source, stream, rows)
-                    elapsed = time.perf_counter() - started
-                    observer.on_execute(target, task_index, len(rows), elapsed)
-                    child = observer.span(
-                        ctx, target, task_index, len(rows), elapsed)
-                else:
-                    emissions = task.execute_batch(source, stream, rows)
-                    child = None
-                if emissions:
-                    metrics.record_emit(target, task_index, len(emissions))
-                    pending.append((target, emissions, child))
-
-    def _advance_watermark_processes(self, merged: Optional[float],
-                                     replay: bool = False) -> bool:
-        """Broadcast a finite watermark advance to every worker.
-
-        Same monotone/finite guards as the inline executor; the advance
-        is logged *before* the broadcast, so a worker that dies mid-fanout
-        still sees the punctuation once -- global restore rewinds the
-        survivors that already applied it, and the replay re-delivers it
-        to everyone.
-        """
-        if merged is None or merged == math.inf:
-            return False
-        if self._broadcast_wm is not None and merged <= self._broadcast_wm:
-            return False
-        self._broadcast_wm = merged
-        self.stats.record_watermark(merged)
-        if not replay:
-            self._log.record_watermark(merged)
-        outputs = self._pool.broadcast_watermark(merged)
-        expirations = []
-        for component, task_index, emissions in outputs:
-            self.metrics.record_emit(component, task_index, len(emissions))
-            expirations.append((component, emissions, None))
-        if expirations:
-            self._drive_processes(expirations, replay=replay)
-        return True
-
-    def _flush_processes(self):
-        """End of stream: final punctuation, pre-flush checkpoint, flush.
-
-        The checkpoint right before the flush makes the flush itself
-        recoverable: a worker killed mid-finish rolls everything back to
-        this barrier (empty change log) and the flush simply reruns.
-        """
-        if self._event_time and self._final_watermarks:
-            self._advance_watermark_processes(min(self._final_watermarks))
-        self._checkpoint()
-        for name in self.topology.topological_order():
-            if self.topology.components[name].is_spout:
-                continue
-            if name in self._coordinator_owned:
-                for task_index in range(
-                        self.topology.components[name].parallelism):
-                    emissions = self._local_tasks[(name, task_index)].finish()
-                    if emissions:
-                        self.metrics.record_emit(
-                            name, task_index, len(emissions))
-                        self._drive_processes([(name, emissions, None)])
-            else:
-                for component, task_index, emissions in \
-                        self._pool.finish_component(name):
-                    self.metrics.record_emit(
-                        component, task_index, len(emissions))
-                    self._drive_processes([(component, emissions, None)])
-        self._done.set()
-        self._pool.stop()
 
     # -- checkpoint/recovery protocol --------------------------------------
 
@@ -706,11 +835,11 @@ class StreamingCluster:
         return pickle.dumps({
             "sinks": {
                 key: task.counts_snapshot()
-                for key, task in sorted(self._local_tasks.items())
+                for key, task in sorted(self._transport.local_tasks.items())
                 if isinstance(task, DeltaSink)
             },
             "wm": self._broadcast_wm,
-            "router": self._proc_router.routing_state(),
+            "router": self._transport.router.routing_state(),
         }, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _checkpoint(self):
@@ -727,7 +856,7 @@ class StreamingCluster:
         self.checkpoints.record_commit(result)
         self._epoch += 1
         self._rounds_since_checkpoint = 0
-        self._log.truncate()
+        self._transport.log.truncate()
 
     def _recover(self, dead: List[int]):
         """Exactly-once crash recovery, retried if a replay dies again."""
@@ -760,252 +889,54 @@ class StreamingCluster:
         dead = sorted(set(dead) | set(self._pool.reap_dead()))
         respawned.extend(dead)
         manifest = self._store.latest()
+        self._pool.respawn(dead)
         if manifest is None:
             # death raced the epoch-0 commit: nothing has executed, so a
             # fresh fork *is* the correct state
-            self._pool.respawn(dead)
             self.checkpoints.record_recovery(list(respawned), 0, 0)
             return
-        self._pool.respawn(dead)
         self._pool.restore(self._store.restore_set(manifest))
+        transport = self._transport
         coordinator = pickle.loads(manifest.coordinator)
         for key, counts in coordinator["sinks"].items():
-            self._local_tasks[key].rollback(counts)
+            transport.local_tasks[key].rollback(counts)
         self._broadcast_wm = coordinator["wm"]
-        self._proc_router.restore_routing_state(coordinator["router"])
+        transport.router.restore_routing_state(coordinator["router"])
         replayed_entries = replayed_rows = 0
-        for entry in self._log.replay():
-            if entry[0] == _LOG_DATA:
-                _kind, source, emissions = entry
-                replayed_entries += 1
-                replayed_rows += len(emissions)
-                self._inject_processes(source, emissions, replay=True)
-            else:
-                self._advance_watermark_processes(entry[1], replay=True)
+        transport.replaying = True
+        try:
+            for entry in transport.log.replay():
+                if entry[0] == _LOG_DATA:
+                    _kind, source, emissions = entry
+                    replayed_entries += 1
+                    replayed_rows += len(emissions)
+                    transport.inject(source, emissions)
+                else:
+                    self._advance_watermark(entry[1])
+        finally:
+            transport.replaying = False
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)
 
-    # -- threads executor --------------------------------------------------
-
-    def _start_threads(self):
-        topology = self.topology
-        self._queues: Dict[Tuple[str, int], "queue.Queue"] = {}
-        for name, task_index, _task in self._bolt_tasks:
-            self._queues[(name, task_index)] = queue.Queue(self.queue_capacity)
-        # per-bolt upstream task keys (who must punctuate before we act)
-        self._upstream_keys: Dict[str, List[Tuple[str, int]]] = {}
-        # per-component downstream tasks (who receives our punctuations)
-        self._downstream: Dict[str, List[Tuple[str, int]]] = {}
-        for name, spec in topology.components.items():
-            ups: List[Tuple[str, int]] = []
-            for up in topology.upstream(name):
-                up_spec = topology.components[up]
-                count = 1 if up_spec.is_spout else up_spec.parallelism
-                ups.extend((up, i) for i in range(count))
-            self._upstream_keys[name] = ups
-            downs: List[Tuple[str, int]] = []
-            for target in sorted({e.target for e in topology.out_edges(name)}):
-                downs.extend(
-                    (target, i)
-                    for i in range(topology.components[target].parallelism)
-                )
-            self._downstream[name] = downs
-        for name, task_index, task in self._bolt_tasks:
-            thread = threading.Thread(
-                target=self._worker_loop, args=(name, task_index, task),
-                name=f"stream-{name}-{task_index}", daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-        pump_thread = threading.Thread(
-            target=self._pump_loop, name="stream-pump", daemon=True)
-        self._threads.append(pump_thread)
-        pump_thread.start()
-
-    def _dispatch(self, router: Router, source: str,
-                  emissions: Sequence[Emission], ctx=None):
-        """Route one component's emissions into the owning task queues.
-
-        ``Queue.put`` blocks when the target queue is full: this is the
-        backpressure edge -- a slow consumer stalls its producers, and
-        transitively the source pumps.  ``ctx`` is the parent span
-        context riding with every routed batch (None when unobserved or
-        for untraced punctuation-driven emissions)."""
-        if not isinstance(emissions, ColumnEmissions):
-            # materialize generators; a columnar batch must NOT be listed
-            # out here or it would degrade to per-row pairs
-            emissions = list(emissions)
-        for target, task, src, stream, rows in router.route(
-                source, emissions, coalesce=self.batch_size > 1):
-            self._queues[(target, task)].put((_DATA, src, stream, rows, ctx))
-
-    def _broadcast(self, source: str, message: tuple):
-        for key in self._downstream[source]:
-            self._queues[key].put(message)
+    # -- threads executor: the pump runs in the background ------------------
 
     def _pump_loop(self):
         try:
-            router = Router(self.topology, clone=True)
-            live = dict(self._pumps)
-            tracker = WatermarkTracker()  # stats-side merge of the promises
-            last_sent: Dict[str, Optional[float]] = {name: None for name in live}
-            for name in live:
-                tracker.register(name)
-            while live:
-                if self._stop.is_set():
-                    # forced teardown: EOS every remaining source so the
-                    # workers finish (flush + subscription close) and exit
-                    for name in list(live):
-                        tracker.mark_done(name)
-                        self._broadcast(name, (_EOS, (name, 0)))
-                    live.clear()
-                    break
-                progressed = False
-                for name in list(live):
-                    pump = live[name]
-                    emissions = pump.poll(self.batch_size)
-                    if pump.last_poll_raw:
-                        progressed = True
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(name, 0, len(emissions))
-                            self.metrics.record_batch(name, 0)
-                        self.stats.record_events(
-                            len(emissions), pump.source.max_event_time)
-                        ctx = None
-                        if self.observer is not None:
-                            self.observer.on_execute(
-                                name, 0, len(emissions), 0.0)
-                            ctx = self.observer.root(
-                                name, 0, len(emissions), 0.0)
-                        self._dispatch(router, name, emissions, ctx)
-                    if pump.exhausted():
-                        progressed = True
-                        # the final promise covers the last batch; send it
-                        # ahead of EOS so windows catch up before finish()
-                        self._send_source_watermark(
-                            tracker, last_sent, name, pump)
-                        tracker.mark_done(name)
-                        self._broadcast(name, (_EOS, (name, 0)))
-                        del live[name]
-                        continue
-                    self._send_source_watermark(tracker, last_sent, name, pump)
-                if not progressed:
+            while not self.done:
+                if not self._pump_round():
                     time.sleep(self.idle_sleep)
-            # workers cascade EOS downstream and exit on their own
-            for thread in self._threads:
-                if thread is not threading.current_thread():
-                    thread.join()
         except Exception:  # pragma: no cover - defensive
-            import traceback
-            with self._lock:
-                self._worker_error.append(traceback.format_exc())
-        finally:
-            self._done.set()
+            self._thread_failed(traceback.format_exc())
 
-    def _send_source_watermark(self, tracker: WatermarkTracker,
-                               last_sent: Dict[str, Optional[float]],
-                               name: str, pump: SourcePump):
-        """Broadcast one source's advanced promise (event-time mode only)."""
-        if not self._event_time:
-            return
-        watermark = pump.watermark()
-        if watermark is None or (
-                last_sent[name] is not None and watermark <= last_sent[name]):
-            return
-        last_sent[name] = watermark
-        tracker.update(name, watermark)
-        merged = tracker.merged()
-        if merged is not None and merged != math.inf:
-            self.stats.record_watermark(merged)
-        self._broadcast(name, (_WM, (name, 0), watermark))
-
-    def _worker_loop(self, name: str, task_index: int, bolt):
-        try:
-            inbox = self._queues[(name, task_index)]
-            observer = self.observer
-            router = Router(self.topology, clone=True)
-            tracker = WatermarkTracker()
-            for key in self._upstream_keys[name]:
-                tracker.register(key)
-            last_wm: Optional[float] = None
-            hook = getattr(bolt, "advance_watermark", None)
-
-            def advance_merged():
-                """Apply + forward the merged watermark if it moved."""
-                nonlocal last_wm
-                merged = tracker.merged()
-                if merged is None or (
-                        last_wm is not None and merged <= last_wm):
-                    return
-                last_wm = merged
-                if hook is not None and merged != math.inf:
-                    emissions = hook(merged)
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(
-                                name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions)
-                self._broadcast(name, (_WM, (name, task_index), merged))
-
-            while True:
-                message = inbox.get()
-                kind = message[0]
-                if kind == _DATA:
-                    _kind, source, stream, rows, ctx = message
-                    with self._lock:
-                        self.metrics.record_receive(
-                            source, name, task_index, len(rows))
-                        self.metrics.record_batch(name, task_index)
-                    if observer is not None:
-                        observer.on_queue_depth("threads", inbox.qsize() + 1)
-                        started = time.perf_counter()
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        elapsed = time.perf_counter() - started
-                        observer.on_execute(
-                            name, task_index, len(rows), elapsed)
-                        child = observer.span(
-                            ctx, name, task_index, len(rows), elapsed)
-                    else:
-                        emissions = bolt.execute_batch(source, stream, rows)
-                        child = None
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(
-                                name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions, child)
-                elif kind == _WM:
-                    _kind, key, watermark = message
-                    tracker.update(key, watermark)
-                    advance_merged()
-                elif kind == _EOS:
-                    _kind, key = message
-                    tracker.mark_done(key)
-                    if not tracker.all_done():
-                        # the finished input stops constraining the merge,
-                        # which may itself advance the watermark -- act on
-                        # it now, not at the next unrelated punctuation
-                        advance_merged()
-                        continue
-                    emissions = bolt.finish()
-                    if emissions:
-                        with self._lock:
-                            self.metrics.record_emit(
-                                name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions)
-                    self._broadcast(name, (_EOS, (name, task_index)))
-                    return
-        except Exception:
-            import traceback
-            with self._lock:
-                self._worker_error.append(
-                    f"worker {name}[{task_index}] failed:\n"
-                    + traceback.format_exc())
-            self._done.set()
+    def _thread_failed(self, report: str):
+        with self._lock:
+            self._worker_error.append(report)
+        self._done.set()
 
     def _raise_worker_error(self):
         with self._lock:
             errors = list(self._worker_error)
         if errors:
+            self._abort()
             raise ExecutorError(
                 "streaming worker failed:\n" + "\n".join(errors))

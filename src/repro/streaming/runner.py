@@ -380,16 +380,20 @@ class StreamingQuery:
         cluster = self.cluster
         pending = self._pending
         threaded = cluster.executor == "threads"
+        # attach before the background pump can publish: a subscriber
+        # that arrives later is caught up from the current state, not
+        # from the first delta
+        subscription = self.subscription
         if threaded:
             cluster.start()
         while True:
             while pending:
                 yield pending.popleft()
-            pending.extend(self.subscription.drain(
+            pending.extend(subscription.drain(
                 block=threaded, timeout=0.1 if threaded else None))
             if pending:
                 continue
-            if self.subscription.closed:
+            if subscription.closed:
                 return
             if cluster.done:
                 # surfacing a worker failure beats waiting on a feed

@@ -7,6 +7,7 @@ CLI contract), and the self-check -- the repo's own ``src/`` tree must
 be clean, which is what the CI ``analysis`` job enforces.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -332,3 +333,46 @@ class TestSurfacedBugs:
         from repro.streaming.deltas import DeltaSink
 
         assert DeltaSink.PIPE_PICKLED is False
+
+
+# -- one execution core: the step kernel stays the only one -------------
+
+
+class TestOneStepKernel:
+    """Structural check over the dataplane modules: a second loop that
+    calls a task's ``execute_batch`` itself, or a second worker/pipe
+    class, is how the five hand-copied step loops of ROADMAP item 3
+    came to be."""
+
+    MODULES = ("storm/cluster.py", "storm/executor.py", "storm/kernel.py",
+               "streaming/cluster.py")
+
+    def trees(self):
+        for module in self.MODULES:
+            path = os.path.join(SRC, "repro", module)
+            with open(path) as handle:
+                yield module, ast.parse(handle.read(), filename=path)
+
+    @staticmethod
+    def called_attributes(node):
+        return {call.func.attr for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)}
+
+    def test_exactly_one_function_calls_execute_batch(self):
+        callers = [
+            f"{module}:{node.name}"
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "execute_batch" in self.called_attributes(node)]
+        assert callers == ["storm/kernel.py:deliver"]
+
+    def test_exactly_one_class_forks_a_worker_behind_a_pipe(self):
+        forkers = [
+            f"{module}:{node.name}"
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and {"Process", "Pipe"} <= self.called_attributes(node)]
+        assert forkers == ["storm/executor.py:ForkedWorker"]

@@ -7,7 +7,10 @@ boundaries, and the per-task micro-batch metrics that give the parallel
 backends' load-balance tests their signal.
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
 from collections import Counter
 
 import pytest
@@ -46,6 +49,14 @@ class DoublerBolt(Bolt):
 class FailingBolt(Bolt):
     def execute(self, source, stream, values):
         raise RuntimeError("boom in worker")
+
+
+class SelfKillingBolt(Bolt):
+    """Dies the way an OOM-killed or segfaulting worker does: no
+    traceback, no reply, just a closed pipe."""
+
+    def execute(self, source, stream, values):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def diamond_topology(rows=None, bolt_factory=None):
@@ -124,6 +135,21 @@ class TestErrors:
         cluster = LocalCluster(topology)
         with pytest.raises(ExecutorError, match="boom in worker"):
             cluster.run(batch_size=4, executor=executor, parallelism=2)
+
+    def test_dead_process_worker_fails_loudly_and_leaves_no_survivor(self):
+        """Task 0 of ``left`` and ``right`` lives on worker 0; worker 1
+        outlives it and must still be stopped and joined."""
+        topology, _sink = diamond_topology(
+            bolt_factory=lambda i, p:
+            SelfKillingBolt() if i == 0 else DoublerBolt())
+        cluster = LocalCluster(topology)
+        with pytest.raises(ExecutorError) as err:
+            cluster.run(batch_size=4, executor="processes", parallelism=2)
+        message = str(err.value)
+        assert "worker 0 died" in message
+        assert "['left', 'right']" in message  # the level it was running
+        assert "exit code -9" in message
+        assert multiprocessing.active_children() == []
 
 
 class TestParallelExecution:

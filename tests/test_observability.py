@@ -350,6 +350,41 @@ class TestOffIsInvisible:
             assert run_result_fingerprint(observed) == baseline
             assert observed.observer.level == level
 
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("mode", ["batch", "streaming"])
+    def test_observing_never_changes_what_ran(self, mode, executor):
+        """Every driver runs its batches through the one step kernel, so
+        the answer and every topology counter are the same at every
+        observe level.  The one intended exception: the staged batch
+        backends keep traced deliveries apart (a span has one parent, see
+        ``WaveBuffer``), so under ``trace`` they execute the same rows in
+        more batches."""
+        seen = {}
+        for level in ("off", "metrics", "trace"):
+            options = ExecutionOptions(executor=executor, batch_size=16,
+                                       observe=level)
+            if mode == "batch":
+                run = run_plan(plan_online_agg(), options=options)
+                answer, metrics = sorted(run.results), run.metrics
+                observer = run.observer
+            else:
+                query = stream_plan(plan_online_agg(), options=options).run()
+                answer, metrics = query.snapshot(), query.cluster.metrics
+                observer = query.observer
+            assert (observer is None) == (level == "off")
+            rows = (metrics.received, metrics.emitted,
+                    metrics.edge_transfers, metrics.columnar_rows,
+                    metrics.row_rows)
+            batches = (metrics.batches, metrics.columnar_batches,
+                       metrics.row_batches)
+            seen[level] = (answer, rows, batches)
+        assert seen["off"][0] and sum(seen["off"][1][3:]) > 0  # not vacuous
+        assert seen["metrics"] == seen["off"]
+        if mode == "batch" and executor != "inline":
+            assert seen["trace"][:2] == seen["off"][:2]
+        else:
+            assert seen["trace"] == seen["off"]
+
     def test_streaming_off_has_no_observer_but_full_stats(self):
         query = stream_plan(plan_online_agg(),
                             options=ExecutionOptions(batch_size=16)).run()

@@ -13,6 +13,7 @@ Three contracts, in increasing order of hostility:
 FaultInjector`) still converges to a snapshot byte-identical to batch.
 """
 
+import multiprocessing
 import os
 import pickle
 import signal
@@ -274,11 +275,20 @@ class TestKillRecovery:
         injector = FaultInjector([
             WorkerKill("J", 0, after_batches=n) for n in range(1, 9)
         ])
+        query = stream_plan(plan_join_only(),
+                            options=processes_options(batch_size=1,
+                                                      checkpoint_interval=1),
+                            fault_injector=injector)
+        feed = query.subscription
         with pytest.raises(ExecutorError, match="giving up"):
-            stream_plan(plan_join_only(),
-                        options=processes_options(batch_size=1,
-                                                  checkpoint_interval=1),
-                        fault_injector=injector).run()
+            query.run()
+        # the failure tore the query down: no worker stays behind, the
+        # query says it is over, and a consumer blocked on the feed wakes
+        assert query.worker_pids() == {}
+        assert multiprocessing.active_children() == []
+        assert query.done
+        feed.drain()
+        assert feed.closed
 
 
 class TestWindowedStreams:
