@@ -522,6 +522,8 @@ class StreamingCluster:
         self._finished_sources: set = set()
         self._final_watermarks: List[float] = []
         self._broadcast_wm: Optional[float] = None
+        #: the last pump round polled a full micro-batch from some source
+        self._backlog = False
         self._done = threading.Event()
         self._stop = threading.Event()
         self._started = False
@@ -669,9 +671,19 @@ class StreamingCluster:
             self._done.wait(timeout)
             self._raise_worker_error()
             return self.done
-        if not self.step():
-            time.sleep(self.idle_sleep)
+        self.step()
+        self._pace()
         return self.done
+
+    def _pace(self):
+        """Between two pump rounds: run flat out while a source still had
+        a full micro-batch to give, otherwise yield one idle tick.  A
+        short poll means the pump has caught up with its producers; one
+        that spins on the trickle pays a whole round (a fan-out to every
+        subscriber) per handful of rows, so the cost of a burst would
+        depend on how producer and pump happen to interleave."""
+        if not (self._backlog or self.done):
+            time.sleep(self.idle_sleep)
 
     # -- the pump round ----------------------------------------------------
 
@@ -729,12 +741,15 @@ class StreamingCluster:
             self._finish()
             return True
         progressed = False
+        self._backlog = False
         for name, pump in self._pumps.items():
             if name in self._finished_sources:
                 continue
             emissions = pump.poll(self.batch_size)
             if pump.last_poll_raw:
                 progressed = True  # even a fully filtered batch advanced
+                if pump.last_poll_raw >= self.batch_size:
+                    self._backlog = True  # more may be waiting: see _pace
             if emissions:
                 self.stats.record_events(
                     len(emissions), pump.source.max_event_time)
@@ -923,8 +938,8 @@ class StreamingCluster:
     def _pump_loop(self):
         try:
             while not self.done:
-                if not self._pump_round():
-                    time.sleep(self.idle_sleep)
+                self._pump_round()
+                self._pace()
         except Exception:  # pragma: no cover - defensive
             self._thread_failed(traceback.format_exc())
 

@@ -469,6 +469,52 @@ class TestIncrementalDeltas:
         assert rows == query.snapshot()
 
 
+class TestPumpPacing:
+    """The driver loop runs flat out while a source has a full
+    micro-batch to give and yields one idle tick once the pump has
+    caught up: the cost of a burst must not depend on how the producer
+    and the pump happen to interleave."""
+
+    @pytest.fixture
+    def paced(self, monkeypatch):
+        naps = []
+        monkeypatch.setattr("repro.streaming.cluster.time.sleep", naps.append)
+        source = CallbackSource()
+        relation = Relation("events", Schema.of("seq"), [])
+        query = stream_plan(
+            PhysicalPlan(sources=[SourceComponent("events", relation)]),
+            batch_size=4, sources={"events": source})
+        return source, query.cluster, naps
+
+    def push(self, source, count):
+        for seq in range(count):
+            source.push((seq,), stream="events")
+
+    def test_a_backlog_is_pumped_without_a_pause(self, paced):
+        source, cluster, naps = paced
+        self.push(source, 8)
+        cluster.advance()
+        cluster.advance()
+        assert naps == [] and cluster.stats.total_events == 8
+
+    def test_a_short_poll_is_processed_then_the_pump_yields(self, paced):
+        source, cluster, naps = paced
+        self.push(source, 6)
+        cluster.advance()  # a full batch: more may be waiting
+        assert naps == []
+        cluster.advance()  # the 2 rows left: processed at once ...
+        assert cluster.stats.total_events == 6
+        assert naps == [cluster.idle_sleep]  # ... then one idle tick
+        cluster.advance()  # nothing there
+        assert naps == [cluster.idle_sleep] * 2
+
+    def test_a_finished_query_never_sleeps(self, paced):
+        source, cluster, naps = paced
+        self.push(source, 2)
+        source.close()
+        assert cluster.advance() and naps == []
+
+
 class TestSqlStreamAcceptance:
     """ISSUE 5 acceptance: a sliding-window SQL aggregation over a
     rate-limited replayed dataset emits incremental deltas while running,
