@@ -11,6 +11,7 @@ result multiset.
 import random
 import time
 
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation, Schema
 from repro.engine import JoinComponent, PhysicalPlan, SourceComponent, run_plan
@@ -52,7 +53,8 @@ def test_batched_dataplane_beats_per_tuple_throughput():
         for _repeat in range(REPEATS):
             plan = chain_join_plan()
             start = time.perf_counter()
-            result = run_plan(plan, batch_size=batch_size)
+            result = run_plan(plan,
+                              options=ExecutionOptions(batch_size=batch_size))
             elapsed = time.perf_counter() - start
             best = min(best, elapsed)
             outputs[batch_size] = result.query_output

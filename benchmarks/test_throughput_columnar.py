@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from repro.bench import multiway_join_plan
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 
 from benchmarks.conftest import record_table
@@ -47,8 +48,10 @@ def test_throughput_columnar_inline(benchmark, label, columnar):
     metrics = []
 
     def run():
-        result = run_plan(plan, batch_size=BATCH_SIZE, executor="inline",
-                          columnar=columnar)
+        result = run_plan(plan,
+                          options=ExecutionOptions(batch_size=BATCH_SIZE,
+                                                   executor="inline",
+                                                   columnar=columnar))
         outputs.append(Counter(result.results))
         metrics.append(result.metrics)
         return result

@@ -26,6 +26,7 @@ from collections import Counter
 import pytest
 
 from repro.bench import multiway_join_plan
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 
 from benchmarks.conftest import interleaved_best_of, record_table
@@ -63,8 +64,10 @@ def test_throughput_multiway_join(benchmark, executor, parallelism):
     outputs = []
 
     def run():
-        result = run_plan(plan, batch_size=BATCH_SIZE, executor=executor,
-                          parallelism=parallelism)
+        result = run_plan(plan,
+                          options=ExecutionOptions(batch_size=BATCH_SIZE,
+                                                   executor=executor,
+                                                   parallelism=parallelism))
         outputs.append(Counter(result.results))
         return result
 
@@ -104,8 +107,10 @@ def test_process_backend_beats_inline_on_multiple_cores():
         plan = multiway_join_plan(n_rows=n_rows, machines=MACHINES)
 
         def run(executor="inline", parallelism=None, plan=plan):
-            return run_plan(plan, batch_size=BATCH_SIZE, executor=executor,
-                            parallelism=parallelism)
+            return run_plan(plan,
+                            options=ExecutionOptions(batch_size=BATCH_SIZE,
+                                                     executor=executor,
+                                                     parallelism=parallelism))
 
         # threads x2 is the control: the same coalesced waves, no
         # second core (the GIL) -- what it gains is batching, not cores

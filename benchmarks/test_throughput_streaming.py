@@ -16,6 +16,7 @@ instead of buffering it.  The timing is recorded through the
 
 import random
 
+from repro.core.options import ExecutionOptions
 from repro.core.schema import Relation, Schema
 from repro.engine.component import AggComponent, PhysicalPlan, SourceComponent
 from repro.engine.operators import count, total
@@ -53,7 +54,8 @@ def test_throughput_streaming_sliding_agg(benchmark):
     stats_samples = []
 
     def run():
-        query = stream_plan(streaming_plan(), batch_size=BATCH_SIZE)
+        query = stream_plan(streaming_plan(),
+                            options=ExecutionOptions(batch_size=BATCH_SIZE))
         query.run()
         stats_samples.append(query.stats())
         return query
@@ -85,7 +87,8 @@ def test_streaming_lag_stays_bounded():
     """While the replay runs, the watermark trails the newest event by at
     most one pump round of events -- the runtime sustains the stream at
     fixed lag rather than falling behind."""
-    query = stream_plan(streaming_plan(), batch_size=BATCH_SIZE)
+    query = stream_plan(streaming_plan(),
+                        options=ExecutionOptions(batch_size=BATCH_SIZE))
     lags = []
     deltas = 0
     for delta in query:

@@ -21,6 +21,7 @@ import random
 import time
 from typing import List, Optional, Tuple
 
+from repro.core.options import ExecutionOptions
 from repro.engine import (
     AggComponent,
     JoinComponent,
@@ -91,18 +92,16 @@ def measure_backend(executor: str, parallelism: Optional[int] = None,
     counters + per-component throughput).  ``observe`` runs the workload
     under the observability layer (``"metrics"`` or ``"trace"``) so its
     overhead can be priced against the unobserved row."""
-    from repro.core.options import ExecutionOptions
-
-    options = ExecutionOptions(observe=observe) if observe else None
+    options = ExecutionOptions(
+        batch_size=batch_size, executor=executor, parallelism=parallelism,
+        columnar=columnar, observe=observe)
     best = float("inf")
     results: list = []
     metrics = None
     for _ in range(repeats):
         plan = multiway_join_plan(n_rows=n_rows, machines=machines)
         start = time.perf_counter()
-        result = run_plan(plan, batch_size=batch_size, executor=executor,
-                          parallelism=parallelism, columnar=columnar,
-                          options=options)
+        result = run_plan(plan, options=options)
         best = min(best, time.perf_counter() - start)
         results = sorted(result.results)
         metrics = result.metrics
@@ -115,8 +114,6 @@ def export_sample_trace(path: str, n_rows: int = 500,
     """Run the workload once at ``observe='trace'`` and write the trace
     buffer's JSON export to ``path`` (the CI bench job uploads this as
     an artifact); returns the number of spans exported."""
-    from repro.core.options import ExecutionOptions
-
     plan = multiway_join_plan(n_rows=n_rows, machines=machines)
     result = run_plan(plan, options=ExecutionOptions(
         batch_size=batch_size, observe="trace"))
@@ -144,7 +141,8 @@ def measure_streaming(batch_size: int = DEFAULT_BATCH_SIZE,
     for _ in range(repeats):
         plan = multiway_join_plan(n_rows=n_rows, machines=machines)
         start = time.perf_counter()
-        query = stream_plan(plan, batch_size=batch_size).run()
+        query = stream_plan(plan, options=ExecutionOptions(
+            batch_size=batch_size)).run()
         best = min(best, time.perf_counter() - start)
         results = query.snapshot()
     return best, results
@@ -163,7 +161,6 @@ def measure_serving(batch_size: int = DEFAULT_BATCH_SIZE,
     subscriber ring.  The snapshot must still equal the batch answer,
     and the runtime measures the full serving path (admission +
     fingerprinting + fan-out) against the bare streaming row."""
-    from repro.core.options import ExecutionOptions
     from repro.serving import QueryBroker
 
     best = float("inf")

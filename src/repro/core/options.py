@@ -1,20 +1,18 @@
 """ExecutionOptions: the one options object every front-end accepts.
 
-Before this module, four call paths (``run_plan``, ``stream_plan``,
-``SqlSession.execute/stream`` and the functional terminals) each
-hand-threaded the same knobs -- ``batch_size``, ``executor``,
-``parallelism``, ``columnar`` -- with subtly different defaults: the
-batch engine turned the columnar path on at ``batch_size >= 64`` while
-``stream_plan`` required an explicit opt-in.  :class:`ExecutionOptions`
-is the single owner of those knobs and of their defaulting rules:
+``run_plan``, ``stream_plan``, ``SqlSession.execute/stream``, the
+functional terminals and ``QueryBroker.subscribe_plan`` take their
+execution knobs -- ``batch_size``, ``executor``, ``parallelism``,
+``columnar``, ... -- as one ``options=ExecutionOptions(...)`` argument
+and in no other spelling.  :class:`ExecutionOptions` is the single
+owner of those knobs and of their defaulting rules:
 
 - every field defaults to ``None`` = "not set";
 - :meth:`ExecutionOptions.resolve` fills the defaults *once*, including
   the ``columnar``-on-at-``batch_size >= COLUMNAR_MIN_BATCH`` rule, so
   batch and streaming execution resolve identically;
-- :func:`merge_options` is the one shared adapter that folds the legacy
-  per-call kwargs into an options object, warning ``DeprecationWarning``
-  when a kwarg conflicts with an explicit ``options=`` value.
+- :meth:`ExecutionOptions.overlay` layers per-call options over
+  session / context / broker defaults.
 
 The serving layer (:mod:`repro.serving`) adds two subscriber-side knobs:
 ``max_buffer`` (per-subscriber delta ring capacity) and ``on_overflow``
@@ -26,7 +24,6 @@ producer backpressure instead).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,12 +38,6 @@ OVERFLOW_POLICIES = ("shed", "block")
 #: observability levels: no observer at all / instruments only /
 #: instruments plus per-micro-batch span records (see repro.obs)
 OBSERVE_LEVELS = ("off", "metrics", "trace")
-
-#: the legacy per-call kwargs the shared adapter understands
-LEGACY_EXECUTION_KWARGS = (
-    "batch_size", "executor", "parallelism", "columnar", "rate",
-    "max_buffer", "on_overflow", "checkpoint_interval",
-)
 
 
 @dataclass(frozen=True)
@@ -168,37 +159,3 @@ class ExecutionOptions:
             if (value := getattr(other, field.name)) is not None
         }
         return dataclasses.replace(self, **updates) if updates else self
-
-
-def merge_options(options: Optional[ExecutionOptions],
-                  legacy: Optional[dict] = None,
-                  stacklevel: int = 3) -> ExecutionOptions:
-    """The one shared adapter from legacy per-call kwargs to options.
-
-    ``legacy`` maps kwarg name -> value, with ``None`` meaning "not
-    passed" (every legacy kwarg's signature default is now ``None``).
-    Legacy kwargs alone keep working exactly as before -- the golden and
-    equivalence suites run byte-identical through this path.  When both
-    ``options=`` and a legacy kwarg set the same knob to *different*
-    values, the explicit ``options=`` value wins and the kwarg draws a
-    ``DeprecationWarning`` naming both.
-    """
-    merged = options or ExecutionOptions()
-    if not legacy:
-        return merged
-    updates = {}
-    for name, value in legacy.items():
-        if value is None:
-            continue
-        if name not in LEGACY_EXECUTION_KWARGS:
-            raise TypeError(f"unknown execution option {name!r}")
-        current = getattr(merged, name)
-        if current is not None and current != value:
-            warnings.warn(
-                f"legacy kwarg {name}={value!r} conflicts with "
-                f"ExecutionOptions.{name}={current!r}; the options= value "
-                f"wins -- pass only options=",
-                DeprecationWarning, stacklevel=stacklevel)
-            continue
-        updates[name] = value
-    return merged.replace(**updates) if updates else merged

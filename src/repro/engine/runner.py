@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
-from repro.core.options import ExecutionOptions, merge_options
+from repro.core.options import ExecutionOptions
 from repro.engine.component import (
     AggComponent,
     JoinComponent,
@@ -555,49 +555,44 @@ def build_topology(
 
 
 def run_plan(plan: PhysicalPlan, max_tuples: Optional[int] = None,
-             batch_size: Optional[int] = None, executor: Optional[str] = None,
-             parallelism: Optional[int] = None,
-             columnar: Optional[bool] = None,
              options: Optional[ExecutionOptions] = None) -> RunResult:
     """Compile a physical plan to a topology and execute it locally.
 
     Execution knobs are carried by ``options``
-    (:class:`~repro.core.options.ExecutionOptions`); the individual
-    kwargs remain as a deprecated spelling of the same thing, folded in
-    through the shared adapter (a conflicting kwarg warns and loses).
-    Unset knobs resolve to the finite engine's defaults: ``batch_size=1``
-    (the golden per-tuple path), ``executor='inline'``.
+    (:class:`~repro.core.options.ExecutionOptions`).  Unset knobs
+    resolve to the finite engine's defaults: ``batch_size=1`` (the
+    golden per-tuple path), ``executor='inline'``.
 
-    ``batch_size`` is the number of tuples pulled from each spout per
-    round; downstream micro-batches follow from it but are not re-chunked
-    (a join delta larger than ``batch_size`` travels as one batch).  The
-    default of 1 reproduces the per-tuple engine's interleaving exactly;
-    larger values amortize dispatch overhead without changing per-tuple
-    results (the final result multiset and all per-component totals are
-    identical).  Exception: *windowed* operators downstream of a join
-    expire state in arrival order, and a join can re-emit stored rows
-    with old event timestamps, so windowed results over join outputs are
-    interleaving-sensitive -- they are only batch-size-invariant when the
-    windowed operator's input arrives in event-time order (windows
-    directly over a source, the common case).
+    ``options.batch_size`` is the number of tuples pulled from each
+    spout per round; downstream micro-batches follow from it but are not
+    re-chunked (a join delta larger than ``batch_size`` travels as one
+    batch).  The default of 1 reproduces the per-tuple engine's
+    interleaving exactly; larger values amortize dispatch overhead
+    without changing per-tuple results (the final result multiset and
+    all per-component totals are identical).  Exception: *windowed*
+    operators downstream of a join expire state in arrival order, and a
+    join can re-emit stored rows with old event timestamps, so windowed
+    results over join outputs are interleaving-sensitive -- they are
+    only batch-size-invariant when the windowed operator's input arrives
+    in event-time order (windows directly over a source, the common
+    case).
 
-    ``executor`` picks the execution backend (``"inline"``, ``"threads"``
-    or ``"processes"``) and ``parallelism`` the number of shared-nothing
-    workers; see :mod:`repro.storm.executor`.  Every backend yields the
-    same result multiset and per-component totals; the process backend
-    additionally requires pickle-safe task state (windowed components
-    hold factory closures and are inline/threads-only).
+    ``options.executor`` picks the execution backend (``"inline"``,
+    ``"threads"`` or ``"processes"``) and ``options.parallelism`` the
+    number of shared-nothing workers; see :mod:`repro.storm.executor`.
+    Every backend yields the same result multiset and per-component
+    totals; the process backend additionally requires pickle-safe task
+    state (windowed components hold factory closures and are
+    inline/threads-only).
 
-    ``columnar`` selects the columnar execution path (vectorized
+    ``options.columnar`` selects the columnar execution path (vectorized
     selections, hashing, join probes); the default (None) turns it on
     for ``batch_size >= COLUMNAR_MIN_BATCH`` and off below.  Either
     setting yields the same result multiset.
 
     For *continuous* execution of the same plan over unbounded push
     sources, see :func:`repro.streaming.stream_plan`."""
-    resolved = merge_options(options, dict(
-        batch_size=batch_size, executor=executor, parallelism=parallelism,
-        columnar=columnar)).resolve(default_batch_size=1)
+    resolved = (options or ExecutionOptions()).resolve(default_batch_size=1)
     topology, partitioners = build_topology(plan)
     cluster = LocalCluster(topology)
     metrics = cluster.run(max_tuples=max_tuples,

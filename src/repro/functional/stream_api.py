@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.expressions import Predicate
 from repro.core.logical import AggItem, LogicalPlan, ScanDef, resolve_column
 from repro.core.optimizer import Catalog, Optimizer, OptimizerOptions
-from repro.core.options import ExecutionOptions, merge_options
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import BandCondition, EquiCondition, ThetaCondition
 from repro.core.schema import Schema
 from repro.engine.runner import RunResult, run_plan
@@ -194,19 +194,25 @@ class Stream:
         )
         return plan.validate(self._schemas())
 
-    def execute(self, **option_overrides) -> RunResult:
-        """Run the stream as a full-result query (join output, no grouping)."""
-        return _execute(self._context, self.logical_plan(), option_overrides)
+    def execute(self, options: Optional[ExecutionOptions] = None,
+                **optimizer_overrides) -> RunResult:
+        """Run the stream as a full-result query (join output, no
+        grouping).  ``options`` overlays the context's execution
+        defaults; the remaining keywords override optimizer options."""
+        return _execute(self._context, self.logical_plan(), options,
+                        optimizer_overrides)
 
-    def stream(self, **option_overrides):
+    def stream(self, options: Optional[ExecutionOptions] = None,
+               **optimizer_overrides):
         """Run the query *continuously* over replayed push sources.
 
         The terminal counterpart of :meth:`execute` for long-lived
         queries: returns a :class:`repro.streaming.StreamingQuery`
         emitting live result deltas.  Accepts the same optimizer
-        overrides plus ``batch_size``, ``executor`` ('inline' |
-        'threads') and ``rate`` (replayed rows/second per source)."""
-        return _stream(self._context, self.logical_plan(), option_overrides)
+        overrides; ``options`` carries ``batch_size``, ``executor`` and
+        ``rate`` (replayed rows/second per source)."""
+        return _stream(self._context, self.logical_plan(), options,
+                       optimizer_overrides)
 
 
 class GroupedStream:
@@ -236,14 +242,17 @@ class GroupedStream:
             raise ValueError("grouped stream needs at least one aggregate")
         return self._stream.logical_plan(self._group_by, self._aggregates)
 
-    def execute(self, **option_overrides) -> RunResult:
-        return _execute(self._stream._context, self.logical_plan(), option_overrides)
+    def execute(self, options: Optional[ExecutionOptions] = None,
+                **optimizer_overrides) -> RunResult:
+        return _execute(self._stream._context, self.logical_plan(), options,
+                        optimizer_overrides)
 
-    def stream(self, **option_overrides):
+    def stream(self, options: Optional[ExecutionOptions] = None,
+               **optimizer_overrides):
         """Continuous counterpart of :meth:`execute`: live delta feed of
         the grouped aggregates (see :meth:`Stream.stream`)."""
-        return _stream(self._stream._context, self.logical_plan(),
-                       option_overrides)
+        return _stream(self._stream._context, self.logical_plan(), options,
+                       optimizer_overrides)
 
 
 def _compile(context: QueryContext, logical: LogicalPlan, overrides: dict):
@@ -255,40 +264,19 @@ def _compile(context: QueryContext, logical: LogicalPlan, overrides: dict):
     return options, Optimizer(context.catalog, options).compile(logical)
 
 
-def _execution_options(context: QueryContext, overrides: dict,
-                       knobs: tuple) -> ExecutionOptions:
-    """Pull the execution knobs out of the optimizer overrides: context
-    execution defaults, overlaid by ``options=`` and the legacy kwargs
-    (through the shared deprecation adapter)."""
-    exec_options = overrides.pop("options", None)
-    legacy = {name: overrides.pop(name, None) for name in knobs}
-    return context.execution.overlay(
-        merge_options(exec_options, legacy, stacklevel=5))
-
-
 def _execute(context: QueryContext, logical: LogicalPlan,
+             options: Optional[ExecutionOptions],
              overrides: dict) -> RunResult:
-    # execution knobs ride along with the optimizer overrides, preferably
-    # bundled as options=ExecutionOptions(...)
-    merged = _execution_options(
-        context, overrides,
-        ("batch_size", "executor", "parallelism", "columnar"))
     _options, physical = _compile(context, logical, overrides)
-    return run_plan(physical, options=merged)
+    return run_plan(physical, options=context.execution.overlay(options))
 
 
-def _stream(context: QueryContext, logical: LogicalPlan, overrides: dict):
+def _stream(context: QueryContext, logical: LogicalPlan,
+            options: Optional[ExecutionOptions], overrides: dict):
     from repro.streaming.runner import agg_window_ts_positions, stream_plan
 
-    if "parallelism" in overrides:
-        raise ValueError(
-            "the streaming runtime has no parallelism knob: "
-            "executor='threads' runs every task in its own worker thread "
-            "(drop parallelism=, or use .execute() for the staged backends)"
-        )
-    merged = _execution_options(
-        context, overrides, ("batch_size", "executor", "rate", "columnar"))
-    options, physical = _compile(context, logical, overrides)
+    optimizer_options, physical = _compile(context, logical, overrides)
     ts_positions = agg_window_ts_positions(
-        context.catalog, logical.scans, options.agg_window)
-    return stream_plan(physical, ts_positions=ts_positions, options=merged)
+        context.catalog, logical.scans, optimizer_options.agg_window)
+    return stream_plan(physical, ts_positions=ts_positions,
+                       options=context.execution.overlay(options))

@@ -24,13 +24,35 @@ from repro.joins.base import JoinSchema, LocalJoin
 from repro.joins.indexes import HashIndex, IdIndex
 
 
+class _Subset(frozenset):
+    """The relation names of one view, pickled as a sorted tuple.
+
+    A plain ``frozenset`` pickles in iteration order, which follows the
+    interpreter's string hash seed and the set's own insertion history:
+    two equal join states -- or one state before and after a restore --
+    would then make different checkpoint blobs.
+
+    >>> import pickle
+    >>> from repro.joins.dbtoaster import _Subset
+    >>> pickle.loads(pickle.dumps(_Subset("TSR"))) == frozenset("RST")
+    True
+    >>> pickle.dumps(_Subset("TSR")) == pickle.dumps(_Subset("RST"))
+    True
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return (_Subset, (tuple(sorted(self)),))
+
+
 def connected_subsets(names: Sequence[str], adjacency: Dict[str, set]) -> List[FrozenSet[str]]:
     """All connected subsets of the join graph (any size >= 1)."""
     subsets = []
     for size in range(1, len(names) + 1):
         for combo in itertools.combinations(names, size):
             if _is_connected(set(combo), adjacency):
-                subsets.append(frozenset(combo))
+                subsets.append(_Subset(combo))
     return subsets
 
 
@@ -391,7 +413,7 @@ class DBToasterJoin(LocalJoin):
         self.store_result = store_result
         names = spec.relation_names
         adjacency = spec.adjacency()
-        self._full = frozenset(names)
+        self._full = _Subset(names)
         subsets = connected_subsets(names, adjacency)
         self.views: Dict[FrozenSet[str], _View] = {}
         for subset in subsets:

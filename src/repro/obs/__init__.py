@@ -14,7 +14,8 @@ no observer exists and hot paths keep their exact prior shape),
 plus span records per micro-batch hop).
 """
 
-from repro.obs.observer import OBSERVE_LEVELS, Observer, WorkerObs
+from repro.core.options import OBSERVE_LEVELS
+from repro.obs.observer import Observer, WorkerObs
 from repro.obs.profile import profile_report
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,

@@ -5,7 +5,9 @@ An :class:`Observer` exists only when a run asked for it
 is represented by *no observer at all*, so an unobserved run pays one
 ``is None`` test per executed batch (in the step kernel,
 :mod:`repro.storm.kernel`) and nothing else.  The coordinator-side
-Observer owns the :class:`~repro.obs.registry.MetricsRegistry` and the
+Observer records into its cluster's
+:class:`~repro.obs.registry.MetricsRegistry` (the one the topology's own
+counters are registered in) and owns the
 :class:`~repro.obs.tracing.TraceBuffer`; shared-nothing workers carry a
 :class:`WorkerObs` accumulator instead (plain lists, fork/pickle-safe)
 whose payload rides back with each wave/execute reply and is merged here
@@ -27,11 +29,9 @@ import itertools
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.options import OBSERVE_LEVELS
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Sample
 from repro.obs.tracing import SpanContext, TraceBuffer, make_span
-
-#: the ExecutionOptions(observe=...) levels, cheapest first
-OBSERVE_LEVELS = ("off", "metrics", "trace")
 
 
 class Observer:

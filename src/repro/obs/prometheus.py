@@ -63,8 +63,9 @@ def render(samples: Iterable[Sample]) -> str:
 def parse(text: str) -> Parsed:
     """Prometheus text -> ``{(name, sorted labels): value}``.
 
-    Comments and blank lines are skipped; a malformed sample line
-    raises ``ValueError`` with the offending line.
+    Comments and blank lines are skipped; a malformed sample line, or
+    a second sample of one ``(name, labels)`` series, raises
+    ``ValueError`` with the offending line.
     """
     out: Parsed = {}
     for raw in text.splitlines():
@@ -72,6 +73,8 @@ def parse(text: str) -> Parsed:
         if not line or line.startswith("#"):
             continue
         name, labels, value = _parse_sample(line)
+        if (name, labels) in out:
+            raise ValueError(f"duplicate series: {line!r}")
         out[(name, labels)] = value
     return out
 

@@ -1,17 +1,21 @@
-"""Typed metric instruments and the process-wide :class:`MetricsRegistry`.
+"""Typed metric instruments and the per-topology :class:`MetricsRegistry`.
 
-The registry is the single rendezvous point for every number the engine
-can report: typed instruments (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram`) are created on demand and deduplicated by
-``(name, labels)``, while the pre-existing metrics classes
-(``TopologyMetrics``, ``StreamMetrics``, ``CheckpointMetrics``,
-``ServingMetrics``) plug in through *collectors* — zero-cost callables
-sampled only at export time, so their hot recording paths stay exactly
-as cheap as before.
+The registry is the single rendezvous point for every number a topology
+can report.  Each cluster creates exactly one with itself: the counter
+classes of :mod:`repro.storm.metrics` (``TopologyMetrics``,
+``StreamMetrics``, ``CheckpointMetrics``) register into it as
+*collectors* — zero-cost callables sampled only at export time, so
+their hot recording paths stay exactly as cheap as before — and an
+:class:`~repro.obs.observer.Observer`, when the run has one, creates its
+typed instruments (:class:`Counter`, :class:`Gauge`,
+:class:`Histogram`, deduplicated by ``(name, labels)``) in that same
+registry.  Whoever exports several topologies side by side (the serving
+broker) tells them apart by labelling each registry's samples, not by
+assembling samples of its own.
 
 A sample is the 4-tuple ``(name, labels, value, kind)``; the Prometheus
-renderer in :mod:`repro.obs.prometheus` and the JSON exporter both
-consume that shape.
+renderer in :mod:`repro.obs.prometheus` and the JSON shape of
+:func:`as_dict` both consume it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,19 @@ _LabelKey = Tuple[Tuple[str, str], ...]
 
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
     return tuple(sorted(labels.items()))
+
+
+def as_dict(samples: Iterable[Sample]) -> Dict[str, float]:
+    """Flat ``name{label="v",...}`` -> value mapping (JSON export)."""
+    out: Dict[str, float] = {}
+    for name, labels, value, _kind in samples:
+        if labels:
+            rendered = ",".join(
+                f'{k}="{v}"' for k, v in sorted(labels.items()))
+            out[f"{name}{{{rendered}}}"] = value
+        else:
+            out[name] = value
+    return out
 
 
 class Counter:
@@ -199,8 +216,8 @@ class MetricsRegistry:
     returns the same object, asking with a different instrument type
     for an existing name/label pair is an error.  Collectors are
     callables returning an iterable of :data:`Sample` — they let the
-    existing metrics classes join the export surface without paying
-    any locking on their recording paths.
+    :mod:`repro.storm.metrics` classes join the export surface without
+    paying any locking on their recording paths.
     """
 
     GUARDED_BY = {
@@ -253,8 +270,12 @@ class MetricsRegistry:
             items = sorted(self._instruments.items())
         return [instrument for _key, instrument in items]
 
-    def samples(self) -> List[Sample]:
-        """Every sample: instruments first (sorted), then collectors."""
+    def samples(self, **labels: str) -> List[Sample]:
+        """Every sample: instruments first (sorted), then collectors.
+
+        ``labels`` are added to each of them -- how an exporter of
+        several registries (one per resident topology) keeps their
+        series apart."""
         out: List[Sample] = []
         for instrument in self.instruments():
             out.extend(instrument.samples())  # type: ignore[attr-defined]
@@ -262,6 +283,9 @@ class MetricsRegistry:
             collectors = list(self._collectors)
         for collector in collectors:
             out.extend(collector())
+        if labels:
+            out = [(name, {**labels, **own}, value, kind)
+                   for name, own, value, kind in out]
         return out
 
     def merged_histogram(self, name: str,
@@ -283,15 +307,3 @@ class MetricsRegistry:
         if merged is None:
             merged = Histogram(name, dict(match))
         return merged
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat ``name{label="v",...}`` -> value mapping (JSON export)."""
-        out: Dict[str, float] = {}
-        for name, labels, value, _kind in self.samples():
-            if labels:
-                rendered = ",".join(
-                    f'{k}="{v}"' for k, v in sorted(labels.items()))
-                out[f"{name}{{{rendered}}}"] = value
-            else:
-                out[name] = value
-        return out

@@ -244,21 +244,17 @@ class QueryBroker:
     def collect(self) -> List[tuple]:
         """Export-time metric samples for a ``/metrics`` scrape.
 
-        Per-tenant serving counters, then each resident topology's
-        stream/checkpoint counters labelled by fingerprint prefix, then
-        -- when a resident runs observed -- its observer registry's
-        instruments (latency histograms, row counters, skew gauges)."""
-        samples = list(self.metrics.collect())
+        Per-tenant serving counters, then every sample of each resident
+        topology's registry -- topology/stream/checkpoint counters and,
+        when the resident runs observed, the observer's instruments
+        (latency histograms, row counters, skew gauges) -- under that
+        topology's ``fingerprint`` label."""
+        samples = self.metrics.collect()
         with self._lock:
             residents = list(self._registry.values())
         for resident in residents:
-            labels = {"fingerprint": resident.fingerprint[:12]}
-            cluster = resident.query.cluster
-            samples.extend(cluster.stats.collect(labels))
-            samples.extend(cluster.checkpoints.collect(labels))
-            observer = cluster.observer
-            if observer is not None:
-                samples.extend(observer.registry.samples())
+            samples.extend(resident.query.cluster.registry.samples(
+                fingerprint=resident.fingerprint[:12]))
         return samples
 
     # -- subscription lifecycle --------------------------------------------

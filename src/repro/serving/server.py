@@ -28,10 +28,11 @@ A request line starting with ``GET `` is served as a one-shot HTTP
 metrics scrape instead: ``GET /metrics`` returns the broker's current
 samples in Prometheus text exposition format (v0.0.4), ``GET
 /metrics.json`` the same samples as a flat JSON object; anything else
-404s.  The samples cover per-tenant serving counters, each resident
-topology's stream/checkpoint counters, and -- for topologies running
-with ``observe='metrics'``/``'trace'`` -- the observer registry's
-latency histograms, row counters and skew gauges.
+404s.  The samples cover per-tenant serving counters and, under a
+``fingerprint`` label per resident topology, everything in that
+topology's registry: its topology/stream/checkpoint counters and -- for
+topologies running with ``observe='metrics'``/``'trace'`` -- the
+observer's latency histograms, row counters and skew gauges.
 
 The blocking subscription drains run in the event loop's default
 executor (`run_in_executor`), so one stalled client never blocks the
@@ -184,6 +185,7 @@ class DeltaServer:
         (if any) are left unread -- the connection is torn down either
         way, which every scrape client handles."""
         from repro.obs.prometheus import render
+        from repro.obs.registry import as_dict
 
         parts = request_line.decode("latin-1").split()
         path = parts[1] if len(parts) > 1 else "/"
@@ -193,12 +195,7 @@ class DeltaServer:
             content_type = "text/plain; version=0.0.4; charset=utf-8"
             status = "200 OK"
         elif path == "/metrics.json":
-            flat = {}
-            for name, labels, value, _kind in samples:
-                rendered = ",".join(
-                    f'{key}="{labels[key]}"' for key in sorted(labels))
-                flat[f"{name}{{{rendered}}}" if rendered else name] = value
-            body = json.dumps(flat, sort_keys=True).encode()
+            body = json.dumps(as_dict(samples), sort_keys=True).encode()
             content_type = "application/json"
             status = "200 OK"
         else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.optimizer import Catalog, Optimizer, OptimizerOptions
-from repro.core.options import ExecutionOptions, merge_options
+from repro.core.options import ExecutionOptions
 from repro.core.schema import Relation
 from repro.engine.runner import RunResult, run_plan
 from repro.sql.parser import parse_query
@@ -28,8 +28,7 @@ class SqlSession:
     ``options`` configures the *optimizer* (window clauses, machine
     budget); ``execution`` is the session's default
     :class:`~repro.core.options.ExecutionOptions` layer -- per-call
-    ``options=`` overlays it, legacy knob kwargs fold in through the
-    shared deprecation adapter.  ``broker`` + ``tenant`` attach the
+    ``options=`` overlays it.  ``broker`` + ``tenant`` attach the
     session to a shared serving layer (see :func:`repro.connect`).
     """
 
@@ -68,16 +67,7 @@ class SqlSession:
                          f"parallelism={agg.parallelism}")
         return "\n".join(parts)
 
-    def _merged(self, options: Optional[ExecutionOptions],
-                legacy: Dict[str, object]) -> ExecutionOptions:
-        """Session execution defaults under the call-level knobs."""
-        return self.execution.overlay(merge_options(options, legacy,
-                                                    stacklevel=4))
-
-    def execute(self, sql: str, batch_size: Optional[int] = None,
-                executor: Optional[str] = None,
-                parallelism: Optional[int] = None,
-                columnar: Optional[bool] = None,
+    def execute(self, sql: str,
                 options: Optional[ExecutionOptions] = None) -> RunResult:
         """Parse, optimize and run a query to completion.
 
@@ -90,9 +80,6 @@ class SqlSession:
                 ``'processes'``; all return the same result multiset),
                 parallelism and the columnar toggle.  Overlays the
                 session's ``execution`` defaults.
-            batch_size / executor / parallelism / columnar: the
-                deprecated per-knob spelling; warns if one conflicts
-                with ``options``.
 
         Returns:
             A :class:`~repro.engine.runner.RunResult` -- ``results``
@@ -117,14 +104,10 @@ class SqlSession:
                 options=repro.ExecutionOptions(batch_size=64))
             assert sorted(result.results) == [(1, 1), (2, 1)]
         """
-        merged = self._merged(options, dict(
-            batch_size=batch_size, executor=executor,
-            parallelism=parallelism, columnar=columnar))
-        return run_plan(self.plan(sql), options=merged)
+        return run_plan(self.plan(sql),
+                        options=self.execution.overlay(options))
 
-    def stream(self, sql: str, batch_size: Optional[int] = None,
-               executor: Optional[str] = None, rate: Optional[float] = None,
-               columnar: Optional[bool] = None,
+    def stream(self, sql: str,
                options: Optional[ExecutionOptions] = None,
                tenant: Optional[str] = None,
                track_latency: bool = False):
@@ -148,9 +131,6 @@ class SqlSession:
             tenant: overrides the session's tenant for this
                 subscription (broker mode).
             track_latency: record publish-to-pop delta latencies.
-            batch_size / executor / rate / columnar: the deprecated
-                per-knob spelling; warns if one conflicts with
-                ``options``.
 
         Returns:
             Without a broker: a private
@@ -194,9 +174,7 @@ class SqlSession:
         physical = Optimizer(self.catalog, self.options).compile(logical)
         ts_positions = agg_window_ts_positions(
             self.catalog, logical.scans, self.options.agg_window)
-        merged = self._merged(options, dict(
-            batch_size=batch_size, executor=executor, rate=rate,
-            columnar=columnar))
+        merged = self.execution.overlay(options)
         if self.broker is not None:
             return self.broker.subscribe_plan(
                 physical, ts_positions=ts_positions, options=merged,

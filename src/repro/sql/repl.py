@@ -62,41 +62,6 @@ class SquallShell:
         #: last successful SQL RunResult, so a bare \stats can profile it
         self._last_result = None
 
-    # convenience views over the options object (kept read/write for
-    # scripts that poked the old per-knob attributes)
-
-    @property
-    def batch_size(self) -> int:
-        return 1 if self.execution.batch_size is None else self.execution.batch_size
-
-    @batch_size.setter
-    def batch_size(self, value: int):
-        self.execution = self.execution.replace(batch_size=value)
-
-    @property
-    def executor(self) -> str:
-        return self.execution.executor or "inline"
-
-    @executor.setter
-    def executor(self, value: str):
-        self.execution = self.execution.replace(executor=value)
-
-    @property
-    def parallelism(self) -> Optional[int]:
-        return self.execution.parallelism
-
-    @parallelism.setter
-    def parallelism(self, value: Optional[int]):
-        self.execution = self.execution.replace(parallelism=value)
-
-    @property
-    def watch_rate(self) -> Optional[float]:
-        return self.execution.rate
-
-    @watch_rate.setter
-    def watch_rate(self, value: Optional[float]):
-        self.execution = self.execution.replace(rate=value)
-
     # -- command dispatch ---------------------------------------------------
 
     def handle_line(self, line: str) -> str:
@@ -190,8 +155,8 @@ class SquallShell:
             f"scheme = {options.scheme}",
             f"mode = {options.mode}",
             f"local = {options.local_join}",
-            f"batch_size = {self.batch_size}",
-            f"executor = {self.executor}",
+            f"batch_size = {execution.batch_size or 1}",
+            f"executor = {execution.executor or 'inline'}",
             f"parallelism = {parallelism}",
             f"columnar = {columnar}",
             f"rate = {rate}",

@@ -27,7 +27,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import ExecutionOptions
-from repro.obs import Observer
+from repro.obs import MetricsRegistry, Observer
 from repro.storm.executor import ExecutorError, Router, create_executor
 from repro.storm.kernel import deliver, pull, source_hop
 from repro.storm.metrics import TopologyMetrics
@@ -40,6 +40,10 @@ class LocalCluster:
     def __init__(self, topology: Topology):
         self.topology = topology
         self.metrics = TopologyMetrics()
+        #: the topology's one export surface: every counter class of the
+        #: run registers here once, and the observer (if any) records here
+        self.registry = MetricsRegistry()
+        self.registry.register_collector(self.metrics.collect)
         self._tasks: Dict[str, List[object]] = {}
         for name, spec in topology.components.items():
             instances = []
@@ -86,29 +90,24 @@ class LocalCluster:
     def observer(self) -> Optional[Observer]:
         return self._observer
 
-    def set_observer(self, observer: Optional[Observer]):
-        """Attach a per-run observability context (None turns it off).
-
-        The cluster's own counters join the observer's registry as a
-        collector, so a ``/metrics`` scrape or ``profile()`` sees the
-        topology counters without any extra recording cost."""
-        self._observer = observer
-        if observer is not None:
-            observer.registry.register_collector(self.metrics.collect)
-            # tell the skew gauge which edges are key-partitioned: one
-            # entry per component, folding all of its in-edge groupings
-            groupings: Dict[str, Tuple[str, bool]] = {}
-            for name in self.topology.components:
-                for edge in self.topology.out_edges(name):
-                    description, possible = groupings.get(
-                        edge.target, ("", False))
-                    label = edge.grouping.routing_description()
-                    if label not in description.split("+"):
-                        description = (f"{description}+{label}"
-                                       if description else label)
-                    groupings[edge.target] = (
-                        description, possible or edge.grouping.skew_possible())
-            observer.set_groupings(groupings)
+    def observe(self, level: str):
+        """Run observed at ``level`` ('metrics' | 'trace'): the observer
+        records into the cluster's registry, next to its counters."""
+        observer = self._observer = Observer(level, registry=self.registry)
+        # tell the skew gauge which edges are key-partitioned: one
+        # entry per component, folding all of its in-edge groupings
+        groupings: Dict[str, Tuple[str, bool]] = {}
+        for name in self.topology.components:
+            for edge in self.topology.out_edges(name):
+                description, possible = groupings.get(
+                    edge.target, ("", False))
+                label = edge.grouping.routing_description()
+                if label not in description.split("+"):
+                    description = (f"{description}+{label}"
+                                   if description else label)
+                groupings[edge.target] = (
+                    description, possible or edge.grouping.skew_possible())
+        observer.set_groupings(groupings)
 
     # -- execution ---------------------------------------------------------
 
@@ -142,7 +141,7 @@ class LocalCluster:
             observe=observe).resolve()
         batch_size, columnar = resolved.batch_size, resolved.columnar
         if resolved.observe != "off" and self._observer is None:
-            self.set_observer(Observer(resolved.observe))
+            self.observe(resolved.observe)
         self._set_columnar(columnar)
         started = time.perf_counter()
         try:

@@ -171,29 +171,23 @@ class TopologyMetrics:
         lines.append(f"network tuples: {self.total_network_tuples()}")
         return "\n".join(lines)
 
-    def collect(self, labels: Optional[Dict[str, str]] = None) -> List[tuple]:
+    def collect(self) -> List[tuple]:
         """Registry-collector view: export-time samples, zero cost on the
         recording path (see :class:`repro.obs.registry.MetricsRegistry`)."""
-        base = dict(labels or {})
         out = []
         for component in sorted(self.batches):
-            for task, count in enumerate(self.received.get(component, ())):
-                out.append(("topology_rows_received_total",
-                            {**base, "component": component,
-                             "task": str(task)}, float(count), "counter"))
-            for task, count in enumerate(self.emitted.get(component, ())):
-                out.append(("topology_rows_emitted_total",
-                            {**base, "component": component,
-                             "task": str(task)}, float(count), "counter"))
-            for task, count in enumerate(self.batches.get(component, ())):
-                out.append(("topology_batches_total",
-                            {**base, "component": component,
-                             "task": str(task)}, float(count), "counter"))
+            for name, per_task in (
+                    ("topology_rows_received_total", self.received),
+                    ("topology_rows_emitted_total", self.emitted),
+                    ("topology_batches_total", self.batches)):
+                for task, count in enumerate(per_task.get(component, ())):
+                    out.append((name,
+                                {"component": component, "task": str(task)},
+                                float(count), "counter"))
             if self.component_input(component):
-                out.append(("topology_skew_degree",
-                            {**base, "component": component},
+                out.append(("topology_skew_degree", {"component": component},
                             self.skew_degree(component), "gauge"))
-        out.append(("topology_network_tuples_total", dict(base),
+        out.append(("topology_network_tuples_total", {},
                     float(self.total_network_tuples()), "counter"))
         return out
 
@@ -310,30 +304,84 @@ class StreamMetrics:
                 "uptime_sec": round(self._clock() - self.started_at, 3),
             }
 
-    def collect(self, labels: Optional[Dict[str, str]] = None) -> List[tuple]:
+    def collect(self) -> List[tuple]:
         """Registry-collector view of the live stream monitors."""
-        base = dict(labels or {})
         snap = self.snapshot()
         out = [
-            ("stream_events_total", dict(base),
-             float(snap["events"]), "counter"),
-            ("stream_events_per_second", dict(base),
+            ("stream_events_total", {}, float(snap["events"]), "counter"),
+            ("stream_events_per_second", {},
              float(snap["events_per_sec"]), "gauge"),
         ]
         if snap["watermark"] is not None:
-            out.append(("stream_watermark", dict(base),
+            out.append(("stream_watermark", {},
                         float(snap["watermark"]), "gauge"))
         if snap["event_time_lag"] is not None:
-            out.append(("stream_event_time_lag", dict(base),
+            out.append(("stream_event_time_lag", {},
                         float(snap["event_time_lag"]), "gauge"))
         age = self.watermark_age()
         if age is not None:
-            out.append(("stream_watermark_age_seconds", dict(base),
+            out.append(("stream_watermark_age_seconds", {},
                         float(age), "gauge"))
         return out
 
 
-class CheckpointMetrics:
+class CounterTable:
+    """Rows of named counters behind one lock.
+
+    The record / snapshot / collect triplet of :class:`CheckpointMetrics`
+    (one row) and :class:`ServingMetrics` (one row per tenant), written
+    once: a subclass declares the shape of a row and how it exports, and
+    everything that touches the rows -- so the whole lock discipline --
+    lives here.  Thread-safe.
+    """
+
+    #: squall-lint lock-discipline contract
+    GUARDED_BY = {"_rows": "_lock"}
+
+    #: a fresh row, ``{field: initial value}``, in snapshot order
+    BLANK: Dict[str, object] = {}
+    #: the fields exported, as ``<PREFIX>_<field>_total`` counter samples
+    EXPORTED: Tuple[str, ...] = ()
+    PREFIX = ""
+    #: the sample label that carries the row key (None: one bare row)
+    KEY_LABEL: Optional[str] = None
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._rows: Dict[Optional[str], Dict[str, object]] = {}
+
+    def _record(self, key: Optional[str], counts: Dict[str, int], **levels):
+        """Add ``counts`` to row ``key`` (blank on first use) and
+        overwrite its ``levels``, in one critical section."""
+        with self._lock:
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = dict(self.BLANK)
+            for name, count in counts.items():
+                row[name] += count
+            row.update(levels)
+
+    def _row(self, key: Optional[str]) -> Dict[str, object]:
+        """A copy of one row; blank if nothing was recorded under it."""
+        with self._lock:
+            return dict(self._rows.get(key, self.BLANK))
+
+    def _table(self) -> Dict[Optional[str], Dict[str, object]]:
+        with self._lock:
+            return {key: dict(row) for key, row in sorted(self._rows.items())}
+
+    def collect(self) -> List[tuple]:
+        """Registry-collector view: every row's exported counters."""
+        return [
+            (f"{self.PREFIX}_{name}_total",
+             {self.KEY_LABEL: key} if self.KEY_LABEL else {},
+             float(row[name]), "counter")
+            for key, row in self._table().items()
+            for name in self.EXPORTED
+        ]
+
+
+class CheckpointMetrics(CounterTable):
     """Checkpoint and recovery accounting of a resident topology.
 
     Fed by the streaming ``processes`` coordinator: one record per
@@ -347,96 +395,51 @@ class CheckpointMetrics:
     while the coordinator commits.
     """
 
-    #: squall-lint lock-discipline contract
-    GUARDED_BY = {
-        "commits": "_lock",
-        "last_epoch": "_lock",
-        "partitions_persisted": "_lock",
-        "partitions_skipped": "_lock",
-        "bytes_persisted": "_lock",
-        "last_commit_bytes": "_lock",
-        "recoveries": "_lock",
-        "workers_respawned": "_lock",
-        "replayed_entries": "_lock",
-        "replayed_rows": "_lock",
-    }
+    PREFIX = "checkpoint"
+    EXPORTED = ("commits", "partitions_persisted", "partitions_skipped",
+                "bytes_persisted", "recoveries", "workers_respawned",
+                "replayed_entries", "replayed_rows")
+    #: the counters plus two levels: the last committed epoch, and the
+    #: bytes of the last commit alone (steady-state cost probe)
+    BLANK = {**dict.fromkeys(EXPORTED, 0),
+             "last_epoch": None, "last_commit_bytes": 0}
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self.commits = 0
-        self.last_epoch: Optional[int] = None
-        self.partitions_persisted = 0
-        self.partitions_skipped = 0
-        self.bytes_persisted = 0
-        #: bytes of the last commit alone (steady-state cost probe)
-        self.last_commit_bytes = 0
-        self.recoveries = 0
-        self.workers_respawned = 0
-        self.replayed_entries = 0
-        self.replayed_rows = 0
+        super().__init__()
+        self._record(None, {})  # the one row exports as zeros until fed
 
     def record_commit(self, result) -> None:
         """Fold in one :class:`repro.checkpoint.store.CommitResult`."""
-        with self._lock:
-            self.commits += 1
-            self.last_epoch = result.epoch
-            self.partitions_persisted += result.persisted
-            self.partitions_skipped += result.skipped
-            self.bytes_persisted += result.bytes_persisted
-            self.last_commit_bytes = result.bytes_persisted
+        self._record(None, {
+            "commits": 1,
+            "partitions_persisted": result.persisted,
+            "partitions_skipped": result.skipped,
+            "bytes_persisted": result.bytes_persisted,
+        }, last_epoch=result.epoch, last_commit_bytes=result.bytes_persisted)
 
     def record_recovery(self, dead_workers: List[int],
                         replayed_entries: int, replayed_rows: int) -> None:
         """One completed crash recovery (respawn + restore + replay)."""
-        with self._lock:
-            self.recoveries += 1
-            self.workers_respawned += len(dead_workers)
-            self.replayed_entries += replayed_entries
-            self.replayed_rows += replayed_rows
+        self._record(None, {
+            "recoveries": 1,
+            "workers_respawned": len(dead_workers),
+            "replayed_entries": replayed_entries,
+            "replayed_rows": replayed_rows,
+        })
 
     def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "commits": self.commits,
-                "last_epoch": self.last_epoch,
-                "partitions_persisted": self.partitions_persisted,
-                "partitions_skipped": self.partitions_skipped,
-                "bytes_persisted": self.bytes_persisted,
-                "last_commit_bytes": self.last_commit_bytes,
-                "recoveries": self.recoveries,
-                "workers_respawned": self.workers_respawned,
-                "replayed_entries": self.replayed_entries,
-                "replayed_rows": self.replayed_rows,
-            }
+        return self._row(None)
 
-    def summary(self) -> str:
-        snap = self.snapshot()
-        return (
-            f"checkpoints: {snap['commits']} commits "
-            f"(epoch {snap['last_epoch']}), "
-            f"{snap['partitions_persisted']} partitions persisted / "
-            f"{snap['partitions_skipped']} skipped by hash-diff, "
-            f"{snap['bytes_persisted']} bytes; "
-            f"recoveries: {snap['recoveries']} "
-            f"({snap['workers_respawned']} workers respawned, "
-            f"{snap['replayed_rows']} rows replayed)"
-        )
+    @property
+    def commits(self) -> int:
+        return self._row(None)["commits"]
 
-    def collect(self, labels: Optional[Dict[str, str]] = None) -> List[tuple]:
-        """Registry-collector view of the checkpoint/recovery counters."""
-        base = dict(labels or {})
-        snap = self.snapshot()
-        return [
-            (f"checkpoint_{name}_total", dict(base), float(snap[name]),
-             "counter")
-            for name in ("commits", "partitions_persisted",
-                         "partitions_skipped", "bytes_persisted",
-                         "recoveries", "workers_respawned",
-                         "replayed_entries", "replayed_rows")
-        ]
+    @property
+    def recoveries(self) -> int:
+        return self._row(None)["recoveries"]
 
 
-class ServingMetrics:
+class ServingMetrics(CounterTable):
     """Per-tenant accounting of the multi-tenant serving layer.
 
     The :class:`~repro.serving.broker.QueryBroker` records every
@@ -451,60 +454,30 @@ class ServingMetrics:
     Thread-safe: broker calls and sink detach hooks record concurrently.
     """
 
-    _COUNTERS = ("admitted", "refused", "shed", "detached", "published")
-
-    #: squall-lint lock-discipline contract
-    GUARDED_BY = {"_tenants": "_lock"}
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._tenants: Dict[str, Dict[str, int]] = {}
-
-    def _bucket(self, tenant: str) -> Dict[str, int]:  # squall-lint: holds=_lock
-        bucket = self._tenants.get(tenant)
-        if bucket is None:
-            bucket = self._tenants[tenant] = {
-                name: 0 for name in self._COUNTERS}
-        return bucket
+    PREFIX = "serving"
+    KEY_LABEL = "tenant"
+    EXPORTED = ("admitted", "refused", "shed", "detached", "published")
+    BLANK = dict.fromkeys(EXPORTED, 0)
 
     def record(self, tenant: str, counter: str, count: int = 1):
-        if counter not in self._COUNTERS:
+        if counter not in self.EXPORTED:
             raise ValueError(
                 f"unknown serving counter {counter!r}; "
-                f"choose one of {self._COUNTERS}")
-        with self._lock:
-            self._bucket(tenant)[counter] += count
+                f"choose one of {self.EXPORTED}")
+        self._record(tenant, {counter: count})
 
     def get(self, tenant: str, counter: str) -> int:
-        with self._lock:
-            return self._tenants.get(tenant, {}).get(counter, 0)
-
-    def tenants(self) -> List[str]:
-        with self._lock:
-            return sorted(self._tenants)
+        return self._row(tenant).get(counter, 0)
 
     def snapshot(self, tenant: Optional[str] = None) -> Dict[str, Dict[str, int]]:
         """Counter table ``{tenant: {counter: value}}`` (one tenant or all)."""
-        with self._lock:
-            if tenant is not None:
-                return {tenant: dict(self._tenants.get(
-                    tenant, {name: 0 for name in self._COUNTERS}))}
-            return {name: dict(bucket)
-                    for name, bucket in sorted(self._tenants.items())}
+        if tenant is not None:
+            return {tenant: self._row(tenant)}
+        return self._table()
 
     def summary(self) -> str:
         lines = []
-        for tenant, bucket in sorted(self.snapshot().items()):
-            parts = " ".join(f"{k}={bucket[k]}" for k in self._COUNTERS)
+        for tenant, bucket in self.snapshot().items():
+            parts = " ".join(f"{k}={bucket[k]}" for k in self.EXPORTED)
             lines.append(f"{tenant}: {parts}")
         return "\n".join(lines) or "no tenants"
-
-    def collect(self, labels: Optional[Dict[str, str]] = None) -> List[tuple]:
-        """Registry-collector view of the per-tenant counters."""
-        base = dict(labels or {})
-        return [
-            (f"serving_{counter}_total", {**base, "tenant": tenant},
-             float(bucket[counter]), "counter")
-            for tenant, bucket in sorted(self.snapshot().items())
-            for counter in self._COUNTERS
-        ]

@@ -495,14 +495,15 @@ class StreamingCluster:
         self.cluster = LocalCluster(topology)
         self.cluster.set_coalescing(batch_size > 1)
         self.metrics = self.cluster.metrics
+        #: the inner cluster's registry: this topology's one export path
+        self.registry = self.cluster.registry
         self.stats = StreamMetrics(clock=clock)
+        self.registry.register_collector(self.stats.collect)
+        if observe != "off":
+            self.cluster.observe(observe)
         #: one Observer per observed run, shared with the inner cluster so
         #: the inline inject() path times batches too; None = observe='off'
-        self.observer: Optional[Observer] = None
-        if observe != "off":
-            self.cluster.set_observer(Observer(observe))
-            self.observer = self.cluster.observer
-            self.observer.registry.register_collector(self.stats.collect)
+        self.observer: Optional[Observer] = self.cluster.observer
         operators = source_operators or {}
         self._pumps: Dict[str, SourcePump] = {
             name: SourcePump(name, source, *operators.get(name, (None, None)),
@@ -547,8 +548,7 @@ class StreamingCluster:
         #: checkpoint/recovery accounting (always present; only the
         #: processes executor feeds it)
         self.checkpoints = CheckpointMetrics()
-        if self.observer is not None:
-            self.observer.registry.register_collector(self.checkpoints.collect)
+        self.registry.register_collector(self.checkpoints.collect)
         self._fault_injector = fault_injector
         self._store = CheckpointStore(directory=checkpoint_dir)
         self._epoch = 0

@@ -27,7 +27,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.columnar import ColumnBatch
-from repro.core.options import ExecutionOptions, merge_options
+from repro.core.options import ExecutionOptions
 from repro.engine.component import PhysicalPlan, SourceComponent
 from repro.engine.operators import Projection, Selection
 from repro.engine.runner import (
@@ -233,14 +233,11 @@ def agg_window_ts_positions(catalog, scans, clause) -> Dict[str, int]:
     return {alias: schemas[alias].index_of(attr)}
 
 
-def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
-                executor: Optional[str] = None,
-                rate: Optional[float] = None,
+def stream_plan(plan: PhysicalPlan,
                 queue_capacity: int = 128,
                 sources: Optional[Dict[str, PushSource]] = None,
                 ts_positions: Optional[Dict[str, int]] = None,
                 clock: Callable[[], float] = time.monotonic,
-                columnar: Optional[bool] = None,
                 options: Optional[ExecutionOptions] = None,
                 fault_injector=None,
                 checkpoint_dir: Optional[str] = None
@@ -248,14 +245,11 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
     """Compile a physical plan into a continuously running query.
 
     Execution knobs ride on ``options``
-    (:class:`~repro.core.options.ExecutionOptions`); the individual
-    kwargs remain as the deprecated spelling, folded in through the
-    shared adapter.  Unset knobs resolve exactly as in the batch engine
-    -- in particular ``columnar=None`` turns the columnar path on at
-    ``batch_size >= 64`` (streaming used to require an explicit opt-in
-    while ``run_plan`` defaulted it on; both now go through
-    ``ExecutionOptions.resolve``).  The streaming default batch size is
-    64.
+    (:class:`~repro.core.options.ExecutionOptions`).  Unset knobs
+    resolve exactly as in the batch engine -- in particular
+    ``columnar=None`` turns the columnar path on at ``batch_size >= 64``
+    (both engines go through ``ExecutionOptions.resolve``).  The
+    streaming default batch size is 64.
 
     ``options.executor='processes'`` runs the query on resident forked
     workers with incremental checkpointing and crash recovery
@@ -269,24 +263,23 @@ def stream_plan(plan: PhysicalPlan, batch_size: Optional[int] = None,
     own worker thread.
 
     By default every source relation is replayed through a
-    :class:`ReplaySource` at ``rate`` rows per second (None = as fast as
-    the pipeline drains), with event-time watermarks on the columns named
-    by the plan's window specs (override or extend via ``ts_positions``:
-    source name -> raw column position).  Pass ``sources`` to substitute
-    real push sources for some or all relations.
+    :class:`ReplaySource` at ``options.rate`` rows per second (None = as
+    fast as the pipeline drains), with event-time watermarks on the
+    columns named by the plan's window specs (override or extend via
+    ``ts_positions``: source name -> raw column position).  Pass
+    ``sources`` to substitute real push sources for some or all
+    relations.
 
-    With ``columnar`` on, the source pumps coalesce each poll into a
-    :class:`~repro.core.columnar.ColumnBatch`, so joins and aggregations
-    take their vectorized paths; the delta feed and snapshots are
-    unchanged.
+    With ``options.columnar`` on, the source pumps coalesce each poll
+    into a :class:`~repro.core.columnar.ColumnBatch`, so joins and
+    aggregations take their vectorized paths; the delta feed and
+    snapshots are unchanged.
 
     Returns a :class:`StreamingQuery`; iterate it for live deltas, call
     :meth:`~StreamingQuery.run` to drive it to exhaustion, and
     :meth:`~StreamingQuery.snapshot` for the current result multiset.
     """
-    resolved = merge_options(options, dict(
-        batch_size=batch_size, executor=executor, rate=rate,
-        columnar=columnar)).resolve(default_batch_size=64)
+    resolved = (options or ExecutionOptions()).resolve(default_batch_size=64)
     if resolved.parallelism is not None and resolved.executor != "processes":
         raise ExecutorError(
             "parallelism only applies to the streaming 'processes' "

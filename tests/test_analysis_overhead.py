@@ -11,12 +11,12 @@ import threading
 import time
 
 from repro.serving.broker import QueryBroker
-from repro.storm.metrics import ServingMetrics, StreamMetrics
+from repro.storm.metrics import CounterTable, StreamMetrics
 from repro.streaming.deltas import DeltaSink, Subscription
 
 
 def test_markers_are_plain_class_data():
-    for cls in (QueryBroker, StreamMetrics, ServingMetrics, Subscription,
+    for cls in (QueryBroker, StreamMetrics, CounterTable, Subscription,
                 DeltaSink):
         marker = cls.__dict__["GUARDED_BY"]
         assert type(marker) is dict

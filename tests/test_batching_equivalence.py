@@ -17,6 +17,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 from tests.batching_plans import GOLDEN_PLANS, run_result_fingerprint
 
@@ -32,7 +33,8 @@ def golden():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
 def test_batch_size_one_is_byte_identical_to_seed_engine(name, golden):
-    result = run_plan(GOLDEN_PLANS[name](), batch_size=1)
+    result = run_plan(GOLDEN_PLANS[name](),
+                      options=ExecutionOptions(batch_size=1))
     assert run_result_fingerprint(result) == golden[name]
 
 
@@ -45,14 +47,16 @@ def test_default_batch_size_is_one(name, golden):
 @pytest.mark.parametrize("name", sorted(set(GOLDEN_PLANS) - {"online_agg"}))
 @pytest.mark.parametrize("batch_size", [2, 7, 64, 1024])
 def test_batched_execution_preserves_result_multiset(name, batch_size, golden):
-    result = run_plan(GOLDEN_PLANS[name](), batch_size=batch_size)
+    result = run_plan(GOLDEN_PLANS[name](),
+                      options=ExecutionOptions(batch_size=batch_size))
     expected = Counter(tuple(row) for row in golden[name]["results"])
     assert Counter(result.results) == expected
 
 
 @pytest.mark.parametrize("batch_size", [2, 64, 1024])
 def test_batched_online_aggregation_reaches_same_final_values(batch_size, golden):
-    result = run_plan(GOLDEN_PLANS["online_agg"](), batch_size=batch_size)
+    result = run_plan(GOLDEN_PLANS["online_agg"](),
+                      options=ExecutionOptions(batch_size=batch_size))
     finals = {}
     for key, value in result.results:
         finals[key] = value
@@ -68,7 +72,8 @@ def test_batched_execution_preserves_component_totals(name, batch_size, golden):
     """Per-component received/emitted totals, edge transfers, reads and
     selection statistics are batch-size invariant (only the per-task split
     of content-insensitive routing may shift with the interleaving)."""
-    result = run_plan(GOLDEN_PLANS[name](), batch_size=batch_size)
+    result = run_plan(GOLDEN_PLANS[name](),
+                      options=ExecutionOptions(batch_size=batch_size))
     expected = golden[name]
     assert {k: sum(v) for k, v in result.metrics.received.items()} == \
            {k: sum(v) for k, v in expected["received"].items()}
@@ -89,7 +94,8 @@ def test_hash_routing_is_batch_size_invariant(name, joiner, golden):
     """Hash-hypercube routing depends only on tuple content (no stateful
     random dimensions), so even the *per-task* received counts of the
     joiner match at any batch size."""
-    result = run_plan(GOLDEN_PLANS[name](), batch_size=64)
+    result = run_plan(GOLDEN_PLANS[name](),
+                      options=ExecutionOptions(batch_size=64))
     assert result.metrics.received[joiner] == golden[name]["received"][joiner]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from benchmarks.check_regression import main as check_main
 from repro.bench import multiway_join_plan, speedup_table
+from repro.core.options import ExecutionOptions
 
 
 def write_bench_json(path, minima, cpus=None):
@@ -95,8 +96,10 @@ class TestBenchHelpers:
         plan = multiway_join_plan(n_rows=120)
         expected = None
         for executor in ("inline", "threads", "processes"):
-            result = run_plan(plan, batch_size=32, executor=executor,
-                              parallelism=2)
+            result = run_plan(plan,
+                              options=ExecutionOptions(batch_size=32,
+                                                       executor=executor,
+                                                       parallelism=2))
             counted = Counter(result.results)
             if expected is None:
                 expected = counted

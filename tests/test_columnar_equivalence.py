@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 from repro.streaming import stream_plan
 
@@ -24,8 +25,8 @@ BATCH = 64
 PLAN_NAMES = sorted(GOLDEN_PLANS)
 
 
-def _run(name, **kwargs):
-    return run_plan(GOLDEN_PLANS[name](), **kwargs)
+def _run(name, **knobs):
+    return run_plan(GOLDEN_PLANS[name](), options=ExecutionOptions(**knobs))
 
 
 def _multiset(result):
@@ -92,8 +93,10 @@ class TestKnobResolution:
 def test_streaming_columnar_snapshot_matches_batch(name, executor):
     """Opt-in columnar replay converges to the batch engine's answer."""
     plan = GOLDEN_PLANS[name]()
-    query = stream_plan(plan, batch_size=BATCH, executor=executor,
-                        columnar=True).run()
+    query = stream_plan(plan,
+                        options=ExecutionOptions(batch_size=BATCH,
+                                                 executor=executor,
+                                                 columnar=True)).run()
     expected = sorted(run_plan(GOLDEN_PLANS[name]()).results)
     assert query.snapshot() == expected
     assert expected  # not vacuous

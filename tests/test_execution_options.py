@@ -2,24 +2,23 @@
 
 Pins the single-owner defaulting rules (in particular the
 columnar-on-at-batch_size>=64 rule applying identically to the batch and
-streaming engines -- they used to disagree), the legacy-kwarg adapter's
-deprecation semantics, and options= acceptance across every front-end.
+streaming engines -- they used to disagree), options= acceptance across
+every front-end, and that options= is the *only* spelling: no front-end
+signature names an execution knob and a loose knob is a TypeError.
 """
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.columnar import COLUMNAR_MIN_BATCH
 from repro.core.optimizer import Catalog
-from repro.core.options import (
-    DEFAULT_MAX_BUFFER,
-    ExecutionOptions,
-    merge_options,
-)
+from repro.core.options import DEFAULT_MAX_BUFFER, ExecutionOptions
 from repro.core.schema import Relation, Schema
 from repro.engine.runner import run_plan
-from repro.functional.stream_api import QueryContext
+from repro.functional.stream_api import GroupedStream, QueryContext, Stream
+from repro.serving import QueryBroker
 from repro.sql.catalog import SqlSession
 from repro.streaming.runner import stream_plan
 
@@ -92,32 +91,6 @@ class TestResolve:
             ExecutionOptions().batch_size = 5
 
 
-class TestMergeAdapter:
-    def test_legacy_kwargs_alone_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = merge_options(None, dict(batch_size=32, executor=None))
-        assert merged.batch_size == 32
-        assert merged.executor is None
-
-    def test_conflict_warns_and_options_wins(self):
-        options = ExecutionOptions(batch_size=64)
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            merged = merge_options(options, dict(batch_size=8))
-        assert merged.batch_size == 64
-
-    def test_agreeing_values_do_not_warn(self):
-        options = ExecutionOptions(batch_size=64)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            merged = merge_options(options, dict(batch_size=64))
-        assert merged.batch_size == 64
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="turbo"):
-            merge_options(None, dict(turbo=True))
-
-
 class TestColumnarParityRegression:
     """stream_plan's columnar default used to disagree with the batch
     engine (explicit opt-in vs on-at-batch_size>=64); both now resolve
@@ -147,25 +120,23 @@ class TestColumnarParityRegression:
 
 
 class TestFrontEnds:
-    """options= accepted everywhere; legacy kwargs still work."""
+    """options= accepted everywhere, and it is what drives the run."""
 
     def test_run_plan_options(self, session):
         plan = session.plan(SQL)
-        legacy = run_plan(plan, batch_size=16, executor="inline")
+        default = run_plan(plan)
         unified = run_plan(plan, options=ExecutionOptions(
-            batch_size=16, executor="inline"))
-        assert sorted(legacy.results) == sorted(unified.results)
+            batch_size=64, executor="inline"))
+        assert sorted(default.results) == sorted(unified.results)
+        assert default.metrics.columnar_batches == 0
+        assert unified.metrics.columnar_batches > 0
 
     def test_sql_execute_options(self, session):
-        legacy = session.execute(SQL, batch_size=16)
+        default = session.execute(SQL)
         unified = session.execute(
-            SQL, options=ExecutionOptions(batch_size=16))
-        assert sorted(legacy.results) == sorted(unified.results)
-
-    def test_sql_execute_conflict_warns(self, session):
-        with pytest.warns(DeprecationWarning):
-            session.execute(SQL, batch_size=8,
-                            options=ExecutionOptions(batch_size=16))
+            SQL, options=ExecutionOptions(batch_size=64))
+        assert sorted(default.results) == sorted(unified.results)
+        assert unified.metrics.columnar_batches > 0
 
     def test_sql_stream_options(self, session):
         query = session.stream(SQL, options=ExecutionOptions(batch_size=16))
@@ -183,11 +154,11 @@ class TestFrontEnds:
 
     def test_functional_execute_options(self, catalog):
         ctx = QueryContext(catalog, machines=2)
-        legacy = (ctx.stream("t").group_by("k").agg_count()
-                  .execute(batch_size=16))
+        default = ctx.stream("t").group_by("k").agg_count().execute()
         unified = (ctx.stream("t").group_by("k").agg_count()
-                   .execute(options=ExecutionOptions(batch_size=16)))
-        assert sorted(legacy.results) == sorted(unified.results)
+                   .execute(options=ExecutionOptions(batch_size=64)))
+        assert sorted(default.results) == sorted(unified.results)
+        assert unified.metrics.columnar_batches > 0
 
     def test_functional_stream_options(self, catalog):
         ctx = QueryContext(catalog, machines=2)
@@ -209,3 +180,58 @@ class TestFrontEnds:
 
         with pytest.raises(ExecutorError, match="parallelism"):
             session.stream(SQL, options=ExecutionOptions(parallelism=2))
+
+
+KNOBS = {field.name for field in dataclasses.fields(ExecutionOptions)}
+
+FRONT_ENDS = [
+    run_plan, stream_plan, SqlSession.execute, SqlSession.stream,
+    Stream.execute, Stream.stream, GroupedStream.execute,
+    GroupedStream.stream,
+    *(method for name, method in vars(QueryBroker).items()
+      if name.startswith("subscribe")),
+]
+
+
+class TestOneSpelling:
+    """The per-knob kwargs are gone, not deprecated: the fork PR 7 opened
+    (options= *beside* eight loose knobs on six front-ends) stays closed."""
+
+    @pytest.mark.parametrize(
+        "front_end", FRONT_ENDS, ids=lambda f: f.__qualname__)
+    def test_no_signature_names_an_execution_knob(self, front_end):
+        parameters = inspect.signature(front_end).parameters
+        assert "options" in parameters
+        assert not KNOBS & set(parameters)
+
+    def test_run_plan_rejects_a_loose_knob(self, session):
+        with pytest.raises(TypeError, match="batch_size"):
+            run_plan(session.plan(SQL), batch_size=8)
+
+    def test_stream_plan_rejects_a_loose_knob(self, session):
+        with pytest.raises(TypeError, match="rate"):
+            stream_plan(session.plan(SQL), rate=100.0)
+
+    def test_sql_execute_rejects_a_loose_knob(self, session):
+        with pytest.raises(TypeError, match="executor"):
+            session.execute(SQL, executor="threads")
+
+    def test_sql_stream_rejects_a_loose_knob(self, session):
+        with pytest.raises(TypeError, match="columnar"):
+            session.stream(SQL, columnar=True)
+
+    def test_broker_subscribe_rejects_a_loose_knob(self, session):
+        broker = QueryBroker()
+        with pytest.raises(TypeError, match="max_buffer"):
+            broker.subscribe_plan(session.plan(SQL), max_buffer=8)
+        assert broker.topology_count == 0
+
+    @pytest.mark.parametrize("terminal", ["execute", "stream"])
+    def test_functional_terminals_reject_a_loose_knob(self, catalog,
+                                                      terminal):
+        """A loose execution knob lands in the optimizer overrides,
+        where it is an ordinary unexpected-keyword TypeError."""
+        grouped = (QueryContext(catalog, machines=2)
+                   .stream("t").group_by("k").agg_count())
+        with pytest.raises(TypeError, match="batch_size"):
+            getattr(grouped, terminal)(batch_size=8)

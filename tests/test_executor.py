@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.columnar import ColumnBatch
 from repro.core.expressions import col
+from repro.core.options import ExecutionOptions
 from repro.core.schema import Schema
 from repro.engine.operators import Projection, Selection
 from repro.engine.runner import AggBolt, SinkBolt
@@ -303,7 +304,9 @@ class TestAdaptiveSchemeRefusal:
     def test_parallel_backends_refuse_adaptive_partitioners(self, executor):
         plan, run_plan = self.build_adaptive_cluster()
         with pytest.raises(ExecutorError, match="adapt"):
-            run_plan(plan, batch_size=8, executor=executor, parallelism=2)
+            run_plan(plan,
+                     options=ExecutionOptions(batch_size=8, executor=executor,
+                                              parallelism=2))
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_refusal_names_partitioner_and_inline_escape_hatch(self, executor):
@@ -311,7 +314,9 @@ class TestAdaptiveSchemeRefusal:
         grouping wrapper) and point the user at executor='inline'."""
         plan, run_plan = self.build_adaptive_cluster()
         with pytest.raises(ExecutorError) as excinfo:
-            run_plan(plan, batch_size=8, executor=executor, parallelism=2)
+            run_plan(plan,
+                     options=ExecutionOptions(batch_size=8, executor=executor,
+                                              parallelism=2))
         message = str(excinfo.value)
         assert "AdaptiveOneBucket" in message
         assert "executor='inline'" in message
@@ -320,7 +325,7 @@ class TestAdaptiveSchemeRefusal:
 
     def test_inline_still_runs_adaptive_partitioners(self):
         plan, run_plan = self.build_adaptive_cluster()
-        result = run_plan(plan, batch_size=8)
+        result = run_plan(plan, options=ExecutionOptions(batch_size=8))
         assert result.results
 
 
@@ -509,9 +514,12 @@ class TestWaveCoalescing:
     def test_joiners_execute_one_batch_per_source_relation(self, executor):
         from repro.engine import run_plan
 
-        inline = run_plan(self.chain_plan(), batch_size=self.BATCH_SIZE)
-        staged = run_plan(self.chain_plan(), batch_size=self.BATCH_SIZE,
-                          executor=executor, parallelism=2)
+        inline = run_plan(self.chain_plan(),
+                          options=ExecutionOptions(batch_size=self.BATCH_SIZE))
+        staged = run_plan(self.chain_plan(),
+                          options=ExecutionOptions(batch_size=self.BATCH_SIZE,
+                                                   executor=executor,
+                                                   parallelism=2))
         # each single-task source reaches a joiner as one run, however
         # many spout batches it was read in (7 here)
         spout_batches = staged.metrics.batch_counts("R")
@@ -541,8 +549,10 @@ class TestWaveCoalescing:
         says their merged deliveries are the same."""
         from repro.engine import run_plan
 
-        work = [run_plan(self.chain_plan(), batch_size=self.BATCH_SIZE,
-                         executor=executor, parallelism=2).join_work
+        work = [run_plan(self.chain_plan(),
+                         options=ExecutionOptions(batch_size=self.BATCH_SIZE,
+                                                  executor=executor,
+                                                  parallelism=2)).join_work
                 for executor in PARALLEL]
         assert work[0] == work[1] and all(work[0]["J"])
 

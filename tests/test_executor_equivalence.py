@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 from repro.storm import LocalCluster
 from tests.batching_plans import GOLDEN_PLANS
@@ -39,9 +40,9 @@ def golden():
 
 
 def run_backend(name, executor, batch_size=16):
-    kwargs = {} if executor == "inline" else {"parallelism": 4}
-    return run_plan(GOLDEN_PLANS[name](), batch_size=batch_size,
-                    executor=executor, **kwargs)
+    return run_plan(GOLDEN_PLANS[name](), options=ExecutionOptions(
+        batch_size=batch_size, executor=executor,
+        parallelism=None if executor == "inline" else 4))
 
 
 @pytest.mark.parametrize("executor", BACKENDS)

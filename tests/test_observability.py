@@ -46,6 +46,7 @@ from repro.obs import (
     make_span,
 )
 from repro.obs.prometheus import parse, render
+from repro.obs.registry import as_dict
 from repro.serving import DeltaServer
 from repro.storm.failures import FaultInjector
 from repro.streaming import stream_plan
@@ -209,7 +210,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("rows", task="0").inc(2)
         registry.gauge("depth").set(4)
-        flat = registry.as_dict()
+        flat = as_dict(registry.samples())
         assert flat['rows{task="0"}'] == 2.0
         assert flat["depth"] == 4.0
 
@@ -242,6 +243,15 @@ class TestPrometheusRoundTrip:
             parse("rows_total 1 2 3")
         with pytest.raises(ValueError):
             parse('rows_total{task="0" 1.0')
+
+    def test_repeated_series_raises(self):
+        """The strict parser does not collapse a double-counted series
+        to its last sample (label order is not part of the identity)."""
+        with pytest.raises(ValueError, match="duplicate series"):
+            parse('rows_total{a="1",b="2"} 1.0\n'
+                  'rows_total{b="2",a="1"} 2.0\n')
+        assert len(parse('rows_total{a="1"} 1.0\n'
+                         'rows_total{a="2"} 1.0\n')) == 2
 
 
 # -- trace buffer and observer ------------------------------------------
@@ -570,6 +580,14 @@ async def http_get(server, path):
     return status, headers, body.decode()
 
 
+def flat_key(name, labels):
+    """A parsed series' key in the ``/metrics.json`` object."""
+    if not labels:
+        return name
+    rendered = ",".join(f'{k}="{v}"' for k, v in labels)
+    return f"{name}{{{rendered}}}"
+
+
 async def run_query(server, request):
     """One full delta exchange against the server (warms the serving
     counters the scrape endpoints report)."""
@@ -616,12 +634,7 @@ class TestMetricsEndpoint:
         parsed = parse(text_body)
         assert len(flat) == len(parsed)
         for (name, labels), value in parsed.items():
-            if labels:
-                rendered = ",".join(f'{k}="{v}"' for k, v in labels)
-                key = f"{name}{{{rendered}}}"
-            else:
-                key = name
-            assert flat[key] == value
+            assert flat[flat_key(name, labels)] == value
 
     def test_unknown_path_is_404_and_protocol_still_works(self):
         async def scenario():
@@ -635,3 +648,63 @@ class TestMetricsEndpoint:
         assert status == 404
         assert scrape_status == 200
         assert "serving_admitted_total" in body
+
+    def test_two_observed_residents_export_disjoint_series(self):
+        """Two different observed plans resident on one broker: every
+        topology-side series is exported exactly once, under its own
+        topology's ``fingerprint`` label, and the two export formats
+        agree series for series."""
+        from repro.sql.catalog import SqlSession
+        from repro.streaming import CallbackSource
+
+        #: gauges computed from the wall clock at scrape time
+        clocked = {"stream_events_per_second", "stream_watermark_age_seconds"}
+
+        async def scenario():
+            catalog = serving_catalog()
+            session = SqlSession(catalog)
+            loop = asyncio.get_running_loop()
+            async with DeltaServer(catalog) as server:
+                subscriptions = []
+                for sql in (SQL, "SELECT v, COUNT(*) FROM t GROUP BY v"):
+                    source = CallbackSource(capacity=64)
+                    subscription = server.broker.subscribe_plan(
+                        session.plan(sql), sources={"t": source},
+                        options=ExecutionOptions(observe="metrics"))
+                    source.push((1, 2), stream="t")
+                    # the resident has executed a batch once a delta is out
+                    assert await loop.run_in_executor(
+                        None, lambda: subscription.pop(
+                            block=True, timeout=10.0)) is not None
+                    subscriptions.append(subscription)
+                assert server.broker.topology_count == 2
+                try:
+                    return (await http_get(server, "/metrics"),
+                            await http_get(server, "/metrics.json"))
+                finally:
+                    for subscription in subscriptions:
+                        subscription.detach()
+
+        (_s, _h, text_body), (_s2, _h2, json_body) = asyncio.run(scenario())
+        lines = [line for line in text_body.splitlines()
+                 if line and not line.startswith("#")]
+        parsed = parse(text_body)
+        assert len(lines) == len(parsed), "a series was exported twice"
+        fingerprints = set()
+        for name, labels in parsed:
+            if name.startswith("serving_"):
+                continue
+            assert "fingerprint" in dict(labels), (name, labels)
+            fingerprints.add(dict(labels)["fingerprint"])
+        assert len(fingerprints) == 2
+        for family in ("topology_rows_received_total", "stream_events_total",
+                       "checkpoint_commits_total", "routed_rows_total",
+                       "operator_batch_seconds_count"):
+            assert len({dict(labels)["fingerprint"]
+                        for name, labels in parsed if name == family}) == 2
+        flat = json.loads(json_body)
+        assert len(flat) == len(parsed)
+        for (name, labels), value in parsed.items():
+            assert flat_key(name, labels) in flat
+            if name not in clocked:
+                assert flat[flat_key(name, labels)] == value

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
+from repro.core.options import ExecutionOptions
 from repro.datasets import TPCHGenerator
 from repro.sql.catalog import SqlSession
 from repro.sql.repl import SquallShell
@@ -95,31 +96,31 @@ class TestSetOption:
 
     def test_set_batch_size(self, shell):
         assert shell.handle_line("\\set batch_size 256") == "batch_size = 256"
-        assert shell.batch_size == 256
+        assert shell.execution.batch_size == 256
 
     def test_set_batch_size_rejects_non_integer(self, shell):
         assert "integer" in shell.handle_line("\\set batch_size huge")
-        assert shell.batch_size == 1
+        assert shell.execution.batch_size is None
 
     def test_set_batch_size_rejects_non_positive(self, shell):
         assert ">= 1" in shell.handle_line("\\set batch_size 0")
 
     def test_set_executor(self, shell):
         assert shell.handle_line("\\set executor threads") == "executor = threads"
-        assert shell.executor == "threads"
+        assert shell.execution.executor == "threads"
 
     def test_set_executor_invalid(self, shell):
         assert "must be" in shell.handle_line("\\set executor goroutines")
-        assert shell.executor == "inline"
+        assert shell.execution.executor is None
 
     def test_set_parallelism(self, shell):
         assert shell.handle_line("\\set parallelism 2") == "parallelism = 2"
-        assert shell.parallelism == 2
+        assert shell.execution.parallelism == 2
 
     def test_set_parallelism_auto(self, shell):
         shell.handle_line("\\set parallelism 2")
         assert shell.handle_line("\\set parallelism auto") == "parallelism = auto"
-        assert shell.parallelism is None
+        assert shell.execution.parallelism is None
 
     def test_set_parallelism_invalid(self, shell):
         assert "integer" in shell.handle_line("\\set parallelism some")
@@ -137,9 +138,9 @@ class TestSetOption:
 
     def test_set_rate(self, shell):
         assert shell.handle_line("\\set rate 500") == "rate = 500"
-        assert shell.watch_rate == 500.0
+        assert shell.execution.rate == 500.0
         assert shell.handle_line("\\set rate none") == "rate = none"
-        assert shell.watch_rate is None
+        assert shell.execution.rate is None
         assert "positive" in shell.handle_line("\\set rate -3")
         assert "number" in shell.handle_line("\\set rate fast")
 
@@ -154,18 +155,11 @@ class TestSetOption:
         assert shell.execution.columnar is None
         assert "must be" in shell.handle_line("\\set columnar sideways")
 
-    def test_legacy_knob_attributes_stay_assignable(self, shell):
-        """Scripts that poked the old per-knob attributes keep working:
-        the compatibility properties are read/write."""
-        shell.batch_size = 8
-        assert shell.execution.batch_size == 8
-        shell.executor = "threads"
-        assert shell.execution.executor == "threads"
-        shell.parallelism = 2
-        assert shell.execution.parallelism == 2
-        shell.watch_rate = 50.0
-        assert shell.execution.rate == 50.0
-        assert shell.batch_size == 8 and shell.watch_rate == 50.0
+    def test_execution_is_the_only_home_of_the_knobs(self, shell):
+        """The per-knob shell attributes are gone: ``shell.execution``
+        (one ExecutionOptions, edited by \\set) is the only spelling."""
+        for name in ("batch_size", "executor", "parallelism", "watch_rate"):
+            assert not hasattr(shell, name)
 
     def test_set_subscriber_knobs(self, shell):
         assert shell.handle_line("\\set max_buffer 256") == "max_buffer = 256"
@@ -250,7 +244,8 @@ class TestWatch:
                "WHERE customer.custkey = orders.custkey "
                "GROUP BY customer.mktsegment")
         batch = shell.session.execute(sql)
-        query = shell.session.stream(sql, batch_size=32).run()
+        query = shell.session.stream(
+            sql, options=ExecutionOptions(batch_size=32)).run()
         assert query.snapshot() == sorted(batch.results)
 
     def test_watch_reports_errors(self, shell):

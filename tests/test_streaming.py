@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
+from repro.core.options import ExecutionOptions
 from repro.core.schema import Relation, Schema
 from repro.engine.component import AggComponent, PhysicalPlan, SourceComponent
 from repro.engine.operators import count, total
@@ -303,7 +304,7 @@ class TestStreamingClusterValidation:
     def test_unknown_executor_rejected(self):
         plan = sliding_agg_plan(make_events(10))
         with pytest.raises(ExecutorError, match="fibers"):
-            stream_plan(plan, executor="fibers")
+            stream_plan(plan, options=ExecutionOptions(executor="fibers"))
 
     def test_threads_refuse_adaptive_partitioners(self):
         from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
@@ -323,11 +324,12 @@ class TestStreamingClusterValidation:
                                  scheme=AdaptiveOneBucket("R", "S", machines=4))],
         )
         with pytest.raises(ExecutorError) as excinfo:
-            stream_plan(plan, executor="threads")
+            stream_plan(plan, options=ExecutionOptions(executor="threads"))
         assert "AdaptiveOneBucket" in str(excinfo.value)
         assert "executor='inline'" in str(excinfo.value)
         # the inline streaming executor still runs it
-        query = stream_plan(plan, executor="inline").run()
+        query = stream_plan(
+            plan, options=ExecutionOptions(executor="inline")).run()
         assert query.snapshot() == sorted(run_plan(plan).results)
 
     def test_sources_must_match_spouts(self):
@@ -344,7 +346,7 @@ class TestStreamingClusterValidation:
 
     def test_step_is_inline_only(self):
         plan = sliding_agg_plan(make_events(10))
-        query = stream_plan(plan, executor="threads")
+        query = stream_plan(plan, options=ExecutionOptions(executor="threads"))
         with pytest.raises(ExecutorError, match="inline"):
             query.cluster.step()
         query.run()  # clean up the threads
@@ -355,7 +357,9 @@ class TestIncrementalDeltas:
         """The core new-workload property: a rate-limited replay emits
         incremental result deltas long before the sources are drained."""
         plan = sliding_agg_plan(make_events(300))
-        query = stream_plan(plan, batch_size=8, rate=100_000)
+        query = stream_plan(plan,
+                            options=ExecutionOptions(batch_size=8,
+                                                     rate=100_000))
         iterator = iter(query)
         first = [next(iterator) for _ in range(10)]
         assert len(first) == 10
@@ -363,7 +367,8 @@ class TestIncrementalDeltas:
         list(iterator)  # drain
         assert query.done
         assert query.snapshot() == sorted(
-            run_plan(sliding_agg_plan(make_events(300)), batch_size=8).results)
+            run_plan(sliding_agg_plan(make_events(300)),
+                     options=ExecutionOptions(batch_size=8)).results)
 
     def test_empty_source_still_completes_with_watermarks(self):
         """Regression: a relation that is empty from the start must count
@@ -384,7 +389,7 @@ class TestIncrementalDeltas:
                 "J", spec, machines=2,
                 window=WindowSpec.tumbling(10, ts_positions={"A": 0, "B": 0}))],
         )
-        query = stream_plan(plan, batch_size=8).run()
+        query = stream_plan(plan, options=ExecutionOptions(batch_size=8)).run()
         assert query.done
         assert query.snapshot() == sorted(run_plan(plan).results)
         # the empty source promised everything, so A's watermark governs
@@ -392,7 +397,8 @@ class TestIncrementalDeltas:
 
     def test_stats_report_watermark_and_lag(self):
         plan = sliding_agg_plan(make_events(120))
-        query = stream_plan(plan, batch_size=16).run()
+        query = stream_plan(
+            plan, options=ExecutionOptions(batch_size=16)).run()
         stats = query.stats()
         assert stats["events"] == 120
         # the source's final promise covers its last batch, so a finished
@@ -436,8 +442,9 @@ class TestIncrementalDeltas:
                    for k, v in plan_template.items()},
             )
 
-        expected = sorted(run_plan(make(), batch_size=16).results)
-        query = stream_plan(make(), batch_size=16).run()
+        options = ExecutionOptions(batch_size=16)
+        expected = sorted(run_plan(make(), options=options).results)
+        query = stream_plan(make(), options=options).run()
         assert not query.cluster._event_time  # dims has no event time
         assert query.snapshot() == expected
         assert query.stats()["watermark"] is None
@@ -449,8 +456,9 @@ class TestIncrementalDeltas:
         catalog = Catalog()
         catalog.register(make_events(20))
         ctx = QueryContext(catalog, machines=2)
-        with pytest.raises(ValueError, match="parallelism"):
-            ctx.stream("events").stream(parallelism=2)
+        with pytest.raises(ExecutorError, match="parallelism"):
+            ctx.stream("events").stream(
+                options=ExecutionOptions(parallelism=2))
 
     def test_delta_stream_replays_to_the_snapshot(self):
         """Applying the deltas in order reconstructs the snapshot exactly
@@ -458,7 +466,7 @@ class TestIncrementalDeltas:
         from collections import Counter
 
         plan = sliding_agg_plan(make_events(150), parallelism=1)
-        query = stream_plan(plan, batch_size=16)
+        query = stream_plan(plan, options=ExecutionOptions(batch_size=16))
         state = Counter()
         for delta in query:
             if delta.sign > 0:
@@ -483,7 +491,8 @@ class TestPumpPacing:
         relation = Relation("events", Schema.of("seq"), [])
         query = stream_plan(
             PhysicalPlan(sources=[SourceComponent("events", relation)]),
-            batch_size=4, sources={"events": source})
+            options=ExecutionOptions(batch_size=4),
+            sources={"events": source})
         return source, query.cluster, naps
 
     def push(self, source, count):
@@ -535,9 +544,12 @@ class TestSqlStreamAcceptance:
     @pytest.mark.parametrize("executor", ["inline", "threads"])
     def test_sliding_window_sql_stream_matches_batch(self, executor):
         session = self.make_session()
-        batch = session.execute(self.SQL, batch_size=16)
-        query = session.stream(self.SQL, batch_size=16, executor=executor,
-                               rate=500_000)
+        batch = session.execute(self.SQL,
+                                options=ExecutionOptions(batch_size=16))
+        query = session.stream(self.SQL,
+                               options=ExecutionOptions(batch_size=16,
+                                                        executor=executor,
+                                                        rate=500_000))
         deltas = []
         mid_flight = 0
         for delta in query:

@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.engine.runner import run_plan
 from repro.streaming import (
     CallbackSource,
@@ -26,7 +27,8 @@ from tests.batching_plans import GOLDEN_PLANS
 
 
 def batch_snapshot(plan, batch_size=1):
-    return sorted(run_plan(plan, batch_size=batch_size).results)
+    return sorted(run_plan(
+        plan, options=ExecutionOptions(batch_size=batch_size)).results)
 
 
 class TestGoldenPlanEquivalence:
@@ -35,7 +37,8 @@ class TestGoldenPlanEquivalence:
     def test_inline_snapshot_equals_run_plan(self, plan_name, batch_size):
         builder = GOLDEN_PLANS[plan_name]
         expected = batch_snapshot(builder())
-        query = stream_plan(builder(), batch_size=batch_size).run()
+        query = stream_plan(builder(), options=ExecutionOptions(
+            batch_size=batch_size)).run()
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
@@ -43,8 +46,9 @@ class TestGoldenPlanEquivalence:
     def test_threads_snapshot_equals_run_plan(self, plan_name, batch_size):
         builder = GOLDEN_PLANS[plan_name]
         expected = batch_snapshot(builder())
-        query = stream_plan(builder(), batch_size=batch_size,
-                            executor="threads").run()
+        query = stream_plan(builder(),
+                            options=ExecutionOptions(batch_size=batch_size,
+                                                     executor="threads")).run()
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
@@ -55,7 +59,8 @@ class TestGoldenPlanEquivalence:
         completes quickly.)"""
         builder = GOLDEN_PLANS[plan_name]
         expected = batch_snapshot(builder())
-        query = stream_plan(builder(), batch_size=16, rate=rate).run()
+        query = stream_plan(builder(), options=ExecutionOptions(
+            batch_size=16, rate=rate)).run()
         assert query.snapshot() == expected
 
     def test_batch_size_one_matches_per_tuple_engine_exactly(self):
@@ -63,8 +68,9 @@ class TestGoldenPlanEquivalence:
         engine's per-tuple routing (coalescing off), so even the
         order-sensitive online aggregation history matches."""
         builder = GOLDEN_PLANS["online_agg"]
-        expected = Counter(run_plan(builder(), batch_size=1).results)
-        query = stream_plan(builder(), batch_size=1).run()
+        options = ExecutionOptions(batch_size=1)
+        expected = Counter(run_plan(builder(), options=options).results)
+        query = stream_plan(builder(), options=options).run()
         assert Counter(query.snapshot()) == expected
 
 
@@ -179,14 +185,16 @@ class TestSlidingWindowEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 16, 128])
     def test_snapshot_equals_batch(self, executor, batch_size):
         expected = batch_snapshot(self.make_plan(), batch_size=batch_size)
-        query = stream_plan(self.make_plan(), batch_size=batch_size,
-                            executor=executor).run()
+        query = stream_plan(self.make_plan(),
+                            options=ExecutionOptions(batch_size=batch_size,
+                                                     executor=executor)).run()
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("rate", [5_000, 200_000])
     def test_rate_limited_snapshot_equals_batch(self, rate):
         expected = batch_snapshot(self.make_plan())
-        query = stream_plan(self.make_plan(), batch_size=16, rate=rate).run()
+        query = stream_plan(self.make_plan(), options=ExecutionOptions(
+            batch_size=16, rate=rate)).run()
         assert query.snapshot() == expected
         assert query.stats()["watermark"] is not None
 
@@ -202,7 +210,8 @@ class TestSlidingWindowEquivalence:
             return plan
 
         expected = sorted(run_plan(tumbling_plan()).results)
-        query = stream_plan(tumbling_plan(), batch_size=16)
+        query = stream_plan(tumbling_plan(),
+                            options=ExecutionOptions(batch_size=16))
         deltas = list(query)
         assert query.snapshot() == expected
         # every tumbling delta is an insertion of a closed window row
@@ -215,7 +224,8 @@ class TestReplaySourceStriping:
         finite engine's concurrent spout draining."""
         builder = GOLDEN_PLANS["two_joins"]
         expected = batch_snapshot(builder())
-        query = stream_plan(builder(), batch_size=4).run()
+        query = stream_plan(
+            builder(), options=ExecutionOptions(batch_size=4)).run()
         assert query.snapshot() == expected
         metrics = query.cluster.metrics
         # every source pumped through its task-0 counter
