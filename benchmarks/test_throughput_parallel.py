@@ -20,7 +20,6 @@ README "Execution backends", with ``parallelism = min(4, cores)``:
 (forked workers cannot beat one thread on one core).
 """
 
-import os
 from collections import Counter
 
 import pytest
@@ -28,6 +27,7 @@ import pytest
 from repro.bench import multiway_join_plan
 from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
+from repro.util import usable_cores
 
 from benchmarks.conftest import interleaved_best_of, record_table
 
@@ -40,11 +40,13 @@ ROUNDS = 3
 #: the scaling sweep behind the headline assertion
 SWEEP_ROWS = (4000, 8000, 16000, 32000)
 SWEEP_PARALLELISM = (2, 4)
-#: interleaved rounds per size (the big sizes run for about a second)
-SWEEP_ROUNDS = {4000: 5, 8000: 4, 16000: 3, 32000: 3}
+#: interleaved rounds per size (the asserted size gets as many as the
+#: smallest: its ratio is the one a noisy neighbour must not decide)
+SWEEP_ROUNDS = {4000: 5, 8000: 4, 16000: 3, 32000: 5}
 #: where the bound is held: the smallest swept size above the crossover
-#: (on 2 cores ``processes`` wins from below 4 000 rows/relation on)
-ASSERT_ROWS = 4000
+#: (on 2 cores ``processes`` ties the coalesced inline rounds at about
+#: 16 000 rows/relation and wins from there on)
+ASSERT_ROWS = 32000
 
 #: executor -> (min seconds, result multiset), filled by the benchmarks
 #: below and consumed by the assertion tests (pytest runs files in order)
@@ -73,7 +75,7 @@ def test_throughput_multiway_join(benchmark, executor, parallelism):
 
     benchmark.extra_info["executor"] = executor
     benchmark.extra_info["parallelism"] = parallelism or 1
-    benchmark.extra_info["cpus"] = os.cpu_count() or 1
+    benchmark.extra_info["cpus"] = usable_cores()
     benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
     assert len(set(map(frozenset, (c.items() for c in outputs)))) == 1
     _MEASURED[executor] = (benchmark.stats.stats.min, outputs[0])
@@ -94,7 +96,7 @@ def test_all_backends_produce_identical_results():
 
 
 def test_process_backend_beats_inline_on_multiple_cores():
-    cpus = os.cpu_count() or 1
+    cpus = usable_cores()
     #: the parallelism a machine of this size is asserted at
     workers = max(2, min(4, cpus))
     asserted = f"processes x{workers}"

@@ -16,7 +16,6 @@ serialization throughput.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import time
 from typing import List, Optional, Tuple
@@ -30,6 +29,7 @@ from repro.engine import (
     count,
     run_plan,
 )
+from repro.util import usable_cores
 
 DEFAULT_ROWS = 4000
 DEFAULT_MACHINES = 8
@@ -304,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         spans = export_sample_trace(args.trace_out)
         print(f"wrote {spans} spans (observe='trace' sample run) to "
               f"{args.trace_out}")
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     if cores < 2:
         print(f"(single-core machine: the process backend cannot beat "
               f"inline here; CI runs this on {DEFAULT_PARALLELISM}+ cores)")

@@ -191,6 +191,10 @@ class JoinBolt(Bolt):
         )
         self.emitted_outputs = 0
 
+    @property
+    def order_sensitive(self) -> bool:
+        return self.component.window is not None
+
     def _project(self, row: tuple) -> tuple:
         if self.output_positions is None:
             return row
@@ -296,6 +300,10 @@ class AggBolt(Bolt):
             self.sliding_state.aggregation if self.sliding_state is not None
             else factory()
         )
+
+    @property
+    def order_sensitive(self) -> bool:
+        return self.component.window is not None
 
     def execute(self, source: str, stream: str, values: tuple):
         sign = -1 if stream.endswith(RETRACT_SUFFIX) else 1

@@ -24,7 +24,7 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.tracing import SpanContext, TraceBuffer, make_span
+from repro.obs.tracing import FanIn, SpanContext, TraceBuffer, make_span
 
 __all__ = [
     "OBSERVE_LEVELS",
@@ -36,6 +36,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "FanIn",
     "SpanContext",
     "TraceBuffer",
     "make_span",

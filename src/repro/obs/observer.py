@@ -31,7 +31,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import OBSERVE_LEVELS
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Sample
-from repro.obs.tracing import SpanContext, TraceBuffer, make_span
+from repro.obs.tracing import (
+    SpanContext,
+    TraceBuffer,
+    fan_in_spans,
+    make_span,
+)
 
 
 class Observer:
@@ -143,13 +148,16 @@ class Observer:
     def next_trace_id(self, component: str, task: int) -> str:
         return f"{component}.{task}.{next(self._root_seq[(component, task)])}"
 
+    def _next_span_id(self) -> str:
+        return f"c.{next(self._span_seq)}"
+
     def root(self, component: str, task: int, rows: int,
              seconds: float) -> Optional[SpanContext]:
         """Record the source hop of a new trace (metrics level: no-op)."""
         if not self.trace:
             return None
         trace_id = self.next_trace_id(component, task)
-        span_id = f"c.{next(self._span_seq)}"
+        span_id = self._next_span_id()
         self.traces.add(make_span(trace_id, span_id, None, component, task,
                                   rows, seconds))
         return SpanContext(trace_id, span_id)
@@ -157,10 +165,17 @@ class Observer:
     def span(self, parent: Optional[SpanContext], component: str, task: int,
              rows: int, seconds: float) -> Optional[SpanContext]:
         """Record one operator hop under ``parent``; None parent (an
-        untraced punctuation/flush emission) stays untraced."""
+        untraced punctuation/flush emission) stays untraced.  A coalesced
+        batch (``parent`` a :class:`~repro.obs.tracing.FanIn`) records
+        one span per hop merged into it."""
         if parent is None or not self.trace:
             return None
-        span_id = f"c.{next(self._span_seq)}"
+        if not isinstance(parent, SpanContext):
+            spans, child = fan_in_spans(parent, self._next_span_id,
+                                        component, task, rows, seconds)
+            self.traces.extend(spans)
+            return child
+        span_id = self._next_span_id()
         self.traces.add(make_span(parent.trace_id, span_id, parent.span_id,
                                   component, task, rows, seconds))
         return SpanContext(parent.trace_id, span_id)
@@ -227,6 +242,11 @@ class WorkerObs:
              rows: int, seconds: float) -> Optional[SpanContext]:
         if parent is None or not self.trace:
             return None
+        if not isinstance(parent, SpanContext):
+            spans, child = fan_in_spans(parent, self._next_span_id,
+                                        component, task, rows, seconds)
+            self.spans.extend(spans)
+            return child
         span_id = self._next_span_id()
         self.spans.append(make_span(parent.trace_id, span_id, parent.span_id,
                                     component, task, rows, seconds))

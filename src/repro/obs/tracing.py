@@ -6,7 +6,10 @@ executors' queues, and across the resident-process pipes (it pickles
 to a tiny tuple).  Each operator hop appends one *span record* — a
 plain dict, so worker replies can carry them without a custom codec —
 to the :class:`TraceBuffer`, whose JSON export makes one source batch
-followable spout→join→agg→sink with per-hop timings.
+followable spout→join→agg→sink with per-hop timings.  A batch the
+dataplane *coalesced* from several hops carries a :class:`FanIn` of
+their contexts instead, and its one execution records one span per
+contributing hop: tracing never changes which batches run.
 
 Trace ids are deterministic — ``"<source>.<task>.<seq>"`` for the
 ``seq``-th batch a source task emitted — so the *same* logical batch
@@ -34,6 +37,33 @@ class SpanContext(NamedTuple):
     span_id: str
 
 
+class FanIn(tuple):
+    """What a *coalesced* batch carries: ``((SpanContext, rows), ...)``,
+    one entry per traced hop whose output was merged into it, in arrival
+    order, with the rows that hop contributed.
+
+    Executing the batch records one span per entry (:func:`fan_in_spans`)
+    -- the spans the uncoalesced run would have recorded in as many
+    calls -- so merging batches never has to stop at a trace boundary."""
+
+
+def parts_of(ctx, rows: int) -> tuple:
+    """The fan-in entries of ``rows`` rows routed under ``ctx``.
+
+    An untraced hop (None) contributes none; a single parent contributes
+    them all.  Downstream of a fan-in no row can be told apart by trace
+    any more, so every parent gets an equal share (the first ones the
+    remainder); the row counts the fan-in arrived with described the
+    batch upstream and are not carried over."""
+    if ctx is None:
+        return ()
+    if isinstance(ctx, SpanContext):
+        return ((ctx, rows),)
+    share, extra = divmod(rows, len(ctx))
+    return tuple((parent, share + 1 if position < extra else share)
+                 for position, (parent, _upstream_rows) in enumerate(ctx))
+
+
 def make_span(trace_id: str, span_id: str, parent_id: Optional[str],
               component: str, task: int, rows: int,
               duration_s: float) -> Dict[str, object]:
@@ -47,6 +77,26 @@ def make_span(trace_id: str, span_id: str, parent_id: Optional[str],
         "rows": rows,
         "duration_ms": duration_s * 1000.0,
     }
+
+
+def fan_in_spans(parent: FanIn, next_span_id, component: str, task: int,
+                 rows: int, duration_s: float):
+    """The span records of one executed batch coalesced from several
+    traced hops, and the context its emissions carry.
+
+    One span per entry of ``parent``, each with the rows its hop
+    contributed and that row-share of the one measured call, so the
+    durations sum to the call (less the share of untraced punctuation
+    rows merged into the batch).  Returns ``(spans, child)``."""
+    spans = []
+    children = []
+    for ctx, part_rows in parent:
+        span_id = next_span_id()
+        spans.append(make_span(
+            ctx.trace_id, span_id, ctx.span_id, component, task, part_rows,
+            duration_s * part_rows / rows if rows else 0.0))
+        children.append((SpanContext(ctx.trace_id, span_id), part_rows))
+    return spans, FanIn(children)
 
 
 class SpanIds:

@@ -1,19 +1,34 @@
 """LocalCluster: executes a topology to completion in-process.
 
-Tuples are pulled from spouts round-robin (interleaving the sources the
-way concurrent spout tasks would) and pushed through the stream groupings
-as ``(component, stream, rows)`` micro-batches on an explicit work stack
--- no recursion, so arbitrarily deep topologies run without hitting the
-interpreter's recursion limit.
+The inline loop has two schedules, chosen from what the run itself shows
+and never from an option.
 
-``batch_size=1`` reproduces Storm's per-tuple, pipelined execution model
-exactly (the model the paper contrasts with Spark Streaming, section
-8.1): every emission is routed individually and the work stack unwinds in
-the same depth-first order as the seed engine's recursive dispatch.
-Larger batch sizes amortize dispatch, grouping, and metric bookkeeping
-over whole micro-batches; per-tuple *results* are unchanged (the engine's
-operators are order-insensitive up to the final multiset), only the
-interleaving differs.
+**Depth-first** -- ``batch_size=1``, ``max_tuples`` runs, and any topology
+with a task whose state depends on arrival order (a windowed join or
+aggregation, :attr:`~repro.storm.topology.Bolt.order_sensitive`).  Tuples
+are pulled from spouts round-robin (interleaving the sources the way
+concurrent spout tasks would) and each pull is pushed through the stream
+groupings as ``(component, stream, rows)`` micro-batches on an explicit
+work stack to quiescence -- no recursion, so arbitrarily deep topologies
+run without hitting the interpreter's recursion limit.  ``batch_size=1``
+reproduces Storm's per-tuple, pipelined execution model exactly (the
+model the paper contrasts with Spark Streaming, section 8.1): every
+emission is routed individually and the work stack unwinds in the same
+order as the seed engine's recursive dispatch.  ``max_tuples`` defines
+its prefix by this pull order, and a window expires state in it.
+
+**Rounds** -- everything else at ``batch_size > 1``.  A round pulls up to
+:data:`ROUND_BUDGET` rows from the spouts in ``batch_size`` pulls, spout
+after spout, routes them into one
+:class:`~repro.storm.executor.WaveBuffer`, and then runs the bolt tasks
+once each in topological order, every task handed its deliveries merged
+per ``(source, stream)`` run -- the staged backends' per-task wave
+coalescing (the level pass itself is theirs too,
+:func:`repro.storm.kernel.run_level`) without a thread or a pipe.  A
+joiner fed 16 spout batches of one relation executes one batch of their
+rows; per-tuple *results* are unchanged (the engine's operators are
+order-insensitive up to the final multiset), only the interleaving and
+the number of executed batches differ.
 
 ``run(executor=...)`` selects the execution backend: ``inline`` (this
 module's single-threaded loop, the default), or the staged shared-nothing
@@ -28,10 +43,24 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import ExecutionOptions
 from repro.obs import MetricsRegistry, Observer
-from repro.storm.executor import ExecutorError, Router, create_executor
-from repro.storm.kernel import deliver, pull, source_hop
+from repro.storm.executor import (
+    ExecutorError,
+    Router,
+    WaveBuffer,
+    create_executor,
+)
+from repro.storm.kernel import deliver, pull, run_level, source_hop
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyError
+
+
+#: rows one inline round pulls from the spouts (all of them together)
+#: before the bolts run.  Large enough that a joiner sees a few thousand
+#: rows per relation and pays its per-batch costs once a round; a bound,
+#: so a high-fan-out join cannot buffer its whole output the way an
+#: unbounded level barrier would.  Chosen from the sweep in CHANGES.md
+#: (PR 17).
+ROUND_BUDGET = 32_768
 
 
 class LocalCluster:
@@ -60,18 +89,30 @@ class LocalCluster:
                 instances.append(instance)
             self._tasks[name] = instances
             self.metrics.register(name, spec.parallelism)
-        #: every bolt task, upstream components first: the order
-        #: punctuations (watermarks, the end-of-stream flush) visit them in
+        #: bolt components, upstream first: the order of a level pass
+        self._bolt_order: List[str] = [
+            name for name in topology.topological_order()
+            if not topology.components[name].is_spout
+        ]
+        #: every bolt task in that order: the order punctuations
+        #: (watermarks, the depth-first end-of-stream flush) visit them in
         self._bolt_keys: List[Tuple[str, int]] = [
             (name, task_index)
-            for name in topology.topological_order()
-            if not topology.components[name].is_spout
+            for name in self._bolt_order
             for task_index in range(topology.components[name].parallelism)
         ]
         # static routing table over the topology's own groupings: routing
         # is identical to the seed engine's per-dispatch edge walk
         self._router = Router(topology)
+        #: some task's state depends on the order its input arrives in:
+        #: the whole topology keeps the depth-first schedule
+        self._order_sensitive = any(
+            self._tasks[name][task_index].order_sensitive
+            for name, task_index in self._bolt_keys)
         self._coalesce = False
+        #: schedule by level (rounds, one level pass per drain) instead
+        #: of depth-first; see set_coalescing
+        self._waves = False
         #: per-run observability context; None = observe='off': no
         #: observer object, one ``is None`` test per executed batch
         self._observer: Optional[Observer] = None
@@ -159,14 +200,27 @@ class LocalCluster:
                 )
             backend = create_executor(executor, self, parallelism)
             return backend.run(batch_size=batch_size)
-        self._coalesce = batch_size > 1
+        self.set_coalescing(batch_size > 1)
         spouts: List[Tuple[str, int, Spout]] = []
         for name, spec in self.topology.components.items():
             if spec.is_spout:
                 for task_index, instance in enumerate(self._tasks[name]):
                     spouts.append((name, task_index, instance))
+        if max_tuples is not None:
+            # the prefix is defined by the per-batch round-robin pulls
+            self._waves = False
+        if self._waves:
+            self._pull_rounds(spouts, batch_size)
+        elif not self._pull_depth_first(spouts, batch_size, max_tuples):
+            return self.metrics  # stopped at max_tuples: nothing flushes
+        self.flush_bolts()
+        return self.metrics
+
+    def _pull_depth_first(self, active, batch_size, max_tuples) -> bool:
+        """Round-robin over the spouts, one pull each, every pull driven
+        to quiescence before the next.  Returns whether the spouts ran
+        dry (False: stopped at ``max_tuples``)."""
         pulled = 0
-        active = list(spouts)
         while active:
             still_active = []
             for name, task_index, spout in active:
@@ -174,7 +228,7 @@ class LocalCluster:
                 if max_tuples is not None:
                     limit = min(limit, max_tuples - pulled)
                     if limit <= 0:
-                        return self.metrics
+                        return False
                 emissions, ctx, more = pull(spout, name, task_index, limit,
                                             self.metrics, self._observer)
                 if not emissions:
@@ -182,12 +236,35 @@ class LocalCluster:
                 pulled += len(emissions)
                 self._drain(name, emissions, ctx)
                 if max_tuples is not None and pulled >= max_tuples:
-                    return self.metrics
+                    return False
                 if more:
                     still_active.append((name, task_index, spout))
             active = still_active
-        self.flush_bolts()
-        return self.metrics
+        return True
+
+    def _pull_rounds(self, active, batch_size):
+        """Rounds of :data:`ROUND_BUDGET` rows: every active spout pulls
+        its share in ``batch_size`` pulls -- spout after spout, so a
+        joiner's deliveries from one relation are adjacent and merge --
+        and one level pass executes what was routed."""
+        route = self._router.route
+        while active:
+            buffer = WaveBuffer()
+            share = max(1, ROUND_BUDGET // len(active))
+            still_active = []
+            for name, task_index, spout in active:
+                pulled, more = 0, True
+                while more and pulled < share:
+                    emissions, ctx, more = pull(
+                        spout, name, task_index, batch_size, self.metrics,
+                        self._observer)
+                    if emissions:
+                        pulled += len(emissions)
+                        buffer.add(route(name, emissions), ctx)
+                if more:
+                    still_active.append((name, task_index, spout))
+            active = still_active
+            self._level_pass(buffer)
 
     def _set_columnar(self, enabled: bool):
         """Flag every columnar-capable spout before draining starts.
@@ -208,11 +285,14 @@ class LocalCluster:
         """Batch-mode routing toggle for external drivers.
 
         With coalescing on, consecutive emissions on one stream are routed
-        as a single micro-batch; off reproduces the seed engine's
-        per-tuple dispatch order.  ``run`` derives this from its
-        ``batch_size``; push-based drivers (the streaming pump) set it
+        as a single micro-batch and -- unless a task's state is
+        arrival-order-sensitive -- every drain runs as one level pass over
+        a :class:`~repro.storm.executor.WaveBuffer`; off reproduces the
+        seed engine's per-tuple dispatch order.  ``run`` derives this from
+        its ``batch_size``; push-based drivers (the streaming pump) set it
         once up front."""
         self._coalesce = coalesce
+        self._waves = coalesce and not self._order_sensitive
 
     def inject(self, source: str, emissions: List[Tuple[str, tuple]],
                task_index: int = 0):
@@ -222,7 +302,7 @@ class LocalCluster:
         (:class:`repro.streaming.cluster.StreamingCluster`): each arriving
         micro-batch of a *resident* topology is fed here, attributed to
         task ``task_index`` of component ``source``, and driven through
-        the same work-stack drain as spout batches."""
+        the same drain as spout batches."""
         if not emissions:
             return
         # a new source batch starts a new trace; watermark-driven
@@ -245,7 +325,14 @@ class LocalCluster:
     def flush_bolts(self):
         """Run every bolt's ``finish()`` in topological order (end of
         stream): upstream components finish before downstream ones, so a
-        snapshot aggregation flushes only after all its input arrived."""
+        snapshot aggregation flushes only after all its input arrived.
+
+        By level, one component's tasks flush through one buffer (a sink
+        below four aggregation tasks executes one batch); depth-first,
+        each finishing task is drained on its own."""
+        if self._waves:
+            self._level_pass(WaveBuffer(), finish=True)
+            return
         for name, task_index in self._bolt_keys:
             emissions = self._tasks[name][task_index].finish()
             if emissions:
@@ -259,15 +346,25 @@ class LocalCluster:
     def _drain(self, source: str, emissions: List[Tuple[str, tuple]],
                ctx=None):
         """Route one component's emissions and run them, and everything
-        they cause downstream, to exhaustion (iterative depth-first).
+        they cause downstream, to exhaustion: one level pass, or
+        depth-first where that schedule is kept.  ``ctx`` is the span
+        context of the hop that produced the emissions (None unless the
+        run is traced, and for punctuation batches)."""
+        if self._waves:
+            buffer = WaveBuffer()
+            buffer.add(self._router.route(source, emissions), ctx)
+            self._level_pass(buffer)
+        else:
+            self._unwind(source, emissions, ctx)
+
+    def _unwind(self, source: str, emissions: List[Tuple[str, tuple]], ctx):
+        """The depth-first schedule, iteratively on an explicit stack.
 
         In per-tuple mode every emission is routed individually (exactly
         the seed engine's recursive dispatch order); in batch mode
         consecutive emissions on the same stream are routed as one batch.
         The stack pops work in generation order; ``ctxs`` holds, entry for
-        entry, the span context of the hop that produced it (``ctx`` for
-        the initial emissions; None unless the run is traced, and for
-        punctuation batches)."""
+        entry, the span context of the hop that produced it."""
         tasks = self._tasks
         metrics = self.metrics
         observer = self._observer
@@ -286,3 +383,19 @@ class LocalCluster:
                 routed = route(target, emissions, coalesce)
                 stack.extend(reversed(routed))
                 ctxs.extend([child] * len(routed))
+
+    def _level_pass(self, buffer: WaveBuffer, finish: bool = False):
+        """Run every bolt component once, upstream first, on what
+        ``buffer`` holds for its tasks; emissions route back into the
+        buffer for the components still to come (every edge goes
+        forward in topological order, so one pass empties it).  With
+        ``finish`` each component is flushed on its turn."""
+        observer = self._observer
+        route = self._router.route
+        for name in self._bolt_order:
+            if observer is not None and buffer:
+                observer.on_queue_depth("inline", buffer.depth())
+            run_level(name,
+                      ((task_index, task, buffer.pop((name, task_index)))
+                       for task_index, task in enumerate(self._tasks[name])),
+                      route, buffer, self.metrics, observer, finish)

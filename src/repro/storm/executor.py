@@ -31,7 +31,10 @@ runs, so routed work travels and executes *coalesced*
 (:class:`WaveBuffer`): per task, every run of deliveries from one
 ``(source, stream)`` is one batch, however many micro-batches the
 upstream tasks produced it in -- the pipes carry a few large payloads and
-a joiner pays its per-batch costs once per input relation.
+a joiner pays its per-batch costs once per input relation.  The inline
+loop's rounds coalesce the same way (same buffer, same level pass,
+:func:`repro.storm.kernel.run_level`), so what a staged backend adds over
+``inline`` is its workers, not its batch sizes.
 
 Workers merge deterministically (worker-id order), so a run is
 reproducible; result *multisets* and per-component totals are identical
@@ -50,10 +53,12 @@ import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
-from repro.obs import WorkerObs
-from repro.storm.kernel import deliver, pull
+from repro.obs import FanIn, WorkerObs
+from repro.obs.tracing import parts_of
+from repro.storm.kernel import deliver, pull, run_level
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
+from repro.util import usable_cores
 
 #: one routed unit of work: rows of `stream` (emitted by `source`)
 #: awaiting execution at task `task` of component `target`; under the
@@ -68,9 +73,9 @@ class ExecutorError(RuntimeError):
 
 
 def default_parallelism() -> int:
-    """Worker count used when ``parallelism`` is not given: the machine's
+    """Worker count used when ``parallelism`` is not given: the usable
     cores, capped at 4 (diminishing returns for coordinator-relayed IPC)."""
-    return max(1, min(4, os.cpu_count() or 1))
+    return max(1, min(4, usable_cores()))
 
 
 def ensure_task_local_routing(topology: Topology, executor: str):
@@ -233,8 +238,9 @@ class Router:
 # ---------------------------------------------------------------------------
 
 #: what a task is handed for one run: ``(source, stream, rows, ctx)``;
-#: ``ctx`` is the span context of the hop that produced the rows (None
-#: unless the run is traced)
+#: ``ctx`` is the span context of the hop that produced the rows -- a
+#: :class:`~repro.obs.tracing.FanIn` of them when the run was merged from
+#: several traced hops, None unless the run is traced
 Delivery = Tuple[str, str, object, object]
 
 
@@ -260,25 +266,31 @@ def _concat(parts: list):
 
 
 class WaveBuffer:
-    """Routed work awaiting a later wave, coalesced per ``(target, task)``.
+    """Routed work awaiting a later level, coalesced per ``(target, task)``.
 
-    A level barrier hands every task its *complete* input, so the staged
-    backends never promised per-tuple interleaving; what a task does see
+    A level barrier hands every task its *complete* input, so a level
+    schedule never promised per-tuple interleaving; what a task does see
     is its deliveries in arrival order.  The buffer keeps that order and
-    folds every maximal run of deliveries that share ``(source, stream)``,
-    span context and representation into one batch -- a joiner fed 48
-    spout batches of one relation executes one batch of their rows.  A
-    ``:retract`` stream is a different stream, so runs never merge across
-    a retraction; traced hops carry distinct contexts and never merge (one
-    span has one parent); an empty payload stays a delivery of its own.
+    folds every maximal run of deliveries that share ``(source, stream)``
+    and representation into one batch -- a joiner fed 48 spout batches of
+    one relation executes one batch of their rows.  A ``:retract`` stream
+    is a different stream, so runs never merge across a retraction; an
+    empty payload stays a delivery of its own.  Tracing does not split a
+    run: the merged batch carries the contexts of all its parts with
+    their row counts (a :class:`~repro.obs.tracing.FanIn`), and executing
+    it records one span per part.
 
-    Workers fill one while they assemble a wave's routed output and the
-    coordinator folds the replies into one in worker-id order, so both
-    pipe hops carry a few large payloads and delivery stays deterministic.
+    The staged workers fill one while they assemble a wave's routed
+    output and the coordinator folds the replies into one in worker-id
+    order, so both pipe hops carry a few large payloads and delivery
+    stays deterministic; the inline rounds of
+    :class:`~repro.storm.cluster.LocalCluster` route into one and pop
+    from it level by level.
     """
 
     def __init__(self):
-        #: (target, task) -> runs, each ``[source, stream, ctx, parts]``
+        #: (target, task) -> runs, each ``[source, stream, payloads,
+        #: fan-in entries]``
         self._runs: Dict[Tuple[str, int], List[list]] = {}
 
     def __bool__(self) -> bool:
@@ -288,36 +300,47 @@ class WaveBuffer:
         return self._runs.keys()
 
     def depth(self) -> int:
-        """Deliveries waiting (the staged queue-depth sample)."""
+        """Deliveries waiting (the queue-depth sample of a level)."""
         return sum(len(runs) for runs in self._runs.values())
 
-    def _append(self, key, source, stream, rows, ctx):
+    def _append(self, key, source, stream, rows, traced: tuple):
         runs = self._runs.get(key)
         if runs is None:
-            self._runs[key] = [[source, stream, ctx, [rows]]]
+            self._runs[key] = [[source, stream, [rows], list(traced)]]
             return
         last = runs[-1]
-        if (last[0] == source and last[1] == stream and last[2] == ctx
-                and _mergeable(last[3][-1], rows)):
-            last[3].append(rows)
+        if (last[0] == source and last[1] == stream
+                and _mergeable(last[2][-1], rows)):
+            last[2].append(rows)
+            last[3].extend(traced)
         else:
-            runs.append([source, stream, ctx, [rows]])
+            runs.append([source, stream, [rows], list(traced)])
 
     def add(self, items: List[WorkItem], ctx=None):
         """Buffer one ``Router.route`` result, all parented by ``ctx``."""
         for target, task_index, source, stream, rows in items:
-            self._append((target, task_index), source, stream, rows, ctx)
+            self._append((target, task_index), source, stream, rows,
+                         () if ctx is None else parts_of(ctx, len(rows)))
 
     def fold(self, deliveries: Dict[Tuple[str, int], List[Delivery]]):
         """Buffer another buffer's :meth:`drain` (a worker's reply)."""
         for key, entries in deliveries.items():
             for source, stream, rows, ctx in entries:
-                self._append(key, source, stream, rows, ctx)
+                self._append(key, source, stream, rows,
+                             ctx if isinstance(ctx, FanIn)
+                             else parts_of(ctx, len(rows)))
 
     def pop(self, key) -> List[Delivery]:
         """Remove and return one task's deliveries, each run merged."""
-        return [(source, stream, _concat(parts), ctx)
-                for source, stream, ctx, parts in self._runs.pop(key, ())]
+        deliveries = []
+        for source, stream, payloads, traced in self._runs.pop(key, ()):
+            rows = _concat(payloads)
+            if len(traced) == 1 and traced[0][1] == len(rows):
+                ctx = traced[0][0]  # one parent, all of the rows: as routed
+            else:
+                ctx = FanIn(traced) if traced else None
+            deliveries.append((source, stream, rows, ctx))
+        return deliveries
 
     def drain(self) -> Dict[Tuple[str, int], List[Delivery]]:
         """Everything buffered, per task, each run merged."""
@@ -397,20 +420,11 @@ class WorkerState:
                         if emissions:
                             out.add(route(name, emissions), ctx)
             else:
-                for task_index in sorted(owned):
-                    bolt = owned[task_index]
-                    for source, stream, rows, ctx in delivered.get(
-                            (name, task_index), ()):
-                        emissions, child = deliver(
-                            bolt, name, task_index, source, stream, rows,
-                            ctx, counters, obs)
-                        if emissions:
-                            out.add(route(name, emissions), child)
-                    emissions = bolt.finish()
-                    if emissions:
-                        counters.record_emit(name, task_index, len(emissions))
-                        # flush emissions are punctuations, untraced
-                        out.add(route(name, emissions))
+                run_level(name,
+                          ((task_index, bolt,
+                            delivered.get((name, task_index), ()))
+                           for task_index, bolt in sorted(owned.items())),
+                          route, out, counters, obs, finish=True)
         return out.drain(), counters, None if obs is None else obs.drain()
 
     def exports(self) -> Dict[Tuple[str, int], object]:

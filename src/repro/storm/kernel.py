@@ -1,11 +1,13 @@
 """The step kernel: the one place a task's ``execute_batch`` is called.
 
 Every driver moves routed micro-batches its own way -- ``LocalCluster``'s
-work stack, the staged level barrier, the resident workers' pipes, the
-streaming worker threads' bounded queues -- and hands each one to
-:func:`deliver`, so what happens to a batch at a task is written once:
+rounds and work stack, the staged level barrier, the resident workers'
+pipes, the streaming worker threads' bounded queues -- and hands each one
+to :func:`deliver`, so what happens to a batch at a task is written once:
 count the receive, run the task, time and span it iff the run is
-observed, count the emit.  Two parameters carry what differs:
+observed, count the emit.  The drivers that schedule by topological level
+(the inline rounds and the staged workers' waves) also share the loop
+around it, :func:`run_level`.  Two parameters carry what differs:
 
 - ``counters`` -- where the step is counted: the cluster's
   :class:`~repro.storm.metrics.TopologyMetrics`, a worker's own (folded in
@@ -48,6 +50,32 @@ def deliver(task, component: str, index: int, source: str, stream: str,
     if emissions:
         counters.record_emit(component, index, len(emissions))
     return emissions, child
+
+
+def run_level(component: str, work, route, out, counters, obs,
+              finish: bool = False):
+    """One component's turn in a level pass: each of its tasks executes
+    the deliveries waiting for it, in arrival order, and what it emits is
+    routed into ``out`` for the components downstream.
+
+    ``work`` yields ``(index, task, deliveries)``, a delivery being
+    ``(source, stream, rows, ctx)`` as a wave buffer hands them over (one
+    per coalesced run); ``route`` is the driver's ``Router.route`` and
+    ``out`` anything with a wave buffer's ``add``.  With ``finish`` each
+    task is flushed after its last delivery (end of stream: every
+    upstream component has already had its turn); flush emissions are
+    punctuations and travel untraced."""
+    for index, task, deliveries in work:
+        for source, stream, rows, ctx in deliveries:
+            emissions, child = deliver(task, component, index, source,
+                                       stream, rows, ctx, counters, obs)
+            if emissions:
+                out.add(route(component, emissions), child)
+        if finish:
+            emissions = task.finish()
+            if emissions:
+                counters.record_emit(component, index, len(emissions))
+                out.add(route(component, emissions))
 
 
 def source_hop(component: str, index: int, rows: int, seconds: float,

@@ -88,6 +88,12 @@ class ListSpout(Spout):
 class Bolt:
     """A computation node: consumes tuples, returns emissions."""
 
+    #: whether this task's state depends on the order its input arrives
+    #: in (a window expiring per arrival).  One such task keeps the whole
+    #: topology on the inline loop's depth-first schedule: coalescing a
+    #: level's deliveries reorders arrivals across sources and tasks.
+    order_sensitive = False
+
     def prepare(self, task_index: int, parallelism: int):
         """Called once before the first ``execute``."""
 

@@ -14,11 +14,15 @@ it polls every source for one micro-batch, ``inject``s it, and then
 ``flush_bolts`` -- on the executor's *transport*:
 
 - ``inline`` -- the resident :class:`LocalCluster` itself.  Every
-  injected batch is driven to quiescence depth-first in the calling
-  thread (identical scheduling to ``LocalCluster.run``, so at equal
-  batch size the delivery order -- and hence every per-task counter --
-  matches the finite engine), and the watermark advances at the
-  quiescent point.
+  injected batch is driven to quiescence in the calling thread and the
+  watermark advances at the quiescent point.  At ``batch_size > 1`` that
+  drive is one level pass -- the bolt tasks run once each in topological
+  order on their deliveries coalesced per ``(source, stream)``, the
+  schedule of ``LocalCluster.run``'s rounds with one poll per round.  At
+  ``batch_size=1``, and for any plan holding windowed (arrival-order-
+  sensitive) state, it is depth-first, identical to ``LocalCluster.run``
+  there, so the delivery order -- and hence every per-task counter and a
+  window's expirations -- matches the finite engine.
 - ``threads`` -- one worker thread per bolt task, fed through a
   **bounded queue** (``queue_capacity`` micro-batches) and pumped from a
   background thread.  A full queue blocks the producer's ``put`` --
@@ -46,7 +50,9 @@ it polls every source for one micro-batch, ``inject``s it, and then
 
 All executors produce the same final snapshot as ``run_plan`` on the
 same data; the inline executor at equal ``batch_size`` reproduces the
-finite engine's interleaving exactly.
+finite engine's interleaving exactly where that interleaving is defined
+per tuple or decides the result: at ``batch_size=1`` and for windowed
+plans.
 """
 
 from __future__ import annotations
@@ -556,8 +562,8 @@ class StreamingCluster:
         self._recoveries = 0
         #: what a pump round drives: ``inject`` / ``advance_watermark`` /
         #: ``flush_bolts`` -- the resident LocalCluster itself (inline:
-        #: every batch runs to quiescence, depth-first, in the calling
-        #: thread), the queue fabric or the worker pool
+        #: every batch runs to quiescence in the calling thread), the
+        #: queue fabric or the worker pool
         self._transport = self.cluster
         self._pool: Optional[ResidentWorkerPool] = None
         if executor == "threads":

@@ -1,4 +1,5 @@
-"""Shared low-level utilities: stable hashing and seeded RNG helpers.
+"""Shared low-level utilities: stable hashing, seeded RNG helpers and
+the usable core count.
 
 Python's built-in ``hash`` is salted per process for strings, which would
 make partitioning decisions irreproducible across runs.  All partitioning
@@ -7,6 +8,7 @@ schemes therefore use :func:`stable_hash`, a deterministic 32-bit hash.
 
 from __future__ import annotations
 
+import os
 import random
 import struct
 import zlib
@@ -73,3 +75,13 @@ def round_robin_assignment(keys, machines: int) -> dict:
 def ceil_div(numerator: int, denominator: int) -> int:
     """Integer ceiling division."""
     return -(-numerator // denominator)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: the size of its CPU affinity mask
+    where the platform has one (``taskset``, cpusets and container limits
+    shrink it; ``os.cpu_count()`` ignores them), else the installed
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

@@ -144,6 +144,67 @@ def plan_stream_sliding() -> PhysicalPlan:
         window=WindowSpec.sliding(40, ts_positions={"": 0}))
 
 
+def plan_window_join() -> PhysicalPlan:
+    """A >< B on k inside a sliding event-time window: a joiner expires
+    stored rows per arrival, so its output depends on the order the two
+    relations' batches interleave in."""
+    from repro.engine.windows import WindowSpec
+
+    rng = random.Random(81)
+    A = Relation("A", Schema.of("ts", "k"),
+                 [(ts, rng.randrange(4)) for ts in range(90)])
+    B = Relation("B", Schema.of("ts", "k"),
+                 [(ts, rng.randrange(4)) for ts in range(0, 90, 2)])
+    spec = JoinSpec(
+        [RelationInfo("A", A.schema, len(A)),
+         RelationInfo("B", B.schema, len(B))],
+        [EquiCondition(("A", "k"), ("B", "k"))],
+    )
+    return PhysicalPlan(
+        sources=[SourceComponent("A", A), SourceComponent("B", B)],
+        joins=[JoinComponent(
+            "J", spec, machines=2, scheme="hash",
+            window=WindowSpec.sliding(12, ts_positions={"A": 0, "B": 0}))],
+    )
+
+
+def plan_tumbling_over_join() -> PhysicalPlan:
+    """A tumbling COUNT over a join against a timestamp-less relation:
+    the join re-emits event times in whatever order its inputs arrive,
+    and the window closes per arrival."""
+    from repro.engine.windows import WindowSpec
+
+    rng = random.Random(5)
+    events = Relation("events", Schema.of("ts", "k"),
+                      [(ts, rng.randrange(4)) for ts in range(80)])
+    dims = Relation("dims", Schema.of("k", "name"),
+                    [(k, f"k{k}") for k in range(4)])
+    spec = JoinSpec(
+        [RelationInfo("events", events.schema, len(events)),
+         RelationInfo("dims", dims.schema, len(dims))],
+        [EquiCondition(("events", "k"), ("dims", "k"))],
+    )
+    return PhysicalPlan(
+        sources=[SourceComponent("events", events),
+                 SourceComponent("dims", dims)],
+        joins=[JoinComponent("J", spec, machines=2,
+                             output_positions=[3, 0])],  # name, ts
+        aggregation=AggComponent(
+            "agg", group_positions=[0], aggregates=[count()],
+            window=WindowSpec.tumbling(20, ts_positions={"": 1})),
+    )
+
+
+#: plans holding arrival-order-sensitive (windowed) state: the inline
+#: loop keeps its depth-first schedule for them at every batch size, so
+#: ``tests/golden/depth_first_schedules.json`` pins their output *order*
+WINDOWED_PLANS = {
+    "window_join": plan_window_join,
+    "tumbling_over_join": plan_tumbling_over_join,
+    "sliding_agg": plan_stream_sliding,
+}
+
+
 def retraction_script():
     """Emissions for :func:`plan_stream_count_sum`'s ``events`` source
     with compensations: every 9th event is delivered twice and the

@@ -368,6 +368,31 @@ class TestOneStepKernel:
             and "execute_batch" in self.called_attributes(node)]
         assert callers == ["storm/kernel.py:deliver"]
 
+    def test_exactly_one_level_pass(self):
+        """The deliver-and-route loop of a level schedule (every delivery
+        of a task through ``deliver``, the emissions routed into a wave
+        buffer with ``add``) is written once: the staged workers' waves
+        and the inline rounds both call it."""
+        def called_names(node):
+            return {call.func.id for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)}
+
+        functions = [
+            (f"{module}:{node.name}", node)
+            for module, tree in self.trees()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        level_passes = [
+            name for name, node in functions
+            if "deliver" in called_names(node)
+            and "add" in self.called_attributes(node)]
+        assert level_passes == ["storm/kernel.py:run_level"]
+        callers = [name for name, node in functions
+                   if "run_level" in called_names(node)]
+        assert callers == ["storm/cluster.py:_level_pass",
+                           "storm/executor.py:run_wave"]
+
     def test_exactly_one_class_forks_a_worker_behind_a_pipe(self):
         forkers = [
             f"{module}:{node.name}"

@@ -11,6 +11,8 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -28,6 +30,7 @@ from repro.storm import (
     LocalCluster,
     TopologyBuilder,
 )
+from repro.obs import FanIn, Observer, SpanContext, WorkerObs
 from repro.storm.executor import (
     EXECUTOR_NAMES,
     Router,
@@ -38,6 +41,7 @@ from repro.storm.executor import (
     default_parallelism,
     topological_levels,
 )
+from repro.storm.metrics import TopologyMetrics
 
 PARALLEL = [name for name in EXECUTOR_NAMES if name != "inline"]
 
@@ -110,6 +114,24 @@ class TestScheduling:
 
     def test_default_parallelism_is_positive(self):
         assert default_parallelism() >= 1
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_default_parallelism_counts_usable_cores_not_installed(self):
+        """Pinned to one CPU (``taskset -c 0``, a one-CPU cpuset) the
+        default must not fork four workers onto it; ``os.cpu_count()``
+        still reports every installed core there."""
+        script = (
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from repro.storm.executor import default_parallelism\n"
+            "from repro.util import usable_cores\n"
+            "print(usable_cores(), default_parallelism())\n")
+        output = subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert output.stdout.split() == ["1", "1"]
 
 
 class TestErrors:
@@ -385,8 +407,9 @@ def _shape(deliveries):
 
 class TestWaveBuffer:
     """The coalescing rule itself: per (target, task), every maximal run
-    of deliveries sharing (source, stream), span context and
-    representation becomes one batch, in arrival order."""
+    of deliveries sharing (source, stream) and representation becomes
+    one batch, in arrival order, carrying the span contexts of all its
+    parts."""
 
     def test_a_run_of_one_stream_becomes_one_batch_per_task(self):
         buffer = WaveBuffer()
@@ -450,20 +473,87 @@ class TestWaveBuffer:
         assert [list(rows) for _s, _t, rows, _c in buffer.pop(("J", 0))] == [
             [(1,)], [], [(2,), (3,)]]
 
-    def test_hops_of_distinct_spans_never_merge(self):
-        from repro.obs.tracing import SpanContext
-
+    def test_a_run_merged_from_traced_hops_names_every_parent(self):
+        """Tracing does not split a run: k traced parts pop as one
+        delivery whose context is the fan-in of the k parents with the
+        rows each contributed; an untraced (punctuation) part merges in
+        without an entry; a run of one whole part keeps its plain
+        context."""
         first, second = SpanContext("R.0.1", "w0.1"), SpanContext("R.0.2",
                                                                   "w0.2")
         buffer = WaveBuffer()
-        buffer.add([("agg", 0, "R", "R", [(1,)])], first)
-        buffer.add([("agg", 0, "R", "R", [(2,)])], SpanContext(*first))
+        buffer.add([("agg", 0, "R", "R", [(1,), (2,)])], first)
         buffer.add([("agg", 0, "R", "R", [(3,)])], second)
         buffer.add([("agg", 0, "R", "R", [(4,)])])  # an untraced flush
-        buffer.add([("agg", 0, "R", "R", [(5,)])])
-        assert buffer.pop(("agg", 0)) == [
-            ("R", "R", [(1,), (2,)], first), ("R", "R", [(3,)], second),
-            ("R", "R", [(4,), (5,)], None)]
+        buffer.add([("agg", 0, "R", "R", [(5,)])], first)
+        buffer.add([("agg", 1, "R", "R", [(6,)])], second)
+        [(_source, _stream, rows, ctx)] = buffer.pop(("agg", 0))
+        assert rows == [(1,), (2,), (3,), (4,), (5,)]
+        assert isinstance(ctx, FanIn)
+        assert ctx == ((first, 2), (second, 1), (first, 1))
+        assert buffer.pop(("agg", 1)) == [("R", "R", [(6,)], second)]
+
+    def test_downstream_of_a_fan_in_every_parent_gets_an_equal_share(self):
+        parents = FanIn(((SpanContext("R.0.1", "c.7"), 40),
+                         (SpanContext("R.0.2", "c.8"), 2),
+                         (SpanContext("S.0.1", "c.9"), 8)))
+        buffer = WaveBuffer()
+        buffer.add([("sink", 0, "agg", "agg", [(i,) for i in range(8)])],
+                   parents)
+        [(_source, _stream, _rows, ctx)] = buffer.pop(("sink", 0))
+        assert [parent for parent, _rows in ctx] == \
+            [parent for parent, _rows in parents]
+        assert [rows for _parent, rows in ctx] == [3, 3, 2]
+
+    @pytest.mark.parametrize("obs_factory", [
+        lambda: Observer("trace"), lambda: WorkerObs(0, "trace")],
+        ids=["observer", "worker"])
+    def test_delivering_a_fan_in_records_one_span_per_part(self, obs_factory):
+        """The k spans carry their traces' rows (summing to the batch)
+        and row-shares of the one measured call (summing to it); the
+        child context fans the k new spans in downstream.  ``deliver``
+        itself knows nothing of this."""
+        from repro.storm.kernel import deliver
+
+        obs = obs_factory()
+        roots = [obs.root("R", 0, rows, 0.0) for rows in (3, 1, 4)]
+        buffer = WaveBuffer()
+        for root, rows in zip(roots, (3, 1, 4)):
+            buffer.add([("sink", 0, "R", "R", [(i,) for i in range(rows)])],
+                       root)
+        [(source, stream, rows, ctx)] = buffer.pop(("sink", 0))
+        _emissions, child = deliver(
+            SinkBolt(), "sink", 0, source, stream, rows, ctx,
+            TopologyMetrics.of({"sink": 1}), obs)
+        if isinstance(obs, WorkerObs):
+            spans, call = obs.spans, obs.timings[-1][3]
+        else:
+            spans, call = obs.traces.spans(), obs.registry.merged_histogram(
+                "operator_batch_seconds", component="sink").total
+        hops = [span for span in spans if span["component"] == "sink"]
+        assert [(span["trace"], span["parent"], span["rows"])
+                for span in hops] == [
+            (root.trace_id, root.span_id, rows)
+            for root, rows in zip(roots, (3, 1, 4))]
+        assert sum(span["duration_ms"] for span in hops) == \
+            pytest.approx(call * 1000.0)
+        assert isinstance(child, FanIn)
+        assert [(parent.trace_id, parent.span_id, rows)
+                for parent, rows in child] == [
+            (span["trace"], span["span"], span["rows"]) for span in hops]
+
+    def test_a_punctuation_part_adds_rows_but_no_span(self):
+        obs = Observer("trace")
+        root = obs.root("R", 0, 2, 0.0)
+        buffer = WaveBuffer()
+        buffer.add([("sink", 0, "R", "R", [(1,), (2,)])], root)
+        buffer.add([("sink", 0, "R", "R", [(3,), (4,)])])  # a flush
+        [(_source, _stream, rows, ctx)] = buffer.pop(("sink", 0))
+        assert len(rows) == 4 and ctx == ((root, 2),)
+        obs.span(ctx, "sink", 0, len(rows), 0.008)
+        [hop] = [span for span in obs.traces.spans()
+                 if span["component"] == "sink"]
+        assert hop["rows"] == 2 and hop["duration_ms"] == pytest.approx(4.0)
 
     def test_replies_fold_in_the_order_given_and_merge_across_workers(self):
         """The coordinator folds worker 0's reply, then worker 1's: a run
@@ -498,9 +588,9 @@ class LoggingAggBolt(AggBolt):
 
 
 class TestWaveCoalescing:
-    """End to end on the staged backends (timing-free): a task executes
-    one batch per run it was delivered, and nothing that is counted in
-    rows moves."""
+    """End to end on the staged backends and the inline rounds
+    (timing-free): a task executes one batch per run it was delivered,
+    and nothing that is counted in rows moves."""
 
     N_ROWS = 400
     BATCH_SIZE = 64
@@ -527,9 +617,10 @@ class TestWaveCoalescing:
         joiner_batches = staged.metrics.batch_counts("J")
         assert len(joiner_batches) == 8
         assert all(1 <= count <= 3 for count in joiner_batches)
-        assert min(inline.metrics.batch_counts("J")) > 2 * spout_batches[0]
         # all joiners' outputs for one aggregation task are one run
         assert staged.metrics.batch_counts("agg") == [1, 1, 1, 1]
+        # the inline round is the same schedule without the workers
+        assert inline.metrics.batches == staged.metrics.batches
         assert staged.metrics.columnar_batches > 0
         for component in ("J", "agg", "sink"):
             assert staged.metrics.component_input(component) == \
@@ -597,4 +688,99 @@ class TestWaveCoalescing:
                     expected.append((stream, [row]))
             assert staged.task("agg", task_index).log == expected
             assert len(expected) >= 4  # inserts and retractions alternate
-            assert len(inline.task("agg", task_index).log) > len(expected)
+            assert inline.task("agg", task_index).log == expected
+
+
+class TestInlineRounds:
+    """The inline executor's two schedules: rounds with per-task wave
+    coalescing at ``batch_size > 1``; the depth-first work stack for
+    ``batch_size=1``, ``max_tuples`` and windowed plans -- whose output
+    *order* ``tests/golden/depth_first_schedules.json`` pins as captured
+    at the commit before the rounds existed (PR 16: ``run_plan(...)
+    .results`` / the streaming delta feed of ``WINDOWED_PLANS`` at
+    ``batch_size`` 16 and 64, and ``join_only`` cut at ``max_tuples=75``)."""
+
+    N_ROWS = 400
+    BATCH_SIZE = 64
+
+    def run_chain(self, batch_size):
+        from repro.bench import multiway_join_plan
+        from repro.engine import run_plan
+
+        return run_plan(multiway_join_plan(n_rows=self.N_ROWS, machines=8),
+                        options=ExecutionOptions(batch_size=batch_size))
+
+    def assert_same_rows(self, run, reference):
+        assert run.metrics.received == reference.metrics.received
+        assert run.metrics.emitted == reference.metrics.emitted
+        assert run.metrics.edge_transfers == reference.metrics.edge_transfers
+        assert Counter(run.results) == Counter(reference.results)
+        assert run.results
+        assert run.join_state == reference.join_state
+
+    def test_one_round_executes_each_task_once_per_input_run(self):
+        per_tuple = self.run_chain(1)
+        rounds = self.run_chain(self.BATCH_SIZE)
+        batches = rounds.metrics.batch_counts
+        assert batches("R") == [-(-self.N_ROWS // self.BATCH_SIZE)]
+        assert all(1 <= count <= 3 for count in batches("J"))
+        assert batches("agg") == [1, 1, 1, 1]
+        assert batches("sink") == [1]  # the four flushes share one buffer
+        # batch_size=1 stays one execution per tuple
+        assert per_tuple.metrics.batch_counts("J") == \
+            per_tuple.metrics.received["J"]
+        self.assert_same_rows(rounds, per_tuple)
+
+    def test_an_input_larger_than_the_budget_runs_in_several_rounds(
+            self, monkeypatch):
+        import repro.storm.cluster
+
+        # 100 rows a spout and round: two pulls of 64, so 400 rows/relation
+        # take three full rounds and a fourth for the last 16
+        monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", 300)
+        bounded = self.run_chain(self.BATCH_SIZE)
+        batches = bounded.metrics.batch_counts
+        assert batches("R") == [-(-self.N_ROWS // self.BATCH_SIZE)]
+        assert batches("agg") == [4, 4, 4, 4]
+        assert all(4 <= count <= 3 * 4 for count in batches("J"))
+        monkeypatch.undo()
+        self.assert_same_rows(bounded, self.run_chain(self.BATCH_SIZE))
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        import json
+
+        path = os.path.join(os.path.dirname(__file__), "golden",
+                            "depth_first_schedules.json")
+        with open(path) as handle:
+            return json.load(handle)
+
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    @pytest.mark.parametrize("name", ["window_join", "tumbling_over_join",
+                                      "sliding_agg"])
+    def test_windowed_plans_keep_the_depth_first_order(self, name, batch_size,
+                                                       golden):
+        from repro.engine import run_plan
+        from repro.streaming import stream_plan
+        from tests.batching_plans import WINDOWED_PLANS
+
+        build = WINDOWED_PLANS[name]
+        options = ExecutionOptions(batch_size=batch_size)
+        assert [list(row) for row in run_plan(build(), options=options)
+                .results] == golden[f"{name}/batch/{batch_size}"]
+        assert [[delta.sign, list(delta.row)]
+                for delta in stream_plan(build(), options=options)] == \
+            golden[f"{name}/streaming/{batch_size}"]
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_max_tuples_stops_at_the_same_tuple(self, batch_size, golden):
+        from repro.engine import run_plan
+        from tests.batching_plans import GOLDEN_PLANS
+
+        result = run_plan(GOLDEN_PLANS["join_only"](), max_tuples=75,
+                          options=ExecutionOptions(batch_size=batch_size))
+        expected = golden[f"max_tuples/{batch_size}"]
+        assert [list(row) for row in result.results] == expected["results"]
+        assert result.metrics.emitted == expected["emitted"]
+        assert sum(sum(result.metrics.emitted[name])
+                   for name in ("R", "S", "T")) == 75

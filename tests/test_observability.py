@@ -363,12 +363,10 @@ class TestOffIsInvisible:
     @pytest.mark.parametrize("executor", EXECUTORS)
     @pytest.mark.parametrize("mode", ["batch", "streaming"])
     def test_observing_never_changes_what_ran(self, mode, executor):
-        """Every driver runs its batches through the one step kernel, so
-        the answer and every topology counter are the same at every
-        observe level.  The one intended exception: the staged batch
-        backends keep traced deliveries apart (a span has one parent, see
-        ``WaveBuffer``), so under ``trace`` they execute the same rows in
-        more batches."""
+        """Every driver runs its batches through the one step kernel, and
+        a coalesced batch carries the contexts of all its parts (see
+        ``WaveBuffer``), so the answer, every topology counter and the
+        executed batches are the same at every observe level."""
         seen = {}
         for level in ("off", "metrics", "trace"):
             options = ExecutionOptions(executor=executor, batch_size=16,
@@ -390,10 +388,7 @@ class TestOffIsInvisible:
             seen[level] = (answer, rows, batches)
         assert seen["off"][0] and sum(seen["off"][1][3:]) > 0  # not vacuous
         assert seen["metrics"] == seen["off"]
-        if mode == "batch" and executor != "inline":
-            assert seen["trace"][:2] == seen["off"][:2]
-        else:
-            assert seen["trace"] == seen["off"]
+        assert seen["trace"] == seen["off"]
 
     def test_streaming_off_has_no_observer_but_full_stats(self):
         query = stream_plan(plan_online_agg(),
@@ -435,6 +430,33 @@ class TestTraceMatrix:
             assert trace_id.startswith("R.0.")
             children = {child[0] for _parent, child in edges}
             assert "agg" in children and "sink" in children
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_coalesced_batches_span_every_trace_they_merged(self, executor):
+        """Three source batches reach each aggregation task as one batch
+        and the sink as one more (over the ``processes`` pipes too): the
+        one execution records a span per contributing hop, with the
+        trace's rows."""
+        result = run_plan(
+            single_source_agg_plan(),
+            options=ExecutionOptions(observe="trace", executor=executor,
+                                     batch_size=16, parallelism=2))
+        metrics = result.metrics
+        assert metrics.batch_counts("R") == [3]
+        assert metrics.batch_counts("agg") == [1, 1]
+        assert metrics.batch_counts("sink") == [1]
+        spans = result.observer.traces.spans()
+        for task_index in range(2):
+            hops = [span for span in spans
+                    if (span["component"], span["task"]) == ("agg", task_index)]
+            assert sorted(span["trace"] for span in hops) == [
+                "R.0.1", "R.0.2", "R.0.3"]
+            assert sum(span["rows"] for span in hops) == \
+                metrics.received["agg"][task_index]
+        sink_hops = [span for span in spans if span["component"] == "sink"]
+        assert len(sink_hops) == 6  # 3 traces x 2 aggregation tasks
+        assert sum(span["rows"] for span in sink_hops) == \
+            metrics.component_input("sink")
 
     def test_streaming_executors_agree_on_span_tree_shape(self):
         shapes = {}
