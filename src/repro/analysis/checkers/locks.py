@@ -190,6 +190,16 @@ class LockDisciplineChecker(Checker):
     def check(self, corpus: Corpus) -> Iterable[Finding]:
         for module in corpus.modules:
             for cls in module.classes:
+                node = cls.unreadable_guarded_by
+                if node is not None:
+                    yield Finding(
+                        path=module.path, line=node.lineno,
+                        col=node.col_offset, rule=self.rule,
+                        message=(
+                            f"{cls.name}.GUARDED_BY is not a literal "
+                            f"{{\"attr\": \"lock\"}} dict of strings, so "
+                            f"its lock discipline goes unchecked; spell "
+                            f"every entry out"))
                 if not cls.guarded_by:
                     continue
                 for walk in _walk_class(cls):

@@ -85,6 +85,9 @@ class ClassInfo:
         self.methods: Dict[str, ast.FunctionDef] = {}
         #: GUARDED_BY class-map: attribute name -> lock attribute name
         self.guarded_by: Dict[str, str] = {}
+        #: a GUARDED_BY that is not a literal ``{"attr": "lock"}`` dict
+        #: (the checker could not read it, so it reports it instead)
+        self.unreadable_guarded_by: Optional[ast.AST] = None
         #: PIPE_PICKLED marker (None = unmarked)
         self.pipe_pickled: Optional[bool] = None
         #: lock attributes assigned in __init__ -> kind
@@ -100,7 +103,11 @@ class ClassInfo:
                 if not isinstance(target, ast.Name):
                     continue
                 if target.id == "GUARDED_BY":
-                    self.guarded_by = _literal_str_dict(item.value)
+                    guarded_by = _literal_str_dict(item.value)
+                    if guarded_by is None:
+                        self.unreadable_guarded_by = item.value
+                    else:
+                        self.guarded_by = guarded_by
                 elif target.id == "PIPE_PICKLED":
                     if isinstance(item.value, ast.Constant) and isinstance(
                             item.value.value, bool):
@@ -290,15 +297,18 @@ def _dotted_tail(node: ast.AST) -> str:
     return ""
 
 
-def _literal_str_dict(node: ast.AST) -> Dict[str, str]:
-    """A ``{"a": "b"}`` literal as a dict; non-literal entries are skipped."""
+def _literal_str_dict(node: ast.AST) -> Optional[Dict[str, str]]:
+    """A ``{"a": "b"}`` literal as a dict; None for anything else (a
+    comprehension, a name, a non-string entry)."""
+    if not isinstance(node, ast.Dict):
+        return None
     out: Dict[str, str] = {}
-    if isinstance(node, ast.Dict):
-        for key, value in zip(node.keys, node.values):
-            if (isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)):
-                out[key.value] = value.value
+    for key, value in zip(node.keys, node.values):
+        if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, str)):
+            return None
+        out[key.value] = value.value
     return out
 
 

@@ -217,6 +217,26 @@ class _GroupState:
         self.counts = 0
 
 
+#: an ``int64`` accumulator wraps at this magnitude; Python ints never do
+_INT64_LIMIT = 1 << 63
+#: below this magnitude an int converts to ``float64`` exactly, so int
+#: sums, their float conversions and ``sum / count`` match the row path
+_EXACT_INT_LIMIT = 1 << 53
+
+
+#: the two slots of a changelog row: ``-old``, then ``+new``
+_RETRACT_INSERT = np.array([-1, 1], dtype=np.int8)
+
+
+def _sum_fits(column: np.ndarray, limit: int, base: int = 0) -> bool:
+    """Whether ``base`` plus any signed sum of the values of an integer
+    ``column`` stays below ``limit`` in magnitude (float columns: True)."""
+    if column.dtype.kind != "i" or not len(column):
+        return True
+    largest = max(abs(int(column.max())), abs(int(column.min())))
+    return base + largest * len(column) < limit
+
+
 class Aggregation:
     """Incremental grouped aggregation (sum / count / avg).
 
@@ -313,7 +333,8 @@ class Aggregation:
             return False
         return all(
             agg.kind == "count"
-            or isinstance(batch.columns[agg.position], np.ndarray)
+            or (isinstance(batch.columns[agg.position], np.ndarray)
+                and _sum_fits(batch.columns[agg.position], _INT64_LIMIT))
             for agg in self.aggregates
         )
 
@@ -349,6 +370,205 @@ class Aggregation:
             if state.counts == 0:
                 del groups[key]
         self.consumed += len(batch)
+
+    def consume_changelog(self, batch: ColumnBatch, sign: int,
+                          published: Dict[tuple, tuple]
+                          ) -> Optional[ColumnBatch]:
+        """Consume a batch as the upsert changelog kernel.
+
+        Returns what the row loop of
+        :class:`~repro.streaming.runner.DeltaAggBolt` emits for the same
+        rows, as one batch of an ``int8`` sign column and a row column:
+        per input row, in input order, ``(-1, old)`` ahead of ``(1,
+        new)`` when the group's output row changed, ``(-1, old)`` alone
+        when the group died, nothing when it did not change.
+        ``published`` (group key -> the row last emitted for it) is
+        updated with the state, one dict write per distinct key.
+
+        Rows are grouped by a stable argsort of the key.  A group's rows
+        form one *segment* seeded with its prior state, or two when a
+        row runs its count down to zero: the group dies there and the
+        rows after it start from empty (a batch has one sign, so a
+        reborn group never dies again).  Int sums run in ``int64``,
+        float sums sequentially per segment, so every value is the row
+        loop's to the bit.
+
+        Returns None, consuming nothing, where that cannot be
+        guaranteed: several or non-``int64`` key columns, value columns
+        that are not ``int64`` / ``float64`` vectors, non-finite floats,
+        int sums that could reach 2^53, or an int column added to a
+        float sum.
+        """
+        key_column = batch.columns[self.group_positions[0]] \
+            if len(self.group_positions) == 1 else None
+        if not (isinstance(key_column, np.ndarray)
+                and key_column.dtype == np.int64):
+            return None
+        value_columns = []
+        for agg in self.aggregates:
+            column = None
+            if agg.kind != "count":
+                column = batch.columns[agg.position]
+                if not (isinstance(column, np.ndarray)
+                        and column.dtype in (np.int64, np.float64)
+                        and (column.dtype.kind == "i"
+                             or np.isfinite(column).all())):
+                    return None
+            value_columns.append(column)
+        n = len(batch)
+        if not n:
+            return ColumnBatch([np.empty(0, dtype=np.int8), []], 0)
+        order = key_column.argsort(kind="stable")
+        sorted_keys = key_column[order]
+        key_list = sorted_keys.tolist()
+        starts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])
+                       + 1).tolist()]
+        ends = [*starts[1:], n]
+        groups = self._groups
+        found = []  # per group: key, state, published row, where it died
+        # per segment: head, group, state (None: starts empty), count base
+        heads, owners, seeds, bases = [], [], [], []
+        fresh, dying = [], []
+        for g, (start, end) in enumerate(zip(starts, ends)):
+            key = (key_list[start],)
+            state, row = groups.get(key), published.get(key)
+            if (state is None) != (row is None):
+                return None
+            held = 0 if state is None else state.counts
+            death = start + abs(held) - 1 \
+                if held * sign < 0 and abs(held) <= end - start else None
+            found.append((key, state, row, death))
+            heads.append(start)
+            owners.append(g)
+            seeds.append(state)
+            bases.append(held - sign * start)
+            if state is None:
+                fresh.append(start)
+            if death is not None:
+                dying.append(death)
+                if death + 1 < end:
+                    heads.append(death + 1)
+                    owners.append(g)
+                    seeds.append(None)
+                    bases.append(-sign * (death + 1))
+                    fresh.append(death + 1)
+        lengths = np.diff([*heads, n])
+        # the running count after each row: its segment's seed plus one
+        # step of ``sign`` per row so far
+        counts = np.repeat(bases, lengths) + np.arange(sign, sign * (n + 1),
+                                                       sign)
+        # per aggregate: output values, running sum, per-segment prior
+        outputs, sums, priors = [], [], []
+        for index, (agg, column) in enumerate(
+                zip(self.aggregates, value_columns)):
+            if column is None:
+                outputs.append(counts)
+                sums.append(counts)
+                continue
+            prior = [0 if state is None else state.sums[index]
+                     for state in seeds]
+            values = column[order] if sign > 0 else -column[order]
+            if column.dtype.kind == "i":
+                if not (all(type(value) is int for value in prior)
+                        and _sum_fits(column, _EXACT_INT_LIMIT,
+                                      max(map(abs, prior)))):
+                    return None
+                running = values.cumsum()
+                run = running + np.repeat(
+                    np.array(prior, dtype=np.int64)
+                    - (running - values)[heads], lengths)
+            else:
+                if any(type(value) is int and abs(value) >= _EXACT_INT_LIMIT
+                       for value in prior):
+                    return None
+                run = np.empty(n)
+                for lo, hi, seed in zip(heads, [*heads[1:], n], prior):
+                    run[lo:hi] = np.add.accumulate(
+                        np.concatenate(([seed], values[lo:hi])))[1:]
+                if not np.isfinite(run).all():
+                    return None
+            sums.append(run)
+            if agg.kind == "avg":
+                outputs.append(run / np.where(counts == 0, 1, counts))
+                prior = [0.0 if state is None else value / state.counts
+                         for value, state in zip(prior, seeds)]
+            else:
+                outputs.append(run)
+            priors.append((outputs[-1], prior))
+        # which rows change their group's output row
+        if len(priors) < len(outputs):
+            emit_new = np.ones(n, dtype=bool)  # a COUNT changes every row
+        else:
+            emit_new = np.zeros(n, dtype=bool)
+            for values, prior in priors:
+                previous = np.concatenate((values[:1], values[:-1]))
+                previous[heads] = prior
+                emit_new |= values != previous
+            emit_new[fresh] = True
+        emit_new[dying] = False
+        emit_old = emit_new.copy()
+        emit_old[fresh] = False
+        emit_old[dying] = True
+        # one row built per emission; a retraction reuses the row its
+        # segment emitted last, else the group's published row
+        last = [end - 1 for end in ends]
+        if emit_new.all():  # the common case: new_refs is arange(n)
+            pool = list(zip(key_list, *[values.tolist()
+                                        for values in outputs]))
+            new_refs = np.arange(n)
+            old_refs = new_refs - 1
+            old_refs[heads] = [n + g for g in owners]
+            last_refs, changed = last, [True] * len(found)
+        else:
+            emitted = np.flatnonzero(emit_new)
+            pool = list(zip(sorted_keys[emitted].tolist(),
+                            *[values[emitted].tolist() for values in outputs]))
+            seen = emit_new.cumsum()
+            new_refs = seen - 1
+            before = seen - emit_new  # emissions ahead of the row
+            old_refs = np.where(
+                before > np.repeat(before[heads], lengths), before - 1,
+                np.repeat([len(pool) + g for g in owners], lengths))
+            last_refs = new_refs[last].tolist()
+            changed = (seen[last] > before[starts]).tolist()
+        pool.extend(row for _key, _state, row, _death in found)
+        # two slots per input row, in input order: -old, then +new
+        twice = order * 2
+        refs = np.empty(2 * n, dtype=np.intp)
+        refs[twice], refs[twice + 1] = old_refs, new_refs
+        kept = np.empty(2 * n, dtype=bool)
+        kept[twice], kept[twice + 1] = emit_old, emit_new
+        slots = np.flatnonzero(kept)
+        signs = _RETRACT_INSERT[slots & 1]
+        rows = list(map(pool.__getitem__, refs[slots].tolist()))
+        # commit: one update per distinct key; births in input order so
+        # both dicts keep the row loop's insertion order
+        final_counts = counts[last].tolist()
+        final_sums = [run[last].tolist() for run in sums]
+        born = []
+        for g, (key, state, _row, death) in enumerate(found):
+            if death is not None:
+                del groups[key]
+                del published[key]
+                if death == last[g]:
+                    continue
+                state = None
+            if state is None:
+                head = starts[g] if death is None else death + 1
+                born.append((int(order[head]), g))
+                continue
+            state.counts = final_counts[g]
+            state.sums = [column[g] for column in final_sums]
+            if changed[g]:
+                published[key] = pool[last_refs[g]]
+        for _at, g in sorted(born):
+            key = found[g][0]
+            state = groups[key] = _GroupState(0)
+            state.counts = final_counts[g]
+            state.sums = [column[g] for column in final_sums]
+            published[key] = pool[last_refs[g]]
+        self.consumed += n
+        return ColumnBatch([signs, rows], len(rows))
 
     def _values(self, state: _GroupState) -> tuple:
         values = []

@@ -125,10 +125,34 @@ class SourcePump:
         self.last_poll_raw = 0
 
     def poll(self, max_rows: int):
+        """One poll of the source, filtered and projected.
+
+        A single-stream poll runs the operators' batch forms on the
+        whole poll: with ``columnar`` on it becomes one
+        :class:`ColumnBatch` first, so a vectorizable predicate or
+        projection runs as whole-column kernels.  A poll mixing streams
+        keeps each row's stream and goes row by row."""
         emissions = self.source.poll(max_rows)
         self.last_poll_raw = len(emissions)
         if not emissions:
             return emissions
+        streams, rows = zip(*emissions)
+        stream = streams[0]
+        if streams.count(stream) != len(streams):
+            return self._per_row(emissions)
+        rows = ColumnBatch.from_rows(rows) if self.columnar else list(rows)
+        if self.selection is not None:
+            rows = self.selection.apply_batch(rows)
+        if self.projection is not None:
+            rows = self.projection.apply_batch(rows)
+        self.emitted += len(rows)
+        if not self.columnar:
+            return [(stream, row) for row in rows]
+        if not isinstance(rows, ColumnBatch):
+            rows = ColumnBatch.from_rows(rows)
+        return ColumnEmissions(stream, rows) if rows else []
+
+    def _per_row(self, emissions):
         if self.selection is not None:
             apply = self.selection.apply
             emissions = [(stream, row) for stream, row in emissions
@@ -137,11 +161,6 @@ class SourcePump:
             apply = self.projection.apply
             emissions = [(stream, apply(row)) for stream, row in emissions]
         self.emitted += len(emissions)
-        if self.columnar and emissions:
-            stream = emissions[0][0]
-            if all(s == stream for s, _row in emissions):
-                return ColumnEmissions(
-                    stream, ColumnBatch.from_rows([r for _s, r in emissions]))
         return emissions
 
     def watermark(self) -> Optional[float]:

@@ -14,11 +14,15 @@ are insertions, rows on the ``:retract`` stream remove one stored
 instance (a retraction of a row that is not present is ignored, matching
 the batch sink's compensation semantics) -- plus the ``:changes`` stream
 of :class:`~repro.streaming.runner.DeltaAggBolt`, whose rows are
-``(sign, row)`` pairs applied in sequence: one aggregation batch arrives
-as one ordered changelog and is published with one fan-out.
+``(sign, row)`` pairs (or one ``ColumnBatch`` of a sign column and a row
+column) applied in sequence: one aggregation batch arrives as one
+ordered changelog and is published with one fan-out.
 
 Fan-out (the serving layer's delivery path): one sink serves N
-subscribers, each through its own **bounded ring buffer**.  Publishing
+subscribers, each through its own **bounded ring buffer**.  A ring holds
+shared, immutable *chunks* -- a sign list and a row list per published
+batch -- and :class:`Delta` objects are built only when a subscriber
+takes them; ring bounds count deltas, not chunks.  Publishing
 never waits on a slow consumer by default -- a subscriber whose ring
 fills up is *shed*: its buffer is dropped and its next ``pop`` (or
 iteration step) raises the terminal :class:`SubscriberOverflow`, while
@@ -32,26 +36,44 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, deque
-from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
-
+from collections import deque
+from itertools import count, repeat
+from operator import itemgetter
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.core.columnar import ColumnBatch
 from repro.engine.runner import CHANGES_SUFFIX, RETRACT_SUFFIX
 from repro.storm.topology import Bolt
 
+#: one published changelog as a ring holds it: signs and rows, in order
+Chunk = Tuple[Sequence[int], Sequence[tuple]]
 
-@dataclass(frozen=True)
-class Delta:
-    """One change to the live result multiset."""
 
-    sign: int  # +1 insertion, -1 retraction
-    row: tuple
+class Delta(tuple):
+    """One change to the live result multiset: ``(sign, row)``.
+
+    ``sign`` is +1 for an insertion, -1 for a retraction.  A tuple, so
+    equal deltas compare and hash equal (and a delta equals the plain
+    ``(sign, row)`` pair it was built from).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, sign: int, row: tuple):
+        return tuple.__new__(cls, (sign, row))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    sign = property(itemgetter(0))
+    row = property(itemgetter(1))
+
+    def __repr__(self):
+        return f"Delta(sign={self[0]!r}, row={self[1]!r})"
 
     def __str__(self):
-        return f"{'+' if self.sign > 0 else '-'}{self.row}"
+        return f"{'+' if self[0] > 0 else '-'}{self[1]}"
 
 
 class SubscriberOverflow(RuntimeError):
@@ -74,8 +96,8 @@ class Subscription:
     acquisition -- the form the inline driver uses between pump rounds.
 
     Args:
-        max_buffer: bounded-ring capacity; ``None`` keeps the legacy
-            unbounded feed.
+        max_buffer: bounded-ring capacity in deltas; ``None`` keeps the
+            legacy unbounded feed.
         on_overflow: what happens when the consumer falls ``max_buffer``
             deltas behind -- ``'shed'`` (default) detaches this
             subscriber with a terminal :class:`SubscriberOverflow` and
@@ -119,7 +141,9 @@ class Subscription:
     #: squall-lint lock-discipline contract: ring state is only touched
     #: while holding the condition (the PR 7 subscribe/fan-out race class)
     GUARDED_BY = {
-        "_deltas": "_cond",
+        "_chunks": "_cond",
+        "_head": "_cond",
+        "_size": "_cond",
         "_closed": "_cond",
         "_overflowed": "_cond",
         "_detached": "_cond",
@@ -140,7 +164,12 @@ class Subscription:
         self.max_buffer = max_buffer
         self.on_overflow = on_overflow
         self.tenant = tenant
-        self._deltas: Deque[Delta] = deque()
+        #: published chunks, shared with the other subscribers' rings;
+        #: ``_head`` deltas of the first one were taken already, and
+        #: ``_size`` deltas are buffered in all
+        self._chunks: Deque[Chunk] = deque()
+        self._head = 0
+        self._size = 0
         self._cond = threading.Condition()
         self._closed = False
         self._overflowed = False
@@ -157,54 +186,63 @@ class Subscription:
 
     # -- sink side ---------------------------------------------------------
 
-    def _publish(self, deltas: List[Delta],
+    def _publish(self, chunk: Chunk,
                  produced_at: Optional[float] = None,
                  force: bool = False) -> bool:
-        """Append deltas to the ring; False = drop me from the sink.
+        """Append one chunk to the ring; False = drop me from the sink.
 
         Never blocks under ``on_overflow='shed'``: a full ring marks the
         subscription overflowed, clears it and returns False, so one
         stalled consumer costs the publisher a single flag write instead
         of a stall.  Under ``'block'`` the publisher waits for ring space
-        (releasing it if the consumer detaches mid-wait).  ``force``
+        (releasing it if the consumer detaches mid-wait) and appends the
+        chunk in slices that fit.  ``force``
         (the catch-up path) bypasses the ring bound for both policies:
         the consumer has not received the handle yet, so a 'block' wait
         would deadlock and a 'shed' check would permanently lock out any
         subscriber whose catch-up snapshot alone exceeds ``max_buffer``
         -- the ring overshoots once at attach and is bounded
         thereafter."""
+        signs, rows = chunk
+        size = len(signs)
         with self._cond:
             if self._closed or self._overflowed:
                 return False
             if self.max_buffer is None or force:
-                self._deltas.extend(deltas)
-                self.published += len(deltas)
+                self._append(chunk, size)
             elif self.on_overflow == "shed":
-                if len(self._deltas) + len(deltas) > self.max_buffer:
+                if self._size + size > self.max_buffer:
                     self._overflowed = True
-                    self._deltas.clear()
+                    self._clear()
                     self._cond.notify_all()
                     return False
-                self._deltas.extend(deltas)
-                self.published += len(deltas)
+                self._append(chunk, size)
             else:  # block: lossless, chunked into whatever space frees up
                 index = 0
-                while index < len(deltas):
+                while index < size:
                     self._cond.wait_for(
-                        lambda: len(self._deltas) < self.max_buffer
+                        lambda: self._size < self.max_buffer
                         or self._closed)
                     if self._closed:
                         return False
-                    space = self.max_buffer - len(self._deltas)
-                    chunk = deltas[index:index + space]
-                    self._deltas.extend(chunk)
-                    self.published += len(chunk)
-                    index += space
+                    end = min(size, index + self.max_buffer - self._size)
+                    self._append((signs[index:end], rows[index:end]),
+                                 end - index)
+                    index = end
                     self._cond.notify_all()
             if self.latencies is not None and produced_at is not None:
                 self.latencies.append(time.monotonic() - produced_at)
             self._cond.notify_all()
             return True
+
+    def _append(self, chunk: Chunk, size: int):  # squall-lint: holds=_cond
+        self._chunks.append(chunk)
+        self._size += size
+        self.published += size
+
+    def _clear(self):  # squall-lint: holds=_cond
+        self._chunks.clear()
+        self._head = self._size = 0
 
     def _close(self):
         with self._cond:
@@ -225,7 +263,7 @@ class Subscription:
     @property
     def closed(self) -> bool:
         with self._cond:
-            return self._closed and not self._deltas
+            return self._closed and not self._size
 
     @property
     def overflowed(self) -> bool:
@@ -236,7 +274,7 @@ class Subscription:
     def backlog(self) -> int:
         """Deltas published but not yet consumed (the delta lag)."""
         with self._cond:
-            return len(self._deltas)
+            return self._size
 
     def detach(self):
         """Stop receiving: drop this subscription from its sink.
@@ -254,7 +292,7 @@ class Subscription:
         """Block (holding the condition) until the ring has deltas or
         went terminal, or ``timeout`` elapsed."""
         self._cond.wait_for(
-            lambda: self._deltas or self._closed or self._overflowed,
+            lambda: self._size or self._closed or self._overflowed,
             timeout=timeout)
 
     def _took(self, count: int):  # squall-lint: holds=_cond
@@ -280,9 +318,18 @@ class Subscription:
         with self._cond:
             if block:
                 self._wait(timeout)
-            if self._deltas:
+            if self._size:
+                signs, rows = self._chunks[0]
+                head = self._head
+                delta = Delta(signs[head], rows[head])
+                head += 1
+                if head == len(signs):
+                    self._chunks.popleft()
+                    head = 0
+                self._head = head
+                self._size -= 1
                 self._took(1)
-                return self._deltas.popleft()
+                return delta
             if self._overflowed:
                 raise self._shed_error()
             return None
@@ -298,9 +345,16 @@ class Subscription:
         with self._cond:
             if block:
                 self._wait(timeout)
-            if self._deltas:
-                deltas = list(self._deltas)
-                self._deltas.clear()
+            if self._size:
+                deltas: List[Delta] = []
+                head = self._head
+                for signs, rows in self._chunks:
+                    if head:
+                        signs, rows, head = signs[head:], rows[head:], 0
+                    # tuple.__new__ directly: no Python-level __new__
+                    deltas.extend(map(tuple.__new__, repeat(Delta),
+                                      zip(signs, rows)))
+                self._clear()
                 self._took(len(deltas))
                 return deltas
             if self._overflowed:
@@ -329,11 +383,14 @@ class DeltaSink(Bolt):
     detached) are dropped from the fan-out list on the spot.
 
     A batch on a ``:changes`` stream is a signed changelog -- ``(sign,
-    row)`` pairs, applied strictly in sequence under one lock
-    acquisition and published with one fan-out.  Sequence matters: a
-    ``-row`` is ignored unless the multiset holds the row *at that point
-    of the batch*, so ``[(+1, r), (-1, r)]`` publishes both deltas and
-    ``[(-1, r), (+1, r)]`` on an empty sink only the insertion.
+    row)`` pairs or :class:`DeltaAggBolt`'s ``ColumnBatch`` of an ``int8``
+    sign column and a row column -- folded into a plain ``{row: count}``
+    dict in sequence under one lock; the changes applied reach every
+    ring as one shared chunk.  A ``-row`` is ignored unless the multiset
+    holds the row *at that point of the batch*: ``[(+1, r), (-1, r)]``
+    publishes both, ``[(-1, r), (+1, r)]`` on an empty sink only the
+    insertion.  README's "Streaming runtime" feeds it a columnar
+    changelog end to end.
     """
 
     #: coordinator-owned: checkpoints snapshot the multiset via
@@ -351,7 +408,7 @@ class DeltaSink(Bolt):
     }
 
     def __init__(self):
-        self._counts: Counter = Counter()
+        self._counts: Dict[tuple, int] = {}
         self._lock = threading.Lock()
         #: the fan-out list, copy-on-write: an immutable tuple replaced
         #: (never mutated) on subscribe/detach/shed, so a publish reads
@@ -368,41 +425,52 @@ class DeltaSink(Bolt):
         return self.execute_batch(source, stream, [values])
 
     def execute_batch(self, source: str, stream: str, rows):
-        if isinstance(rows, ColumnBatch):
-            # one materialization at the subscription boundary; the per-row
-            # loop below then runs over plain tuples
-            rows = rows.to_rows()
         if stream.endswith(CHANGES_SUFFIX):
-            changes = rows
+            if isinstance(rows, ColumnBatch):
+                signs, rows = rows.column_list(0), rows.column_list(1)
+            else:
+                signs = [sign for sign, _row in rows]
+                rows = [row for _sign, row in rows]
         else:
-            changes = zip(
-                repeat(-1 if stream.endswith(RETRACT_SUFFIX) else 1), rows)
-        deltas: List[Delta] = []
+            rows = rows.to_rows() if isinstance(rows, ColumnBatch) \
+                else list(rows)
+            signs = [-1 if stream.endswith(RETRACT_SUFFIX) else 1] * len(rows)
         with self._lock:
-            counts = self._counts
-            for sign, row in changes:
-                if sign > 0:
-                    counts[row] += 1
-                elif counts[row] > 0:
-                    counts[row] -= 1
-                    if not counts[row]:
-                        del counts[row]
-                else:
-                    continue  # absent row: ignore, as the batch SinkBolt does
-                deltas.append(Delta(sign, row))
-            self.delta_count += len(deltas)
+            chunk = self._fold(signs, rows)
+            self.delta_count += len(chunk[0])
             subscriptions = self._subscriptions
-        if subscriptions and deltas:
-            self._fan_out(subscriptions, deltas)
+        if subscriptions and chunk[0]:
+            self._fan_out(subscriptions, chunk)
         return []
 
+    def _fold(self, signs, rows) -> Chunk:  # squall-lint: holds=_lock
+        """Apply the changes in sequence; returns those applied (a
+        ``-row`` the multiset does not hold at its position is not)."""
+        counts = self._counts
+        held_of = counts.get
+        skipped = []
+        for index, sign, row in zip(count(), signs, rows):
+            held = held_of(row, 0)
+            if sign > 0:
+                counts[row] = held + 1
+            elif held > 1:
+                counts[row] = held - 1
+            elif held:
+                del counts[row]
+            else:
+                skipped.append(index)  # as the batch SinkBolt ignores it
+        if skipped:
+            keep = sorted(set(range(len(signs))).difference(skipped))
+            return [signs[i] for i in keep], [rows[i] for i in keep]
+        return signs, rows
+
     def _fan_out(self, subscriptions: Tuple[Subscription, ...],
-                 deltas: List[Delta]):
-        """Publish one delta batch to every subscriber ring."""
+                 chunk: Chunk):
+        """Publish one chunk of deltas to every subscriber ring."""
         produced_at = time.monotonic()
         dead: List[Subscription] = []
         for subscription in subscriptions:
-            if not subscription._publish(deltas, produced_at):
+            if not subscription._publish(chunk, produced_at):
                 dead.append(subscription)
         if dead:
             gone = set(dead)
@@ -435,25 +503,24 @@ class DeltaSink(Bolt):
         subscriber's folded view stays convergent -- it may transiently
         observe the rewind, but never a wrong final multiset.
         """
-        target = Counter(counts)
-        deltas: List[Delta] = []
+        signs: List[int] = []
+        rows: List[tuple] = []
         with self._lock:
             current = self._counts
-            for row in sorted(set(current) | set(target), key=repr):
-                diff = target[row] - current[row]
-                if diff < 0:
-                    deltas.extend([Delta(-1, row)] * -diff)
-            for row in sorted(set(current) | set(target), key=repr):
-                diff = target[row] - current[row]
-                if diff > 0:
-                    deltas.extend([Delta(1, row)] * diff)
-            self._counts = Counter(
-                {row: count for row, count in target.items() if count > 0})
-            self.delta_count += len(deltas)
+            changed = sorted(set(current) | set(counts), key=repr)
+            for sign in (-1, 1):  # retractions first
+                for row in changed:
+                    diff = counts.get(row, 0) - current.get(row, 0)
+                    if diff * sign > 0:
+                        signs.extend([sign] * abs(diff))
+                        rows.extend([row] * abs(diff))
+            self._counts = {
+                row: held for row, held in counts.items() if held > 0}
+            self.delta_count += len(signs)
             subscriptions = self._subscriptions
-        if subscriptions and deltas:
-            self._fan_out(subscriptions, deltas)
-        return len(deltas)
+        if subscriptions and signs:
+            self._fan_out(subscriptions, (signs, rows))
+        return len(signs)
 
     def finish(self):
         """End of query: close every subscription."""
@@ -490,9 +557,8 @@ class DeltaSink(Bolt):
         subscription._sink = self
         with self._lock:
             catch_up = [
-                Delta(1, row)
-                for row, count in sorted(self._counts.items(), key=repr)
-                for _ in range(count)
+                row for row, held in sorted(self._counts.items(), key=repr)
+                for _ in range(held)
             ]
             completed = self.completed
             if catch_up:
@@ -502,8 +568,8 @@ class DeltaSink(Bolt):
                 # sequenced before its +row would be silently dropped by
                 # changelog semantics, leaving the subscriber's converged
                 # multiset permanently stale).  force=True never blocks.
-                subscription._publish(catch_up, time.monotonic(),
-                                      force=True)
+                subscription._publish(([1] * len(catch_up), catch_up),
+                                      time.monotonic(), force=True)
             if not completed:
                 self._subscriptions += (subscription,)
         if completed:
@@ -530,6 +596,6 @@ class DeltaSink(Bolt):
         once the sources are exhausted)."""
         with self._lock:
             rows: List[tuple] = []
-            for row, count in self._counts.items():
-                rows.extend([row] * count)
+            for row, held in self._counts.items():
+                rows.extend([row] * held)
         return sorted(rows)

@@ -23,10 +23,9 @@ engine plus incrementality, never a different answer.
 from __future__ import annotations
 
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.columnar import ColumnBatch
+from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.core.options import ExecutionOptions
 from repro.engine.component import PhysicalPlan, SourceComponent
 from repro.engine.operators import Projection, Selection
@@ -72,6 +71,15 @@ class DeltaAggBolt(AggBolt):
     insertion it undoes would be lost.  Nothing is netted -- a group
     changed twice in one batch publishes both ``-old/+new`` pairs, at
     every batch size the same per-group feed.
+
+    An unwindowed aggregation fed a ``ColumnBatch`` computes the whole
+    changelog in one vectorized kernel
+    (:meth:`~repro.engine.operators.Aggregation.consume_changelog`) and
+    emits it columnar: an ``int8`` sign column and a row column whose
+    ``to_rows()`` is exactly the row loop's pairs, with the same
+    ``_published`` and group state.  Inputs the kernel cannot match bit
+    for bit (multi-column or non-``int64`` keys, sums that could pass
+    2^53, object columns) and sliding windows take the row loop.
 
     Modes: unwindowed and sliding-window snapshot aggregations get the
     upsert treatment (sliding expirations -- arrival- or
@@ -135,9 +143,14 @@ class DeltaAggBolt(AggBolt):
             for row in rows:
                 changes.extend(consume(row, sign))
             return self._changelog(changes)
-        if isinstance(rows, ColumnBatch):
-            rows = rows.to_rows()
         aggregation = self.aggregation
+        if isinstance(rows, ColumnBatch):
+            changes = aggregation.consume_changelog(rows, sign,
+                                                    self._published)
+            if changes is not None:
+                return (ColumnEmissions(self._changes_stream, changes)
+                        if changes else [])
+            rows = rows.to_rows()
         n_group = len(aggregation.group_positions)
         published = self._published
         changes_stream = self._changes_stream
@@ -270,10 +283,10 @@ def stream_plan(plan: PhysicalPlan,
     ``sources`` to substitute real push sources for some or all
     relations.
 
-    With ``options.columnar`` on, the source pumps coalesce each poll
-    into a :class:`~repro.core.columnar.ColumnBatch`, so joins and
-    aggregations take their vectorized paths; the delta feed and
-    snapshots are unchanged.
+    With ``options.columnar`` on, each poll becomes one
+    :class:`~repro.core.columnar.ColumnBatch` that the source's
+    selection and projection, the joins and the aggregation process as
+    whole columns; the delta feed and snapshots are unchanged.
 
     Returns a :class:`StreamingQuery`; iterate it for live deltas, call
     :meth:`~StreamingQuery.run` to drive it to exhaustion, and
@@ -342,9 +355,10 @@ class StreamingQuery:
         self.options = options
         self._subscription: Optional[Subscription] = None
         #: deltas drained from the subscription but not yet handed to a
-        #: consumer; held on the query, not in an iterator, so abandoning
-        #: one iterator and starting another resumes without a gap
-        self._pending: Deque[Delta] = deque()
+        #: consumer (an iterator over the last drained chunk); held on
+        #: the query, not in a generator, so abandoning one iterator and
+        #: starting another resumes without a gap
+        self._pending: Iterator[Delta] = iter(())
 
     @property
     def subscription(self) -> Subscription:
@@ -371,7 +385,6 @@ class StreamingQuery:
         on the subscription's condition variable, so a delta published by
         a background worker wakes the consumer immediately."""
         cluster = self.cluster
-        pending = self._pending
         threaded = cluster.executor == "threads"
         # attach before the background pump can publish: a subscriber
         # that arrives later is caught up from the current state, not
@@ -380,11 +393,14 @@ class StreamingQuery:
         if threaded:
             cluster.start()
         while True:
-            while pending:
-                yield pending.popleft()
-            pending.extend(subscription.drain(
-                block=threaded, timeout=0.1 if threaded else None))
-            if pending:
+            pending = self._pending
+            yield from pending
+            if pending is not self._pending:
+                continue  # an interleaved iterator refilled it meanwhile
+            chunk = subscription.drain(
+                block=threaded, timeout=0.1 if threaded else None)
+            if chunk:
+                self._pending = iter(chunk)
                 continue
             if subscription.closed:
                 return

@@ -23,10 +23,14 @@ def stable_hash(value) -> int:
     Supports ints, floats, strings, bytes, None and flat tuples of these.
     The function is stable across processes and Python versions, unlike the
     built-in ``hash`` (which is salted for ``str``).
+
+    Values that compare equal hash equal, as with the built-in ``hash``:
+    an integral float hashes as its int (``1.0`` as ``1``, ``-0.0`` as
+    ``0``) and ``True`` as ``1``.  Hash partitioning relies on it -- a
+    join compares keys with ``==``, so ``1`` and ``1.0`` must land on the
+    same task.
     """
-    if isinstance(value, bool):
-        return (int(value) * _KNUTH) & _MASK32
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool included: True hashes as 1
         # Fold in the upper bits so that values larger than 32 bits still
         # contribute, then scramble with the multiplicative constant.
         folded = (value ^ (value >> 32)) & _MASK32
@@ -36,6 +40,8 @@ def stable_hash(value) -> int:
     if isinstance(value, bytes):
         return zlib.crc32(value) & _MASK32
     if isinstance(value, float):
+        if value.is_integer():
+            return stable_hash(int(value))
         return zlib.crc32(struct.pack("!d", value)) & _MASK32
     if value is None:
         return 0x9E3779B9

@@ -172,6 +172,16 @@ class TestSuppressions:
                                   rules=["determinism"])
         assert findings == []
 
+    def test_unreadable_guarded_by_is_a_finding(self):
+        """A map the analyzer cannot read would silently turn the lock
+        check off for the class; it is reported instead."""
+        source = SNIPPET.replace("__COMMENT__", "").replace(
+            'GUARDED_BY = {"items": "_lock"}',
+            'GUARDED_BY = {name: "_lock" for name in ("items",)}')
+        findings = analyze_source(source)
+        assert [f.rule for f in findings] == ["lock-discipline"]
+        assert "not a literal" in findings[0].message
+
 
 class TestParseErrors:
     def test_unparsable_file_is_a_finding(self, tmp_path):
@@ -333,6 +343,21 @@ class TestSurfacedBugs:
         from repro.streaming.deltas import DeltaSink
 
         assert DeltaSink.PIPE_PICKLED is False
+
+    def test_delta_ring_state_is_read_by_the_lock_checker(self):
+        """The analyzer's static map of the fan-out classes is the one
+        they declare, so the lock check covers the chunk ring."""
+        from repro.analysis.core import ModuleInfo
+        from repro.streaming import deltas
+
+        path = deltas.__file__
+        with open(path) as handle:
+            module = ModuleInfo(path, handle.read())
+        static = {cls.name: cls.guarded_by for cls in module.classes}
+        for cls in (deltas.Subscription, deltas.DeltaSink):
+            assert static[cls.__name__] == cls.GUARDED_BY
+        assert {"_chunks", "_head", "_size"} <= set(
+            deltas.Subscription.GUARDED_BY)
 
 
 # -- one execution core: the step kernel stays the only one -------------

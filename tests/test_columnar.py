@@ -207,6 +207,13 @@ class TestHashParity:
         hashes = hash_column(list(values))
         assert [int(h) for h in hashes] == [stable_hash(v) for v in values]
 
+    def test_integral_float_column_hashes_as_the_int_column(self):
+        floats = ColumnBatch.from_rows([(1.0,), (-0.0,), (-7.0,), (2.5,)])
+        ints = ColumnBatch.from_rows([(1,), (0,), (-7,)])
+        hashes = [int(h) for h in hash_column(floats.columns[0])]
+        assert hashes[:3] == [int(h) for h in hash_column(ints.columns[0])]
+        assert hashes == [stable_hash(v) for v in (1.0, -0.0, -7.0, 2.5)]
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(_INTS, _STRINGS, _FLOATS), min_size=1,
                     max_size=15))

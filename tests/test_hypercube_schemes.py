@@ -330,3 +330,40 @@ def _assert_exactly_once(spec, partitioner, data):
         )
         produced[join_schema.flatten(rows_by_relation)] += 1
     assert produced == expected
+
+
+class TestCrossTypeEquiKeys:
+    """``R.y`` holds ints and ``S.y`` the equal floats: the local join
+    matches ``1 == 1.0``, so every scheme must route both to one task."""
+
+    @staticmethod
+    def plan(machines, scheme):
+        from repro.engine.component import (
+            JoinComponent,
+            PhysicalPlan,
+            SourceComponent,
+        )
+        from repro.core.schema import Relation
+
+        R = Relation("R", Schema.of("x", "y"), [(i, i % 7) for i in range(50)])
+        S = Relation("S", Schema.of("y", "z"),
+                     [(float(i % 7), i) for i in range(50)])
+        spec = JoinSpec(
+            [RelationInfo("R", R.schema, 50), RelationInfo("S", S.schema, 50)],
+            [EquiCondition(("R", "y"), ("S", "y"))])
+        return PhysicalPlan(
+            sources=[SourceComponent("R", R), SourceComponent("S", S)],
+            joins=[JoinComponent("J", spec, machines=machines,
+                                 scheme=scheme)])
+
+    @pytest.mark.parametrize("scheme", ["hash", "hybrid", "random"])
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("machines", [1, 4, 8])
+    def test_every_match_is_found(self, machines, columnar, scheme):
+        from repro.core.options import ExecutionOptions
+        from repro.engine.runner import run_plan
+
+        result = run_plan(self.plan(machines, scheme), options=ExecutionOptions(
+            batch_size=16, columnar=columnar))
+        # 7 keys: 8 R rows x 8 S rows on key 0, 7 x 7 on the other six
+        assert len(result.results) == 8 * 8 + 6 * 7 * 7 == 358

@@ -215,6 +215,34 @@ class TestDeltaSink:
         assert deltas == [(1, (1,)), (-1, (1,))]
         assert subscription.closed
 
+    def test_delta_is_a_sign_row_tuple(self):
+        import pickle
+
+        from repro.streaming import Delta
+
+        delta = Delta(-1, ("a", 2))
+        assert (delta.sign, delta.row) == (-1, ("a", 2))
+        assert str(delta) == "-('a', 2)" and str(Delta(1, (3,))) == "+(3,)"
+        assert repr(delta) == "Delta(sign=-1, row=('a', 2))"
+        assert delta == Delta(-1, ("a", 2)) != Delta(1, ("a", 2))
+        assert hash(delta) == hash(Delta(-1, ("a", 2)))
+        assert len({delta, Delta(-1, ("a", 2))}) == 1
+        clone = pickle.loads(pickle.dumps(delta))
+        assert type(clone) is Delta and clone == delta
+
+    def test_pop_and_drain_cross_chunk_boundaries(self):
+        sink = DeltaSink()
+        feed = sink.subscribe(max_buffer=5, on_overflow="block")
+        sink.execute_batch("J", "J", [(1,), (2,)])
+        sink.execute_batch("J", "J:changes", [(1, (3,)), (-1, (1,))])
+        assert feed.backlog == 4  # the bound counts deltas, not chunks
+        assert str(feed.pop()) == "+(1,)"
+        assert [str(d) for d in feed.drain()] == ["+(2,)", "+(3,)", "-(1,)"]
+        sink.execute_batch("J", "J", [(4,), (5,)])
+        assert [str(feed.pop()), str(feed.pop())] == ["+(4,)", "+(5,)"]
+        assert feed.pop() is None and feed.backlog == 0
+        assert feed.published == feed.delivered == 6
+
     def test_late_subscriber_catches_up_with_current_state(self):
         sink = DeltaSink()
         sink.execute_batch("J", "J", [(1,), (2,), (2,)])
@@ -475,6 +503,44 @@ class TestIncrementalDeltas:
                 state[delta.row] -= 1
         rows = sorted(row for row, n in state.items() for _ in range(n))
         assert rows == query.snapshot()
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("predicate", ["vectorized", "row-only"])
+    def test_source_operators_count_exactly(self, columnar, predicate):
+        """The pump filters and projects each poll as one batch (one
+        ColumnBatch when columnar); the selection counters still count
+        every raw row and every survivor once, as the batch engine's."""
+        from dataclasses import dataclass
+
+        from repro.core.expressions import Predicate, col, lit
+
+        @dataclass(frozen=True)
+        class RowOnlyAtLeast(Predicate):
+            """``value >= 3`` with no vectorized form."""
+
+            def compile(self, schema):
+                index = schema.index_of("value")
+                return lambda row: row[index] >= 3
+
+        events = make_events(300, keys=5, seed=4)
+        where = col("value").ge(3) if predicate == "vectorized" \
+            else RowOnlyAtLeast()
+        plan = PhysicalPlan(
+            sources=[SourceComponent(
+                "events", events, predicate=where,
+                projection=[col("key"), col("value") * lit(2)],
+                projection_names=["key", "double"])],
+            aggregation=AggComponent("agg", group_positions=[0],
+                                     aggregates=[count(), total(1)]),
+        )
+        options = ExecutionOptions(batch_size=64, columnar=columnar)
+        batch = run_plan(plan, options=options)
+        query = stream_plan(plan, options=options).run()
+        selection = query.cluster._pumps["events"].selection
+        _cost, seen, passed = batch.selections["events"]
+        assert (selection.seen, selection.passed) == (seen, passed)
+        assert seen == 300 and 0 < passed < 300
+        assert query.snapshot() == sorted(batch.results)
 
 
 class TestPumpPacing:

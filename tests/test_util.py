@@ -21,10 +21,25 @@ class TestStableHash:
         import zlib
         assert stable_hash("abc") == zlib.crc32(b"abc")
 
-    def test_int_and_equal_float_hash_independently(self):
-        # ints and floats are hashed by different code paths on purpose
-        assert isinstance(stable_hash(42), int)
-        assert isinstance(stable_hash(42.0), int)
+    def test_equal_values_hash_equal(self):
+        # hash partitioning routes by stable_hash and joins compare with
+        # ==, so equal keys of different types must meet on one task
+        assert stable_hash(42.0) == stable_hash(42)
+        assert stable_hash(-0.0) == stable_hash(0.0) == stable_hash(0)
+        assert stable_hash(True) == stable_hash(1)
+        assert stable_hash(False) == stable_hash(0)
+        assert stable_hash(-3.0) == stable_hash(-3)
+        assert stable_hash(2.0 ** 70) == stable_hash(2 ** 70)
+        assert stable_hash((1, 2.0)) == stable_hash((1.0, 2))
+
+    def test_non_integral_floats_keep_their_own_hash(self):
+        assert stable_hash(0.5) != stable_hash(0)
+        assert stable_hash(float("inf")) == stable_hash(float("inf"))
+        assert 0 <= stable_hash(float("nan")) <= 0xFFFFFFFF
+
+    @given(st.integers(min_value=-2 ** 53, max_value=2 ** 53))
+    def test_integral_float_hashes_as_its_int(self, value):
+        assert stable_hash(float(value)) == stable_hash(value)
 
     def test_large_int_folds_upper_bits(self):
         assert stable_hash(2**40 + 7) != stable_hash(7)
