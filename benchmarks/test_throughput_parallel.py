@@ -2,7 +2,7 @@
 
 Runs the CPU-bound multi-way join workload of :mod:`repro.bench` (the
 R-S-T chain join whose compute sits in 8 hypercube-partitioned joiner
-tasks) through every backend at parallelism 4 and micro-batch size 512.
+tasks) through both backends at parallelism 4 and micro-batch size 512.
 
 The per-backend timings are recorded through the ``benchmark`` fixture so
 the CI bench job's ``--benchmark-json`` output contains them; the gating
@@ -54,7 +54,6 @@ _MEASURED = {}
 
 BACKENDS = [
     ("inline", None),
-    ("threads", PARALLELISM),
     ("processes", PARALLELISM),
 ]
 
@@ -100,9 +99,8 @@ def test_process_backend_beats_inline_on_multiple_cores():
     #: the parallelism a machine of this size is asserted at
     workers = max(2, min(4, cpus))
     asserted = f"processes x{workers}"
-    backends = {"threads x2": ("threads", 2)}
-    for parallelism in sorted({*SWEEP_PARALLELISM, workers}):
-        backends[f"processes x{parallelism}"] = ("processes", parallelism)
+    backends = {f"processes x{parallelism}": ("processes", parallelism)
+                for parallelism in sorted({*SWEEP_PARALLELISM, workers})}
     rows = []
     speedups = {}
     for n_rows in SWEEP_ROWS:
@@ -114,8 +112,6 @@ def test_process_backend_beats_inline_on_multiple_cores():
                                                      executor=executor,
                                                      parallelism=parallelism))
 
-        # threads x2 is the control: the same coalesced waves, no
-        # second core (the GIL) -- what it gains is batching, not cores
         runs = {"inline": run}
         for label, (executor, parallelism) in backends.items():
             runs[label] = (lambda run=run, executor=executor,

@@ -221,9 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="parallel workers (default %(default)s)")
     parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
                         help="best-of repeats per backend (default %(default)s)")
-    parser.add_argument("--threads", action="store_true",
-                        help="also measure the threads backend (GIL-bound "
-                             "for this pure-Python workload)")
     parser.add_argument("--trace-out", metavar="FILE",
                         help="also run once at observe='trace' and write "
                              "the trace buffer's JSON export to FILE")
@@ -234,10 +231,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     backends: List[Tuple[str, Optional[int], Optional[bool]]] = [
         ("inline/row", None, False),
         ("inline/col", None, True),
+        ("processes", args.parallelism, None),
     ]
-    if args.threads:
-        backends.append(("threads", args.parallelism, None))
-    backends.append(("processes", args.parallelism, None))
 
     timings: List[Tuple[str, float]] = []
     paths: List[Tuple[str, str]] = []

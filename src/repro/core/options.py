@@ -39,6 +39,10 @@ OVERFLOW_POLICIES = ("shed", "block")
 #: instruments plus per-micro-batch span records (see repro.obs)
 OBSERVE_LEVELS = ("off", "metrics", "trace")
 
+#: execution backends, batch and streaming alike: the calling thread's
+#: own loop / forked shared-nothing worker processes
+EXECUTOR_NAMES = ("inline", "processes")
+
 
 @dataclass(frozen=True)
 class ExecutionOptions:
@@ -47,9 +51,10 @@ class ExecutionOptions:
     All fields default to ``None`` ("not set"); :meth:`resolve` applies
     the engine-wide defaults and raises ``ValueError`` on out-of-range
     values (``batch_size < 1``, non-positive ``rate``, unknown
-    ``on_overflow``, ...).  Instances are frozen -- derive variants with
-    :meth:`replace` (field updates) / :meth:`overlay` (layering: the
-    overlay's set fields win).  Every front-end accepts ``options=``:
+    ``executor`` or ``on_overflow``, ...).  Instances are frozen --
+    derive variants with :meth:`replace` (field updates) /
+    :meth:`overlay` (layering: the overlay's set fields win).  Every
+    front-end accepts ``options=``:
     ``run_plan``, ``SqlSession.execute`` / ``stream``, the functional
     API's ``.execute()`` / ``.stream()``, ``stream_plan`` and
     ``QueryBroker.subscribe``.
@@ -68,11 +73,11 @@ class ExecutionOptions:
     #: micro-batch granularity; None = the front-end default (1 for the
     #: finite engine's golden per-tuple path, 64 for streaming)
     batch_size: Optional[int] = None
-    #: execution backend: 'inline' | 'threads' | 'processes' (staged
-    #: waves for finite plans, resident checkpointed workers for
-    #: streaming); None = 'inline'
+    #: execution backend: 'inline' | 'processes' (staged waves for
+    #: finite plans, resident checkpointed workers for streaming);
+    #: None = 'inline'
     executor: Optional[str] = None
-    #: shared-nothing workers for the parallel backends; None = auto
+    #: shared-nothing workers for executor='processes'; None = auto
     parallelism: Optional[int] = None
     #: vectorized columnar path; None = on at batch_size >= 64
     columnar: Optional[bool] = None
@@ -105,6 +110,15 @@ class ExecutionOptions:
                       else self.batch_size)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        executor = self.executor or "inline"
+        if executor not in EXECUTOR_NAMES:
+            removed = (
+                "; the 'threads' backend is gone (its workers shared one "
+                "GIL): use 'inline' on one core or 'processes' across "
+                "cores" if executor == "threads" else "")
+            raise ValueError(
+                f"unknown executor {executor!r}; choose one of "
+                f"{EXECUTOR_NAMES}{removed}")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}")
@@ -132,7 +146,7 @@ class ExecutionOptions:
                 f"observe must be one of {OBSERVE_LEVELS}, got {observe!r}")
         return ExecutionOptions(
             batch_size=batch_size,
-            executor=self.executor or "inline",
+            executor=executor,
             parallelism=self.parallelism,
             columnar=bool(columnar),
             rate=self.rate,

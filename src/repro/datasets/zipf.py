@@ -48,7 +48,3 @@ class ZipfGenerator:
 
     def draws(self, n: int) -> List[int]:
         return [self.draw() for _ in range(n)]
-
-    def expected_top_share(self) -> float:
-        """Fraction of draws expected to hit the most frequent key."""
-        return self.top_frequency

@@ -82,7 +82,7 @@ class SourceSpout(Spout):
         return None
 
     # a shipped-home spout carries its counters, not the dataset: the
-    # parallel backends return final task state to the coordinator for
+    # processes backend returns final task state to the coordinator for
     # result extraction, and pickling the whole input relation back over
     # the pipe would put O(dataset) serialization on that path.  A
     # round-tripped spout is therefore exhausted-by-construction (empty
@@ -367,7 +367,7 @@ class AggBolt(Bolt):
 class SinkBolt(Bolt):
     """Collects final rows into a per-task list.
 
-    Under the parallel backends each sink task's store lives inside the
+    Under the processes backend each sink task's store lives inside the
     owning worker; ``run_plan`` gathers the stores *after* the run, when
     the cluster holds the final task state.  A shared list can still be
     injected (tests, embedding)."""
@@ -585,13 +585,12 @@ def run_plan(plan: PhysicalPlan, max_tuples: Optional[int] = None,
     in event-time order (windows directly over a source, the common
     case).
 
-    ``options.executor`` picks the execution backend (``"inline"``,
-    ``"threads"`` or ``"processes"``) and ``options.parallelism`` the
-    number of shared-nothing workers; see :mod:`repro.storm.executor`.
-    Every backend yields the same result multiset and per-component
-    totals; the process backend additionally requires pickle-safe task
-    state (windowed components hold factory closures and are
-    inline/threads-only).
+    ``options.executor`` picks the execution backend (``"inline"`` or
+    ``"processes"``) and ``options.parallelism`` the number of
+    shared-nothing workers; see :mod:`repro.storm.executor`.  Both
+    backends yield the same result multiset and per-component totals;
+    the process backend additionally requires pickle-safe rows and task
+    state (README, *Pickle-safety requirements*).
 
     ``options.columnar`` selects the columnar execution path (vectorized
     selections, hashing, join probes); the default (None) turns it on

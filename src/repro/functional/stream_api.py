@@ -77,9 +77,6 @@ class Stream:
     def _resolve(self, name: str) -> Tuple[str, str]:
         return resolve_column(name, self._schemas())
 
-    def _last_scan(self) -> ScanDef:
-        return self._scans[-1]
-
     # -- transformations -------------------------------------------------------
 
     def filter(self, predicate: Predicate, cost_class: str = "int") -> "Stream":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.predicates import JoinCondition, JoinSpec
+from repro.core.predicates import JoinSpec
 from repro.core.schema import Schema
 
 
@@ -128,14 +128,6 @@ class LocalJoin:
     def reset(self):
         """Drop all state (tumbling window boundary)."""
         raise NotImplementedError
-
-
-def _conditions_by_pair(spec: JoinSpec) -> Dict[frozenset, List[JoinCondition]]:
-    by_pair: Dict[frozenset, List[JoinCondition]] = {}
-    for cond in spec.conditions:
-        key = frozenset((cond.left[0], cond.right[0]))
-        by_pair.setdefault(key, []).append(cond)
-    return by_pair
 
 
 def satisfies_all(spec: JoinSpec, join_schema: JoinSchema,

@@ -99,18 +99,6 @@ def fan_in_spans(parent: FanIn, next_span_id, component: str, task: int,
     return spans, FanIn(children)
 
 
-class SpanIds:
-    """A prefixed span-id sequence for one single-threaded producer."""
-
-    def __init__(self, prefix: str):
-        self.prefix = prefix
-        self._seq = 0
-
-    def next(self) -> str:
-        self._seq += 1
-        return f"{self.prefix}.{self._seq}"
-
-
 class TraceBuffer:
     """Bounded, thread-safe store of span records with JSON export.
 

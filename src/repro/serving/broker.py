@@ -176,7 +176,7 @@ class QueryBroker:
         options: the broker's execution default layer -- every
             subscription's options are
             ``broker.options.overlay(call options)`` before resolving,
-            so a deployment can pin e.g. ``executor='threads'`` once.
+            so a deployment can pin e.g. ``executor='processes'`` once.
 
     Raises:
         AdmissionError: from :meth:`subscribe` when any of the three

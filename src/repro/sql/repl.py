@@ -18,7 +18,7 @@ Meta-commands (everything else is executed as SQL):
     \\set mode <name>        multiway | pipeline
     \\set local <name>       dbtoaster | traditional
     \\set batch_size <n>     micro-batch granularity (>= 1)
-    \\set executor <name>    inline | threads | processes
+    \\set executor <name>    inline | processes
     \\set parallelism <n>    shared-nothing workers (auto = pick)
     \\set columnar <v>       vectorized path: auto | on | off
     \\set rate <n>           \\watch replay rows/sec (none = unthrottled)
@@ -35,12 +35,12 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.options import (
+    EXECUTOR_NAMES,
     OBSERVE_LEVELS,
     OVERFLOW_POLICIES,
     ExecutionOptions,
 )
 from repro.sql.catalog import SqlSession
-from repro.storm.executor import EXECUTOR_NAMES
 
 HELP_TEXT = __doc__.split("Meta-commands", 1)[1]
 
@@ -269,17 +269,17 @@ class SquallShell:
 
         The replayed sources are finite, so the watch runs to exhaustion
         and reports the final snapshot; with a real push source it would
-        keep printing deltas for as long as the query lives."""
+        keep printing deltas for as long as the query lives.  Under
+        ``executor processes`` the topology stays resident on
+        ``parallelism`` forked workers (the streaming ``processes``
+        executor, with checkpointed recovery)."""
         notes = []
         execution = self.execution
-        if execution.executor == "processes":
+        if execution.parallelism is not None and \
+                execution.executor != "processes":
             # tell the user, don't silently ignore their \set
-            notes.append("-- note: the staged 'processes' backend cannot "
-                         "keep a topology resident; watching inline")
-            execution = execution.replace(executor="inline")
-        if execution.parallelism is not None:
-            notes.append("-- note: the streaming runtime has no parallelism "
-                         "knob; watching with per-task worker threads")
+            notes.append("-- note: parallelism applies to executor "
+                         "processes only; watching inline in this thread")
             execution = execution.replace(parallelism=None)
         try:
             query = self.session.stream(sql, options=execution)

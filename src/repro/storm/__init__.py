@@ -11,6 +11,7 @@ task receives which tuples (load, replication, skew degree) and how many
 tuples cross the network, while running in a single process.
 """
 
+from repro.core.options import EXECUTOR_NAMES
 from repro.storm.topology import (
     Bolt,
     ListSpout,
@@ -31,22 +32,17 @@ from repro.storm.groupings import (
 )
 from repro.storm.cluster import LocalCluster
 from repro.storm.executor import (
-    EXECUTOR_NAMES,
     ExecutorError,
-    ProcessExecutor,
     Router,
     StagedExecutor,
-    ThreadExecutor,
 )
 from repro.storm.metrics import TopologyMetrics
 
 __all__ = [
     "EXECUTOR_NAMES",
     "ExecutorError",
-    "ProcessExecutor",
     "Router",
     "StagedExecutor",
-    "ThreadExecutor",
     "Bolt",
     "ListSpout",
     "Spout",

@@ -22,9 +22,9 @@ its prefix by this pull order, and a window expires state in it.
 after spout, routes them into one
 :class:`~repro.storm.executor.WaveBuffer`, and then runs the bolt tasks
 once each in topological order, every task handed its deliveries merged
-per ``(source, stream)`` run -- the staged backends' per-task wave
-coalescing (the level pass itself is theirs too,
-:func:`repro.storm.kernel.run_level`) without a thread or a pipe.  A
+per ``(source, stream)`` run -- the staged backend's per-task wave
+coalescing (with the same level pass,
+:func:`repro.storm.kernel.run_level`) without a worker or a pipe.  A
 joiner fed 16 spout batches of one relation executes one batch of their
 rows; per-tuple *results* are unchanged (the engine's operators are
 order-insensitive up to the final multiset), only the interleaving and
@@ -32,8 +32,8 @@ the number of executed batches differ.
 
 ``run(executor=...)`` selects the execution backend: ``inline`` (this
 module's single-threaded loop, the default), or the staged shared-nothing
-``threads`` / ``processes`` backends of :mod:`repro.storm.executor`,
-which spread the tasks across parallel workers exchanging micro-batches.
+``processes`` backend of :mod:`repro.storm.executor`, which spreads the
+tasks across forked workers exchanging micro-batches.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from repro.obs import MetricsRegistry, Observer
 from repro.storm.executor import (
     ExecutorError,
     Router,
+    StagedExecutor,
     WaveBuffer,
-    create_executor,
 )
 from repro.storm.kernel import deliver, pull, run_level, source_hop
 from repro.storm.metrics import TopologyMetrics
@@ -164,9 +164,9 @@ class LocalCluster:
         emitting more rows than ``batch_size`` forwards them as one batch.
 
         ``executor`` selects the backend: ``"inline"`` (default) runs
-        every task in this thread; ``"threads"`` / ``"processes"`` spread
-        the tasks over ``parallelism`` shared-nothing workers (see
-        :mod:`repro.storm.executor`).  All backends produce the same
+        every task in this thread; ``"processes"`` spreads the tasks over
+        ``parallelism`` forked shared-nothing workers (see
+        :mod:`repro.storm.executor`).  Both backends produce the same
         result multiset and per-component totals.
 
         ``columnar`` turns the columnar execution path on/off; the
@@ -186,20 +186,19 @@ class LocalCluster:
         self._set_columnar(columnar)
         started = time.perf_counter()
         try:
-            return self._run_inline(max_tuples, batch_size, executor,
-                                    parallelism)
+            return self._run_inline(max_tuples, batch_size,
+                                    resolved.executor, parallelism)
         finally:
             self.metrics.elapsed = time.perf_counter() - started
 
     def _run_inline(self, max_tuples, batch_size, executor, parallelism):
-        if executor not in (None, "inline"):
+        if executor == "processes":
             if max_tuples is not None:
                 raise ExecutorError(
                     "max_tuples is only supported by the inline executor "
                     "(parallel spout draining has no global tuple cursor)"
                 )
-            backend = create_executor(executor, self, parallelism)
-            return backend.run(batch_size=batch_size)
+            return StagedExecutor(self, parallelism).run(batch_size=batch_size)
         self.set_coalescing(batch_size > 1)
         spouts: List[Tuple[str, int, Spout]] = []
         for name, spec in self.topology.components.items():
@@ -269,8 +268,8 @@ class LocalCluster:
     def _set_columnar(self, enabled: bool):
         """Flag every columnar-capable spout before draining starts.
 
-        Must run before a parallel backend forks/starts its workers so
-        the flag travels with the task instances.
+        Must run before the processes backend forks its workers so the
+        flag travels with the task instances.
         """
         for name, spec in self.topology.components.items():
             if not spec.is_spout:

@@ -1,15 +1,10 @@
 """Execution backends: shared-nothing parallel workers over micro-batches.
 
 The :class:`~repro.storm.cluster.LocalCluster` runs a topology through one
-of three interchangeable backends:
+of two interchangeable backends:
 
 - ``inline`` -- the cluster's own single-threaded loop (the default;
   byte-identical to the seed per-tuple engine at ``batch_size=1``).
-- ``threads`` -- staged shared-nothing workers as threads.  Each worker
-  owns a disjoint set of tasks and its own routing state; barriers keep
-  flush/finish semantics exact.  The GIL serializes pure-Python compute,
-  so this backend is mostly useful for I/O-bound spouts and for testing
-  the parallel protocol without process overhead.
 - ``processes`` -- forked worker processes exchanging *serialized*
   micro-batches over pipes: true shared-nothing scale-out across cores,
   the execution model of the paper's Storm deployment.  Requires the
@@ -33,8 +28,8 @@ runs, so routed work travels and executes *coalesced*
 upstream tasks produced it in -- the pipes carry a few large payloads and
 a joiner pays its per-batch costs once per input relation.  The inline
 loop's rounds coalesce the same way (same buffer, same level pass,
-:func:`repro.storm.kernel.run_level`), so what a staged backend adds over
-``inline`` is its workers, not its batch sizes.
+:func:`repro.storm.kernel.run_level`), so what the staged backend adds
+over ``inline`` is its workers, not its batch sizes.
 
 Workers merge deterministically (worker-id order), so a run is
 reproducible; result *multisets* and per-component totals are identical
@@ -47,8 +42,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue
-import threading
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,8 +57,6 @@ from repro.util import usable_cores
 #: awaiting execution at task `task` of component `target`; under the
 #: columnar path the rows payload is a ColumnBatch instead of a row list
 WorkItem = Tuple[str, int, str, str, List[tuple]]
-
-EXECUTOR_NAMES = ("inline", "threads", "processes")
 
 
 class ExecutorError(RuntimeError):
@@ -376,7 +367,7 @@ class WorkerState:
         }
         self.router = Router(topology, clone=True)
         # owned tasks only -- the shared-nothing contract: nothing else of
-        # the (forked or shared) task table is ever touched
+        # the forked task table is ever touched
         self.owned: Dict[str, Dict[int, object]] = {}
         for (name, task_index), owner in assignment.items():
             if owner == worker_id:
@@ -437,16 +428,15 @@ class WorkerState:
 
 
 def worker_loop(state, recv, send):
-    """The command loop of every worker: thread or forked, staged or
-    resident.
+    """The command loop of every forked worker, staged or resident.
 
     ``state.COMMANDS`` names the method behind each coordinator command;
     the rest of the message is its arguments.  Every command gets exactly
     one reply -- ``("ok", result)``, or ``("error", traceback)`` if it
     raised -- so the protocol stays in lock-step; ``stop`` ends the loop.
     ``send(reply)`` must raise in the *caller* on serialization failure
-    (queue.Queue and Connection.send both do) so that too becomes an error
-    reply instead of a hang.
+    (Connection.send does) so that too becomes an error reply instead of
+    a hang.
     """
     commands = state.COMMANDS
     while True:
@@ -478,32 +468,6 @@ class WorkerDied(ExecutorError):
         self.worker_ids = sorted(worker_ids)
 
 
-class _ThreadWorker:
-    """A worker thread fed through in-memory queues (no serialization)."""
-
-    def __init__(self, state: WorkerState):
-        self._inbox: "queue.Queue" = queue.Queue()
-        self._outbox: "queue.Queue" = queue.Queue()
-        self._thread = threading.Thread(
-            target=worker_loop,
-            args=(state, self._inbox.get, self._outbox.put),
-            daemon=True,
-        )
-        self._thread.start()
-
-    def send(self, message):
-        self._inbox.put(message)
-
-    def recv(self):
-        return self._outbox.get()
-
-    def signal_stop(self):
-        self._inbox.put(("stop",))
-
-    def join(self):
-        self._thread.join(timeout=30)
-
-
 def fork_context():
     """The multiprocessing context of every forked backend."""
     import multiprocessing
@@ -512,7 +476,7 @@ def fork_context():
         raise ExecutorError(
             "the 'processes' backends need the fork start method "
             "(component factories are closures and cannot be pickled); "
-            "use executor='threads' or 'inline' on this platform"
+            "use executor='inline' on this platform"
         )
     return multiprocessing.get_context("fork")
 
@@ -596,14 +560,15 @@ def _forked_worker_main(state, conn):
 
 
 class StagedExecutor:
-    """Coordinator for the parallel backends: waves, barriers, merging.
+    """The batch ``processes`` backend: forked workers, waves, barriers,
+    merging.
 
-    Subclasses only decide how workers run (threads vs forked processes)
-    and whether final task state must be shipped back.
+    Each worker is a forked process owning a disjoint task set (fork
+    copies the task table into it); routed waves cross the pipes, and
+    when the run ends the final task instances ship home into the
+    cluster, so result extraction reads the same tasks as after an
+    inline run.
     """
-
-    name = "staged"
-    reimports_tasks = False
 
     def __init__(self, cluster, parallelism: Optional[int] = None):
         self.cluster = cluster
@@ -615,21 +580,7 @@ class StagedExecutor:
             raise ExecutorError(f"parallelism must be >= 1, got {requested}")
         self.n_workers = min(requested, n_tasks)
         self.assignment = assign_tasks(cluster.topology, self.n_workers)
-        ensure_task_local_routing(cluster.topology, self.name)
-
-    # -- backend hooks -----------------------------------------------------
-
-    def _start_workers(self, batch_size: int) -> List[object]:
-        raise NotImplementedError
-
-    def _make_state(self, worker_id: int, batch_size: int) -> WorkerState:
-        observer = self.cluster.observer
-        return WorkerState(worker_id, self.cluster.topology, self.cluster._tasks,
-                           self.assignment, batch_size,
-                           observe="off" if observer is None
-                           else observer.level)
-
-    # -- the run -----------------------------------------------------------
+        ensure_task_local_routing(cluster.topology, "processes")
 
     def run(self, batch_size: int = 1):
         """Execute the topology to completion; returns the cluster metrics."""
@@ -639,7 +590,13 @@ class StagedExecutor:
         metrics = cluster.metrics
         observer = cluster.observer
         levels = topological_levels(cluster.topology)
-        workers = self._start_workers(batch_size)
+        context = fork_context()
+        workers = [
+            ForkedWorker(context, WorkerState(
+                worker_id, cluster.topology, cluster._tasks, self.assignment,
+                batch_size,
+                observe="off" if observer is None else observer.level))
+            for worker_id in range(self.n_workers)]
         doing = "start"
         try:
             pending = WaveBuffer()
@@ -673,14 +630,19 @@ class StagedExecutor:
                     f"{sorted(pending.keys())}"
                 )
             doing = "collect"
-            self._finalize(workers)
+            # ship the final task state back into the cluster
+            for worker in workers:
+                worker.send(("collect",))
+            for worker in workers:
+                for (name, task_index), instance in self._reply(worker).items():
+                    cluster._tasks[name][task_index] = instance
         except WorkerDied as death:
             # a worker process vanished mid-protocol (OOM kill, segfault):
             # a batch run has no checkpoint to recover from -- fail naming
             # who died, doing what, and how
             worker_id = death.worker_ids[0]
             raise ExecutorError(
-                f"{self.name} worker {worker_id} died running {doing} "
+                f"processes worker {worker_id} died running {doing} "
                 f"(exit code {workers[worker_id].exit_code()})"
             ) from None
         finally:
@@ -693,55 +655,12 @@ class StagedExecutor:
                 worker.join()
         return metrics
 
-    def _reply(self, worker):
+    @staticmethod
+    def _reply(worker):
         status, payload = worker.recv()
         if status != "ok":
-            raise ExecutorError(
-                f"{self.name} worker failed:\n{payload}"
-            )
+            raise ExecutorError(f"processes worker failed:\n{payload}")
         return payload
-
-    def _finalize(self, workers):
-        """Ship final task state back into the cluster (process backend)."""
-        if not self.reimports_tasks:
-            return
-        for worker in workers:
-            worker.send(("collect",))
-        for worker in workers:
-            for (name, task_index), instance in self._reply(worker).items():
-                self.cluster._tasks[name][task_index] = instance
-
-
-class ThreadExecutor(StagedExecutor):
-    """Staged workers as threads sharing the cluster's task instances.
-
-    Ownership is still disjoint and routing still task-local, so the
-    execution protocol is identical to the process backend -- only the
-    transport (in-memory queues) and the memory model (shared heap, no
-    pickling) differ.
-    """
-
-    name = "threads"
-
-    def _start_workers(self, batch_size):
-        return [
-            _ThreadWorker(self._make_state(worker_id, batch_size))
-            for worker_id in range(self.n_workers)
-        ]
-
-
-class ProcessExecutor(StagedExecutor):
-    """Staged workers as forked processes: shared-nothing across cores."""
-
-    name = "processes"
-    reimports_tasks = True
-
-    def _start_workers(self, batch_size):
-        context = fork_context()
-        return [
-            ForkedWorker(context, self._make_state(worker_id, batch_size))
-            for worker_id in range(self.n_workers)
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -1091,24 +1010,3 @@ class ResidentWorkerPool:
             })
             for worker_id in self._workers
         })
-
-
-_BACKENDS = {
-    "threads": ThreadExecutor,
-    "processes": ProcessExecutor,
-}
-
-
-def create_executor(name: str, cluster, parallelism: Optional[int] = None):
-    """Instantiate a parallel backend by name ('threads' or 'processes').
-
-    The 'inline' backend is the LocalCluster's own loop and never reaches
-    this factory.
-    """
-    try:
-        backend = _BACKENDS[name]
-    except KeyError:
-        raise ExecutorError(
-            f"unknown executor {name!r}; choose one of {EXECUTOR_NAMES}"
-        ) from None
-    return backend(cluster, parallelism)

@@ -75,7 +75,7 @@ class Grouping:
         content-insensitive ones diverge per worker, which only changes
         the interleaving, never the result multiset.  Groupings must be
         deep-copyable and pickle-safe (no open handles, no lambdas) to be
-        usable under the 'threads' and 'processes' executors.
+        usable under the 'processes' executor.
 
         ``memo`` is the deepcopy memo shared across one worker's whole
         routing table, so objects referenced by several groupings (a
@@ -90,7 +90,7 @@ class Grouping:
         False for groupings whose routing *adapts to the globally
         observed stream* (e.g. a reshaping adaptive partitioner): worker
         copies would each see only a slice of the stream, diverge, and
-        silently drop join matches.  The parallel backends refuse such
+        silently drop join matches.  The processes backend refuses such
         topologies up front; the inline executor runs them exactly.
         """
         return True

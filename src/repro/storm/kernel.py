@@ -2,16 +2,16 @@
 
 Every driver moves routed micro-batches its own way -- ``LocalCluster``'s
 rounds and work stack, the staged level barrier, the resident workers'
-pipes, the streaming worker threads' bounded queues -- and hands each one
-to :func:`deliver`, so what happens to a batch at a task is written once:
+pipes -- and hands each one to :func:`deliver`, so what happens to a
+batch at a task is written once:
 count the receive, run the task, time and span it iff the run is
 observed, count the emit.  The drivers that schedule by topological level
 (the inline rounds and the staged workers' waves) also share the loop
 around it, :func:`run_level`.  Two parameters carry what differs:
 
 - ``counters`` -- where the step is counted: the cluster's
-  :class:`~repro.storm.metrics.TopologyMetrics`, a worker's own (folded in
-  by the coordinator's ``merge``), or a locked view of the cluster's.
+  :class:`~repro.storm.metrics.TopologyMetrics` or a worker's own (folded
+  in by the coordinator's ``merge``).
 - ``obs`` -- the :class:`~repro.obs.Observer` or a worker's
   :class:`~repro.obs.WorkerObs`; both answer ``record`` / ``span`` /
   ``root``.  ``None`` is ``observe='off'``: no observer object exists and

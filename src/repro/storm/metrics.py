@@ -27,9 +27,9 @@ class TopologyMetrics:
     emitted: Dict[str, List[int]] = field(default_factory=dict)
     edge_transfers: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: micro-batches handled per task: spout pulls and *executed* bolt
-    #: batches (the staged backends execute a wave's deliveries coalesced,
+    #: batches (the staged backend executes a wave's deliveries coalesced,
     #: so a bolt's count there is its runs, not its upstream's pulls).
-    #: The load-balance signal of the parallel backends -- per-task *tuple*
+    #: The load-balance signal of the processes backend -- per-task *tuple*
     #: counts alone cannot tell an idle spout task from a starved one.
     batches: Dict[str, List[int]] = field(default_factory=dict)
     #: execution-path counters: rows/batches delivered to bolts as columnar
@@ -200,8 +200,8 @@ class StreamMetrics:
     a trailing wall-clock window, the current event-time watermark, and
     the **event-time lag** (newest event timestamp seen minus the
     watermark -- how far window results trail the stream's own clock).
-    All methods are thread-safe; the threads executor's pump and workers
-    record concurrently.
+    All methods are thread-safe: the pump records while other threads
+    (a broker's ``/metrics`` scrape, ``query.stats()``) read snapshots.
     """
 
     #: squall-lint lock-discipline contract: the rolling counters only

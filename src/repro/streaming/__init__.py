@@ -10,17 +10,13 @@ watermark punctuations driving window expiration and incremental
   execution (the engine behind ``SqlSession.stream`` and the functional
   API's ``.stream()``);
 - :class:`StreamingCluster` -- run an arbitrary topology over push
-  sources (inline or per-task-thread executors, bounded queues with
-  backpressure);
+  sources (inline, or on resident forked workers with checkpointed
+  recovery);
 - :class:`ReplaySource` / :class:`CallbackSource` -- event-time replays
   of stored data and generator/push-driven feeds.
 """
 
-from repro.streaming.cluster import (
-    STREAMING_EXECUTORS,
-    SourcePump,
-    StreamingCluster,
-)
+from repro.streaming.cluster import SourcePump, StreamingCluster
 from repro.streaming.deltas import (
     Delta,
     DeltaSink,
@@ -37,7 +33,6 @@ from repro.streaming.sources import (
 from repro.streaming.watermarks import WatermarkTracker
 
 __all__ = [
-    "STREAMING_EXECUTORS",
     "Backpressure",
     "CallbackSource",
     "Delta",

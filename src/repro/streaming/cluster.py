@@ -8,7 +8,7 @@ dataplane (no per-tuple regression), watermark punctuations drive window
 expiration between batches, and the :class:`~repro.streaming.deltas.\
 DeltaSink` at the bottom feeds live ``+row/-row`` deltas to subscribers.
 
-One pump round (:meth:`StreamingCluster.step`) serves three executors:
+One pump round (:meth:`StreamingCluster.step`) serves both executors:
 it polls every source for one micro-batch, ``inject``s it, and then
 ``advance_watermark``s the merged watermark -- and at end of stream
 ``flush_bolts`` -- on the executor's *transport*:
@@ -23,16 +23,6 @@ it polls every source for one micro-batch, ``inject``s it, and then
   sensitive) state, it is depth-first, identical to ``LocalCluster.run``
   there, so the delivery order -- and hence every per-task counter and a
   window's expirations -- matches the finite engine.
-- ``threads`` -- one worker thread per bolt task, fed through a
-  **bounded queue** (``queue_capacity`` micro-batches) and pumped from a
-  background thread.  A full queue blocks the producer's ``put`` --
-  backpressure propagates hop by hop from a slow consumer back to the
-  source pumps.  Watermark and end-of-stream punctuations travel through
-  the same FIFO queues as data and are merged per upstream task, so a
-  promise can never overtake the rows it vouches for.  Routing state is
-  cloned per worker (``Grouping.task_local``); partitioners that adapt
-  to the globally observed stream are refused up front, exactly as in
-  :mod:`repro.storm.executor`.
 - ``processes`` -- **resident forked worker processes** holding the
   topology's join/aggregation tasks, exchanging serialized micro-batches
   with the coordinator over long-lived pipes: the fault-tolerant
@@ -46,7 +36,9 @@ it polls every source for one micro-batch, ``inject``s it, and then
   detected, respawned, restored from the latest snapshot, and the
   post-checkpoint delta stream is replayed exactly-once, so the final
   snapshot is byte-identical to a crash-free (and to a batch) run.
-  The full walkthrough lives in ``docs/FAULT_TOLERANCE.md``.
+  Partitioners that adapt to the globally observed stream are refused
+  up front, exactly as in :mod:`repro.storm.executor`.  The full
+  walkthrough lives in ``docs/FAULT_TOLERANCE.md``.
 
 All executors produce the same final snapshot as ``run_plan`` on the
 same data; the inline executor at equal ``batch_size`` reproduces the
@@ -59,15 +51,14 @@ from __future__ import annotations
 
 import math
 import pickle
-import queue
 import threading
 import time
-import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
 from repro.checkpoint.log import DATA as _LOG_DATA
 from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.options import EXECUTOR_NAMES
 from repro.engine.operators import Projection, Selection
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
@@ -90,13 +81,8 @@ from repro.streaming.deltas import DeltaSink, Subscription
 from repro.streaming.sources import Emission, PushSource
 from repro.streaming.watermarks import WatermarkTracker
 
-STREAMING_EXECUTORS = ("inline", "threads", "processes")
-
 #: checkpoint cadence (pump rounds) when none is configured
 DEFAULT_CHECKPOINT_INTERVAL = 8
-
-#: message kinds flowing through a worker task's queue
-_DATA, _WM, _EOS = "data", "wm", "eos"
 
 
 class SourcePump:
@@ -283,201 +269,18 @@ class _PoolTransport:
                     pending.append((target, emissions, child))
 
 
-class _LockedCounters:
-    """``TopologyMetrics.record_*`` under the cluster lock: where the
-    threads executor's pump and workers, recording concurrently, count."""
-
-    def __init__(self, metrics: TopologyMetrics, lock: threading.Lock):
-        self._metrics = metrics
-        self._lock = lock
-
-    def record_emit(self, component: str, task: int, count: int = 1):
-        with self._lock:
-            self._metrics.record_emit(component, task, count)
-
-    def record_receive(self, source: str, target: str, task: int,
-                       count: int = 1):
-        with self._lock:
-            self._metrics.record_receive(source, target, task, count)
-
-    def record_batch(self, component: str, task: int):
-        with self._lock:
-            self._metrics.record_batch(component, task)
-
-    def record_path(self, columnar: bool, rows: int):
-        with self._lock:
-            self._metrics.record_path(columnar, rows)
-
-
-class _QueueTransport:
-    """The ``threads`` transport: one worker thread per bolt task behind
-    a bounded queue, each routing through its own copy of the groupings;
-    ``put`` on a full queue is the backpressure edge."""
-
-    def __init__(self, topology: Topology,
-                 bolt_tasks: List[Tuple[str, int, object]], capacity: int,
-                 coalesce: bool, counters: _LockedCounters,
-                 observer: Optional[Observer],
-                 on_failure: Callable[[str], None]):
-        self._topology = topology
-        self._coalesce = coalesce
-        self._counters = counters
-        self._observer = observer
-        self._on_failure = on_failure
-        self._router = Router(topology, clone=True)  # the pump's copy
-        self._sources = [name for name, spec in topology.components.items()
-                         if spec.is_spout]
-        self._queues: Dict[Tuple[str, int], "queue.Queue"] = {
-            (name, task_index): queue.Queue(capacity)
-            for name, task_index, _task in bolt_tasks}
-        # per-bolt upstream task keys (who must punctuate before we act)
-        self._upstream_keys: Dict[str, List[Tuple[str, int]]] = {}
-        # per-component downstream tasks (who receives our punctuations)
-        self._downstream: Dict[str, List[Tuple[str, int]]] = {}
-        for name, spec in topology.components.items():
-            ups: List[Tuple[str, int]] = []
-            for up in topology.upstream(name):
-                up_spec = topology.components[up]
-                count = 1 if up_spec.is_spout else up_spec.parallelism
-                ups.extend((up, i) for i in range(count))
-            self._upstream_keys[name] = ups
-            downs: List[Tuple[str, int]] = []
-            for target in sorted({e.target for e in topology.out_edges(name)}):
-                downs.extend(
-                    (target, i)
-                    for i in range(topology.components[target].parallelism)
-                )
-            self._downstream[name] = downs
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop, args=(name, task_index, task),
-                name=f"stream-{name}-{task_index}", daemon=True)
-            for name, task_index, task in bolt_tasks]
-
-    def start(self):
-        for thread in self._threads:
-            thread.start()
-
-    def inject(self, source: str, emissions: Sequence[Emission]):
-        ctx = source_hop(source, 0, len(emissions), 0.0, self._counters,
-                         self._observer)
-        self._dispatch(self._router, source, emissions, ctx)
-
-    def advance_watermark(self, watermark: float):
-        for source in self._sources:
-            self._broadcast(source, (_WM, (source, 0), watermark))
-
-    def flush_bolts(self):
-        # workers cascade EOS downstream, finish (DeltaSink.finish closes
-        # the subscriptions) and exit on their own
-        for source in self._sources:
-            self._broadcast(source, (_EOS, (source, 0)))
-        for thread in self._threads:
-            thread.join()
-
-    def _dispatch(self, router: Router, source: str,
-                  emissions: Sequence[Emission], ctx=None):
-        """Route one component's emissions into the owning task queues.
-
-        ``ctx`` is the parent span context riding with every routed batch
-        (None when unobserved or for untraced punctuation-driven
-        emissions)."""
-        if not isinstance(emissions, ColumnEmissions):
-            # materialize generators; a columnar batch must NOT be listed
-            # out here or it would degrade to per-row pairs
-            emissions = list(emissions)
-        for target, task, src, stream, rows in router.route(
-                source, emissions, coalesce=self._coalesce):
-            self._queues[(target, task)].put((_DATA, src, stream, rows, ctx))
-
-    def _broadcast(self, source: str, message: tuple):
-        for key in self._downstream[source]:
-            self._queues[key].put(message)
-
-    def _worker_loop(self, name: str, task_index: int, bolt):
-        try:
-            inbox = self._queues[(name, task_index)]
-            observer = self._observer
-            counters = self._counters
-            router = Router(self._topology, clone=True)
-            tracker = WatermarkTracker()
-            for key in self._upstream_keys[name]:
-                tracker.register(key)
-            last_wm: Optional[float] = None
-            hook = getattr(bolt, "advance_watermark", None)
-
-            def advance_merged():
-                """Apply + forward the merged watermark if it moved."""
-                nonlocal last_wm
-                merged = tracker.merged()
-                if merged is None or (
-                        last_wm is not None and merged <= last_wm):
-                    return
-                last_wm = merged
-                if hook is not None and merged != math.inf:
-                    emissions = hook(merged)
-                    if emissions:
-                        counters.record_emit(name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions)
-                self._broadcast(name, (_WM, (name, task_index), merged))
-
-            while True:
-                message = inbox.get()
-                kind = message[0]
-                if kind == _DATA:
-                    _kind, source, stream, rows, ctx = message
-                    if observer is not None:
-                        observer.on_queue_depth("threads", inbox.qsize() + 1)
-                    emissions, child = deliver(
-                        bolt, name, task_index, source, stream, rows, ctx,
-                        counters, observer)
-                    if emissions:
-                        self._dispatch(router, name, emissions, child)
-                elif kind == _WM:
-                    _kind, key, watermark = message
-                    tracker.update(key, watermark)
-                    advance_merged()
-                elif kind == _EOS:
-                    _kind, key = message
-                    tracker.mark_done(key)
-                    if not tracker.all_done():
-                        # the finished input stops constraining the merge,
-                        # which may itself advance the watermark -- act on
-                        # it now, not at the next unrelated punctuation
-                        advance_merged()
-                        continue
-                    emissions = bolt.finish()
-                    if emissions:
-                        counters.record_emit(name, task_index, len(emissions))
-                        self._dispatch(router, name, emissions)
-                    self._broadcast(name, (_EOS, (name, task_index)))
-                    return
-        except Exception:
-            self._on_failure(f"worker {name}[{task_index}] failed:\n"
-                             + traceback.format_exc())
-
-
 class StreamingCluster:
     """A continuously running topology over push sources.
 
     ``sources`` maps each spout component name to the
     :class:`PushSource` that stands in for it; emissions are attributed
     to task 0 of that component.  Use :meth:`subscribe` before running to
-    observe deltas, :meth:`run` (or repeated :meth:`step` under the
-    inline executor) to drive the query, and :meth:`snapshot` for the
-    current result multiset.
+    observe deltas, :meth:`run` (or repeated :meth:`step`) to drive the
+    query, and :meth:`snapshot` for the current result multiset.
     """
-
-    #: squall-lint lock-discipline contract: worker threads report
-    #: failures concurrently with the pump reading them.  (Metrics
-    #: recording is also under ``_lock`` in threads mode, but only
-    #: there -- the inline executor records unlocked by design, so the
-    #: metrics objects cannot be declared here.)
-    GUARDED_BY = {"_worker_error": "_lock"}
 
     def __init__(self, topology: Topology, sources: Dict[str, PushSource],
                  batch_size: int = 64, executor: str = "inline",
-                 queue_capacity: int = 128,
                  source_operators: Optional[
                      Dict[str, Tuple[Optional[Selection],
                                      Optional[Projection]]]] = None,
@@ -492,10 +295,10 @@ class StreamingCluster:
                  observe: str = "off"):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if executor not in STREAMING_EXECUTORS:
+        if executor not in EXECUTOR_NAMES:
             raise ExecutorError(
                 f"unknown streaming executor {executor!r}; choose one of "
-                f"{STREAMING_EXECUTORS}"
+                f"{EXECUTOR_NAMES}"
             )
         spout_names = sorted(
             name for name, spec in topology.components.items() if spec.is_spout
@@ -505,17 +308,15 @@ class StreamingCluster:
                 f"sources {sorted(sources)} do not match the topology's "
                 f"spout components {spout_names}"
             )
-        if executor != "inline":
-            # adaptive partitioners reshape with the observed stream:
-            # per-thread routing copies would diverge, and a recovery
-            # replay would route the replayed rows through the
+        if executor == "processes":
+            # adaptive partitioners reshape with the observed stream: a
+            # recovery replay would route the replayed rows through the
             # *post*-failure shape, onto different partitions than the
-            # original delivery -- refuse, as the staged backends do
+            # original delivery -- refuse, as the staged backend does
             ensure_task_local_routing(topology, executor)
         self.topology = topology
         self.batch_size = batch_size
         self.executor = executor
-        self.queue_capacity = queue_capacity
         self.idle_sleep = idle_sleep
         self.cluster = LocalCluster(topology)
         self.cluster.set_coalescing(batch_size > 1)
@@ -552,8 +353,8 @@ class StreamingCluster:
         self._backlog = False
         self._done = threading.Event()
         self._stop = threading.Event()
-        self._started = False
-        self._lock = threading.Lock()  # metrics + shared state (threads mode)
+        #: a run() loop drives the query: stop(wait=True) may wait on it
+        self._running = False
         self._bolt_tasks: List[Tuple[str, int, object]] = [
             (name, task_index, task)
             for name in topology.topological_order()
@@ -564,7 +365,6 @@ class StreamingCluster:
             task for _n, _i, task in self._bolt_tasks
             if isinstance(task, DeltaSink)
         ]
-        self._worker_error: List[str] = []
         # -- processes executor: checkpointed resident workers ------------
         self.checkpoint_interval = (
             DEFAULT_CHECKPOINT_INTERVAL if checkpoint_interval is None
@@ -581,16 +381,11 @@ class StreamingCluster:
         self._recoveries = 0
         #: what a pump round drives: ``inject`` / ``advance_watermark`` /
         #: ``flush_bolts`` -- the resident LocalCluster itself (inline:
-        #: every batch runs to quiescence in the calling thread), the
-        #: queue fabric or the worker pool
+        #: every batch runs to quiescence in the calling thread) or the
+        #: worker pool
         self._transport = self.cluster
         self._pool: Optional[ResidentWorkerPool] = None
-        if executor == "threads":
-            self._transport = _QueueTransport(
-                topology, self._bolt_tasks, queue_capacity, batch_size > 1,
-                _LockedCounters(self.metrics, self._lock), self.observer,
-                on_failure=self._thread_failed)
-        elif executor == "processes":
+        if executor == "processes":
             # sinks stay in the coordinator: their subscriptions hold live
             # condition variables and must survive any worker crash
             sink_components = {
@@ -652,50 +447,33 @@ class StreamingCluster:
         return snapshot
 
     def run(self):
-        """Drive the query until every source is exhausted and the
-        topology flushed.  Under ``threads`` this starts the workers (if
-        needed) and blocks until completion."""
-        self.start()  # stop(wait=True) may rely on this driver
-        while not self.advance(timeout=None):
+        """Drive the query in the calling thread until every source is
+        exhausted and the topology flushed (or :meth:`stop` is called
+        from another thread -- the broker's driver runs here)."""
+        self._running = True  # stop(wait=True) may rely on this driver
+        while not self.advance():
             pass
         return self.metrics
-
-    def start(self):
-        """Start background execution (threads executor only; the inline
-        executor is driven by the caller through step()/run())."""
-        if self._started:
-            return
-        self._started = True
-        if self.executor == "threads":
-            self._transport.start()
-            threading.Thread(target=self._pump_loop, name="stream-pump",
-                             daemon=True).start()
 
     def stop(self, wait: bool = True, timeout: Optional[float] = 10.0):
         """Tear a resident query down without waiting for exhaustion.
 
-        Sets the stop flag; the driver (the inline ``run()``/``step()``
-        loop or the threads pump) notices at its next round, stops
-        polling the sources, flushes the topology -- so every
-        subscription receives its final deltas and is closed -- and sets
-        :attr:`done`.  ``wait=True`` blocks until that teardown completes
-        (requires a live driver: the broker's per-topology driver thread,
-        or a ``run()`` in progress).  Idempotent; a no-op once done."""
+        Sets the stop flag; the driver (the ``run()`` / ``step()`` loop)
+        notices at its next round, stops polling the sources, flushes the
+        topology -- so every subscription receives its final deltas and
+        is closed -- and sets :attr:`done`.  ``wait=True`` blocks until
+        that teardown completes (requires a live driver: the broker's
+        per-topology driver thread, or a ``run()`` in progress).
+        Idempotent; a no-op once done."""
         self._stop.set()
         if self.done:
             return
-        if wait and (self.executor == "threads" or self._started):
+        if wait and self._running:
             self._done.wait(timeout)
-            self._raise_worker_error()
 
-    def advance(self, timeout: Optional[float] = 0.05) -> bool:
-        """One scheduling quantum for delta iterators: inline runs one
-        pump round; threads waits briefly for background progress."""
-        if self.executor == "threads":
-            self.start()
-            self._done.wait(timeout)
-            self._raise_worker_error()
-            return self.done
+    def advance(self) -> bool:
+        """One scheduling quantum for ``run()`` and the delta iterators:
+        one pump round, then the pacing rule; returns :attr:`done`."""
         self.step()
         self._pace()
         return self.done
@@ -727,12 +505,6 @@ class StreamingCluster:
         checkpointed is applied twice.  Anything else that escapes a round
         tears the query down (:meth:`_abort`) before it propagates.
         """
-        if self.executor == "threads":
-            raise ExecutorError(
-                "step() drives the inline executor; the threads executor "
-                "runs in the background (use run(), advance() or the "
-                "delta iterator)"
-            )
         if self.done:
             return False
         try:
@@ -957,26 +729,3 @@ class StreamingCluster:
             transport.replaying = False
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)
-
-    # -- threads executor: the pump runs in the background ------------------
-
-    def _pump_loop(self):
-        try:
-            while not self.done:
-                self._pump_round()
-                self._pace()
-        except Exception:  # pragma: no cover - defensive
-            self._thread_failed(traceback.format_exc())
-
-    def _thread_failed(self, report: str):
-        with self._lock:
-            self._worker_error.append(report)
-        self._done.set()
-
-    def _raise_worker_error(self):
-        with self._lock:
-            errors = list(self._worker_error)
-        if errors:
-            self._abort()
-            raise ExecutorError(
-                "streaming worker failed:\n" + "\n".join(errors))

@@ -373,9 +373,10 @@ class Subscription:
 class DeltaSink(Bolt):
     """Terminal bolt of a continuous topology: state + subscriptions.
 
-    Thread-safe (the threads executor runs it inside a worker while
-    consumers read snapshots); drop-in replacement for the batch
-    :class:`~repro.engine.runner.SinkBolt` in a streaming topology.
+    Thread-safe (a broker's driver thread publishes while subscriber
+    threads drain their rings and read snapshots); drop-in replacement
+    for the batch :class:`~repro.engine.runner.SinkBolt` in a streaming
+    topology.
 
     The sink is the fan-out point of the serving layer: every delta
     batch is published to each attached :class:`Subscription`'s own

@@ -247,7 +247,6 @@ def agg_window_ts_positions(catalog, scans, clause) -> Dict[str, int]:
 
 
 def stream_plan(plan: PhysicalPlan,
-                queue_capacity: int = 128,
                 sources: Optional[Dict[str, PushSource]] = None,
                 ts_positions: Optional[Dict[str, int]] = None,
                 clock: Callable[[], float] = time.monotonic,
@@ -271,9 +270,8 @@ def stream_plan(plan: PhysicalPlan,
     ``docs/FAULT_TOLERANCE.md``).  ``fault_injector`` arms deterministic
     worker kills (:class:`~repro.storm.failures.FaultInjector`) and
     ``checkpoint_dir`` persists snapshots to disk; both are
-    processes-executor extras.  The ``inline`` and ``threads`` executors
-    have no parallelism knob -- threads already runs every task in its
-    own worker thread.
+    processes-executor extras.  The ``inline`` executor has no
+    parallelism knob -- it runs every task in the calling thread.
 
     By default every source relation is replayed through a
     :class:`ReplaySource` at ``options.rate`` rows per second (None = as
@@ -296,9 +294,8 @@ def stream_plan(plan: PhysicalPlan,
     if resolved.parallelism is not None and resolved.executor != "processes":
         raise ExecutorError(
             "parallelism only applies to the streaming 'processes' "
-            "executor: 'inline' is single-threaded and 'threads' runs "
-            "every task in its own worker thread (drop parallelism=, or "
-            "set executor='processes')"
+            "executor: 'inline' runs every task in the calling thread "
+            "(drop parallelism=, or set executor='processes')"
         )
     topology, partitioners = build_topology(
         plan,
@@ -322,8 +319,8 @@ def stream_plan(plan: PhysicalPlan,
             )
     cluster = StreamingCluster(
         topology, pumps, batch_size=resolved.batch_size,
-        executor=resolved.executor, queue_capacity=queue_capacity,
-        source_operators=operators, clock=clock, columnar=resolved.columnar,
+        executor=resolved.executor, source_operators=operators,
+        clock=clock, columnar=resolved.columnar,
         parallelism=resolved.parallelism,
         checkpoint_interval=resolved.checkpoint_interval,
         checkpoint_dir=checkpoint_dir, fault_injector=fault_injector,
@@ -339,8 +336,8 @@ class StreamingQuery:
     """A live, long-running query: delta feed + snapshot + monitors.
 
     Iterating yields :class:`Delta` objects *while the query runs* --
-    the inline executor is driven by the iteration itself (one pump round
-    per empty poll), the threads executor runs in the background.  The
+    the iteration itself drives the query (one pump round per empty
+    poll), in the consumer's thread on either executor.  The
     iterator ends when every source is exhausted and the final deltas
     are drained; for genuinely unbounded sources, consume it as an
     infinite stream or stop by abandoning it.
@@ -380,38 +377,26 @@ class StreamingQuery:
         buffer instead of one lock acquisition per delta.  The drained
         chunk is the query's, not the iterator's: break out of a loop
         and iterate again (or interleave two iterators) and every delta
-        is still delivered once, in order.
-        Inline: each empty drain drives one pump round.  Threads: blocks
-        on the subscription's condition variable, so a delta published by
-        a background worker wakes the consumer immediately."""
+        is still delivered once, in order.  Each empty drain drives one
+        pump round."""
         cluster = self.cluster
-        threaded = cluster.executor == "threads"
-        # attach before the background pump can publish: a subscriber
-        # that arrives later is caught up from the current state, not
-        # from the first delta
+        # attach before the first round publishes: a subscriber that
+        # arrives later is caught up from the current state, not from
+        # the first delta
         subscription = self.subscription
-        if threaded:
-            cluster.start()
         while True:
             pending = self._pending
             yield from pending
             if pending is not self._pending:
                 continue  # an interleaved iterator refilled it meanwhile
-            chunk = subscription.drain(
-                block=threaded, timeout=0.1 if threaded else None)
+            chunk = subscription.drain()
             if chunk:
                 self._pending = iter(chunk)
                 continue
-            if subscription.closed:
+            if subscription.closed or cluster.done:
+                # the run is over and the buffer was just seen empty
                 return
-            if cluster.done:
-                # surfacing a worker failure beats waiting on a feed
-                # that will never close; otherwise the run is over and
-                # the buffer was just seen empty
-                cluster._raise_worker_error()
-                return
-            if not threaded:
-                cluster.advance()
+            cluster.advance()
 
     __iter__ = deltas
 

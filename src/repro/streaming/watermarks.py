@@ -3,15 +3,12 @@
 A watermark is a promise -- "no emission with event timestamp <= W is
 still coming from this input".  A consumer fed by several inputs can only
 act on the *minimum* of its inputs' promises, and may act only once every
-input has made one.  :class:`WatermarkTracker` is that merge, used at two
-levels:
-
-- the streaming cluster merges the per-source watermarks of its pumps
-  (inline executor: at quiescent points between pump rounds);
-- under the threads executor every bolt task merges the punctuations
-  forwarded by each of its upstream *tasks* -- punctuations travel
-  through the same FIFO queues as data, so a watermark can never overtake
-  the rows it vouches for (the classic aligned-punctuation argument).
+input has made one.  :class:`WatermarkTracker` is that merge: the
+streaming cluster merges the per-source watermarks of its pumps and
+broadcasts the result to every windowed task at the pump round's
+quiescent point, once everything polled before it has been delivered --
+so a watermark can never overtake the rows it vouches for (the classic
+aligned-punctuation argument, with the round as the alignment).
 
 An input that finished (end of stream) promises everything: its watermark
 becomes ``math.inf`` and it stops constraining the merge.  A merged value

@@ -2,12 +2,40 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
+
+#: seconds one test (setup, call and teardown) may run before the whole
+#: run dumps every thread's stack and exits non-zero: >= 3x the slowest
+#: Tier-1 test as measured with ``--durations`` (both numbers in
+#: CHANGES.md)
+TEST_TIMEOUT_S = 120
+
+#: the terminal's stderr, copied while pytest is not capturing it: the
+#: watchdog's stacks must outlive the process exit, a capture file does not
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """A hung test fails the run instead of hanging it."""
+    faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True,
+                                      file=item.config.stash[_STDERR_FD])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

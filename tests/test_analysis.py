@@ -311,34 +311,6 @@ class TestSurfacedBugs:
             assert restored.route("R", row) == original.route("R", row)
             assert restored.route("S", row) == original.route("S", row)
 
-    def test_worker_error_is_lock_guarded(self):
-        """StreamingCluster._worker_error is appended from worker threads
-        and read by the pump; both sides must hold the cluster lock."""
-        import ast
-        import inspect
-
-        from repro.streaming.cluster import StreamingCluster
-
-        source = inspect.getsource(StreamingCluster)
-        tree = ast.parse(source.lstrip())
-        cls = tree.body[0]
-        for method in cls.body:
-            if not isinstance(method, ast.FunctionDef):
-                continue
-            for node in ast.walk(method):
-                if (isinstance(node, ast.Attribute)
-                        and node.attr == "_worker_error"
-                        and method.name not in ("__init__",)):
-                    # every runtime touch sits inside a `with self._lock`
-                    withs = [w for w in ast.walk(method)
-                             if isinstance(w, ast.With)
-                             and any(node is inner
-                                     for inner in ast.walk(w))]
-                    assert withs, (
-                        f"{method.name} touches _worker_error "
-                        f"outside the lock")
-        assert "_worker_error" in StreamingCluster.GUARDED_BY
-
     def test_delta_sink_is_marked_coordinator_owned(self):
         from repro.streaming.deltas import DeltaSink
 
@@ -426,3 +398,17 @@ class TestOneStepKernel:
             if isinstance(node, ast.ClassDef)
             and {"Process", "Pipe"} <= self.called_attributes(node)]
         assert forkers == ["storm/executor.py:ForkedWorker"]
+
+    def test_no_worker_threads_or_queues(self):
+        """Two executors, inline and forked processes: a worker thread or
+        a task queue in the dataplane is a third backend coming back."""
+        constructed = [
+            f"{module}:{call.func.value.id}.{call.func.attr}"
+            for module, tree in self.trees()
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and (call.func.value.id, call.func.attr) in {
+                ("threading", "Thread"), ("queue", "Queue")}]
+        assert constructed == []

@@ -38,7 +38,7 @@ from tests.batching_plans import (
 )
 
 BATCH_SIZES = [1, 7, 64, 512]
-EXECUTORS = ["inline", "threads", "processes"]
+EXECUTORS = ["inline", "processes"]
 
 
 def run_count_sum(options):
@@ -374,7 +374,7 @@ class TestIterationResumes:
     """The query's iterator reads the ring in bulk; the chunk it read
     ahead must survive the iterator."""
 
-    @pytest.mark.parametrize("executor", ["inline", "threads"])
+    @pytest.mark.parametrize("executor", ["inline", "processes"])
     @pytest.mark.parametrize("batch_size", [1, 64, 512])
     def test_break_and_resume_delivers_every_delta_once(
             self, batch_size, executor):

@@ -34,7 +34,7 @@ def _multiset(result):
 
 
 @pytest.mark.parametrize("name", PLAN_NAMES)
-@pytest.mark.parametrize("executor", ["inline", "threads"])
+@pytest.mark.parametrize("executor", ["inline"])
 def test_columnar_matches_row(name, executor):
     row = _run(name, batch_size=BATCH, executor=executor, columnar=False)
     col = _run(name, batch_size=BATCH, executor=executor, columnar=True)
@@ -88,7 +88,7 @@ class TestKnobResolution:
         assert result.metrics.columnar_rows == 0
 
 
-@pytest.mark.parametrize("executor", ["inline", "threads"])
+@pytest.mark.parametrize("executor", ["inline"])
 @pytest.mark.parametrize("name", ["two_joins", "snapshot_agg"])
 def test_streaming_columnar_snapshot_matches_batch(name, executor):
     """Opt-in columnar replay converges to the batch engine's answer."""

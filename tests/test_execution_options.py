@@ -79,11 +79,20 @@ class TestResolve:
         with pytest.raises(ValueError):
             ExecutionOptions(**bad).resolve()
 
+    @pytest.mark.parametrize("executor", ["threads", "fibers"])
+    def test_unknown_executor_rejected(self, executor):
+        with pytest.raises(ValueError, match=repr(executor)) as excinfo:
+            ExecutionOptions(executor=executor).resolve()
+        message = str(excinfo.value)
+        assert "'inline'" in message and "'processes'" in message
+        if executor == "threads":
+            assert "'threads' backend is gone" in message
+
     def test_overlay_set_fields_win(self):
-        base = ExecutionOptions(batch_size=8, executor="threads")
+        base = ExecutionOptions(batch_size=8, executor="processes")
         over = base.overlay(ExecutionOptions(batch_size=64))
         assert over.batch_size == 64
-        assert over.executor == "threads"
+        assert over.executor == "processes"
         assert base.overlay(None) is base
 
     def test_frozen(self):

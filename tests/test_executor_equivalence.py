@@ -1,4 +1,4 @@
-"""Backend equivalence: inline vs threads vs processes.
+"""Backend equivalence: inline vs processes.
 
 Every backend must produce the identical result multiset and identical
 per-component tuple totals on the golden batching plans (pinned against
@@ -29,8 +29,8 @@ from tests.test_retractions import (
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "batching_equivalence.json")
 
-BACKENDS = ["inline", "threads", "processes"]
-PARALLEL = ["threads", "processes"]
+BACKENDS = ["inline", "processes"]
+PARALLEL = ["processes"]
 
 
 @pytest.fixture(scope="module")

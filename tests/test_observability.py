@@ -8,9 +8,9 @@ Four layers of contract:
 2. **Invisibility** -- ``observe='off'`` means *no observer object at
    all*: results and metrics are byte-identical to an unobserved run.
 3. **Tracing** -- the span-tree *shape* (component/task edges) of every
-   trace is identical across the inline, threads and processes
-   executors, batch and streaming; traces survive worker kill +
-   recovery without duplicate spans.
+   trace is identical across the inline and processes executors, batch
+   and streaming; traces survive worker kill + recovery without
+   duplicate spans.
 4. **Surfaces** -- ``profile()`` reports per-operator latencies and the
    skew gauge fires on genuinely skewed keys; the serving layer's
    ``/metrics`` endpoint speaks parseable Prometheus text.
@@ -57,7 +57,7 @@ from tests.batching_plans import (
     run_result_fingerprint,
 )
 
-EXECUTORS = ("inline", "threads", "processes")
+EXECUTORS = ("inline", "processes")
 
 
 def single_source_agg_plan() -> PhysicalPlan:
@@ -420,9 +420,7 @@ class TestTraceMatrix:
                                          batch_size=16))
             shapes[executor] = trace_shapes(result.observer)
             results[executor] = sorted(result.results)
-        assert shapes["threads"] == shapes["inline"]
         assert shapes["processes"] == shapes["inline"]
-        assert results["threads"] == results["inline"]
         assert results["processes"] == results["inline"]
         # and the shapes are non-trivial: every trace reaches the sink
         assert shapes["inline"]
@@ -468,9 +466,7 @@ class TestTraceMatrix:
                                          batch_size=16)).run()
             shapes[executor] = trace_shapes(query.observer)
             snapshots[executor] = query.snapshot()
-        assert shapes["threads"] == shapes["inline"]
         assert shapes["processes"] == shapes["inline"]
-        assert snapshots["threads"] == snapshots["inline"]
         assert snapshots["processes"] == snapshots["inline"]
         assert len(shapes["inline"]) == 3  # 48 rows / batch 16
         for edges in shapes["inline"].values():

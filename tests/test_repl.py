@@ -1,5 +1,7 @@
 """Tests for the interactive shell (the paper's interactive interface)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
@@ -106,8 +108,9 @@ class TestSetOption:
         assert ">= 1" in shell.handle_line("\\set batch_size 0")
 
     def test_set_executor(self, shell):
-        assert shell.handle_line("\\set executor threads") == "executor = threads"
-        assert shell.execution.executor == "threads"
+        assert shell.handle_line("\\set executor processes") == \
+            "executor = processes"
+        assert shell.execution.executor == "processes"
 
     def test_set_executor_invalid(self, shell):
         assert "must be" in shell.handle_line("\\set executor goroutines")
@@ -180,7 +183,7 @@ class TestSetOption:
 
         monkeypatch.setattr(shell.session, "execute", spy)
         shell.handle_line("\\set batch_size 128")
-        shell.handle_line("\\set executor threads")
+        shell.handle_line("\\set executor processes")
         shell.handle_line("\\set parallelism 2")
         output = shell.handle_line(
             "SELECT COUNT(*) FROM customer, orders "
@@ -188,7 +191,7 @@ class TestSetOption:
         assert "rows" in output
         options = captured["options"]
         assert options.batch_size == 128
-        assert options.executor == "threads"
+        assert options.executor == "processes"
         assert options.parallelism == 2
 
 
@@ -251,12 +254,44 @@ class TestWatch:
     def test_watch_reports_errors(self, shell):
         assert shell.handle_line("\\watch SELECT FROM").startswith("error:")
 
-    def test_watch_announces_processes_downgrade(self, shell):
+    def test_watch_runs_resident_processes(self, shell, monkeypatch):
+        """``\\watch`` under ``executor processes`` streams on resident
+        forked workers with the shell's parallelism, and its folded delta
+        feed is what the same SQL line returns."""
+        sql = ("SELECT orders.orderpriority, COUNT(*) FROM orders "
+               "GROUP BY orders.orderpriority")
+        shell.max_rows = 10 ** 6  # print every delta and every row
         shell.handle_line("\\set executor processes")
+        shell.handle_line("\\set parallelism 2")
+        queries = []
+        real_stream = shell.session.stream
+
+        def spy(sql, **kwargs):
+            queries.append(real_stream(sql, **kwargs))
+            return queries[-1]
+
+        monkeypatch.setattr(shell.session, "stream", spy)
+        output = shell.handle_line("\\watch " + sql)
+        assert "note" not in output and "watch complete" in output
+        (query,) = queries
+        assert query.options.executor == "processes"
+        assert query.options.parallelism == 2
+        # the epoch-0 restore point and the pre-flush barrier: the
+        # topology ran on the resident, checkpointed workers
+        assert query.checkpoint_stats()["commits"] >= 2
+        watched = Counter()
+        for line in output.splitlines():
+            if line.startswith(("+ ", "- ")):
+                watched[line[2:]] += 1 if line[0] == "+" else -1
+        executed = shell.handle_line(sql).splitlines()[:-1]  # no footer
+        assert executed and watched == Counter(executed)
+
+    def test_watch_notes_parallelism_is_for_processes(self, shell):
+        shell.handle_line("\\set parallelism 2")
         output = shell.handle_line(
             "\\watch SELECT orders.orderpriority, COUNT(*) FROM orders "
             "GROUP BY orders.orderpriority")
-        assert "cannot keep a topology resident" in output.splitlines()[0]
+        assert "processes only; watching inline" in output.splitlines()[0]
         assert "watch complete" in output
 
 

@@ -331,10 +331,10 @@ class TestStreamMetrics:
 class TestStreamingClusterValidation:
     def test_unknown_executor_rejected(self):
         plan = sliding_agg_plan(make_events(10))
-        with pytest.raises(ExecutorError, match="fibers"):
+        with pytest.raises(ValueError, match="fibers"):
             stream_plan(plan, options=ExecutionOptions(executor="fibers"))
 
-    def test_threads_refuse_adaptive_partitioners(self):
+    def test_processes_refuse_adaptive_partitioners(self):
         from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
         from repro.engine.component import JoinComponent
         from repro.partitioning.adaptive import AdaptiveOneBucket
@@ -352,7 +352,7 @@ class TestStreamingClusterValidation:
                                  scheme=AdaptiveOneBucket("R", "S", machines=4))],
         )
         with pytest.raises(ExecutorError) as excinfo:
-            stream_plan(plan, options=ExecutionOptions(executor="threads"))
+            stream_plan(plan, options=ExecutionOptions(executor="processes"))
         assert "AdaptiveOneBucket" in str(excinfo.value)
         assert "executor='inline'" in str(excinfo.value)
         # the inline streaming executor still runs it
@@ -371,13 +371,6 @@ class TestStreamingClusterValidation:
             sink_factory=lambda i, p: DeltaSink(), source_parallelism=1)
         with pytest.raises(ValueError, match="spout components"):
             StreamingCluster(topology, {"wrong": ReplaySource([], stream="w")})
-
-    def test_step_is_inline_only(self):
-        plan = sliding_agg_plan(make_events(10))
-        query = stream_plan(plan, options=ExecutionOptions(executor="threads"))
-        with pytest.raises(ExecutorError, match="inline"):
-            query.cluster.step()
-        query.run()  # clean up the threads
 
 
 class TestIncrementalDeltas:
@@ -607,7 +600,7 @@ class TestSqlStreamAcceptance:
     SQL = ("SELECT events.key, COUNT(*), SUM(events.value) "
            "FROM events GROUP BY events.key")
 
-    @pytest.mark.parametrize("executor", ["inline", "threads"])
+    @pytest.mark.parametrize("executor", ["inline"])
     def test_sliding_window_sql_stream_matches_batch(self, executor):
         session = self.make_session()
         batch = session.execute(self.SQL,
@@ -622,11 +615,9 @@ class TestSqlStreamAcceptance:
             deltas.append(delta)
             if not query.done:
                 mid_flight += 1
-        if executor == "inline":
-            # the iterator itself drives the inline pump, so deltas are
-            # observable strictly before exhaustion (threads may finish
-            # in the background before the first observation)
-            assert mid_flight > 0
+        # the iterator itself drives the pump, so deltas are observable
+        # strictly before exhaustion
+        assert mid_flight > 0
         assert any(d.sign < 0 for d in deltas)  # retractions flowed
         assert query.snapshot() == sorted(batch.results)
         stats = query.stats()

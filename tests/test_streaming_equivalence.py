@@ -3,8 +3,10 @@ answer.
 
 Every golden plan (the exact plans pinned against the seed per-tuple
 engine in ``tests/golden/``) is replayed through the
-:class:`StreamingCluster` across batch sizes, replay rates and both
-streaming executors; the final delta-sink snapshot must equal the batch
+:class:`StreamingCluster` across batch sizes and replay rates (the
+``processes`` executor's golden column lives in
+``tests/test_streaming_processes.py``); the final delta-sink snapshot must
+equal the batch
 ``run_plan`` result multiset byte for byte.  The retraction plan (tuples
 delivered twice and compensated via ``:retract`` streams) runs through a
 push-source topology the same way.
@@ -39,16 +41,6 @@ class TestGoldenPlanEquivalence:
         expected = batch_snapshot(builder())
         query = stream_plan(builder(), options=ExecutionOptions(
             batch_size=batch_size)).run()
-        assert query.snapshot() == expected
-
-    @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
-    @pytest.mark.parametrize("batch_size", [8, 64])
-    def test_threads_snapshot_equals_run_plan(self, plan_name, batch_size):
-        builder = GOLDEN_PLANS[plan_name]
-        expected = batch_snapshot(builder())
-        query = stream_plan(builder(),
-                            options=ExecutionOptions(batch_size=batch_size,
-                                                     executor="threads")).run()
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
@@ -116,7 +108,7 @@ class TestRetractionPlanEquivalence:
         return builder.build()
 
     @pytest.mark.parametrize("local_join", ["dbtoaster", "traditional"])
-    @pytest.mark.parametrize("executor", ["inline", "threads"])
+    @pytest.mark.parametrize("executor", ["inline", "processes"])
     @pytest.mark.parametrize("aggregate", [False, True])
     def test_compensated_stream_matches_clean_batch(self, local_join,
                                                     executor, aggregate):
@@ -181,7 +173,7 @@ class TestSlidingWindowEquivalence:
             ),
         )
 
-    @pytest.mark.parametrize("executor", ["inline", "threads"])
+    @pytest.mark.parametrize("executor", ["inline"])
     @pytest.mark.parametrize("batch_size", [1, 16, 128])
     def test_snapshot_equals_batch(self, executor, batch_size):
         expected = batch_snapshot(self.make_plan(), batch_size=batch_size)
