@@ -4,9 +4,9 @@ subscriber, and the subscriber cannot tell.
 
 Four contracts:
 
-(a) **feed invariance** -- batch size and executor change how many
-    deltas travel together, never which deltas a group publishes or in
-    which order;
+(a) **feed invariance** -- batch size, executor, batch layout and the
+    thread that drives the pump change how many deltas travel together,
+    never which deltas a group publishes or in which order;
 (b) the **sink** applies a mixed-sign batch strictly in sequence;
 (c) **structure** -- one aggregation batch is one sink batch, read off
     the topology counters (no timing);
@@ -23,6 +23,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from repro.core.columnar import COLUMNAR_MIN_BATCH
 from repro.core.options import ExecutionOptions
 from repro.engine.component import AggComponent
 from repro.engine.operators import total
@@ -39,6 +40,20 @@ from tests.batching_plans import (
 
 BATCH_SIZES = [1, 7, 64, 512]
 EXECUTORS = ["inline", "processes"]
+#: the inline pump run by a thread the caller owns while the test's
+#: thread consumes the subscription: the deltas cross threads only
+#: through the sink's locks
+CALLER_THREAD = "caller_thread"
+#: the inline pump on the batch layout its batch size does not default
+#: to: columnar below ``COLUMNAR_MIN_BATCH`` rows, rows from there up
+OTHER_LAYOUT = "other_layout"
+#: every way a feed is produced
+FEEDS = [*EXECUTORS, CALLER_THREAD, OTHER_LAYOUT]
+#: (batch size, feed) pairs: the other layout only where it differs, as
+#: a one-row batch stays a row batch whatever the knob says
+FEED_CASES = [(batch_size, feed) for batch_size in BATCH_SIZES
+              for feed in FEEDS
+              if (batch_size, feed) != (1, OTHER_LAYOUT)]
 
 
 def run_count_sum(options):
@@ -64,11 +79,24 @@ ORDERED_PLANS = {
 }
 
 
-def options_for(executor, batch_size):
-    if executor == "processes":
-        return ExecutionOptions(executor=executor, batch_size=batch_size,
+def options_for(feed, batch_size):
+    if feed == "processes":
+        return ExecutionOptions(executor=feed, batch_size=batch_size,
                                 parallelism=2, checkpoint_interval=4)
-    return ExecutionOptions(executor=executor, batch_size=batch_size)
+    if feed == OTHER_LAYOUT:
+        return ExecutionOptions(batch_size=batch_size,
+                                columnar=batch_size < COLUMNAR_MIN_BATCH)
+    return ExecutionOptions(executor="inline", batch_size=batch_size)
+
+
+def ran_on_its_layout(query, feed, batch_size):
+    """An ``OTHER_LAYOUT`` run really took the layout it asked for."""
+    columnar_rows = query.cluster.metrics.columnar_rows
+    if feed != OTHER_LAYOUT:
+        return True
+    if batch_size < COLUMNAR_MIN_BATCH:
+        return columnar_rows > 0
+    return columnar_rows == 0
 
 
 def fold_checked(deltas):
@@ -93,10 +121,38 @@ def per_group(deltas, n_group=1):
     return dict(feed)
 
 
-def drive(build, executor, batch_size):
-    query = build(options_for(executor, batch_size))
+def drive(build, feed, batch_size):
+    query = build(options_for(feed, batch_size))
+    if feed == CALLER_THREAD:
+        return query, consume_while_pumped_elsewhere(query)
     deltas = list(query)  # subscribes before the first pump round
     return query, deltas
+
+
+def consume_while_pumped_elsewhere(query):
+    """``query.run()`` in a thread the caller owns -- the background
+    progress a driver thread gives the broker -- while this thread
+    drains the subscription as the rounds publish."""
+    subscription = query.subscription  # before the first pump round
+    errors = []
+
+    def pump():
+        try:
+            query.run()
+        except BaseException as error:  # re-raised in the test's thread
+            errors.append(error)
+
+    thread = threading.Thread(target=pump)
+    thread.start()
+    deltas = []
+    while thread.is_alive():
+        deltas.extend(subscription.drain(block=True, timeout=0.05))
+    thread.join()
+    if errors:
+        raise errors[0]
+    deltas.extend(subscription.drain())  # published after the last poll
+    assert subscription.closed
+    return deltas
 
 
 class TestFeedInvariance:
@@ -109,14 +165,14 @@ class TestFeedInvariance:
                            query.snapshot())
         return feeds
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("batch_size,feed", FEED_CASES)
     @pytest.mark.parametrize("plan_name", sorted(ORDERED_PLANS))
     def test_per_group_feed_equals_per_tuple_inline(
-            self, reference_feeds, plan_name, batch_size, executor):
+            self, reference_feeds, plan_name, batch_size, feed):
         groups, total, snapshot = reference_feeds[plan_name]
-        query, deltas = drive(ORDERED_PLANS[plan_name], executor, batch_size)
+        query, deltas = drive(ORDERED_PLANS[plan_name], feed, batch_size)
         assert total > 0  # not vacuous
+        assert ran_on_its_layout(query, feed, batch_size)
         assert query.stats()["deltas"] == total == len(deltas)
         assert per_group(deltas) == groups
         assert fold_checked(deltas) == snapshot == query.snapshot()
@@ -132,9 +188,8 @@ class TestFeedInvariance:
         assert any(sign < 0 for feed in sliding.values()
                    for sign, _row in feed)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_join_plan_publishes_every_pair(self, batch_size, executor):
+    @pytest.mark.parametrize("batch_size,feed", FEED_CASES)
+    def test_join_plan_publishes_every_pair(self, batch_size, feed):
         """Behind a join a group's rows arrive in a batching-dependent
         order, so only what does not depend on it is pinned: no delta is
         netted away, no prefix retracts an absent row, and the feed
@@ -144,7 +199,8 @@ class TestFeedInvariance:
         query, deltas = drive(
             lambda options: stream_plan(plan_snapshot_agg(),
                                         options=options),
-            executor, batch_size)
+            feed, batch_size)
+        assert ran_on_its_layout(query, feed, batch_size)
         assert len(deltas) == query.stats()["deltas"] \
             == reference.stats()["deltas"]
         assert fold_checked(deltas) == query.snapshot() \
@@ -288,15 +344,16 @@ class TestSignedBatchSink:
 
 
 class TestOneSinkBatchPerAggBatch:
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_join_plan_sink_batches_bounded_by_agg_batches(self, executor):
+    @pytest.mark.parametrize("feed", [*EXECUTORS, OTHER_LAYOUT])
+    def test_join_plan_sink_batches_bounded_by_agg_batches(self, feed):
         """Timing-free regression for the dataplane shape: the changelog
         of one aggregation batch is one routed work item, so the sink
         never executes more batches than the aggregation tasks did (+ the
         flush) -- on alternating ``-old``/``+new`` streams it executed
         one per delta."""
         query = stream_plan(plan_snapshot_agg(),
-                            options=options_for(executor, 512)).run()
+                            options=options_for(feed, 512)).run()
+        assert ran_on_its_layout(query, feed, 512)
         metrics = query.cluster.metrics
         agg_batches = sum(metrics.batch_counts("agg"))
         sink_batches = sum(metrics.batch_counts("sink"))
@@ -374,12 +431,14 @@ class TestIterationResumes:
     """The query's iterator reads the ring in bulk; the chunk it read
     ahead must survive the iterator."""
 
-    @pytest.mark.parametrize("executor", ["inline", "processes"])
-    @pytest.mark.parametrize("batch_size", [1, 64, 512])
+    @pytest.mark.parametrize("batch_size,feed", [
+        (batch_size, feed) for batch_size in [1, 64, 512]
+        for feed in [*EXECUTORS, OTHER_LAYOUT]
+        if (batch_size, feed) != (1, OTHER_LAYOUT)])
     def test_break_and_resume_delivers_every_delta_once(
-            self, batch_size, executor):
+            self, batch_size, feed):
         _query, reference = drive(run_count_sum, "inline", 1)
-        query = run_count_sum(options_for(executor, batch_size))
+        query = run_count_sum(options_for(feed, batch_size))
         seen = []
         for take in (3, 1, 40):  # abandon three iterators mid-chunk
             for delta in query:
@@ -392,8 +451,10 @@ class TestIterationResumes:
         assert len(seen) == len(reference) == query.stats()["deltas"]
         assert per_group(seen) == per_group(reference)
         assert fold_checked(seen) == query.snapshot()
-        feed = query.subscription
-        assert feed.delivered == feed.published and feed.backlog == 0
+        assert ran_on_its_layout(query, feed, batch_size)
+        subscription = query.subscription
+        assert subscription.delivered == subscription.published
+        assert subscription.backlog == 0
 
     def test_two_live_iterators_share_one_ordered_feed(self):
         _query, reference = drive(run_count_sum, "inline", 64)

@@ -38,6 +38,19 @@ def _multiset(result):
 def test_columnar_matches_row(name, executor):
     row = _run(name, batch_size=BATCH, executor=executor, columnar=False)
     col = _run(name, batch_size=BATCH, executor=executor, columnar=True)
+    assert_same_run(row, col)
+
+
+@pytest.mark.parametrize("name", PLAN_NAMES)
+def test_columnar_matches_row_in_small_batches(name):
+    """An explicit opt-in below ``COLUMNAR_MIN_BATCH``: many short column
+    batches, and still the row path's answer and edge traffic."""
+    row = _run(name, batch_size=8, columnar=False)
+    col = _run(name, batch_size=8, columnar=True)
+    assert_same_run(row, col)
+
+
+def assert_same_run(row, col):
     assert _multiset(col) == _multiset(row)
     assert _multiset(row)  # not vacuous
     assert row.metrics.columnar_rows == 0

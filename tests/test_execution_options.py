@@ -4,7 +4,9 @@ Pins the single-owner defaulting rules (in particular the
 columnar-on-at-batch_size>=64 rule applying identically to the batch and
 streaming engines -- they used to disagree), options= acceptance across
 every front-end, and that options= is the *only* spelling: no front-end
-signature names an execution knob and a loose knob is a TypeError.
+signature names an execution knob and a loose knob is a TypeError.  An
+unknown executor name is refused at every front door by the one check
+in ``resolve()``.
 """
 
 import dataclasses
@@ -37,6 +39,42 @@ def session(catalog):
 
 
 SQL = "SELECT k, COUNT(*) FROM t GROUP BY k"
+
+
+def grouped(catalog):
+    return QueryContext(catalog, machines=2).stream("t").group_by("k") \
+        .agg_count()
+
+
+def subscribe_fresh_broker(broker, session, options=None):
+    try:
+        broker.subscribe_plan(session.plan(SQL), options=options)
+    finally:
+        assert broker.topology_count == 0  # refused before admission
+
+
+#: every front door that takes an executor name, given (catalog, session,
+#: options) -- per-call options and the default layers alike
+DOORS = {
+    "run_plan": lambda catalog, session, options: run_plan(
+        session.plan(SQL), options=options),
+    "stream_plan": lambda catalog, session, options: stream_plan(
+        session.plan(SQL), options=options),
+    "sql_execute": lambda catalog, session, options: session.execute(
+        SQL, options=options),
+    "sql_stream": lambda catalog, session, options: session.stream(
+        SQL, options=options),
+    "sql_session_layer": lambda catalog, session, options: SqlSession(
+        catalog, execution=options).execute(SQL),
+    "functional_execute": lambda catalog, session, options: grouped(
+        catalog).execute(options=options),
+    "functional_stream": lambda catalog, session, options: grouped(
+        catalog).stream(options=options),
+    "broker_subscribe": lambda catalog, session, options:
+        subscribe_fresh_broker(QueryBroker(), session, options),
+    "broker_layer": lambda catalog, session, options:
+        subscribe_fresh_broker(QueryBroker(options=options), session),
+}
 
 
 class TestResolve:
@@ -87,6 +125,18 @@ class TestResolve:
         assert "'inline'" in message and "'processes'" in message
         if executor == "threads":
             assert "'threads' backend is gone" in message
+
+    @pytest.mark.parametrize("executor", ["threads", "fibers"])
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_every_front_door_rejects_unknown_executor(
+            self, catalog, session, door, executor):
+        """Each public way to name an executor resolves through the one
+        check, before a topology is built or a broker admits one."""
+        with pytest.raises(ValueError, match=repr(executor)) as excinfo:
+            DOORS[door](catalog, session,
+                        ExecutionOptions(executor=executor))
+        assert "'inline'" in str(excinfo.value)
+        assert "'processes'" in str(excinfo.value)
 
     def test_overlay_set_fields_win(self):
         base = ExecutionOptions(batch_size=8, executor="processes")

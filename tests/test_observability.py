@@ -22,6 +22,7 @@ import random
 
 import pytest
 
+from repro.core.columnar import COLUMNAR_MIN_BATCH
 from repro.core.optimizer import Catalog
 from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
@@ -367,10 +368,23 @@ class TestOffIsInvisible:
         a coalesced batch carries the contexts of all its parts (see
         ``WaveBuffer``), so the answer, every topology counter and the
         executed batches are the same at every observe level."""
+        self.assert_observing_never_changes_what_ran(mode, executor, 16)
+
+    @pytest.mark.parametrize("mode", ["batch", "streaming"])
+    def test_observing_never_changes_what_ran_on_columns(self, mode):
+        """The same on the columnar path, where one observed batch is a
+        ColumnBatch rather than a list of rows."""
+        columnar_rows = self.assert_observing_never_changes_what_ran(
+            mode, "inline", COLUMNAR_MIN_BATCH)[3]
+        assert columnar_rows > 0
+
+    @staticmethod
+    def assert_observing_never_changes_what_ran(mode, executor, batch_size):
+        """Run at every observe level; return the row counters."""
         seen = {}
         for level in ("off", "metrics", "trace"):
-            options = ExecutionOptions(executor=executor, batch_size=16,
-                                       observe=level)
+            options = ExecutionOptions(executor=executor,
+                                       batch_size=batch_size, observe=level)
             if mode == "batch":
                 run = run_plan(plan_online_agg(), options=options)
                 answer, metrics = sorted(run.results), run.metrics
@@ -389,6 +403,7 @@ class TestOffIsInvisible:
         assert seen["off"][0] and sum(seen["off"][1][3:]) > 0  # not vacuous
         assert seen["metrics"] == seen["off"]
         assert seen["trace"] == seen["off"]
+        return seen["off"][1]
 
     def test_streaming_off_has_no_observer_but_full_stats(self):
         query = stream_plan(plan_online_agg(),

@@ -116,6 +116,16 @@ class TestSetOption:
         assert "must be" in shell.handle_line("\\set executor goroutines")
         assert shell.execution.executor is None
 
+    def test_set_executor_threads_names_the_two_backends(self, shell):
+        assert shell.handle_line("\\set executor threads") == \
+            "executor must be inline | processes"
+        assert shell.execution.executor is None
+
+    def test_rejected_executor_keeps_the_current_one(self, shell):
+        shell.handle_line("\\set executor processes")
+        assert "must be" in shell.handle_line("\\set executor threads")
+        assert shell.execution.executor == "processes"
+
     def test_set_parallelism(self, shell):
         assert shell.handle_line("\\set parallelism 2") == "parallelism = 2"
         assert shell.execution.parallelism == 2

@@ -372,6 +372,25 @@ class TestStreamingClusterValidation:
         with pytest.raises(ValueError, match="spout components"):
             StreamingCluster(topology, {"wrong": ReplaySource([], stream="w")})
 
+    @pytest.mark.parametrize("executor", ["threads", "fibers"])
+    def test_cluster_names_the_two_executors(self, executor):
+        """The cluster checks the same one list the options resolve
+        against, for callers that build it without ``stream_plan``."""
+        from repro.core.options import EXECUTOR_NAMES
+        from repro.engine.runner import build_topology
+        from repro.streaming.runner import DeltaAggBolt, _IdleSpout
+
+        topology, _ = build_topology(
+            sliding_agg_plan(make_events(10)),
+            spout_factory=lambda s: (lambda i, p: _IdleSpout()),
+            agg_bolt_factory=DeltaAggBolt,
+            sink_factory=lambda i, p: DeltaSink(), source_parallelism=1)
+        sources = {"events": ReplaySource([], stream="events")}
+        with pytest.raises(ExecutorError, match=repr(executor)) as excinfo:
+            StreamingCluster(topology, sources, executor=executor)
+        assert EXECUTOR_NAMES == ("inline", "processes")
+        assert str(EXECUTOR_NAMES) in str(excinfo.value)
+
 
 class TestIncrementalDeltas:
     def test_deltas_arrive_while_the_query_runs(self):

@@ -3,13 +3,12 @@ answer.
 
 Every golden plan (the exact plans pinned against the seed per-tuple
 engine in ``tests/golden/``) is replayed through the
-:class:`StreamingCluster` across batch sizes and replay rates (the
-``processes`` executor's golden column lives in
-``tests/test_streaming_processes.py``); the final delta-sink snapshot must
-equal the batch
-``run_plan`` result multiset byte for byte.  The retraction plan (tuples
-delivered twice and compensated via ``:retract`` streams) runs through a
-push-source topology the same way.
+:class:`StreamingCluster` across batch sizes, batch layouts and replay
+rates (the ``processes`` executor's golden column lives in
+``tests/test_streaming_processes.py``); the final delta-sink snapshot
+must equal the batch ``run_plan`` result multiset byte for byte.  The
+retraction plan (tuples delivered twice and compensated via ``:retract``
+streams) runs through a push-source topology the same way.
 """
 
 import random
@@ -17,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.columnar import COLUMNAR_MIN_BATCH
 from repro.core.options import ExecutionOptions
 from repro.engine.runner import run_plan
 from repro.streaming import (
@@ -33,6 +33,17 @@ def batch_snapshot(plan, batch_size=1):
         plan, options=ExecutionOptions(batch_size=batch_size)).results)
 
 
+def run_other_layout(plan, batch_size):
+    """Stream ``plan`` inline on the batch layout ``batch_size`` does not
+    default to (columnar below ``COLUMNAR_MIN_BATCH``, rows from there
+    up), failing unless that layout is the one that ran."""
+    columnar = batch_size < COLUMNAR_MIN_BATCH
+    query = stream_plan(plan, options=ExecutionOptions(
+        batch_size=batch_size, columnar=columnar)).run()
+    assert (query.cluster.metrics.columnar_rows > 0) == columnar
+    return query
+
+
 class TestGoldenPlanEquivalence:
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
@@ -41,6 +52,18 @@ class TestGoldenPlanEquivalence:
         expected = batch_snapshot(builder())
         query = stream_plan(builder(), options=ExecutionOptions(
             batch_size=batch_size)).run()
+        assert query.snapshot() == expected
+
+    @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_other_layout_snapshot_equals_run_plan(self, plan_name,
+                                                   batch_size):
+        """The inline column above runs rows below ``COLUMNAR_MIN_BATCH``
+        and columns from there up; the opposite layout at the same batch
+        size reaches the same snapshot."""
+        builder = GOLDEN_PLANS[plan_name]
+        expected = batch_snapshot(builder())
+        query = run_other_layout(builder(), batch_size)
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
@@ -180,6 +203,14 @@ class TestSlidingWindowEquivalence:
         query = stream_plan(self.make_plan(),
                             options=ExecutionOptions(batch_size=batch_size,
                                                      executor=executor)).run()
+        assert query.snapshot() == expected
+
+    @pytest.mark.parametrize("batch_size", [16, 128])
+    def test_other_layout_snapshot_equals_batch(self, batch_size):
+        """Window expiry retracts the same rows from column batches as
+        from row batches."""
+        expected = batch_snapshot(self.make_plan(), batch_size=batch_size)
+        query = run_other_layout(self.make_plan(), batch_size)
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("rate", [5_000, 200_000])
