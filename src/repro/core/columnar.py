@@ -19,6 +19,11 @@ Design rules that keep the two representations interchangeable:
   bit-for-bit equal to :func:`repro.util.stable_hash`, so vectorized
   routing lands every tuple on exactly the task the row path would pick
   (the per-task equivalence suites pin this).
+- **One sign encoding.**  A retraction is a row whose entry in its
+  batch's ``signs`` vector is -1, from the source that emits it to the
+  subscriber that folds it.  Routing, coalescing and pickling move a
+  batch whole, so signs travel with their rows; consumers read them as
+  same-sign runs through :func:`sign_runs`.
 """
 
 from __future__ import annotations
@@ -63,30 +68,46 @@ def make_column(values: Sequence) -> ColumnData:
 class ColumnBatch:
     """A micro-batch of rows stored column-wise.
 
-    ``columns[i]`` holds column ``i`` for all ``length`` rows.  ``sign``
-    tags retraction batches (``-1``) the way the dataplane's
-    ``:retract`` streams tag row batches.  The row view is cached after
-    the first ``to_rows`` so repeated row-oriented consumers pay the
-    conversion once.
+    ``columns[i]`` holds column ``i`` for all ``length`` rows.  ``signs``
+    is the per-row ``int8`` sign vector (-1 retracts the row, +1 inserts
+    it; ``None``: every row inserts, as in a plain row list) -- the
+    dataplane's one spelling of a retraction, carried along by ``take``,
+    ``take_columns``, ``concat`` and pickling.  The row view is cached
+    after the first ``to_rows`` so repeated row-oriented consumers pay
+    the conversion once; a batch made from rows builds its columns on
+    first use, so one that only row consumers read (a changelog on its
+    way to the sink) never builds them.
     """
 
-    __slots__ = ("columns", "length", "sign", "_rows")
+    __slots__ = ("_columns", "length", "signs", "_rows")
 
-    def __init__(self, columns: Sequence[ColumnData], length: int,
-                 sign: int = 1):
-        self.columns = list(columns)
+    def __init__(self, columns: Optional[Sequence[ColumnData]], length: int,
+                 signs=None):
+        self._columns = None if columns is None else list(columns)
         self.length = length
-        self.sign = sign
+        self.signs: Optional[np.ndarray] = (
+            None if signs is None else np.asarray(signs, dtype=np.int8))
         self._rows: Optional[List[tuple]] = None
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple], sign: int = 1) -> "ColumnBatch":
+    def from_rows(cls, rows: Sequence[tuple], signs=None) -> "ColumnBatch":
         rows = rows if isinstance(rows, list) else list(rows)
-        if not rows:
-            return cls([], 0, sign)
-        batch = cls([make_column(col) for col in zip(*rows)], len(rows), sign)
+        batch = cls(None, len(rows), signs if rows else None)
         batch._rows = rows
         return batch
+
+    @property
+    def columns(self) -> List[ColumnData]:
+        if self._columns is None:
+            self._columns = [make_column(col) for col in zip(*self._rows)]
+        return self._columns
+
+    @property
+    def width(self) -> int:
+        """The number of columns, without building them."""
+        if self._columns is not None:
+            return len(self._columns)
+        return len(self._rows[0]) if self._rows else 0
 
     def to_rows(self) -> List[tuple]:
         rows = self._rows
@@ -101,11 +122,6 @@ class ColumnBatch:
             self._rows = rows
         return rows
 
-    def column_list(self, index: int) -> list:
-        """Column ``index`` as a list of plain Python values."""
-        col = self.columns[index]
-        return col.tolist() if isinstance(col, np.ndarray) else col
-
     def take(self, indices) -> "ColumnBatch":
         """Row subset by integer index array (NumPy fancy indexing)."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -115,14 +131,17 @@ class ColumnBatch:
                 cols.append(col[idx])
             else:
                 cols.append([col[i] for i in idx.tolist()])
-        return ColumnBatch(cols, len(idx), self.sign)
+        return ColumnBatch(cols, len(idx),
+                           None if self.signs is None else self.signs[idx])
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
         """The rows of ``batches``, in order, as one batch.
 
-        All parts must agree on ``sign`` and on the number of columns.
-        Typing follows :func:`make_column`: a column whose parts are
+        The non-empty parts must agree on the number of columns; their
+        signs follow their rows (``None`` unless some part has signs).
+        Parts made of rows whose columns were never built concatenate as
+        rows.  Typing follows :func:`make_column`: a column whose parts are
         NumPy vectors of one dtype stays a vector of that dtype
         (``np.concatenate``); any other mix becomes a plain list of the
         parts' values -- never a numeric coercion, so an ``int64`` part
@@ -138,16 +157,23 @@ class ColumnBatch:
         >>> merged.to_rows()
         [(1, 2), (3, 4), (5, 0.5)]
         """
-        first = batches[0]
-        arity = len(first.columns)
-        for batch in batches:
-            if batch.sign != first.sign or len(batch.columns) != arity:
-                raise ValueError(
-                    f"cannot concatenate {batch!r} onto {first!r}: sign "
-                    f"and column count must agree")
         parts = [batch for batch in batches if batch.length]
         if len(parts) <= 1:
-            return parts[0] if parts else first
+            return parts[0] if parts else batches[0]
+        arity = parts[0].width
+        for batch in parts:
+            if batch.width != arity:
+                raise ValueError(
+                    f"cannot concatenate {batch!r} onto {parts[0]!r}: "
+                    f"column count must agree")
+        signs = None
+        if any(batch.signs is not None for batch in parts):
+            signs = np.concatenate([
+                np.ones(batch.length, dtype=np.int8) if batch.signs is None
+                else batch.signs for batch in parts])
+        if all(batch._columns is None for batch in parts):  # made of rows
+            return cls.from_rows(
+                [row for batch in parts for row in batch._rows], signs)
         cols: List[ColumnData] = []
         for position in range(arity):
             column = [batch.columns[position] for batch in parts]
@@ -157,14 +183,14 @@ class ColumnBatch:
                     for col in column):
                 cols.append(np.concatenate(column))
             else:
-                cols.append([value for batch in parts
-                             for value in batch.column_list(position)])
-        return cls(cols, sum(batch.length for batch in parts), first.sign)
+                cols.append([value for col in column for value in (
+                    col.tolist() if isinstance(col, np.ndarray) else col)])
+        return cls(cols, sum(batch.length for batch in parts), signs)
 
     def take_columns(self, positions: Sequence[int]) -> "ColumnBatch":
         """Column subset (projection by position) -- zero-copy."""
         return ColumnBatch([self.columns[p] for p in positions],
-                           self.length, self.sign)
+                           self.length, self.signs)
 
     # -- sequence compatibility: row-oriented consumers see row tuples --
 
@@ -183,8 +209,11 @@ class ColumnBatch:
     def __eq__(self, other):
         if not isinstance(other, ColumnBatch):
             return NotImplemented
-        if (self.length != other.length or self.sign != other.sign
-                or len(self.columns) != len(other.columns)):
+        if (self.length != other.length
+                or len(self.columns) != len(other.columns)
+                or (self.signs is None) != (other.signs is None)
+                or (self.signs is not None
+                    and not np.array_equal(self.signs, other.signs))):
             return False
         for mine, theirs in zip(self.columns, other.columns):
             mine_vec = isinstance(mine, np.ndarray)
@@ -200,31 +229,55 @@ class ColumnBatch:
     __hash__ = None  # type: ignore[assignment]  # mutable container
 
     def __repr__(self) -> str:
-        return (f"ColumnBatch({self.length} rows x {len(self.columns)} cols, "
-                f"sign={self.sign})")
+        signs = "" if self.signs is None else f", signs={self.signs.tolist()}"
+        return (f"ColumnBatch({self.length} rows x {self.width} cols"
+                f"{signs})")
 
     # -- pickling (the processes executor ships batches over pipes) --
 
     def __getstate__(self):
-        # the row cache is derived state: keep the pickled payload columnar
-        return (self.columns, self.length, self.sign)
+        # whichever form is the data travels, the other is derived: the
+        # columns, or the rows of a batch that never built its columns
+        return (self._columns, self.length, self.signs,
+                self._rows if self._columns is None else None)
 
     def __setstate__(self, state):
-        columns, length, sign = state
-        self.columns = columns
-        self.length = length
-        self.sign = sign
-        self._rows = None
+        self._columns, self.length, self.signs, self._rows = state
+
+
+def sign_runs(rows) -> List[Tuple[int, object]]:
+    """A payload's maximal same-sign runs, in order, as ``(sign, rows)``.
+
+    How every consumer reads signs: a row list or an unsigned
+    :class:`ColumnBatch` is one insertion run, the payload itself (one
+    ``is None`` test per batch); a signed batch is cut where its sign
+    changes, each run a :meth:`ColumnBatch.take` of the whole.
+
+    >>> from repro.core.columnar import ColumnBatch, sign_runs
+    >>> batch = ColumnBatch.from_rows([(1,), (2,), (3,)], signs=[1, -1, -1])
+    >>> [(sign, run.to_rows()) for sign, run in sign_runs(batch)]
+    [(1, [(1,)]), (-1, [(2,), (3,)])]
+    """
+    signs = rows.signs if isinstance(rows, ColumnBatch) else None
+    if signs is None or not len(signs):
+        return [(1, rows)]
+    bounds = [0, *(np.flatnonzero(signs[1:] != signs[:-1]) + 1).tolist(),
+              len(signs)]
+    if len(bounds) == 2:
+        return [(int(signs[0]), rows)]
+    return [(int(signs[lo]), rows.take(np.arange(lo, hi)))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 class ColumnEmissions:
     """One component's emissions as a single-stream columnar batch.
 
-    Duck-types the row emission list ``List[(stream, row)]`` -- ``len``
-    counts rows (metrics), iteration yields ``(stream, row)`` pairs (any
-    row-oriented consumer) -- while the router unwraps it and hands the
-    :class:`ColumnBatch` straight to the groupings, skipping both the
-    coalescing scan and the row materialization.
+    Stands in for the row emission list ``List[(stream, row)]`` --
+    ``len`` counts rows (metrics) -- while the router unwraps it and
+    hands the :class:`ColumnBatch` straight to the groupings, skipping
+    both the coalescing scan and the row materialization.  It has no
+    ``(stream, row)`` iteration: a pair has no sign, so that view would
+    turn its retractions into insertions.
     """
 
     __slots__ = ("stream", "batch")
@@ -238,10 +291,6 @@ class ColumnEmissions:
 
     def __bool__(self) -> bool:
         return len(self.batch) > 0
-
-    def __iter__(self) -> Iterator[Tuple[str, tuple]]:
-        stream = self.stream
-        return iter([(stream, row) for row in self.batch.to_rows()])
 
     def __repr__(self) -> str:
         return f"ColumnEmissions({self.stream!r}, {self.batch!r})"

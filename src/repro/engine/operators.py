@@ -56,28 +56,29 @@ class Selection:
     def apply_batch(self, rows: Sequence[tuple]):
         """Filter a whole batch in one pass (counters updated in bulk).
 
-        A :class:`ColumnBatch` input is filtered as a whole-column mask
-        when the predicate vectorizes and stays columnar on the way out;
-        otherwise it degrades to the row path (returning a row list).
+        A :class:`ColumnBatch` input is filtered by a keep-mask -- a
+        whole-column one when the predicate vectorizes, else the row
+        predicate's -- and stays a batch, signs and all; a row list
+        stays a row list.
         """
         if isinstance(rows, ColumnBatch):
-            fn = self._columnar_fn()
-            if fn is not None:
-                try:
-                    mask = np.asarray(fn(rows), dtype=bool)
-                except ColumnarUnsupported:
-                    self._cfn = None  # runtime operands never vectorize
-                else:
-                    kept = rows.take(np.flatnonzero(mask))
-                    self.seen += len(rows)
-                    self.passed += len(kept)
-                    return kept
-            rows = rows.to_rows()
-        fn = self._fn
-        kept = [row for row in rows if fn(row)]
+            kept = rows.take(np.flatnonzero(self._mask(rows)))
+        else:
+            fn = self._fn
+            kept = [row for row in rows if fn(row)]
         self.seen += len(rows)
         self.passed += len(kept)
         return kept
+
+    def _mask(self, batch: ColumnBatch):
+        fn = self._columnar_fn()
+        if fn is not None:
+            try:
+                return np.asarray(fn(batch), dtype=bool)
+            except ColumnarUnsupported:
+                self._cfn = None  # runtime operands never vectorize
+        fn = self._fn
+        return np.array([bool(fn(row)) for row in batch], dtype=bool)
 
     @property
     def selectivity(self) -> float:
@@ -148,7 +149,8 @@ class Projection:
 
         Pure column references on a :class:`ColumnBatch` reuse the input
         columns zero-copy; vectorizable expressions evaluate as whole
-        columns.  Anything else degrades to the row path.
+        columns.  Anything else degrades to the row path -- and a batch
+        is rebuilt from the projected rows, signs and all.
         """
         if isinstance(rows, ColumnBatch):
             fns = self._columnar_fns()
@@ -159,13 +161,16 @@ class Projection:
                 except ColumnarUnsupported:
                     self._cfns = None  # runtime operands never vectorize
                 else:
-                    return ColumnBatch(columns, n, rows.sign)
-            rows = rows.to_rows()
+                    return ColumnBatch(columns, n, rows.signs)
         fns = self._fns
         if len(fns) == 1:
             fn = fns[0]
-            return [(fn(row),) for row in rows]
-        return [tuple(fn(row) for fn in fns) for row in rows]
+            projected = [(fn(row),) for row in rows]
+        else:
+            projected = [tuple(fn(row) for fn in fns) for row in rows]
+        if isinstance(rows, ColumnBatch):
+            return ColumnBatch.from_rows(projected, rows.signs)
+        return projected
 
     # same pickle story as Selection: recompile the expression closures
     def __getstate__(self):
@@ -378,17 +383,19 @@ class Aggregation:
 
         Returns what the row loop of
         :class:`~repro.streaming.runner.DeltaAggBolt` emits for the same
-        rows, as one batch of an ``int8`` sign column and a row column:
-        per input row, in input order, ``(-1, old)`` ahead of ``(1,
-        new)`` when the group's output row changed, ``(-1, old)`` alone
-        when the group died, nothing when it did not change.
+        rows, as one batch of output rows with their ``signs``: per
+        input row, in input order, ``-old`` ahead of ``+new`` when the
+        group's output row changed, ``-old`` alone when the group died,
+        nothing when it did not change.  ``sign`` applies to every row
+        of ``batch`` (the caller cuts a signed batch into same-sign runs
+        first; the batch's own ``signs`` are not read).
         ``published`` (group key -> the row last emitted for it) is
         updated with the state, one dict write per distinct key.
 
         Rows are grouped by a stable argsort of the key.  A group's rows
         form one *segment* seeded with its prior state, or two when a
         row runs its count down to zero: the group dies there and the
-        rows after it start from empty (a batch has one sign, so a
+        rows after it start from empty (the batch has one sign, so a
         reborn group never dies again).  Int sums run in ``int64``,
         float sums sequentially per segment, so every value is the row
         loop's to the bit.
@@ -417,7 +424,7 @@ class Aggregation:
             value_columns.append(column)
         n = len(batch)
         if not n:
-            return ColumnBatch([np.empty(0, dtype=np.int8), []], 0)
+            return ColumnBatch([], 0)
         order = key_column.argsort(kind="stable")
         sorted_keys = key_column[order]
         key_list = sorted_keys.tolist()
@@ -568,7 +575,7 @@ class Aggregation:
             state.sums = [column[g] for column in final_sums]
             published[key] = pool[last_refs[g]]
         self.consumed += n
-        return ColumnBatch([signs, rows], len(rows))
+        return ColumnBatch.from_rows(rows, signs)
 
     def _values(self, state: _GroupState) -> tuple:
         values = []

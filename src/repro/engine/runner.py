@@ -8,10 +8,13 @@ cost model and the paper's monitors need.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.columnar import ColumnBatch, ColumnEmissions
+import numpy as np
+
+from repro.core.columnar import ColumnBatch, ColumnEmissions, sign_runs
 from repro.core.options import ExecutionOptions
 from repro.engine.component import (
     AggComponent,
@@ -33,12 +36,6 @@ from repro.storm.groupings import FieldsGrouping, HypercubeGrouping, KeyMappedGr
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyBuilder
 from repro.util import round_robin_assignment
-
-RETRACT_SUFFIX = ":retract"
-#: stream of an ordered signed changelog: every row is a ``(sign, row)``
-#: pair, applied in sequence by the consumer (the continuous runtime's
-#: aggregation -> sink edge; see :class:`repro.streaming.runner.DeltaAggBolt`)
-CHANGES_SUFFIX = ":changes"
 
 
 class SourceSpout(Spout):
@@ -163,27 +160,24 @@ class SourceSpout(Spout):
             if projection is not None:
                 batch = projection.apply_batch(batch)
             if len(batch):
-                if isinstance(batch, ColumnBatch):
-                    return ColumnEmissions(self.component.name, batch)
-                # an operator fell back to the row path (uncompilable
-                # predicate/expression) -- emit row pairs
-                return [(self.component.name, row) for row in batch]
+                return ColumnEmissions(self.component.name, batch)
         return []
 
 
 class JoinBolt(Bolt):
-    """One joiner task: a local join (optionally windowed) plus output scheme."""
+    """One joiner task: a local join (optionally windowed) plus output scheme.
+
+    A batch's insertion runs go to the join's ``insert_batch``, its
+    retraction runs (rows with sign -1) to ``delete_batch``; the output
+    rows of a retraction run are emitted with sign -1, in input order.
+    """
 
     def __init__(self, component: JoinComponent,
                  local_join_factory: Callable[[], LocalJoin]):
         self.component = component
         local = local_join_factory()
-        if component.window is not None:
-            self.state: Union[WindowedJoinState, LocalJoin] = WindowedJoinState(
-                local, component.window
-            )
-        else:
-            self.state = local
+        self.state: LocalJoin = local if component.window is None \
+            else WindowedJoinState(local, component.window)
         self._local = local
         self.output_positions = (
             list(component.output_positions)
@@ -195,54 +189,34 @@ class JoinBolt(Bolt):
     def order_sensitive(self) -> bool:
         return self.component.window is not None
 
-    def _project(self, row: tuple) -> tuple:
-        if self.output_positions is None:
-            return row
-        return tuple(row[p] for p in self.output_positions)
-
-    def execute(self, source: str, stream: str, values: tuple):
-        if stream.endswith(RETRACT_SUFFIX):
-            rel_name = stream[: -len(RETRACT_SUFFIX)]
-            retracted = self._local.delete(rel_name, values)
-            return [
-                (self.component.name + RETRACT_SUFFIX, self._project(row))
-                for row in retracted
-            ]
-        delta = self.state.insert(stream, values)
-        self.emitted_outputs += len(delta)
-        return [(self.component.name, self._project(row)) for row in delta]
-
     def execute_batch(self, source: str, stream: str, rows):
-        if self.state is not self._local:
-            # windowed joins expire per arrival -- keep per-tuple semantics
-            return Bolt.execute_batch(self, source, stream, rows)
+        signs, parts = [], []
+        for sign, run in sign_runs(rows):
+            if sign > 0:
+                delta = self.state.insert_batch(stream, run)
+                self.emitted_outputs += len(delta)
+            else:
+                delta = self.state.delete_batch(stream, run)
+            signs.append(sign)
+            parts.append(delta)
+        delta = parts[0]
+        if signs != [1]:  # each run's output rows carry the run's sign
+            delta = ColumnBatch.concat([
+                part if isinstance(part, ColumnBatch)
+                else ColumnBatch.from_rows(part) for part in parts])
+            delta = ColumnBatch(delta.columns, delta.length, np.repeat(
+                np.array(signs, dtype=np.int8), [len(p) for p in parts]))
+        if not len(delta):
+            return []
         positions = self.output_positions
-        if stream.endswith(RETRACT_SUFFIX):
-            rel_name = stream[: -len(RETRACT_SUFFIX)]
-            retracted = self._local.delete_batch(rel_name, rows)
-            out_stream = self.component.name + RETRACT_SUFFIX
-            if isinstance(retracted, ColumnBatch):
-                if not retracted:
-                    return []
-                if positions is not None:
-                    retracted = retracted.take_columns(positions)
-                return ColumnEmissions(out_stream, retracted)
-            if positions is None:
-                return [(out_stream, row) for row in retracted]
-            return [(out_stream, tuple(row[p] for p in positions))
-                    for row in retracted]
-        delta = self._local.insert_batch(stream, rows)
-        self.emitted_outputs += len(delta)
-        out_stream = self.component.name
         if isinstance(delta, ColumnBatch):
-            if not delta:
-                return []
             if positions is not None:
                 delta = delta.take_columns(positions)
-            return ColumnEmissions(out_stream, delta)
+            return ColumnEmissions(self.component.name, delta)
         if positions is None:
-            return [(out_stream, row) for row in delta]
-        return [(out_stream, tuple(row[p] for p in positions)) for row in delta]
+            return [(self.component.name, row) for row in delta]
+        return [(self.component.name, tuple(row[p] for p in positions))
+                for row in delta]
 
     @property
     def work(self) -> int:
@@ -305,41 +279,35 @@ class AggBolt(Bolt):
     def order_sensitive(self) -> bool:
         return self.component.window is not None
 
-    def execute(self, source: str, stream: str, values: tuple):
-        sign = -1 if stream.endswith(RETRACT_SUFFIX) else 1
-        if self.sliding_state is not None:
-            self.sliding_state.consume(values, sign)
-            return []
-        if self.window_state is not None:
-            closed = self.window_state.consume(values, sign)
-            if closed is None:
-                return []
-            window_id, rows = closed
-            return [(self.component.name, (window_id,) + row) for row in rows]
-        updated = self.aggregation.consume(values, sign)
-        if self.component.online:
-            return [(self.component.name, updated)]
-        return []
-
     def execute_batch(self, source: str, stream: str, rows):
-        if self.window_state is not None or self.sliding_state is not None:
-            # windowed aggregation expires/closes windows per arrival
-            return Bolt.execute_batch(self, source, stream, rows)
-        sign = -1 if stream.endswith(RETRACT_SUFFIX) else 1
-        if self.component.online:
-            name = self.component.name
-            updated = self.aggregation.consume_batch(rows, sign)
-            return [(name, row) for row in updated]
-        self.aggregation.consume_batch(rows, sign, collect=False)
-        return []
+        emissions: list = []
+        for sign, run in sign_runs(rows):
+            # windows expire or close per arrival, so they go row by row
+            if self.sliding_state is not None:
+                for row in run:
+                    self.sliding_state.consume(row, sign)
+            elif self.window_state is not None:
+                for row in run:
+                    emissions.extend(self._closed(
+                        self.window_state.consume(row, sign)))
+            elif self.component.online:
+                name = self.component.name
+                emissions.extend((name, row) for row in
+                                 self.aggregation.consume_batch(run, sign))
+            else:
+                self.aggregation.consume_batch(run, sign, collect=False)
+        return emissions
+
+    def _closed(self, closed) -> list:
+        """A tumbling window's ``(window id, rows)`` as emissions."""
+        if closed is None:
+            return []
+        window_id, rows = closed
+        return [(self.component.name, (window_id,) + row) for row in rows]
 
     def finish(self):
         if self.window_state is not None:
-            closed = self.window_state.flush()
-            if closed is None:
-                return []
-            window_id, rows = closed
-            return [(self.component.name, (window_id,) + row) for row in rows]
+            return self._closed(self.window_state.flush())
         if self.component.online:
             return []
         return [(self.component.name, row) for row in self.aggregation.snapshot()]
@@ -356,11 +324,7 @@ class AggBolt(Bolt):
             self.sliding_state.advance_time(watermark)
             return []
         if self.window_state is not None:
-            closed = self.window_state.advance_watermark(watermark)
-            if closed is None:
-                return []
-            window_id, rows = closed
-            return [(self.component.name, (window_id,) + row) for row in rows]
+            return self._closed(self.window_state.advance_watermark(watermark))
         return []
 
 
@@ -375,26 +339,14 @@ class SinkBolt(Bolt):
     def __init__(self, store: Optional[List[tuple]] = None):
         self.store = [] if store is None else store
 
-    def execute(self, source: str, stream: str, values: tuple):
-        if stream.endswith(RETRACT_SUFFIX):
-            try:
-                self.store.remove(values)
-            except ValueError:
-                pass
-            return []
-        self.store.append(values)
-        return []
-
     def execute_batch(self, source: str, stream: str, rows):
-        if stream.endswith(RETRACT_SUFFIX):
-            remove = self.store.remove
-            for row in rows:
-                try:
-                    remove(row)
-                except ValueError:
-                    pass
-            return []
-        self.store.extend(rows)
+        for sign, run in sign_runs(rows):
+            if sign > 0:
+                self.store.extend(run)
+                continue
+            for row in run:
+                with suppress(ValueError):  # a row not held: ignored
+                    self.store.remove(row)
         return []
 
 
@@ -519,7 +471,7 @@ def build_topology(
             declarer.custom_grouping(
                 rel_name,
                 HypercubeGrouping(partitioner, rel_name),
-                streams=[rel_name, rel_name + RETRACT_SUFFIX],
+                streams=[rel_name],
             )
 
     upstream_of_agg = plan.joins[-1].name if plan.joins else plan.sources[-1].name
@@ -532,7 +484,7 @@ def build_topology(
             return make_agg(agg)
 
         declarer = builder.set_bolt(agg.name, agg_factory, agg.parallelism)
-        streams = [upstream_of_agg, upstream_of_agg + RETRACT_SUFFIX]
+        streams = [upstream_of_agg]
         if agg.key_domain is not None and len(agg.group_positions) == 1:
             mapping = round_robin_assignment(agg.key_domain, agg.parallelism)
             declarer.custom_grouping(
@@ -556,8 +508,7 @@ def build_topology(
             return SinkBolt()
 
     builder.set_bolt(plan.sink.name, sink_factory, 1).global_grouping(
-        last, streams=[last, last + RETRACT_SUFFIX, last + CHANGES_SUFFIX]
-    )
+        last, streams=[last])
 
     return builder.build(), partitioners
 

@@ -11,7 +11,8 @@ of each input relation) or implicit (global arrival order).
   stored tuples older than ``ts - size`` are retracted via the local
   join's ``delete`` (DBToaster views handle this as a negative delta).
   :class:`SlidingWindowedAggregation` applies the same idea to grouped
-  aggregates: expired input rows are consumed with sign -1.
+  aggregates: expired input rows are consumed with sign -1, and a row
+  that arrives behind the window's horizon is dropped and counted.
 
 Expiration is driven from two sides.  In a finite (batch) run, every
 arriving tuple's own timestamp advances the clock, and the final window
@@ -29,8 +30,10 @@ results are identical to the batch run's.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.joins.base import LocalJoin
@@ -91,10 +94,14 @@ class WindowSpec:
         return row[self.ts_positions[rel_name]]
 
 
-class WindowedJoinState:
-    """Wraps a :class:`LocalJoin` with window expiration logic."""
+class WindowedJoinState(LocalJoin):
+    """Wraps a :class:`LocalJoin` with window expiration logic.
+
+    A local join itself, whose batch methods are the base class's
+    row-by-row loops: every arrival may expire state first."""
 
     def __init__(self, local_join: LocalJoin, window: WindowSpec):
+        super().__init__(local_join.spec)
         self.local = local_join
         self.window = window
         self._arrivals = 0
@@ -109,6 +116,18 @@ class WindowedJoinState:
         delta = self.local.insert(rel_name, row)
         self._stored.append((ts, rel_name, row))
         return delta
+
+    def delete(self, rel_name: str, row: tuple) -> List[tuple]:
+        """Retract one stored instance of ``row`` from the window store
+        and the local join together, so expiry or a tumbling reset never
+        deletes it again; a no-op when none is stored, as in
+        :meth:`SlidingWindowedAggregation.consume`.  A retraction carries
+        an old event time and does not advance the clock."""
+        for i, (_ts, stored_rel, stored_row) in enumerate(self._stored):
+            if stored_rel == rel_name and stored_row == row:
+                del self._stored[i]
+                return self.local.delete(rel_name, row)
+        return []
 
     def _expire(self, now):
         if self.window.kind == "tumbling":
@@ -163,8 +182,8 @@ class WindowedAggregation:
 
     def consume(self, row: tuple, sign: int = 1,
                 rel_name: str = "") -> Optional[Tuple[int, List[tuple]]]:
-        """Feed one row (sign -1 = retraction, as on ``:retract``
-        streams); returns (window id, rows) when a window closes."""
+        """Feed one row (sign -1 = retraction: a row whose batch sign is
+        -1); returns (window id, rows) when a window closes."""
         ts = self.window.timestamp(rel_name, row, self._arrivals)
         self._arrivals += 1
         window_id = ts // self.window.size
@@ -210,8 +229,9 @@ class SlidingWindowedAggregation:
 
     The paper expresses sliding aggregates as retractions over the
     full-history operator: an input row entering the window is consumed
-    with sign +1, a row sliding out of it with sign -1 (exactly the
-    mechanism the ``:retract`` streams use).  Every state change is
+    with sign +1, a row sliding out of it with sign -1 (exactly what a
+    retracted row -- sign -1 in its batch -- does upstream).  Every
+    state change is
     reported as an ``(old output row, new output row)`` pair -- either
     side may be None for group birth/death -- which is what the
     continuous runtime's delta sinks forward to subscribers as
@@ -222,13 +242,13 @@ class SlidingWindowedAggregation:
     runtime); :meth:`snapshot` is always the aggregate over rows whose
     timestamps are within ``(now - size, now]``.
 
-    Rows are stored in arrival order and expired from the front, so the
-    operator assumes event-time-ordered arrival (replayed relations, and
-    any source feeding the aggregation directly).  When a join reorders
-    tuples upstream, expiration becomes arrival-order dependent and the
-    watermark-driven (streaming) semantics is the authoritative one --
-    batch and streaming snapshots are guaranteed to coincide only for
-    in-order inputs.
+    Rows are stored in timestamp order and expire from the front against
+    ``max_ts - size`` (``max_ts``: the newest event time consumed).
+    Late rows, drop and count: a row with ``ts <= max_ts - size`` never
+    enters state and counts in ``late_events``; a late row still inside
+    the window is placed by its timestamp (after rows of equal ``ts``).
+    Batch and streaming runs share the policy; when a join reorders
+    tuples upstream, which rows count as late depends on arrival order.
     """
 
     #: one reported state change: (old output row | None, new output row | None)
@@ -246,6 +266,8 @@ class SlidingWindowedAggregation:
         self._stored: Deque[Tuple[object, tuple]] = deque()
         self._max_ts = None  # newest event time this operator has consumed
         self.expired_rows = 0
+        #: rows dropped for arriving at or behind the window's horizon
+        self.late_events = 0
 
     def consume(self, row: tuple, sign: int = 1,
                 rel_name: str = "") -> List["SlidingWindowedAggregation.Change"]:
@@ -255,10 +277,16 @@ class SlidingWindowedAggregation:
         self._arrivals += 1
         if self._max_ts is None or ts > self._max_ts:
             self._max_ts = ts
-        self._expire(ts - self.window.size, changes)
-        if sign >= 0:
+        horizon = self._max_ts - self.window.size
+        self._expire(horizon, changes)
+        if ts <= horizon:
+            self.late_events += 1  # outside the window: never stored
+        elif sign >= 0:
             self._apply(row, sign, changes)
-            self._stored.append((ts, row))
+            if self._stored and self._stored[-1][0] > ts:  # late, inside
+                insort(self._stored, (ts, row), key=itemgetter(0))
+            else:
+                self._stored.append((ts, row))
         else:
             # a compensating retraction removes one stored instance so the
             # row is not retracted a second time when it expires; if no

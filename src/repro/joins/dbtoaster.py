@@ -659,10 +659,11 @@ class DBToasterJoin(LocalJoin):
                        sign: int) -> ColumnBatch:
         """Whole-batch ``_process``: one columnar delta per target view
         plus the output delta, all against the frozen pre-batch state,
-        then bulk applies."""
+        then bulk applies.  ``sign`` applies to every row of ``batch``;
+        the output delta is unsigned (its caller knows the sign)."""
         n = batch.length
         if n == 0:
-            return ColumnBatch([], 0, sign)
+            return ColumnBatch([], 0)
         if self._cplans is None:
             self._plan_columnar()
         batch_cols = [_as_array(col) for col in batch.columns]
@@ -689,50 +690,44 @@ class DBToasterJoin(LocalJoin):
                 self.intermediate_tuples += int(mult.sum())
         k = len(out_mult)
         if k == 0:
-            return ColumnBatch([], 0, sign)
+            return ColumnBatch([], 0)
         if (out_mult != 1).any():
             expand = np.repeat(np.arange(k), out_mult)
             out_cols = [col[expand] for col in out_cols]
             k = len(expand)
-        return ColumnBatch(out_cols, k, sign)
+        return ColumnBatch(out_cols, k)
 
     # -- public interface ------------------------------------------------------
 
     def insert_batch(self, rel_name: str, rows) -> object:
-        if isinstance(rows, ColumnBatch):
-            if self._cviews is None and self._columnar_capable:
-                self._activate_columnar()
-            if self._cviews is not None:
-                return self._process_batch(rel_name, rows, +1)
-            rows = rows.to_rows()
-        elif self._cviews is not None:
-            batch = ColumnBatch.from_rows([tuple(row) for row in rows])
-            return self._process_batch(rel_name, batch, +1).to_rows()
-        return super().insert_batch(rel_name, rows)
+        if (isinstance(rows, ColumnBatch) and self._cviews is None
+                and self._columnar_capable):
+            self._activate_columnar()
+        return self._apply_batch(rel_name, rows, +1)
 
     def delete_batch(self, rel_name: str, rows) -> object:
+        # a retraction never switches kernels: a one-row retraction on
+        # the row path arrives as a ColumnBatch (a row list has no
+        # signs) and must leave the row-path views as they are
+        return self._apply_batch(rel_name, rows, -1)
+
+    def _apply_batch(self, rel_name: str, rows, sign: int) -> object:
+        """A batch in whichever kernel is active; the columnar one hands
+        a row list back as a row list."""
+        if self._cviews is None:
+            process = self._process
+            return [out for row in rows
+                    for out in process(rel_name, row, sign)]
         if isinstance(rows, ColumnBatch):
-            if self._cviews is None and self._columnar_capable:
-                self._activate_columnar()
-            if self._cviews is not None:
-                return self._process_batch(rel_name, rows, -1)
-            rows = rows.to_rows()
-        elif self._cviews is not None:
-            batch = ColumnBatch.from_rows([tuple(row) for row in rows])
-            return self._process_batch(rel_name, batch, -1).to_rows()
-        return super().delete_batch(rel_name, rows)
+            return self._process_batch(rel_name, rows, sign)
+        batch = ColumnBatch.from_rows([tuple(row) for row in rows])
+        return self._process_batch(rel_name, batch, sign).to_rows()
 
     def insert(self, rel_name: str, row: tuple) -> List[tuple]:
-        if self._cviews is not None:
-            batch = ColumnBatch.from_rows([tuple(row)])
-            return self._process_batch(rel_name, batch, +1).to_rows()
-        return self._process(rel_name, row, +1)
+        return self._apply_batch(rel_name, [row], +1)
 
     def delete(self, rel_name: str, row: tuple) -> List[tuple]:
-        if self._cviews is not None:
-            batch = ColumnBatch.from_rows([tuple(row)])
-            return self._process_batch(rel_name, batch, -1).to_rows()
-        return self._process(rel_name, row, -1)
+        return self._apply_batch(rel_name, [row], -1)
 
     def view_size(self, *names: str) -> int:
         """Multiplicity-weighted size of one maintained view (test hook)."""

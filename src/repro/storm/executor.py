@@ -43,6 +43,8 @@ from __future__ import annotations
 import os
 import pickle
 import traceback
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
@@ -181,31 +183,28 @@ class Router:
 
         With ``coalesce`` consecutive emissions on the same stream travel
         as one micro-batch; without it every emission is routed
-        individually (the seed engine's per-tuple dispatch order).
+        individually (the seed engine's per-tuple dispatch order) -- a
+        columnar one as one-row ``take``s, which keep each row's sign.
         """
         items: List[WorkItem] = []
         if isinstance(emissions, ColumnEmissions):
+            stream, batch = emissions.stream, emissions.batch
             if coalesce:
                 # already a single-stream batch: route it columnar, no
                 # coalescing scan and no row materialization
-                self._route_one(items, source, emissions.stream,
-                                emissions.batch)
-                return items
-            emissions = list(emissions)  # per-tuple dispatch order
+                self._route_one(items, source, stream, batch)
+            else:
+                for index in range(len(batch)):
+                    self._route_one(items, source, stream,
+                                    batch.take([index]))
+            return items
         if not coalesce:
             for stream, values in emissions:
                 self._route_one(items, source, stream, [values])
             return items
-        i = 0
-        n = len(emissions)
-        while i < n:
-            stream = emissions[i][0]
-            j = i + 1
-            while j < n and emissions[j][0] == stream:
-                j += 1
+        for stream, run in groupby(emissions, key=itemgetter(0)):
             self._route_one(items, source, stream,
-                            [values for _stream, values in emissions[i:j]])
-            i = j
+                            [values for _stream, values in run])
         return items
 
     def _route_one(self, items: List[WorkItem], source: str, stream: str,
@@ -237,14 +236,12 @@ Delivery = Tuple[str, str, object, object]
 
 def _mergeable(earlier, later) -> bool:
     """Whether two payloads may execute as one batch: both non-empty and
-    of one representation (row lists; or ColumnBatches of equal sign and
-    arity)."""
+    of one representation (row lists; or ColumnBatches of equal arity,
+    whatever their signs)."""
     if not len(earlier) or not len(later):
         return False
     if isinstance(earlier, ColumnBatch):
-        return (isinstance(later, ColumnBatch)
-                and earlier.sign == later.sign
-                and len(earlier.columns) == len(later.columns))
+        return isinstance(later, ColumnBatch) and earlier.width == later.width
     return not isinstance(later, ColumnBatch)
 
 
@@ -264,9 +261,10 @@ class WaveBuffer:
     is its deliveries in arrival order.  The buffer keeps that order and
     folds every maximal run of deliveries that share ``(source, stream)``
     and representation into one batch -- a joiner fed 48 spout batches of
-    one relation executes one batch of their rows.  A ``:retract`` stream
-    is a different stream, so runs never merge across a retraction; an
-    empty payload stays a delivery of its own.  Tracing does not split a
+    one relation executes one batch of their rows.  A retraction is a
+    row whose sign is -1, not a stream, so one edge's inserts and
+    retractions merge into one batch with their signs in arrival order;
+    an empty payload stays a delivery of its own.  Tracing does not split a
     run: the merged batch carries the contexts of all its parts with
     their row counts (a :class:`~repro.obs.tracing.FanIn`), and executing
     it records one span per part.

@@ -27,14 +27,24 @@ from repro.util import stable_hash
 TaskBatches = List[Tuple[int, List[tuple]]]
 
 
-def _bucket_append(buckets: Dict[int, List[tuple]], order: List[int],
-                   task: int, row: tuple):
-    bucket = buckets.get(task)
-    if bucket is None:
-        buckets[task] = [row]
-        order.append(task)
-    else:
-        bucket.append(row)
+def _route_rows(rows, destinations: Callable[[tuple], List[int]]
+                ) -> TaskBatches:
+    """Per-row routing: ``destinations(row)`` names one row's tasks; the
+    row path of every grouping, and the fallback of the vectorized ones.
+
+    A :class:`ColumnBatch` is bucketed by row index and split with
+    ``take``, so each row keeps its sign (and the batch its columns)."""
+    buckets: Dict[int, List] = {}
+    columnar = isinstance(rows, ColumnBatch)
+    for index, row in enumerate(rows):
+        for task in destinations(row):
+            bucket = buckets.get(task)
+            if bucket is None:
+                buckets[task] = bucket = []
+            bucket.append(index if columnar else row)
+    if columnar:
+        return [(task, rows.take(bucket)) for task, bucket in buckets.items()]
+    return list(buckets.items())
 
 
 class Grouping:
@@ -53,12 +63,8 @@ class Grouping:
         implementation falls back to per-tuple ``targets``; subclasses
         override it with a vectorized single pass.
         """
-        buckets: Dict[int, List[tuple]] = {}
-        order: List[int] = []
-        for row in rows:
-            for task in self.targets(stream, row, n_tasks):
-                _bucket_append(buckets, order, task, row)
-        return [(task, buckets[task]) for task in order]
+        targets = self.targets
+        return _route_rows(rows, lambda row: targets(stream, row, n_tasks))
 
     def is_content_sensitive(self) -> bool:
         """Content-sensitive groupings route by value and are prone to
@@ -156,11 +162,9 @@ class ShuffleGrouping(Grouping):
         if isinstance(rows, ColumnBatch):
             tasks = (start + np.arange(len(rows))) % n_tasks
             return bucket_by_task(rows, tasks)
-        buckets: Dict[int, List[tuple]] = {}
-        order: List[int] = []
-        for offset, row in enumerate(rows):
-            _bucket_append(buckets, order, (start + offset) % n_tasks, row)
-        return [(task, buckets[task]) for task in order]
+        rows = list(rows)
+        return [((start + offset) % n_tasks, rows[offset::n_tasks])
+                for offset in range(min(n_tasks, len(rows)))]
 
     def is_content_sensitive(self) -> bool:
         return False
@@ -185,12 +189,8 @@ class FieldsGrouping(Grouping):
             tasks = (hash_key_columns(rows, positions)
                      % np.uint64(n_tasks)).astype(np.int64)
             return bucket_by_task(rows, tasks)
-        buckets: Dict[int, List[tuple]] = {}
-        order: List[int] = []
-        for row in rows:
-            key = tuple(row[p] for p in positions)
-            _bucket_append(buckets, order, stable_hash(key) % n_tasks, row)
-        return [(task, buckets[task]) for task in order]
+        return _route_rows(rows, lambda row: [
+            stable_hash(tuple(row[p] for p in positions)) % n_tasks])
 
 
 class AllGrouping(Grouping):
@@ -280,14 +280,8 @@ class HypercubeGrouping(Grouping):
                     if len(idx):
                         out.append((task, rows.take(idx)))
                 return out
-            rows = rows.to_rows()
         destinations = self.partitioner.destinations
-        buckets: Dict[int, List[tuple]] = {}
-        order: List[int] = []
-        for row in rows:
-            for task in destinations(rel_name, row):
-                _bucket_append(buckets, order, task, row)
-        return [(task, buckets[task]) for task in order]
+        return _route_rows(rows, lambda row: destinations(rel_name, row))
 
     def is_content_sensitive(self) -> bool:
         return self.partitioner.is_content_sensitive()
@@ -334,32 +328,17 @@ class KeyMappedGrouping(Grouping):
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int) -> TaskBatches:
-        position = self.position
-        mapping = self.mapping
-        if isinstance(rows, ColumnBatch):
-            column = rows.columns[position]
-            if (self._int_lookup is not None and isinstance(column, np.ndarray)
-                    and column.dtype == np.int64):
-                keys, assigned = self._int_lookup
-                slot = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
-                tasks = assigned[slot]
-                unseen = keys[slot] != column
-                if unseen.any():
-                    # unseen key: hash, as ``targets`` does
-                    tasks[unseen] = hash_column(column[unseen])
-                return bucket_by_task(rows, tasks % n_tasks)
-            values = rows.column_list(position)
-            tasks = np.fromiter(
-                ((mapping[key] if key in mapping else stable_hash(key))
-                 % n_tasks for key in values),
-                dtype=np.int64, count=len(values))
-            return bucket_by_task(rows, tasks)
-        buckets: Dict[int, List[tuple]] = {}
-        order: List[int] = []
-        for row in rows:
-            key = row[position]
-            assigned = mapping.get(key)
-            if assigned is None and key not in mapping:
-                assigned = stable_hash(key)
-            _bucket_append(buckets, order, assigned % n_tasks, row)
-        return [(task, buckets[task]) for task in order]
+        column = rows.columns[self.position] \
+            if isinstance(rows, ColumnBatch) else None
+        if (self._int_lookup is not None and isinstance(column, np.ndarray)
+                and column.dtype == np.int64):
+            keys, assigned = self._int_lookup
+            slot = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
+            tasks = assigned[slot]
+            unseen = keys[slot] != column
+            if unseen.any():
+                # unseen key: hash, as ``targets`` does
+                tasks[unseen] = hash_column(column[unseen])
+            return bucket_by_task(rows, tasks % n_tasks)
+        targets = self.targets
+        return _route_rows(rows, lambda row: targets(stream, row, n_tasks))

@@ -37,7 +37,10 @@ def deliver(task, component: str, index: int, source: str, stream: str,
     count = len(rows)
     counters.record_receive(source, component, index, count)
     counters.record_batch(component, index)
-    counters.record_path(isinstance(rows, ColumnBatch), count)
+    # signed batches carry retractions and changelogs on either layout,
+    # so only an unsigned batch says the run took the columnar path
+    counters.record_path(
+        isinstance(rows, ColumnBatch) and rows.signs is None, count)
     if obs is None:
         emissions = task.execute_batch(source, stream, rows)
         child = None

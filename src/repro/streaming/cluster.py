@@ -116,27 +116,31 @@ class SourcePump:
         A single-stream poll runs the operators' batch forms on the
         whole poll: with ``columnar`` on it becomes one
         :class:`ColumnBatch` first, so a vectorizable predicate or
-        projection runs as whole-column kernels.  A poll mixing streams
-        keeps each row's stream and goes row by row."""
+        projection runs as whole-column kernels.  A source that polls a
+        :class:`ColumnEmissions` (the one way to push retractions) stays
+        a batch, signs and all.  A poll mixing streams keeps each row's
+        stream and goes row by row."""
         emissions = self.source.poll(max_rows)
         self.last_poll_raw = len(emissions)
         if not emissions:
             return emissions
-        streams, rows = zip(*emissions)
-        stream = streams[0]
-        if streams.count(stream) != len(streams):
-            return self._per_row(emissions)
-        rows = ColumnBatch.from_rows(rows) if self.columnar else list(rows)
+        if isinstance(emissions, ColumnEmissions):
+            stream, rows = emissions.stream, emissions.batch
+        else:
+            streams, rows = zip(*emissions)
+            stream = streams[0]
+            if streams.count(stream) != len(streams):
+                return self._per_row(emissions)
+            rows = ColumnBatch.from_rows(rows) if self.columnar \
+                else list(rows)
         if self.selection is not None:
             rows = self.selection.apply_batch(rows)
         if self.projection is not None:
             rows = self.projection.apply_batch(rows)
         self.emitted += len(rows)
-        if not self.columnar:
-            return [(stream, row) for row in rows]
-        if not isinstance(rows, ColumnBatch):
-            rows = ColumnBatch.from_rows(rows)
-        return ColumnEmissions(stream, rows) if rows else []
+        if isinstance(rows, ColumnBatch):
+            return ColumnEmissions(stream, rows) if rows else []
+        return [(stream, row) for row in rows]
 
     def _per_row(self, emissions):
         if self.selection is not None:

@@ -8,15 +8,15 @@ multiset and -- once the sources are exhausted -- equals the batch
 engine's answer for the same data (pinned by
 ``tests/test_streaming_equivalence.py``).
 
-``DeltaSink`` consumes the streams the batch
-:class:`~repro.engine.runner.SinkBolt` does -- rows on the data stream
-are insertions, rows on the ``:retract`` stream remove one stored
-instance (a retraction of a row that is not present is ignored, matching
-the batch sink's compensation semantics) -- plus the ``:changes`` stream
-of :class:`~repro.streaming.runner.DeltaAggBolt`, whose rows are
-``(sign, row)`` pairs (or one ``ColumnBatch`` of a sign column and a row
-column) applied in sequence: one aggregation batch arrives as one
-ordered changelog and is published with one fan-out.
+``DeltaSink`` consumes what the batch
+:class:`~repro.engine.runner.SinkBolt` does: a row list inserts its
+rows, and a :class:`~repro.core.columnar.ColumnBatch` inserts or removes
+one stored instance of each row as its entry in ``signs`` says (a
+retraction of a row that is not present is ignored, matching the batch
+sink's compensation semantics), in sequence.  The changelog of
+:class:`~repro.streaming.runner.DeltaAggBolt` is such a batch: one
+aggregation batch arrives as one ordered changelog and is published
+with one fan-out.
 
 Fan-out (the serving layer's delivery path): one sink serves N
 subscribers, each through its own **bounded ring buffer**.  A ring holds
@@ -43,7 +43,6 @@ from typing import (
     Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.core.columnar import ColumnBatch
-from repro.engine.runner import CHANGES_SUFFIX, RETRACT_SUFFIX
 from repro.storm.topology import Bolt
 
 #: one published changelog as a ring holds it: signs and rows, in order
@@ -126,12 +125,13 @@ class Subscription:
 
     Bulk drain -- one signed changelog batch in, one list out::
 
+        from repro.core.columnar import ColumnBatch
         from repro.streaming.deltas import DeltaSink
 
         sink = DeltaSink()
         feed = sink.subscribe()
-        sink.execute_batch("agg", "agg:changes", [
-            (1, ("a", 1)), (-1, ("a", 1)), (1, ("a", 2))])
+        sink.execute_batch("agg", "agg", ColumnBatch.from_rows(
+            [("a", 1), ("a", 1), ("a", 2)], signs=[1, -1, 1]))
         assert [str(d) for d in feed.drain()] == [
             "+('a', 1)", "-('a', 1)", "+('a', 2)"]
         assert feed.drain() == [] and feed.backlog == 0
@@ -383,15 +383,14 @@ class DeltaSink(Bolt):
     ring, and subscriptions that report themselves dead (shed, closed,
     detached) are dropped from the fan-out list on the spot.
 
-    A batch on a ``:changes`` stream is a signed changelog -- ``(sign,
-    row)`` pairs or :class:`DeltaAggBolt`'s ``ColumnBatch`` of an ``int8``
-    sign column and a row column -- folded into a plain ``{row: count}``
-    dict in sequence under one lock; the changes applied reach every
-    ring as one shared chunk.  A ``-row`` is ignored unless the multiset
-    holds the row *at that point of the batch*: ``[(+1, r), (-1, r)]``
-    publishes both, ``[(-1, r), (+1, r)]`` on an empty sink only the
-    insertion.  README's "Streaming runtime" feeds it a columnar
-    changelog end to end.
+    Every batch is a signed changelog -- a ``ColumnBatch`` with
+    ``signs`` (such as :class:`DeltaAggBolt`'s), or an insert-only row
+    list -- folded into a plain ``{row: count}`` dict in sequence under
+    one lock; the changes applied reach every ring as one shared chunk.
+    A ``-row`` is ignored unless the multiset holds the row *at that
+    point of the batch*: ``+r, -r`` publishes both, ``-r, +r`` on an
+    empty sink only the insertion.  README's "Streaming runtime" feeds
+    it a columnar changelog end to end.
     """
 
     #: coordinator-owned: checkpoints snapshot the multiset via
@@ -422,20 +421,12 @@ class DeltaSink(Bolt):
 
     # -- dataplane side ----------------------------------------------------
 
-    def execute(self, source: str, stream: str, values: tuple):
-        return self.execute_batch(source, stream, [values])
-
     def execute_batch(self, source: str, stream: str, rows):
-        if stream.endswith(CHANGES_SUFFIX):
-            if isinstance(rows, ColumnBatch):
-                signs, rows = rows.column_list(0), rows.column_list(1)
-            else:
-                signs = [sign for sign, _row in rows]
-                rows = [row for _sign, row in rows]
+        if isinstance(rows, ColumnBatch) and rows.signs is not None:
+            signs, rows = rows.signs.tolist(), rows.to_rows()
         else:
-            rows = rows.to_rows() if isinstance(rows, ColumnBatch) \
-                else list(rows)
-            signs = [-1 if stream.endswith(RETRACT_SUFFIX) else 1] * len(rows)
+            rows = list(rows)  # a batch iterates as its rows
+            signs = [1] * len(rows)
         with self._lock:
             chunk = self._fold(signs, rows)
             self.delta_count += len(chunk[0])

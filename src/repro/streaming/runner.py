@@ -9,8 +9,8 @@ ReplaySource` pump over the stored relation (event-time timestamps from
   the plan's window specs, optional rate limit) -- or any
   :class:`PushSource` the caller supplies;
 - the aggregation bolt becomes :class:`DeltaAggBolt`, which emits a
-  live ``(+row / -row)`` delta for every group-state change instead of
-  waiting for end of stream;
+  live ``(+row / -row)`` delta -- a row with its sign -- for every
+  group-state change instead of waiting for end of stream;
 - the sink becomes a :class:`~repro.streaming.deltas.DeltaSink` that
   consumers subscribe to.
 
@@ -25,16 +25,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.columnar import ColumnBatch, ColumnEmissions, sign_runs
 from repro.core.options import ExecutionOptions
 from repro.engine.component import PhysicalPlan, SourceComponent
 from repro.engine.operators import Projection, Selection
-from repro.engine.runner import (
-    CHANGES_SUFFIX,
-    RETRACT_SUFFIX,
-    AggBolt,
-    build_topology,
-)
+from repro.engine.runner import AggBolt, build_topology
 from repro.storm.executor import ExecutorError
 from repro.storm.topology import Spout
 from repro.streaming.cluster import StreamingCluster
@@ -61,22 +56,23 @@ class DeltaAggBolt(AggBolt):
     answer, it just exists *at every moment along the way*.
 
     One ``execute_batch`` / ``advance_watermark`` call emits its changes
-    as **one ordered changelog** on the ``<name>:changes`` stream: rows
-    are ``(sign, row)`` pairs, ``(-1, old)`` directly ahead of its
-    ``(+1, new)``, in the order the input rows changed their groups.
-    Being a single stream, the whole changelog routes as one micro-batch
-    (one sink call, one pipe message) however many groups it touches.
-    The order inside the batch is the contract: the sink ignores a
-    ``-row`` it does not hold, so a retraction moved ahead of the
-    insertion it undoes would be lost.  Nothing is netted -- a group
-    changed twice in one batch publishes both ``-old/+new`` pairs, at
-    every batch size the same per-group feed.
+    as **one ordered changelog**: a :class:`ColumnBatch` of the changed
+    output rows whose ``signs`` put ``-old`` directly ahead of its
+    ``+new``, in the order the input rows changed their groups, on the
+    component's own stream.  Being one batch, the whole changelog routes
+    as one micro-batch (one sink call, one pipe message) however many
+    groups it touches.  The order inside the batch is the contract: the
+    sink ignores a ``-row`` it does not hold, so a retraction moved
+    ahead of the insertion it undoes would be lost.  Nothing is netted
+    -- a group changed twice in one batch publishes both ``-old/+new``
+    pairs, at every batch size the same per-group feed.  An input batch
+    with signs is consumed run by run (:func:`sign_runs`), each run's
+    changes in turn.
 
-    An unwindowed aggregation fed a ``ColumnBatch`` computes the whole
+    An unwindowed aggregation fed a ``ColumnBatch`` computes a run's
     changelog in one vectorized kernel
-    (:meth:`~repro.engine.operators.Aggregation.consume_changelog`) and
-    emits it columnar: an ``int8`` sign column and a row column whose
-    ``to_rows()`` is exactly the row loop's pairs, with the same
+    (:meth:`~repro.engine.operators.Aggregation.consume_changelog`)
+    whose rows and signs are exactly the row loop's, with the same
     ``_published`` and group state.  Inputs the kernel cannot match bit
     for bit (multi-column or non-``int64`` keys, sums that could pass
     2^53, object columns) and sliding windows take the row loop.
@@ -96,12 +92,12 @@ class DeltaAggBolt(AggBolt):
         bolt = DeltaAggBolt(AggComponent(
             "agg", group_positions=[0], aggregates=[count()]))
         changes = bolt.execute_batch("J", "J", [("a",), ("b",), ("a",)])
-        assert changes == [
-            ("agg:changes", (1, ("a", 1))),
-            ("agg:changes", (1, ("b", 1))),
-            ("agg:changes", (-1, ("a", 1))),   # -old directly ahead
-            ("agg:changes", (1, ("a", 2))),    # of its +new
-        ]
+        assert changes.stream == "agg"
+        assert changes.batch.to_rows() == [
+            ("a", 1), ("b", 1),
+            ("a", 1),    # -old directly ahead
+            ("a", 2)]    # of its +new
+        assert changes.batch.signs.tolist() == [1, 1, -1, 1]
     """
 
     def __init__(self, component):
@@ -109,76 +105,68 @@ class DeltaAggBolt(AggBolt):
         self._upsert = not component.online and (
             component.window is None or component.window.kind == "sliding"
         )
-        self._changes_stream = component.name + CHANGES_SUFFIX
         #: unwindowed upsert: group key -> the group's row as last
         #: published -- what the sink holds for the group, so a change
         #: costs one lookup instead of two reads of the aggregation state
         self._published: Dict[tuple, tuple] = {}
 
-    def _changelog(self, changes) -> List[Tuple[str, tuple]]:
-        """``(old, new)`` output-row pairs (None = group absent) as one
-        ordered run on the changes stream."""
-        stream = self._changes_stream
-        out: List[Tuple[str, tuple]] = []
-        for old, new in changes:
-            if old is not None:
-                out.append((stream, (-1, old)))
-            if new is not None:
-                out.append((stream, (1, new)))
-        return out
+    def _emit(self, changes: ColumnBatch):
+        return ColumnEmissions(self.component.name, changes) if changes else []
 
-    def execute(self, source: str, stream: str, values: tuple):
-        if not self._upsert:
-            return super().execute(source, stream, values)
-        return self.execute_batch(source, stream, [values])
+    @staticmethod
+    def _changelog(changes) -> ColumnBatch:
+        """``(old, new)`` output-row pairs (None = group absent) as one
+        ordered changelog batch: ``-old`` ahead of ``+new``."""
+        signed = [(sign, row) for old, new in changes
+                  for sign, row in ((-1, old), (1, new)) if row is not None]
+        return ColumnBatch.from_rows([row for _sign, row in signed],
+                                     [sign for sign, _row in signed])
 
     def execute_batch(self, source: str, stream: str, rows):
         if not self._upsert:
             return super().execute_batch(source, stream, rows)
-        sign = -1 if stream.endswith(RETRACT_SUFFIX) else 1
+        parts = [self._changes(run, sign) for sign, run in sign_runs(rows)]
+        return self._emit(parts[0] if len(parts) == 1
+                          else ColumnBatch.concat(parts))
+
+    def _changes(self, rows, sign: int) -> ColumnBatch:
+        """The changelog of one same-sign run."""
         if self.sliding_state is not None:
             # expiry is per arrival, so the window consumes row by row
-            changes: list = []
             consume = self.sliding_state.consume
-            for row in rows:
-                changes.extend(consume(row, sign))
-            return self._changelog(changes)
+            return self._changelog(
+                [change for row in rows for change in consume(row, sign)])
         aggregation = self.aggregation
         if isinstance(rows, ColumnBatch):
             changes = aggregation.consume_changelog(rows, sign,
                                                     self._published)
             if changes is not None:
-                return (ColumnEmissions(self._changes_stream, changes)
-                        if changes else [])
+                return changes
             rows = rows.to_rows()
         n_group = len(aggregation.group_positions)
         published = self._published
-        changes_stream = self._changes_stream
-        out: List[Tuple[str, tuple]] = []
+        changes = []
         # consume_batch hands back the group's output row after each
         # input row, None once the group's input rows cancelled out
         outputs = aggregation.consume_batch(rows, sign, dead_as_none=True)
         for row, new in zip(rows, outputs):
             if new is None:
-                old = published.pop(aggregation.key_of(row))
-                out.append((changes_stream, (-1, old)))
+                changes.append((published.pop(aggregation.key_of(row)), None))
                 continue
             key = new[:n_group]
             old = published.get(key)
             if new != old:
                 published[key] = new
-                if old is not None:
-                    out.append((changes_stream, (-1, old)))
-                out.append((changes_stream, (1, new)))
-        return out
+                changes.append((old, new))
+        return self._changelog(changes)
 
     def advance_watermark(self, watermark):
         if self._upsert and self.sliding_state is not None:
             window = self.component.window
             if window.ts_positions is None:
                 return []
-            return self._changelog(
-                self.sliding_state.advance_time(watermark))
+            return self._emit(self._changelog(
+                self.sliding_state.advance_time(watermark)))
         return super().advance_watermark(watermark)
 
     def finish(self):

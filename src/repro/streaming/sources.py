@@ -35,7 +35,9 @@ class PushSource:
         """Up to ``max_rows`` emissions that are ready *now*.
 
         An empty list means "nothing ready yet", not end of stream --
-        check :meth:`exhausted`."""
+        check :meth:`exhausted`.  A source that emits retractions polls
+        a :class:`~repro.core.columnar.ColumnEmissions` instead, whose
+        batch carries the rows' ``signs``."""
         raise NotImplementedError
 
     def watermark(self) -> Optional[float]:

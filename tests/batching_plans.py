@@ -211,17 +211,18 @@ def retraction_script():
     duplicates retracted at the end; one group dies and is reborn; one
     row is retracted ahead of its insertion (the group passes through a
     negative count)."""
-    from repro.engine.runner import RETRACT_SUFFIX
+    from tests.conftest import retract
 
     clean = [("events", row) for row in stream_events().rows]
     replayed = clean[::9]
     script = list(clean)
     script[60:60] = replayed
-    retract = "events" + RETRACT_SUFFIX
-    script[150:150] = [("events", (150, 77, 3)), (retract, (150, 77, 3)),
+    script[150:150] = [("events", (150, 77, 3)),
+                       retract("events", (150, 77, 3)),
                        ("events", (150, 77, 4)),
-                       (retract, (150, 88, 5)), ("events", (150, 88, 5))]
-    script.extend((retract, row) for _stream, row in replayed)
+                       retract("events", (150, 88, 5)),
+                       ("events", (150, 88, 5))]
+    script.extend(retract("events", row) for _stream, row in replayed)
     return script
 
 

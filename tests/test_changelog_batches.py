@@ -28,7 +28,7 @@ from repro.core.options import ExecutionOptions
 from repro.engine.component import AggComponent
 from repro.engine.operators import total
 from repro.serving.server import DeltaServer
-from repro.streaming import CallbackSource, DeltaSink, stream_plan
+from repro.streaming import DeltaSink, stream_plan
 from repro.streaming.deltas import SubscriberOverflow
 from repro.streaming.runner import DeltaAggBolt
 from tests.batching_plans import (
@@ -37,6 +37,7 @@ from tests.batching_plans import (
     plan_stream_sliding,
     retraction_script,
 )
+from tests.conftest import ScriptSource, changelog, changes_of, retracting
 
 BATCH_SIZES = [1, 7, 64, 512]
 EXECUTORS = ["inline", "processes"]
@@ -65,7 +66,7 @@ def run_sliding(options):
 
 
 def run_retraction(options):
-    source = CallbackSource(generator=iter(retraction_script()))
+    source = ScriptSource(retraction_script())
     return stream_plan(plan_stream_count_sum(), options=options,
                        sources={"events": source})
 
@@ -213,17 +214,19 @@ class TestUpsertChangelog:
         would; only the second must retract without re-inserting."""
         bolt = DeltaAggBolt(AggComponent(
             "agg", group_positions=[0], aggregates=[total(1)]))
-        assert bolt.execute_batch("J", "J", [("a", 4), ("a", -4)]) == [
-            ("agg:changes", (1, ("a", 4))),
-            ("agg:changes", (-1, ("a", 4))),
-            ("agg:changes", (1, ("a", 0))),
+        assert changes_of(bolt.execute_batch(
+                "J", "J", [("a", 4), ("a", -4)]), "agg") == [
+            (1, ("a", 4)),
+            (-1, ("a", 4)),
+            (1, ("a", 0)),
         ]
-        assert bolt.execute_batch(
-            "J", "J:retract", [("a", 4), ("a", -4), ("a", 1)]) == [
-            ("agg:changes", (-1, ("a", 0))),
-            ("agg:changes", (1, ("a", -4))),
-            ("agg:changes", (-1, ("a", -4))),      # died
-            ("agg:changes", (1, ("a", -1))),       # reborn, never netted
+        assert changes_of(bolt.execute_batch(
+                "J", "J", retracting([("a", 4), ("a", -4), ("a", 1)])),
+            "agg") == [
+            (-1, ("a", 0)),
+            (1, ("a", -4)),
+            (-1, ("a", -4)),      # died
+            (1, ("a", -1)),       # reborn, never netted
         ]
 
 
@@ -231,8 +234,8 @@ class TestSignedBatchSink:
     def test_absent_retraction_is_ignored_mid_batch(self):
         sink = DeltaSink()
         feed = sink.subscribe()
-        sink.execute_batch("agg", "agg:changes", [
-            (1, ("a",)), (-1, ("b",)), (1, ("b",)), (-1, ("a",))])
+        sink.execute_batch("agg", "agg", changelog([
+            (1, ("a",)), (-1, ("b",)), (1, ("b",)), (-1, ("a",))]))
         assert [str(delta) for delta in feed.drain()] == [
             "+('a',)", "+('b',)", "-('a',)"]
         assert sink.snapshot() == [("b",)]
@@ -245,22 +248,22 @@ class TestSignedBatchSink:
         held.execute_batch("agg", "agg", [("r",)])
         feed = held.subscribe()
         assert [d.sign for d in feed.drain()] == [1]  # the catch-up
-        held.execute_batch("agg", "agg:changes", [(-1, ("r",)), (1, ("r",))])
+        held.execute_batch("agg", "agg", changelog([(-1, ("r",)), (1, ("r",))]))
         assert [(d.sign, d.row) for d in feed.drain()] == [
             (-1, ("r",)), (1, ("r",))]
         assert held.snapshot() == [("r",)]
 
         empty = DeltaSink()
         feed = empty.subscribe()
-        empty.execute_batch("agg", "agg:changes", [(-1, ("r",)), (1, ("r",))])
+        empty.execute_batch("agg", "agg", changelog([(-1, ("r",)), (1, ("r",))]))
         assert [(d.sign, d.row) for d in feed.drain()] == [(1, ("r",))]
         assert empty.snapshot() == [("r",)]
 
     def test_signed_and_plain_streams_share_one_multiset(self):
         sink = DeltaSink()
         sink.execute_batch("J", "J", [(1,), (2,)])
-        sink.execute_batch("J", "J:changes", [(-1, (1,)), (1, (3,))])
-        sink.execute_batch("J", "J:retract", [(2,), (9,)])
+        sink.execute_batch("J", "J", changelog([(-1, (1,)), (1, (3,))]))
+        sink.execute_batch("J", "J", retracting([(2,), (9,)]))
         assert sink.snapshot() == [(3,)]
         assert sink.delta_count == 5
 
@@ -275,13 +278,13 @@ class TestSignedBatchSink:
 
         def pump():
             version = 0
-            sink.execute_batch("agg", "agg:changes",
-                               [(1, (key, 0)) for key in range(5)])
+            sink.execute_batch("agg", "agg",
+                               changelog([(1, (key, 0)) for key in range(5)]))
             while not stop.is_set():
-                sink.execute_batch("agg", "agg:changes", [
+                sink.execute_batch("agg", "agg", changelog([
                     change for key in range(5)
                     for change in ((-1, (key, version)),
-                                   (1, (key, version + 1)))])
+                                   (1, (key, version + 1)))]))
                 version += 1
             sink.finish()
 
@@ -310,19 +313,19 @@ class TestSignedBatchSink:
     def test_rollback_after_signed_batches(self):
         sink = DeltaSink()
         feed = sink.subscribe()
-        sink.execute_batch("agg", "agg:changes",
-                           [(1, ("a", 1)), (1, ("b", 1))])
+        sink.execute_batch("agg", "agg",
+                           changelog([(1, ("a", 1)), (1, ("b", 1))]))
         checkpoint = sink.counts_snapshot()
-        sink.execute_batch("agg", "agg:changes", [
-            (-1, ("a", 1)), (1, ("a", 2)), (-1, ("b", 1))])
+        sink.execute_batch("agg", "agg", changelog([
+            (-1, ("a", 1)), (1, ("a", 2)), (-1, ("b", 1))]))
         assert sink.snapshot() == [("a", 2)]
         assert sink.rollback(checkpoint) == 3
         assert sink.snapshot() == [("a", 1), ("b", 1)]
         seen = feed.drain()
         assert fold_checked(seen) == sink.snapshot()
         # the replayed batch applies to the rewound state as it first did
-        sink.execute_batch("agg", "agg:changes", [
-            (-1, ("a", 1)), (1, ("a", 2)), (-1, ("b", 1))])
+        sink.execute_batch("agg", "agg", changelog([
+            (-1, ("a", 1)), (1, ("a", 2)), (-1, ("b", 1))]))
         assert fold_checked(seen + feed.drain()) == [("a", 2)]
 
     def test_one_large_signed_batch_sheds_a_bounded_ring(self):
@@ -331,15 +334,15 @@ class TestSignedBatchSink:
         bounded = sink.subscribe(max_buffer=8, on_overflow="shed",
                                  on_detach=detached.append)
         unbounded = sink.subscribe()
-        sink.execute_batch("agg", "agg:changes",
-                           [(1, (i,)) for i in range(20)])
+        sink.execute_batch("agg", "agg",
+                           changelog([(1, (i,)) for i in range(20)]))
         assert bounded.overflowed and detached == [bounded]
         assert sink.shed_count == 1 and sink.subscriber_count == 1
         with pytest.raises(SubscriberOverflow):
             bounded.pop()
         assert len(unbounded.drain()) == 20
         # the fan-out list is replaced, never mutated: the survivor stays
-        sink.execute_batch("agg", "agg:changes", [(-1, (0,))])
+        sink.execute_batch("agg", "agg", changelog([(-1, (0,))]))
         assert [str(d) for d in unbounded.drain()] == ["-(0,)"]
 
 
@@ -515,9 +518,9 @@ class TestDeltaServerChunks:
     def test_same_frames_same_order_one_flush_per_chunk(self):
         sink = DeltaSink()
         subscription = sink.subscribe()
-        sink.execute_batch("agg", "agg:changes", [
-            (1, ("a", 1)), (-1, ("a", 1)), (1, ("a", 2))])
-        sink.execute_batch("agg", "agg:changes", [(1, ("b", 1))])
+        sink.execute_batch("agg", "agg", changelog([
+            (1, ("a", 1)), (-1, ("a", 1)), (1, ("a", 2))]))
+        sink.execute_batch("agg", "agg", changelog([(1, ("b", 1))]))
         sink.finish()
         writer = _Writer()
         server = DeltaServer(catalog=None, poll_timeout=0.01)
@@ -537,8 +540,8 @@ class TestDeltaServerChunks:
         total = 2 * FLUSH_FRAMES + 10
         sink = DeltaSink()
         subscription = sink.subscribe()  # unbounded ring
-        sink.execute_batch("agg", "agg:changes",
-                           [(1, (i,)) for i in range(total)])
+        sink.execute_batch("agg", "agg",
+                           changelog([(1, (i,)) for i in range(total)]))
         sink.finish()
 
         class Bounded(_Writer):
@@ -566,8 +569,8 @@ class TestDeltaServerChunks:
     def test_overflow_is_still_the_terminal_error_frame(self):
         sink = DeltaSink()
         subscription = sink.subscribe(max_buffer=2)
-        sink.execute_batch("agg", "agg:changes",
-                           [(1, (i,)) for i in range(3)])
+        sink.execute_batch("agg", "agg",
+                           changelog([(1, (i,)) for i in range(3)]))
         writer = _Writer()
         server = DeltaServer(catalog=None, poll_timeout=0.01)
         asyncio.run(server._push_deltas(writer, _Feed(subscription)))

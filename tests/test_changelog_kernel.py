@@ -7,6 +7,9 @@ drives one bolt with row batches and a twin with the same rows as
 ``ColumnBatch``es: the changelogs, the published rows and the
 aggregation state must be identical after every batch -- compared by
 ``repr``, so ``1`` vs ``1.0`` and ``0.0`` vs ``-0.0`` count as different.
+A retraction batch has signs, so it reaches both twins as a
+``ColumnBatch``; the row twin's kernel always declines, which sends it
+down the row loop.
 """
 
 import random
@@ -14,11 +17,12 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.columnar import ColumnBatch
 from repro.engine.component import AggComponent
 from repro.engine.operators import Aggregation, AggregateSpec
 from repro.streaming.deltas import DeltaSink
 from repro.streaming.runner import DeltaAggBolt
+from tests.conftest import changes_of
 
 #: floats whose sums depend on the order they are added in
 FLOATS = [0.1, 0.2, 0.3, 1e16, -1e16, 1.0, -0.5, 0.0, -0.0, 2.5, 3e-17]
@@ -28,11 +32,34 @@ HUGE = [2 ** 52, -(2 ** 52), 2 ** 61]
 
 
 def twins(kinds):
+    """A row-loop bolt and a kernel bolt; the kernel bolt's ``used``
+    lists, per batch, whether the kernel computed its changelog."""
     component = AggComponent(
         "agg", group_positions=[0],
         aggregates=[AggregateSpec(kind, None if kind == "count" else 1)
                     for kind in kinds])
-    return DeltaAggBolt(component), DeltaAggBolt(component)
+    rows_bolt, cols_bolt = DeltaAggBolt(component), DeltaAggBolt(component)
+    rows_bolt.aggregation.consume_changelog = lambda *args: None
+    kernel = cols_bolt.aggregation.consume_changelog
+    cols_bolt.used = []
+
+    def counted(*args):
+        changes = kernel(*args)
+        cols_bolt.used.append(changes is not None)
+        return changes
+
+    cols_bolt.aggregation.consume_changelog = counted
+    return rows_bolt, cols_bolt
+
+
+def batch_of(rows, sign):
+    """``rows`` as a batch, every row with ``sign``."""
+    return ColumnBatch.from_rows(rows, None if sign > 0 else [-1] * len(rows))
+
+
+def payload(emissions):
+    """What a sink is handed for one bolt's emissions."""
+    return emissions.batch if emissions else []
 
 
 def state_of(bolt):
@@ -69,18 +96,12 @@ class TestDifferential:
         for size, sign, kind in batches:
             values = {"int": INTS, "float": FLOATS, "huge": HUGE}[kind]
             rows = make_rows(rng, size, keys, values)
-            stream = "J" if sign > 0 else "J:retract"
-            expected = rows_bolt.execute_batch("J", stream, list(rows))
-            got = cols_bolt.execute_batch("J", stream,
-                                          ColumnBatch.from_rows(rows))
-            assert repr(list(got)) == repr(expected)
+            expected = rows_bolt.execute_batch("J", "J", batch_of(rows, sign))
+            got = cols_bolt.execute_batch("J", "J", batch_of(rows, sign))
+            assert repr(changes_of(got)) == repr(changes_of(expected))
             assert state_of(cols_bolt) == state_of(rows_bolt)
-            rows_sink.execute_batch("agg", "agg:changes",
-                                    [change for _stream, change in expected])
-            cols_sink.execute_batch(
-                "agg", "agg:changes",
-                got.batch if isinstance(got, ColumnEmissions)
-                else [change for _stream, change in got])
+            rows_sink.execute_batch("agg", "agg", payload(expected))
+            cols_sink.execute_batch("agg", "agg", payload(got))
             assert repr(cols_feed.drain()) == repr(rows_feed.drain())
             assert cols_sink.snapshot() == rows_sink.snapshot()
 
@@ -92,62 +113,60 @@ class TestKernelCases:
     @staticmethod
     def both(kinds, batches):
         rows_bolt, cols_bolt = twins(kinds)
-        kernel_batches = 0
-        for stream, rows in batches:
-            expected = rows_bolt.execute_batch("J", stream, list(rows))
-            got = cols_bolt.execute_batch("J", stream,
-                                          ColumnBatch.from_rows(rows))
-            kernel_batches += isinstance(got, ColumnEmissions)
-            assert repr(list(got)) == repr(expected)
+        for sign, rows in batches:
+            expected = changes_of(rows_bolt.execute_batch(
+                "J", "J", batch_of(rows, sign)), "agg")
+            got = cols_bolt.execute_batch("J", "J", batch_of(rows, sign))
+            assert repr(changes_of(got, "agg")) == repr(expected)
             assert state_of(cols_bolt) == state_of(rows_bolt)
-        return expected, kernel_batches
+        return expected, sum(cols_bolt.used)
 
     def test_group_dies_and_is_reborn_in_one_batch(self):
         changes, used = self.both(["count", "sum"], [
-            ("J", [(1, 5), (2, 1)]),
-            ("J:retract", [(1, 5), (1, 4), (2, 1)]),
+            (1, [(1, 5), (2, 1)]),
+            (-1, [(1, 5), (1, 4), (2, 1)]),
         ])
         assert used == 2
         assert changes == [
-            ("agg:changes", (-1, (1, 1, 5))),   # dies: -old alone
-            ("agg:changes", (1, (1, -1, -4))),  # reborn from empty
-            ("agg:changes", (-1, (2, 1, 1))),
+            (-1, (1, 1, 5)),   # dies: -old alone
+            (1, (1, -1, -4)),  # reborn from empty
+            (-1, (2, 1, 1)),
         ]
 
     def test_zero_sum_live_group_vs_dead_group(self):
         changes, used = self.both(["sum"], [
-            ("J", [(0, 4), (0, -4), (0, 0), (1, 3)]),
-            ("J:retract", [(0, 4), (0, -4), (0, 0)]),
+            (1, [(0, 4), (0, -4), (0, 0), (1, 3)]),
+            (-1, [(0, 4), (0, -4), (0, 0)]),
         ])
         assert used == 2
         # the retract batch: 0 -> 4 -> 0 (live at zero) -> dead
         assert changes == [
-            ("agg:changes", (-1, (0, 0))), ("agg:changes", (1, (0, -4))),
-            ("agg:changes", (-1, (0, -4))), ("agg:changes", (1, (0, 0))),
-            ("agg:changes", (-1, (0, 0))),
+            (-1, (0, 0)), (1, (0, -4)),
+            (-1, (0, -4)), (1, (0, 0)),
+            (-1, (0, 0)),
         ]
 
     def test_unchanged_rows_publish_nothing_and_keep_the_old_row(self):
         # SUM-only: adding 0.0 to an int sum prints an equal row; the
         # published row stays the int one the sink holds
         _changes, used = self.both(["sum"], [
-            ("J", [(7, 2), (7, 3)]), ("J", [(7, 0.0), (7, 0.5)]),
+            (1, [(7, 2), (7, 3)]), (1, [(7, 0.0), (7, 0.5)]),
         ])
         assert used == 2
 
     def test_order_dependent_float_sums(self):
         rows = [(1, v) for v in (1e16, 1.0, 1.0, -1e16, 0.1, 0.2)]
-        changes, used = self.both(["sum", "avg"], [("J", rows)])
+        changes, used = self.both(["sum", "avg"], [(1, rows)])
         assert used == 1
-        assert changes[-1][1][1][1] == ((((1e16 + 1.0) + 1.0) - 1e16)
+        assert changes[-1][1][1] == ((((1e16 + 1.0) + 1.0) - 1e16)
                                         + 0.1) + 0.2
 
     def test_falls_back_where_it_cannot_be_exact(self):
         _changes, used = self.both(["sum"], [
-            ("J", [(1, 2 ** 52), (1, 2 ** 52)]),   # could pass 2^53
-            ("J", [(1.5, 1), (2.5, 2)]),           # non-int64 keys
-            ("J", [(3, 0.5)]),                     # a float sum
-            ("J", [(3, 1)]),                       # int onto a float sum
+            (1, [(1, 2 ** 52), (1, 2 ** 52)]),   # could pass 2^53
+            (1, [(1.5, 1), (2.5, 2)]),           # non-int64 keys
+            (1, [(3, 0.5)]),                     # a float sum
+            (1, [(3, 1)]),                       # int onto a float sum
         ])
         assert used == 1  # only the float batch ran in the kernel
 
@@ -157,14 +176,15 @@ class TestKernelCases:
         for dtype in (np.bool_, np.uint64, np.int32, np.float32):
             rows_bolt, cols_bolt = twins(["sum"])
             rows = [(1, 1), (1, 0), (2, 1)]
-            batch = ColumnBatch([np.array([1, 1, 2]),
-                                 np.array([1, 0, 1], dtype=dtype)], 3)
-            for stream in ("J", "J:retract"):
-                expected = rows_bolt.execute_batch("J", stream, rows)
-                got = cols_bolt.execute_batch("J", stream, batch)
-                assert not isinstance(got, ColumnEmissions)
-                assert [change for _s, change in got] == [
-                    change for _s, change in expected]
+            for sign in (1, -1):
+                batch = ColumnBatch([np.array([1, 1, 2]),
+                                     np.array([1, 0, 1], dtype=dtype)], 3,
+                                    None if sign > 0 else [-1] * 3)
+                expected = rows_bolt.execute_batch("J", "J",
+                                                   batch_of(rows, sign))
+                got = cols_bolt.execute_batch("J", "J", batch)
+                assert changes_of(got) == changes_of(expected)
+            assert cols_bolt.used == [False, False]
 
 
 class TestInt64Wraparound:

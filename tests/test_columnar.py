@@ -3,8 +3,8 @@
 The columnar representation is only allowed into the dataplane because
 it is *indistinguishable* from the row representation at the edges:
 ``from_rows``/``to_rows`` round-trip losslessly over arbitrary schemas
-(property-tested here, including empty batches and sign=-1 retraction
-batches), the vectorized hashes are bit-for-bit ``stable_hash``, and a
+(property-tested here, including empty batches and batches whose per-row
+``signs`` mark retractions), the vectorized hashes are bit-for-bit ``stable_hash``, and a
 batch survives the processes executor's pickle pipes without its
 derived row cache.
 """
@@ -23,6 +23,7 @@ from repro.core.columnar import (
     hash_column,
     hash_key_columns,
     make_column,
+    sign_runs,
 )
 from repro.util import stable_hash
 
@@ -68,22 +69,29 @@ def row_batches(draw):
                     "mixed": _VALUES}[kind]
         columns.append([draw(strategy) for _ in range(n)])
     rows = [tuple(col[i] for col in columns) for i in range(n)]
-    sign = draw(st.sampled_from([1, -1]))
-    return rows, sign
+    signs = draw(st.none() | st.lists(st.sampled_from([1, -1]),
+                                      min_size=n, max_size=n))
+    return rows, signs
+
+
+def sign_list(batch):
+    """A batch's signs as a list (None: every row inserts)."""
+    return None if batch.signs is None else batch.signs.tolist()
 
 
 class TestColumnBatchRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(row_batches())
     def test_from_rows_to_rows_round_trip(self, batch):
-        rows, sign = batch
-        built = ColumnBatch.from_rows(list(rows), sign)
+        rows, signs = batch
+        built = ColumnBatch.from_rows(list(rows), signs)
         assert built.to_rows() == rows
         assert [type(v) for row in built.to_rows() for v in row] == \
             [type(v) for row in rows for v in row]
-        rebuilt = ColumnBatch.from_rows(built.to_rows(), sign)
+        rebuilt = ColumnBatch.from_rows(built.to_rows(), signs)
         assert rebuilt == built
-        assert rebuilt.sign == sign and len(rebuilt) == len(rows)
+        assert sign_list(rebuilt) == (signs if rows else None)
+        assert len(rebuilt) == len(rows)
 
     def test_empty_batch(self):
         empty = ColumnBatch.from_rows([])
@@ -91,10 +99,13 @@ class TestColumnBatchRoundTrip:
         assert empty.to_rows() == []
         assert ColumnBatch.from_rows(empty.to_rows()) == empty
 
-    def test_retraction_batch_keeps_sign(self):
-        batch = ColumnBatch.from_rows([(1, "a")], sign=-1)
-        assert batch.sign == -1
-        assert ColumnBatch.from_rows(batch.to_rows(), sign=-1) == batch
+    def test_retraction_batch_keeps_signs(self):
+        batch = ColumnBatch.from_rows([(1, "a"), (2, "b")], signs=[-1, 1])
+        assert batch.signs.dtype == np.int8 and sign_list(batch) == [-1, 1]
+        assert ColumnBatch.from_rows(batch.to_rows(), signs=[-1, 1]) == batch
+        assert ColumnBatch.from_rows(batch.to_rows()) != batch
+        assert repr(batch) == "ColumnBatch(2 rows x 2 cols, signs=[-1, 1])"
+        assert not hasattr(batch, "sign")
 
     def test_sequence_compatibility(self):
         rows = [(1, "x"), (2, "y")]
@@ -108,6 +119,36 @@ class TestColumnBatchRoundTrip:
                                        (3, "c", 3.0)])
         assert batch.take([2, 0]).to_rows() == [(3, "c", 3.0), (1, "a", 1.0)]
         assert batch.take_columns([1]).to_rows() == [("a",), ("b",), ("c",)]
+        assert batch.take([2, 0]).signs is None
+
+    def test_take_and_take_columns_carry_signs(self):
+        batch = ColumnBatch.from_rows([(1, "a"), (2, "b"), (3, "c")],
+                                      signs=[1, -1, 1])
+        assert sign_list(batch.take([1, 2])) == [-1, 1]
+        assert sign_list(batch.take_columns([1])) == [1, -1, 1]
+
+
+class TestSignRuns:
+    """``sign_runs`` is how every consumer reads signs: maximal
+    same-sign runs, in order."""
+
+    def test_unsigned_payloads_are_one_insert_run_untouched(self):
+        rows = [(1,), (2,)]
+        batch = ColumnBatch.from_rows(rows)
+        assert sign_runs(rows) == [(1, rows)]
+        assert sign_runs(batch)[0][1] is batch
+
+    def test_one_sign_is_the_batch_itself(self):
+        batch = ColumnBatch.from_rows([(1,), (2,)], signs=[-1, -1])
+        assert sign_runs(batch) == [(-1, batch)]
+
+    def test_runs_split_where_the_sign_changes(self):
+        batch = ColumnBatch.from_rows([(1,), (2,), (3,), (4,), (5,)],
+                                      signs=[1, 1, -1, 1, -1])
+        assert [(sign, run.to_rows(), sign_list(run))
+                for sign, run in sign_runs(batch)] == [
+            (1, [(1,), (2,)], [1, 1]), (-1, [(3,)], [-1]),
+            (1, [(4,)], [1]), (-1, [(5,)], [-1])]
 
 
 class TestConcat:
@@ -135,11 +176,14 @@ class TestConcat:
         assert merged.columns[0] == ["a", None, "b", "a", None]
         assert merged.columns[1].tolist() == [1, 2, 3, 1, 2]
 
-    def test_retraction_sign_is_kept_and_must_agree(self):
-        minus = ColumnBatch.from_rows([(1,)], sign=-1)
-        assert ColumnBatch.concat([minus, minus]).sign == -1
-        with pytest.raises(ValueError, match="sign"):
-            ColumnBatch.concat([minus, ColumnBatch.from_rows([(1,)])])
+    def test_signs_follow_their_rows(self):
+        minus = ColumnBatch.from_rows([(1,)], signs=[-1])
+        plus = ColumnBatch.from_rows([(2,), (3,)])
+        assert sign_list(ColumnBatch.concat([minus, minus])) == [-1, -1]
+        merged = ColumnBatch.concat([plus, minus, plus])
+        assert merged.to_rows() == [(2,), (3,), (1,), (2,), (3,)]
+        assert sign_list(merged) == [1, 1, -1, 1, 1]
+        assert ColumnBatch.concat([plus, plus]).signs is None
 
     def test_arity_must_agree(self):
         with pytest.raises(ValueError, match="column count"):
@@ -157,17 +201,22 @@ class TestConcat:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(row_batches(), min_size=1, max_size=4))
     def test_concat_is_row_concatenation(self, drawn):
-        sign = drawn[0][1]
         arity = len(drawn[0][0][0]) if drawn[0][0] else 0
-        parts = [rows for rows, _sign in drawn
+        parts = [(rows, signs) for rows, signs in drawn
                  if rows and len(rows[0]) == arity]
         if not parts:
             return
         merged = ColumnBatch.concat(
-            [ColumnBatch.from_rows(rows, sign) for rows in parts])
-        expected = [row for rows in parts for row in rows]
+            [ColumnBatch.from_rows(rows, signs) for rows, signs in parts])
+        expected = [row for rows, _signs in parts for row in rows]
         got = merged.to_rows()
-        assert len(got) == len(expected) and merged.sign == sign
+        assert len(got) == len(expected)
+        if all(signs is None for _rows, signs in parts):
+            assert merged.signs is None
+        else:
+            assert sign_list(merged) == [
+                sign for rows, signs in parts
+                for sign in (signs or [1] * len(rows))]
         for mine, theirs in zip(got, expected):
             assert [type(v) for v in mine] == [type(v) for v in theirs]
             assert all(a == b or (a != a and b != b)
@@ -178,8 +227,8 @@ class TestColumnBatchPickle:
     @settings(max_examples=50, deadline=None)
     @given(row_batches())
     def test_pickle_round_trip(self, batch):
-        rows, sign = batch
-        built = ColumnBatch.from_rows(list(rows), sign)
+        rows, signs = batch
+        built = ColumnBatch.from_rows(list(rows), signs)
         built.to_rows()  # populate the derived cache
         clone = pickle.loads(pickle.dumps(built))
         assert clone == built
@@ -187,10 +236,18 @@ class TestColumnBatchPickle:
 
     def test_pickle_drops_row_cache(self):
         batch = ColumnBatch.from_rows([(1, 2), (3, 4)])
+        columns = batch.columns
         batch.to_rows()
-        assert batch.__getstate__() == (batch.columns, 2, 1)
+        assert batch.__getstate__() == (columns, 2, None, None)
         clone = pickle.loads(pickle.dumps(batch))
         assert clone._rows is None  # rebuilt on demand, not shipped
+
+    def test_a_batch_that_never_built_columns_ships_its_rows(self):
+        rows = [(1, "a"), (2, "b")]
+        batch = ColumnBatch.from_rows(rows, signs=[1, -1])
+        clone = pickle.loads(pickle.dumps(batch))
+        assert batch._columns is None and clone._columns is None
+        assert clone.to_rows() == rows and clone == batch
 
 
 class TestHashParity:
@@ -227,12 +284,19 @@ class TestHashParity:
 
 
 class TestColumnEmissions:
-    def test_duck_types_emission_list(self):
+    def test_counts_like_an_emission_list(self):
         batch = ColumnBatch.from_rows([(1,), (2,)])
         emissions = ColumnEmissions("S", batch)
         assert len(emissions) == 2 and bool(emissions)
-        assert list(emissions) == [("S", (1,)), ("S", (2,))]
         assert not ColumnEmissions("S", ColumnBatch.from_rows([]))
+
+    def test_never_iterates_as_unsigned_pairs(self):
+        """A ``(stream, row)`` pair has no sign: a retraction read that
+        way would become an insertion, so there is no such view."""
+        signed = ColumnEmissions(
+            "S", ColumnBatch.from_rows([(1,)], signs=[-1]))
+        with pytest.raises(TypeError):
+            list(signed)
 
 
 class TestBucketByTask:

@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core.columnar import ColumnBatch
+from repro.core.columnar import ColumnBatch, sign_runs
 from repro.core.expressions import col
 from repro.core.options import ExecutionOptions
 from repro.core.schema import Schema
@@ -40,6 +40,7 @@ from repro.storm.executor import (
     topological_levels,
 )
 from repro.storm.metrics import TopologyMetrics
+from tests.conftest import retracting
 
 PARALLEL = ["processes"]
 
@@ -428,14 +429,19 @@ class TestWaveBuffer:
         assert buffer.pop(("J", 0))[0][2] is rows
 
     def test_streams_sources_and_retractions_split_runs_in_order(self):
+        """One edge's inserts and retractions are one run: a retraction
+        is a row's sign, not a stream, so it merges with its neighbours
+        and keeps its place; only another stream or source splits."""
         buffer = WaveBuffer()
-        for source, stream in [("R", "R"), ("R", "R"), ("R", "R:retract"),
-                               ("R", "R"), ("S", "R"), ("S", "R")]:
-            buffer.add([("J", 0, source, stream, [(source, stream)])])
-        assert [(source, stream, len(rows)) for source, stream, rows, _ctx
-                in buffer.pop(("J", 0))] == [
-            ("R", "R", 2), ("R", "R:retract", 1), ("R", "R", 1),
-            ("S", "R", 2)]
+        for source, stream, sign in [("R", "R", 1), ("R", "R", 1),
+                                     ("R", "R", -1), ("R", "R", 1),
+                                     ("S", "R", 1), ("S", "R", -1),
+                                     ("S", "T", 1)]:
+            buffer.add([("J", 0, source, stream, ColumnBatch.from_rows(
+                [(source, stream)], [sign]))])
+        assert [(source, stream, rows.signs.tolist())
+                for source, stream, rows, _ctx in buffer.pop(("J", 0))] == [
+            ("R", "R", [1, 1, -1, 1]), ("S", "R", [1, -1]), ("S", "T", [1])]
 
     def test_a_row_list_run_then_a_column_batch_run_are_two_batches(self):
         buffer = WaveBuffer()
@@ -447,16 +453,17 @@ class TestWaveBuffer:
             ("R", "R", ("rows", [(1,), (2,)]), None),
             ("R", "R", ("columns", [(3,), (4,)]), None)]
 
-    def test_column_batches_merge_only_on_equal_sign_and_arity(self):
+    def test_column_batches_merge_across_signs_but_not_arity(self):
         buffer = WaveBuffer()
         for batch in (ColumnBatch.from_rows([(1,)]),
-                      ColumnBatch.from_rows([(2,)], sign=-1),
-                      ColumnBatch.from_rows([(3,)], sign=-1),
-                      ColumnBatch.from_rows([(4, 4)], sign=-1)):
+                      ColumnBatch.from_rows([(2,)], [-1]),
+                      ColumnBatch.from_rows([(3,), (5,)], [1, -1]),
+                      ColumnBatch.from_rows([(4, 4)], [-1])):
             buffer.add([("J", 0, "R", "R", batch)])
         merged = [rows for _s, _t, rows, _c in buffer.pop(("J", 0))]
-        assert [(batch.sign, batch.to_rows()) for batch in merged] == [
-            (1, [(1,)]), (-1, [(2,), (3,)]), (-1, [(4, 4)])]
+        assert [(batch.signs.tolist(), batch.to_rows())
+                for batch in merged] == [
+            ([1, -1, 1, -1], [(1,), (2,), (3,), (5,)]), ([-1], [(4, 4)])]
 
     @pytest.mark.parametrize("empty", [[], ColumnBatch.from_rows([])],
                              ids=["rows", "columns"])
@@ -561,15 +568,26 @@ class TestWaveBuffer:
         workers[0].add([("agg", 0, "J", "J", [(1,)]),
                         ("agg", 1, "J", "J", [(2,)])])
         workers[1].add([("agg", 0, "J", "J", [(3,)])])
-        workers[1].add([("agg", 0, "J", "J:retract", [(1,)])])
+        workers[1].add([("agg", 0, "J", "J", retracting([(1,)]))])
         pending = WaveBuffer()
         for worker in workers:
             pending.fold(worker.drain())
             assert not worker
         assert pending.drain() == {
             ("agg", 0): [("J", "J", [(1,), (3,)], None),
-                         ("J", "J:retract", [(1,)], None)],
+                         ("J", "J", retracting([(1,)]), None)],
             ("agg", 1): [("J", "J", [(2,)], None)]}
+
+
+def merged_runs(log):
+    """A ``(sign, rows)`` log with adjacent same-sign entries merged."""
+    runs = []
+    for sign, rows in log:
+        if runs and runs[-1][0] == sign:
+            runs[-1][1].extend(rows)
+        else:
+            runs.append((sign, list(rows)))
+    return runs
 
 
 class LoggingAggBolt(AggBolt):
@@ -581,7 +599,8 @@ class LoggingAggBolt(AggBolt):
         self.log = []
 
     def execute_batch(self, source, stream, rows):
-        self.log.append((stream, list(rows)))
+        for sign, run in sign_runs(rows):
+            self.log.append((sign, run.to_rows() if sign < 0 else list(run)))
         return super().execute_batch(source, stream, rows)
 
 
@@ -634,9 +653,10 @@ class TestWaveCoalescing:
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_retraction_runs_stay_apart_and_in_order(self, executor):
         """The compensation script of ``tests.batching_plans`` through
-        the count/sum plan: an aggregation task sees its ``events`` and
-        ``events:retract`` rows in script order, as alternating runs --
-        never an insert merged past the retraction that follows it."""
+        the count/sum plan: an aggregation task sees its ``events``
+        insertions and retractions in script order, as alternating
+        same-sign runs -- never an insert moved past the retraction
+        that follows it."""
         from repro.engine.runner import build_topology
         from repro.storm.groupings import FieldsGrouping
         from tests.batching_plans import (
@@ -663,16 +683,19 @@ class TestWaveCoalescing:
         grouping = FieldsGrouping([1])
         for task_index in range(2):
             expected = []  # this task's share of the script, as runs
-            for stream, row in retraction_script():
+            for stream, row, *retracted in retraction_script():
                 if grouping.targets(stream, row, 2) != [task_index]:
                     continue
-                if expected and expected[-1][0] == stream:
+                sign = -1 if retracted else 1
+                if expected and expected[-1][0] == sign:
                     expected[-1][1].append(row)
                 else:
-                    expected.append((stream, [row]))
-            assert staged.task("agg", task_index).log == expected
+                    expected.append((sign, [row]))
+            assert merged_runs(staged.task("agg", task_index).log) == \
+                expected
             assert len(expected) >= 4  # inserts and retractions alternate
-            assert inline.task("agg", task_index).log == expected
+            assert merged_runs(inline.task("agg", task_index).log) == \
+                expected
 
 
 class TestInlineRounds:

@@ -26,6 +26,7 @@ from repro.streaming import (
     WatermarkTracker,
     stream_plan,
 )
+from tests.conftest import changelog, retracting
 
 
 class FakeClock:
@@ -202,14 +203,14 @@ class TestDeltaSink:
     def test_insert_and_retract_maintain_the_multiset(self):
         sink = DeltaSink()
         sink.execute_batch("J", "J", [(1,), (1,), (2,)])
-        sink.execute_batch("J", "J:retract", [(1,), (9,)])  # (9,) ignored
+        sink.execute_batch("J", "J", retracting([(1,), (9,)]))  # (9,) ignored
         assert sink.snapshot() == [(1,), (2,)]
 
     def test_subscription_sees_deltas_in_order(self):
         sink = DeltaSink()
         subscription = sink.subscribe()
         sink.execute_batch("J", "J", [(1,)])
-        sink.execute_batch("J", "J:retract", [(1,)])
+        sink.execute_batch("J", "J", retracting([(1,)]))
         sink.finish()
         deltas = [(d.sign, d.row) for d in subscription]
         assert deltas == [(1, (1,)), (-1, (1,))]
@@ -234,7 +235,7 @@ class TestDeltaSink:
         sink = DeltaSink()
         feed = sink.subscribe(max_buffer=5, on_overflow="block")
         sink.execute_batch("J", "J", [(1,), (2,)])
-        sink.execute_batch("J", "J:changes", [(1, (3,)), (-1, (1,))])
+        sink.execute_batch("J", "J", changelog([(1, (3,)), (-1, (1,))]))
         assert feed.backlog == 4  # the bound counts deltas, not chunks
         assert str(feed.pop()) == "+(1,)"
         assert [str(d) for d in feed.drain()] == ["+(2,)", "+(3,)", "-(1,)"]
@@ -281,7 +282,7 @@ class TestDeltaSink:
             while not stop.is_set():
                 sink.execute_batch(
                     "J", "J", [((i + j) % 7,) for j in range(3)])
-                sink.execute_batch("J", "J:retract", [((i + 3) % 7,)])
+                sink.execute_batch("J", "J", retracting([((i + 3) % 7,)]))
                 i += 1
             sink.finish()
 

@@ -7,8 +7,8 @@ engine in ``tests/golden/``) is replayed through the
 rates (the ``processes`` executor's golden column lives in
 ``tests/test_streaming_processes.py``); the final delta-sink snapshot
 must equal the batch ``run_plan`` result multiset byte for byte.  The
-retraction plan (tuples delivered twice and compensated via ``:retract``
-streams) runs through a push-source topology the same way.
+retraction plan (tuples delivered twice and compensated by rows with
+sign -1) runs through a push-source topology the same way.
 """
 
 import random
@@ -20,7 +20,6 @@ from repro.core.columnar import COLUMNAR_MIN_BATCH
 from repro.core.options import ExecutionOptions
 from repro.engine.runner import run_plan
 from repro.streaming import (
-    CallbackSource,
     DeltaSink,
     StreamingCluster,
     stream_plan,
@@ -98,7 +97,7 @@ class TestRetractionPlanEquivalence:
                                  aggregate=False):
         from repro.engine.component import AggComponent, JoinComponent
         from repro.engine.operators import count, total
-        from repro.engine.runner import RETRACT_SUFFIX, AggBolt, JoinBolt
+        from repro.engine.runner import AggBolt, JoinBolt
         from repro.joins.dbtoaster import DBToasterJoin
         from repro.joins.traditional import TraditionalJoin
         from repro.partitioning.hash_hypercube import HashHypercube
@@ -118,16 +117,16 @@ class TestRetractionPlanEquivalence:
         for rel_name in spec.relation_names:
             declarer.custom_grouping(
                 "feed", HypercubeGrouping(partitioner, rel_name),
-                streams=[rel_name, rel_name + RETRACT_SUFFIX])
+                streams=[rel_name])
         last = "J"
         if aggregate:
             agg = AggComponent("agg", group_positions=[1],
                                aggregates=[count(), total(5)])
             builder.set_bolt("agg", lambda i, p: AggBolt(agg)).global_grouping(
-                "J", streams=["J", "J" + RETRACT_SUFFIX])
+                "J", streams=["J"])
             last = "agg"
         builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
-            last, streams=[last, last + RETRACT_SUFFIX])
+            last, streams=[last])
         return builder.build()
 
     @pytest.mark.parametrize("local_join", ["dbtoaster", "traditional"])
@@ -135,7 +134,11 @@ class TestRetractionPlanEquivalence:
     @pytest.mark.parametrize("aggregate", [False, True])
     def test_compensated_stream_matches_clean_batch(self, local_join,
                                                     executor, aggregate):
-        from tests.conftest import interleaved_stream, make_rst_data
+        from tests.conftest import (
+            ScriptSource,
+            interleaved_stream,
+            make_rst_data,
+        )
         from tests.test_retractions import (
             build_rst_topology,
             faulty_script,
@@ -152,7 +155,7 @@ class TestRetractionPlanEquivalence:
 
         topology = self.build_streaming_topology(
             spec, local_join, aggregate=aggregate)
-        source = CallbackSource(iter(faulty_script(data, seed=33)))
+        source = ScriptSource(faulty_script(data, seed=33))
         cluster = StreamingCluster(topology, {"feed": source},
                                    batch_size=8, executor=executor)
         subscription = cluster.subscribe()

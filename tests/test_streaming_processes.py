@@ -32,6 +32,7 @@ from tests.batching_plans import (
     plan_snapshot_agg,
     plan_two_joins,
 )
+from tests.conftest import retracting
 
 
 def batch_snapshot(plan):
@@ -360,7 +361,7 @@ class TestDeltaSinkRollback:
         checkpoint = sink.counts_snapshot()
         subscription = sink.subscribe()
         sink.execute_batch("J", "J", [(3,)])
-        sink.execute_batch("J", "J" + ":retract", [(2,)])
+        sink.execute_batch("J", "J", retracting([(2,)]))
 
         published = sink.rollback(checkpoint)
         assert published == 2  # -（3,) and +(2,)

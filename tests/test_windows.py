@@ -309,3 +309,82 @@ class TestSlidingWindowedAggregation:
         # once an arrival moves event time forward, expiry follows
         changes = sagg.consume((10, "b", 1))
         assert (("a", 1, 5), None) in changes
+
+    def test_a_row_behind_the_horizon_is_dropped_and_counted(self):
+        sagg = self.make(size=10)
+        sagg.consume((29, "a", 1))
+        assert sagg.consume((19, "a", 1)) == []  # 19 <= 29 - 10
+        assert sagg.late_events == 1 and sagg.state_size() == 1
+        assert sagg.snapshot() == [("a", 1, 1)]
+        sagg.consume((20, "a", 1))               # inside: stored
+        assert sagg.late_events == 1 and sagg.snapshot() == [("a", 2, 2)]
+
+    def test_a_late_row_inside_the_window_expires_on_time(self):
+        sagg = self.make(size=10)
+        for ts in (20, 25, 29, 22, 25):
+            sagg.consume((ts, "a", ts))
+        # timestamp order, a late row after the stored rows of equal ts
+        assert [row for _ts, row in sagg._stored] == [
+            (20, "a", 20), (22, "a", 22), (25, "a", 25), (25, "a", 25),
+            (29, "a", 29)]
+        changes = sagg.consume((32, "a", 32))    # horizon 22
+        assert sagg.expired_rows == 2 and sagg.late_events == 0
+        assert changes[-1] == (("a", 3, 79), ("a", 4, 111))
+
+
+class TestLateEventsEndToEnd:
+    """ROADMAP 1(b): window 10, one key.  Arrival order used to decide
+    expiry, so both probes ended at COUNT 11; in timestamp order, and
+    with a row behind the horizon dropped, the answer is 10."""
+
+    @staticmethod
+    def plan(order):
+        from repro.core.schema import Relation
+        from repro.engine.component import (
+            AggComponent,
+            PhysicalPlan,
+            SourceComponent,
+        )
+
+        events = Relation("events", Schema.of("ts", "key"),
+                          [(ts, 0) for ts in order])
+        return PhysicalPlan(
+            sources=[SourceComponent("events", events)],
+            joins=[],
+            aggregation=AggComponent(
+                "agg", group_positions=[1], aggregates=[count()],
+                window=WindowSpec.sliding(10, ts_positions={"": 0})))
+
+    @staticmethod
+    def moved_after(last, moved, after):
+        order = [ts for ts in range(last + 1) if ts != moved]
+        order.insert(order.index(after) + 1, moved)
+        return order
+
+    PROBES = {"behind_the_horizon": (34, 5, 29),
+              "late_inside_the_window": (35, 25, 29)}
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_run_plan(self, probe, batch_size):
+        from repro.core.options import ExecutionOptions
+        from repro.engine.runner import run_plan
+
+        plan = self.plan(self.moved_after(*self.PROBES[probe]))
+        result = run_plan(plan, options=ExecutionOptions(
+            batch_size=batch_size))
+        assert result.results == [(0, 10)]
+
+    @pytest.mark.parametrize("probe", sorted(PROBES))
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_inline_stream_plan(self, probe, batch_size):
+        from repro.core.options import ExecutionOptions
+        from repro.streaming import stream_plan
+
+        plan = self.plan(self.moved_after(*self.PROBES[probe]))
+        query = stream_plan(plan, options=ExecutionOptions(
+            executor="inline", batch_size=batch_size)).run()
+        assert query.snapshot() == [(0, 10)]
+        late = sum(task.sliding_state.late_events
+                   for task in query.cluster.cluster.tasks("agg"))
+        assert late == (probe == "behind_the_horizon")
