@@ -73,9 +73,8 @@ class ExecutionOptions:
     #: micro-batch granularity; None = the front-end default (1 for the
     #: finite engine's golden per-tuple path, 64 for streaming)
     batch_size: Optional[int] = None
-    #: execution backend: 'inline' | 'processes' (staged waves for
-    #: finite plans, resident checkpointed workers for streaming);
-    #: None = 'inline'
+    #: execution backend: 'inline' | 'processes' (forked resident
+    #: workers; checkpointed for streaming); None = 'inline'
     executor: Optional[str] = None
     #: shared-nothing workers for executor='processes'; None = auto
     parallelism: Optional[int] = None

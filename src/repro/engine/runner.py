@@ -78,23 +78,6 @@ class SourceSpout(Spout):
             return (self.component.name, row)
         return None
 
-    # a shipped-home spout carries its counters, not the dataset: the
-    # processes backend returns final task state to the coordinator for
-    # result extraction, and pickling the whole input relation back over
-    # the pipe would put O(dataset) serialization on that path.  A
-    # round-tripped spout is therefore exhausted-by-construction (empty
-    # rows) -- workers never resume a shipped spout.
-    def __getstate__(self):
-        import dataclasses
-
-        state = dict(self.__dict__)
-        state["rows"] = []
-        state["component"] = dataclasses.replace(
-            self.component,
-            relation=dataclasses.replace(self.component.relation, rows=[]),
-        )
-        return state
-
     def has_more(self) -> bool:
         """Unread stripe rows remain (a columnar batch thinned by the
         selection can be short without meaning exhaustion)."""

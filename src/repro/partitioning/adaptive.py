@@ -64,8 +64,8 @@ class AdaptiveOneBucket(Partitioner):
 
     def supports_task_local_routing(self) -> bool:
         # routing depends on the globally observed stream (reshape
-        # decisions + stored-tuple coordinates); per-worker copies would
-        # diverge and lose matches, so only the inline executor runs this
+        # decisions + stored-tuple coordinates); a recovery replay would
+        # route differently, so streaming 'processes' refuses this
         return False
 
     # -- routing ---------------------------------------------------------

@@ -73,14 +73,14 @@ class Partitioner:
         raise NotImplementedError
 
     def supports_task_local_routing(self) -> bool:
-        """Whether per-worker copies of this partitioner route consistently.
+        """Whether a recovery replay routes the way the original delivery did.
 
         Static schemes (hash / random / hybrid hypercube) route each tuple
-        independently of what was observed before, so worker-local copies
-        agree on where matching tuples meet.  Schemes that *adapt to the
-        observed stream* (reshaping matrices) must return False: each
-        worker copy would see only its slice of the stream and diverge,
-        silently losing matches.  The parallel executors refuse such
-        schemes; run them on the inline executor.
+        independently of what was observed before, so a replay after a
+        worker crash lands every row where it first landed.  Schemes that
+        *adapt to the observed stream* (reshaping matrices) must return
+        False: the replay would meet the post-failure shape and silently
+        lose matches.  The streaming ``processes`` executor refuses such
+        schemes; batch runs and inline streaming route them exactly.
         """
         return True

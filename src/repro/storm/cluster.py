@@ -21,19 +21,20 @@ its prefix by this pull order, and a window expires state in it.
 :data:`ROUND_BUDGET` rows from the spouts in ``batch_size`` pulls, spout
 after spout, routes them into one
 :class:`~repro.storm.executor.WaveBuffer`, and then runs the bolt tasks
-once each in topological order, every task handed its deliveries merged
-per ``(source, stream)`` run -- the staged backend's per-task wave
-coalescing (with the same level pass,
-:func:`repro.storm.kernel.run_level`) without a worker or a pipe.  A
-joiner fed 16 spout batches of one relation executes one batch of their
-rows; per-tuple *results* are unchanged (the engine's operators are
+once each in topological order (one level pass,
+:func:`repro.storm.kernel.run_level` per component), every task handed
+its deliveries merged per ``(source, stream)`` run.  A joiner fed 16
+spout batches of one relation executes one batch of their rows;
+per-tuple *results* are unchanged (the engine's operators are
 order-insensitive up to the final multiset), only the interleaving and
 the number of executed batches differ.
 
 ``run(executor=...)`` selects the execution backend: ``inline`` (this
-module's single-threaded loop, the default), or the staged shared-nothing
-``processes`` backend of :mod:`repro.storm.executor`, which spreads the
-tasks across forked workers exchanging micro-batches.
+module's single-threaded loop, the default), or the shared-nothing
+``processes`` backend of :mod:`repro.storm.executor`, which runs these
+same rounds with the bolt tasks on forked resident workers: each
+component's turn in a level pass is one command to the workers that own
+its tasks instead of :func:`~repro.storm.kernel.run_level`.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ class LocalCluster:
                 instances.append(instance)
             self._tasks[name] = instances
             self.metrics.register(name, spec.parallelism)
+        #: every spout task, ``(component, index, spout)``: what the
+        #: source pulls walk (they stay here on every executor)
+        self._spouts: List[Tuple[str, int, Spout]] = [
+            (name, task_index, instance)
+            for name, spec in topology.components.items() if spec.is_spout
+            for task_index, instance in enumerate(self._tasks[name])
+        ]
         #: bolt components, upstream first: the order of a level pass
         self._bolt_order: List[str] = [
             name for name in topology.topological_order()
@@ -164,8 +172,8 @@ class LocalCluster:
         emitting more rows than ``batch_size`` forwards them as one batch.
 
         ``executor`` selects the backend: ``"inline"`` (default) runs
-        every task in this thread; ``"processes"`` spreads the tasks over
-        ``parallelism`` forked shared-nothing workers (see
+        every task in this thread; ``"processes"`` spreads the bolt tasks
+        over ``parallelism`` forked shared-nothing workers (see
         :mod:`repro.storm.executor`).  Both backends produce the same
         result multiset and per-component totals.
 
@@ -196,21 +204,17 @@ class LocalCluster:
             if max_tuples is not None:
                 raise ExecutorError(
                     "max_tuples is only supported by the inline executor "
-                    "(parallel spout draining has no global tuple cursor)"
+                    "(its prefix is cut by the per-batch depth-first pulls; "
+                    "'processes' runs rounds)"
                 )
             return StagedExecutor(self, parallelism).run(batch_size=batch_size)
         self.set_coalescing(batch_size > 1)
-        spouts: List[Tuple[str, int, Spout]] = []
-        for name, spec in self.topology.components.items():
-            if spec.is_spout:
-                for task_index, instance in enumerate(self._tasks[name]):
-                    spouts.append((name, task_index, instance))
         if max_tuples is not None:
             # the prefix is defined by the per-batch round-robin pulls
             self._waves = False
         if self._waves:
-            self._pull_rounds(spouts, batch_size)
-        elif not self._pull_depth_first(spouts, batch_size, max_tuples):
+            self._pull_rounds(self._spouts, batch_size)
+        elif not self._pull_depth_first(self._spouts, batch_size, max_tuples):
             return self.metrics  # stopped at max_tuples: nothing flushes
         self.flush_bolts()
         return self.metrics
@@ -241,11 +245,12 @@ class LocalCluster:
             active = still_active
         return True
 
-    def _pull_rounds(self, active, batch_size):
+    def _pull_rounds(self, active, batch_size, pool=None):
         """Rounds of :data:`ROUND_BUDGET` rows: every active spout pulls
         its share in ``batch_size`` pulls -- spout after spout, so a
         joiner's deliveries from one relation are adjacent and merge --
-        and one level pass executes what was routed."""
+        and one level pass executes what was routed (on ``pool``'s
+        workers if one is given)."""
         route = self._router.route
         while active:
             buffer = WaveBuffer()
@@ -263,13 +268,13 @@ class LocalCluster:
                 if more:
                     still_active.append((name, task_index, spout))
             active = still_active
-            self._level_pass(buffer)
+            self._level_pass(buffer, pool=pool)
 
     def _set_columnar(self, enabled: bool):
         """Flag every columnar-capable spout before draining starts.
 
-        Must run before the processes backend forks its workers so the
-        flag travels with the task instances.
+        The spouts stay in this process on every executor, so the flag
+        is read where it is set.
         """
         for name, spec in self.topology.components.items():
             if not spec.is_spout:
@@ -383,18 +388,26 @@ class LocalCluster:
                 stack.extend(reversed(routed))
                 ctxs.extend([child] * len(routed))
 
-    def _level_pass(self, buffer: WaveBuffer, finish: bool = False):
+    def _level_pass(self, buffer: WaveBuffer, finish: bool = False,
+                    pool=None):
         """Run every bolt component once, upstream first, on what
         ``buffer`` holds for its tasks; emissions route back into the
         buffer for the components still to come (every edge goes
         forward in topological order, so one pass empties it).  With
-        ``finish`` each component is flushed on its turn."""
+        ``finish`` each component is flushed on its turn.  A component's
+        turn is :func:`~repro.storm.kernel.run_level` here, or the same
+        call on ``pool``'s workers (the batch ``processes`` executor)."""
         observer = self._observer
         route = self._router.route
+        queue = "inline" if pool is None else "processes"
         for name in self._bolt_order:
             if observer is not None and buffer:
-                observer.on_queue_depth("inline", buffer.depth())
-            run_level(name,
-                      ((task_index, task, buffer.pop((name, task_index)))
-                       for task_index, task in enumerate(self._tasks[name])),
-                      route, buffer, self.metrics, observer, finish)
+                observer.on_queue_depth(queue, buffer.depth())
+            work = ((task_index, task, buffer.pop((name, task_index)))
+                    for task_index, task in enumerate(self._tasks[name]))
+            if pool is None:
+                run_level(name, work, route, buffer, self.metrics, observer,
+                          finish)
+            else:
+                pool.run_level(name, work, route, buffer, self.metrics,
+                               observer, finish)

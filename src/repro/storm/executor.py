@@ -6,36 +6,30 @@ of two interchangeable backends:
 - ``inline`` -- the cluster's own single-threaded loop (the default;
   byte-identical to the seed per-tuple engine at ``batch_size=1``).
 - ``processes`` -- forked worker processes exchanging *serialized*
-  micro-batches over pipes: true shared-nothing scale-out across cores,
-  the execution model of the paper's Storm deployment.  Requires the
-  ``fork`` start method (Linux/macOS) and pickle-safe rows and task
-  state.
+  micro-batches with the coordinator over pipes: true shared-nothing
+  scale-out across cores, the execution model of the paper's Storm
+  deployment.  Requires the ``fork`` start method (Linux/macOS) and
+  pickle-safe rows and task state.
 
-Execution is *staged*: components are grouped into topological levels
-(every edge goes from a lower to a strictly higher level), and each level
-runs as one parallel wave with a barrier after it.  Within a wave every
-worker drains or executes only the tasks it owns, routes the emissions
-task-locally through its own copy of the stream groupings, and hands the
-routed work back to the coordinator, which delivers it to the owning
-workers in later waves.  The barrier guarantees what the inline loop gets
-for free: a component's ``finish()`` runs only after every upstream tuple
-has been delivered, so snapshot aggregations and retractions stay correct.
+Batch and streaming ``processes`` run on one worker protocol: a
+:class:`ResidentWorkerPool` forks workers over the topology's bolt tasks
+(the spouts, and streaming's delta sinks, stay in the coordinator), and a
+worker executes the deliveries it is sent and returns the raw emissions.
+Routing is central: one :class:`Router` in the coordinator routes every
+emission, so stateful groupings (shuffle cursors, reshaping partitioners)
+see one stream, exactly as inline.
 
-The barrier also means a task's whole input for a wave is known before it
-runs, so routed work travels and executes *coalesced*
-(:class:`WaveBuffer`): per task, every run of deliveries from one
-``(source, stream)`` is one batch, however many micro-batches the
-upstream tasks produced it in -- the pipes carry a few large payloads and
-a joiner pays its per-batch costs once per input relation.  The inline
-loop's rounds coalesce the same way (same buffer, same level pass,
-:func:`repro.storm.kernel.run_level`), so what the staged backend adds
-over ``inline`` is its workers, not its batch sizes.
-
-Workers merge deterministically (worker-id order), so a run is
-reproducible; result *multisets* and per-component totals are identical
-across backends, only the tuple interleaving differs (the operators are
-order-insensitive up to the final multiset, exactly as for ``batch_size``
-in the inline loop).
+A finite run (:class:`StagedExecutor`) is the inline rounds of
+:class:`~repro.storm.cluster.LocalCluster` -- :data:`~repro.storm.\
+cluster.ROUND_BUDGET` rows pulled per round, then one level pass, then one
+finishing pass -- with each component's turn handed to
+:meth:`ResidentWorkerPool.run_level` instead of
+:func:`repro.storm.kernel.run_level`: the coordinator's
+:class:`WaveBuffer` coalesces a task's deliveries per ``(source, stream)``
+run, the owning workers execute them concurrently, and the emissions are
+routed in task order.  So a batch ``processes`` run routes the sequence
+an inline run routes -- same results, same executed batches -- and what
+it adds over ``inline`` is its workers, not its schedule.
 """
 
 from __future__ import annotations
@@ -45,12 +39,12 @@ import pickle
 import traceback
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.obs import FanIn, WorkerObs
 from repro.obs.tracing import parts_of
-from repro.storm.kernel import deliver, pull, run_level
+from repro.storm.kernel import deliver
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
 from repro.util import usable_cores
@@ -71,89 +65,21 @@ def default_parallelism() -> int:
     return max(1, min(4, usable_cores()))
 
 
-def ensure_task_local_routing(topology: Topology, executor: str):
-    """Refuse topologies whose routing cannot be replicated per worker.
-
-    A grouping backed by a partitioner that *adapts to the globally
-    observed stream* (e.g. :class:`~repro.partitioning.adaptive.\
-AdaptiveOneBucket`) cannot be deep-copied into shared-nothing workers:
-    each copy would see only its slice of the stream, reshape differently,
-    and silently lose join matches.  Raises a dedicated
-    :class:`ExecutorError` naming the offending partitioner and the
-    executor that can still run the plan.
-    """
-    for edge in topology.edges:
-        if not edge.grouping.supports_task_local_routing():
-            raise ExecutorError(
-                f"the {executor!r} executor cannot run this topology: edge "
-                f"{edge.source}->{edge.target} routes through "
-                f"{edge.grouping.routing_description()}, whose decisions "
-                f"adapt to the globally observed stream; worker-local "
-                f"copies would diverge and silently lose matches -- run "
-                f"this plan with executor='inline'"
-            )
-
-
-def topological_levels(topology: Topology) -> List[List[str]]:
-    """Components grouped by longest-path depth from the sources.
-
-    Every edge goes from a lower level to a strictly higher one, so all
-    components of one level can execute concurrently, and by the time
-    level ``k`` runs, everything its components will ever receive has
-    already been routed.
-    """
-    order = topology.topological_order()
-    depth: Dict[str, int] = {}
-    for name in order:
-        upstream = [edge.source for edge in topology.in_edges(name)]
-        depth[name] = max((depth[up] + 1 for up in upstream), default=0)
-    levels: List[List[str]] = [[] for _ in range(max(depth.values()) + 1)]
-    for name in order:  # topological order keeps each level deterministic
-        levels[depth[name]].append(name)
-    return levels
-
-
-def assign_tasks(topology: Topology, n_workers: int) -> Dict[Tuple[str, int], int]:
-    """Disjoint task ownership: global round-robin over (component, task).
-
-    A single counter walks components in topological order and tasks in
-    index order, so singleton components (sources, sinks) spread across
-    workers instead of piling onto worker 0.
-    """
-    assignment: Dict[Tuple[str, int], int] = {}
-    counter = 0
-    for name in topology.topological_order():
-        for task_index in range(topology.components[name].parallelism):
-            assignment[(name, task_index)] = counter % n_workers
-            counter += 1
-    return assignment
-
-
 class Router:
-    """Task-local routing: one component's emissions -> routed work items.
+    """Central routing: one component's emissions -> routed work items.
 
-    Every worker builds its *own* Router (``clone=True`` deep-copies each
-    edge's grouping via :meth:`Grouping.task_local`), so stateful routing
-    -- shuffle counters, random replica choices -- lives inside the
-    owning worker and never needs cross-worker synchronization.  The
-    inline backend uses a single Router over the original groupings,
-    preserving the seed engine's exact routing sequence.
+    A run has one Router over the topology's own groupings, in the
+    coordinator (inline: the cluster's loop), so stateful routing --
+    shuffle counters, random replica choices, reshaping partitioners --
+    sees the whole stream in one order, and the seed engine's exact
+    routing sequence is kept.
     """
 
-    def __init__(self, topology: Topology, clone: bool = False):
-        # one deepcopy memo for the whole routing table: objects shared by
-        # several groupings (a partitioner driving all input edges of one
-        # join) stay shared *within* this worker's copies, so routing of
-        # the join's relations remains mutually consistent
-        memo: dict = {}
-        self._edges: Dict[str, List] = {}
-        for name in topology.components:
-            edges = []
-            for edge in topology.out_edges(name):
-                grouping = edge.grouping.task_local(memo) if clone \
-                    else edge.grouping
-                edges.append((edge, grouping))
-            self._edges[name] = edges
+    def __init__(self, topology: Topology):
+        self._edges: Dict[str, List] = {
+            name: [(edge, edge.grouping) for edge in topology.out_edges(name)]
+            for name in topology.components
+        }
         self._parallelism = {
             name: spec.parallelism for name, spec in topology.components.items()
         }
@@ -256,25 +182,22 @@ def _concat(parts: list):
 class WaveBuffer:
     """Routed work awaiting a later level, coalesced per ``(target, task)``.
 
-    A level barrier hands every task its *complete* input, so a level
-    schedule never promised per-tuple interleaving; what a task does see
-    is its deliveries in arrival order.  The buffer keeps that order and
-    folds every maximal run of deliveries that share ``(source, stream)``
-    and representation into one batch -- a joiner fed 48 spout batches of
-    one relation executes one batch of their rows.  A retraction is a
-    row whose sign is -1, not a stream, so one edge's inserts and
-    retractions merge into one batch with their signs in arrival order;
-    an empty payload stays a delivery of its own.  Tracing does not split a
-    run: the merged batch carries the contexts of all its parts with
-    their row counts (a :class:`~repro.obs.tracing.FanIn`), and executing
-    it records one span per part.
+    A level pass hands every task its input for the round at once, so a
+    level schedule never promised per-tuple interleaving; what a task
+    does see is its deliveries in arrival order.  The buffer keeps that
+    order and folds every maximal run of deliveries that share ``(source,
+    stream)`` and representation into one batch -- a joiner fed 48 spout
+    batches of one relation executes one batch of their rows.  A
+    retraction is a row whose sign is -1, not a stream, so one edge's
+    inserts and retractions merge into one batch with their signs in
+    arrival order; an empty payload stays a delivery of its own.  Tracing
+    does not split a run: the merged batch carries the contexts of all
+    its parts with their row counts (a :class:`~repro.obs.tracing.FanIn`),
+    and executing it records one span per part.
 
-    The staged workers fill one while they assemble a wave's routed
-    output and the coordinator folds the replies into one in worker-id
-    order, so both pipe hops carry a few large payloads and delivery
-    stays deterministic; the inline rounds of
-    :class:`~repro.storm.cluster.LocalCluster` route into one and pop
-    from it level by level.
+    The rounds of :class:`~repro.storm.cluster.LocalCluster` route into
+    one and pop from it level by level, on either executor; under
+    ``processes`` a popped run crosses the pipe as one payload.
     """
 
     def __init__(self):
@@ -285,39 +208,21 @@ class WaveBuffer:
     def __bool__(self) -> bool:
         return bool(self._runs)
 
-    def keys(self):
-        return self._runs.keys()
-
     def depth(self) -> int:
         """Deliveries waiting (the queue-depth sample of a level)."""
         return sum(len(runs) for runs in self._runs.values())
 
-    def _append(self, key, source, stream, rows, traced: tuple):
-        runs = self._runs.get(key)
-        if runs is None:
-            self._runs[key] = [[source, stream, [rows], list(traced)]]
-            return
-        last = runs[-1]
-        if (last[0] == source and last[1] == stream
-                and _mergeable(last[2][-1], rows)):
-            last[2].append(rows)
-            last[3].extend(traced)
-        else:
-            runs.append([source, stream, [rows], list(traced)])
-
     def add(self, items: List[WorkItem], ctx=None):
         """Buffer one ``Router.route`` result, all parented by ``ctx``."""
         for target, task_index, source, stream, rows in items:
-            self._append((target, task_index), source, stream, rows,
-                         () if ctx is None else parts_of(ctx, len(rows)))
-
-    def fold(self, deliveries: Dict[Tuple[str, int], List[Delivery]]):
-        """Buffer another buffer's :meth:`drain` (a worker's reply)."""
-        for key, entries in deliveries.items():
-            for source, stream, rows, ctx in entries:
-                self._append(key, source, stream, rows,
-                             ctx if isinstance(ctx, FanIn)
-                             else parts_of(ctx, len(rows)))
+            traced = () if ctx is None else parts_of(ctx, len(rows))
+            runs = self._runs.setdefault((target, task_index), [])
+            if (runs and runs[-1][0] == source and runs[-1][1] == stream
+                    and _mergeable(runs[-1][2][-1], rows)):
+                runs[-1][2].append(rows)
+                runs[-1][3].extend(traced)
+            else:
+                runs.append([source, stream, [rows], list(traced)])
 
     def pop(self, key) -> List[Delivery]:
         """Remove and return one task's deliveries, each run merged."""
@@ -331,102 +236,14 @@ class WaveBuffer:
             deliveries.append((source, stream, rows, ctx))
         return deliveries
 
-    def drain(self) -> Dict[Tuple[str, int], List[Delivery]]:
-        """Everything buffered, per task, each run merged."""
-        return {key: self.pop(key) for key in list(self._runs)}
-
 
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
 
-class WorkerState:
-    """Everything one shared-nothing worker owns: tasks + routing state."""
-
-    #: forked into (and for resident workers, shipped to) worker
-    #: processes whole -- opt into squall-lint's pickle-safety and
-    #: determinism rules even though this is not a Bolt subclass
-    PIPE_PICKLED = True
-
-    #: coordinator command -> method (see :func:`worker_loop`)
-    COMMANDS = {"wave": "run_wave", "collect": "exports"}
-
-    def __init__(self, worker_id: int, topology: Topology,
-                 tasks: Dict[str, List[object]],
-                 assignment: Dict[Tuple[str, int], int], batch_size: int,
-                 observe: str = "off"):
-        self.worker_id = worker_id
-        self.batch_size = batch_size
-        #: worker-side observability accumulator (None = observe='off')
-        self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
-        self.is_spout = {
-            name: spec.is_spout for name, spec in topology.components.items()
-        }
-        self.router = Router(topology, clone=True)
-        # owned tasks only -- the shared-nothing contract: nothing else of
-        # the forked task table is ever touched
-        self.owned: Dict[str, Dict[int, object]] = {}
-        for (name, task_index), owner in assignment.items():
-            if owner == worker_id:
-                self.owned.setdefault(name, {})[task_index] = tasks[name][task_index]
-        #: component -> parallelism of every owned component: the shape
-        #: of the counters each wave ships home
-        self.shape = {name: topology.components[name].parallelism
-                      for name in self.owned}
-
-    def run_wave(self, components: Sequence[str],
-                 delivered: Dict[Tuple[str, int], List[Delivery]]):
-        """Execute one topological level on this worker's owned tasks.
-
-        Spout components are drained to exhaustion in ``batch_size``
-        micro-batches; bolt components execute their delivered batches in
-        arrival order and then flush (``finish``) -- the coordinator's
-        barrier guarantees every input batch has already been delivered.
-
-        Returns ``(routed, counters, obs_payload)``: the routed output,
-        coalesced (:class:`WaveBuffer`) and parented by the span context
-        of the hop that produced it; what this wave counted, as a
-        ``TopologyMetrics`` of the worker's own for the coordinator to
-        ``merge``; and the ``WorkerObs.drain()`` payload (None when the
-        run is unobserved).
-        """
-        obs = self.obs
-        out = WaveBuffer()
-        counters = TopologyMetrics.of(self.shape)
-        route = self.router.route
-        for name in components:
-            owned = self.owned.get(name)
-            if not owned:
-                continue
-            if self.is_spout[name]:
-                for task_index in sorted(owned):
-                    more = True
-                    while more:
-                        emissions, ctx, more = pull(
-                            owned[task_index], name, task_index,
-                            self.batch_size, counters, obs)
-                        if emissions:
-                            out.add(route(name, emissions), ctx)
-            else:
-                run_level(name,
-                          ((task_index, bolt,
-                            delivered.get((name, task_index), ()))
-                           for task_index, bolt in sorted(owned.items())),
-                          route, out, counters, obs, finish=True)
-        return out.drain(), counters, None if obs is None else obs.drain()
-
-    def exports(self) -> Dict[Tuple[str, int], object]:
-        """Final owned task instances, for post-run state extraction."""
-        return {
-            (name, task_index): instance
-            for name, tasks in self.owned.items()
-            for task_index, instance in tasks.items()
-        }
-
-
 def worker_loop(state, recv, send):
-    """The command loop of every forked worker, staged or resident.
+    """The command loop of every forked worker.
 
     ``state.COMMANDS`` names the method behind each coordinator command;
     the rest of the message is its arguments.  Every command gets exactly
@@ -445,6 +262,131 @@ def worker_loop(state, recv, send):
             send(("ok", getattr(state, commands[kind])(*args)))
         except Exception:
             send(("error", traceback.format_exc()))
+
+
+class ResidentWorkerState:
+    """Everything one resident worker owns: bolt tasks + armed faults.
+
+    A worker does *no* routing: it executes delivered micro-batches on
+    its owned tasks and returns the raw emissions for the coordinator to
+    route centrally.  Central routing keeps all grouping state in the
+    coordinator -- the process that survives worker crashes -- so
+    recovery never has to reconcile diverged per-worker routing state.
+
+    ``kill_after`` arms deterministic fault injection
+    (:class:`repro.storm.failures.FaultInjector`): after the worker has
+    executed that many micro-batches *in this incarnation*, it SIGKILLs
+    itself mid-protocol -- the test harness for the recovery path.
+    """
+
+    #: shipped whole to freshly spawned workers on respawn -- opt into
+    #: squall-lint's pickle-safety and determinism rules
+    PIPE_PICKLED = True
+
+    #: coordinator command -> method (see :func:`worker_loop`)
+    COMMANDS = {"execute": "execute", "watermark": "advance_watermark",
+                "checkpoint": "checkpoint", "restore": "restore",
+                "collect": "exports"}
+
+    def __init__(self, worker_id: int, owned: Dict[Tuple[str, int], object],
+                 shape: Dict[str, int],
+                 kill_after: Optional[List[Tuple[int, int]]] = None,
+                 observe: str = "off"):
+        self.worker_id = worker_id
+        self.owned = owned  # (component, task_index) -> task instance
+        #: component -> parallelism of every owned component: the shape
+        #: of the counters each reply ships home
+        self.shape = shape
+        self.batches_executed = 0
+        #: [(after_batches, signal), ...], sorted; consumed front to back
+        self.kill_after = sorted(kill_after or [])
+        #: worker-side observability accumulator (None = observe='off')
+        self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
+
+    def _maybe_die(self):
+        if not self.kill_after:
+            return
+        after, signal = self.kill_after[0]
+        if self.batches_executed >= after:
+            os.kill(os.getpid(), signal)  # SIGKILL: never returns
+
+    def execute(self, items: List[tuple], finish: Optional[str] = None):
+        """Run delivered batches in order (the armed kill points count
+        them one by one); with ``finish``, then flush that component's
+        owned tasks (end of stream: their last delivery has run).
+
+        ``items`` are work items with the span context of the hop that
+        produced them appended, ``(target, task, source, stream, rows,
+        ctx)``; returns ``(outputs, counters, obs_payload)``: the raw
+        emissions ``(target, task, emissions, child_ctx)`` for the
+        coordinator to route, what this call counted as a
+        ``TopologyMetrics`` of the worker's own for the coordinator to
+        ``merge``, and the ``WorkerObs.drain()`` payload (None when the
+        run is unobserved).  Both contexts are None unless the run is
+        traced; flush emissions are punctuations and travel untraced.
+        """
+        obs = self.obs
+        counters = TopologyMetrics.of(self.shape)
+        outputs: List[tuple] = []
+        for target, task_index, source, stream, rows, ctx in items:
+            emissions, child = deliver(
+                self.owned[(target, task_index)], target, task_index,
+                source, stream, rows, ctx, counters, obs)
+            self.batches_executed += 1
+            if emissions:
+                outputs.append((target, task_index, emissions, child))
+            self._maybe_die()
+        for name, task_index in sorted(self.owned):
+            if name != finish:
+                continue
+            emissions = self.owned[(name, task_index)].finish()
+            if emissions:
+                counters.record_emit(name, task_index, len(emissions))
+                outputs.append((name, task_index, emissions, None))
+        return outputs, counters, None if obs is None else obs.drain()
+
+    def advance_watermark(self, watermark: float):
+        """Apply one watermark punctuation to every owned windowed task."""
+        outputs: List[Tuple[str, int, object]] = []
+        for (name, task_index) in sorted(self.owned):
+            hook = getattr(self.owned[(name, task_index)],
+                           "advance_watermark", None)
+            if hook is None:
+                continue
+            emissions = hook(watermark)
+            if emissions:
+                outputs.append((name, task_index, emissions))
+        return outputs
+
+    def checkpoint(self, known: Dict[Tuple[str, int], str]):
+        """Hash-diff snapshot of every owned task.
+
+        Returns ``{key: (digest, blob-or-None)}`` -- the blob travels
+        over the pipe only when the digest differs from the store's
+        latest manifest (``known``), so an unchanged partition costs one
+        pickle + hash and zero IPC bytes.
+        """
+        from repro.checkpoint.store import hash_blob, snapshot_blob
+
+        snapshots = {}
+        for key in sorted(self.owned):
+            blob = snapshot_blob(self.owned[key])
+            digest = hash_blob(blob)
+            snapshots[key] = (
+                digest, None if known.get(key) == digest else blob)
+        return snapshots
+
+    def restore(self, blobs: Dict[Tuple[str, int], bytes]):
+        """Replace owned task instances with unpickled snapshot state."""
+        for key, blob in blobs.items():
+            if key in self.owned:
+                self.owned[key] = pickle.loads(blob)
+        return len(blobs)
+
+    def exports(self) -> Dict[Tuple[str, int], object]:
+        """The owned task instances, shipped home whole (a batch run's
+        final state, for result extraction)."""
+        return self.owned
 
 
 # ---------------------------------------------------------------------------
@@ -558,244 +500,52 @@ def _forked_worker_main(state, conn):
 
 
 class StagedExecutor:
-    """The batch ``processes`` backend: forked workers, waves, barriers,
-    merging.
+    """The batch ``processes`` driver: the inline rounds on a resident
+    worker pool.
 
-    Each worker is a forked process owning a disjoint task set (fork
-    copies the task table into it); routed waves cross the pipes, and
-    when the run ends the final task instances ship home into the
-    cluster, so result extraction reads the same tasks as after an
-    inline run.
+    The pool is forked over the topology's bolt tasks (fork copies the
+    task table into it) and the spouts stay here.  The cluster's rounds
+    run with :meth:`ResidentWorkerPool.run_level` taking each component's
+    turn, then one finishing pass; when the run ends the final task
+    instances ship home into the cluster, so result extraction reads the
+    same tasks as after an inline run.
     """
 
     def __init__(self, cluster, parallelism: Optional[int] = None):
         self.cluster = cluster
-        n_tasks = sum(
-            spec.parallelism for spec in cluster.topology.components.values()
-        )
-        requested = default_parallelism() if parallelism is None else parallelism
-        if requested < 1:
-            raise ExecutorError(f"parallelism must be >= 1, got {requested}")
-        self.n_workers = min(requested, n_tasks)
-        self.assignment = assign_tasks(cluster.topology, self.n_workers)
-        ensure_task_local_routing(cluster.topology, "processes")
+        observer = cluster.observer
+        self.pool = ResidentWorkerPool(
+            cluster.topology, cluster._tasks, parallelism,
+            observe="off" if observer is None else observer.level)
 
     def run(self, batch_size: int = 1):
         """Execute the topology to completion; returns the cluster metrics."""
-        if batch_size < 1:
-            raise ExecutorError(f"batch_size must be >= 1, got {batch_size}")
-        cluster = self.cluster
-        metrics = cluster.metrics
-        observer = cluster.observer
-        levels = topological_levels(cluster.topology)
-        context = fork_context()
-        workers = [
-            ForkedWorker(context, WorkerState(
-                worker_id, cluster.topology, cluster._tasks, self.assignment,
-                batch_size,
-                observe="off" if observer is None else observer.level))
-            for worker_id in range(self.n_workers)]
-        doing = "start"
+        cluster, pool = self.cluster, self.pool
         try:
-            pending = WaveBuffer()
-            for level in levels:
-                doing = f"level {level}"
-                for worker_id, worker in enumerate(workers):
-                    delivered = {}
-                    for name in level:
-                        for task_index in range(
-                                cluster.topology.components[name].parallelism):
-                            key = (name, task_index)
-                            if self.assignment[key] != worker_id:
-                                continue
-                            entries = pending.pop(key)
-                            if entries:
-                                delivered[key] = entries
-                    worker.send(("wave", level, delivered))
-                # barrier: collect every worker's wave in worker-id order,
-                # so the merged delivery order is deterministic
-                for worker in workers:
-                    routed, counters, obs_payload = self._reply(worker)
-                    metrics.merge(counters)
-                    if observer is not None:
-                        observer.merge_worker_obs(obs_payload)
-                    pending.fold(routed)
-                if observer is not None and pending:
-                    observer.on_queue_depth("staged", pending.depth())
-            if pending:  # pragma: no cover - level invariant violated
-                raise ExecutorError(
-                    f"undelivered batches after final wave: "
-                    f"{sorted(pending.keys())}"
-                )
-            doing = "collect"
-            # ship the final task state back into the cluster
-            for worker in workers:
-                worker.send(("collect",))
-            for worker in workers:
-                for (name, task_index), instance in self._reply(worker).items():
-                    cluster._tasks[name][task_index] = instance
-        except WorkerDied as death:
-            # a worker process vanished mid-protocol (OOM kill, segfault):
-            # a batch run has no checkpoint to recover from -- fail naming
-            # who died, doing what, and how
-            worker_id = death.worker_ids[0]
-            raise ExecutorError(
-                f"processes worker {worker_id} died running {doing} "
-                f"(exit code {workers[worker_id].exit_code()})"
-            ) from None
+            pool.start()
+            cluster._pull_rounds(cluster._spouts, batch_size, pool)
+            cluster._level_pass(WaveBuffer(), finish=True, pool=pool)
+            for (name, task_index), task in pool.collect().items():
+                cluster._tasks[name][task_index] = task
         finally:
-            # signal every worker before waiting on any: their exits
-            # overlap instead of queueing behind one another's join
-            # (survivors of a dead peer included)
-            for worker in workers:
-                worker.signal_stop()
-            for worker in workers:
-                worker.join()
-        return metrics
-
-    @staticmethod
-    def _reply(worker):
-        status, payload = worker.recv()
-        if status != "ok":
-            raise ExecutorError(f"processes worker failed:\n{payload}")
-        return payload
+            # survivors of a dead peer included: no worker stays behind
+            pool.stop()
+        return cluster.metrics
 
 
 # ---------------------------------------------------------------------------
-# Resident workers (the streaming 'processes' executor)
+# The resident worker pool (batch and streaming 'processes')
 # ---------------------------------------------------------------------------
-
-
-class ResidentWorkerState:
-    """Everything one resident worker owns: bolt tasks + armed faults.
-
-    Unlike the staged :class:`WorkerState`, a resident worker does *no*
-    routing: it executes delivered micro-batches on its owned tasks and
-    returns the raw emissions for the coordinator to route centrally.
-    Central routing keeps all grouping state in the coordinator -- the
-    process that survives worker crashes -- so recovery never has to
-    reconcile diverged per-worker routing state.
-
-    ``kill_after`` arms deterministic fault injection
-    (:class:`repro.storm.failures.FaultInjector`): after the worker has
-    executed that many micro-batches *in this incarnation*, it SIGKILLs
-    itself mid-protocol -- the test harness for the recovery path.
-    """
-
-    #: shipped whole to freshly spawned workers on respawn -- opt into
-    #: squall-lint's pickle-safety and determinism rules
-    PIPE_PICKLED = True
-
-    #: coordinator command -> method (see :func:`worker_loop`)
-    COMMANDS = {"execute": "execute", "watermark": "advance_watermark",
-                "finish": "finish_component", "checkpoint": "checkpoint",
-                "restore": "restore"}
-
-    def __init__(self, worker_id: int, owned: Dict[Tuple[str, int], object],
-                 shape: Dict[str, int],
-                 kill_after: Optional[List[Tuple[int, int]]] = None,
-                 observe: str = "off"):
-        self.worker_id = worker_id
-        self.owned = owned  # (component, task_index) -> task instance
-        #: component -> parallelism of every owned component: the shape
-        #: of the counters each reply ships home
-        self.shape = shape
-        self.batches_executed = 0
-        #: [(after_batches, signal), ...], sorted; consumed front to back
-        self.kill_after = sorted(kill_after or [])
-        #: worker-side observability accumulator (None = observe='off')
-        self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
-
-    def _maybe_die(self):
-        if not self.kill_after:
-            return
-        after, signal = self.kill_after[0]
-        if self.batches_executed >= after:
-            os.kill(os.getpid(), signal)  # SIGKILL: never returns
-
-    def execute(self, items: List[tuple]):
-        """Run delivered batches in order, un-coalesced (the armed kill
-        points count them one by one).
-
-        ``items`` are work items with the span context of the hop that
-        produced them appended, ``(target, task, source, stream, rows,
-        ctx)``; returns ``(outputs, counters, obs_payload)`` where
-        ``outputs`` are the raw emissions ``(target, task, emissions,
-        child_ctx)`` for the coordinator to route and the rest is as for
-        :meth:`WorkerState.run_wave`.  Both contexts are None unless the
-        run is traced.
-        """
-        obs = self.obs
-        counters = TopologyMetrics.of(self.shape)
-        outputs: List[tuple] = []
-        for target, task_index, source, stream, rows, ctx in items:
-            emissions, child = deliver(
-                self.owned[(target, task_index)], target, task_index,
-                source, stream, rows, ctx, counters, obs)
-            self.batches_executed += 1
-            if emissions:
-                outputs.append((target, task_index, emissions, child))
-            self._maybe_die()
-        return outputs, counters, None if obs is None else obs.drain()
-
-    def advance_watermark(self, watermark: float):
-        """Apply one watermark punctuation to every owned windowed task."""
-        outputs: List[Tuple[str, int, object]] = []
-        for (name, task_index) in sorted(self.owned):
-            hook = getattr(self.owned[(name, task_index)],
-                           "advance_watermark", None)
-            if hook is None:
-                continue
-            emissions = hook(watermark)
-            if emissions:
-                outputs.append((name, task_index, emissions))
-        return outputs
-
-    def finish_component(self, component: str):
-        """End-of-stream flush for one component's owned tasks."""
-        outputs: List[Tuple[str, int, object]] = []
-        for (name, task_index) in sorted(self.owned):
-            if name != component:
-                continue
-            emissions = self.owned[(name, task_index)].finish()
-            if emissions:
-                outputs.append((name, task_index, emissions))
-        return outputs
-
-    def checkpoint(self, known: Dict[Tuple[str, int], str]):
-        """Hash-diff snapshot of every owned task.
-
-        Returns ``{key: (digest, blob-or-None)}`` -- the blob travels
-        over the pipe only when the digest differs from the store's
-        latest manifest (``known``), so an unchanged partition costs one
-        pickle + hash and zero IPC bytes.
-        """
-        from repro.checkpoint.store import hash_blob, snapshot_blob
-
-        snapshots = {}
-        for key in sorted(self.owned):
-            blob = snapshot_blob(self.owned[key])
-            digest = hash_blob(blob)
-            snapshots[key] = (
-                digest, None if known.get(key) == digest else blob)
-        return snapshots
-
-    def restore(self, blobs: Dict[Tuple[str, int], bytes]):
-        """Replace owned task instances with unpickled snapshot state."""
-        for key, blob in blobs.items():
-            if key in self.owned:
-                self.owned[key] = pickle.loads(blob)
-        return len(blobs)
 
 
 class ResidentWorkerPool:
-    """Supervisor for the streaming ``processes`` backend.
+    """Supervisor of the ``processes`` backend's workers.
 
     Owns the fork/assignment/respawn lifecycle of N resident workers,
     each holding a disjoint slice of the topology's bolt tasks
-    (``exclude`` names coordinator-owned components -- the delta sinks,
-    whose subscriptions must live in the parent).  All commands detect
-    worker death (EOF / broken pipe / liveness probe) and raise
+    (``exclude`` names coordinator-owned components -- streaming's delta
+    sinks, whose subscriptions must live in the parent).  All commands
+    detect worker death (EOF / broken pipe / liveness probe) and raise
     :class:`WorkerDied` with the dead ids; the streaming coordinator
     reacts by respawning (:meth:`respawn`) and running the
     checkpoint-restore + replay recovery protocol.
@@ -943,44 +693,79 @@ class ResidentWorkerPool:
             raise WorkerDied(dead)
         return replies
 
-    def execute(self, per_worker: Dict[int, List[tuple]]):
+    def execute(self, per_worker: Dict[int, List[tuple]], counters, obs,
+                finish: Optional[str] = None) -> List[tuple]:
         """Deliver routed micro-batches (:meth:`ResidentWorkerState.
-        execute` items); returns ``(outputs, tallies)``.
+        execute` items) and, with ``finish``, flush that component's
+        tasks after them on every worker that owns one.
 
         Workers execute their slices concurrently (each in its own
-        process); outputs -- and the per-worker ``(counters,
-        obs_payload)`` tallies -- are merged in worker-id order so
-        delivery stays deterministic for a fixed assignment.
+        process).  Their outputs are returned, their counters merged into
+        ``counters`` and their obs payloads into ``obs`` (an
+        :class:`~repro.obs.Observer`, or None to drop them), all in
+        worker-id order, so delivery stays deterministic for a fixed
+        assignment.
         """
-        replies = self._command({
-            worker_id: ("execute", items)
-            for worker_id, items in per_worker.items() if items
-        })
+        recipients = {worker_id: ("execute", items, finish)
+                      for worker_id, items in per_worker.items() if items}
+        if finish is not None:
+            for (name, _task_index), owner in self.assignment.items():
+                if name == finish:
+                    recipients.setdefault(owner, ("execute", [], finish))
+        replies = self._command(recipients)
         outputs: List[tuple] = []
-        tallies: List[tuple] = []
         for worker_id in sorted(replies):
-            worker_outputs, counters, obs_payload = replies[worker_id]
+            worker_outputs, worker_counters, obs_payload = replies[worker_id]
             outputs.extend(worker_outputs)
-            tallies.append((counters, obs_payload))
-        return outputs, tallies
+            counters.merge(worker_counters)
+            if obs is not None:
+                obs.merge_worker_obs(obs_payload)
+        return outputs
+
+    def run_level(self, component: str, work, route, out, counters, obs,
+                  finish: bool = False):
+        """:func:`repro.storm.kernel.run_level` on the workers: one
+        component's turn in a batch level pass.
+
+        Each task's deliveries go to its owner in one ``execute``
+        command, which on the finishing pass also flushes the tasks.  The
+        emissions come back raw and are routed into ``out`` here in task
+        order -- a task's own in the order it made them -- which is the
+        order an inline pass routes them in.  A batch run has no
+        checkpoint to recover from, so a dead worker fails it, naming
+        the component it was running.
+        """
+        per_worker: Dict[int, List[tuple]] = {}
+        for index, _task, deliveries in work:
+            items = per_worker.setdefault(
+                self.assignment[(component, index)], [])
+            items.extend((component, index) + delivery
+                         for delivery in deliveries)
+        try:
+            outputs = self.execute(per_worker, counters, obs,
+                                   component if finish else None)
+        except WorkerDied as death:
+            worker_id = death.worker_ids[0]
+            raise ExecutorError(
+                f"processes worker {worker_id} died running {component!r} "
+                f"(exit code {self._workers[worker_id].exit_code()})"
+            ) from None
+        outputs.sort(key=itemgetter(1))  # stable: per task, as emitted
+        for _component, _index, emissions, child in outputs:
+            out.add(route(component, emissions), child)
+
+    def collect(self) -> Dict[Tuple[str, int], object]:
+        """Every worker's task instances, shipped home."""
+        replies = self._command({worker_id: ("collect",)
+                                 for worker_id in self._workers})
+        return {key: task for worker_id in sorted(replies)
+                for key, task in replies[worker_id].items()}
 
     def broadcast_watermark(self, watermark: float):
         """Punctuate every worker; returns merged hook emissions."""
         replies = self._command({
             worker_id: ("watermark", watermark)
             for worker_id in self._workers
-        })
-        return [output for worker_id in sorted(replies)
-                for output in replies[worker_id]]
-
-    def finish_component(self, component: str):
-        """Flush one component's tasks across the owning workers."""
-        owners = sorted({
-            owner for (name, _i), owner in self.assignment.items()
-            if name == component
-        })
-        replies = self._command({
-            worker_id: ("finish", component) for worker_id in owners
         })
         return [output for worker_id in sorted(replies)
                 for output in replies[worker_id]]

@@ -8,7 +8,6 @@ small predefined key domain to avoid hash imperfections (paper section 5).
 
 from __future__ import annotations
 
-import copy
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,33 +70,17 @@ class Grouping:
         temporal skew (section 5); content-insensitive ones are not."""
         return True
 
-    def task_local(self, memo: Optional[dict] = None) -> "Grouping":
-        """An independent copy for one shared-nothing worker.
-
-        Parallel backends route task-locally: every worker owns its own
-        grouping state (shuffle counters, random replica choices), so
-        routing needs no cross-worker synchronization.  Content-sensitive
-        groupings are pure functions of the tuple and copy trivially;
-        content-insensitive ones diverge per worker, which only changes
-        the interleaving, never the result multiset.  Groupings must be
-        deep-copyable and pickle-safe (no open handles, no lambdas) to be
-        usable under the 'processes' executor.
-
-        ``memo`` is the deepcopy memo shared across one worker's whole
-        routing table, so objects referenced by several groupings (a
-        partitioner shared by a join's input edges) stay *shared within
-        the worker* instead of silently splitting into diverging copies.
-        """
-        return copy.deepcopy(self, memo if memo is not None else {})
-
     def supports_task_local_routing(self) -> bool:
-        """Whether per-worker copies of this grouping route consistently.
+        """Whether a recovery replay routes through this grouping the way
+        the original delivery did.
 
         False for groupings whose routing *adapts to the globally
-        observed stream* (e.g. a reshaping adaptive partitioner): worker
-        copies would each see only a slice of the stream, diverge, and
-        silently drop join matches.  The processes backend refuses such
-        topologies up front; the inline executor runs them exactly.
+        observed stream* (e.g. a reshaping adaptive partitioner): after a
+        worker crash the replayed rows would meet the post-failure shape,
+        land on other partitions, and silently drop join matches.  The
+        streaming ``processes`` executor refuses such topologies up
+        front; batch runs (which never replay) and inline streaming run
+        them exactly.
         """
         return True
 
@@ -272,14 +255,18 @@ class HypercubeGrouping(Grouping):
         if isinstance(rows, ColumnBatch):
             matrix = self.partitioner.destination_matrix(rel_name, rows)
             if matrix is not None:
-                if matrix.shape[1] == 1:
+                if matrix.shape[1] == 1 or not len(matrix):
                     return bucket_by_task(rows, matrix[:, 0])
-                out: TaskBatches = []
-                for task in range(n_tasks):
-                    idx = np.flatnonzero((matrix == task).any(axis=1))
-                    if len(idx):
-                        out.append((task, rows.take(idx)))
-                return out
+                # one stable sort groups the (row, task) pairs by task,
+                # rows ascending inside each group (a row's machines are
+                # distinct, as on the row path)
+                flat = matrix.ravel()
+                order = flat.argsort(kind="stable")
+                tasks, row_ids = flat[order], order // matrix.shape[1]
+                cuts = np.flatnonzero(tasks[1:] != tasks[:-1]) + 1
+                bounds = [0, *cuts.tolist(), len(tasks)]
+                return [(int(tasks[lo]), rows.take(row_ids[lo:hi]))
+                        for lo, hi in zip(bounds, bounds[1:])]
         destinations = self.partitioner.destinations
         return _route_rows(rows, lambda row: destinations(rel_name, row))
 

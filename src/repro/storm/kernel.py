@@ -1,13 +1,14 @@
 """The step kernel: the one place a task's ``execute_batch`` is called.
 
 Every driver moves routed micro-batches its own way -- ``LocalCluster``'s
-rounds and work stack, the staged level barrier, the resident workers'
-pipes -- and hands each one to :func:`deliver`, so what happens to a
-batch at a task is written once:
+rounds and work stack, the resident workers' pipes -- and hands each one
+to :func:`deliver`, so what happens to a batch at a task is written once:
 count the receive, run the task, time and span it iff the run is
-observed, count the emit.  The drivers that schedule by topological level
-(the inline rounds and the staged workers' waves) also share the loop
-around it, :func:`run_level`.  Two parameters carry what differs:
+observed, count the emit.  The inline rounds also share the loop around
+it, :func:`run_level`, whose ``processes`` twin is
+:meth:`~repro.storm.executor.ResidentWorkerPool.run_level` (the same
+turn, executed by the workers that own the tasks).  Two parameters carry
+what differs:
 
 - ``counters`` -- where the step is counted: the cluster's
   :class:`~repro.storm.metrics.TopologyMetrics` or a worker's own (folded

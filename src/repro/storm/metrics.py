@@ -27,7 +27,7 @@ class TopologyMetrics:
     emitted: Dict[str, List[int]] = field(default_factory=dict)
     edge_transfers: Dict[Tuple[str, str], int] = field(default_factory=dict)
     #: micro-batches handled per task: spout pulls and *executed* bolt
-    #: batches (the staged backend executes a wave's deliveries coalesced,
+    #: batches (a level pass executes a round's deliveries coalesced,
     #: so a bolt's count there is its runs, not its upstream's pulls).
     #: The load-balance signal of the processes backend -- per-task *tuple*
     #: counts alone cannot tell an idle spout task from a starved one.

@@ -37,8 +37,9 @@ it polls every source for one micro-batch, ``inject``s it, and then
   post-checkpoint delta stream is replayed exactly-once, so the final
   snapshot is byte-identical to a crash-free (and to a batch) run.
   Partitioners that adapt to the globally observed stream are refused
-  up front, exactly as in :mod:`repro.storm.executor`.  The full
-  walkthrough lives in ``docs/FAULT_TOLERANCE.md``.
+  up front (:func:`ensure_task_local_routing`): a replay could not route
+  the way the original delivery did.  The full walkthrough lives in
+  ``docs/FAULT_TOLERANCE.md``.
 
 All executors produce the same final snapshot as ``run_plan`` on the
 same data; the inline executor at equal ``batch_size`` reproduces the
@@ -67,7 +68,6 @@ from repro.storm.executor import (
     ResidentWorkerPool,
     Router,
     WorkerDied,
-    ensure_task_local_routing,
 )
 from repro.storm.failures import FaultInjector
 from repro.storm.kernel import deliver, source_hop
@@ -83,6 +83,31 @@ from repro.streaming.watermarks import WatermarkTracker
 
 #: checkpoint cadence (pump rounds) when none is configured
 DEFAULT_CHECKPOINT_INTERVAL = 8
+
+
+def ensure_task_local_routing(topology: Topology, executor: str):
+    """Refuse topologies whose routing a recovery replay cannot repeat.
+
+    A grouping backed by a partitioner that *adapts to the globally
+    observed stream* (e.g. :class:`~repro.partitioning.adaptive.\
+AdaptiveOneBucket`) reshapes as rows arrive: the replay after a worker
+    crash would route the replayed rows through the *post*-failure
+    shape, onto other partitions than the original delivery, and
+    silently lose matches.  Raises a dedicated :class:`ExecutorError`
+    naming the offending partitioner and the executor that can still run
+    the plan (inline streaming, and batch on either executor, route it
+    centrally and never replay).
+    """
+    for edge in topology.edges:
+        if not edge.grouping.supports_task_local_routing():
+            raise ExecutorError(
+                f"the {executor!r} streaming executor cannot run this "
+                f"topology: edge {edge.source}->{edge.target} routes "
+                f"through {edge.grouping.routing_description()}, whose "
+                f"decisions adapt to the globally observed stream; a "
+                f"recovery replay would route differently and silently "
+                f"lose matches -- run this plan with executor='inline'"
+            )
 
 
 class SourcePump:
@@ -184,7 +209,7 @@ class _PoolTransport:
                  metrics: TopologyMetrics, observer: Optional[Observer],
                  coalesce: bool):
         self.pool = pool
-        self.router = Router(topology, clone=True)
+        self.router = Router(topology)
         #: coordinator-owned tasks: (component, task_index) -> task
         self.local_tasks = local_tasks
         self.log = ChangeLog()
@@ -221,18 +246,19 @@ class _PoolTransport:
             spec = self._topology.components[name]
             if spec.is_spout:
                 continue
-            if self.pool.owner(name, 0) is None:  # coordinator-owned
-                outputs = [
-                    (name, task_index,
-                     self.local_tasks[(name, task_index)].finish())
-                    for task_index in range(spec.parallelism)]
-            else:
-                outputs = self.pool.finish_component(name)
-            for component, task_index, emissions in outputs:
-                if emissions:
-                    self._metrics.record_emit(
-                        component, task_index, len(emissions))
-                    self._drive([(component, emissions, None)])
+            if self.pool.owner(name, 0) is not None:
+                outputs = self.pool.execute({}, self._metrics,
+                                            self._observer, finish=name)
+            else:  # coordinator-owned
+                outputs = []
+                for task_index in range(spec.parallelism):
+                    emissions = self.local_tasks[(name, task_index)].finish()
+                    if emissions:
+                        self._metrics.record_emit(
+                            name, task_index, len(emissions))
+                        outputs.append((name, task_index, emissions, None))
+            for component, _task_index, emissions, _ctx in outputs:
+                self._drive([(component, emissions, None)])
         self.pool.stop()
 
     def _drive(self, pending: List[Tuple[str, Sequence[Emission], object]]):
@@ -258,12 +284,8 @@ class _PoolTransport:
                     sum(len(items) for items in per_worker.values())
                     + len(local))
             if per_worker:
-                outputs, tallies = self.pool.execute(per_worker)
-                for counters, obs_payload in tallies:
-                    metrics.merge(counters)
-                    if observer is not None:
-                        observer.merge_worker_obs(obs_payload)
-                for component, _task_index, emissions, child in outputs:
+                for component, _task_index, emissions, child in \
+                        self.pool.execute(per_worker, metrics, observer):
                     pending.append((component, emissions, child))
             for target, task_index, source, stream, rows, ctx in local:
                 emissions, child = deliver(
@@ -313,10 +335,6 @@ class StreamingCluster:
                 f"spout components {spout_names}"
             )
         if executor == "processes":
-            # adaptive partitioners reshape with the observed stream: a
-            # recovery replay would route the replayed rows through the
-            # *post*-failure shape, onto different partitions than the
-            # original delivery -- refuse, as the staged backend does
             ensure_task_local_routing(topology, executor)
         self.topology = topology
         self.batch_size = batch_size

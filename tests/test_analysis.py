@@ -368,8 +368,9 @@ class TestOneStepKernel:
     def test_exactly_one_level_pass(self):
         """The deliver-and-route loop of a level schedule (every delivery
         of a task through ``deliver``, the emissions routed into a wave
-        buffer with ``add``) is written once: the staged workers' waves
-        and the inline rounds both call it."""
+        buffer with ``add``) is written once, and only the level pass of
+        the rounds calls it (the ``processes`` executor hands the same
+        turn to its workers from there)."""
         def called_names(node):
             return {call.func.id for call in ast.walk(node)
                     if isinstance(call, ast.Call)
@@ -387,8 +388,35 @@ class TestOneStepKernel:
         assert level_passes == ["storm/kernel.py:run_level"]
         callers = [name for name, node in functions
                    if "run_level" in called_names(node)]
-        assert callers == ["storm/cluster.py:_level_pass",
-                           "storm/executor.py:run_wave"]
+        assert callers == ["storm/cluster.py:_level_pass"]
+
+    def test_one_worker_protocol(self):
+        """One command table in all of ``src/`` (batch and streaming
+        ``processes`` speak one protocol), and one place that forks
+        workers: the resident pool."""
+        trees = []
+        for root, _dirs, files in os.walk(os.path.join(SRC, "repro")):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    path = os.path.join(root, name)
+                    with open(path) as handle:
+                        trees.append(ast.parse(handle.read(), filename=path))
+        classes = [node for tree in trees for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef)]
+        assert [cls.name for cls in classes
+                if any(isinstance(target, ast.Name)
+                       and target.id == "COMMANDS"
+                       for stmt in cls.body if isinstance(stmt, ast.Assign)
+                       for target in stmt.targets)] == ["ResidentWorkerState"]
+
+        def forks(node):
+            return sum(isinstance(call, ast.Call)
+                       and isinstance(call.func, ast.Name)
+                       and call.func.id == "ForkedWorker"
+                       for call in ast.walk(node))
+
+        [pool] = [cls for cls in classes if cls.name == "ResidentWorkerPool"]
+        assert sum(map(forks, trees)) == forks(pool) > 0
 
     def test_exactly_one_class_forks_a_worker_behind_a_pipe(self):
         forkers = [

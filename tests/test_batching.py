@@ -155,16 +155,22 @@ class TestTargetsBatch:
         assert [(task, bucket.to_rows()) for task, bucket in got] == \
             list(expected.items())
 
-    def test_hypercube(self):
+    # R is replicated 4x, T 2x, S not at all; a ColumnBatch takes the
+    # vectorized destination-matrix path
+    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("rel", ["R", "S", "T"])
+    def test_hypercube(self, rel, columnar):
+        from repro.core.columnar import ColumnBatch
         from repro.partitioning.hash_hypercube import HashHypercube
 
         spec = rst_spec()
         partitioner = HashHypercube.build(spec, 8, seed=3)
-        grouping = HypercubeGrouping(partitioner, "S")
+        grouping = HypercubeGrouping(partitioner, rel)
         rows = [row for _rel, row in interleaved_stream(make_rst_data(seed=2))][:20]
-        got = _flatten(grouping.targets_batch("S", rows, 8))
+        batch = ColumnBatch.from_rows(rows) if columnar else rows
+        got = _flatten(grouping.targets_batch(rel, batch, 8))
         expected = [(t, row) for row in rows
-                    for t in grouping.targets("S", row, 8)]
+                    for t in grouping.targets(rel, row, 8)]
         assert Counter(got) == Counter(expected)
         per_task = {}
         for task, row in got:

@@ -1,6 +1,6 @@
 """Unit tests for the execution backends (storm/executor.py).
 
-Covers the scheduling machinery (topological levels, task ownership),
+Covers the scheduling machinery (worker count, coalescing, rounds),
 the error surface (unknown backends, unsupported knob combinations,
 worker failures), pickle-safety of operators shipped across process
 boundaries, and the per-task micro-batch metrics that give the parallel
@@ -32,15 +32,11 @@ from repro.storm import (
 )
 from repro.obs import FanIn, Observer, SpanContext, WorkerObs
 from repro.storm.executor import (
-    Router,
     StagedExecutor,
     WaveBuffer,
-    assign_tasks,
     default_parallelism,
-    topological_levels,
 )
 from repro.storm.metrics import TopologyMetrics
-from tests.conftest import retracting
 
 PARALLEL = ["processes"]
 
@@ -79,37 +75,11 @@ def diamond_topology(rows=None, bolt_factory=None):
 
 
 class TestScheduling:
-    def test_topological_levels_of_a_diamond(self):
-        topology, _sink = diamond_topology()
-        assert topological_levels(topology) == [
-            ["spout"], ["left", "right"], ["sink"]
-        ]
-
-    def test_every_edge_goes_to_a_strictly_later_level(self):
-        topology, _sink = diamond_topology()
-        levels = topological_levels(topology)
-        depth = {name: i for i, level in enumerate(levels) for name in level}
-        for edge in topology.edges:
-            assert depth[edge.target] > depth[edge.source]
-
-    def test_assignment_is_disjoint_and_balanced(self):
-        topology, _sink = diamond_topology()
-        assignment = assign_tasks(topology, 3)
-        # every task owned exactly once
-        assert set(assignment) == {
-            (name, t)
-            for name, spec in topology.components.items()
-            for t in range(spec.parallelism)
-        }
-        loads = [0, 0, 0]
-        for owner in assignment.values():
-            loads[owner] += 1
-        assert max(loads) - min(loads) <= 1  # global round-robin
-
     def test_worker_count_clamped_to_task_count(self):
         topology, _sink = diamond_topology()
         executor = StagedExecutor(LocalCluster(topology), parallelism=64)
-        assert executor.n_workers == 7  # 2 + 2 + 2 + 1 tasks
+        # 2 + 2 + 1 bolt tasks: the spouts stay in the coordinator
+        assert executor.pool.n_workers == 5
 
     def test_default_parallelism_is_positive(self):
         assert default_parallelism() >= 1
@@ -169,7 +139,7 @@ class TestErrors:
             cluster.run(batch_size=4, executor="processes", parallelism=2)
         message = str(err.value)
         assert "worker 0 died" in message
-        assert "['left', 'right']" in message  # the level it was running
+        assert "'left'" in message  # the component it was running
         assert "exit code -9" in message
         assert multiprocessing.active_children() == []
 
@@ -269,34 +239,13 @@ class TestPickleSafety:
         assert clone.apply((1, 2)) == (2, 1)
         assert clone.apply_batch([(1, 2), (3, 4)]) == [(2, 1), (4, 3)]
 
-    def test_source_spout_ships_counters_not_the_dataset(self):
-        """A shipped-home spout must not drag the input relation back
-        over the pipe -- only its measurement state matters."""
-        from repro.core.schema import Relation
-        from repro.engine.component import SourceComponent
-        from repro.engine.runner import SourceSpout
 
-        rows = [(i, i) for i in range(1000)]
-        component = SourceComponent(
-            "R", Relation("R", Schema.of("x", "y"), rows),
-            predicate=col("x").lt(500))
-        spout = SourceSpout(component)
-        spout.open(0, 1)
-        emitted = spout.next_batch(10_000)
-        assert len(emitted) == 500 and spout.read == 1000
-        clone = pickle.loads(pickle.dumps(spout))
-        # counters survive, dataset does not
-        assert clone.read == 1000
-        assert clone.selection.seen == 1000 and clone.selection.passed == 500
-        assert clone.rows == [] and clone.component.relation.rows == []
-        # the original spout is untouched
-        assert spout.rows is rows and component.relation.rows is rows
-
-
-class TestAdaptiveSchemeRefusal:
-    """Adaptive (stream-observing) partitioners cannot be task-localized:
-    worker copies would diverge and silently lose matches, so the
-    parallel backends must refuse them up front."""
+class TestAdaptivePartitioners:
+    """Adaptive (stream-observing) partitioners reshape as rows arrive.
+    Batch routing is central on both executors, so the one partitioner
+    sees the whole stream in one order and ``processes`` reshapes exactly
+    as ``inline`` does (streaming ``processes`` refuses them: a recovery
+    replay could not route the same way, see ``tests/test_streaming.py``)."""
 
     def build_adaptive_cluster(self):
         from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
@@ -322,27 +271,18 @@ class TestAdaptiveSchemeRefusal:
         return plan, run_plan
 
     @pytest.mark.parametrize("executor", PARALLEL)
-    def test_parallel_backends_refuse_adaptive_partitioners(self, executor):
+    def test_parallel_backends_match_inline(self, executor):
         plan, run_plan = self.build_adaptive_cluster()
-        with pytest.raises(ExecutorError, match="adapt"):
-            run_plan(plan,
-                     options=ExecutionOptions(batch_size=8, executor=executor,
-                                              parallelism=2))
-
-    @pytest.mark.parametrize("executor", PARALLEL)
-    def test_refusal_names_partitioner_and_inline_escape_hatch(self, executor):
-        """The dedicated error must name the offending partitioner (not the
-        grouping wrapper) and point the user at executor='inline'."""
+        inline = run_plan(plan, options=ExecutionOptions(batch_size=8))
         plan, run_plan = self.build_adaptive_cluster()
-        with pytest.raises(ExecutorError) as excinfo:
-            run_plan(plan,
-                     options=ExecutionOptions(batch_size=8, executor=executor,
-                                              parallelism=2))
-        message = str(excinfo.value)
-        assert "AdaptiveOneBucket" in message
-        assert "executor='inline'" in message
-        assert executor in message  # names the backend that refused
-        assert "HypercubeGrouping" not in message  # culprit, not the wrapper
+        parallel = run_plan(plan, options=ExecutionOptions(
+            batch_size=8, executor=executor, parallelism=2))
+        assert parallel.results == inline.results
+        assert len(inline.results) == 48
+        assert parallel.partitioner_info == inline.partitioner_info
+        assert "reshapes" in inline.partitioner_info["J"]
+        assert parallel.metrics.received == inline.metrics.received
+        assert parallel.metrics.batches == inline.metrics.batches
 
     def test_inline_still_runs_adaptive_partitioners(self):
         plan, run_plan = self.build_adaptive_cluster()
@@ -351,45 +291,6 @@ class TestAdaptiveSchemeRefusal:
 
 
 class TestRouter:
-    def test_clone_preserves_sharing_across_a_joins_input_edges(self):
-        """A partitioner driving several input edges of one join must stay
-        ONE object inside each worker's routing table, or the edges'
-        routing decisions drift apart (stateful random dimensions)."""
-        from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
-        from repro.core.schema import Schema
-        from repro.partitioning.hash_hypercube import HashHypercube
-        from repro.storm.groupings import HypercubeGrouping
-
-        spec = JoinSpec(
-            [RelationInfo("R", Schema.of("x", "y"), 10),
-             RelationInfo("S", Schema.of("y", "z"), 10)],
-            [EquiCondition(("R", "y"), ("S", "y"))],
-        )
-        partitioner = HashHypercube.build(spec, 4, seed=1)
-        builder = TopologyBuilder()
-        builder.set_spout("R", lambda i, p: ListSpout([], stream="R"))
-        builder.set_spout("S", lambda i, p: ListSpout([], stream="S"))
-        declarer = builder.set_bolt("J", lambda i, p: DoublerBolt(),
-                                    parallelism=4)
-        declarer.custom_grouping("R", HypercubeGrouping(partitioner, "R"))
-        declarer.custom_grouping("S", HypercubeGrouping(partitioner, "S"))
-        router = Router(builder.build(), clone=True)
-        cloned = [grouping for edges in router._edges.values()
-                  for _edge, grouping in edges
-                  if isinstance(grouping, HypercubeGrouping)]
-        assert len(cloned) == 2
-        assert cloned[0].partitioner is cloned[1].partitioner
-        assert cloned[0].partitioner is not partitioner
-
-    def test_task_local_copy_does_not_share_shuffle_state(self):
-        topology, _sink = diamond_topology()
-        original = Router(topology)
-        clone = Router(topology, clone=True)
-        emissions = [("default", (i,)) for i in range(4)]
-        first = clone.route("spout", emissions)
-        # advancing the clone's shuffle counters leaves the original alone
-        assert original.route("spout", emissions) == first
-
     def test_sink_bolt_grows_its_own_store_by_default(self):
         sink = SinkBolt()
         sink.execute_batch("J", "J", [(1,), (2,)])
@@ -415,8 +316,7 @@ class TestWaveBuffer:
         buffer.add([("J", 0, "R", "R", [(1,), (2,)]),
                     ("J", 1, "R", "R", [(3,)])])
         buffer.add([("J", 0, "R", "R", [(4,)])])
-        assert buffer.depth() == 2 and set(buffer.keys()) == {("J", 0),
-                                                               ("J", 1)}
+        assert buffer.depth() == 2
         assert buffer.pop(("J", 0)) == [
             ("R", "R", [(1,), (2,), (4,)], None)]
         assert buffer.pop(("J", 1)) == [("R", "R", [(3,)], None)]
@@ -560,24 +460,6 @@ class TestWaveBuffer:
                  if span["component"] == "sink"]
         assert hop["rows"] == 2 and hop["duration_ms"] == pytest.approx(4.0)
 
-    def test_replies_fold_in_the_order_given_and_merge_across_workers(self):
-        """The coordinator folds worker 0's reply, then worker 1's: a run
-        that continues across the two is one batch, and a task's
-        deliveries keep worker-id order."""
-        workers = [WaveBuffer(), WaveBuffer()]
-        workers[0].add([("agg", 0, "J", "J", [(1,)]),
-                        ("agg", 1, "J", "J", [(2,)])])
-        workers[1].add([("agg", 0, "J", "J", [(3,)])])
-        workers[1].add([("agg", 0, "J", "J", retracting([(1,)]))])
-        pending = WaveBuffer()
-        for worker in workers:
-            pending.fold(worker.drain())
-            assert not worker
-        assert pending.drain() == {
-            ("agg", 0): [("J", "J", [(1,), (3,)], None),
-                         ("J", "J", retracting([(1,)]), None)],
-            ("agg", 1): [("J", "J", [(2,)], None)]}
-
 
 def merged_runs(log):
     """A ``(sign, rows)`` log with adjacent same-sign entries merged."""
@@ -710,12 +592,14 @@ class TestInlineRounds:
     N_ROWS = 400
     BATCH_SIZE = 64
 
-    def run_chain(self, batch_size):
+    def run_chain(self, batch_size, executor="inline"):
         from repro.bench import multiway_join_plan
         from repro.engine import run_plan
 
         return run_plan(multiway_join_plan(n_rows=self.N_ROWS, machines=8),
-                        options=ExecutionOptions(batch_size=batch_size))
+                        options=ExecutionOptions(batch_size=batch_size,
+                                                 executor=executor,
+                                                 parallelism=2))
 
     def assert_same_rows(self, run, reference):
         assert run.metrics.received == reference.metrics.received
@@ -738,14 +622,16 @@ class TestInlineRounds:
             per_tuple.metrics.received["J"]
         self.assert_same_rows(rounds, per_tuple)
 
+    @pytest.mark.parametrize("executor", ["inline", *PARALLEL])
     def test_an_input_larger_than_the_budget_runs_in_several_rounds(
-            self, monkeypatch):
+            self, monkeypatch, executor):
         import repro.storm.cluster
 
         # 100 rows a spout and round: two pulls of 64, so 400 rows/relation
-        # take three full rounds and a fourth for the last 16
+        # take three full rounds and a fourth for the last 16 -- on the
+        # workers too: the budget bounds a processes level pass as well
         monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", 300)
-        bounded = self.run_chain(self.BATCH_SIZE)
+        bounded = self.run_chain(self.BATCH_SIZE, executor)
         batches = bounded.metrics.batch_counts
         assert batches("R") == [-(-self.N_ROWS // self.BATCH_SIZE)]
         assert batches("agg") == [4, 4, 4, 4]
