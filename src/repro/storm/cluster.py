@@ -250,25 +250,59 @@ class LocalCluster:
         its share in ``batch_size`` pulls -- spout after spout, so a
         joiner's deliveries from one relation are adjacent and merge --
         and one level pass executes what was routed (on ``pool``'s
-        workers if one is given)."""
-        route = self._router.route
+        workers if one is given).
+
+        On ``pool`` the next round is pulled and routed while the workers
+        run this round's first component (whose input is all spout rows,
+        so this round's pulls made all of it) -- unless the run is
+        observed or a spout edge shares routing state with a bolt edge.
+        The routing order changes only between groupings that share
+        nothing, so every task executes the batches it executes inline.
+        """
+        overlap = (pool is not None and self._observer is None
+                   and self._router.spouts_route_alone
+                   and bool(self._bolt_order))
+        # the round whose first component is running on the workers: its
+        # buffer and the handle of its submitted turn
+        running = submitted = None
         while active:
-            buffer = WaveBuffer()
-            share = max(1, ROUND_BUDGET // len(active))
-            still_active = []
-            for name, task_index, spout in active:
-                pulled, more = 0, True
-                while more and pulled < share:
-                    emissions, ctx, more = pull(
-                        spout, name, task_index, batch_size, self.metrics,
-                        self._observer)
-                    if emissions:
-                        pulled += len(emissions)
-                        buffer.add(route(name, emissions), ctx)
-                if more:
-                    still_active.append((name, task_index, spout))
-            active = still_active
-            self._level_pass(buffer, pool=pool)
+            try:
+                buffer, active = self._pull_round(active, batch_size)
+            finally:
+                if submitted is not None:
+                    # drained even when the pull raised: no reply is left
+                    # in a pipe for the next command to trip over
+                    pool.finish_level(submitted, self._router.route,
+                                      running, self.metrics, None)
+            if submitted is not None:
+                self._level_pass(running, pool=pool, first=1)
+                submitted = None
+            if overlap and active:
+                head = self._bolt_order[0]
+                running = buffer
+                submitted = pool.submit_level(head, self._turn(buffer, head))
+            else:
+                self._level_pass(buffer, pool=pool)
+
+    def _pull_round(self, active, batch_size):
+        """One round's pulls, routed into a fresh buffer; returns it and
+        the spouts that may have rows left."""
+        route = self._router.route
+        buffer = WaveBuffer()
+        share = max(1, ROUND_BUDGET // len(active))
+        still_active = []
+        for name, task_index, spout in active:
+            pulled, more = 0, True
+            while more and pulled < share:
+                emissions, ctx, more = pull(
+                    spout, name, task_index, batch_size, self.metrics,
+                    self._observer)
+                if emissions:
+                    pulled += len(emissions)
+                    buffer.add(route(name, emissions), ctx)
+            if more:
+                still_active.append((name, task_index, spout))
+        return buffer, still_active
 
     def _set_columnar(self, enabled: bool):
         """Flag every columnar-capable spout before draining starts.
@@ -388,23 +422,29 @@ class LocalCluster:
                 stack.extend(reversed(routed))
                 ctxs.extend([child] * len(routed))
 
+    def _turn(self, buffer: WaveBuffer, name: str):
+        """One component's work in a level pass: each task, in index
+        order, with its deliveries popped from ``buffer``."""
+        return ((task_index, task, buffer.pop((name, task_index)))
+                for task_index, task in enumerate(self._tasks[name]))
+
     def _level_pass(self, buffer: WaveBuffer, finish: bool = False,
-                    pool=None):
+                    pool=None, first: int = 0):
         """Run every bolt component once, upstream first, on what
         ``buffer`` holds for its tasks; emissions route back into the
         buffer for the components still to come (every edge goes
         forward in topological order, so one pass empties it).  With
         ``finish`` each component is flushed on its turn.  A component's
         turn is :func:`~repro.storm.kernel.run_level` here, or the same
-        call on ``pool``'s workers (the batch ``processes`` executor)."""
+        call on ``pool``'s workers (the batch ``processes`` executor).
+        ``first`` skips the components whose turn has already run."""
         observer = self._observer
         route = self._router.route
         queue = "inline" if pool is None else "processes"
-        for name in self._bolt_order:
+        for name in self._bolt_order[first:]:
             if observer is not None and buffer:
                 observer.on_queue_depth(queue, buffer.depth())
-            work = ((task_index, task, buffer.pop((name, task_index)))
-                    for task_index, task in enumerate(self._tasks[name]))
+            work = self._turn(buffer, name)
             if pool is None:
                 run_level(name, work, route, buffer, self.metrics, observer,
                           finish)

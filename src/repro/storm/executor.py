@@ -27,13 +27,18 @@ finishing pass -- with each component's turn handed to
 :func:`repro.storm.kernel.run_level`: the coordinator's
 :class:`WaveBuffer` coalesces a task's deliveries per ``(source, stream)``
 run, the owning workers execute them concurrently, and the emissions are
-routed in task order.  So a batch ``processes`` run routes the sequence
-an inline run routes -- same results, same executed batches -- and what
-it adds over ``inline`` is its workers, not its schedule.
+routed in task order.  While the workers run a round's first component
+the coordinator pulls and routes the next round, when no routing state
+is shared between the spouts' edges and the bolts' (see
+:meth:`ResidentWorkerPool.submit_level`).  So every grouping of a batch
+``processes`` run sees the sequence it sees inline -- same results, same
+executed batches -- and what the run adds over ``inline`` is its
+workers, not its schedule.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import traceback
@@ -83,6 +88,16 @@ class Router:
         self._parallelism = {
             name: spec.parallelism for name, spec in topology.components.items()
         }
+        owners = {True: set(), False: set()}
+        for name, edges in self._edges.items():
+            owners[topology.components[name].is_spout].update(
+                id(owner) for _edge, grouping in edges
+                for owner in grouping.routing_owners())
+        #: no routing state is shared between a spout's out-edges and a
+        #: bolt's: routing a spout pull commutes with routing a bolt's
+        #: emissions, so the two may be routed in either order and every
+        #: grouping still sees the sequence it sees inline
+        self.spouts_route_alone = not owners[True] & owners[False]
 
     def routing_state(self) -> Dict[str, List[object]]:
         """Mutable grouping state per component's out-edges (checkpoint).
@@ -609,12 +624,22 @@ class ResidentWorkerPool:
             worker_id, owned, shape,
             kill_after=self._kill_plan.get(worker_id), observe=self._observe)
 
+    def _fork(self, worker_id: int):
+        state = self._make_state(worker_id)
+        # fork with every object of this process frozen: the child's
+        # collections then skip the inherited heap instead of walking
+        # it, and copy-on-write faulting it in, on its first full one
+        gc.freeze()
+        try:
+            self._workers[worker_id] = ForkedWorker(self._context, state)
+        finally:
+            gc.unfreeze()
+
     def start(self):
         if not self.assignment:
             return
         for worker_id in range(self.n_workers):
-            self._workers[worker_id] = ForkedWorker(
-                self._context, self._make_state(worker_id))
+            self._fork(worker_id)
 
     def stop(self):
         """Signal every worker, then join them (dead ones are reaped)."""
@@ -652,8 +677,7 @@ class ResidentWorkerPool:
             remaining = sorted(self._kill_plan.pop(worker_id, []))[1:]
             if remaining:
                 self._kill_plan[worker_id] = remaining
-            self._workers[worker_id] = ForkedWorker(
-                self._context, self._make_state(worker_id))
+            self._fork(worker_id)
             self.respawn_count += 1
 
     # -- command fan-out ---------------------------------------------------
@@ -667,8 +691,11 @@ class ResidentWorkerPool:
         worker dead and the whole round raises :class:`WorkerDied` after
         draining -- the caller abandons the round and recovers.
         """
+        return self._replies(*self._send(recipients))
+
+    def _send(self, recipients: Dict[int, tuple]):
+        """The send phase of :meth:`_command`: ``(sent, dead)`` ids."""
         dead: List[int] = []
-        errors: List[str] = []
         sent: List[int] = []
         for worker_id, message in recipients.items():
             try:
@@ -676,6 +703,11 @@ class ResidentWorkerPool:
                 sent.append(worker_id)
             except WorkerDied:
                 dead.append(worker_id)
+        return sent, dead
+
+    def _replies(self, sent: List[int], dead: List[int]) -> Dict[int, object]:
+        """The reply phase of :meth:`_command`."""
+        errors: List[str] = []
         replies: Dict[int, object] = {}
         for worker_id in sent:
             try:
@@ -706,13 +738,25 @@ class ResidentWorkerPool:
         worker-id order, so delivery stays deterministic for a fixed
         assignment.
         """
+        replies = self._command(self._executions(per_worker, finish))
+        return self._merge(replies, counters, obs)
+
+    def _executions(self, per_worker: Dict[int, List[tuple]],
+                    finish: Optional[str]) -> Dict[int, tuple]:
+        """The ``execute`` command of every worker with work (or, with
+        ``finish``, a task of that component to flush)."""
         recipients = {worker_id: ("execute", items, finish)
                       for worker_id, items in per_worker.items() if items}
         if finish is not None:
             for (name, _task_index), owner in self.assignment.items():
                 if name == finish:
                     recipients.setdefault(owner, ("execute", [], finish))
-        replies = self._command(recipients)
+        return recipients
+
+    @staticmethod
+    def _merge(replies: Dict[int, object], counters, obs) -> List[tuple]:
+        """Fold ``execute`` replies in worker-id order: the outputs are
+        returned, counters and obs payloads merged in."""
         outputs: List[tuple] = []
         for worker_id in sorted(replies):
             worker_outputs, worker_counters, obs_payload = replies[worker_id]
@@ -735,15 +779,29 @@ class ResidentWorkerPool:
         checkpoint to recover from, so a dead worker fails it, naming
         the component it was running.
         """
+        self.finish_level(self.submit_level(component, work, finish),
+                          route, out, counters, obs)
+
+    def submit_level(self, component: str, work, finish: bool = False):
+        """The first half of :meth:`run_level`: send the owners their
+        tasks' deliveries and return at once, with the handle
+        :meth:`finish_level` takes.  In between the workers execute while
+        the coordinator may do anything but command them."""
         per_worker: Dict[int, List[tuple]] = {}
         for index, _task, deliveries in work:
             items = per_worker.setdefault(
                 self.assignment[(component, index)], [])
             items.extend((component, index) + delivery
                          for delivery in deliveries)
+        return component, self._send(
+            self._executions(per_worker, component if finish else None))
+
+    def finish_level(self, submitted, route, out, counters, obs):
+        """The second half of :meth:`run_level`: wait for the replies and
+        route the emissions into ``out``."""
+        component, (sent, dead) = submitted
         try:
-            outputs = self.execute(per_worker, counters, obs,
-                                   component if finish else None)
+            outputs = self._merge(self._replies(sent, dead), counters, obs)
         except WorkerDied as death:
             worker_id = death.worker_ids[0]
             raise ExecutorError(

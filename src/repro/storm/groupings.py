@@ -120,6 +120,14 @@ class Grouping:
     def restore_routing_state(self, state) -> None:
         """Rewind routing state captured by :meth:`routing_state`."""
 
+    def routing_owners(self) -> tuple:
+        """The objects whose state this grouping's routing reads or
+        writes: itself, plus any delegate another edge's grouping may
+        share (a join's partitioner, a custom function).  Two edges
+        whose owners are disjoint route independently of each other's
+        call order."""
+        return (self,)
+
 
 class ShuffleGrouping(Grouping):
     """Round-robin distribution -- content-insensitive."""
@@ -223,6 +231,9 @@ class CustomGrouping(Grouping):
     def is_content_sensitive(self) -> bool:
         return self._content_sensitive
 
+    def routing_owners(self) -> tuple:
+        return (self, self.fn)
+
 
 class HypercubeGrouping(Grouping):
     """Routes one join input relation through a partitioning scheme.
@@ -275,6 +286,9 @@ class HypercubeGrouping(Grouping):
 
     def supports_task_local_routing(self) -> bool:
         return self.partitioner.supports_task_local_routing()
+
+    def routing_owners(self) -> tuple:
+        return (self, self.partitioner)
 
     def routing_description(self) -> str:
         return (f"the {type(self.partitioner).__name__} partitioner "

@@ -75,6 +75,40 @@ def diamond_topology(rows=None, bolt_factory=None):
 
 
 class TestScheduling:
+    def test_topological_levels_of_a_diamond(self):
+        """A level pass runs the bolts upstream first; the spouts are
+        pulled by the rounds, never scheduled in a pass."""
+        topology, _sink = diamond_topology()
+        assert LocalCluster(topology)._bolt_order == ["left", "right", "sink"]
+
+    def test_every_edge_goes_to_a_strictly_later_level(self):
+        """What lets one level pass empty the buffer: every bolt's input
+        comes from a component whose turn came before."""
+        topology, _sink = diamond_topology()
+        order = LocalCluster(topology)._bolt_order
+        depth = {name: i for i, name in enumerate(order)}
+        for edge in topology.edges:
+            if edge.source in depth:
+                assert depth[edge.target] > depth[edge.source]
+            else:
+                assert topology.components[edge.source].is_spout
+
+    def test_assignment_is_disjoint_and_balanced(self):
+        topology, _sink = diamond_topology()
+        assignment = StagedExecutor(LocalCluster(topology),
+                                    parallelism=3).pool.assignment
+        # every bolt task owned exactly once; the spouts stay home
+        assert set(assignment) == {
+            (name, t)
+            for name, spec in topology.components.items()
+            if not spec.is_spout
+            for t in range(spec.parallelism)
+        }
+        loads = [0, 0, 0]
+        for owner in assignment.values():
+            loads[owner] += 1
+        assert max(loads) - min(loads) <= 1  # global round-robin
+
     def test_worker_count_clamped_to_task_count(self):
         topology, _sink = diamond_topology()
         executor = StagedExecutor(LocalCluster(topology), parallelism=64)
@@ -677,3 +711,166 @@ class TestInlineRounds:
         assert result.metrics.emitted == expected["emitted"]
         assert sum(sum(result.metrics.emitted[name])
                    for name in ("R", "S", "T")) == 75
+
+
+class SecondPullFails(ListSpout):
+    def next_batch(self, max_rows):
+        if self._position > 0:
+            raise RuntimeError("spout failed in its second pull")
+        return super().next_batch(max_rows)
+
+
+class FreezeCountBolt(Bolt):
+    """Emits how many objects its process's collector treats as frozen."""
+
+    def execute(self, source, stream, values):
+        import gc
+
+        return [("default", (gc.get_freeze_count(),))]
+
+
+class TestRoundOverlap:
+    """Batch ``processes`` pulls and routes the next round while the
+    workers run this round's first component, as long as the spouts'
+    edges share no routing state with the bolts' and the run is not
+    observed."""
+
+    N_ROWS = 400
+
+    def record_schedule(self, monkeypatch, budget=300):
+        """Patch the round/turn steps to log ``(step, component)``; the
+        default ``budget`` gives the chain join 100 rows a spout and
+        round: four rounds."""
+        import repro.storm.cluster
+        from repro.storm.executor import ResidentWorkerPool
+
+        events = []
+        steps = [(LocalCluster, "_pull_round", lambda args: None),
+                 (ResidentWorkerPool, "submit_level", lambda args: args[1]),
+                 (ResidentWorkerPool, "finish_level",
+                  lambda args: args[1][0])]
+        for cls, name, component in steps:
+            def recorded(*args, _original=getattr(cls, name), _name=name,
+                         _component=component, **kwargs):
+                events.append((_name, _component(args)))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(cls, name, recorded)
+        monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", budget)
+        return events
+
+    @staticmethod
+    def overlapped(events):
+        """The components whose turn ran while a round was pulled."""
+        return [events[i - 1][1] for i in range(1, len(events) - 1)
+                if events[i][0] == "_pull_round"
+                and events[i - 1][0] == "submit_level"
+                and events[i + 1] == ("finish_level", events[i - 1][1])]
+
+    def run_chain(self, executor, observe=None):
+        from repro.bench import multiway_join_plan
+        from repro.engine import run_plan
+
+        return run_plan(multiway_join_plan(n_rows=self.N_ROWS, machines=8),
+                        options=ExecutionOptions(batch_size=64,
+                                                 executor=executor,
+                                                 parallelism=2,
+                                                 observe=observe))
+
+    def test_the_next_round_is_pulled_while_the_joiners_run(
+            self, monkeypatch):
+        events = self.record_schedule(monkeypatch)
+        overlapped = self.run_chain("processes")
+        # every round but the last has a successor to pull meanwhile
+        assert self.overlapped(events) == ["J", "J", "J"]
+        assert [step for step, _c in events].count("_pull_round") == 4
+        events.clear()
+        inline = self.run_chain("inline")
+        assert [step for step, _c in events] == ["_pull_round"] * 4
+        assert Counter(overlapped.results) == Counter(inline.results)
+        assert overlapped.metrics.batches == inline.metrics.batches
+        assert overlapped.metrics.received == inline.metrics.received
+        assert overlapped.join_state == inline.join_state
+
+    def test_an_observed_run_pulls_between_level_passes(self, monkeypatch):
+        events = self.record_schedule(monkeypatch)
+        self.run_chain("processes", observe="metrics")
+        assert [step for step, _c in events].count("_pull_round") == 4
+        assert self.overlapped(events) == []
+
+    def test_the_chain_joins_spout_edges_route_alone(self):
+        from repro.bench import multiway_join_plan
+        from repro.engine.runner import build_topology
+        from repro.storm.executor import Router
+
+        topology, _partitioners = build_topology(
+            multiway_join_plan(n_rows=10, machines=8))
+        assert Router(topology).spouts_route_alone
+        assert Router(diamond_topology()[0]).spouts_route_alone
+
+    def test_a_partitioner_shared_with_a_bolt_edge_turns_overlap_off(
+            self, monkeypatch):
+        """A join fed by a source and by another bolt routes both inputs
+        through one partitioner: its routing sequence would change if
+        the next round's pulls went ahead of this round's bolt rows."""
+        from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
+        from repro.partitioning.hash_hypercube import HashHypercube
+        from repro.storm.executor import Router
+        from repro.storm.groupings import HypercubeGrouping
+
+        spec = JoinSpec(
+            [RelationInfo("A", Schema.of("x", "y"), 10),
+             RelationInfo("S", Schema.of("y", "z"), 10)],
+            [EquiCondition(("A", "y"), ("S", "y"))],
+        )
+        partitioner = HashHypercube.build(spec, 4, seed=1)
+        builder = TopologyBuilder()
+        rows = [(i, i % 3) for i in range(20)]
+        builder.set_spout("R", lambda i, p: ListSpout(rows, stream="R"))
+        builder.set_spout("S", lambda i, p: ListSpout(rows, stream="S"))
+        builder.set_bolt("A", lambda i, p: DoublerBolt()).shuffle_grouping("R")
+        declarer = builder.set_bolt("J", lambda i, p: DoublerBolt(),
+                                    parallelism=4)
+        declarer.custom_grouping("A", HypercubeGrouping(partitioner, "A"))
+        declarer.custom_grouping("S", HypercubeGrouping(partitioner, "S"))
+        topology = builder.build()
+        assert not Router(topology).spouts_route_alone
+        # one 4-row pull a spout and round: five full rounds, and a sixth
+        # that finds the spouts empty -- none overlapped
+        events = self.record_schedule(monkeypatch, budget=8)
+        LocalCluster(topology).run(batch_size=4, executor="processes",
+                                   parallelism=2)
+        assert [step for step, _c in events].count("_pull_round") == 6
+        assert self.overlapped(events) == []
+
+    def test_a_pull_that_raises_mid_overlap_drains_the_workers(
+            self, monkeypatch):
+        import repro.storm.cluster
+
+        # one 4-row pull a round: the second pull is the next round's,
+        # made while the workers run the first round's bolts
+        monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", 4)
+        rows = [(i,) for i in range(20)]
+        builder = TopologyBuilder()
+        builder.set_spout("spout", lambda i, p: SecondPullFails(rows))
+        builder.set_bolt("double", lambda i, p: DoublerBolt(),
+                         parallelism=2).shuffle_grouping("spout")
+        builder.set_bolt("sink", lambda i, p: SinkBolt()).global_grouping(
+            "double")
+        cluster = LocalCluster(builder.build())
+        with pytest.raises(RuntimeError, match="second pull"):
+            cluster.run(batch_size=4, executor="processes", parallelism=2)
+        assert multiprocessing.active_children() == []
+
+    def test_workers_fork_with_the_inherited_heap_frozen(self):
+        import gc
+
+        before = gc.get_freeze_count()
+        topology, _sink = diamond_topology(
+            bolt_factory=lambda i, p: FreezeCountBolt())
+        cluster = LocalCluster(topology)
+        cluster.run(batch_size=4, executor="processes", parallelism=2)
+        counts = [row[0] for row in cluster.task("sink", 0).store]
+        # 20 rows through both branches
+        assert len(counts) == 40 and min(counts) > 0
+        # the coordinator's own collector is left as it was
+        assert gc.get_freeze_count() == before
