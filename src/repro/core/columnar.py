@@ -28,6 +28,7 @@ Design rules that keep the two representations interchangeable:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -65,6 +66,23 @@ def make_column(values: Sequence) -> ColumnData:
     return list(values)
 
 
+def columns_of(rows: Sequence[tuple]) -> List[ColumnData]:
+    """Equal-width ``rows`` as columns, each typed by :func:`make_column`.
+
+    Read one position at a time: ``zip(*rows)`` would make an iterator
+    per row, and every one counts towards a cyclic collection.
+
+    >>> from repro.core.columnar import columns_of
+    >>> numbers, names = columns_of([(1, "a"), (2, "b")])
+    >>> numbers.dtype.name, numbers.tolist(), names
+    ('int64', [1, 2], ['a', 'b'])
+    """
+    if not rows:
+        return []
+    return [make_column(list(map(itemgetter(position), rows)))
+            for position in range(len(rows[0]))]
+
+
 class ColumnBatch:
     """A micro-batch of rows stored column-wise.
 
@@ -99,7 +117,7 @@ class ColumnBatch:
     @property
     def columns(self) -> List[ColumnData]:
         if self._columns is None:
-            self._columns = [make_column(col) for col in zip(*self._rows)]
+            self._columns = columns_of(self._rows)
         return self._columns
 
     @property
@@ -125,12 +143,9 @@ class ColumnBatch:
     def take(self, indices) -> "ColumnBatch":
         """Row subset by integer index array (NumPy fancy indexing)."""
         idx = np.asarray(indices, dtype=np.intp)
-        cols: List[ColumnData] = []
-        for col in self.columns:
-            if isinstance(col, np.ndarray):
-                cols.append(col[idx])
-            else:
-                cols.append([col[i] for i in idx.tolist()])
+        cols: List[ColumnData] = [
+            col[idx] if isinstance(col, np.ndarray)
+            else [col[i] for i in idx.tolist()] for col in self.columns]
         return ColumnBatch(cols, len(idx),
                            None if self.signs is None else self.signs[idx])
 

@@ -147,6 +147,18 @@ class SourceSpout(Spout):
         return []
 
 
+@dataclass(frozen=True)
+class JoinTotals:
+    """A finished joiner's counters: what a batch ``processes`` run
+    ships home in its place (``run_plan`` reads nothing else of it)."""
+
+    work: int
+    state: int
+
+    def state_size(self) -> int:
+        return self.state
+
+
 class JoinBolt(Bolt):
     """One joiner task: a local join (optionally windowed) plus output scheme.
 
@@ -207,6 +219,9 @@ class JoinBolt(Bolt):
 
     def state_size(self) -> int:
         return self._local.state_size()
+
+    def export(self) -> JoinTotals:
+        return JoinTotals(self.work, self.state_size())
 
     def advance_watermark(self, watermark) -> List[Tuple[str, tuple]]:
         """Punctuation hook of the continuous runtime: expire windowed
@@ -544,8 +559,8 @@ def run_plan(plan: PhysicalPlan, max_tuples: Optional[int] = None,
                           observe=resolved.observe)
 
     # all measurement state is read back from the cluster's tasks *after*
-    # the run: under the processes backend these are the final instances
-    # shipped home from the shared-nothing workers
+    # the run: under the processes backend these are what the tasks
+    # shipped home from the shared-nothing workers (a joiner: its totals)
     spouts: Dict[str, List[SourceSpout]] = {
         source.name: cluster.tasks(source.name) for source in plan.sources
     }

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.columnar import ColumnBatch, make_column
 from repro.core.predicates import JoinCondition, JoinSpec
 from repro.joins.base import JoinSchema, LocalJoin
-from repro.joins.indexes import HashIndex, IdIndex
+from repro.joins.indexes import ArrayIndex, HashIndex, segment_positions
 
 
 class _Subset(frozenset):
@@ -271,32 +271,34 @@ class _ColumnarView:
 
     Every applied delta row gets a fresh integer id; ``cols[p].view()[id]``
     is that row's value at flat position ``p`` and ``mults.view()[id]``
-    its (mutable) multiplicity.  Probe indexes map key tuples to id lists
-    (:class:`IdIndex`), so a probe resolves to ids that feed straight
-    into NumPy fancy indexing.  Duplicate view rows may occupy several
-    ids; multiset semantics only depend on the multiplicity sum.
+    its (mutable) multiplicity.  Probe indexes (:class:`ArrayIndex`)
+    resolve a column of keys to ids that feed straight into NumPy fancy
+    indexing.  Duplicate view rows may occupy several ids; multiset
+    semantics only depend on the multiplicity sum.  A retraction only
+    lowers multiplicities: an id at 0 is *dead*, stays in the columns
+    and is filtered out when probed.
     """
 
-    __slots__ = ("cols", "mults", "indexes", "total")
+    __slots__ = ("cols", "mults", "indexes", "total", "dead")
 
     def __init__(self, arity: int):
         self.cols = [_GrowColumn() for _ in range(arity)]
         self.mults = _GrowColumn()
-        self.indexes: Dict[Tuple[int, ...], IdIndex] = {}
+        self.indexes: Dict[Tuple[int, ...], ArrayIndex] = {}
         self.total = 0
+        #: ids whose multiplicity went to 0
+        self.dead = 0
 
     def __getstate__(self):
         """Columns, multiplicities, total -- and of the indexes only
         *which* key positions are indexed, in order (``retract`` resolves
         rows through the first one).
 
-        The id buckets are derived: :meth:`ensure_index` rebuilds a
-        bucket as the ascending live ids of its key, which is exactly
-        what incremental ``extend``/``retract`` maintenance leaves
-        behind, so a rebuilt index answers every probe as the original
-        would.  A restored view holds a ``None`` placeholder per index
-        until its owner (:meth:`DBToasterJoin._plan_columnar`) has them
-        rebuilt before the next probe.
+        An index is derived state: :meth:`ensure_index` rebuilds it from
+        the columns, and a rebuilt index answers every probe as the
+        original would.  A restored view holds a ``None`` placeholder per
+        index until its owner (:meth:`DBToasterJoin._plan_columnar`) has
+        them rebuilt before the next probe.
 
         >>> import pickle
         >>> import numpy as np
@@ -310,93 +312,85 @@ class _ColumnarView:
         >>> restored = pickle.loads(pickle.dumps(view))
         >>> restored.indexes
         {(1,): None}
-        >>> restored.ensure_index((1,)).get(7), view.indexes[(1,)].get(7)
-        ([2], [2])
+        >>> _ = restored.ensure_index((1,))
+        >>> probe = [np.array([7, 8, 9])]
+        >>> [part.tolist() for part in restored.probe((1,), probe)]
+        [[1, 1, 0], [2, 1]]
+        >>> [part.tolist() for part in view.probe((1,), probe)]
+        [[1, 1, 0], [2, 1]]
         """
         return (self.cols, self.mults, self.total, tuple(self.indexes))
 
     def __setstate__(self, state):
         self.cols, self.mults, self.total, indexed = state
         self.indexes = dict.fromkeys(indexed)
+        self.dead = int(np.count_nonzero(self.mults.view() == 0))
 
-    @staticmethod
-    def _keys_of(columns, flat_positions: Tuple[int, ...]) -> list:
-        """Index keys for delta columns: scalars for single-column keys
-        (the common case -- skips per-row tuple construction), tuples
-        otherwise.  Probe-side key extraction uses the same convention."""
-        if len(flat_positions) == 1:
-            return _as_array(columns[flat_positions[0]]).tolist()
-        return list(zip(*(_as_array(columns[p]).tolist()
-                          for p in flat_positions)))
-
-    def ensure_index(self, flat_positions: Tuple[int, ...]) -> IdIndex:
+    def ensure_index(self, flat_positions: Tuple[int, ...]) -> ArrayIndex:
         index = self.indexes.get(flat_positions)
         if index is None:
-            index = IdIndex()
+            index = ArrayIndex()
+            if self.mults.n:
+                index.extend([self.cols[p].view() for p in flat_positions])
             self.indexes[flat_positions] = index
-            mults = self.mults.view().tolist()
-            keys = self._keys_of([c.view() for c in self.cols],
-                                 flat_positions)
-            for row_id, key in enumerate(keys):
-                if mults[row_id] > 0:
-                    index.insert(key, row_id)
         return index
+
+    def probe(self, flat_positions: Tuple[int, ...],
+              key_columns: Sequence[np.ndarray]):
+        """``(counts, ids)``: the live ids of every probe key, ascending,
+        key after key (:meth:`ArrayIndex.lookup`)."""
+        return self.indexes[flat_positions].lookup(
+            key_columns, self.mults.view() if self.dead else None)
 
     def extend(self, columns: Sequence[np.ndarray], mults: np.ndarray):
         """Append delta rows with positive multiplicities."""
-        n = len(mults)
-        if n == 0:
+        if len(mults) == 0:
             return
-        start = self.mults.n
+        columns = [_as_array(col) for col in columns]
         for grow, col in zip(self.cols, columns):
-            grow.append(_as_array(col))
+            grow.append(col)
         self.mults.append(np.asarray(mults, dtype=np.int64))
         self.total += int(mults.sum())
         for flat_positions, index in self.indexes.items():
-            buckets = index._buckets
-            bucket_get = buckets.get
-            row_id = start
-            for key in self._keys_of(columns, flat_positions):
-                bucket = bucket_get(key)
-                if bucket is None:
-                    buckets[key] = [row_id]
-                else:
-                    bucket.append(row_id)
-                row_id += 1
+            index.extend([columns[p] for p in flat_positions])
 
     def retract(self, columns: Sequence[np.ndarray], mults: np.ndarray):
         """Remove delta rows (positive ``mults``, subtracted).
 
         A logical row's multiplicity may be spread over several ids
-        (inserted by different batches); the decrement walks the id
-        bucket until the full multiplicity is consumed.
+        (inserted by different batches); the decrement walks the row's
+        key ids in ascending order until the full multiplicity is
+        consumed.
         """
         arity = len(self.cols)
         if not self.indexes:
             # a view that is never probed (the stored full result) gets a
             # whole-row index lazily, only when deletes actually arrive
             self.ensure_index(tuple(range(arity)))
-        key_positions, index = next(iter(self.indexes.items()))
+        key_positions = next(iter(self.indexes))
+        columns = [_as_array(col) for col in columns]
+        counts, ids = self.probe(key_positions,
+                                 [columns[p] for p in key_positions])
         mult_view = self.mults.view()
         col_views = [c.view() for c in self.cols]
-        rows = list(zip(*(_as_array(c).tolist() for c in columns)))
-        for row, mult in zip(rows, mults.tolist()):
+        candidates = ids.tolist()
+        start = 0
+        for row, mult, found in zip(zip(*(c.tolist() for c in columns)),
+                                    mults.tolist(), counts.tolist()):
             remaining = mult
-            key = (row[key_positions[0]] if len(key_positions) == 1
-                   else tuple(row[p] for p in key_positions))
-            for row_id in list(index.get(key) or ()):
+            for row_id in candidates[start:start + found]:
                 if remaining == 0:
                     break
-                if any(col_views[p][row_id] != row[p] for p in range(arity)):
-                    continue
-                take = min(remaining, int(mult_view[row_id]))
+                live = int(mult_view[row_id])
+                if live == 0 or any(col_views[p][row_id] != row[p]
+                                    for p in range(arity)):
+                    continue  # dead (an earlier row took it) or another row
+                take = min(remaining, live)
                 mult_view[row_id] -= take
                 remaining -= take
-                if mult_view[row_id] == 0:
-                    for positions, idx in self.indexes.items():
-                        dead_key = (row[positions[0]] if len(positions) == 1
-                                    else tuple(row[p] for p in positions))
-                        idx.remove(dead_key, row_id)
+                if take == live:
+                    self.dead += 1
+            start += found
             if remaining:
                 raise ValueError(
                     "view multiplicity went negative (inconsistent deletes)")
@@ -526,7 +520,7 @@ class DBToasterJoin(LocalJoin):
 
     def _plan_columnar(self):
         """Derive everything the columnar kernel probes through from the
-        columnar views: the id indexes and the per-(target, prober)
+        columnar views: the array indexes and the per-(target, prober)
         gather maps.
 
         The one place that builds them -- after activation, and again
@@ -556,13 +550,11 @@ class DBToasterJoin(LocalJoin):
                                            plan_entries)
 
     def __getstate__(self):
-        """Everything but the probe plans, which -- like the id indexes
-        the columnar views leave out of *their* pickles -- are derived
-        state: a blob holds columns, multiplicities and index key
+        """Everything but the probe plans, which -- like the array
+        indexes the columnar views leave out of *their* pickles -- are
+        derived state: a blob holds columns, multiplicities and index key
         positions, and the first batch after a restore rebuilds the rest
-        (:meth:`_plan_columnar`).  ``run_plan`` reads only ``work`` and
-        ``state_size()`` off the joins a ``processes`` run ships home,
-        so there the rebuild never happens at all.
+        (:meth:`_plan_columnar`).
 
         >>> import pickle
         >>> from repro.core.columnar import ColumnBatch
@@ -589,15 +581,14 @@ class DBToasterJoin(LocalJoin):
         return state
 
     def _delta_batch(self, rel_name: str, batch_cols: List[np.ndarray],
-                     n: int, subset: FrozenSet[str], bucket_cache: dict,
-                     key_cache: dict):
+                     n: int, subset: FrozenSet[str], probe_cache: dict):
         """Whole-batch ``_delta``: probe every component view with whole
         columns, chaining candidate expansion via ``np.repeat``.
 
         Returns ``(columns, mult)``: the delta rows of the target layout
-        as full-arity gathered columns plus their multiplicities.  Probe
-        keys and id buckets are cached per (index, key positions), so a
-        component view probed by several targets is resolved once.
+        as full-arity gathered columns plus their multiplicities.  Probes
+        are cached per (view, index, key positions), so a component view
+        probed by several targets is resolved once.
         """
         arity, prober_map, plan_entries = self._cplans[(subset, rel_name)]
         idx = np.arange(n)                 # prober row per partial (sorted)
@@ -607,38 +598,25 @@ class DBToasterJoin(LocalJoin):
         for cview, key_prober, key_flat, col_map in plan_entries:
             if len(idx) == 0:
                 break
-            keys = key_cache.get(key_prober)
-            if keys is None:
-                if len(key_prober) == 1:
-                    keys = batch_cols[key_prober[0]].tolist()
-                else:
-                    keys = list(zip(*(batch_cols[p].tolist()
-                                      for p in key_prober)))
-                key_cache[key_prober] = keys
             # id() keys a per-batch memo dict only -- the identity never
             # reaches routing or emitted rows, and the cache dies with
             # the batch.  # squall-lint: disable=determinism
             cache_key = (id(cview), key_flat, key_prober)
-            buckets = bucket_cache.get(cache_key)
-            if buckets is None:
-                get = cview.indexes[key_flat]._buckets.get
-                buckets = [get(key) for key in keys]
-                bucket_cache[cache_key] = buckets
-            if identity:
-                hits = buckets
-            else:
-                hits = [buckets[i] for i in idx.tolist()]
-            counts = np.array([len(b) if b is not None else 0 for b in hits],
-                              dtype=np.int64)
-            total = int(counts.sum())
+            probed = probe_cache.get(cache_key)
+            if probed is None:
+                counts, ids = cview.probe(
+                    key_flat, [batch_cols[p] for p in key_prober])
+                probed = probe_cache[cache_key] = (
+                    counts, ids, np.cumsum(counts) - counts)
+            counts, ids, starts = probed
+            if not identity:
+                counts = counts[idx]
+                ids = ids[segment_positions(starts[idx], counts)]
             # cost model: one probe per surviving prober row, one unit per
             # candidate examined (mirrors _delta's accounting)
             distinct = (len(idx) if identity
                         else int(np.count_nonzero(np.diff(idx))) + 1)
-            self.work += distinct + total
-            ids = np.array(
-                [row_id for b in hits if b is not None for row_id in b],
-                dtype=np.int64)
+            self.work += distinct + len(ids)
             identity = False
             gathers = [(cv, np.repeat(prev_ids, counts), cm)
                        for cv, prev_ids, cm in gathers]
@@ -667,17 +645,16 @@ class DBToasterJoin(LocalJoin):
         if self._cplans is None:
             self._plan_columnar()
         batch_cols = [_as_array(col) for col in batch.columns]
-        bucket_cache: dict = {}
-        key_cache: dict = {}
+        probe_cache: dict = {}
         deltas = []
         for subset in self._targets[rel_name]:
             deltas.append((subset, self._delta_batch(
-                rel_name, batch_cols, n, subset, bucket_cache, key_cache)))
+                rel_name, batch_cols, n, subset, probe_cache)))
         if self.store_result and deltas and deltas[-1][0] == self._full:
             out_cols, out_mult = deltas[-1][1]
         else:
             out_cols, out_mult = self._delta_batch(
-                rel_name, batch_cols, n, self._full, bucket_cache, key_cache)
+                rel_name, batch_cols, n, self._full, probe_cache)
         for subset, (columns, mult) in deltas:
             if len(mult) == 0:
                 continue

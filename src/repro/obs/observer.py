@@ -13,7 +13,9 @@ counters are registered in) and owns the
 whose payload rides back with each wave/execute reply and is merged here
 in worker-id order.
 
-Instruments recorded per executed batch:
+Instruments recorded per executed batch (queued by the recording call
+and folded in when the registry is read, or every
+:data:`PENDING_RECORDS` batches):
 
 - ``operator_batch_seconds{component,task}`` -- execute-wall-time
   histogram (the profile's p50/p95/p99 source),
@@ -26,17 +28,25 @@ Instruments recorded per executed batch:
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+import threading
+from collections import defaultdict, deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.options import OBSERVE_LEVELS
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry, Sample
 from repro.obs.tracing import (
+    SPAN_FIELDS,
     SpanContext,
     TraceBuffer,
     fan_in_spans,
     make_span,
+    span_record,
 )
+
+
+#: executed batches an :class:`Observer` queues before it folds them into
+#: their instruments unasked
+PENDING_RECORDS = 4096
 
 
 class Observer:
@@ -60,17 +70,25 @@ class Observer:
         # span ids: "c.N" for coordinator-recorded spans (itertools.count
         # is atomic under the GIL, so thread workers share it safely)
         self._span_seq = itertools.count(1)
+        #: held while a fan-in's deferred span ids are issued
+        self._issue_lock = threading.Lock()
         # per-(component, task) root-batch sequence: the deterministic
         # trace-id formula "<source>.<task>.<seq>" shared with WorkerObs
         self._root_seq: Dict[Tuple[str, int], "itertools.count"] = \
             defaultdict(lambda: itertools.count(1))
-        self._hists: Dict[Tuple[str, int], Histogram] = {}
-        self._rows: Dict[Tuple[str, int], Counter] = {}
+        #: (component, task) -> its batch-latency histogram and routed-row
+        #: counter
+        self._instruments: Dict[Tuple[str, int],
+                                Tuple[Histogram, Counter]] = {}
+        #: executed batches not yet folded into their instruments:
+        #: ``(component, task, rows, seconds)``, oldest first
+        self._pending: Deque[Tuple[str, int, int, float]] = deque()
         self._depths: Dict[str, Gauge] = {}
         #: component -> (grouping description, skew possible), installed
         #: by the cluster from the topology's edge groupings
         self._groupings: Dict[str, Tuple[str, bool]] = {}
         self.registry.register_collector(self._skew_samples)
+        self.registry.register_flush(self.flush)
 
     def set_groupings(self, groupings: Dict[str, Tuple[str, bool]]) -> None:
         """Install the per-component grouping info the skew gauge labels
@@ -79,23 +97,14 @@ class Observer:
 
     # -- instruments -------------------------------------------------------
 
-    def _hist(self, component: str, task: int) -> Histogram:
-        key = (component, task)
-        hist = self._hists.get(key)
-        if hist is None:
-            hist = self.registry.histogram(
-                "operator_batch_seconds", component=component, task=str(task))
-            self._hists[key] = hist
-        return hist
-
-    def _row_counter(self, component: str, task: int) -> Counter:
-        key = (component, task)
-        counter = self._rows.get(key)
-        if counter is None:
-            counter = self.registry.counter(
-                "routed_rows_total", component=component, task=str(task))
-            self._rows[key] = counter
-        return counter
+    def _instruments_of(self, component: str, task: int
+                        ) -> Tuple[Histogram, Counter]:
+        instruments = self._instruments[(component, task)] = (
+            self.registry.histogram("operator_batch_seconds",
+                                    component=component, task=str(task)),
+            self.registry.counter("routed_rows_total", component=component,
+                                  task=str(task)))
+        return instruments
 
     def record(self, component: str, task: int, rows: int,
                seconds: float) -> None:
@@ -103,9 +112,27 @@ class Observer:
 
         ``record`` / ``span`` / ``root`` are the three calls the step
         kernel (:mod:`repro.storm.kernel`) makes, answered under the
-        same names by :class:`WorkerObs`."""
-        self._hist(component, task).observe(seconds)
-        self._row_counter(component, task).inc(rows)
+        same names by :class:`WorkerObs`.  It only queues the batch: an
+        executed batch costs a tuple, and the instruments are brought up
+        to date (:meth:`flush`) when the registry is read."""
+        self._pending.append((component, task, rows, seconds))
+        if len(self._pending) >= PENDING_RECORDS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold the queued batches into their instruments, oldest first
+        (every recording thread's, each exactly once)."""
+        pop = self._pending.popleft
+        while self._pending:
+            try:
+                component, task, rows, seconds = pop()
+            except IndexError:  # another thread took the last one
+                return
+            instruments = self._instruments.get((component, task))
+            if instruments is None:
+                instruments = self._instruments_of(component, task)
+            instruments[0].observe(seconds)
+            instruments[1].inc(rows)
 
     #: the coordinator-side spelling (direct recording, payload merge)
     on_execute = record
@@ -126,7 +153,8 @@ class Observer:
         :meth:`~repro.storm.groupings.Grouping.skew_possible`); each
         sample is labelled with the grouping that produced the split."""
         loads: Dict[str, List[float]] = defaultdict(list)
-        for (component, _task), counter in sorted(self._rows.items()):
+        for (component, _task), (_hist, counter) in sorted(
+                self._instruments.items()):
             loads[component].append(counter.read())
         out: List[Sample] = []
         for component, values in sorted(loads.items()):
@@ -151,6 +179,10 @@ class Observer:
     def _next_span_id(self) -> str:
         return f"c.{next(self._span_seq)}"
 
+    def _span_ids(self, count: int) -> Tuple[str, ...]:
+        return tuple([f"c.{number}"
+                      for number in itertools.islice(self._span_seq, count)])
+
     def root(self, component: str, task: int, rows: int,
              seconds: float) -> Optional[SpanContext]:
         """Record the source hop of a new trace (metrics level: no-op)."""
@@ -158,8 +190,8 @@ class Observer:
             return None
         trace_id = self.next_trace_id(component, task)
         span_id = self._next_span_id()
-        self.traces.add(make_span(trace_id, span_id, None, component, task,
-                                  rows, seconds))
+        self.traces.add_record(span_record(
+            trace_id, span_id, None, component, task, rows, seconds))
         return SpanContext(trace_id, span_id)
 
     def span(self, parent: Optional[SpanContext], component: str, task: int,
@@ -171,13 +203,15 @@ class Observer:
         if parent is None or not self.trace:
             return None
         if not isinstance(parent, SpanContext):
-            spans, child = fan_in_spans(parent, self._next_span_id,
-                                        component, task, rows, seconds)
-            self.traces.extend(spans)
+            block, child = fan_in_spans(parent, self._span_ids,
+                                        component, task, rows, seconds,
+                                        self._issue_lock)
+            self.traces.add_block(block)
             return child
         span_id = self._next_span_id()
-        self.traces.add(make_span(parent.trace_id, span_id, parent.span_id,
-                                  component, task, rows, seconds))
+        self.traces.add_record(span_record(
+            parent.trace_id, span_id, parent.span_id, component, task, rows,
+            seconds))
         return SpanContext(parent.trace_id, span_id)
 
     # -- worker payload merge ----------------------------------------------
@@ -222,6 +256,12 @@ class WorkerObs:
         self._span_seq += 1
         return f"{self.prefix}.{self._span_seq}"
 
+    def _span_ids(self, count: int) -> Tuple[str, ...]:
+        first, self._span_seq = self._span_seq, self._span_seq + count
+        prefix = self.prefix
+        return tuple([f"{prefix}.{number}"
+                      for number in range(first + 1, first + count + 1)])
+
     def record(self, component: str, task: int, rows: int,
                seconds: float) -> None:
         self.timings.append((component, task, rows, seconds))
@@ -243,9 +283,10 @@ class WorkerObs:
         if parent is None or not self.trace:
             return None
         if not isinstance(parent, SpanContext):
-            spans, child = fan_in_spans(parent, self._next_span_id,
+            block, child = fan_in_spans(parent, self._span_ids,
                                         component, task, rows, seconds)
-            self.spans.extend(spans)
+            self.spans.extend(dict(zip(SPAN_FIELDS, record))
+                              for record in block.records())
             return child
         span_id = self._next_span_id()
         self.spans.append(make_span(parent.trace_id, span_id, parent.span_id,

@@ -217,18 +217,22 @@ class MetricsRegistry:
     for an existing name/label pair is an error.  Collectors are
     callables returning an iterable of :data:`Sample` — they let the
     :mod:`repro.storm.metrics` classes join the export surface without
-    paying any locking on their recording paths.
+    paying any locking on their recording paths.  A recorder that holds
+    its recordings back registers a *flush* instead, which folds them
+    into their instruments before every read.
     """
 
     GUARDED_BY = {
         "_instruments": "_lock",
         "_collectors": "_lock",
+        "_flushes": "_lock",
     }
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: Dict[Tuple[str, _LabelKey], object] = {}
         self._collectors: List[Callable[[], Iterable[Sample]]] = []
+        self._flushes: List[Callable[[], None]] = []
 
     def _get_locked(self, cls, name: str,  # squall-lint: holds=_lock
                     labels: Dict[str, str], **kwargs):
@@ -265,7 +269,17 @@ class MetricsRegistry:
             if collector not in self._collectors:
                 self._collectors.append(collector)
 
+    def register_flush(self, flush: Callable[[], None]) -> None:
+        """Run ``flush`` before every read of the instruments."""
+        with self._lock:
+            if flush not in self._flushes:
+                self._flushes.append(flush)
+
     def instruments(self) -> List[object]:
+        with self._lock:
+            flushes = list(self._flushes)
+        for flush in flushes:  # it may create instruments: not under lock
+            flush()
         with self._lock:
             items = sorted(self._instruments.items())
         return [instrument for _key, instrument in items]

@@ -4,12 +4,13 @@ A :class:`SpanContext` is the two-string tag that rides a micro-batch
 through the dataplane — over the inline work stack, through the thread
 executors' queues, and across the resident-process pipes (it pickles
 to a tiny tuple).  Each operator hop appends one *span record* — a
-plain dict, so worker replies can carry them without a custom codec —
-to the :class:`TraceBuffer`, whose JSON export makes one source batch
-followable spout→join→agg→sink with per-hop timings.  A batch the
-dataplane *coalesced* from several hops carries a :class:`FanIn` of
-their contexts instead, and its one execution records one span per
-contributing hop: tracing never changes which batches run.
+plain dict on the wire from a worker, a tuple of :data:`SPAN_FIELDS` in
+the buffer — to the :class:`TraceBuffer`, whose JSON export makes one
+source batch followable spout→join→agg→sink with per-hop timings.  A
+batch the dataplane *coalesced* from several hops carries a
+:class:`FanIn` of their contexts instead, and its one execution records
+one span per contributing hop (kept together as one :class:`SpanBlock`):
+tracing never changes which batches run.
 
 Trace ids are deterministic — ``"<source>.<task>.<seq>"`` for the
 ``seq``-th batch a source task emitted — so the *same* logical batch
@@ -23,6 +24,8 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
+from functools import partial
+from itertools import repeat
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 #: default bound on retained span records
@@ -37,66 +40,218 @@ class SpanContext(NamedTuple):
     span_id: str
 
 
-class FanIn(tuple):
-    """What a *coalesced* batch carries: ``((SpanContext, rows), ...)``,
-    one entry per traced hop whose output was merged into it, in arrival
-    order, with the rows that hop contributed.
+class FanIn:
+    """What a *coalesced* batch carries: one entry per traced hop whose
+    output was merged into it, in arrival order, with the rows that hop
+    contributed; it iterates as ``((SpanContext, rows), ...)``.
 
     Executing the batch records one span per entry (:func:`fan_in_spans`)
     -- the spans the uncoalesced run would have recorded in as many
-    calls -- so merging batches never has to stop at a trace boundary."""
+    calls -- so merging batches never has to stop at a trace boundary.
+    A fan-in below a wide join has hundreds of entries, so it keeps them
+    as three parallel tuples (trace ids, span ids, rows), and a fan-in
+    the dataplane makes is *deferred*: it knows its ``size`` (entries)
+    at once, and builds its columns when they are first read -- by the
+    trace, by a fan-in merged from it, or by a pickle for a worker.  A
+    traced run therefore pays per merged batch, not per entry."""
+
+    __slots__ = ("size", "_columns", "_build")
+
+    def __init__(self, entries=()):
+        entries = tuple(entries)
+        self._set((tuple(ctx.trace_id for ctx, _rows in entries),
+                   tuple(ctx.span_id for ctx, _rows in entries),
+                   tuple(rows for _ctx, rows in entries)))
+
+    def _set(self, columns: Tuple[tuple, tuple, tuple]):
+        self._columns, self._build = columns, None
+        self.size = len(columns[2])
+
+    @classmethod
+    def of(cls, trace_ids: tuple, span_ids: tuple, rows: tuple) -> "FanIn":
+        """A fan-in from its three columns, taken as they are."""
+        fan_in = cls.__new__(cls)
+        fan_in._set((trace_ids, span_ids, rows))
+        return fan_in
+
+    @classmethod
+    def deferred(cls, size: int, build) -> "FanIn":
+        """A fan-in of ``size`` entries whose columns ``build()`` returns
+        when first read.  ``build`` may run more than once (threads
+        reading at once) and must return the same columns every time."""
+        fan_in = cls.__new__(cls)
+        fan_in.size, fan_in._columns, fan_in._build = size, None, build
+        return fan_in
+
+    def columns(self) -> Tuple[tuple, tuple, tuple]:
+        """``(trace_ids, span_ids, rows)``, built if deferred."""
+        columns = self._columns
+        if columns is None:
+            columns = self._build()
+            self._columns, self._build = columns, None
+        return columns
+
+    @property
+    def trace_ids(self) -> tuple:
+        return self.columns()[0]
+
+    @property
+    def span_ids(self) -> tuple:
+        return self.columns()[1]
+
+    @property
+    def rows(self) -> tuple:
+        return self.columns()[2]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        trace_ids, span_ids, rows = self.columns()
+        return zip(map(SpanContext, trace_ids, span_ids), rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FanIn):
+            return self.columns() == other.columns()
+        return isinstance(other, tuple) and tuple(self) == other
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return FanIn.of, self.columns()
+
+    def __repr__(self) -> str:
+        return f"FanIn({tuple(self)!r})"
 
 
-def parts_of(ctx, rows: int) -> tuple:
-    """The fan-in entries of ``rows`` rows routed under ``ctx``.
+def merged_context(parts: list, rows: int):
+    """The context of a batch of ``rows`` rows merged from ``parts``,
+    each ``(ctx, rows)``: a traced hop's context and the rows routed
+    under it, in arrival order (untraced parts -- punctuations -- are
+    left out of ``parts``).
 
-    An untraced hop (None) contributes none; a single parent contributes
-    them all.  Downstream of a fan-in no row can be told apart by trace
-    any more, so every parent gets an equal share (the first ones the
-    remainder); the row counts the fan-in arrived with described the
-    batch upstream and are not carried over."""
-    if ctx is None:
-        return ()
-    if isinstance(ctx, SpanContext):
-        return ((ctx, rows),)
-    share, extra = divmod(rows, len(ctx))
-    return tuple((parent, share + 1 if position < extra else share)
-                 for position, (parent, _upstream_rows) in enumerate(ctx))
+    None if no part was traced; a single parent that contributed every
+    row is the context itself, as routed; anything else is a deferred
+    :class:`FanIn` of the parents with the rows each contributed.
+    Downstream of a fan-in no row can be told apart by trace any more,
+    so each of its parents gets an equal share of the part (the first
+    ones the remainder); the row counts the fan-in arrived with
+    described the batch upstream and are not carried over."""
+    if not parts:
+        return None
+    if len(parts) == 1:
+        ctx, part_rows = parts[0]
+        if part_rows == rows:
+            if isinstance(ctx, SpanContext):
+                return ctx
+            if ctx.size == 1:
+                return SpanContext(ctx.trace_ids[0], ctx.span_ids[0])
+    contexts = [ctx for ctx, _rows in parts]
+    if FanIn in set(map(type, contexts)):
+        size = sum(1 if isinstance(ctx, SpanContext) else ctx.size
+                   for ctx in contexts)
+    else:
+        size = len(parts)
+    return FanIn.deferred(size, partial(_merged_columns, parts))
+
+
+def _merged_columns(parts: list) -> Tuple[tuple, tuple, tuple]:
+    """The columns of :func:`merged_context`'s fan-in of ``parts``."""
+    trace_ids, span_ids, counts = [], [], []
+    for ctx, part_rows in parts:
+        if isinstance(ctx, SpanContext):
+            trace_ids.append(ctx.trace_id)
+            span_ids.append(ctx.span_id)
+            counts.append(part_rows)
+        else:
+            parent_traces, parent_spans, _rows = ctx.columns()
+            trace_ids.extend(parent_traces)
+            span_ids.extend(parent_spans)
+            share, extra = divmod(part_rows, ctx.size)
+            counts.extend((share + 1,) * extra)
+            counts.extend((share,) * (ctx.size - extra))
+    return tuple(trace_ids), tuple(span_ids), tuple(counts)
+
+
+#: a span record's fields: what :meth:`TraceBuffer.spans` keys its dicts
+#: by, and the order of the tuples the buffer keeps
+SPAN_FIELDS = ("trace", "span", "parent", "component", "task", "rows",
+               "duration_ms")
 
 
 def make_span(trace_id: str, span_id: str, parent_id: Optional[str],
               component: str, task: int, rows: int,
               duration_s: float) -> Dict[str, object]:
     """One hop of one batch, as a JSON-ready record."""
-    return {
-        "trace": trace_id,
-        "span": span_id,
-        "parent": parent_id,
-        "component": component,
-        "task": task,
-        "rows": rows,
-        "duration_ms": duration_s * 1000.0,
-    }
+    return dict(zip(SPAN_FIELDS, span_record(
+        trace_id, span_id, parent_id, component, task, rows, duration_s)))
 
 
-def fan_in_spans(parent: FanIn, next_span_id, component: str, task: int,
-                 rows: int, duration_s: float):
-    """The span records of one executed batch coalesced from several
-    traced hops, and the context its emissions carry.
+def span_record(trace_id: str, span_id: str, parent_id: Optional[str],
+                component: str, task: int, rows: int,
+                duration_s: float) -> tuple:
+    """:func:`make_span` as the tuple a :class:`TraceBuffer` keeps."""
+    return (trace_id, span_id, parent_id, component, task, rows,
+            duration_s * 1000.0)
+
+
+class SpanBlock(NamedTuple):
+    """The spans of one executed fan-in: span ``i`` is the hop of entry
+    ``i`` of ``parent`` at ``(component, task)``, its id entry ``i`` of
+    ``child``, its duration the entry's rows times ``ms_per_row``."""
+
+    parent: FanIn
+    child: FanIn
+    component: str
+    task: int
+    ms_per_row: float
+
+    @property
+    def size(self) -> int:
+        return self.parent.size
+
+    def records(self) -> List[tuple]:
+        """The block's spans, as :func:`span_record` tuples."""
+        trace_ids, parent_ids, rows = self.parent.columns()
+        ms_per_row = self.ms_per_row
+        return list(zip(trace_ids, self.child.span_ids, parent_ids,
+                        repeat(self.component), repeat(self.task), rows,
+                        [part_rows * ms_per_row for part_rows in rows]))
+
+    def tail(self, start: int) -> "SpanBlock":
+        """The block without its first ``start`` spans."""
+        def cut(fan_in):
+            return FanIn.of(*(column[start:] for column in fan_in.columns()))
+        return self._replace(parent=cut(self.parent), child=cut(self.child))
+
+
+def fan_in_spans(parent: FanIn, span_ids, component: str, task: int,
+                 rows: int, duration_s: float, lock=None):
+    """The spans of one executed batch coalesced from several traced
+    hops, and the context its emissions carry.
 
     One span per entry of ``parent``, each with the rows its hop
     contributed and that row-share of the one measured call, so the
     durations sum to the call (less the share of untraced punctuation
-    rows merged into the batch).  Returns ``(spans, child)``."""
-    spans = []
-    children = []
-    for ctx, part_rows in parent:
-        span_id = next_span_id()
-        spans.append(make_span(
-            ctx.trace_id, span_id, ctx.span_id, component, task, part_rows,
-            duration_s * part_rows / rows if rows else 0.0))
-        children.append((SpanContext(ctx.trace_id, span_id), part_rows))
-    return spans, FanIn(children)
+    rows merged into the batch).  Returns ``(block, child)``: the spans
+    as one :class:`SpanBlock`, and a deferred fan-in of them, whose span
+    ids ``span_ids(n)`` issues as a tuple when it is first read -- under
+    ``lock``, so that racing readers agree on them (None: issued at
+    once)."""
+    def build():
+        trace_ids, _parent_ids, part_rows = parent.columns()
+        with lock:
+            if child._columns is None:
+                child._set((trace_ids, span_ids(len(part_rows)), part_rows))
+            return child._columns
+
+    child = FanIn.deferred(parent.size, build)
+    if lock is None:
+        trace_ids, _parent_ids, part_rows = parent.columns()
+        child._set((trace_ids, span_ids(len(part_rows)), part_rows))
+    block = SpanBlock(parent, child, component, task,
+                      duration_s * 1000.0 / rows if rows else 0.0)
+    return block, child
 
 
 class TraceBuffer:
@@ -104,11 +259,16 @@ class TraceBuffer:
 
     When full, the oldest spans are evicted and counted in
     ``dropped`` — tracing must never make the engine grow without
-    bound, and a profile run cares about recent batches anyway.
+    bound, and a profile run cares about recent batches anyway.  A span
+    is kept as a :func:`span_record` tuple, a fan-in's spans as one
+    :class:`SpanBlock` -- a traced run records one span per hop, and a
+    tuple costs a fraction of a dict -- and read back as
+    :func:`make_span` dicts.
     """
 
     GUARDED_BY = {
         "_spans": "_lock",
+        "_count": "_lock",
         "dropped": "_lock",
     }
 
@@ -117,31 +277,64 @@ class TraceBuffer:
             raise ValueError("trace capacity must be positive")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._spans: Deque[Dict[str, object]] = deque()
+        #: span records and span blocks, oldest first
+        self._spans: Deque[tuple] = deque()
+        #: the spans they hold
+        self._count = 0
         self.dropped = 0
 
     def _evict_locked(self) -> None:  # squall-lint: holds=_lock
-        while len(self._spans) > self.capacity:
-            self._spans.popleft()
-            self.dropped += 1
+        while self._count > self.capacity:
+            oldest = self._spans[0]
+            size = oldest.size if type(oldest) is SpanBlock else 1
+            evict = min(size, self._count - self.capacity)
+            if evict == size:
+                self._spans.popleft()
+            else:
+                self._spans[0] = oldest.tail(evict)
+            self._count -= evict
+            self.dropped += evict
 
     def add(self, span: Dict[str, object]) -> None:
-        with self._lock:
-            self._spans.append(span)
-            self._evict_locked()
+        self.add_record(tuple(span[field] for field in SPAN_FIELDS))
 
     def extend(self, spans) -> None:
+        """Add span dicts (:func:`make_span`), in order."""
+        records = [tuple(span[field] for field in SPAN_FIELDS)
+                   for span in spans]
         with self._lock:
-            self._spans.extend(spans)
+            self._spans.extend(records)
+            self._count += len(records)
+            self._evict_locked()
+
+    def add_record(self, record: tuple) -> None:
+        """Add one :func:`span_record` tuple."""
+        with self._lock:
+            self._spans.append(record)
+            self._count += 1
+            self._evict_locked()
+
+    def add_block(self, block: SpanBlock) -> None:
+        """Add the spans of one :class:`SpanBlock`."""
+        with self._lock:
+            self._spans.append(block)
+            self._count += block.size
             self._evict_locked()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._spans)
+            return self._count
 
     def spans(self) -> List[Dict[str, object]]:
         with self._lock:
-            return list(self._spans)
+            entries = list(self._spans)
+        records = []
+        for entry in entries:
+            if type(entry) is SpanBlock:
+                records.extend(entry.records())
+            else:
+                records.append(entry)
+        return [dict(zip(SPAN_FIELDS, record)) for record in records]
 
     def trace_ids(self) -> List[str]:
         """Distinct trace ids in first-seen order."""

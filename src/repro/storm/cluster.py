@@ -63,6 +63,12 @@ from repro.storm.topology import Bolt, Spout, Topology, TopologyError
 #: (PR 17).
 ROUND_BUDGET = 32_768
 
+#: rounds a batch ``processes`` run may pull and route before its workers
+#: fork, so that they inherit the first component's input instead of
+#: receiving it over a pipe (:meth:`LocalCluster._pull_rounds`): what the
+#: coordinator holds at once stays bounded by this many rounds' rows
+INHERITED_ROUNDS = 4
+
 
 class LocalCluster:
     """Instantiates every task of a topology and runs it to completion."""
@@ -128,8 +134,9 @@ class LocalCluster:
     def task(self, component: str, index: int):
         """Access a live task instance (tests, result extraction).
 
-        After a ``processes`` run this returns the final task state
-        shipped back from the owning worker."""
+        After a ``processes`` run this returns what the task shipped
+        back from its worker (:meth:`~repro.storm.topology.Bolt.export`:
+        the task itself, or a joiner's counters)."""
         return self._tasks[component][index]
 
     def tasks(self, component: str) -> List[object]:
@@ -250,39 +257,40 @@ class LocalCluster:
         its share in ``batch_size`` pulls -- spout after spout, so a
         joiner's deliveries from one relation are adjacent and merge --
         and one level pass executes what was routed (on ``pool``'s
-        workers if one is given).
+        workers if one is given; this starts the pool).
 
-        On ``pool`` the next round is pulled and routed while the workers
-        run this round's first component (whose input is all spout rows,
-        so this round's pulls made all of it) -- unless the run is
-        observed or a spout edge shares routing state with a bolt edge.
-        The routing order changes only between groupings that share
-        nothing, so every task executes the batches it executes inline.
+        On ``pool``, when the run is unobserved and no two components'
+        out-edges share routing state, up to :data:`INHERITED_ROUNDS`
+        rounds are pulled and routed before the workers fork: each
+        inherits its tasks' deliveries to the first component (whose
+        input is all spout rows), so they never cross a pipe, and runs
+        those rounds' turns back to back; then each later component
+        takes its turns of those rounds the same way, one command per
+        worker.  Any later round is pulled and run on its own.
+        Either way every task executes the batches it executes inline,
+        and every edge routes its rows in the order it routes them
+        inline.
         """
-        overlap = (pool is not None and self._observer is None
-                   and self._router.spouts_route_alone
-                   and bool(self._bolt_order))
-        # the round whose first component is running on the workers: its
-        # buffer and the handle of its submitted turn
-        running = submitted = None
-        while active:
-            try:
+        router = self._router
+        if (pool is not None and self._observer is None
+                and router.spouts_route_alone and router.bolts_route_alone
+                and self._bolt_order):
+            buffers = []
+            while active and len(buffers) < INHERITED_ROUNDS:
                 buffer, active = self._pull_round(active, batch_size)
-            finally:
-                if submitted is not None:
-                    # drained even when the pull raised: no reply is left
-                    # in a pipe for the next command to trip over
-                    pool.finish_level(submitted, self._router.route,
-                                      running, self.metrics, None)
-            if submitted is not None:
-                self._level_pass(running, pool=pool, first=1)
-                submitted = None
-            if overlap and active:
-                head = self._bolt_order[0]
-                running = buffer
-                submitted = pool.submit_level(head, self._turn(buffer, head))
-            else:
-                self._level_pass(buffer, pool=pool)
+                buffers.append(buffer)
+            head = self._bolt_order[0]
+            pool.start(head, [self._turn(buffer, head) for buffer in buffers])
+            for name in self._bolt_order:
+                pool.run_rounds(
+                    name, [None if name == head else self._turn(buffer, name)
+                           for buffer in buffers],
+                    router.route, buffers, self.metrics)
+        elif pool is not None:
+            pool.start()
+        while active:
+            buffer, active = self._pull_round(active, batch_size)
+            self._level_pass(buffer, pool=pool)
 
     def _pull_round(self, active, batch_size):
         """One round's pulls, routed into a fresh buffer; returns it and
@@ -429,19 +437,18 @@ class LocalCluster:
                 for task_index, task in enumerate(self._tasks[name]))
 
     def _level_pass(self, buffer: WaveBuffer, finish: bool = False,
-                    pool=None, first: int = 0):
+                    pool=None):
         """Run every bolt component once, upstream first, on what
         ``buffer`` holds for its tasks; emissions route back into the
         buffer for the components still to come (every edge goes
         forward in topological order, so one pass empties it).  With
         ``finish`` each component is flushed on its turn.  A component's
         turn is :func:`~repro.storm.kernel.run_level` here, or the same
-        call on ``pool``'s workers (the batch ``processes`` executor).
-        ``first`` skips the components whose turn has already run."""
+        call on ``pool``'s workers (the batch ``processes`` executor)."""
         observer = self._observer
         route = self._router.route
         queue = "inline" if pool is None else "processes"
-        for name in self._bolt_order[first:]:
+        for name in self._bolt_order:
             if observer is not None and buffer:
                 observer.on_queue_depth(queue, buffer.depth())
             work = self._turn(buffer, name)

@@ -27,10 +27,13 @@ finishing pass -- with each component's turn handed to
 :func:`repro.storm.kernel.run_level`: the coordinator's
 :class:`WaveBuffer` coalesces a task's deliveries per ``(source, stream)``
 run, the owning workers execute them concurrently, and the emissions are
-routed in task order.  While the workers run a round's first component
-the coordinator pulls and routes the next round, when no routing state
-is shared between the spouts' edges and the bolts' (see
-:meth:`ResidentWorkerPool.submit_level`).  So every grouping of a batch
+routed in task order.  When no routing state is shared across two
+components' out-edges, the first rounds (up to
+:data:`~repro.storm.cluster.INHERITED_ROUNDS`) are pulled and routed
+before the pool forks: each worker inherits its tasks' deliveries to the
+first component and runs those rounds' turns back to back (see
+:meth:`~repro.storm.cluster.LocalCluster._pull_rounds` and
+:meth:`ResidentWorkerPool.run_rounds`).  So every grouping of a batch
 ``processes`` run sees the sequence it sees inline -- same results, same
 executed batches -- and what the run adds over ``inline`` is its
 workers, not its schedule.
@@ -42,13 +45,14 @@ import gc
 import os
 import pickle
 import traceback
+from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
-from repro.obs import FanIn, WorkerObs
-from repro.obs.tracing import parts_of
+from repro.obs import WorkerObs
+from repro.obs.tracing import merged_context
 from repro.storm.kernel import deliver
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
@@ -89,15 +93,22 @@ class Router:
             name: spec.parallelism for name, spec in topology.components.items()
         }
         owners = {True: set(), False: set()}
+        #: how many bolt components route through each owner
+        bolts = Counter()
         for name, edges in self._edges.items():
-            owners[topology.components[name].is_spout].update(
-                id(owner) for _edge, grouping in edges
-                for owner in grouping.routing_owners())
+            mine = {id(owner) for _edge, grouping in edges
+                    for owner in grouping.routing_owners()}
+            owners[topology.components[name].is_spout].update(mine)
+            if not topology.components[name].is_spout:
+                bolts.update(mine)
         #: no routing state is shared between a spout's out-edges and a
         #: bolt's: routing a spout pull commutes with routing a bolt's
         #: emissions, so the two may be routed in either order and every
         #: grouping still sees the sequence it sees inline
         self.spouts_route_alone = not owners[True] & owners[False]
+        #: nor between two bolt components' out-edges: one bolt's
+        #: emissions may be routed ahead of another's
+        self.bolts_route_alone = all(count == 1 for count in bolts.values())
 
     def routing_state(self) -> Dict[str, List[object]]:
         """Mutable grouping state per component's out-edges (checkpoint).
@@ -175,15 +186,13 @@ class Router:
 Delivery = Tuple[str, str, object, object]
 
 
-def _mergeable(earlier, later) -> bool:
-    """Whether two payloads may execute as one batch: both non-empty and
-    of one representation (row lists; or ColumnBatches of equal arity,
-    whatever their signs)."""
-    if not len(earlier) or not len(later):
-        return False
-    if isinstance(earlier, ColumnBatch):
-        return isinstance(later, ColumnBatch) and earlier.width == later.width
-    return not isinstance(later, ColumnBatch)
+def _layout(payload):
+    """What two payloads must share to execute as one batch: a row list,
+    or a ColumnBatch's arity (whatever its signs); None for an empty
+    payload, which merges with nothing."""
+    if not len(payload):
+        return None
+    return payload.width if isinstance(payload, ColumnBatch) else "rows"
 
 
 def _concat(parts: list):
@@ -216,8 +225,8 @@ class WaveBuffer:
     """
 
     def __init__(self):
-        #: (target, task) -> runs, each ``[source, stream, payloads,
-        #: fan-in entries]``
+        #: (target, task) -> runs, each ``[source, stream, layout,
+        #: payloads, (ctx, rows) of the traced payloads]``
         self._runs: Dict[Tuple[str, int], List[list]] = {}
 
     def __bool__(self) -> bool:
@@ -230,25 +239,26 @@ class WaveBuffer:
     def add(self, items: List[WorkItem], ctx=None):
         """Buffer one ``Router.route`` result, all parented by ``ctx``."""
         for target, task_index, source, stream, rows in items:
-            traced = () if ctx is None else parts_of(ctx, len(rows))
+            layout = _layout(rows)
             runs = self._runs.setdefault((target, task_index), [])
-            if (runs and runs[-1][0] == source and runs[-1][1] == stream
-                    and _mergeable(runs[-1][2][-1], rows)):
-                runs[-1][2].append(rows)
-                runs[-1][3].extend(traced)
-            else:
-                runs.append([source, stream, [rows], list(traced)])
+            if runs:
+                last = runs[-1]
+                if (layout is not None and last[2] == layout
+                        and last[0] == source and last[1] == stream):
+                    last[3].append(rows)
+                    if ctx is not None:
+                        last[4].append((ctx, len(rows)))
+                    continue
+            runs.append([source, stream, layout, [rows],
+                         [] if ctx is None else [(ctx, len(rows))]])
 
     def pop(self, key) -> List[Delivery]:
         """Remove and return one task's deliveries, each run merged."""
         deliveries = []
-        for source, stream, payloads, traced in self._runs.pop(key, ()):
+        for source, stream, _, payloads, traced in self._runs.pop(key, ()):
             rows = _concat(payloads)
-            if len(traced) == 1 and traced[0][1] == len(rows):
-                ctx = traced[0][0]  # one parent, all of the rows: as routed
-            else:
-                ctx = FanIn(traced) if traced else None
-            deliveries.append((source, stream, rows, ctx))
+            deliveries.append((source, stream, rows,
+                               merged_context(traced, len(rows))))
         return deliveries
 
 
@@ -299,7 +309,8 @@ class ResidentWorkerState:
     PIPE_PICKLED = True
 
     #: coordinator command -> method (see :func:`worker_loop`)
-    COMMANDS = {"execute": "execute", "watermark": "advance_watermark",
+    COMMANDS = {"execute": "execute", "rounds": "execute_rounds",
+                "watermark": "advance_watermark",
                 "checkpoint": "checkpoint", "restore": "restore",
                 "collect": "exports"}
 
@@ -317,6 +328,9 @@ class ResidentWorkerState:
         self.kill_after = sorted(kill_after or [])
         #: worker-side observability accumulator (None = observe='off')
         self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
+        #: round -> the work items of that round this worker was forked
+        #: with (:meth:`ResidentWorkerPool.start`)
+        self.inherited: Dict[int, List[tuple]] = {}
 
     def _maybe_die(self):
         if not self.kill_after:
@@ -360,6 +374,14 @@ class ResidentWorkerState:
                 outputs.append((name, task_index, emissions, None))
         return outputs, counters, None if obs is None else obs.drain()
 
+    def execute_rounds(self, rounds: list) -> list:
+        """:meth:`execute` one component's turns in several rounds, one
+        after the other: each a list of work items, or the index of a
+        round handed down at fork time."""
+        return [self.execute(self.inherited.pop(work, [])
+                             if isinstance(work, int) else work)
+                for work in rounds]
+
     def advance_watermark(self, watermark: float):
         """Apply one watermark punctuation to every owned windowed task."""
         outputs: List[Tuple[str, int, object]] = []
@@ -399,9 +421,9 @@ class ResidentWorkerState:
         return len(blobs)
 
     def exports(self) -> Dict[Tuple[str, int], object]:
-        """The owned task instances, shipped home whole (a batch run's
-        final state, for result extraction)."""
-        return self.owned
+        """What each owned task ships home at the end of a batch run, for
+        result extraction (:meth:`~repro.storm.topology.Bolt.export`)."""
+        return {key: task.export() for key, task in self.owned.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +542,12 @@ class StagedExecutor:
 
     The pool is forked over the topology's bolt tasks (fork copies the
     task table into it) and the spouts stay here.  The cluster's rounds
-    run with :meth:`ResidentWorkerPool.run_level` taking each component's
-    turn, then one finishing pass; when the run ends the final task
-    instances ship home into the cluster, so result extraction reads the
-    same tasks as after an inline run.
+    (:meth:`~repro.storm.cluster.LocalCluster._pull_rounds`, which
+    starts the pool) run with the pool taking each component's turn,
+    then one finishing pass; when the run ends what each task exports
+    (:meth:`~repro.storm.topology.Bolt.export`) ships home into the
+    cluster, so result extraction reads what it reads after an inline
+    run.
     """
 
     def __init__(self, cluster, parallelism: Optional[int] = None):
@@ -537,7 +561,6 @@ class StagedExecutor:
         """Execute the topology to completion; returns the cluster metrics."""
         cluster, pool = self.cluster, self.pool
         try:
-            pool.start()
             cluster._pull_rounds(cluster._spouts, batch_size, pool)
             cluster._level_pass(WaveBuffer(), finish=True, pool=pool)
             for (name, task_index), task in pool.collect().items():
@@ -624,8 +647,9 @@ class ResidentWorkerPool:
             worker_id, owned, shape,
             kill_after=self._kill_plan.get(worker_id), observe=self._observe)
 
-    def _fork(self, worker_id: int):
+    def _fork(self, worker_id: int, inherited=None):
         state = self._make_state(worker_id)
+        state.inherited = inherited or {}
         # fork with every object of this process frozen: the child's
         # collections then skip the inherited heap instead of walking
         # it, and copy-on-write faulting it in, on its first full one
@@ -635,11 +659,20 @@ class ResidentWorkerPool:
         finally:
             gc.unfreeze()
 
-    def start(self):
+    def start(self, component: Optional[str] = None, rounds=()):
+        """Fork the workers.  ``rounds`` are ``component``'s turns in
+        rounds already routed, each the ``(index, task, deliveries)`` of
+        a level pass's turn: every worker is forked holding its tasks'
+        deliveries, so they never cross a pipe, and executes them in
+        :meth:`run_rounds`."""
         if not self.assignment:
             return
+        inherited: Dict[int, Dict[int, List[tuple]]] = {}
+        for round_index, work in enumerate(rounds):
+            for worker_id, items in self._items(component, work).items():
+                inherited.setdefault(worker_id, {})[round_index] = items
         for worker_id in range(self.n_workers):
-            self._fork(worker_id)
+            self._fork(worker_id, inherited.get(worker_id))
 
     def stop(self):
         """Signal every worker, then join them (dead ones are reaped)."""
@@ -772,48 +805,74 @@ class ResidentWorkerPool:
         component's turn in a batch level pass.
 
         Each task's deliveries go to its owner in one ``execute``
-        command, which on the finishing pass also flushes the tasks.  The
-        emissions come back raw and are routed into ``out`` here in task
-        order -- a task's own in the order it made them -- which is the
-        order an inline pass routes them in.  A batch run has no
-        checkpoint to recover from, so a dead worker fails it, naming
-        the component it was running.
+        command, which on the finishing pass also flushes the tasks.  A
+        batch run has no checkpoint to recover from, so a dead worker
+        fails it, naming the component it was running.
         """
-        self.finish_level(self.submit_level(component, work, finish),
-                          route, out, counters, obs)
+        try:
+            outputs = self._merge(self._command(self._executions(
+                self._items(component, work), component if finish else None)),
+                counters, obs)
+        except WorkerDied as death:
+            raise self._died(component, death) from None
+        self._route(component, outputs, route, out)
 
-    def submit_level(self, component: str, work, finish: bool = False):
-        """The first half of :meth:`run_level`: send the owners their
-        tasks' deliveries and return at once, with the handle
-        :meth:`finish_level` takes.  In between the workers execute while
-        the coordinator may do anything but command them."""
+    def run_rounds(self, component: str, rounds: list, route, buffers,
+                   counters):
+        """``component``'s turns in several rounds, in one ``rounds``
+        command per worker: ``rounds[k]`` is round ``k``'s turn (the
+        ``(index, task, deliveries)`` of a level pass's), or None for a
+        round the workers were forked with (:meth:`start`).  A worker
+        runs the rounds back to back; the replies are routed once all are
+        in -- so the coordinator takes no core from a worker while they
+        run -- round ``k``'s emissions into ``buffers[k]``, round after
+        round and in task order."""
+        per_worker: Dict[int, list] = {}
+        for round_index, work in enumerate(rounds):
+            held = (dict.fromkeys(self._workers, round_index)
+                    if work is None else self._items(component, work))
+            for worker_id, items in held.items():
+                per_worker.setdefault(
+                    worker_id, [[]] * len(rounds))[round_index] = items
+        try:
+            replies = self._command({worker_id: ("rounds", work)
+                                     for worker_id, work in per_worker.items()})
+        except WorkerDied as death:
+            raise self._died(component, death) from None
+        for round_index, out in enumerate(buffers):
+            self._route(component, self._merge(
+                {worker_id: reply[round_index]
+                 for worker_id, reply in replies.items()}, counters, None),
+                route, out)
+
+    def _items(self, component: str, work) -> Dict[int, List[tuple]]:
+        """A turn's deliveries as each owning worker's work items."""
         per_worker: Dict[int, List[tuple]] = {}
         for index, _task, deliveries in work:
             items = per_worker.setdefault(
                 self.assignment[(component, index)], [])
             items.extend((component, index) + delivery
                          for delivery in deliveries)
-        return component, self._send(
-            self._executions(per_worker, component if finish else None))
+        return per_worker
 
-    def finish_level(self, submitted, route, out, counters, obs):
-        """The second half of :meth:`run_level`: wait for the replies and
-        route the emissions into ``out``."""
-        component, (sent, dead) = submitted
-        try:
-            outputs = self._merge(self._replies(sent, dead), counters, obs)
-        except WorkerDied as death:
-            worker_id = death.worker_ids[0]
-            raise ExecutorError(
-                f"processes worker {worker_id} died running {component!r} "
-                f"(exit code {self._workers[worker_id].exit_code()})"
-            ) from None
+    def _died(self, component: str, death: WorkerDied) -> ExecutorError:
+        worker_id = death.worker_ids[0]
+        return ExecutorError(
+            f"processes worker {worker_id} died running {component!r} "
+            f"(exit code {self._workers[worker_id].exit_code()})")
+
+    @staticmethod
+    def _route(component: str, outputs: List[tuple], route, out):
+        """Route a turn's emissions into ``out`` in task order -- a
+        task's own in the order it made them, which is the order an
+        inline pass routes them in."""
         outputs.sort(key=itemgetter(1))  # stable: per task, as emitted
         for _component, _index, emissions, child in outputs:
             out.add(route(component, emissions), child)
 
     def collect(self) -> Dict[Tuple[str, int], object]:
-        """Every worker's task instances, shipped home."""
+        """What every worker's tasks ship home (:meth:`ResidentWorkerState.
+        exports`)."""
         replies = self._command({worker_id: ("collect",)
                                  for worker_id in self._workers})
         return {key: task for worker_id in sorted(replies)

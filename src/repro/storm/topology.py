@@ -118,6 +118,12 @@ class Bolt:
         """Called once after every upstream component finished (flush)."""
         return []
 
+    def export(self) -> object:
+        """What a finished batch ``processes`` run ships home in this
+        task's place, for result extraction: the task itself, unless a
+        bolt's state is read back only through a few counters."""
+        return self
+
 
 @dataclass
 class ComponentSpec:

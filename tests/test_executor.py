@@ -713,10 +713,17 @@ class TestInlineRounds:
                    for name in ("R", "S", "T")) == 75
 
 
-class SecondPullFails(ListSpout):
+class NthPullFails(ListSpout):
+    """Raises in its ``fail_at``-th pull."""
+
+    def __init__(self, rows, fail_at: int):
+        super().__init__(rows)
+        self.fail_at, self.pulls = fail_at, 0
+
     def next_batch(self, max_rows):
-        if self._position > 0:
-            raise RuntimeError("spout failed in its second pull")
+        self.pulls += 1
+        if self.pulls == self.fail_at:
+            raise RuntimeError(f"spout failed in pull {self.fail_at}")
         return super().next_batch(max_rows)
 
 
@@ -729,42 +736,42 @@ class FreezeCountBolt(Bolt):
         return [("default", (gc.get_freeze_count(),))]
 
 
-class TestRoundOverlap:
-    """Batch ``processes`` pulls and routes the next round while the
-    workers run this round's first component, as long as the spouts'
-    edges share no routing state with the bolts' and the run is not
-    observed."""
+class TestInheritedRounds:
+    """Batch ``processes`` pulls and routes its first rounds, up to
+    ``INHERITED_ROUNDS``, before its workers fork, so each inherits its
+    tasks' deliveries to the first component and runs those rounds'
+    turns back to back; any later round is pulled and run on its own.
+    Only while the run is not observed and no two components' out-edges
+    share routing state across a spout and a bolt, or across two bolts."""
 
     N_ROWS = 400
 
-    def record_schedule(self, monkeypatch, budget=300):
-        """Patch the round/turn steps to log ``(step, component)``; the
-        default ``budget`` gives the chain join 100 rows a spout and
-        round: four rounds."""
+    def record_schedule(self, monkeypatch, budget=100):
+        """Patch the pull/turn steps to log ``(step, turn)``; the default
+        ``budget`` gives the chain join one 64-row pull a spout and
+        round: seven rounds."""
         import repro.storm.cluster
         from repro.storm.executor import ResidentWorkerPool
 
         events = []
         steps = [(LocalCluster, "_pull_round", lambda args: None),
-                 (ResidentWorkerPool, "submit_level", lambda args: args[1]),
-                 (ResidentWorkerPool, "finish_level",
-                  lambda args: args[1][0])]
-        for cls, name, component in steps:
+                 (ResidentWorkerPool, "start",
+                  lambda args: args[1] if len(args) > 1 else None),
+                 (ResidentWorkerPool, "run_rounds",
+                  lambda args: (args[1], len(args[2]))),
+                 (ResidentWorkerPool, "run_level", lambda args: args[1])]
+        for cls, name, turn in steps:
             def recorded(*args, _original=getattr(cls, name), _name=name,
-                         _component=component, **kwargs):
-                events.append((_name, _component(args)))
+                         _turn=turn, **kwargs):
+                events.append((_name, _turn(args)))
                 return _original(*args, **kwargs)
             monkeypatch.setattr(cls, name, recorded)
         monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", budget)
         return events
 
     @staticmethod
-    def overlapped(events):
-        """The components whose turn ran while a round was pulled."""
-        return [events[i - 1][1] for i in range(1, len(events) - 1)
-                if events[i][0] == "_pull_round"
-                and events[i - 1][0] == "submit_level"
-                and events[i + 1] == ("finish_level", events[i - 1][1])]
+    def steps(events):
+        return [step for step, _turn in events]
 
     def run_chain(self, executor, observe=None):
         from repro.bench import multiway_join_plan
@@ -776,28 +783,46 @@ class TestRoundOverlap:
                                                  parallelism=2,
                                                  observe=observe))
 
-    def test_the_next_round_is_pulled_while_the_joiners_run(
+    def test_the_first_rounds_are_pulled_before_the_workers_fork(
             self, monkeypatch):
+        from repro.storm.cluster import INHERITED_ROUNDS
+
         events = self.record_schedule(monkeypatch)
-        overlapped = self.run_chain("processes")
-        # every round but the last has a successor to pull meanwhile
-        assert self.overlapped(events) == ["J", "J", "J"]
-        assert [step for step, _c in events].count("_pull_round") == 4
+        forked = self.run_chain("processes")
+        head = INHERITED_ROUNDS
+        assert self.steps(events)[:head] == ["_pull_round"] * head
+        # the joiners run the inherited rounds, then each later
+        # component takes its turns of those rounds
+        assert events[head:head + 4] == [
+            ("start", "J"), ("run_rounds", ("J", head)),
+            ("run_rounds", ("agg", head)), ("run_rounds", ("sink", head))]
+        # the later rounds are pulled one at a time, each before its own
+        # level pass: the coordinator never holds more than the
+        # inherited rounds
+        rest = self.steps(events[head + 4:])
+        assert rest[:4] == ["_pull_round", "run_level", "run_level",
+                            "run_level"]
+        pulled = self.steps(events).count("_pull_round")
+        assert pulled > head
         events.clear()
         inline = self.run_chain("inline")
-        assert [step for step, _c in events] == ["_pull_round"] * 4
-        assert Counter(overlapped.results) == Counter(inline.results)
-        assert overlapped.metrics.batches == inline.metrics.batches
-        assert overlapped.metrics.received == inline.metrics.received
-        assert overlapped.join_state == inline.join_state
+        assert self.steps(events) == ["_pull_round"] * pulled
+        assert Counter(forked.results) == Counter(inline.results)
+        assert forked.metrics.batches == inline.metrics.batches
+        assert forked.metrics.received == inline.metrics.received
+        assert forked.join_state == inline.join_state
+        assert forked.join_work == inline.join_work
 
     def test_an_observed_run_pulls_between_level_passes(self, monkeypatch):
         events = self.record_schedule(monkeypatch)
         self.run_chain("processes", observe="metrics")
-        assert [step for step, _c in events].count("_pull_round") == 4
-        assert self.overlapped(events) == []
+        steps = self.steps(events)
+        assert events[0] == ("start", None) and steps.count("_pull_round") > 1
+        assert "run_rounds" not in steps
+        # a round's level pass runs before the next round is pulled
+        assert steps[1:3] == ["_pull_round", "run_level"]
 
-    def test_the_chain_joins_spout_edges_route_alone(self):
+    def test_the_chain_joins_edges_route_alone(self):
         from repro.bench import multiway_join_plan
         from repro.engine.runner import build_topology
         from repro.storm.executor import Router
@@ -805,13 +830,50 @@ class TestRoundOverlap:
         topology, _partitioners = build_topology(
             multiway_join_plan(n_rows=10, machines=8))
         assert Router(topology).spouts_route_alone
+        assert Router(topology).bolts_route_alone
         assert Router(diamond_topology()[0]).spouts_route_alone
+        assert Router(diamond_topology()[0]).bolts_route_alone
 
-    def test_a_partitioner_shared_with_a_bolt_edge_turns_overlap_off(
+    def test_a_grouping_shared_by_two_bolts_keeps_their_order(
+            self, monkeypatch):
+        """Two bolts routing through one grouping object: one's
+        emissions must not be routed ahead of the other's, so no round
+        is pulled ahead."""
+        from repro.storm.executor import Router
+        from repro.storm.groupings import ShuffleGrouping
+
+        rows = [(i,) for i in range(20)]
+        shared = ShuffleGrouping()
+        builder = TopologyBuilder()
+        builder.set_spout("spout", lambda i, p: ListSpout(rows))
+        builder.set_bolt("left", lambda i, p: DoublerBolt()).shuffle_grouping(
+            "spout")
+        builder.set_bolt("right", lambda i, p: DoublerBolt()).shuffle_grouping(
+            "spout")
+        declarer = builder.set_bolt("sink", lambda i, p: SinkBolt(),
+                                    parallelism=2)
+        declarer.custom_grouping("left", shared)
+        declarer.custom_grouping("right", shared)
+        topology = builder.build()
+        assert Router(topology).spouts_route_alone
+        assert not Router(topology).bolts_route_alone
+        events = self.record_schedule(monkeypatch, budget=8)
+        cluster = LocalCluster(topology)
+        cluster.run(batch_size=4, executor="processes", parallelism=2)
+        assert events[0] == ("start", None)
+        assert "run_rounds" not in self.steps(events)
+        stores = [list(cluster.task("sink", index).store)
+                  for index in range(2)]
+        inline = LocalCluster(topology)
+        inline.run(batch_size=4)
+        assert stores == [list(inline.task("sink", index).store)
+                          for index in range(2)]
+
+    def test_a_partitioner_shared_with_a_bolt_edge_pulls_no_round_ahead(
             self, monkeypatch):
         """A join fed by a source and by another bolt routes both inputs
         through one partitioner: its routing sequence would change if
-        the next round's pulls went ahead of this round's bolt rows."""
+        later rounds' pulls went ahead of this round's bolt rows."""
         from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
         from repro.partitioning.hash_hypercube import HashHypercube
         from repro.storm.executor import Router
@@ -835,29 +897,36 @@ class TestRoundOverlap:
         topology = builder.build()
         assert not Router(topology).spouts_route_alone
         # one 4-row pull a spout and round: five full rounds, and a sixth
-        # that finds the spouts empty -- none overlapped
+        # that finds the spouts empty -- each pulled after the workers
+        # forked, before its own level pass
         events = self.record_schedule(monkeypatch, budget=8)
         LocalCluster(topology).run(batch_size=4, executor="processes",
                                    parallelism=2)
-        assert [step for step, _c in events].count("_pull_round") == 6
-        assert self.overlapped(events) == []
+        steps = self.steps(events)
+        assert events[0] == ("start", None)
+        assert steps.count("_pull_round") == 6
+        assert "run_rounds" not in steps
 
-    def test_a_pull_that_raises_mid_overlap_drains_the_workers(
-            self, monkeypatch):
+    @pytest.mark.parametrize("fail_at", [2, 6], ids=["before", "after"])
+    def test_a_pull_that_raises_leaves_no_worker(self, monkeypatch,
+                                                 fail_at):
+        """A pull raises while the first rounds are pulled ahead of the
+        fork, or in a later round, with the workers running."""
         import repro.storm.cluster
+        from repro.storm.cluster import INHERITED_ROUNDS
 
-        # one 4-row pull a round: the second pull is the next round's,
-        # made while the workers run the first round's bolts
+        assert 2 <= INHERITED_ROUNDS < 6
+        # one 4-row pull a round
         monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", 4)
-        rows = [(i,) for i in range(20)]
+        rows = [(i,) for i in range(40)]
         builder = TopologyBuilder()
-        builder.set_spout("spout", lambda i, p: SecondPullFails(rows))
+        builder.set_spout("spout", lambda i, p: NthPullFails(rows, fail_at))
         builder.set_bolt("double", lambda i, p: DoublerBolt(),
                          parallelism=2).shuffle_grouping("spout")
         builder.set_bolt("sink", lambda i, p: SinkBolt()).global_grouping(
             "double")
         cluster = LocalCluster(builder.build())
-        with pytest.raises(RuntimeError, match="second pull"):
+        with pytest.raises(RuntimeError, match=f"pull {fail_at}"):
             cluster.run(batch_size=4, executor="processes", parallelism=2)
         assert multiprocessing.active_children() == []
 

@@ -1,10 +1,12 @@
-"""Tests for on-the-fly join indexes: HashIndex, SortedIndex, Treap."""
+"""Tests for on-the-fly join indexes: HashIndex, SortedIndex, Treap and
+the columnar kernel's ArrayIndex."""
 
 import random
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.joins.indexes import HashIndex, SortedIndex, Treap
+from repro.joins.indexes import ArrayIndex, HashIndex, SortedIndex, Treap
 
 
 class TestHashIndex:
@@ -135,3 +137,152 @@ class TestTreap:
             treap.insert(key, (key,))
         expected = sorted((k,) for k in keys if low <= k <= high)
         assert sorted(treap.range(low, high)) == expected
+
+
+#: ROADMAP 1(a)'s hazard keys: equal across types (``1``, ``1.0``,
+#: ``True``), equal as text only (``42``, ``"42"``), tuples, ``None`` and
+#: ints no int64 holds -- so every column that holds them is an object one
+HAZARD_KEYS = [1, 1.0, True, 0, False, 42, "42", (1, 1), (1, 1.0), None,
+               2 ** 63, -2 ** 63 - 1, 2 ** 64 + 1]
+#: int64 keys, some close together (a table run) and some spread over
+#: the whole range (a run that searches its distinct codes)
+INT64_KEYS = [0, 1, 2, 3, 7, 42, -1, -2 ** 63, 2 ** 62, 2 ** 63 - 1]
+
+
+def key_column(keys):
+    """Keys as the columnar kernel holds them: an int64 vector when all
+    are plain ints it fits, an object vector otherwise."""
+    if all(type(key) is int and -2 ** 63 <= key < 2 ** 63 for key in keys):
+        return np.array(keys, dtype=np.int64)
+    column = np.empty(len(keys), dtype=object)
+    column[:] = keys
+    return column
+
+
+class IdBucketsModel:
+    """The index the array index replaced: one Python list of ids per
+    key (dict equality), multiplicities by id, retraction by walking a
+    key's ids in ascending order."""
+
+    def __init__(self):
+        self.buckets = {}
+        self.rows = []  # id -> [key, value, multiplicity]
+
+    def extend(self, rows):
+        for key, value, mult in rows:
+            self.buckets.setdefault(key, []).append(len(self.rows))
+            self.rows.append([key, value, mult])
+
+    def retract(self, key, value, amount):
+        for row_id in self.buckets.get(key, ()):
+            stored_key, stored_value, mult = self.rows[row_id]
+            if mult and stored_key == key and stored_value == value:
+                take = min(amount, mult)
+                self.rows[row_id][2] -= take
+                amount -= take
+                if not amount:
+                    return
+        raise AssertionError("the model retracted more than it holds")
+
+    def live_ids(self, key):
+        return [row_id for row_id in self.buckets.get(key, ())
+                if self.rows[row_id][2]]
+
+
+def index_ops(keys):
+    """Extends of one to four rows, and retractions of a live row."""
+    extend = st.tuples(st.just("extend"), st.lists(
+        st.tuples(st.sampled_from(keys), st.integers(0, 2),
+                  st.integers(1, 3)), min_size=1, max_size=4))
+    retract = st.tuples(st.just("retract"),
+                        st.tuples(st.integers(0, 10 ** 6),
+                                  st.integers(1, 3)))
+    return st.lists(st.one_of(extend, extend, retract), max_size=25)
+
+
+class TestArrayIndex:
+    """The columnar view's :class:`ArrayIndex` against a dict of id lists."""
+
+    @staticmethod
+    def apply(view, model, op):
+        kind, payload = op
+        if kind == "extend":
+            view.extend([key_column([key for key, _v, _m in payload]),
+                         np.array([value for _k, value, _m in payload])],
+                        np.array([mult for _k, _v, mult in payload]))
+            model.extend(payload)
+            return
+        pick, amount = payload
+        live = [row for row in model.rows if row[2]]
+        if not live:
+            return
+        key, value, mult = live[pick % len(live)]
+        amount = min(amount, mult)
+        view.retract([key_column([key]), np.array([value])],
+                     np.array([amount]))
+        model.retract(key, value, amount)
+
+    @staticmethod
+    def assert_probes_agree(view, model, probe_keys):
+        counts, ids = view.probe((0,), [key_column(probe_keys)])
+        ids = ids.tolist()
+        for key, count in zip(probe_keys, counts.tolist()):
+            assert ids[:count] == model.live_ids(key), key
+            del ids[:count]
+        assert ids == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_ops=index_ops(INT64_KEYS),
+           mixed_ops=index_ops(INT64_KEYS + HAZARD_KEYS))
+    def test_live_ids_match_a_dict_of_lists(self, int_ops, mixed_ops):
+        """An int64 view first (its keys are their own codes), which
+        then receives the hazard keys and re-codes once."""
+        from repro.joins.dbtoaster import _ColumnarView
+
+        view, model = _ColumnarView(2), IdBucketsModel()
+        view.ensure_index((0,))
+        for op in int_ops:
+            self.apply(view, model, op)
+            self.assert_probes_agree(view, model, INT64_KEYS + [5])
+        for op in mixed_ops:
+            self.apply(view, model, op)
+            self.assert_probes_agree(view, model,
+                                     INT64_KEYS + HAZARD_KEYS + ["x"])
+        assert view.total == sum(row[2] for row in model.rows)
+
+    def test_an_int64_index_recodes_on_its_first_other_key(self):
+        index = ArrayIndex()
+        index.extend([np.array([5, 1, 5], dtype=np.int64)])
+        counts, ids = index.lookup([np.array([5, 9], dtype=np.int64)])
+        assert (counts.tolist(), ids.tolist()) == ([2, 0], [0, 2])
+        index.extend([key_column([5.0, "5"])])
+        counts, ids = index.lookup([key_column([5, True, "5", 1.0])])
+        assert counts.tolist() == [3, 1, 1, 1]
+        assert ids.tolist() == [0, 2, 3, 1, 4, 1]
+
+    def test_a_probe_leaves_out_dead_ids(self):
+        index = ArrayIndex()
+        index.extend([np.array([3, 3, 3], dtype=np.int64)])
+        mults = np.array([1, 0, 2])
+        counts, ids = index.lookup([np.array([3], dtype=np.int64)], mults)
+        assert (counts.tolist(), ids.tolist()) == ([2], [0, 2])
+
+    def test_the_tail_answers_alike_scanned_or_sorted(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        keys = [rng.integers(0, 50, 400), rng.integers(0, 60, 90)]
+        index = ArrayIndex()
+        index.extend([keys[0]])
+        index.lookup([np.arange(50)])            # the run: 400 ids
+        index.extend([keys[1]])                  # a tail under 1/4 of it
+        probe = [rng.integers(0, 70, 40)]
+        scanned = index.lookup(probe)
+        monkeypatch.setattr(ArrayIndex, "SCAN", 0)
+        sorted_tail = index.lookup(probe)
+        assert [part.tolist() for part in scanned] == \
+            [part.tolist() for part in sorted_tail]
+        assert index.n - index._merged == 90  # the tail was probed, unmerged
+        # and both answer as the run would, all ids merged
+        merged = ArrayIndex()
+        merged.extend([np.concatenate(keys)])
+        assert [part.tolist() for part in sorted_tail] == \
+            [part.tolist() for part in merged.lookup(probe)]

@@ -1,10 +1,13 @@
 """Tests for the local join algorithms: traditional vs DBToaster."""
 
+import gc
 import itertools
 import pickle
 import random
+import types
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -456,3 +459,54 @@ class TestColumnarPickle:
         assert_twins_agree("chain", original, twin,
                            columnar_script("chain", seed=4))
         assert twin._cviews is not None
+
+
+def reachable_tracked_objects(root):
+    """How many objects the cyclic collector tracks among those reachable
+    from ``root`` -- not through classes, modules or functions, which
+    reach the whole interpreter."""
+    seen, stack, tracked = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        tracked += gc.is_tracked(obj)
+        stack.extend(gc.get_referents(obj))
+    return tracked
+
+
+class TestColumnarState:
+    @staticmethod
+    def chain_join(n_rows):
+        """A columnar three-way chain join fed ``n_rows`` int rows per
+        relation, in four batches each, over ``n_rows / 2`` keys."""
+        rng = np.random.default_rng(7)
+        join = DBToasterJoin(shape_spec("chain"))
+        for part in range(4):
+            for rel in ("R", "S", "T"):
+                columns = [rng.integers(0, n_rows // 2, n_rows // 4)
+                           for _position in range(2)]
+                join.insert_batch(rel, ColumnBatch(columns, n_rows // 4))
+        return join
+
+    def test_stored_rows_hold_no_collector_tracked_objects(self):
+        small, large = self.chain_join(1_000), self.chain_join(8_000)
+        assert large.state_size() > 7 * small.state_size()
+        assert reachable_tracked_objects(large) == \
+            reachable_tracked_objects(small)
+
+    def test_indexes_add_no_checkpoint_bytes(self):
+        from repro.checkpoint.store import snapshot_blob
+
+        join = DBToasterJoin(shape_spec("chain"))
+        for op in columnar_script("chain", seed=3):
+            apply_op(join, op)
+        assert all(index is not None for cview in join._cviews.values()
+                   for index in cview.indexes.values())
+        blob = snapshot_blob(join)
+        restored = pickle.loads(blob)
+        assert all(index is None for cview in restored._cviews.values()
+                   for index in cview.indexes.values())
+        assert snapshot_blob(restored) == blob

@@ -18,6 +18,7 @@ Four layers of contract:
 
 import asyncio
 import json
+import pickle
 import random
 
 import pytest
@@ -36,8 +37,8 @@ from repro.engine import (
 )
 from repro.engine.runner import run_plan
 from repro.obs import (
-    DEFAULT_LATENCY_BUCKETS,
     Counter,
+    FanIn,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -267,6 +268,29 @@ class TestTraceBuffer:
         assert buffer.dropped == 1
         assert [span["span"] for span in buffer.spans()] == ["c.1", "c.2"]
 
+    def test_capacity_evicts_the_oldest_spans_of_a_fan_in(self):
+        """A fan-in's spans are stored together, and evicted one by one
+        like any others: the block is cut, not dropped whole."""
+        observer = Observer("trace", traces=TraceBuffer(capacity=2))
+        roots = [observer.root("R", 0, rows, 0.0) for rows in (1, 2)]
+        fan_in = FanIn([(roots[0], 1), (roots[1], 2), (roots[0], 1)])
+        child = observer.span(fan_in, "J", 0, 4, 0.004)
+        assert len(observer.traces) == 2
+        assert observer.traces.dropped == 3  # both roots, one fan-in span
+        spans = observer.traces.spans()
+        assert [(span["trace"], span["parent"], span["rows"])
+                for span in spans] == [
+            (roots[1].trace_id, roots[1].span_id, 2),
+            (roots[0].trace_id, roots[0].span_id, 1)]
+        assert [span["duration_ms"] for span in spans] == \
+            pytest.approx([2.0, 1.0])
+        # evicted spans still parent the batch's emissions
+        assert [rows for _parent, rows in child] == [1, 2, 1]
+        observer.traces.add(make_span("t", "c.9", None, "R", 0, 1, 0.0))
+        assert observer.traces.dropped == 4
+        assert [span["span"] for span in observer.traces.spans()] == [
+            spans[1]["span"], "c.9"]
+
     def test_edges_and_tree(self):
         buffer = TraceBuffer()
         buffer.add(make_span("t", "c.1", None, "R", 0, 4, 0.0))
@@ -299,6 +323,60 @@ class TestObserver:
         hist = observer.registry.merged_histogram(
             "operator_batch_seconds", component="J")
         assert hist.count == 1
+
+    def test_batches_are_folded_in_when_the_registry_is_read(
+            self, monkeypatch):
+        """Recording a batch queues it; a read of the registry (and every
+        PENDING_RECORDS batches, read or not) folds the queue into the
+        instruments, oldest first."""
+        import repro.obs.observer
+
+        observer = Observer("metrics")
+        observer.record("J", 0, 10, 0.002)
+        observer.record("J", 1, 5, 0.2)
+        observer.record("J", 0, 1, 0.004)
+        flat = as_dict(observer.registry.samples())
+        assert flat['routed_rows_total{component="J",task="0"}'] == 11
+        assert flat['routed_rows_total{component="J",task="1"}'] == 5
+        hist = observer.registry.merged_histogram(
+            "operator_batch_seconds", component="J")
+        assert hist.count == 3
+        assert hist.total == pytest.approx(0.206)
+
+        monkeypatch.setattr(repro.obs.observer, "PENDING_RECORDS", 2)
+        unread = Observer("metrics")
+        unread.record("J", 0, 10, 0.002)
+        # the instrument itself, fetched without a read of the registry
+        hist = unread.registry.histogram(
+            "operator_batch_seconds", component="J", task="0")
+        assert hist.count == 0
+        unread.record("J", 0, 10, 0.002)
+        assert hist.count == 2
+
+    def test_a_fan_in_issues_its_span_ids_once_whoever_reads_first(self):
+        """A fan-in's spans and the child context of its emissions are
+        built when first read -- by the trace, by the next hop, or by a
+        pickle for a worker -- and agree whichever comes first."""
+        for first_read in ("trace", "child", "pickle"):
+            observer = Observer("trace")
+            roots = [observer.root("R", 0, rows, 0.0) for rows in (3, 1)]
+            child = observer.span(FanIn([(roots[0], 3), (roots[1], 1)]),
+                                  "J", 0, 4, 0.004)
+            assert len(child) == 2 and len(observer.traces) == 4
+            if first_read == "trace":
+                observer.traces.spans()
+            elif first_read == "child":
+                list(child)
+            else:
+                assert pickle.loads(pickle.dumps(child)) == child
+            spans = observer.traces.spans()
+            entries = list(child)
+            hops = [span for span in spans if span["component"] == "J"]
+            assert [(parent.trace_id, parent.span_id, rows)
+                    for parent, rows in entries] == [
+                (span["trace"], span["span"], span["rows"])
+                for span in hops]
+            assert len({span["span"] for span in spans}) == 4
 
     def test_trace_ids_are_deterministic_per_source_task(self):
         observer = Observer("trace")
