@@ -29,17 +29,21 @@ per-tuple *results* are unchanged (the engine's operators are
 order-insensitive up to the final multiset), only the interleaving and
 the number of executed batches differ.
 
-``run(executor=...)`` selects the execution backend: ``inline`` (this
-module's single-threaded loop, the default), or the shared-nothing
-``processes`` backend of :mod:`repro.storm.executor`, which runs these
-same rounds with the bolt tasks on forked resident workers: each
-component's turn in a level pass is one command to the workers that own
-its tasks instead of :func:`~repro.storm.kernel.run_level`.
+The cluster is the one coordinator driver of both executors.  Under
+``processes`` it holds a :class:`~repro.storm.executor.ResidentWorkerPool`
+(:attr:`LocalCluster.pool`; set by a batch run's
+:class:`~repro.storm.executor.StagedExecutor` and by a streaming
+:class:`~repro.streaming.cluster.StreamingCluster`) and every drain is a
+level pass: a component's turn is one command to the workers that own
+its tasks, :meth:`~repro.storm.executor.ResidentWorkerPool.run_level`,
+instead of :func:`~repro.storm.kernel.run_level`, which still takes the
+turns of the components the coordinator keeps (streaming's delta sinks).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import ExecutionOptions
@@ -115,9 +119,14 @@ class LocalCluster:
             for name in self._bolt_order
             for task_index in range(topology.components[name].parallelism)
         ]
-        # static routing table over the topology's own groupings: routing
-        # is identical to the seed engine's per-dispatch edge walk
-        self._router = Router(topology)
+        #: static routing table over the topology's own groupings: routing
+        #: is identical to the seed engine's per-dispatch edge walk (its
+        #: state is what a streaming checkpoint rewinds)
+        self.router = Router(topology)
+        #: the ``ResidentWorkerPool`` whose workers take the turns of
+        #: the components they own (``processes``); None runs every task
+        #: here
+        self.pool = None
         #: some task's state depends on the order its input arrives in:
         #: the whole topology keeps the depth-first schedule
         self._order_sensitive = any(
@@ -201,13 +210,8 @@ class LocalCluster:
         self._set_columnar(columnar)
         started = time.perf_counter()
         try:
-            return self._run_inline(max_tuples, batch_size,
-                                    resolved.executor, parallelism)
-        finally:
-            self.metrics.elapsed = time.perf_counter() - started
-
-    def _run_inline(self, max_tuples, batch_size, executor, parallelism):
-        if executor == "processes":
+            if resolved.executor == "inline":
+                return self._run_to_end(max_tuples, batch_size)
             if max_tuples is not None:
                 raise ExecutorError(
                     "max_tuples is only supported by the inline executor "
@@ -215,11 +219,17 @@ class LocalCluster:
                     "'processes' runs rounds)"
                 )
             return StagedExecutor(self, parallelism).run(batch_size=batch_size)
+        finally:
+            self.metrics.elapsed = time.perf_counter() - started
+
+    def _run_to_end(self, max_tuples, batch_size):
+        """Pull every spout dry, then flush: rounds on the pool or where
+        the level schedule holds, depth-first otherwise."""
         self.set_coalescing(batch_size > 1)
         if max_tuples is not None:
             # the prefix is defined by the per-batch round-robin pulls
             self._waves = False
-        if self._waves:
+        if self._waves or self.pool is not None:
             self._pull_rounds(self._spouts, batch_size)
         elif not self._pull_depth_first(self._spouts, batch_size, max_tuples):
             return self.metrics  # stopped at max_tuples: nothing flushes
@@ -244,7 +254,7 @@ class LocalCluster:
                 if not emissions:
                     continue
                 pulled += len(emissions)
-                self._drain(name, emissions, ctx)
+                self.drain(name, emissions, ctx)
                 if max_tuples is not None and pulled >= max_tuples:
                     return False
                 if more:
@@ -252,14 +262,14 @@ class LocalCluster:
             active = still_active
         return True
 
-    def _pull_rounds(self, active, batch_size, pool=None):
+    def _pull_rounds(self, active, batch_size):
         """Rounds of :data:`ROUND_BUDGET` rows: every active spout pulls
         its share in ``batch_size`` pulls -- spout after spout, so a
         joiner's deliveries from one relation are adjacent and merge --
-        and one level pass executes what was routed (on ``pool``'s
-        workers if one is given; this starts the pool).
+        and one level pass executes what was routed (this starts the
+        cluster's pool, if it has one).
 
-        On ``pool``, when the run is unobserved and no two components'
+        On the pool, when the run is unobserved and no two components'
         out-edges share routing state, up to :data:`INHERITED_ROUNDS`
         rounds are pulled and routed before the workers fork: each
         inherits its tasks' deliveries to the first component (whose
@@ -271,7 +281,7 @@ class LocalCluster:
         and every edge routes its rows in the order it routes them
         inline.
         """
-        router = self._router
+        router, pool = self.router, self.pool
         if (pool is not None and self._observer is None
                 and router.spouts_route_alone and router.bolts_route_alone
                 and self._bolt_order):
@@ -290,12 +300,12 @@ class LocalCluster:
             pool.start()
         while active:
             buffer, active = self._pull_round(active, batch_size)
-            self._level_pass(buffer, pool=pool)
+            self._level_pass(buffer)
 
     def _pull_round(self, active, batch_size):
         """One round's pulls, routed into a fresh buffer; returns it and
         the spouts that may have rows left."""
-        route = self._router.route
+        route = self.router.route
         buffer = WaveBuffer()
         share = max(1, ROUND_BUDGET // len(active))
         still_active = []
@@ -333,10 +343,10 @@ class LocalCluster:
         With coalescing on, consecutive emissions on one stream are routed
         as a single micro-batch and -- unless a task's state is
         arrival-order-sensitive -- every drain runs as one level pass over
-        a :class:`~repro.storm.executor.WaveBuffer`; off reproduces the
-        seed engine's per-tuple dispatch order.  ``run`` derives this from
-        its ``batch_size``; push-based drivers (the streaming pump) set it
-        once up front."""
+        a :class:`~repro.storm.executor.WaveBuffer` (on a pool every
+        drain does); off reproduces the seed engine's per-tuple dispatch
+        order.  ``run`` derives this from its ``batch_size``; push-based
+        drivers (the streaming pump) set it once up front."""
         self._coalesce = coalesce
         self._waves = coalesce and not self._order_sensitive
 
@@ -356,12 +366,22 @@ class LocalCluster:
         is_source = self.topology.components[source].is_spout
         ctx = source_hop(source, task_index, len(emissions), 0.0, self.metrics,
                          self._observer if is_source else None)
-        self._drain(source, emissions, ctx)
+        self.drain(source, emissions, ctx)
 
     def advance_watermark(self, watermark: float):
-        """Apply one watermark punctuation to every windowed bolt task, in
-        topological order, and run the expirations to quiescence."""
+        """Apply one watermark punctuation to every windowed bolt task and
+        run the expirations to quiescence: the pool's tasks first, all
+        punctuated by one broadcast, then the coordinator's in
+        topological order, each hook's expirations drained before the
+        next hook runs."""
+        pool = self.pool
+        if pool is not None:
+            for name, task_index, emissions in \
+                    pool.broadcast_watermark(watermark):
+                self.inject(name, emissions, task_index=task_index)
         for name, task_index in self._bolt_keys:
+            if pool is not None and pool.owner(name, task_index) is not None:
+                continue
             hook = getattr(self._tasks[name][task_index],
                            "advance_watermark", None)
             emissions = hook(watermark) if hook is not None else None
@@ -376,7 +396,7 @@ class LocalCluster:
         By level, one component's tasks flush through one buffer (a sink
         below four aggregation tasks executes one batch); depth-first,
         each finishing task is drained on its own."""
-        if self._waves:
+        if self._waves or self.pool is not None:
             self._level_pass(WaveBuffer(), finish=True)
             return
         for name, task_index in self._bolt_keys:
@@ -385,20 +405,33 @@ class LocalCluster:
                 self.metrics.record_emit(name, task_index, len(emissions))
                 # flush emissions are end-of-stream punctuations, not
                 # part of any source batch's trace
-                self._drain(name, emissions)
+                self.drain(name, emissions)
+
+    @contextmanager
+    def unobserved(self):
+        """Run what the block drives unobserved: a recovery replay
+        re-executes batches whose spans and timings were recorded when
+        they first ran."""
+        observer, self._observer = self._observer, None
+        try:
+            yield
+        finally:
+            self._observer = observer
 
     # -- work queue --------------------------------------------------------
 
-    def _drain(self, source: str, emissions: List[Tuple[str, tuple]],
-               ctx=None):
+    def drain(self, source: str, emissions: List[Tuple[str, tuple]],
+              ctx=None):
         """Route one component's emissions and run them, and everything
-        they cause downstream, to exhaustion: one level pass, or
-        depth-first where that schedule is kept.  ``ctx`` is the span
-        context of the hop that produced the emissions (None unless the
-        run is traced, and for punctuation batches)."""
-        if self._waves:
+        they cause downstream, to exhaustion: one level pass (always on
+        the pool), or depth-first where that schedule is kept.  ``ctx``
+        is the span context of the hop that produced the emissions (None
+        unless the run is traced, and for punctuation batches).  Unlike
+        :meth:`inject` no source hop is counted: a recovery replay drains
+        emissions that entered the dataplane once already."""
+        if self._waves or self.pool is not None:
             buffer = WaveBuffer()
-            buffer.add(self._router.route(source, emissions), ctx)
+            buffer.add(self.router.route(source, emissions), ctx)
             self._level_pass(buffer)
         else:
             self._unwind(source, emissions, ctx)
@@ -414,7 +447,7 @@ class LocalCluster:
         tasks = self._tasks
         metrics = self.metrics
         observer = self._observer
-        route = self._router.route
+        route = self.router.route
         coalesce = self._coalesce
         stack = route(source, emissions, coalesce)[::-1]
         ctxs = [ctx] * len(stack)
@@ -436,25 +469,24 @@ class LocalCluster:
         return ((task_index, task, buffer.pop((name, task_index)))
                 for task_index, task in enumerate(self._tasks[name]))
 
-    def _level_pass(self, buffer: WaveBuffer, finish: bool = False,
-                    pool=None):
+    def _level_pass(self, buffer: WaveBuffer, finish: bool = False):
         """Run every bolt component once, upstream first, on what
         ``buffer`` holds for its tasks; emissions route back into the
         buffer for the components still to come (every edge goes
         forward in topological order, so one pass empties it).  With
         ``finish`` each component is flushed on its turn.  A component's
-        turn is :func:`~repro.storm.kernel.run_level` here, or the same
-        call on ``pool``'s workers (the batch ``processes`` executor)."""
-        observer = self._observer
-        route = self._router.route
+        turn is the same call on the pool's workers when they own its
+        tasks, :func:`~repro.storm.kernel.run_level` here otherwise."""
+        observer, pool = self._observer, self.pool
+        route = self.router.route
         queue = "inline" if pool is None else "processes"
         for name in self._bolt_order:
             if observer is not None and buffer:
                 observer.on_queue_depth(queue, buffer.depth())
             work = self._turn(buffer, name)
-            if pool is None:
-                run_level(name, work, route, buffer, self.metrics, observer,
-                          finish)
-            else:
+            if pool is not None and pool.owner(name, 0) is not None:
                 pool.run_level(name, work, route, buffer, self.metrics,
                                observer, finish)
+            else:
+                run_level(name, work, route, buffer, self.metrics, observer,
+                          finish)

@@ -11,13 +11,16 @@ of two interchangeable backends:
   deployment.  Requires the ``fork`` start method (Linux/macOS) and
   pickle-safe rows and task state.
 
-Batch and streaming ``processes`` run on one worker protocol: a
-:class:`ResidentWorkerPool` forks workers over the topology's bolt tasks
-(the spouts, and streaming's delta sinks, stay in the coordinator), and a
-worker executes the deliveries it is sent and returns the raw emissions.
-Routing is central: one :class:`Router` in the coordinator routes every
+Batch and streaming ``processes`` run on one worker protocol and one
+driver: a :class:`ResidentWorkerPool` forks workers over the topology's
+bolt tasks (the spouts, and streaming's delta sinks, stay in the
+coordinator), the cluster that holds it hands a worker each delivery for
+its tasks in a level pass, and the worker returns the raw emissions.
+Routing is central: the cluster's one :class:`Router` routes every
 emission, so stateful groupings (shuffle cursors, reshaping partitioners)
-see one stream, exactly as inline.
+see one stream, exactly as inline.  A worker that dies in a turn raises
+:class:`WorkerDied`; the streaming supervisor recovers from it, a batch
+run fails naming the component.
 
 A finite run (:class:`StagedExecutor`) is the inline rounds of
 :class:`~repro.storm.cluster.LocalCluster` -- :data:`~repro.storm.\
@@ -440,9 +443,12 @@ class WorkerDied(ExecutorError):
     workers and run the recovery protocol.
     """
 
-    def __init__(self, worker_ids: List[int]):
+    def __init__(self, worker_ids: List[int],
+                 component: Optional[str] = None):
         super().__init__(f"worker(s) {sorted(worker_ids)} died")
         self.worker_ids = sorted(worker_ids)
+        #: the component whose turn the workers died in, if one was running
+        self.component = component
 
 
 def fork_context():
@@ -537,17 +543,19 @@ def _forked_worker_main(state, conn):
 
 
 class StagedExecutor:
-    """The batch ``processes`` driver: the inline rounds on a resident
+    """The batch ``processes`` run: the inline rounds on a resident
     worker pool.
 
     The pool is forked over the topology's bolt tasks (fork copies the
-    task table into it) and the spouts stay here.  The cluster's rounds
+    task table into it) and the spouts stay here.  The cluster holds the
+    pool for the run, so its rounds
     (:meth:`~repro.storm.cluster.LocalCluster._pull_rounds`, which
-    starts the pool) run with the pool taking each component's turn,
-    then one finishing pass; when the run ends what each task exports
+    starts the pool) and its finishing pass hand each component's turn
+    to the workers; when the run ends what each task exports
     (:meth:`~repro.storm.topology.Bolt.export`) ships home into the
     cluster, so result extraction reads what it reads after an inline
-    run.
+    run.  A batch run has no checkpoint to recover from, so a dead
+    worker fails it, naming the component it was running.
     """
 
     def __init__(self, cluster, parallelism: Optional[int] = None):
@@ -560,13 +568,20 @@ class StagedExecutor:
     def run(self, batch_size: int = 1):
         """Execute the topology to completion; returns the cluster metrics."""
         cluster, pool = self.cluster, self.pool
+        cluster.pool = pool
         try:
-            cluster._pull_rounds(cluster._spouts, batch_size, pool)
-            cluster._level_pass(WaveBuffer(), finish=True, pool=pool)
+            cluster._run_to_end(None, batch_size)
             for (name, task_index), task in pool.collect().items():
                 cluster._tasks[name][task_index] = task
+        except WorkerDied as death:
+            worker_id = death.worker_ids[0]
+            raise ExecutorError(
+                f"processes worker {worker_id} died running "
+                f"{death.component!r} (exit code "
+                f"{pool.exit_code(worker_id)})") from None
         finally:
             # survivors of a dead peer included: no worker stays behind
+            cluster.pool = None
             pool.stop()
         return cluster.metrics
 
@@ -771,20 +786,13 @@ class ResidentWorkerPool:
         worker-id order, so delivery stays deterministic for a fixed
         assignment.
         """
-        replies = self._command(self._executions(per_worker, finish))
-        return self._merge(replies, counters, obs)
-
-    def _executions(self, per_worker: Dict[int, List[tuple]],
-                    finish: Optional[str]) -> Dict[int, tuple]:
-        """The ``execute`` command of every worker with work (or, with
-        ``finish``, a task of that component to flush)."""
         recipients = {worker_id: ("execute", items, finish)
                       for worker_id, items in per_worker.items() if items}
         if finish is not None:
             for (name, _task_index), owner in self.assignment.items():
                 if name == finish:
                     recipients.setdefault(owner, ("execute", [], finish))
-        return recipients
+        return self._merge(self._command(recipients), counters, obs)
 
     @staticmethod
     def _merge(replies: Dict[int, object], counters, obs) -> List[tuple]:
@@ -802,19 +810,17 @@ class ResidentWorkerPool:
     def run_level(self, component: str, work, route, out, counters, obs,
                   finish: bool = False):
         """:func:`repro.storm.kernel.run_level` on the workers: one
-        component's turn in a batch level pass.
+        component's turn in a level pass.
 
         Each task's deliveries go to its owner in one ``execute``
         command, which on the finishing pass also flushes the tasks.  A
-        batch run has no checkpoint to recover from, so a dead worker
-        fails it, naming the component it was running.
+        dead worker raises :class:`WorkerDied` naming the component.
         """
         try:
-            outputs = self._merge(self._command(self._executions(
-                self._items(component, work), component if finish else None)),
-                counters, obs)
+            outputs = self.execute(self._items(component, work), counters,
+                                   obs, component if finish else None)
         except WorkerDied as death:
-            raise self._died(component, death) from None
+            raise WorkerDied(death.worker_ids, component) from None
         self._route(component, outputs, route, out)
 
     def run_rounds(self, component: str, rounds: list, route, buffers,
@@ -838,7 +844,7 @@ class ResidentWorkerPool:
             replies = self._command({worker_id: ("rounds", work)
                                      for worker_id, work in per_worker.items()})
         except WorkerDied as death:
-            raise self._died(component, death) from None
+            raise WorkerDied(death.worker_ids, component) from None
         for round_index, out in enumerate(buffers):
             self._route(component, self._merge(
                 {worker_id: reply[round_index]
@@ -855,11 +861,9 @@ class ResidentWorkerPool:
                          for delivery in deliveries)
         return per_worker
 
-    def _died(self, component: str, death: WorkerDied) -> ExecutorError:
-        worker_id = death.worker_ids[0]
-        return ExecutorError(
-            f"processes worker {worker_id} died running {component!r} "
-            f"(exit code {self._workers[worker_id].exit_code()})")
+    def exit_code(self, worker_id: int) -> Optional[int]:
+        """How a dead worker ended (``-9``: SIGKILLed)."""
+        return self._workers[worker_id].exit_code()
 
     @staticmethod
     def _route(component: str, outputs: List[tuple], route, out):

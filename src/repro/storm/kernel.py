@@ -1,22 +1,25 @@
 """The step kernel: the one place a task's ``execute_batch`` is called.
 
-Every driver moves routed micro-batches its own way -- ``LocalCluster``'s
-rounds and work stack, the resident workers' pipes -- and hands each one
-to :func:`deliver`, so what happens to a batch at a task is written once:
-count the receive, run the task, time and span it iff the run is
-observed, count the emit.  The inline rounds also share the loop around
-it, :func:`run_level`, whose ``processes`` twin is
-:meth:`~repro.storm.executor.ResidentWorkerPool.run_level` (the same
-turn, executed by the workers that own the tasks).  Two parameters carry
-what differs:
+One coordinator driver, :class:`~repro.storm.cluster.LocalCluster`, runs
+every topology on both executors, batch and streaming alike.  Its level
+pass hands each component's turn to :func:`run_level` -- or, for the
+components a resident worker pool owns, to
+:meth:`~repro.storm.executor.ResidentWorkerPool.run_level`, whose workers
+run the same loop in :meth:`~repro.storm.executor.ResidentWorkerState.\
+execute`; its depth-first schedule works a stack.  All three hand each
+routed micro-batch to :func:`deliver`, so what happens to a batch at a
+task is written once: count the receive, run the task, time and span it
+iff the run is observed, count the emit.  Two parameters carry what
+differs:
 
 - ``counters`` -- where the step is counted: the cluster's
   :class:`~repro.storm.metrics.TopologyMetrics` or a worker's own (folded
   in by the coordinator's ``merge``).
 - ``obs`` -- the :class:`~repro.obs.Observer` or a worker's
   :class:`~repro.obs.WorkerObs`; both answer ``record`` / ``span`` /
-  ``root``.  ``None`` is ``observe='off'``: no observer object exists and
-  one ``is None`` test per batch is the whole cost.
+  ``root``.  ``None`` is ``observe='off'`` (and a recovery replay): no
+  observer object exists and one ``is None`` test per batch is the whole
+  cost.
 """
 
 from __future__ import annotations

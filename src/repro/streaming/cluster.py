@@ -8,44 +8,35 @@ dataplane (no per-tuple regression), watermark punctuations drive window
 expiration between batches, and the :class:`~repro.streaming.deltas.\
 DeltaSink` at the bottom feeds live ``+row/-row`` deltas to subscribers.
 
-One pump round (:meth:`StreamingCluster.step`) serves both executors:
-it polls every source for one micro-batch, ``inject``s it, and then
-``advance_watermark``s the merged watermark -- and at end of stream
-``flush_bolts`` -- on the executor's *transport*:
+One pump round (:meth:`StreamingCluster.step`) polls every source for one
+micro-batch, ``inject``s it, then ``advance_watermark``s the merged
+watermark -- and at end of stream ``flush_bolts`` -- on the resident
+``LocalCluster``, the one coordinator driver of both executors.  Each
+injected batch is driven to quiescence before the watermark advances.
+At ``batch_size > 1`` that drive is one level pass (the bolt tasks run
+once each in topological order on their deliveries coalesced per
+``(source, stream)``: ``LocalCluster.run``'s rounds with one poll per
+round); at ``batch_size=1``, and for plans holding windowed (arrival-
+order-sensitive) state, ``inline`` drives it depth-first, as
+``LocalCluster.run`` does there.
 
-- ``inline`` -- the resident :class:`LocalCluster` itself.  Every
-  injected batch is driven to quiescence in the calling thread and the
-  watermark advances at the quiescent point.  At ``batch_size > 1`` that
-  drive is one level pass -- the bolt tasks run once each in topological
-  order on their deliveries coalesced per ``(source, stream)``, the
-  schedule of ``LocalCluster.run``'s rounds with one poll per round.  At
-  ``batch_size=1``, and for any plan holding windowed (arrival-order-
-  sensitive) state, it is depth-first, identical to ``LocalCluster.run``
-  there, so the delivery order -- and hence every per-task counter and a
-  window's expirations -- matches the finite engine.
-- ``processes`` -- **resident forked worker processes** holding the
-  topology's join/aggregation tasks, exchanging serialized micro-batches
-  with the coordinator over long-lived pipes: the fault-tolerant
-  shared-nothing deployment of the paper's Storm runtime.  The
-  coordinator keeps everything a crash must not lose -- source pumps,
-  the routing table, the delta sinks with their subscriptions, the
-  change log and the checkpoint store -- and supervises the workers:
-  operator state is checkpointed incrementally every
-  ``checkpoint_interval`` rounds (hash-diffed so unchanged partitions
-  persist zero bytes; see :mod:`repro.checkpoint`), dead workers are
-  detected, respawned, restored from the latest snapshot, and the
-  post-checkpoint delta stream is replayed exactly-once, so the final
-  snapshot is byte-identical to a crash-free (and to a batch) run.
-  Partitioners that adapt to the globally observed stream are refused
-  up front (:func:`ensure_task_local_routing`): a replay could not route
-  the way the original delivery did.  The full walkthrough lives in
-  ``docs/FAULT_TOLERANCE.md``.
-
-All executors produce the same final snapshot as ``run_plan`` on the
-same data; the inline executor at equal ``batch_size`` reproduces the
-finite engine's interleaving exactly where that interleaving is defined
-per tuple or decides the result: at ``batch_size=1`` and for windowed
-plans.
+Under ``processes`` the cluster holds a :class:`~repro.storm.executor.\
+ResidentWorkerPool` and every drive is a level pass: the forked workers
+take the turns of the join/aggregation components over long-lived pipes
+-- the fault-tolerant shared-nothing deployment of the paper's Storm
+runtime -- and the coordinator keeps everything a crash must not lose:
+source pumps, the routing table, the delta sinks with their
+subscriptions, the change log and the checkpoint store.  It logs every
+batch and watermark before driving it, checkpoints operator state
+incrementally every ``checkpoint_interval`` rounds (hash-diffed, so
+unchanged partitions persist zero bytes; see :mod:`repro.checkpoint`),
+and when a worker dies respawns it, restores every worker from the
+latest snapshot, rolls the sinks and the router back, and replays the log
+through the cluster unobserved, so the final snapshot is byte-identical
+to a crash-free (and to a batch) run.  Partitioners that adapt to the
+globally observed stream are refused up front
+(:func:`ensure_task_local_routing`): a replay could not route the way the
+original delivery did.  The walkthrough is ``docs/FAULT_TOLERANCE.md``.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ import math
 import pickle
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
 from repro.checkpoint.log import DATA as _LOG_DATA
@@ -63,22 +54,12 @@ from repro.core.options import EXECUTOR_NAMES
 from repro.engine.operators import Projection, Selection
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
-from repro.storm.executor import (
-    ExecutorError,
-    ResidentWorkerPool,
-    Router,
-    WorkerDied,
-)
+from repro.storm.executor import ExecutorError, ResidentWorkerPool, WorkerDied
 from repro.storm.failures import FaultInjector
-from repro.storm.kernel import deliver, source_hop
-from repro.storm.metrics import (
-    CheckpointMetrics,
-    StreamMetrics,
-    TopologyMetrics,
-)
+from repro.storm.metrics import CheckpointMetrics, StreamMetrics
 from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
-from repro.streaming.sources import Emission, PushSource
+from repro.streaming.sources import PushSource
 from repro.streaming.watermarks import WatermarkTracker
 
 #: checkpoint cadence (pump rounds) when none is configured
@@ -185,116 +166,6 @@ class SourcePump:
         return self.source.exhausted()
 
 
-class _PoolTransport:
-    """The ``processes`` transport: routed waves cross the resident
-    workers' pipes until no data is in flight anywhere.
-
-    Worker-owned tasks execute remotely (one pipe round-trip per wave,
-    workers in parallel); coordinator-owned sink tasks execute here, so
-    deltas fan out to subscriptions without serializing the sink.  Worker
-    emissions come back raw and are routed here -- routing state lives
-    only in the coordinator, so recovery never reconciles diverged
-    per-worker routing.
-
-    Everything injected is logged *before* it is dispatched: if a worker
-    dies mid-delivery, the supervisor's replay re-applies it to the
-    restored state.  While :attr:`replaying`, nothing is re-logged,
-    re-counted at the source or observed -- contexts are withheld and
-    worker obs payloads discarded, so a replayed batch never duplicates
-    spans or timings.
-    """
-
-    def __init__(self, pool: ResidentWorkerPool, topology: Topology,
-                 local_tasks: Dict[Tuple[str, int], object],
-                 metrics: TopologyMetrics, observer: Optional[Observer],
-                 coalesce: bool):
-        self.pool = pool
-        self.router = Router(topology)
-        #: coordinator-owned tasks: (component, task_index) -> task
-        self.local_tasks = local_tasks
-        self.log = ChangeLog()
-        self.replaying = False
-        self._topology = topology
-        self._metrics = metrics
-        self._observer = observer
-        self._coalesce = coalesce
-
-    def inject(self, source: str, emissions: Sequence[Emission]):
-        ctx = None
-        if not self.replaying:
-            self.log.record_data(source, emissions)
-            ctx = source_hop(source, 0, len(emissions), 0.0, self._metrics,
-                             self._observer)
-        self._drive([(source, emissions, ctx)])
-
-    def advance_watermark(self, watermark: float):
-        # logged before the broadcast, so a worker that dies mid-fanout
-        # still sees the punctuation once: global restore rewinds the
-        # survivors that already applied it, and the replay re-delivers
-        # it to everyone
-        if not self.replaying:
-            self.log.record_watermark(watermark)
-        expirations = []
-        for component, task_index, emissions in \
-                self.pool.broadcast_watermark(watermark):
-            self._metrics.record_emit(component, task_index, len(emissions))
-            expirations.append((component, emissions, None))
-        self._drive(expirations)
-
-    def flush_bolts(self):
-        for name in self._topology.topological_order():
-            spec = self._topology.components[name]
-            if spec.is_spout:
-                continue
-            if self.pool.owner(name, 0) is not None:
-                outputs = self.pool.execute({}, self._metrics,
-                                            self._observer, finish=name)
-            else:  # coordinator-owned
-                outputs = []
-                for task_index in range(spec.parallelism):
-                    emissions = self.local_tasks[(name, task_index)].finish()
-                    if emissions:
-                        self._metrics.record_emit(
-                            name, task_index, len(emissions))
-                        outputs.append((name, task_index, emissions, None))
-            for component, _task_index, emissions, _ctx in outputs:
-                self._drive([(component, emissions, None)])
-        self.pool.stop()
-
-    def _drive(self, pending: List[Tuple[str, Sequence[Emission], object]]):
-        """Deliver ``(source, emissions, parent ctx)`` entries, and
-        whatever they cause downstream, wave by wave."""
-        metrics = self._metrics
-        observer = None if self.replaying else self._observer
-        while pending:
-            per_worker: Dict[int, List[tuple]] = {}
-            local: List[tuple] = []
-            for source, emissions, ctx in pending:
-                for item in self.router.route(
-                        source, emissions, coalesce=self._coalesce):
-                    owner = self.pool.owner(item[0], item[1])
-                    if owner is None:
-                        local.append(item + (ctx,))
-                    else:
-                        per_worker.setdefault(owner, []).append(item + (ctx,))
-            pending = []
-            if observer is not None and (per_worker or local):
-                observer.on_queue_depth(
-                    "processes",
-                    sum(len(items) for items in per_worker.values())
-                    + len(local))
-            if per_worker:
-                for component, _task_index, emissions, child in \
-                        self.pool.execute(per_worker, metrics, observer):
-                    pending.append((component, emissions, child))
-            for target, task_index, source, stream, rows, ctx in local:
-                emissions, child = deliver(
-                    self.local_tasks[(target, task_index)], target,
-                    task_index, source, stream, rows, ctx, metrics, observer)
-                if emissions:
-                    pending.append((target, emissions, child))
-
-
 class StreamingCluster:
     """A continuously running topology over push sources.
 
@@ -349,8 +220,8 @@ class StreamingCluster:
         self.registry.register_collector(self.stats.collect)
         if observe != "off":
             self.cluster.observe(observe)
-        #: one Observer per observed run, shared with the inner cluster so
-        #: the inline inject() path times batches too; None = observe='off'
+        #: one Observer per observed run: the inner cluster's, which times
+        #: every batch it drives; None = observe='off'
         self.observer: Optional[Observer] = self.cluster.observer
         operators = source_operators or {}
         self._pumps: Dict[str, SourcePump] = {
@@ -377,16 +248,16 @@ class StreamingCluster:
         self._stop = threading.Event()
         #: a run() loop drives the query: stop(wait=True) may wait on it
         self._running = False
-        self._bolt_tasks: List[Tuple[str, int, object]] = [
-            (name, task_index, task)
+        #: the delta sinks, ``(component, task_index) -> sink``, upstream
+        #: first; under ``processes`` they stay in the coordinator: their
+        #: subscriptions hold live condition variables and must survive
+        #: any worker crash
+        self._sinks: Dict[Tuple[str, int], DeltaSink] = {
+            (name, task_index): task
             for name in topology.topological_order()
-            if not topology.components[name].is_spout
             for task_index, task in enumerate(self.cluster.tasks(name))
-        ]
-        self._sinks: List[DeltaSink] = [
-            task for _n, _i, task in self._bolt_tasks
             if isinstance(task, DeltaSink)
-        ]
+        }
         # -- processes executor: checkpointed resident workers ------------
         self.checkpoint_interval = (
             DEFAULT_CHECKPOINT_INTERVAL if checkpoint_interval is None
@@ -401,35 +272,21 @@ class StreamingCluster:
         self._epoch = 0
         self._rounds_since_checkpoint = 0
         self._recoveries = 0
-        #: what a pump round drives: ``inject`` / ``advance_watermark`` /
-        #: ``flush_bolts`` -- the resident LocalCluster itself (inline:
-        #: every batch runs to quiescence in the calling thread) or the
-        #: worker pool
-        self._transport = self.cluster
+        #: what entered the dataplane since the last checkpoint, logged
+        #: before it is driven (``processes`` only): a worker that dies
+        #: mid-delivery gets it again from the replay
+        self._log = ChangeLog()
         self._pool: Optional[ResidentWorkerPool] = None
         if executor == "processes":
-            # sinks stay in the coordinator: their subscriptions hold live
-            # condition variables and must survive any worker crash
-            sink_components = {
-                name for name, _task_index, task in self._bolt_tasks
-                if isinstance(task, DeltaSink)
-            }
-            local_tasks = {
-                (name, task_index): task
-                for name, task_index, task in self._bolt_tasks
-                if name in sink_components
-            }
-            # forked on first use (_start_pool), not here
-            self._pool = ResidentWorkerPool(
+            # forked on first use (_start_pool), not here; the cluster
+            # hands the pool the turns of every component it owns
+            self._pool = self.cluster.pool = ResidentWorkerPool(
                 topology, {name: self.cluster.tasks(name)
                            for name in topology.components},
                 parallelism=parallelism,
-                exclude=sink_components,
+                exclude={name for name, _task_index in self._sinks},
                 observe=observe,
             )
-            self._transport = _PoolTransport(
-                self._pool, topology, local_tasks, self.metrics,
-                self.observer, coalesce=batch_size > 1)
 
     # -- public surface ----------------------------------------------------
 
@@ -445,7 +302,7 @@ class StreamingCluster:
                 "topology has no DeltaSink; build it with a streaming sink "
                 "to subscribe to result deltas"
             )
-        return self._sinks[0]
+        return next(iter(self._sinks.values()))
 
     def subscribe(self, **kwargs) -> Subscription:
         """Subscribe to the sink's delta feed.
@@ -459,12 +316,13 @@ class StreamingCluster:
         """Current result multiset (sorted)."""
         if not self._sinks:
             raise ValueError("topology has no DeltaSink")
-        return self._sinks[0].snapshot()
+        return self.sink.snapshot()
 
     def stats_snapshot(self) -> Dict[str, object]:
         """Live progress snapshot, with delta totals read off the sinks."""
         snapshot = self.stats.snapshot()
-        snapshot["deltas"] = sum(sink.delta_count for sink in self._sinks)
+        snapshot["deltas"] = sum(sink.delta_count
+                                 for sink in self._sinks.values())
         snapshot["checkpoints"] = self.checkpoints.snapshot()
         return snapshot
 
@@ -540,7 +398,7 @@ class StreamingCluster:
                 progressed = self._pump_round()
                 if not self.done:
                     self._rounds_since_checkpoint += 1
-                    if (progressed and self._transport.log
+                    if (progressed and self._log
                             and self._rounds_since_checkpoint
                             >= self.checkpoint_interval):
                         self._checkpoint()
@@ -553,7 +411,6 @@ class StreamingCluster:
             raise
 
     def _pump_round(self) -> bool:
-        transport = self._transport
         if self._stop.is_set():
             # forced teardown: stop polling, flush so subscriptions get
             # their final deltas and close, and declare the query done
@@ -572,7 +429,9 @@ class StreamingCluster:
             if emissions:
                 self.stats.record_events(
                     len(emissions), pump.source.max_event_time)
-                transport.inject(name, emissions)
+                if self._pool is not None:
+                    self._log.record_data(name, emissions)
+                self.cluster.inject(name, emissions)
             if pump.exhausted():
                 # also reached by sources that were empty to begin with:
                 # they must still mark themselves done, or the merged
@@ -615,7 +474,13 @@ class StreamingCluster:
             return False
         self._broadcast_wm = merged
         self.stats.record_watermark(merged)
-        self._transport.advance_watermark(merged)
+        if self._pool is not None:
+            # logged before the broadcast, so a worker that dies
+            # mid-fanout still sees the punctuation once: global restore
+            # rewinds the survivors that already applied it, and the
+            # replay re-delivers it to everyone
+            self._log.record_watermark(merged)
+        self.cluster.advance_watermark(merged)
         return True
 
     def _finish(self):
@@ -627,7 +492,9 @@ class StreamingCluster:
             # recoverable: a worker killed mid-finish rolls everything
             # back to this barrier (empty change log) and the flush reruns
             self._checkpoint()
-        self._transport.flush_bolts()
+        self.cluster.flush_bolts()
+        if self._pool is not None:
+            self._pool.stop()
         self._done.set()
 
     def _abort(self):
@@ -638,7 +505,7 @@ class StreamingCluster:
         self._done.set()
         if self._pool is not None:
             self._pool.stop()
-        for sink in self._sinks:
+        for sink in self._sinks.values():
             sink.finish()
 
     # -- processes executor: supervision of the resident workers -----------
@@ -667,13 +534,10 @@ class StreamingCluster:
         the broadcast watermark, and the router's mutable grouping state
         (shuffle cursors) -- everything the replay path needs rewound."""
         return pickle.dumps({
-            "sinks": {
-                key: task.counts_snapshot()
-                for key, task in sorted(self._transport.local_tasks.items())
-                if isinstance(task, DeltaSink)
-            },
+            "sinks": {key: sink.counts_snapshot()
+                      for key, sink in sorted(self._sinks.items())},
             "wm": self._broadcast_wm,
-            "router": self._transport.router.routing_state(),
+            "router": self.cluster.router.routing_state(),
         }, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _checkpoint(self):
@@ -690,7 +554,7 @@ class StreamingCluster:
         self.checkpoints.record_commit(result)
         self._epoch += 1
         self._rounds_since_checkpoint = 0
-        self._transport.log.truncate()
+        self._log.truncate()
 
     def _recover(self, dead: List[int]):
         """Exactly-once crash recovery, retried if a replay dies again."""
@@ -730,24 +594,21 @@ class StreamingCluster:
             self.checkpoints.record_recovery(list(respawned), 0, 0)
             return
         self._pool.restore(self._store.restore_set(manifest))
-        transport = self._transport
         coordinator = pickle.loads(manifest.coordinator)
         for key, counts in coordinator["sinks"].items():
-            transport.local_tasks[key].rollback(counts)
+            self._sinks[key].rollback(counts)
         self._broadcast_wm = coordinator["wm"]
-        transport.router.restore_routing_state(coordinator["router"])
+        self.cluster.router.restore_routing_state(coordinator["router"])
         replayed_entries = replayed_rows = 0
-        transport.replaying = True
-        try:
-            for entry in transport.log.replay():
+        with self.cluster.unobserved():
+            for entry in self._log.replay():
                 if entry[0] == _LOG_DATA:
                     _kind, source, emissions = entry
                     replayed_entries += 1
                     replayed_rows += len(emissions)
-                    transport.inject(source, emissions)
+                    self.cluster.drain(source, emissions)
                 else:
-                    self._advance_watermark(entry[1])
-        finally:
-            transport.replaying = False
+                    self._broadcast_wm = entry[1]
+                    self.cluster.advance_watermark(entry[1])
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)

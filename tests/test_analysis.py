@@ -418,6 +418,42 @@ class TestOneStepKernel:
         [pool] = [cls for cls in classes if cls.name == "ResidentWorkerPool"]
         assert sum(map(forks, trees)) == forks(pool) > 0
 
+    def test_one_coordinator_driver(self):
+        """A batch reaches ``deliver`` from a level pass's turn, the
+        depth-first schedule or a worker, and from nowhere else; the
+        streaming cluster routes nothing itself -- it drives the
+        ``LocalCluster`` on both executors."""
+        def methods(tree):
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield node.name, node
+                elif isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            yield f"{node.name}.{item.name}", item
+
+        def called(node):
+            return {call.func.id if isinstance(call.func, ast.Name)
+                    else getattr(call.func, "attr", None)
+                    for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+        trees = dict(self.trees())
+        callers = [f"{module}:{name}"
+                   for module, tree in trees.items()
+                   for name, node in methods(tree)
+                   if "deliver" in called(node)]
+        assert callers == ["storm/cluster.py:LocalCluster._unwind",
+                           "storm/executor.py:ResidentWorkerState.execute",
+                           "storm/kernel.py:run_level"]
+        assert "route" not in called(trees["streaming/cluster.py"])
+        # and drives it through its public surface alone
+        assert not [node.attr
+                    for node in ast.walk(trees["streaming/cluster.py"])
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "cluster"
+                    and node.attr.startswith("_")]
+
     def test_exactly_one_class_forks_a_worker_behind_a_pipe(self):
         forkers = [
             f"{module}:{node.name}"

@@ -57,6 +57,21 @@ class TestEquivalence:
         ).run()
         assert query.snapshot() == expected
 
+    @pytest.mark.parametrize("builder", [plan_snapshot_agg, plan_join_only,
+                                         plan_two_joins])
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    def test_counters_equal_inline_streaming(self, builder, batch_size):
+        """Both executors drive one scheduler, so every task executes the
+        same batches on the same rows, wherever it lives."""
+        inline = stream_plan(builder(), options=ExecutionOptions(
+            batch_size=batch_size)).run()
+        forked = stream_plan(builder(), options=processes_options(
+            batch_size=batch_size, parallelism=2)).run()
+        assert forked.snapshot() == inline.snapshot()
+        for counter in ("batches", "received", "emitted"):
+            assert getattr(forked.cluster.metrics, counter) == \
+                getattr(inline.cluster.metrics, counter), counter
+
     def test_parallelism_caps_worker_count(self):
         query = stream_plan(plan_join_only(),
                             options=processes_options(parallelism=2)).run()
