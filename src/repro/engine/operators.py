@@ -253,6 +253,8 @@ class Aggregation:
                  aggregates: Sequence[AggregateSpec]):
         self.group_positions = tuple(group_positions)
         self.aggregates = list(aggregates)
+        #: an AVG output is computed; every other one is its running sum
+        self._averaged = any(agg.kind == "avg" for agg in self.aggregates)
         self._groups: Dict[tuple, _GroupState] = {}
         self.consumed = 0
 
@@ -376,8 +378,8 @@ class Aggregation:
                 del groups[key]
         self.consumed += len(batch)
 
-    def consume_changelog(self, batch: ColumnBatch, sign: int,
-                          published: Dict[tuple, tuple]
+    def consume_changelog(self, batch: ColumnBatch,
+                          published: Optional[Dict[tuple, tuple]] = None
                           ) -> Optional[ColumnBatch]:
         """Consume a batch as the upsert changelog kernel.
 
@@ -386,25 +388,39 @@ class Aggregation:
         rows, as one batch of output rows with their ``signs``: per
         input row, in input order, ``-old`` ahead of ``+new`` when the
         group's output row changed, ``-old`` alone when the group died,
-        nothing when it did not change.  ``sign`` applies to every row
-        of ``batch`` (the caller cuts a signed batch into same-sign runs
-        first; the batch's own ``signs`` are not read).
+        nothing when it did not change.  Each row counts with its entry
+        in the batch's ``signs`` (+1 throughout when there are none), so
+        one call consumes a mixed-sign batch.
+
         ``published`` (group key -> the row last emitted for it) is
-        updated with the state, one dict write per distinct key.
+        updated with the state, one dict write per distinct key.  With
+        ``published=None`` a group's old row is its current row, as
+        :class:`~repro.engine.windows.SlidingWindowedAggregation` reads
+        it, and nothing is recorded.
 
         Rows are grouped by a stable argsort of the key.  A group's rows
-        form one *segment* seeded with its prior state, or two when a
-        row runs its count down to zero: the group dies there and the
-        rows after it start from empty (the batch has one sign, so a
-        reborn group never dies again).  Int sums run in ``int64``,
-        float sums sequentially per segment, so every value is the row
-        loop's to the bit.
+        form *segments*: the first seeded with its prior state, and a
+        new one from empty after every row that runs the count down to
+        zero, where the group dies.  Int sums run in ``int64``, float
+        sums sequentially per segment, so every value is the row loop's
+        to the bit.
 
         Returns None, consuming nothing, where that cannot be
         guaranteed: several or non-``int64`` key columns, value columns
         that are not ``int64`` / ``float64`` vectors, non-finite floats,
-        int sums that could reach 2^53, or an int column added to a
-        float sum.
+        int sums that could reach 2^53, an int column added to a float
+        sum, or (``published=None``) a float column added to a live int
+        sum, whose type can change without a row being emitted.
+
+        >>> from repro.core.columnar import ColumnBatch
+        >>> from repro.engine.operators import Aggregation, count
+        >>> aggregation, published = Aggregation([0], [count()]), {}
+        >>> batch = ColumnBatch.from_rows([(7,), (7,), (7,)], [1, -1, 1])
+        >>> changes = aggregation.consume_changelog(batch, published)
+        >>> list(zip(changes.signs.tolist(), changes.to_rows()))
+        [(1, (7, 1)), (-1, (7, 1)), (1, (7, 1))]
+        >>> published
+        {(7,): (7, 1)}
         """
         key_column = batch.columns[self.group_positions[0]] \
             if len(self.group_positions) == 1 else None
@@ -428,42 +444,53 @@ class Aggregation:
         order = key_column.argsort(kind="stable")
         sorted_keys = key_column[order]
         key_list = sorted_keys.tolist()
-        starts = [0, *(np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1])
-                       + 1).tolist()]
-        ends = [*starts[1:], n]
-        groups = self._groups
-        found = []  # per group: key, state, published row, where it died
-        # per segment: head, group, state (None: starts empty), count base
-        heads, owners, seeds, bases = [], [], [], []
-        fresh, dying = [], []
-        for g, (start, end) in enumerate(zip(starts, ends)):
-            key = (key_list[start],)
-            state, row = groups.get(key), published.get(key)
-            if (state is None) != (row is None):
+        # where each group's rows start in key order, and where they end
+        edges = np.concatenate(
+            ([True], sorted_keys[1:] != sorted_keys[:-1], [True])).nonzero()[0]
+        starts = edges[:-1].tolist()
+        group_lengths = edges[1:] - edges[:-1]
+        # per group: key, state and the row its first change retracts
+        keys = [(key_list[start],) for start in starts]
+        states = list(map(self._groups.get, keys))
+        if published is None:
+            olds = [None if state is None else key + self._values(state)
+                    for key, state in zip(keys, states)]
+        else:
+            olds = list(map(published.get, keys))
+            if any((state is None) != (row is None)
+                   for state, row in zip(states, olds)):
                 return None
-            held = 0 if state is None else state.counts
-            death = start + abs(held) - 1 \
-                if held * sign < 0 and abs(held) <= end - start else None
-            found.append((key, state, row, death))
-            heads.append(start)
-            owners.append(g)
-            seeds.append(state)
-            bases.append(held - sign * start)
-            if state is None:
-                fresh.append(start)
-            if death is not None:
-                dying.append(death)
-                if death + 1 < end:
-                    heads.append(death + 1)
-                    owners.append(g)
-                    seeds.append(None)
-                    bases.append(-sign * (death + 1))
-                    fresh.append(death + 1)
-        lengths = np.diff([*heads, n])
-        # the running count after each row: its segment's seed plus one
-        # step of ``sign`` per row so far
-        counts = np.repeat(bases, lengths) + np.arange(sign, sign * (n + 1),
-                                                       sign)
+        # the running count after each row: its group's prior count plus
+        # the signs so far; the group dies wherever that reaches zero
+        if batch.signs is None:
+            steps, running = 1, np.arange(1, n + 1)
+        else:
+            steps = batch.signs[order].astype(np.int64)
+            running = steps.cumsum()
+        held = [0 if state is None else state.counts for state in states]
+        counts = running + (np.array(held) - (running - steps)[starts]).repeat(
+            group_lengths)
+        dying = (counts == 0).nonzero()[0]
+        # segments: one per group start, and one after every death
+        if len(dying):
+            is_start = np.zeros(n + 1, dtype=bool)
+            is_start[edges] = True
+            is_head = is_start.copy()
+            is_head[dying + 1] = True
+            head_edges = is_head.nonzero()[0]
+            heads, lengths = head_edges[:-1], head_edges[1:] - head_edges[:-1]
+            group_of = np.arange(len(starts)).repeat(group_lengths)
+            owners = group_of[heads].tolist()
+            seeds = [states[g] if first else None
+                     for g, first in zip(owners, is_start[heads].tolist())]
+            died = set(group_of[dying].tolist())
+            head_list = heads.tolist()
+        else:
+            heads, lengths = starts, group_lengths
+            owners, seeds, died = range(len(starts)), states, ()
+            head_list = starts
+        fresh = [head for head, state in zip(head_list, seeds)
+                 if state is None]
         # per aggregate: output values, running sum, per-segment prior
         outputs, sums, priors = [], [], []
         for index, (agg, column) in enumerate(
@@ -474,22 +501,29 @@ class Aggregation:
                 continue
             prior = [0 if state is None else state.sums[index]
                      for state in seeds]
-            values = column[order] if sign > 0 else -column[order]
+            values = column[order]
+            if batch.signs is not None:
+                np.negative(values, out=values, where=steps < 0)
             if column.dtype.kind == "i":
                 if not (all(type(value) is int for value in prior)
                         and _sum_fits(column, _EXACT_INT_LIMIT,
                                       max(map(abs, prior)))):
                     return None
-                running = values.cumsum()
-                run = running + np.repeat(
-                    np.array(prior, dtype=np.int64)
-                    - (running - values)[heads], lengths)
+                total_run = values.cumsum()
+                run = total_run + (np.array(prior, dtype=np.int64)
+                                   - (total_run - values)[heads]).repeat(
+                                       lengths)
             else:
                 if any(type(value) is int and abs(value) >= _EXACT_INT_LIMIT
                        for value in prior):
                     return None
+                if published is None and agg.kind == "sum" and any(
+                        state is not None and type(value) is int
+                        for value, state in zip(prior, seeds)):
+                    return None
                 run = np.empty(n)
-                for lo, hi, seed in zip(heads, [*heads[1:], n], prior):
+                for lo, hi, seed in zip(head_list, [*head_list[1:], n],
+                                        prior):
                     run[lo:hi] = np.add.accumulate(
                         np.concatenate(([seed], values[lo:hi])))[1:]
                 if not np.isfinite(run).all():
@@ -517,67 +551,76 @@ class Aggregation:
         emit_old[fresh] = False
         emit_old[dying] = True
         # one row built per emission; a retraction reuses the row its
-        # segment emitted last, else the group's published row
-        last = [end - 1 for end in ends]
+        # segment emitted last, else the group's old row
+        last = edges[1:] - 1
         if emit_new.all():  # the common case: new_refs is arange(n)
             pool = list(zip(key_list, *[values.tolist()
                                         for values in outputs]))
             new_refs = np.arange(n)
             old_refs = new_refs - 1
             old_refs[heads] = [n + g for g in owners]
-            last_refs, changed = last, [True] * len(found)
+            last_refs, changed = last.tolist(), [True] * len(starts)
         else:
-            emitted = np.flatnonzero(emit_new)
+            emitted = emit_new.nonzero()[0]
             pool = list(zip(sorted_keys[emitted].tolist(),
                             *[values[emitted].tolist() for values in outputs]))
             seen = emit_new.cumsum()
             new_refs = seen - 1
             before = seen - emit_new  # emissions ahead of the row
             old_refs = np.where(
-                before > np.repeat(before[heads], lengths), before - 1,
-                np.repeat([len(pool) + g for g in owners], lengths))
+                before > before[heads].repeat(lengths), before - 1,
+                np.array([len(pool) + g for g in owners]).repeat(lengths))
             last_refs = new_refs[last].tolist()
             changed = (seen[last] > before[starts]).tolist()
-        pool.extend(row for _key, _state, row, _death in found)
+        pool.extend(olds)
         # two slots per input row, in input order: -old, then +new
         twice = order * 2
         refs = np.empty(2 * n, dtype=np.intp)
         refs[twice], refs[twice + 1] = old_refs, new_refs
         kept = np.empty(2 * n, dtype=bool)
         kept[twice], kept[twice + 1] = emit_old, emit_new
-        slots = np.flatnonzero(kept)
+        slots = kept.nonzero()[0]
         signs = _RETRACT_INSERT[slots & 1]
         rows = list(map(pool.__getitem__, refs[slots].tolist()))
         # commit: one update per distinct key; births in input order so
         # both dicts keep the row loop's insertion order
         final_counts = counts[last].tolist()
-        final_sums = [run[last].tolist() for run in sums]
+        final_sums = [list(values) for values in zip(
+            *[run[last].tolist() for run in sums])] or [[] for _ in starts]
+        groups = self._groups
         born = []
-        for g, (key, state, _row, death) in enumerate(found):
-            if death is not None:
-                del groups[key]
-                del published[key]
-                if death == last[g]:
+        for g, key, state in zip(range(len(starts)), keys, states):
+            if g in died:
+                if state is not None:
+                    del groups[key]
+                    if published is not None:
+                        del published[key]
+                if not final_counts[g]:
                     continue
-                state = None
-            if state is None:
-                head = starts[g] if death is None else death + 1
-                born.append((int(order[head]), g))
-                continue
-            state.counts = final_counts[g]
-            state.sums = [column[g] for column in final_sums]
-            if changed[g]:
-                published[key] = pool[last_refs[g]]
-        for _at, g in sorted(born):
-            key = found[g][0]
-            state = groups[key] = _GroupState(0)
-            state.counts = final_counts[g]
-            state.sums = [column[g] for column in final_sums]
-            published[key] = pool[last_refs[g]]
+                born.append(g)
+            elif state is None:
+                born.append(g)
+            else:
+                state.counts = final_counts[g]
+                state.sums = final_sums[g]
+                if changed[g] and published is not None:
+                    published[key] = pool[last_refs[g]]
+        if born:
+            # a group is born where its last segment starts
+            final_heads = np.asarray(heads)[np.searchsorted(
+                heads, last[born], side="right") - 1]
+            for _at, g in sorted(zip(order[final_heads].tolist(), born)):
+                state = groups[keys[g]] = _GroupState(0)
+                state.counts = final_counts[g]
+                state.sums = final_sums[g]
+                if published is not None:
+                    published[keys[g]] = pool[last_refs[g]]
         self.consumed += n
         return ColumnBatch.from_rows(rows, signs)
 
     def _values(self, state: _GroupState) -> tuple:
+        if not self._averaged:
+            return tuple(state.sums)
         values = []
         for i, agg in enumerate(self.aggregates):
             if agg.kind == "avg":

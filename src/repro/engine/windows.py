@@ -30,13 +30,28 @@ results are identical to the batch run's.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.columnar import ColumnBatch
 from repro.joins.base import LocalJoin
+
+#: an ``int64`` timestamp or horizon stays below this magnitude
+_INT64_LIMIT = 1 << 63
+
+#: the fewest rows :meth:`SlidingWindowedAggregation.consume_changelog`
+#: takes; smaller batches (a paced stream's turns carry ~1 event) are
+#: cheaper row by row.  Measured on a 2-vCPU box over 20 000 in-order
+#: events, 64 keys, COUNT + SUM, window 2 000, kernel / row loop per
+#: event: 1 row 136 / 13 us, 8 rows 22 / 10, 16 rows 11.3 / 8.0, 24
+#: rows 8.2 / 7.8, 32 rows 6.5 / 7.7, 64 rows 3.9 / 7.4.
+KERNEL_MIN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -300,6 +315,83 @@ class SlidingWindowedAggregation:
                     del self._stored[i]
                     self._apply(row, sign, changes)
                     break
+        return changes
+
+    def consume_changelog(self, batch: ColumnBatch) -> Optional[ColumnBatch]:
+        """Consume an in-order insert batch in one vectorised pass.
+
+        The batch becomes the signed sequence :meth:`consume` applies row
+        by row -- each arrival's expiries at -1 (the stored rows, or
+        earlier rows of this batch, at or behind ``ts - size``), then
+        the arrival at +1 -- and
+        :meth:`~repro.engine.operators.Aggregation.consume_changelog`
+        turns that into the changelog ``DeltaAggBolt``'s row loop emits.
+        One ``np.searchsorted`` of the arrivals' horizons over the
+        expiring timestamps places every expiry.  The stored rows,
+        ``expired_rows`` and the group state end as the row loop leaves
+        them.
+
+        Returns None, consuming nothing, for what only the row loop
+        reproduces: fewer than :data:`KERNEL_MIN_ROWS` rows,
+        arrival-order windows, retractions, timestamps that are not
+        ``int64`` or not in order from the newest one consumed, and
+        whatever the aggregation's kernel refuses.
+
+        >>> from repro.core.columnar import ColumnBatch
+        >>> from repro.engine.operators import Aggregation, count
+        >>> window = SlidingWindowedAggregation(
+        ...     lambda: Aggregation([1], [count()]),
+        ...     WindowSpec.sliding(10, {"": 0}))
+        >>> rows = [(ts, ts // 2 % 2, 0) for ts in range(0, 64, 2)]
+        >>> changes = window.consume_changelog(ColumnBatch.from_rows(rows))
+        >>> len(rows), len(changes), window.expired_rows
+        (32, 116, 27)
+        >>> window.state_size(), window.snapshot()
+        (5, [(0, 2), (1, 3)])
+        """
+        position = (self.window.ts_positions or {}).get("")
+        size, stored = self.window.size, self._stored
+        if (len(batch) < KERNEL_MIN_ROWS or position is None
+                or batch.signs is not None or type(size) is not int
+                or size >= _INT64_LIMIT):
+            return None
+        ts = batch.columns[position]
+        if not (isinstance(ts, np.ndarray) and ts.dtype == np.int64
+                and (ts[1:] >= ts[:-1]).all()):
+            return None
+        first, newest = ts[[0, -1]].tolist()
+        if (self._max_ts is not None and not first >= self._max_ts
+                or first - size < -_INT64_LIMIT):
+            return None
+        # the stored rows this batch expires: a prefix, in timestamp order
+        held = bisect_right(stored, newest - size, key=itemgetter(0))
+        window_rows = ColumnBatch.concat([ColumnBatch.from_rows(
+            [row for _ts, row in islice(stored, held)]), batch])
+        window_ts = window_rows.columns[position]
+        if not (isinstance(window_ts, np.ndarray)
+                and window_ts.dtype == np.int64):
+            return None
+        # how many rows have expired by each arrival, which goes after them
+        expired = window_ts.searchsorted(ts - size, side="right")
+        n, gone = len(batch), int(expired[-1])
+        arrivals = expired + np.arange(n)
+        signs = np.full(gone + n, -1, dtype=np.int8)
+        signs[arrivals] = 1
+        sources = np.empty(gone + n, dtype=np.intp)
+        sources[arrivals] = np.arange(held, held + n)
+        sources[signs < 0] = np.arange(gone)
+        sequence = window_rows.take(sources)
+        sequence.signs = signs
+        changes = self.aggregation.consume_changelog(sequence)
+        if changes is None:
+            return None
+        for _ in range(held):
+            stored.popleft()
+        kept = gone - held  # this batch's first rows expired in it
+        stored.extend(zip(ts[kept:].tolist(), batch.to_rows()[kept:]))
+        self.expired_rows += gone
+        self._arrivals += n
+        self._max_ts = newest
         return changes
 
     def advance_time(self, now) -> List["SlidingWindowedAggregation.Change"]:

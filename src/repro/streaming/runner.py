@@ -65,17 +65,20 @@ class DeltaAggBolt(AggBolt):
     sink ignores a ``-row`` it does not hold, so a retraction moved
     ahead of the insertion it undoes would be lost.  Nothing is netted
     -- a group changed twice in one batch publishes both ``-old/+new``
-    pairs, at every batch size the same per-group feed.  An input batch
-    with signs is consumed run by run (:func:`sign_runs`), each run's
-    changes in turn.
+    pairs, at every batch size the same per-group feed.
 
-    An unwindowed aggregation fed a ``ColumnBatch`` computes a run's
-    changelog in one vectorized kernel
+    A ``ColumnBatch`` input is consumed in one vectorised kernel
     (:meth:`~repro.engine.operators.Aggregation.consume_changelog`)
     whose rows and signs are exactly the row loop's, with the same
-    ``_published`` and group state.  Inputs the kernel cannot match bit
-    for bit (multi-column or non-``int64`` keys, sums that could pass
-    2^53, object columns) and sliding windows take the row loop.
+    ``_published`` and group state; a signed batch goes in whole.  A
+    sliding window first turns the batch into the signed sequence of
+    expiries and arrivals its row loop applies
+    (:meth:`~repro.engine.windows.SlidingWindowedAggregation.\
+consume_changelog`).  What the kernel cannot match bit for bit
+    (multi-column or non-``int64`` keys, sums that could pass 2^53,
+    object columns; for a window, small, out-of-order, late or signed
+    batches) takes the row loop, one same-sign run (:func:`sign_runs`)
+    at a time.
 
     Modes: unwindowed and sliding-window snapshot aggregations get the
     upsert treatment (sliding expirations -- arrival- or
@@ -83,21 +86,34 @@ class DeltaAggBolt(AggBolt):
     aggregations already emit incrementally in batch mode and keep their
     semantics unchanged.
 
-    Example::
+    >>> from repro.core.columnar import ColumnBatch
+    >>> from repro.engine.component import AggComponent
+    >>> from repro.engine.operators import count, total
+    >>> from repro.engine.windows import WindowSpec
+    >>> bolt = DeltaAggBolt(AggComponent(
+    ...     "agg", group_positions=[0], aggregates=[count()]))
+    >>> changes = bolt.execute_batch("J", "J", [("a",), ("b",), ("a",)])
+    >>> changes.stream
+    'agg'
+    >>> list(zip(changes.batch.signs.tolist(), changes.batch.to_rows()))
+    [(1, ('a', 1)), (1, ('b', 1)), (-1, ('a', 1)), (1, ('a', 2))]
 
-        from repro.engine.component import AggComponent
-        from repro.engine.operators import count
-        from repro.streaming.runner import DeltaAggBolt
+    ``-old`` goes directly ahead of its ``+new``.  A sliding window of
+    2 time units over ``(ts, key, value)``: from ``ts = 2`` on, every
+    arrival first expires the row at ``ts - 2``, so a group's changes
+    alternate between an expiry and an arrival:
 
-        bolt = DeltaAggBolt(AggComponent(
-            "agg", group_positions=[0], aggregates=[count()]))
-        changes = bolt.execute_batch("J", "J", [("a",), ("b",), ("a",)])
-        assert changes.stream == "agg"
-        assert changes.batch.to_rows() == [
-            ("a", 1), ("b", 1),
-            ("a", 1),    # -old directly ahead
-            ("a", 2)]    # of its +new
-        assert changes.batch.signs.tolist() == [1, 1, -1, 1]
+    >>> sliding = DeltaAggBolt(AggComponent(
+    ...     "agg", group_positions=[1], aggregates=[count(), total(2)],
+    ...     window=WindowSpec.sliding(2, {"": 0})))
+    >>> events = ColumnBatch.from_rows([(ts, 0, ts) for ts in range(32)])
+    >>> batch = sliding.execute_batch("events", "events", events).batch
+    >>> list(zip(batch.signs.tolist(), batch.to_rows()))[:5]
+    ... # doctest: +NORMALIZE_WHITESPACE
+    [(1, (0, 1, 0)), (-1, (0, 1, 0)), (1, (0, 2, 1)),
+     (-1, (0, 2, 1)), (1, (0, 1, 1))]
+    >>> sliding.sliding_state.expired_rows
+    30
     """
 
     def __init__(self, component):
@@ -125,12 +141,21 @@ class DeltaAggBolt(AggBolt):
     def execute_batch(self, source: str, stream: str, rows):
         if not self._upsert:
             return super().execute_batch(source, stream, rows)
-        parts = [self._changes(run, sign) for sign, run in sign_runs(rows)]
-        return self._emit(parts[0] if len(parts) == 1
-                          else ColumnBatch.concat(parts))
+        changes = None
+        if isinstance(rows, ColumnBatch):
+            changes = (
+                self.sliding_state.consume_changelog(rows)
+                if self.sliding_state is not None
+                else self.aggregation.consume_changelog(rows, self._published))
+        if changes is None:
+            parts = [self._changes(run, sign)
+                     for sign, run in sign_runs(rows)]
+            changes = parts[0] if len(parts) == 1 \
+                else ColumnBatch.concat(parts)
+        return self._emit(changes)
 
     def _changes(self, rows, sign: int) -> ColumnBatch:
-        """The changelog of one same-sign run."""
+        """The changelog of one same-sign run, row by row."""
         if self.sliding_state is not None:
             # expiry is per arrival, so the window consumes row by row
             consume = self.sliding_state.consume
@@ -138,10 +163,6 @@ class DeltaAggBolt(AggBolt):
                 [change for row in rows for change in consume(row, sign)])
         aggregation = self.aggregation
         if isinstance(rows, ColumnBatch):
-            changes = aggregation.consume_changelog(rows, sign,
-                                                    self._published)
-            if changes is not None:
-                return changes
             rows = rows.to_rows()
         n_group = len(aggregation.group_positions)
         published = self._published

@@ -23,6 +23,8 @@ import math
 import threading
 import time
 from collections import deque
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 Emission = Tuple[str, tuple]  # (stream id, values)
@@ -221,16 +223,14 @@ class CallbackSource(PushSource):
     # -- consumer side -----------------------------------------------------
 
     def _pull_generator(self, n: int) -> List[Emission]:
-        out: List[Emission] = []
+        """Up to ``n`` emissions; a short pull means the generator ended
+        (one that ends exactly at ``n`` is found out by the next pull)."""
         if self._generator is None:
-            return out
-        for _ in range(n):
-            try:
-                out.append(next(self._generator))
-            except StopIteration:
-                self._generator_done = True
-                self._generator = None
-                break
+            return []
+        out = list(islice(self._generator, n))
+        if len(out) < n:
+            self._generator_done = True
+            self._generator = None
         return out
 
     def poll(self, max_rows: int) -> List[Emission]:
@@ -243,7 +243,8 @@ class CallbackSource(PushSource):
         if len(batch) < max_rows:
             batch.extend(self._pull_generator(max_rows - len(batch)))
         if batch and self.ts_position is not None:
-            ts = max(row[self.ts_position] for _stream, row in batch)
+            ts = max(map(itemgetter(self.ts_position),
+                         map(itemgetter(1), batch)))
             with self._lock:
                 if self.max_event_time is None or ts > self.max_event_time:
                     self.max_event_time = ts

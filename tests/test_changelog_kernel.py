@@ -53,7 +53,10 @@ def twins(kinds):
 
 
 def batch_of(rows, sign):
-    """``rows`` as a batch, every row with ``sign``."""
+    """``rows`` as a batch, every row with ``sign`` -- or, given a list,
+    each row with its own."""
+    if isinstance(sign, list):
+        return ColumnBatch.from_rows(rows, sign)
     return ColumnBatch.from_rows(rows, None if sign > 0 else [-1] * len(rows))
 
 
@@ -75,7 +78,7 @@ def make_rows(rng, n, keys, values):
 
 BATCH = st.tuples(
     st.sampled_from([1, 7, 64, 512]),            # rows in the batch
-    st.sampled_from([1, 1, -1]),                 # batch sign
+    st.sampled_from([1, 1, -1, 0]),              # batch sign; 0: mixed
     st.sampled_from(["int", "float", "huge"]),   # value column
 )
 
@@ -96,6 +99,8 @@ class TestDifferential:
         for size, sign, kind in batches:
             values = {"int": INTS, "float": FLOATS, "huge": HUGE}[kind]
             rows = make_rows(rng, size, keys, values)
+            if not sign:
+                sign = [rng.choice([1, -1]) for _ in rows]
             expected = rows_bolt.execute_batch("J", "J", batch_of(rows, sign))
             got = cols_bolt.execute_batch("J", "J", batch_of(rows, sign))
             assert repr(changes_of(got)) == repr(changes_of(expected))
@@ -131,6 +136,22 @@ class TestKernelCases:
             (-1, (1, 1, 5)),   # dies: -old alone
             (1, (1, -1, -4)),  # reborn from empty
             (-1, (2, 1, 1)),
+        ]
+
+    def test_group_dies_and_is_reborn_twice_in_one_signed_batch(self):
+        changes, used = self.both(["count", "sum"], [
+            (1, [(1, 5)]),
+            ([-1, -1, 1, 1, 1, 1],
+             [(1, 5), (1, 2), (1, 2), (1, 3), (1, 4), (2, 1)]),
+        ])
+        assert used == 2
+        assert changes == [
+            (-1, (1, 1, 5)),                    # dies
+            (1, (1, -1, -2)),                   # reborn at count -1
+            (-1, (1, -1, -2)),                  # dies again
+            (1, (1, 1, 3)),                     # reborn
+            (-1, (1, 1, 3)), (1, (1, 2, 7)),
+            (1, (2, 1, 1)),
         ]
 
     def test_zero_sum_live_group_vs_dead_group(self):

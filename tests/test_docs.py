@@ -57,7 +57,8 @@ def test_every_python_block_executes(path):
 
 #: modules whose docstring examples (``>>>``) are part of the docs
 DOCTEST_MODULES = ["repro.core.columnar", "repro.core.schema",
-                   "repro.joins.dbtoaster"]
+                   "repro.joins.dbtoaster", "repro.streaming.runner",
+                   "repro.engine.windows"]
 
 
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)

@@ -116,6 +116,24 @@ class TestCallbackSource:
         source.poll(1)
         assert source.exhausted()
 
+    def test_a_generator_that_ends_exactly_at_max_rows(self):
+        pulled = []
+
+        def emissions():
+            for i in range(4):
+                pulled.append(i)
+                yield ("S", (i,))
+
+        source = CallbackSource(emissions())
+        assert source.poll(2) == [("S", (0,)), ("S", (1,))]
+        assert pulled == [0, 1]  # nothing pulled ahead of the poll
+        assert source.poll(2) == [("S", (2,)), ("S", (3,))]
+        # the pull that emptied the generator never saw it end: the
+        # next, empty, pull does
+        assert not source.exhausted()
+        assert source.poll(2) == []
+        assert source.exhausted()
+
     def test_push_then_close(self):
         source = CallbackSource()
         source.push((1,), stream="S")

@@ -1,19 +1,26 @@
 """Tests for window semantics on top of the full-history engine."""
 
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.columnar import ColumnBatch
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
-from repro.engine.operators import Aggregation, count, total
+from repro.engine.component import AggComponent
+from repro.engine.operators import AggregateSpec, Aggregation, count, total
 from repro.engine.windows import (
+    KERNEL_MIN_ROWS,
     SlidingWindowedAggregation,
     WindowedAggregation,
     WindowedJoinState,
     WindowSpec,
 )
 from repro.joins import DBToasterJoin, TraditionalJoin
+from repro.streaming.runner import DeltaAggBolt
+from tests.conftest import changes_of
 
 
 def two_way_spec():
@@ -388,3 +395,190 @@ class TestLateEventsEndToEnd:
         late = sum(task.sliding_state.late_events
                    for task in query.cluster.cluster.tasks("agg"))
         assert late == (probe == "behind_the_horizon")
+
+
+# -- the sliding changelog kernel is the row loop, to the bit ---------------
+
+#: value pools: int sums, float sums whose value depends on the order of
+#: the additions, and ints whose sums could pass 2^53 (the kernel must
+#: hand those back)
+WINDOW_VALUES = {
+    "int": [-3, -1, 0, 1, 2, 7],
+    "float": [0.1, 0.2, 0.3, 1e16, -1e16, 1.0, -0.5, 0.0, 2.5],
+    "huge": [2 ** 53 + 1, -(2 ** 60), 3],
+}
+
+WINDOW_STEP = st.tuples(
+    st.sampled_from([1, 7, 16, 64, 512]),                    # rows
+    st.sampled_from(["in_order", "in_order", "in_order",
+                     "shuffled", "late", "retract"]),
+    st.booleans(),                             # watermark after it
+)
+
+
+def sliding_twins(kinds, size, arrival_order=False):
+    """A kernel bolt and a row-loop twin over one sliding window
+    ``(ts, key, value)``; the kernel bolt's ``used`` counts the batches
+    its kernel consumed."""
+    component = AggComponent(
+        "agg", group_positions=[1],
+        aggregates=[AggregateSpec(kind, None if kind == "count" else 2)
+                    for kind in kinds],
+        window=WindowSpec.sliding(size, None if arrival_order else {"": 0}))
+    kernel_bolt, loop_bolt = DeltaAggBolt(component), DeltaAggBolt(component)
+    loop_bolt.aggregation.consume_changelog = lambda *args: None
+    kernel = kernel_bolt.sliding_state.consume_changelog
+    kernel_bolt.used = 0
+
+    def counted(batch):
+        changes = kernel(batch)
+        kernel_bolt.used += changes is not None
+        return changes
+
+    kernel_bolt.sliding_state.consume_changelog = counted
+    return kernel_bolt, loop_bolt
+
+
+def window_state(bolt):
+    """Everything either path leaves behind, by ``repr``."""
+    window = bolt.sliding_state
+    return (repr(list(bolt._published.items())),
+            repr([(key, state.counts, state.sums) for key, state
+                  in window.aggregation._groups.items()]),
+            repr(list(window._stored)), window.expired_rows,
+            window.late_events, window._arrivals, repr(window._max_ts),
+            window.aggregation.consumed)
+
+
+class WindowStream:
+    """Batches of ``(ts, key, value)`` rows for one sliding window."""
+
+    def __init__(self, rng, keys, values, size):
+        self.rng, self.keys, self.values, self.size = rng, keys, values, size
+        self.now = 0
+        self.sent = []  # every row inserted so far
+
+    def _in_order(self, n):
+        rows = []
+        for _ in range(n):
+            self.now += self.rng.choice([0, 1, 1, 2, 5])
+            rows.append((self.now, self.rng.randrange(self.keys),
+                         self.rng.choice(self.values)))
+        return rows
+
+    def batch(self, n, kind):
+        """``n`` rows and their signs (None: all inserts)."""
+        rng = self.rng
+        rows, signs = self._in_order(n), None
+        if kind == "shuffled":  # out of order, mostly inside the window
+            for _ in range(max(1, n // 4)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "late":  # some rows at or behind the horizon
+            for i in rng.sample(range(n), max(1, n // 5)):
+                ts = self.now - self.size - rng.randrange(3)
+                rows[i] = (ts,) + rows[i][1:]
+        elif kind == "retract":  # stored and expired rows, a few inserts
+            signs = [rng.choice([-1, -1, -1, 1]) for _ in rows]
+            rows = [rng.choice(self.sent) if sign < 0 and self.sent else row
+                    for row, sign in zip(rows, signs)]
+        self.sent.extend(row for i, row in enumerate(rows)
+                         if signs is None or signs[i] > 0)
+        return rows, signs
+
+
+class TestSlidingKernelDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["count", "sum", "avg"]),
+                          min_size=1, max_size=3),
+           steps=st.lists(WINDOW_STEP, min_size=1, max_size=8),
+           keys=st.sampled_from([1, 3, 40]),
+           size=st.sampled_from([3, 20, 300]),
+           values=st.sampled_from(sorted(WINDOW_VALUES)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kernel_bolt_equals_row_loop_bolt(
+            self, kinds, steps, keys, size, values, seed):
+        kernel_bolt, loop_bolt = sliding_twins(kinds, size)
+        stream = WindowStream(random.Random(seed), keys,
+                              WINDOW_VALUES[values], size)
+        for n, kind, watermark in steps:
+            rows, signs = stream.batch(n, kind)
+            expected = loop_bolt.execute_batch(
+                "events", "events", ColumnBatch.from_rows(rows, signs))
+            got = kernel_bolt.execute_batch(
+                "events", "events", ColumnBatch.from_rows(rows, signs))
+            assert repr(changes_of(got)) == repr(changes_of(expected))
+            assert window_state(kernel_bolt) == window_state(loop_bolt)
+            if watermark:
+                now = stream.now + stream.rng.randrange(2)
+                assert repr(changes_of(kernel_bolt.advance_watermark(now))) \
+                    == repr(changes_of(loop_bolt.advance_watermark(now)))
+                assert window_state(kernel_bolt) == window_state(loop_bolt)
+
+
+class TestSlidingKernelCases:
+    """Pinned cases, each checked against the row loop and for taking
+    the kernel path or not."""
+
+    @staticmethod
+    def both(batches, kinds=("count", "sum"), size=10, arrival_order=False):
+        kernel_bolt, loop_bolt = sliding_twins(kinds, size, arrival_order)
+        for rows, signs in batches:
+            expected = changes_of(loop_bolt.execute_batch(
+                "events", "events", ColumnBatch.from_rows(rows, signs)))
+            got = changes_of(kernel_bolt.execute_batch(
+                "events", "events", ColumnBatch.from_rows(rows, signs)))
+            assert repr(got) == repr(expected)
+            assert window_state(kernel_bolt) == window_state(loop_bolt)
+        return got, kernel_bolt
+
+    @staticmethod
+    def in_order(n, start=0, key=0):
+        return [(start + ts, key, ts) for ts in range(n)]
+
+    def test_in_order_batches_take_the_kernel(self):
+        _changes, bolt = self.both([(self.in_order(64), None),
+                                    (self.in_order(64, start=64), None)])
+        assert bolt.used == 2
+        assert bolt.sliding_state.expired_rows == 118  # ts <= 127 - 10
+
+    def test_a_group_dies_and_is_reborn_twice_in_one_batch(self):
+        # window 2: every 3-unit gap expires the group's only row
+        rows = [(0, 0, 5), (3, 0, 6), (6, 0, 7)] + [
+            (ts, 1, 1) for ts in range(6, 6 + KERNEL_MIN_ROWS - 3)]
+        changes, bolt = self.both([(rows, None)], size=2)
+        assert bolt.used == 1
+        assert changes[:5] == [
+            (1, (0, 1, 5)),
+            (-1, (0, 1, 5)),   # expired: dies
+            (1, (0, 1, 6)),    # reborn from empty
+            (-1, (0, 1, 6)),
+            (1, (0, 1, 7)),
+        ]
+
+    def test_what_only_the_row_loop_takes(self):
+        n = KERNEL_MIN_ROWS
+        small = (self.in_order(n - 1), None)
+        swapped = self.in_order(n, start=100)
+        swapped[:2] = swapped[1::-1]           # 100 after 101: inside
+        behind_first = [(100, 0, 1)] + self.in_order(n - 1, start=200)
+        behind_later = self.in_order(n - 1, start=300) + [(5, 0, 1)]
+        inside = behind_later[-11:-1]          # the newest ten: stored
+        retract = ((inside * 2)[:n], [-1] * n)
+        _changes, bolt = self.both([small, (swapped, None),
+                                    (behind_first, None),
+                                    (behind_later, None), retract])
+        assert bolt.used == 0
+        assert bolt.sliding_state.late_events == 2
+        _changes, bolt = self.both([(self.in_order(64), None)],
+                                   arrival_order=True)
+        assert bolt.used == 0
+
+    def test_sums_the_kernel_cannot_keep_exact_fall_back(self):
+        n = KERNEL_MIN_ROWS
+        huge = [(ts, 0, 2 ** 60) for ts in range(n)]
+        floats = [(ts, 0, 0.0) for ts in range(n, 2 * n)]
+        _changes, bolt = self.both([(self.in_order(n), None), (huge, None),
+                                    (floats, None)], kinds=("sum",),
+                                   size=1000)
+        assert bolt.used == 1  # a float added to a live int sum: loop
