@@ -11,6 +11,7 @@ Three section-5 phenomena that motivate Squall's scheme choices:
    lands on few machines; EWH balances estimated output.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -83,8 +84,9 @@ def test_temporal_skew_sorted_arrival(benchmark):
             lambda v: grouping.targets("s", (v,), machines)
         )
         bucket = OneBucket("R", "S", machines, seed=9)
+        positions = itertools.count()  # the stream position of each row
         random_active = active_machines_per_burst(
-            lambda v: bucket.destinations("R", (v,))
+            lambda v: bucket.destinations("R", (v,), (0, next(positions)))
         )
         return hash_active, random_active
 
@@ -122,12 +124,16 @@ def test_ewh_vs_mbucket_product_skew(benchmark):
         def output_load_profile(scheme, rel_left="R", rel_right="S"):
             loads = Counter()
             replication = 0
-            for l_val in left:
-                l_dest = set(scheme.destinations(rel_left, (l_val,)))
+            right_positions = itertools.count()
+            for index, l_val in enumerate(left):
+                l_dest = set(scheme.destinations(rel_left, (l_val,),
+                                                 (0, index)))
                 replication += len(l_dest)
                 for r_val in (499, 500, 501, 502, 503):
                     if cond.evaluate(l_val, r_val):
-                        for m in l_dest & set(scheme.destinations(rel_right, (r_val,))):
+                        r_dest = scheme.destinations(
+                            rel_right, (r_val,), (0, next(right_positions)))
+                        for m in l_dest & set(r_dest):
                             loads[m] += 1
             return loads, replication / len(left)
 

@@ -11,9 +11,9 @@ cannot see, each grounded in a real past bug class:
   not stash lambdas/closures/locks/generators/handles without a
   ``__getstate__`` (the Selection/Projection closure bug, previously a
   runtime-only refusal).
-- ``checkpoint-completeness``: mutable routing/operator state must be
-  reachable from the checkpoint protocol
-  (``routing_state``/``__getstate__``), or recovery silently loses it.
+- ``checkpoint-completeness``: a routing class must be pure or say it
+  is not (``supports_task_local_routing``), and operator state must be
+  reachable from ``__getstate__``, or recovery silently loses it.
 - ``determinism``: unordered set iteration, wall-clock time, ``random``
   and ``id()`` in operator kernels break byte-identical batch parity.
 

@@ -4,13 +4,13 @@ Recovery replays from checkpointed state; any mutable field the
 checkpoint protocol does not capture is silently reset on restore.  Two
 past-incident shapes are enforced:
 
-1. **Routing state.**  A ``Grouping``/``Partitioner`` subclass that
-   mutates an instance attribute outside ``__init__`` (a round-robin
-   cursor, an adaptive histogram) must expose it through
-   ``routing_state()`` / ``restore_routing_state()`` -- the protocol the
-   checkpoint coordinator snapshots.  ``ShuffleGrouping._next`` is the
-   canonical example: without it, replayed batches after a worker
-   respawn route differently than the original run.
+1. **Routing state.**  Routing must be a pure function of a row and its
+   stream position, so a recovery replay places every row where it first
+   landed with nothing to checkpoint.  A ``Grouping``/``Partitioner``
+   subclass that mutates an instance attribute outside ``__init__`` (a
+   round-robin cursor, an adaptive histogram; a draw from a
+   ``random.Random`` attribute counts) must say it is not pure, by
+   returning ``False`` from ``supports_task_local_routing()``.
 
 2. **Dropped pickle keys.**  A ``__getstate__`` that removes a key from
    the state dict (``del state["_fn"]`` / ``state.pop("_fn")``) must be
@@ -29,18 +29,19 @@ from repro.analysis.core import Checker, ClassInfo, Corpus, Finding
 
 ROUTING_ROOTS = {"Grouping", "Partitioner"}
 
-#: mutating container-method calls on ``self.<attr>.<m>(...)``
+#: mutating calls on ``self.<attr>.<m>(...)``: container methods, and
+#: the draws of a ``random.Random`` (each advances the generator)
 _MUTATORS = {
     "append", "appendleft", "extend", "extendleft", "add", "update",
     "pop", "popleft", "popitem", "remove", "discard", "clear", "insert",
-    "setdefault", "sort", "reverse", "rotate",
+    "setdefault", "sort", "reverse", "rotate", "random", "randrange",
+    "randint", "choice", "choices", "shuffle", "sample", "uniform",
 }
 
-#: methods whose writes do not need capturing: construction, the
-#: checkpoint/pickle protocol itself (restore writes are fine)
+#: methods whose writes do not need capturing: construction and the
+#: pickle protocol itself
 _EXEMPT_WRITERS = {
-    "__init__", "__new__", "__post_init__", "__setstate__",
-    "restore_routing_state", "prepare",
+    "__init__", "__new__", "__post_init__", "__setstate__", "prepare",
 }
 
 
@@ -58,43 +59,18 @@ class CheckpointCompletenessChecker(Checker):
     def _routing_state(self, corpus: Corpus) -> Iterable[Finding]:
         for cls in corpus.subclasses(ROUTING_ROOTS):
             mutated = _mutated_attrs(cls)
-            if not mutated:
+            if not mutated or _declares_stateful(corpus, cls, set()):
                 continue
-            has_state = corpus.ancestry_defines(
-                cls, "routing_state", ROUTING_ROOTS)
-            has_restore = corpus.ancestry_defines(
-                cls, "restore_routing_state", ROUTING_ROOTS)
-            if not has_state:
-                attrs = ", ".join(sorted(mutated))
-                yield Finding(
-                    path=cls.module.path, line=cls.node.lineno, col=0,
-                    rule=self.rule,
-                    message=(
-                        f"'{cls.name}' mutates routing state ({attrs}) "
-                        f"but defines no routing_state()/"
-                        f"restore_routing_state(); after a worker respawn "
-                        f"the recovered instance re-routes from scratch"))
-                continue
-            if not has_restore:
-                yield Finding(
-                    path=cls.module.path, line=cls.node.lineno, col=0,
-                    rule=self.rule,
-                    message=(
-                        f"'{cls.name}' defines routing_state() but no "
-                        f"restore_routing_state(); checkpoints of it can "
-                        f"never be applied"))
-            state_fn = cls.methods.get("routing_state")
-            if state_fn is None:
-                continue  # inherited implementation covers the contract
-            captured = _self_attrs_read(state_fn)
-            for attr in sorted(set(mutated) - captured):
-                line = min(mutated[attr])
-                yield Finding(
-                    path=cls.module.path, line=line, col=0, rule=self.rule,
-                    message=(
-                        f"'{cls.name}.{attr}' is mutated at runtime but "
-                        f"does not appear in {cls.name}.routing_state(); "
-                        f"recovery silently resets it"))
+            attrs = ", ".join(sorted(mutated))
+            yield Finding(
+                path=cls.module.path, line=cls.node.lineno, col=0,
+                rule=self.rule,
+                message=(
+                    f"'{cls.name}' mutates routing state ({attrs}) outside "
+                    f"__init__ but does not return False from "
+                    f"supports_task_local_routing(); routing must be a "
+                    f"pure function of a row and its stream position, or "
+                    f"a recovery replay re-routes the rows elsewhere"))
 
     # -- part 2: __getstate__ drops a key, __setstate__ never restores --
 
@@ -126,8 +102,24 @@ class CheckpointCompletenessChecker(Checker):
                             f"missing the attribute -- {hint}"))
 
 
+def _declares_stateful(corpus: Corpus, cls: ClassInfo,
+                       seen: Set[str]) -> bool:
+    """Whether the nearest ``supports_task_local_routing`` in ``cls``'s
+    ancestry (below the roots) has a ``return False``."""
+    method = cls.methods.get("supports_task_local_routing")
+    if method is not None:
+        return any(isinstance(node, ast.Return)
+                   and isinstance(node.value, ast.Constant)
+                   and node.value.value is False for node in ast.walk(method))
+    bases = set(cls.bases) - ROUTING_ROOTS - seen
+    seen |= bases
+    return any(_declares_stateful(corpus, parent, seen)
+               for base in sorted(bases)
+               for parent in corpus.by_name.get(base, ()))
+
+
 def _mutated_attrs(cls: ClassInfo) -> Dict[str, List[int]]:
-    """Instance attrs written/mutated outside construction & restore."""
+    """Instance attrs written/mutated outside construction."""
     out: Dict[str, List[int]] = {}
 
     def note(attr: str, line: int):
@@ -176,12 +168,6 @@ def _self_attr(node: ast.expr) -> Optional[str]:
             and node.value.id == "self"):
         return node.attr
     return None
-
-
-def _self_attrs_read(func: ast.FunctionDef) -> Set[str]:
-    return {node.attr for node in ast.walk(func)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id == "self"}
 
 
 def _dropped_state_keys(getstate: ast.FunctionDef) -> Dict[str, int]:

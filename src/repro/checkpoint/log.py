@@ -7,7 +7,8 @@ the stream of everything that entered the dataplane *after* it.  The
 
 - ``data`` entries: one source pump's post-selection/projection
   emissions, exactly as they were injected (row lists or columnar
-  batches alike), and
+  batches alike), with their stream position -- so a replay places every
+  row where it first landed -- and
 - ``watermark`` entries: each broadcast watermark advance, interleaved
   at its true position so a replay re-expires windows at the same
   points in the stream.
@@ -26,7 +27,7 @@ from typing import Iterator, List, Sequence, Tuple
 DATA = "data"
 WATERMARK = "wm"
 
-#: one log record: ("data", source, emissions) or ("wm", value)
+#: one log record: ("data", source, emissions, position) or ("wm", value)
 Entry = Tuple
 
 
@@ -38,9 +39,10 @@ class ChangeLog:
         #: rows currently in the log (replay cost estimate)
         self.rows = 0
 
-    def record_data(self, source: str, emissions: Sequence) -> None:
+    def record_data(self, source: str, emissions: Sequence,
+                    position: Tuple) -> None:
         """Log one source micro-batch (after pump-side operators)."""
-        self._entries.append((DATA, source, emissions))
+        self._entries.append((DATA, source, emissions, position))
         self.rows += len(emissions)
 
     def record_watermark(self, watermark: float) -> None:

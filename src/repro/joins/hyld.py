@@ -151,9 +151,12 @@ class HyLDOperator:
 
     def _apply(self, rel_name: str, row: tuple, insert: bool) -> List[tuple]:
         self.input_count += 1
-        self.source_counts[rel_name] = self.source_counts.get(rel_name, 0) + 1
+        # the row's index among its relation's rows is its stream position
+        index = self.source_counts.get(rel_name, 0)
+        self.source_counts[rel_name] = index + 1
         produced: List[tuple] = []
-        for machine in self.partitioner.destinations(rel_name, row):
+        for machine in self.partitioner.destinations(rel_name, row,
+                                                     (0, index)):
             self.received[machine] += 1
             local = self.locals[machine]
             delta = local.insert(rel_name, row) if insert else local.delete(rel_name, row)

@@ -63,9 +63,9 @@ class AdaptiveOneBucket(Partitioner):
         self._next_id = 0
 
     def supports_task_local_routing(self) -> bool:
-        # routing depends on the globally observed stream (reshape
-        # decisions + stored-tuple coordinates); a recovery replay would
-        # route differently, so streaming 'processes' refuses this
+        # routing depends on the globally observed stream (reshapes,
+        # stored-tuple coordinates, the rng's draws); a recovery replay
+        # would route differently, so streaming 'processes' refuses this
         return False
 
     # -- routing ---------------------------------------------------------
@@ -73,7 +73,8 @@ class AdaptiveOneBucket(Partitioner):
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def destinations(self, rel_name: str, row: tuple) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple,
+                     position=None) -> List[int]:
         machines, _tuple_id = self.route(rel_name, row)
         return machines
 
@@ -100,35 +101,6 @@ class AdaptiveOneBucket(Partitioner):
         if self.total_seen % self.check_interval == 0:
             self._maybe_reshape()
         return machines, tuple_id
-
-    def routing_state(self):
-        """Everything routing depends on: shape, cardinalities, stored
-        coordinates, and the RNG cursor.
-
-        Without this, a recovered worker would restart from the initial
-        matrix shape and re-route replayed tuples differently than the
-        original delivery (flagged by squall-lint's
-        checkpoint-completeness rule)."""
-        return {
-            "shape": (self.rows, self.cols),
-            "seen": dict(self.seen),
-            "total_seen": self.total_seen,
-            "migrated_tuples": self.migrated_tuples,
-            "reshapes": list(self.reshapes),
-            "coords": dict(self._coords),
-            "next_id": self._next_id,
-            "rng": self._rng.getstate(),
-        }
-
-    def restore_routing_state(self, state) -> None:
-        self.rows, self.cols = state["shape"]
-        self.seen = dict(state["seen"])
-        self.total_seen = state["total_seen"]
-        self.migrated_tuples = state["migrated_tuples"]
-        self.reshapes = list(state["reshapes"])
-        self._coords = dict(state["coords"])
-        self._next_id = state["next_id"]
-        self._rng.setstate(state["rng"])
 
     def machines_for(self, rel_name: str, tuple_id: int) -> List[int]:
         """Current home machines of a stored tuple (post-reshape aware)."""

@@ -7,7 +7,45 @@ trade replication for skew resilience (the paper's SAR principle).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+#: where a row stands in its stream: ``(emitting task, the row's index
+#: among that task's emissions on the stream)``
+Position = Tuple[int, int]
+
+_MASK64 = (1 << 64) - 1
+
+
+def require_position(position: Optional[Position], what: str) -> Position:
+    """``position``, which content-insensitive placement has to go by."""
+    if position is None:
+        raise ValueError(f"{what} places a row by its stream position")
+    return position
+
+
+def _mix64(value):
+    """SplitMix64's finaliser, on a Python int or a ``uint64`` array
+    alike (bit for bit, so the row and batch paths agree)."""
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def random_coordinates(seed: int, dim: int, position: Optional[Position],
+                       size: int, rows: Optional[int] = None):
+    """Random dimension ``dim``'s coordinate in ``[0, size)`` for the row
+    at ``position`` (with ``rows``: a vector, for that many rows from it
+    on): a hash of ``(seed, dim, task, index)``, never of the row's
+    values, and the same wherever and in whatever batches it is taken."""
+    task, first = require_position(position, f"random dimension {dim}")
+    start = (_mix64(_mix64(seed & _MASK64) ^ dim ^ (task << 32)) + first) \
+        & _MASK64
+    if rows is None:
+        return _mix64(start) % size
+    draws = _mix64(np.arange(rows, dtype=np.uint64) + np.uint64(start))
+    return (draws % np.uint64(size)).astype(np.int64)
 
 
 class UnsupportedJoinError(ValueError):
@@ -24,12 +62,15 @@ class Partitioner:
     #: total number of joiner machines used by this scheme
     n_machines: int
 
-    def destinations(self, rel_name: str, row: tuple) -> List[int]:
-        """Machine ids in ``[0, n_machines)`` that must receive this tuple."""
+    def destinations(self, rel_name: str, row: tuple,
+                     position: Optional[Position] = None) -> List[int]:
+        """Machine ids in ``[0, n_machines)`` that must receive this tuple
+        at stream ``position`` (which only random schemes read)."""
         raise NotImplementedError
 
-    def destination_matrix(self, rel_name: str, batch):
-        """Vectorized ``destinations`` over a whole ``ColumnBatch``.
+    def destination_matrix(self, rel_name: str, batch,
+                           position: Optional[Position] = None):
+        """Vectorized ``destinations`` of a ``ColumnBatch`` from ``position``.
 
         Returns an ``(n_rows, n_copies)`` machine-id matrix (row ``i``
         lists every machine that must receive tuple ``i``), or None when
@@ -73,14 +114,14 @@ class Partitioner:
         raise NotImplementedError
 
     def supports_task_local_routing(self) -> bool:
-        """Whether a recovery replay routes the way the original delivery did.
+        """Whether a row's machines are a pure function of the row and its
+        stream position: any process may route it, and a recovery replay
+        routes it the way the original delivery did.
 
-        Static schemes (hash / random / hybrid hypercube) route each tuple
-        independently of what was observed before, so a replay after a
-        worker crash lands every row where it first landed.  Schemes that
-        *adapt to the observed stream* (reshaping matrices) must return
-        False: the replay would meet the post-failure shape and silently
-        lose matches.  The streaming ``processes`` executor refuses such
-        schemes; batch runs and inline streaming route them exactly.
+        True for the static schemes (hash dimensions hash a value, random
+        ones the position).  Schemes that *adapt to the observed stream*
+        (reshaping matrices) must return False: the replay would meet the
+        post-failure shape and silently lose matches.  The streaming
+        ``processes`` executor refuses such schemes.
         """
         return True

@@ -6,7 +6,8 @@ machine covers a unique cell.  A *dimension* is either
 - a **hash** dimension: one join-key equivalence class; every relation with
   an attribute in the class pins its coordinate by hashing that attribute;
 - a **random** dimension: owned by exactly one relation, whose tuples pick
-  a uniformly random coordinate (the skew-resilient 1-Bucket behaviour).
+  a uniformly random coordinate (the skew-resilient 1-Bucket behaviour):
+  a hash of the tuple's stream position, never of its values.
 
 Relations without an attribute on a dimension replicate across it.  The
 optimiser chooses integer dimension sizes whose product does not exceed
@@ -25,8 +26,8 @@ import numpy as np
 from repro.core.columnar import hash_column
 from repro.core.predicates import AttrRef
 from repro.core.schema import Schema
-from repro.partitioning.base import Partitioner
-from repro.util import make_rng, stable_hash
+from repro.partitioning.base import Partitioner, random_coordinates
+from repro.util import stable_hash
 
 HASH = "hash"
 RANDOM = "random"
@@ -250,9 +251,10 @@ class HypercubePartitioner(Partitioner):
     """Routes tuples through a configured hypercube.
 
     For every dimension a relation owns, the tuple's coordinate is pinned
-    (by hashing its attribute, or by a random draw on random dimensions);
-    the tuple is replicated across all remaining dimensions.  Each potential
-    output tuple is therefore assigned to exactly one machine.
+    (by hashing its attribute, or on a random dimension by hashing its
+    stream position with ``seed``); the tuple is replicated across all
+    remaining dimensions.  Each potential output tuple is therefore
+    assigned to exactly one machine.
     """
 
     def __init__(
@@ -263,7 +265,7 @@ class HypercubePartitioner(Partitioner):
     ):
         self.config = config
         self.schemas = dict(schemas)
-        self._rng = make_rng(seed)
+        self.seed = seed
         sizes = config.sizes
         self.n_machines = 1
         for size in sizes:
@@ -274,46 +276,29 @@ class HypercubePartitioner(Partitioner):
         for j in range(len(sizes) - 1, -1, -1):
             self._strides[j] = stride
             stride *= sizes[j]
-        # per-relation routing plan
+        # per-relation routing plan: the owned dimensions, ``(j, field
+        # hashed or None, kind)``, and the machine offsets of a tuple's
+        # copies across the replicated ones
         self._owned: Dict[str, List[Tuple[int, Optional[int], str]]] = {}
-        self._replicated: Dict[str, List[int]] = {}
+        self._copies: Dict[str, List[int]] = {}
         for rel_name, schema in self.schemas.items():
             owned: List[Tuple[int, Optional[int], str]] = []
-            replicated: List[int] = []
+            copies = [0]
             for j, dim in enumerate(config.dims):
                 attr = dim.attribute_of(rel_name)
                 if attr is None:
-                    replicated.append(j)
+                    copies = [offset + value * self._strides[j]
+                              for offset in copies
+                              for value in range(sizes[j])]
                 elif dim.kind == HASH:
                     owned.append((j, schema.index_of(attr), HASH))
                 else:
-                    position = schema.index_of(attr) if schema.has_field(attr) else None
-                    owned.append((j, position, RANDOM))
+                    owned.append((j, None, RANDOM))
             self._owned[rel_name] = owned
-            self._replicated[rel_name] = replicated
+            self._copies[rel_name] = copies
 
     def relation_names(self) -> List[str]:
         return sorted(self.schemas)
-
-    def coordinates(self, rel_name: str, row: tuple) -> List[Tuple[int, ...]]:
-        """All hypercube coordinates this tuple is sent to."""
-        sizes = self.config.sizes
-        base = [0] * len(sizes)
-        for j, position, kind in self._owned[rel_name]:
-            if kind == HASH:
-                base[j] = stable_hash(row[position]) % sizes[j]
-            else:
-                base[j] = self._rng.randrange(sizes[j])
-        coords = [tuple(base)]
-        for j in self._replicated[rel_name]:
-            expanded = []
-            for coord in coords:
-                for value in range(sizes[j]):
-                    updated = list(coord)
-                    updated[j] = value
-                    expanded.append(tuple(updated))
-            coords = expanded
-        return coords
 
     def linearize(self, coord: Tuple[int, ...]) -> int:
         return sum(c * s for c, s in zip(coord, self._strides))
@@ -324,44 +309,42 @@ class HypercubePartitioner(Partitioner):
             coord.append((machine // self._strides[j]) % size)
         return tuple(coord)
 
-    def destinations(self, rel_name: str, row: tuple) -> List[int]:
-        return [self.linearize(c) for c in self.coordinates(rel_name, row)]
+    def destinations(self, rel_name: str, row: tuple,
+                     position=None) -> List[int]:
+        sizes = self.config.sizes
+        base = 0
+        for j, field, kind in self._owned[rel_name]:
+            coord = stable_hash(row[field]) % sizes[j] if kind == HASH else \
+                random_coordinates(self.seed, j, position, sizes[j])
+            base += coord * self._strides[j]
+        return [base + offset for offset in self._copies[rel_name]]
 
-    def destination_matrix(self, rel_name: str, batch) -> np.ndarray:
+    def destination_matrix(self, rel_name: str, batch,
+                           position=None) -> np.ndarray:
         """Vectorized ``destinations``: an ``(n_rows, n_copies)`` matrix.
 
-        Hash dimensions pin coordinates via the vectorized stable hash
-        (bit-identical to the row path, so hash routing stays batch-size
-        invariant); random dimensions draw per-row coordinates from the
-        same rng (a different draw *order* than the row path, which only
-        reshuffles content-insensitive placement, never the join result).
-        Replicated dimensions become a per-row offset cross-product.
+        Hash dimensions pin coordinates via the vectorized stable hash,
+        random dimensions via the vectorized position hash; both are
+        bit-identical to the row path, so placement is batch-size
+        invariant.  Replicated dimensions become a per-row offset
+        cross-product.
         """
         sizes = self.config.sizes
         n = len(batch)
         base = np.zeros(n, dtype=np.int64)
-        for j, position, kind in self._owned[rel_name]:
+        for j, field, kind in self._owned[rel_name]:
             if kind == HASH:
-                coord = (hash_column(batch.columns[position])
+                coord = (hash_column(batch.columns[field])
                          % np.uint64(sizes[j])).astype(np.int64)
             else:
-                randrange = self._rng.randrange
-                size = sizes[j]
-                coord = np.fromiter((randrange(size) for _ in range(n)),
-                                    dtype=np.int64, count=n)
+                coord = random_coordinates(self.seed, j, position, sizes[j],
+                                           rows=n)
             base += coord * self._strides[j]
-        offsets = [0]
-        for j in self._replicated[rel_name]:
-            stride = self._strides[j]
-            offsets = [o + v * stride
-                       for o in offsets for v in range(sizes[j])]
-        return base[:, None] + np.array(offsets, dtype=np.int64)[None, :]
+        copies = np.array(self._copies[rel_name], dtype=np.int64)
+        return base[:, None] + copies[None, :]
 
     def expected_replication(self, rel_name: str) -> int:
-        replication = 1
-        for j in self._replicated[rel_name]:
-            replication *= self.config.sizes[j]
-        return replication
+        return len(self._copies[rel_name])
 
     def owned_dimensions(self, rel_name: str) -> List[int]:
         return [j for j, _pos, _kind in self._owned[rel_name]]

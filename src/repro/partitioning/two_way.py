@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.predicates import BandCondition, JoinCondition, ThetaCondition
 from repro.partitioning.base import Partitioner, UnsupportedJoinError
-from repro.util import hash_to_bucket, make_rng
+from repro.partitioning.base import random_coordinates
+from repro.util import hash_to_bucket
 
 
 def choose_matrix(machines: int, size_left: int, size_right: int) -> Tuple[int, int]:
@@ -77,9 +78,10 @@ class HashTwoWay(Partitioner):
     def relation_names(self) -> List[str]:
         return sorted(self._positions)
 
-    def destinations(self, rel_name: str, row: tuple) -> List[int]:
-        position = self._positions[rel_name]
-        return [hash_to_bucket(row[position], self.n_machines)]
+    def destinations(self, rel_name: str, row: tuple,
+                     position=None) -> List[int]:
+        return [hash_to_bucket(row[self._positions[rel_name]],
+                               self.n_machines)]
 
     def expected_replication(self, rel_name: str) -> int:
         return 1
@@ -97,7 +99,8 @@ class OneBucket(Partitioner):
     Content-insensitive, so resilient to data and temporal skew and to skew
     fluctuations -- at the cost of replicating each left tuple ``cols``
     times and each right tuple ``rows`` times (the SAR principle).
-    Supports arbitrary theta-joins because routing ignores tuple values.
+    Supports arbitrary theta-joins because routing ignores tuple values: a
+    tuple's matrix row (left) or column (right) hashes its stream position.
     """
 
     def __init__(self, left: str, right: str, machines: int,
@@ -107,17 +110,20 @@ class OneBucket(Partitioner):
         self.right = right
         self.rows, self.cols = shape or choose_matrix(machines, size_left, size_right)
         self.n_machines = self.rows * self.cols
-        self._rng = make_rng(seed)
+        self.seed = seed
 
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def destinations(self, rel_name: str, row: tuple) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple,
+                     position=None) -> List[int]:
         if rel_name == self.left:
-            matrix_row = self._rng.randrange(self.rows)
+            matrix_row = random_coordinates(self.seed, 0, position,
+                                            self.rows)
             return [matrix_row * self.cols + c for c in range(self.cols)]
         if rel_name == self.right:
-            matrix_col = self._rng.randrange(self.cols)
+            matrix_col = random_coordinates(self.seed, 1, position,
+                                            self.cols)
             return [r * self.cols + matrix_col for r in range(self.rows)]
         raise KeyError(f"unknown relation {rel_name!r}")
 
@@ -190,7 +196,8 @@ class MBucket(Partitioner):
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def destinations(self, rel_name: str, row: tuple) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple,
+                     position=None) -> List[int]:
         value = row[self._positions[rel_name]]
         if rel_name == self.left:
             return [self._stripe_of(value)]

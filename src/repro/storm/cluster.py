@@ -55,6 +55,7 @@ from repro.storm.executor import (
     WaveBuffer,
 )
 from repro.storm.kernel import deliver, pull, run_level, source_hop
+from repro.storm.kernel import stream_position
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyError
 
@@ -120,8 +121,7 @@ class LocalCluster:
             for task_index in range(topology.components[name].parallelism)
         ]
         #: static routing table over the topology's own groupings: routing
-        #: is identical to the seed engine's per-dispatch edge walk (its
-        #: state is what a streaming checkpoint rewinds)
+        #: is identical to the seed engine's per-dispatch edge walk
         self.router = Router(topology)
         #: the ``ResidentWorkerPool`` whose workers take the turns of
         #: the components they own (``processes``); None runs every task
@@ -249,12 +249,13 @@ class LocalCluster:
                     limit = min(limit, max_tuples - pulled)
                     if limit <= 0:
                         return False
-                emissions, ctx, more = pull(spout, name, task_index, limit,
-                                            self.metrics, self._observer)
+                emissions, position, ctx, more = pull(
+                    spout, name, task_index, limit, self.metrics,
+                    self._observer)
                 if not emissions:
                     continue
                 pulled += len(emissions)
-                self.drain(name, emissions, ctx)
+                self.drain(name, emissions, position, ctx)
                 if max_tuples is not None and pulled >= max_tuples:
                     return False
                 if more:
@@ -269,22 +270,21 @@ class LocalCluster:
         and one level pass executes what was routed (this starts the
         cluster's pool, if it has one).
 
-        On the pool, when the run is unobserved and no two components'
-        out-edges share routing state, up to :data:`INHERITED_ROUNDS`
-        rounds are pulled and routed before the workers fork: each
+        On the pool, when the run is unobserved and every edge routes
+        task-locally (no adaptive partitioner), up to
+        :data:`INHERITED_ROUNDS` rounds are pulled and routed before the
+        workers fork: each
         inherits its tasks' deliveries to the first component (whose
         input is all spout rows), so they never cross a pipe, and runs
         those rounds' turns back to back; then each later component
         takes its turns of those rounds the same way, one command per
         worker.  Any later round is pulled and run on its own.
         Either way every task executes the batches it executes inline,
-        and every edge routes its rows in the order it routes them
-        inline.
+        and every row lands where it lands inline.
         """
         router, pool = self.router, self.pool
         if (pool is not None and self._observer is None
-                and router.spouts_route_alone and router.bolts_route_alone
-                and self._bolt_order):
+                and router.task_local and self._bolt_order):
             buffers = []
             while active and len(buffers) < INHERITED_ROUNDS:
                 buffer, active = self._pull_round(active, batch_size)
@@ -312,12 +312,12 @@ class LocalCluster:
         for name, task_index, spout in active:
             pulled, more = 0, True
             while more and pulled < share:
-                emissions, ctx, more = pull(
+                emissions, position, ctx, more = pull(
                     spout, name, task_index, batch_size, self.metrics,
                     self._observer)
                 if emissions:
                     pulled += len(emissions)
-                    buffer.add(route(name, emissions), ctx)
+                    buffer.add(route(name, emissions, position), ctx)
             if more:
                 still_active.append((name, task_index, spout))
         return buffer, still_active
@@ -351,22 +351,22 @@ class LocalCluster:
         self._waves = coalesce and not self._order_sensitive
 
     def inject(self, source: str, emissions: List[Tuple[str, tuple]],
-               task_index: int = 0):
+               position: Tuple[int, Dict[str, int]]):
         """Route externally produced emissions and run them to quiescence.
 
         The push-based entry point of the continuous runtime
         (:class:`repro.streaming.cluster.StreamingCluster`): each arriving
-        micro-batch of a *resident* topology is fed here, attributed to
-        task ``task_index`` of component ``source``, and driven through
-        the same drain as spout batches."""
+        micro-batch of a *resident* topology is fed here, from stream
+        ``position`` of component ``source``, and driven through the same
+        drain as spout batches."""
         if not emissions:
             return
         # a new source batch starts a new trace; watermark-driven
         # injections (bolt components) stay untraced punctuations
         is_source = self.topology.components[source].is_spout
-        ctx = source_hop(source, task_index, len(emissions), 0.0, self.metrics,
-                         self._observer if is_source else None)
-        self.drain(source, emissions, ctx)
+        ctx = source_hop(source, position[0], len(emissions), 0.0,
+                         self.metrics, self._observer if is_source else None)
+        self.drain(source, emissions, position, ctx)
 
     def advance_watermark(self, watermark: float):
         """Apply one watermark punctuation to every windowed bolt task and
@@ -376,17 +376,18 @@ class LocalCluster:
         next hook runs."""
         pool = self.pool
         if pool is not None:
-            for name, task_index, emissions in \
+            for name, _task_index, emissions, position in \
                     pool.broadcast_watermark(watermark):
-                self.inject(name, emissions, task_index=task_index)
+                self.inject(name, emissions, position)
         for name, task_index in self._bolt_keys:
             if pool is not None and pool.owner(name, task_index) is not None:
                 continue
-            hook = getattr(self._tasks[name][task_index],
-                           "advance_watermark", None)
+            task = self._tasks[name][task_index]
+            hook = getattr(task, "advance_watermark", None)
             emissions = hook(watermark) if hook is not None else None
             if emissions:
-                self.inject(name, emissions, task_index=task_index)
+                self.inject(name, emissions,
+                            stream_position(task, task_index, emissions))
 
     def flush_bolts(self):
         """Run every bolt's ``finish()`` in topological order (end of
@@ -400,12 +401,14 @@ class LocalCluster:
             self._level_pass(WaveBuffer(), finish=True)
             return
         for name, task_index in self._bolt_keys:
-            emissions = self._tasks[name][task_index].finish()
+            task = self._tasks[name][task_index]
+            emissions = task.finish()
             if emissions:
                 self.metrics.record_emit(name, task_index, len(emissions))
                 # flush emissions are end-of-stream punctuations, not
                 # part of any source batch's trace
-                self.drain(name, emissions)
+                self.drain(name, emissions,
+                           stream_position(task, task_index, emissions))
 
     @contextmanager
     def unobserved(self):
@@ -421,22 +424,24 @@ class LocalCluster:
     # -- work queue --------------------------------------------------------
 
     def drain(self, source: str, emissions: List[Tuple[str, tuple]],
-              ctx=None):
-        """Route one component's emissions and run them, and everything
-        they cause downstream, to exhaustion: one level pass (always on
-        the pool), or depth-first where that schedule is kept.  ``ctx``
-        is the span context of the hop that produced the emissions (None
-        unless the run is traced, and for punctuation batches).  Unlike
-        :meth:`inject` no source hop is counted: a recovery replay drains
-        emissions that entered the dataplane once already."""
+              position: Tuple[int, Dict[str, int]], ctx=None):
+        """Route one component's emissions, from stream ``position``, and
+        run them, and everything they cause downstream, to exhaustion:
+        one level pass (always on the pool), or depth-first where that
+        schedule is kept.  ``ctx`` is the span context of the hop that
+        produced the emissions (None unless the run is traced, and for
+        punctuation batches).  Unlike :meth:`inject` no source hop is
+        counted: a recovery replay drains emissions that entered the
+        dataplane once already."""
         if self._waves or self.pool is not None:
             buffer = WaveBuffer()
-            buffer.add(self.router.route(source, emissions), ctx)
+            buffer.add(self.router.route(source, emissions, position), ctx)
             self._level_pass(buffer)
         else:
-            self._unwind(source, emissions, ctx)
+            self._unwind(source, emissions, position, ctx)
 
-    def _unwind(self, source: str, emissions: List[Tuple[str, tuple]], ctx):
+    def _unwind(self, source: str, emissions: List[Tuple[str, tuple]],
+                position: Tuple[int, Dict[str, int]], ctx):
         """The depth-first schedule, iteratively on an explicit stack.
 
         In per-tuple mode every emission is routed individually (exactly
@@ -449,17 +454,18 @@ class LocalCluster:
         observer = self._observer
         route = self.router.route
         coalesce = self._coalesce
-        stack = route(source, emissions, coalesce)[::-1]
+        stack = route(source, emissions, position, coalesce)[::-1]
         ctxs = [ctx] * len(stack)
         while stack:
             if observer is not None:
                 observer.on_queue_depth("inline", len(stack))
-            target, task, source, stream, rows = stack.pop()
-            emissions, child = deliver(tasks[target][task], target, task,
-                                       source, stream, rows, ctxs.pop(),
-                                       metrics, observer)
+            target, index, source, stream, rows = stack.pop()
+            task = tasks[target][index]
+            emissions, child = deliver(task, target, index, source, stream,
+                                       rows, ctxs.pop(), metrics, observer)
             if emissions:
-                routed = route(target, emissions, coalesce)
+                routed = route(target, emissions, stream_position(
+                    task, index, emissions), coalesce)
                 stack.extend(reversed(routed))
                 ctxs.extend([child] * len(routed))
 

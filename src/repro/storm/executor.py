@@ -15,12 +15,10 @@ Batch and streaming ``processes`` run on one worker protocol and one
 driver: a :class:`ResidentWorkerPool` forks workers over the topology's
 bolt tasks (the spouts, and streaming's delta sinks, stay in the
 coordinator), the cluster that holds it hands a worker each delivery for
-its tasks in a level pass, and the worker returns the raw emissions.
-Routing is central: the cluster's one :class:`Router` routes every
-emission, so stateful groupings (shuffle cursors, reshaping partitioners)
-see one stream, exactly as inline.  A worker that dies in a turn raises
-:class:`WorkerDied`; the streaming supervisor recovers from it, a batch
-run fails naming the component.
+its tasks in a level pass, and the worker returns the raw emissions with
+their stream positions for the cluster's :class:`Router` to route.  A
+worker that dies in a turn raises :class:`WorkerDied`; the streaming
+supervisor recovers from it, a batch run fails naming the component.
 
 A finite run (:class:`StagedExecutor`) is the inline rounds of
 :class:`~repro.storm.cluster.LocalCluster` -- :data:`~repro.storm.\
@@ -30,16 +28,16 @@ finishing pass -- with each component's turn handed to
 :func:`repro.storm.kernel.run_level`: the coordinator's
 :class:`WaveBuffer` coalesces a task's deliveries per ``(source, stream)``
 run, the owning workers execute them concurrently, and the emissions are
-routed in task order.  When no routing state is shared across two
-components' out-edges, the first rounds (up to
+routed in task order.  When every edge routes task-locally
+(:attr:`Router.task_local`), the first rounds (up to
 :data:`~repro.storm.cluster.INHERITED_ROUNDS`) are pulled and routed
 before the pool forks: each worker inherits its tasks' deliveries to the
 first component and runs those rounds' turns back to back (see
 :meth:`~repro.storm.cluster.LocalCluster._pull_rounds` and
-:meth:`ResidentWorkerPool.run_rounds`).  So every grouping of a batch
-``processes`` run sees the sequence it sees inline -- same results, same
-executed batches -- and what the run adds over ``inline`` is its
-workers, not its schedule.
+:meth:`ResidentWorkerPool.run_rounds`).  So a batch ``processes`` run
+places every row where inline does -- same results, same executed
+batches -- and what it adds over ``inline`` is its workers, not its
+schedule.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ import gc
 import os
 import pickle
 import traceback
-from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
@@ -56,7 +53,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.obs import WorkerObs
 from repro.obs.tracing import merged_context
-from repro.storm.kernel import deliver
+from repro.storm.kernel import deliver, stream_position
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
 from repro.util import usable_cores
@@ -78,13 +75,12 @@ def default_parallelism() -> int:
 
 
 class Router:
-    """Central routing: one component's emissions -> routed work items.
+    """Routing: one component's emissions -> routed work items.
 
-    A run has one Router over the topology's own groupings, in the
-    coordinator (inline: the cluster's loop), so stateful routing --
-    shuffle counters, random replica choices, reshaping partitioners --
-    sees the whole stream in one order, and the seed engine's exact
-    routing sequence is kept.
+    A static table of each component's out-edges.  Every grouping is a
+    pure function of a row and its stream position, so a batch lands
+    where it lands whoever routes it, in whatever order -- except on an
+    adaptive partitioner (:attr:`task_local` is then False).
     """
 
     def __init__(self, topology: Topology):
@@ -95,81 +91,53 @@ class Router:
         self._parallelism = {
             name: spec.parallelism for name, spec in topology.components.items()
         }
-        owners = {True: set(), False: set()}
-        #: how many bolt components route through each owner
-        bolts = Counter()
-        for name, edges in self._edges.items():
-            mine = {id(owner) for _edge, grouping in edges
-                    for owner in grouping.routing_owners()}
-            owners[topology.components[name].is_spout].update(mine)
-            if not topology.components[name].is_spout:
-                bolts.update(mine)
-        #: no routing state is shared between a spout's out-edges and a
-        #: bolt's: routing a spout pull commutes with routing a bolt's
-        #: emissions, so the two may be routed in either order and every
-        #: grouping still sees the sequence it sees inline
-        self.spouts_route_alone = not owners[True] & owners[False]
-        #: nor between two bolt components' out-edges: one bolt's
-        #: emissions may be routed ahead of another's
-        self.bolts_route_alone = all(count == 1 for count in bolts.values())
-
-    def routing_state(self) -> Dict[str, List[object]]:
-        """Mutable grouping state per component's out-edges (checkpoint).
-
-        Recovery replays the post-checkpoint stream through this router;
-        rewinding stateful groupings (shuffle cursors) to the checkpoint
-        makes the replayed routing identical to the original delivery.
-        """
-        return {
-            name: [grouping.routing_state() for _edge, grouping in edges]
-            for name, edges in self._edges.items()
-        }
-
-    def restore_routing_state(self, state: Dict[str, List[object]]):
-        for name, per_edge in state.items():
-            for (_edge, grouping), edge_state in zip(
-                    self._edges.get(name, ()), per_edge):
-                if edge_state is not None:
-                    grouping.restore_routing_state(edge_state)
+        #: every edge routes task-locally: any round may be routed ahead
+        #: of another, in any process
+        self.task_local = all(edge.grouping.supports_task_local_routing()
+                              for edge in topology.edges)
 
     def route(self, source: str, emissions: List[Tuple[str, tuple]],
+              position: Tuple[int, Dict[str, int]],
               coalesce: bool = True) -> List[WorkItem]:
-        """Partition one component's emissions across subscriber tasks.
+        """Partition one component's emissions, from stream ``position``
+        (:func:`~repro.storm.kernel.stream_position`), across subscriber
+        tasks.
 
         With ``coalesce`` consecutive emissions on the same stream travel
         as one micro-batch; without it every emission is routed
         individually (the seed engine's per-tuple dispatch order) -- a
         columnar one as one-row ``take``s, which keep each row's sign.
         """
+        task, first = position
+        first = dict(first)
         items: List[WorkItem] = []
         if isinstance(emissions, ColumnEmissions):
-            stream, batch = emissions.stream, emissions.batch
+            # already a single-stream batch: no coalescing scan and no
+            # row materialization
+            runs = [(emissions.stream, emissions.batch)]
+        else:
+            runs = [(stream, [values for _stream, values in run])
+                    for stream, run in groupby(emissions, key=itemgetter(0))]
+        for stream, rows in runs:
+            start = first.get(stream, 0)
+            first[stream] = start + len(rows)
             if coalesce:
-                # already a single-stream batch: route it columnar, no
-                # coalescing scan and no row materialization
-                self._route_one(items, source, stream, batch)
-            else:
-                for index in range(len(batch)):
-                    self._route_one(items, source, stream,
-                                    batch.take([index]))
-            return items
-        if not coalesce:
-            for stream, values in emissions:
-                self._route_one(items, source, stream, [values])
-            return items
-        for stream, run in groupby(emissions, key=itemgetter(0)):
-            self._route_one(items, source, stream,
-                            [values for _stream, values in run])
+                self._route_one(items, source, stream, rows, (task, start))
+                continue
+            for index in range(len(rows)):
+                self._route_one(items, source, stream, rows.take([index])
+                                if isinstance(rows, ColumnBatch)
+                                else [rows[index]], (task, start + index))
         return items
 
     def _route_one(self, items: List[WorkItem], source: str, stream: str,
-                   rows: List[tuple]):
+                   rows: List[tuple], position: Tuple[int, int]):
         for edge, grouping in self._edges[source]:
             if not edge.subscribes(stream):
                 continue
             parallelism = self._parallelism[edge.target]
             for target_task, sub_rows in grouping.targets_batch(
-                    stream, rows, parallelism):
+                    stream, rows, parallelism, position):
                 if not 0 <= target_task < parallelism:
                     raise TopologyError(
                         f"grouping for {edge.source}->{edge.target} returned "
@@ -295,11 +263,11 @@ def worker_loop(state, recv, send):
 class ResidentWorkerState:
     """Everything one resident worker owns: bolt tasks + armed faults.
 
-    A worker does *no* routing: it executes delivered micro-batches on
-    its owned tasks and returns the raw emissions for the coordinator to
-    route centrally.  Central routing keeps all grouping state in the
-    coordinator -- the process that survives worker crashes -- so
-    recovery never has to reconcile diverged per-worker routing state.
+    A worker executes delivered micro-batches on its owned tasks and
+    returns the raw emissions, with their stream positions, for the
+    coordinator to route.  The position counts live in the tasks, so a
+    restored task counts on from its snapshot and a replay places every
+    row where the original delivery did: there is no routing state.
 
     ``kill_after`` arms deterministic fault injection
     (:class:`repro.storm.failures.FaultInjector`): after the worker has
@@ -350,8 +318,8 @@ class ResidentWorkerState:
         ``items`` are work items with the span context of the hop that
         produced them appended, ``(target, task, source, stream, rows,
         ctx)``; returns ``(outputs, counters, obs_payload)``: the raw
-        emissions ``(target, task, emissions, child_ctx)`` for the
-        coordinator to route, what this call counted as a
+        emissions ``(target, task, emissions, child_ctx, position)`` for
+        the coordinator to route, what this call counted as a
         ``TopologyMetrics`` of the worker's own for the coordinator to
         ``merge``, and the ``WorkerObs.drain()`` payload (None when the
         run is unobserved).  Both contexts are None unless the run is
@@ -361,20 +329,23 @@ class ResidentWorkerState:
         counters = TopologyMetrics.of(self.shape)
         outputs: List[tuple] = []
         for target, task_index, source, stream, rows, ctx in items:
-            emissions, child = deliver(
-                self.owned[(target, task_index)], target, task_index,
-                source, stream, rows, ctx, counters, obs)
+            task = self.owned[(target, task_index)]
+            emissions, child = deliver(task, target, task_index, source,
+                                       stream, rows, ctx, counters, obs)
             self.batches_executed += 1
             if emissions:
-                outputs.append((target, task_index, emissions, child))
+                outputs.append((target, task_index, emissions, child,
+                                stream_position(task, task_index, emissions)))
             self._maybe_die()
         for name, task_index in sorted(self.owned):
             if name != finish:
                 continue
-            emissions = self.owned[(name, task_index)].finish()
+            task = self.owned[(name, task_index)]
+            emissions = task.finish()
             if emissions:
                 counters.record_emit(name, task_index, len(emissions))
-                outputs.append((name, task_index, emissions, None))
+                outputs.append((name, task_index, emissions, None,
+                                stream_position(task, task_index, emissions)))
         return outputs, counters, None if obs is None else obs.drain()
 
     def execute_rounds(self, rounds: list) -> list:
@@ -386,16 +357,18 @@ class ResidentWorkerState:
                 for work in rounds]
 
     def advance_watermark(self, watermark: float):
-        """Apply one watermark punctuation to every owned windowed task."""
-        outputs: List[Tuple[str, int, object]] = []
-        for (name, task_index) in sorted(self.owned):
-            hook = getattr(self.owned[(name, task_index)],
-                           "advance_watermark", None)
+        """Apply one watermark punctuation to every owned windowed task;
+        returns the ``(component, task, emissions, position)`` of each
+        task that emitted."""
+        outputs: List[Tuple[str, int, object, tuple]] = []
+        for (name, task_index), task in sorted(self.owned.items()):
+            hook = getattr(task, "advance_watermark", None)
             if hook is None:
                 continue
             emissions = hook(watermark)
             if emissions:
-                outputs.append((name, task_index, emissions))
+                outputs.append((name, task_index, emissions, stream_position(
+                    task, task_index, emissions)))
         return outputs
 
     def checkpoint(self, known: Dict[Tuple[str, int], str]):
@@ -871,8 +844,8 @@ class ResidentWorkerPool:
         task's own in the order it made them, which is the order an
         inline pass routes them in."""
         outputs.sort(key=itemgetter(1))  # stable: per task, as emitted
-        for _component, _index, emissions, child in outputs:
-            out.add(route(component, emissions), child)
+        for _component, _index, emissions, child, position in outputs:
+            out.add(route(component, emissions, position), child)
 
     def collect(self) -> Dict[Tuple[str, int], object]:
         """What every worker's tasks ship home (:meth:`ResidentWorkerState.

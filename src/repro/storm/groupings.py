@@ -8,6 +8,7 @@ small predefined key domain to avoid hash imperfections (paper section 5).
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from repro.core.columnar import (
     hash_column,
     hash_key_columns,
 )
-from repro.partitioning.base import Partitioner
+from repro.partitioning.base import Partitioner, Position, require_position
 from repro.util import stable_hash
 
 #: ordered per-task sub-batches produced by :meth:`Grouping.targets_batch`;
@@ -26,17 +27,20 @@ from repro.util import stable_hash
 TaskBatches = List[Tuple[int, List[tuple]]]
 
 
-def _route_rows(rows, destinations: Callable[[tuple], List[int]]
-                ) -> TaskBatches:
-    """Per-row routing: ``destinations(row)`` names one row's tasks; the
-    row path of every grouping, and the fallback of the vectorized ones.
+def _route_rows(rows, destinations: Callable[..., List[int]],
+                position: Optional[Position] = None) -> TaskBatches:
+    """Per-row routing: ``destinations(row, position)`` names the tasks of
+    one row at its stream position (None if the batch has none); the row
+    path of every grouping, and the fallback of the vectorized ones.
 
     A :class:`ColumnBatch` is bucketed by row index and split with
     ``take``, so each row keeps its sign (and the batch its columns)."""
+    positions = repeat(None) if position is None else \
+        zip(repeat(position[0]), count(position[1]))
     buckets: Dict[int, List] = {}
     columnar = isinstance(rows, ColumnBatch)
-    for index, row in enumerate(rows):
-        for task in destinations(row):
+    for index, (row, row_position) in enumerate(zip(rows, positions)):
+        for task in destinations(row, row_position):
             bucket = buckets.get(task)
             if bucket is None:
                 buckets[task] = bucket = []
@@ -47,14 +51,21 @@ def _route_rows(rows, destinations: Callable[[tuple], List[int]]
 
 
 class Grouping:
-    """Chooses target task indices for each tuple of a stream."""
+    """Chooses target task indices for each tuple of a stream: a pure
+    function of the row and, if content-insensitive, of its stream
+    ``position``, unless :meth:`supports_task_local_routing` says False.
+    """
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position: Optional[Position] = None) -> List[int]:
         raise NotImplementedError
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
-        """Partition a whole batch into per-task sub-batches in one pass.
+                      n_tasks: int,
+                      position: Optional[Position] = None) -> TaskBatches:
+        """Partition a whole batch into per-task sub-batches in one pass;
+        ``position`` is the stream position of its first row (the rest
+        follow it on).
 
         Returns ``[(task, rows), ...]``: row order is preserved within each
         sub-batch and tasks appear in order of first assignment, so for a
@@ -63,7 +74,9 @@ class Grouping:
         override it with a vectorized single pass.
         """
         targets = self.targets
-        return _route_rows(rows, lambda row: targets(stream, row, n_tasks))
+        return _route_rows(
+            rows, lambda row, at: targets(stream, row, n_tasks, at),
+            position)
 
     def is_content_sensitive(self) -> bool:
         """Content-sensitive groupings route by value and are prone to
@@ -71,17 +84,10 @@ class Grouping:
         return True
 
     def supports_task_local_routing(self) -> bool:
-        """Whether a recovery replay routes through this grouping the way
-        the original delivery did.
-
-        False for groupings whose routing *adapts to the globally
-        observed stream* (e.g. a reshaping adaptive partitioner): after a
-        worker crash the replayed rows would meet the post-failure shape,
-        land on other partitions, and silently drop join matches.  The
-        streaming ``processes`` executor refuses such topologies up
-        front; batch runs (which never replay) and inline streaming run
-        them exactly.
-        """
+        """Whether this grouping is pure (see the class docstring); False
+        where routing *adapts to the globally observed stream*, as
+        :meth:`~repro.partitioning.base.Partitioner.\
+supports_task_local_routing` explains."""
         return True
 
     def routing_description(self) -> str:
@@ -105,51 +111,19 @@ class Grouping:
         """
         return self.is_content_sensitive()
 
-    def routing_state(self):
-        """Mutable routing state to include in a checkpoint, or None.
-
-        Exactly-once recovery replays the post-checkpoint delta stream
-        through the *same* routing decisions as the original delivery;
-        stateful groupings (the shuffle round-robin counter) expose their
-        cursor here so :meth:`restore_routing_state` can rewind it.
-        Stateless groupings -- pure functions of the tuple -- return
-        None and need no rewind.
-        """
-        return None
-
-    def restore_routing_state(self, state) -> None:
-        """Rewind routing state captured by :meth:`routing_state`."""
-
-    def routing_owners(self) -> tuple:
-        """The objects whose state this grouping's routing reads or
-        writes: itself, plus any delegate another edge's grouping may
-        share (a join's partitioner, a custom function).  Two edges
-        whose owners are disjoint route independently of each other's
-        call order."""
-        return (self,)
-
 
 class ShuffleGrouping(Grouping):
-    """Round-robin distribution -- content-insensitive."""
+    """Round-robin distribution -- content-insensitive: row ``i`` of
+    emitting task ``t`` goes to task ``(t + i) % n_tasks``."""
 
-    def __init__(self):
-        self._next = 0
-
-    def routing_state(self):
-        return self._next
-
-    def restore_routing_state(self, state) -> None:
-        self._next = state
-
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
-        target = self._next % n_tasks
-        self._next += 1
-        return [target]
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
+        return [sum(require_position(position, "a shuffle grouping"))
+                % n_tasks]
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
-        start = self._next
-        self._next += len(rows)
+                      n_tasks: int, position=None) -> TaskBatches:
+        start = sum(require_position(position, "a shuffle grouping"))
         if isinstance(rows, ColumnBatch):
             tasks = (start + np.arange(len(rows))) % n_tasks
             return bucket_by_task(rows, tasks)
@@ -169,29 +143,31 @@ class FieldsGrouping(Grouping):
             raise ValueError("fields grouping needs at least one position")
         self.positions = tuple(positions)
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
         key = tuple(values[p] for p in self.positions)
         return [stable_hash(key) % n_tasks]
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
+                      n_tasks: int, position=None) -> TaskBatches:
         positions = self.positions
         if isinstance(rows, ColumnBatch):
             tasks = (hash_key_columns(rows, positions)
                      % np.uint64(n_tasks)).astype(np.int64)
             return bucket_by_task(rows, tasks)
-        return _route_rows(rows, lambda row: [
+        return _route_rows(rows, lambda row, _at: [
             stable_hash(tuple(row[p] for p in positions)) % n_tasks])
 
 
 class AllGrouping(Grouping):
     """Broadcast to every task (dimension replication, small dimension tables)."""
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
         return list(range(n_tasks))
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
+                      n_tasks: int, position=None) -> TaskBatches:
         if isinstance(rows, ColumnBatch):
             # batches are immutable downstream, so replicas share columns
             return [(task, rows) for task in range(n_tasks)]
@@ -204,11 +180,12 @@ class AllGrouping(Grouping):
 class GlobalGrouping(Grouping):
     """Everything to task 0 (final single-task aggregation)."""
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
         return [0]
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
+                      n_tasks: int, position=None) -> TaskBatches:
         if isinstance(rows, ColumnBatch):
             return [(0, rows)]
         return [(0, list(rows))]
@@ -218,21 +195,22 @@ class GlobalGrouping(Grouping):
 
 
 class CustomGrouping(Grouping):
-    """Delegates to a user function ``fn(stream, values, n_tasks) -> [task]``."""
+    """Delegates to a user function ``fn(stream, values, n_tasks) -> [task]``.
+
+    ``fn`` must be pure: any process may call it, for any row, in any
+    order, and a recovery replay calls it again for the rows it replays."""
 
     def __init__(self, fn: Callable[[str, tuple, int], List[int]],
                  content_sensitive: bool = True):
         self.fn = fn
         self._content_sensitive = content_sensitive
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
         return self.fn(stream, values, n_tasks)
 
     def is_content_sensitive(self) -> bool:
         return self._content_sensitive
-
-    def routing_owners(self) -> tuple:
-        return (self, self.fn)
 
 
 class HypercubeGrouping(Grouping):
@@ -247,16 +225,17 @@ class HypercubeGrouping(Grouping):
         self.partitioner = partitioner
         self.rel_name = rel_name
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
         if n_tasks != self.partitioner.n_machines:
             raise ValueError(
                 f"joiner parallelism {n_tasks} does not match the scheme's "
                 f"{self.partitioner.n_machines} machines"
             )
-        return self.partitioner.destinations(self.rel_name, values)
+        return self.partitioner.destinations(self.rel_name, values, position)
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
+                      n_tasks: int, position=None) -> TaskBatches:
         if n_tasks != self.partitioner.n_machines:
             raise ValueError(
                 f"joiner parallelism {n_tasks} does not match the scheme's "
@@ -264,7 +243,8 @@ class HypercubeGrouping(Grouping):
             )
         rel_name = self.rel_name
         if isinstance(rows, ColumnBatch):
-            matrix = self.partitioner.destination_matrix(rel_name, rows)
+            matrix = self.partitioner.destination_matrix(rel_name, rows,
+                                                         position)
             if matrix is not None:
                 if matrix.shape[1] == 1 or not len(matrix):
                     return bucket_by_task(rows, matrix[:, 0])
@@ -282,16 +262,14 @@ class HypercubeGrouping(Grouping):
                 return [(int(tasks[lo]), rows.take(row_ids[lo:hi]))
                         for lo, hi in zip(bounds, bounds[1:])]
         destinations = self.partitioner.destinations
-        return _route_rows(rows, lambda row: destinations(rel_name, row))
+        return _route_rows(rows, lambda row, at: destinations(rel_name, row,
+                                                              at), position)
 
     def is_content_sensitive(self) -> bool:
         return self.partitioner.is_content_sensitive()
 
     def supports_task_local_routing(self) -> bool:
         return self.partitioner.supports_task_local_routing()
-
-    def routing_owners(self) -> tuple:
-        return (self, self.partitioner)
 
     def routing_description(self) -> str:
         return (f"the {type(self.partitioner).__name__} partitioner "
@@ -337,7 +315,8 @@ class KeyMappedGrouping(Grouping):
                 table[keys - low] = tasks
                 self._table = (low, table)
 
-    def targets(self, stream: str, values: tuple, n_tasks: int) -> List[int]:
+    def targets(self, stream: str, values: tuple, n_tasks: int,
+                position=None) -> List[int]:
         key = values[self.position]
         try:
             return [self.mapping[key] % n_tasks]
@@ -346,7 +325,7 @@ class KeyMappedGrouping(Grouping):
             return [stable_hash(key) % n_tasks]
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int) -> TaskBatches:
+                      n_tasks: int, position=None) -> TaskBatches:
         column = rows.columns[self.position] \
             if isinstance(rows, ColumnBatch) else None
         if (self._int_lookup is not None and isinstance(column, np.ndarray)
@@ -369,4 +348,5 @@ class KeyMappedGrouping(Grouping):
                 tasks[unseen] = hash_column(column[unseen])
             return bucket_by_task(rows, tasks % n_tasks)
         targets = self.targets
-        return _route_rows(rows, lambda row: targets(stream, row, n_tasks))
+        return _route_rows(rows, lambda row, _at: targets(stream, row,
+                                                          n_tasks))

@@ -24,9 +24,32 @@ differs:
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from time import perf_counter
 
-from repro.core.columnar import ColumnBatch
+from repro.core.columnar import ColumnBatch, ColumnEmissions
+
+
+def stream_position(task, index: int, emissions):
+    """``(index, {stream: index of its first row there})``: where task
+    ``index``'s ``emissions`` stand in its streams, which
+    :meth:`~repro.storm.executor.Router.route` places them by.  Counts
+    them into ``task.emitted``: the count lives, and is checkpointed,
+    with the task."""
+    start = task.emitted
+    counts = dict(start)
+    if isinstance(emissions, ColumnEmissions):
+        runs = [(emissions.stream, len(emissions))]
+    else:
+        streams = list(map(itemgetter(0), emissions))
+        runs = ([(streams[0], len(streams))]
+                if streams.count(streams[0]) == len(streams)
+                else Counter(streams).items())
+    for stream, rows in runs:
+        counts[stream] = counts.get(stream, 0) + rows
+    task.emitted = counts
+    return index, start
 
 
 def deliver(task, component: str, index: int, source: str, stream: str,
@@ -77,12 +100,14 @@ def run_level(component: str, work, route, out, counters, obs,
             emissions, child = deliver(task, component, index, source,
                                        stream, rows, ctx, counters, obs)
             if emissions:
-                out.add(route(component, emissions), child)
+                out.add(route(component, emissions, stream_position(
+                    task, index, emissions)), child)
         if finish:
             emissions = task.finish()
             if emissions:
                 counters.record_emit(component, index, len(emissions))
-                out.add(route(component, emissions))
+                out.add(route(component, emissions, stream_position(
+                    task, index, emissions)))
 
 
 def source_hop(component: str, index: int, rows: int, seconds: float,
@@ -102,7 +127,8 @@ def source_hop(component: str, index: int, rows: int, seconds: float,
 def pull(spout, component: str, index: int, limit: int, counters, obs):
     """One spout pull of at most ``limit`` tuples, as a source hop.
 
-    Returns ``(emissions, root_ctx, more)``; an empty pull counts nothing.
+    Returns ``(emissions, position, root_ctx, more)``, ``position``
+    their :func:`stream_position`; an empty pull counts nothing.
     ``more`` is whether the spout may have rows left: a short pull
     normally means exhaustion, but a columnar spout's selection can thin
     a mid-stream chunk below the limit, so a spout that says it
@@ -115,8 +141,9 @@ def pull(spout, component: str, index: int, limit: int, counters, obs):
         emissions = spout.next_batch(limit)
         seconds = perf_counter() - started
     if not emissions:
-        return emissions, None, False
+        return emissions, None, None, False
     has_more = getattr(spout, "has_more", None)
     more = len(emissions) == limit or (has_more is not None and has_more())
-    return emissions, source_hop(component, index, len(emissions), seconds,
-                                 counters, obs), more
+    return (emissions, stream_position(spout, index, emissions),
+            source_hop(component, index, len(emissions), seconds, counters,
+                       obs), more)

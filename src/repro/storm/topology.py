@@ -28,6 +28,10 @@ class TopologyError(ValueError):
 class Spout:
     """A data source: pull-based, one tuple per call, None when exhausted."""
 
+    #: rows emitted so far per stream (replaced, never mutated, by
+    #: :func:`repro.storm.kernel.stream_position`)
+    emitted: Dict[str, int] = {}
+
     def open(self, task_index: int, parallelism: int):
         """Called once before the first ``next_tuple``."""
 
@@ -93,6 +97,8 @@ class Bolt:
     #: topology on the inline loop's depth-first schedule: coalescing a
     #: level's deliveries reorders arrivals across sources and tasks.
     order_sensitive = False
+
+    emitted: Dict[str, int] = {}  # as Spout.emitted
 
     def prepare(self, task_index: int, parallelism: int):
         """Called once before the first ``execute``."""

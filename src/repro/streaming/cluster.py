@@ -27,16 +27,17 @@ take the turns of the join/aggregation components over long-lived pipes
 runtime -- and the coordinator keeps everything a crash must not lose:
 source pumps, the routing table, the delta sinks with their
 subscriptions, the change log and the checkpoint store.  It logs every
-batch and watermark before driving it, checkpoints operator state
-incrementally every ``checkpoint_interval`` rounds (hash-diffed, so
-unchanged partitions persist zero bytes; see :mod:`repro.checkpoint`),
-and when a worker dies respawns it, restores every worker from the
-latest snapshot, rolls the sinks and the router back, and replays the log
-through the cluster unobserved, so the final snapshot is byte-identical
-to a crash-free (and to a batch) run.  Partitioners that adapt to the
-globally observed stream are refused up front
-(:func:`ensure_task_local_routing`): a replay could not route the way the
-original delivery did.  The walkthrough is ``docs/FAULT_TOLERANCE.md``.
+batch (with its stream position) and watermark before driving it,
+checkpoints operator state incrementally every ``checkpoint_interval``
+rounds (hash-diffed, so unchanged partitions persist zero bytes; see
+:mod:`repro.checkpoint`), and when a worker dies respawns it, restores
+every worker from the latest snapshot, rolls the sinks back, and replays
+the log through the cluster unobserved, so the final snapshot is
+byte-identical to a crash-free (and to a batch) run.  Partitioners that
+adapt to the globally observed stream are refused up front
+(:func:`ensure_task_local_routing`): a replay could not route the way
+the original delivery did.  The walkthrough is
+``docs/FAULT_TOLERANCE.md``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
 from repro.storm.executor import ExecutorError, ResidentWorkerPool, WorkerDied
 from repro.storm.failures import FaultInjector
+from repro.storm.kernel import stream_position
 from repro.storm.metrics import CheckpointMetrics, StreamMetrics
 from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
@@ -67,17 +69,13 @@ DEFAULT_CHECKPOINT_INTERVAL = 8
 
 
 def ensure_task_local_routing(topology: Topology, executor: str):
-    """Refuse topologies whose routing a recovery replay cannot repeat.
-
-    A grouping backed by a partitioner that *adapts to the globally
-    observed stream* (e.g. :class:`~repro.partitioning.adaptive.\
-AdaptiveOneBucket`) reshapes as rows arrive: the replay after a worker
-    crash would route the replayed rows through the *post*-failure
-    shape, onto other partitions than the original delivery, and
-    silently lose matches.  Raises a dedicated :class:`ExecutorError`
-    naming the offending partitioner and the executor that can still run
-    the plan (inline streaming, and batch on either executor, route it
-    centrally and never replay).
+    """Refuse topologies whose routing a recovery replay cannot repeat:
+    a partitioner that *adapts to the globally observed stream* (e.g.
+    :class:`~repro.partitioning.adaptive.AdaptiveOneBucket`) would route
+    the replayed rows through its *post*-failure shape, onto other
+    partitions than the original delivery, and silently lose matches.
+    The :class:`ExecutorError` names the partitioner and ``inline``,
+    which never replays.
     """
     for edge in topology.edges:
         if not edge.grouping.supports_task_local_routing():
@@ -111,7 +109,8 @@ class SourcePump:
         #: coalesce single-stream polls into a ColumnBatch so downstream
         #: bolts take their vectorized paths (opt-in; see stream_plan)
         self.columnar = columnar
-        self.emitted = 0
+        #: rows emitted so far per stream, as a spout task's
+        self.emitted = {}
         #: raw rows the last poll pulled, pre-selection: a fully filtered
         #: batch still *advanced the source* and counts as progress
         self.last_poll_raw = 0
@@ -143,7 +142,6 @@ class SourcePump:
             rows = self.selection.apply_batch(rows)
         if self.projection is not None:
             rows = self.projection.apply_batch(rows)
-        self.emitted += len(rows)
         if isinstance(rows, ColumnBatch):
             return ColumnEmissions(stream, rows) if rows else []
         return [(stream, row) for row in rows]
@@ -156,7 +154,6 @@ class SourcePump:
         if self.projection is not None:
             apply = self.projection.apply
             emissions = [(stream, apply(row)) for stream, row in emissions]
-        self.emitted += len(emissions)
         return emissions
 
     def watermark(self) -> Optional[float]:
@@ -240,6 +237,8 @@ class StreamingCluster:
         )
         self.columnar = columnar and batch_size > 1
         self._finished_sources: set = set()
+        #: the pumps the current round has still to poll
+        self._unpolled: List[str] = []
         self._final_watermarks: List[float] = []
         self._broadcast_wm: Optional[float] = None
         #: the last pump round polled a full micro-batch from some source
@@ -418,9 +417,14 @@ class StreamingCluster:
             return True
         progressed = False
         self._backlog = False
-        for name, pump in self._pumps.items():
-            if name in self._finished_sources:
-                continue
+        self._unpolled = self._unpolled or [
+            name for name in self._pumps if name not in self._finished_sources]
+        while self._unpolled:
+            # a worker dying in this batch's drive leaves it to the
+            # replay; the round resumes at the next pump, so the sources
+            # interleave as in a crash-free run
+            name = self._unpolled.pop(0)
+            pump = self._pumps[name]
             emissions = pump.poll(self.batch_size)
             if pump.last_poll_raw:
                 progressed = True  # even a fully filtered batch advanced
@@ -429,9 +433,10 @@ class StreamingCluster:
             if emissions:
                 self.stats.record_events(
                     len(emissions), pump.source.max_event_time)
+                position = stream_position(pump, 0, emissions)
                 if self._pool is not None:
-                    self._log.record_data(name, emissions)
-                self.cluster.inject(name, emissions)
+                    self._log.record_data(name, emissions, position)
+                self.cluster.inject(name, emissions, position)
             if pump.exhausted():
                 # also reached by sources that were empty to begin with:
                 # they must still mark themselves done, or the merged
@@ -530,14 +535,13 @@ class StreamingCluster:
     # -- checkpoint/recovery protocol --------------------------------------
 
     def _coordinator_blob(self) -> bytes:
-        """The coordinator's own state for a manifest: sink multisets,
-        the broadcast watermark, and the router's mutable grouping state
-        (shuffle cursors) -- everything the replay path needs rewound."""
+        """The coordinator's own state for a manifest: sink multisets and
+        the broadcast watermark -- everything the replay path needs
+        rewound."""
         return pickle.dumps({
             "sinks": {key: sink.counts_snapshot()
                       for key, sink in sorted(self._sinks.items())},
             "wm": self._broadcast_wm,
-            "router": self.cluster.router.routing_state(),
         }, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _checkpoint(self):
@@ -580,9 +584,8 @@ class StreamingCluster:
         manifest: survivors may have applied post-checkpoint batches that
         the replay will re-deliver, so their state must rewind too.  The
         sink rolls back through compensating deltas (subscriptions stay
-        attached), the router's shuffle cursors rewind so replayed rows
-        land on their original partitions, and the change log re-applies
-        the delta stream without re-logging it.
+        attached), and the change log re-applies the delta stream, from
+        its logged positions, without re-logging it.
         """
         dead = sorted(set(dead) | set(self._pool.reap_dead()))
         respawned.extend(dead)
@@ -598,15 +601,14 @@ class StreamingCluster:
         for key, counts in coordinator["sinks"].items():
             self._sinks[key].rollback(counts)
         self._broadcast_wm = coordinator["wm"]
-        self.cluster.router.restore_routing_state(coordinator["router"])
         replayed_entries = replayed_rows = 0
         with self.cluster.unobserved():
             for entry in self._log.replay():
                 if entry[0] == _LOG_DATA:
-                    _kind, source, emissions = entry
+                    _kind, source, emissions, position = entry
                     replayed_entries += 1
                     replayed_rows += len(emissions)
-                    self.cluster.drain(source, emissions)
+                    self.cluster.drain(source, emissions, position)
                 else:
                     self._broadcast_wm = entry[1]
                     self.cluster.advance_watermark(entry[1])

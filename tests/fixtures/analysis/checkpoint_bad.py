@@ -1,23 +1,23 @@
 # ruff: noqa
-"""Seeded reconstruction of the uncheckpointed-routing-field bug.
+"""Seeded reconstructions of routing state a replay cannot repeat.
 
-A shuffle grouping's round-robin cursor advances on every routed batch;
-if it is not captured by routing_state()/restore_routing_state(), a
-recovered worker restarts the cursor at 0 and the replayed deltas land
-on different tasks than the original delivery -- exactly-once recovery
-silently breaks.  Part 2: a __getstate__ that drops a key which
-__setstate__ never restores loses the attribute on every recovery.
+A shuffle grouping's round-robin cursor advances on every routed batch,
+and a random partitioner's generator on every draw: a recovered run
+restarts both, so the replayed deltas land on different tasks than the
+original delivery -- exactly-once recovery silently breaks.  Neither
+class says it is stateful (``supports_task_local_routing() -> False``).
+Part 2: a __getstate__ that drops a key which __setstate__ never
+restores loses the attribute on every recovery.
 """
+
+import random
 
 
 class Grouping:
     """Stand-in for the routing base class (resolved by name)."""
 
-    def routing_state(self):
-        return None
-
-    def restore_routing_state(self, state):
-        pass
+    def supports_task_local_routing(self):
+        return True
 
 
 class ForgetfulShuffle(Grouping):
@@ -30,24 +30,15 @@ class ForgetfulShuffle(Grouping):
         return [target]
 
 
-class PartialShuffle(Grouping):
-    """Captures one of its two mutable fields -- the other is lost."""
+class RandomDraws(Grouping):
+    """Never assigns an attribute after __init__: the draw is the
+    mutation."""
 
-    def __init__(self):
-        self._next = 0
-        self._routed = 0
-
-    def routing_state(self):
-        return self._next
-
-    def restore_routing_state(self, state):
-        self._next = state
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
 
     def targets(self, stream, values, n_tasks):
-        target = self._next % n_tasks
-        self._next += 1
-        self._routed += 1
-        return [target]
+        return [self._rng.randrange(n_tasks)]
 
 
 class LossyOperator:

@@ -1,33 +1,36 @@
 # ruff: noqa
-"""The checkpoint-complete versions: the cursor rides routing_state
-(what ShuffleGrouping does) and the dropped pickle key is rebuilt in
-__setstate__ (what Selection does)."""
+"""The replay-safe versions: a shuffle that is a pure function of the
+row's stream position (what ShuffleGrouping does), a stateful router
+that says so (what AdaptiveOneBucket does), and a dropped pickle key
+rebuilt in __setstate__ (what Selection does)."""
+
+import random
 
 
 class Grouping:
     """Stand-in for the routing base class (resolved by name)."""
 
-    def routing_state(self):
-        return None
-
-    def restore_routing_state(self, state):
-        pass
+    def supports_task_local_routing(self):
+        return True
 
 
-class CheckpointedShuffle(Grouping):
-    def __init__(self):
-        self._next = 0
+class PositionShuffle(Grouping):
+    def targets(self, stream, values, n_tasks, position):
+        task, index = position
+        return [(task + index) % n_tasks]
 
-    def routing_state(self):
-        return self._next
 
-    def restore_routing_state(self, state):
-        self._next = state
+class AdaptiveDraws(Grouping):
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.seen = 0
 
-    def targets(self, stream, values, n_tasks):
-        target = self._next % n_tasks
-        self._next += 1
-        return [target]
+    def supports_task_local_routing(self):
+        return False
+
+    def targets(self, stream, values, n_tasks, position):
+        self.seen += 1
+        return [self._rng.randrange(n_tasks)]
 
 
 class RestoringOperator:

@@ -91,10 +91,10 @@ class TestSeededBugs:
         findings = findings_for("checkpoint_bad.py")
         assert rules_of(findings) == ["checkpoint-completeness"]
         messages = " ".join(f.message for f in findings)
-        # missing protocol entirely
+        # a cursor advanced per routed row
         assert "ForgetfulShuffle" in messages
-        # protocol present but one field uncaptured
-        assert "PartialShuffle._routed" in messages
+        # a generator drawn from: no attribute assigned, still state
+        assert "RandomDraws" in messages and "_rng" in messages
         # __getstate__ drops a key __setstate__ never restores
         assert "LossyOperator" in messages and "_cache" in messages
         assert len(findings) == 3
@@ -285,31 +285,27 @@ class TestSurfacedBugs:
         assert snap["watermark"] == 5.0
         assert snap["event_time_lag"] == 2.0
 
-    def test_adaptive_partitioner_routing_state_round_trip(self):
-        """AdaptiveOneBucket had no routing_state: a recovered worker
-        would restart from the initial matrix shape and re-route
-        replayed tuples differently than the original delivery."""
-        from repro.partitioning.adaptive import AdaptiveOneBucket
+    def test_adaptive_partitioner_declares_its_routing_stateful(self):
+        """AdaptiveOneBucket's routing follows what it has seen (its
+        reshapes, stored coordinates and generator), so it answers False
+        to supports_task_local_routing(): that keeps it out of task-local
+        routing, and it is what the checkpoint rule reads -- the same
+        class claiming to be pure is a finding."""
+        import inspect
 
-        original = AdaptiveOneBucket("R", "S", machines=8, seed=42,
-                                     check_interval=16)
-        for i in range(200):
-            original.route("R", (i,))
-        for i in range(180):
-            original.route("S", (i,))
-        assert original.reshapes, "scenario must actually reshape"
+        import repro.partitioning.adaptive as adaptive
 
-        restored = AdaptiveOneBucket("R", "S", machines=8, seed=0,
-                                     check_interval=16)
-        restored.restore_routing_state(original.routing_state())
-        assert (restored.rows, restored.cols) == (original.rows,
-                                                  original.cols)
-        assert restored.machines_for("R", 0) == original.machines_for("R", 0)
-        # identical post-restore routing, including RNG-driven choices
-        for i in range(50):
-            row = (1000 + i,)
-            assert restored.route("R", row) == original.route("R", row)
-            assert restored.route("S", row) == original.route("S", row)
+        assert not adaptive.AdaptiveOneBucket(
+            "R", "S", machines=8).supports_task_local_routing()
+        source = inspect.getsource(adaptive)
+        assert analyze_source(source) == []
+        claimed_pure = source.replace("        return False\n",
+                                      "        return True\n")
+        assert claimed_pure != source
+        [finding] = analyze_source(claimed_pure)
+        assert finding.rule == "checkpoint-completeness"
+        assert "'AdaptiveOneBucket' mutates routing state" in finding.message
+        assert "_rng" in finding.message
 
     def test_delta_sink_is_marked_coordinator_owned(self):
         from repro.streaming.deltas import DeltaSink

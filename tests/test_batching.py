@@ -64,11 +64,12 @@ class TestTargetsBatch:
     def check_matches_per_tuple(self, make_grouping, n_tasks=4):
         batch_grouping = make_grouping()
         tuple_grouping = make_grouping()
-        got = _flatten(batch_grouping.targets_batch("s", self.ROWS, n_tasks))
+        got = _flatten(batch_grouping.targets_batch("s", self.ROWS, n_tasks,
+                                                    (0, 0)))
         expected = [
             (task, row)
-            for row in self.ROWS
-            for task in tuple_grouping.targets("s", row, n_tasks)
+            for index, row in enumerate(self.ROWS)
+            for task in tuple_grouping.targets("s", row, n_tasks, (0, index))
         ]
         assert Counter(got) == Counter(expected)
         # row order within each task bucket must follow the batch order
@@ -84,8 +85,9 @@ class TestTargetsBatch:
 
     def test_shuffle_continues_round_robin_across_batches(self):
         grouping = ShuffleGrouping()
-        first = _flatten(grouping.targets_batch("s", self.ROWS[:5], 4))
-        second = _flatten(grouping.targets_batch("s", self.ROWS[5:10], 4))
+        first = _flatten(grouping.targets_batch("s", self.ROWS[:5], 4, (0, 0)))
+        second = _flatten(grouping.targets_batch("s", self.ROWS[5:10], 4,
+                                                 (0, 5)))
         task_of = {row: task for task, row in first + second}
         assert [task_of[self.ROWS[i]] for i in range(10)] == [
             i % 4 for i in range(10)

@@ -155,20 +155,20 @@ class TestDirectoryBackend:
 class TestChangeLog:
     def test_replay_preserves_order_and_kinds(self):
         log = ChangeLog()
-        log.record_data("R", [("R", (1, 2))])
+        log.record_data("R", [("R", (1, 2))], (0, {}))
         log.record_watermark(5.0)
-        log.record_data("S", [("S", (3, 4)), ("S", (5, 6))])
+        log.record_data("S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7}))
         entries = list(log.replay())
         assert entries == [
-            ("data", "R", [("R", (1, 2))]),
+            ("data", "R", [("R", (1, 2))], (0, {})),
             ("wm", 5.0),
-            ("data", "S", [("S", (3, 4)), ("S", (5, 6))]),
+            ("data", "S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7})),
         ]
         assert log.rows == 3
 
     def test_truncate_empties_the_log(self):
         log = ChangeLog()
-        log.record_data("R", [("R", (1,))])
+        log.record_data("R", [("R", (1,))], (0, {}))
         log.truncate()
         assert not log
         assert log.rows == 0
@@ -176,7 +176,7 @@ class TestChangeLog:
 
     def test_replay_iterates_a_copy(self):
         log = ChangeLog()
-        log.record_data("R", [("R", (1,))])
+        log.record_data("R", [("R", (1,))], (0, {}))
         replay = log.replay()
         log.truncate()  # a checkpoint committing mid-replay
         assert len(list(replay)) == 1

@@ -741,8 +741,8 @@ class TestInheritedRounds:
     ``INHERITED_ROUNDS``, before its workers fork, so each inherits its
     tasks' deliveries to the first component and runs those rounds'
     turns back to back; any later round is pulled and run on its own.
-    Only while the run is not observed and no two components' out-edges
-    share routing state across a spout and a bolt, or across two bolts."""
+    Only while the run is not observed and every edge routes
+    task-locally (no adaptive partitioner)."""
 
     N_ROWS = 400
 
@@ -822,24 +822,68 @@ class TestInheritedRounds:
         # a round's level pass runs before the next round is pulled
         assert steps[1:3] == ["_pull_round", "run_level"]
 
-    def test_the_chain_joins_edges_route_alone(self):
-        from repro.bench import multiway_join_plan
-        from repro.engine.runner import build_topology
-        from repro.storm.executor import Router
+    @staticmethod
+    def counters(metrics):
+        return {name: getattr(metrics, name)
+                for name in ("batches", "received", "emitted")}
 
-        topology, _partitioners = build_topology(
-            multiway_join_plan(n_rows=10, machines=8))
-        assert Router(topology).spouts_route_alone
-        assert Router(topology).bolts_route_alone
-        assert Router(diamond_topology()[0]).spouts_route_alone
-        assert Router(diamond_topology()[0]).bolts_route_alone
+    def test_two_joins_take_the_inherited_rounds(self, monkeypatch):
+        """J2 is fed by a spout (T) and by a bolt (J1) through one
+        partitioner: every edge routes task-locally, so the first rounds
+        are still pulled ahead of the fork, and every task executes what
+        it executes inline."""
+        from repro.engine import run_plan
+        from tests.batching_plans import plan_two_joins
 
-    def test_a_grouping_shared_by_two_bolts_keeps_their_order(
+        events = self.record_schedule(monkeypatch, budget=24)
+        options = dict(batch_size=4, parallelism=2)
+        forked = run_plan(plan_two_joins(), options=ExecutionOptions(
+            executor="processes", **options))
+        steps = self.steps(events)
+        assert steps[0] == "_pull_round" and "run_rounds" in steps
+        assert events[steps.index("start")] == ("start", "J1")
+        inline = run_plan(plan_two_joins(),
+                          options=ExecutionOptions(**options))
+        assert Counter(forked.results) == Counter(inline.results)
+        assert self.counters(forked.metrics) == self.counters(inline.metrics)
+
+    def test_an_adaptive_partitioner_pulls_no_round_ahead(self, monkeypatch):
+        """An adaptive partitioner routes by what it has seen: its rows
+        must reach it in inline's order, so no round is pulled ahead --
+        and it places every row where inline does."""
+        from repro.partitioning.adaptive import AdaptiveOneBucket
+        from repro.storm.groupings import HypercubeGrouping
+
+        def topology():
+            partitioner = AdaptiveOneBucket("R", "S", machines=4,
+                                            check_interval=8)
+            builder = TopologyBuilder()
+            rows = [(i,) for i in range(40)]
+            builder.set_spout("R", lambda i, p: ListSpout(rows, stream="R"))
+            builder.set_spout("S", lambda i, p: ListSpout(rows, stream="S"))
+            declarer = builder.set_bolt("J", lambda i, p: SinkBolt(),
+                                        parallelism=4)
+            for name in ("R", "S"):
+                declarer.custom_grouping(
+                    name, HypercubeGrouping(partitioner, name))
+            return builder.build()
+
+        events = self.record_schedule(monkeypatch, budget=8)
+        forked = LocalCluster(topology())
+        forked.run(batch_size=4, executor="processes", parallelism=2)
+        assert events[0] == ("start", None)
+        assert "run_rounds" not in self.steps(events)
+        inline = LocalCluster(topology())
+        inline.run(batch_size=4)
+        assert [forked.task("J", index).store for index in range(4)] == \
+            [inline.task("J", index).store for index in range(4)]
+        assert self.counters(forked.metrics) == self.counters(inline.metrics)
+
+    def test_a_shuffle_shared_by_two_bolts_keeps_the_inherited_path(
             self, monkeypatch):
-        """Two bolts routing through one grouping object: one's
-        emissions must not be routed ahead of the other's, so no round
-        is pulled ahead."""
-        from repro.storm.executor import Router
+        """Two bolts routing through one ShuffleGrouping object: the
+        grouping keeps no cursor, so the order their emissions are
+        routed in does not matter, and the rounds are pulled ahead."""
         from repro.storm.groupings import ShuffleGrouping
 
         rows = [(i,) for i in range(20)]
@@ -855,57 +899,17 @@ class TestInheritedRounds:
         declarer.custom_grouping("left", shared)
         declarer.custom_grouping("right", shared)
         topology = builder.build()
-        assert Router(topology).spouts_route_alone
-        assert not Router(topology).bolts_route_alone
         events = self.record_schedule(monkeypatch, budget=8)
         cluster = LocalCluster(topology)
         cluster.run(batch_size=4, executor="processes", parallelism=2)
-        assert events[0] == ("start", None)
-        assert "run_rounds" not in self.steps(events)
-        stores = [list(cluster.task("sink", index).store)
-                  for index in range(2)]
+        steps = self.steps(events)
+        assert steps[0] == "_pull_round" and "run_rounds" in steps
+        assert events[steps.index("start")] == ("start", "left")
         inline = LocalCluster(topology)
         inline.run(batch_size=4)
-        assert stores == [list(inline.task("sink", index).store)
-                          for index in range(2)]
-
-    def test_a_partitioner_shared_with_a_bolt_edge_pulls_no_round_ahead(
-            self, monkeypatch):
-        """A join fed by a source and by another bolt routes both inputs
-        through one partitioner: its routing sequence would change if
-        later rounds' pulls went ahead of this round's bolt rows."""
-        from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
-        from repro.partitioning.hash_hypercube import HashHypercube
-        from repro.storm.executor import Router
-        from repro.storm.groupings import HypercubeGrouping
-
-        spec = JoinSpec(
-            [RelationInfo("A", Schema.of("x", "y"), 10),
-             RelationInfo("S", Schema.of("y", "z"), 10)],
-            [EquiCondition(("A", "y"), ("S", "y"))],
-        )
-        partitioner = HashHypercube.build(spec, 4, seed=1)
-        builder = TopologyBuilder()
-        rows = [(i, i % 3) for i in range(20)]
-        builder.set_spout("R", lambda i, p: ListSpout(rows, stream="R"))
-        builder.set_spout("S", lambda i, p: ListSpout(rows, stream="S"))
-        builder.set_bolt("A", lambda i, p: DoublerBolt()).shuffle_grouping("R")
-        declarer = builder.set_bolt("J", lambda i, p: DoublerBolt(),
-                                    parallelism=4)
-        declarer.custom_grouping("A", HypercubeGrouping(partitioner, "A"))
-        declarer.custom_grouping("S", HypercubeGrouping(partitioner, "S"))
-        topology = builder.build()
-        assert not Router(topology).spouts_route_alone
-        # one 4-row pull a spout and round: five full rounds, and a sixth
-        # that finds the spouts empty -- each pulled after the workers
-        # forked, before its own level pass
-        events = self.record_schedule(monkeypatch, budget=8)
-        LocalCluster(topology).run(batch_size=4, executor="processes",
-                                   parallelism=2)
-        steps = self.steps(events)
-        assert events[0] == ("start", None)
-        assert steps.count("_pull_round") == 6
-        assert "run_rounds" not in steps
+        assert [cluster.task("sink", index).store for index in range(2)] == \
+            [inline.task("sink", index).store for index in range(2)]
+        assert self.counters(cluster.metrics) == self.counters(inline.metrics)
 
     @pytest.mark.parametrize("fail_at", [2, 6], ids=["before", "after"])
     def test_a_pull_that_raises_leaves_no_worker(self, monkeypatch,

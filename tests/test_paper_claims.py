@@ -145,8 +145,8 @@ class TestSection5SkewTypes:
         bucket = OneBucket("R", "S", machines, seed=4)
         window = []
         spread = []
-        for value in stream:
-            window.extend(bucket.destinations("R", (value,)))
+        for index, value in enumerate(stream):
+            window.extend(bucket.destinations("R", (value,), (0, index)))
             if len(window) >= 50:
                 spread.append(len(set(window)))
                 window = []
@@ -159,8 +159,8 @@ class TestSection5SkewTypes:
         loads = Counter()
         for phase in range(4):
             hot = phase * 1000  # distribution shifts every phase
-            for _ in range(500):
-                for machine in bucket.destinations("R", (hot,)):
+            for index in range(phase * 500, (phase + 1) * 500):
+                for machine in bucket.destinations("R", (hot,), (0, index)):
                     loads[machine] += 1
         assert max(loads.values()) / min(loads.values()) < 1.3
 

@@ -66,7 +66,8 @@ def fresh_collectors():
 class TestGroupings:
     def test_shuffle_round_robins(self):
         grouping = ShuffleGrouping()
-        targets = [grouping.targets("s", (i,), 4)[0] for i in range(8)]
+        targets = [grouping.targets("s", (i,), 4, (0, i))[0]
+                   for i in range(8)]
         assert targets == [0, 1, 2, 3, 0, 1, 2, 3]
         assert not grouping.is_content_sensitive()
 

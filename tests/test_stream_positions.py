@@ -1,0 +1,259 @@
+"""Placement as a pure function of a row's stream position.
+
+A content-insensitive grouping -- the shuffle, a random hypercube
+dimension -- places a row by ``(edge, emitting task, the row's index
+among that task's emissions on its stream)``, never by call order.  Two
+consequences are checked end to end:
+
+- placement does not depend on how the rows are batched, on which
+  executor schedule routes them, or on the row/columnar layout;
+- a streaming ``processes`` run that loses a worker and replays its
+  change log ends with every task's state byte-identical to a crash-free
+  run's, on random schemes as on hash ones.
+"""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.options import ExecutionOptions
+from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
+from repro.core.schema import Schema
+from repro.partitioning.hash_hypercube import HashHypercube
+from repro.partitioning.hybrid_hypercube import HybridHypercube
+from repro.partitioning.random_hypercube import RandomHypercube
+from repro.partitioning.two_way import OneBucket
+from repro.storm import (
+    Bolt,
+    FieldsGrouping,
+    KeyMappedGrouping,
+    LocalCluster,
+    ShuffleGrouping,
+    Spout,
+    TopologyBuilder,
+)
+from repro.storm.executor import ResidentWorkerPool
+from repro.storm.failures import FaultInjector
+from repro.storm.groupings import HypercubeGrouping
+from repro.streaming import stream_plan
+from repro.util import round_robin_assignment
+from tests.batching_plans import plan_join_only, plan_two_joins
+
+MACHINES = 8
+
+
+def chain_spec():
+    """R(x,y) >< S(y,z) >< T(z,t) with z skewed: the hybrid scheme gives
+    T a random dimension next to a replicated hash one."""
+    skewed = dict(skewed=frozenset({"z"}), top_freq={"z": 0.5})
+    return JoinSpec(
+        [RelationInfo("R", Schema.of("x", "y"), 1000),
+         RelationInfo("S", Schema.of("y", "z"), 1000, **skewed),
+         RelationInfo("T", Schema.of("z", "t"), 1000, **skewed)],
+        [EquiCondition(("R", "y"), ("S", "y")),
+         EquiCondition(("S", "z"), ("T", "z"))],
+    )
+
+
+#: name -> grouping factory; each run builds its own, as a topology does
+GROUPINGS = {
+    "shuffle": ShuffleGrouping,
+    "fields": lambda: FieldsGrouping([0]),
+    "key-mapped": lambda: KeyMappedGrouping(
+        0, round_robin_assignment(range(5), MACHINES)),
+    "hash-hypercube": lambda: HypercubeGrouping(
+        HashHypercube.build(chain_spec(), MACHINES, seed=3), "S"),
+    "random-hypercube": lambda: HypercubeGrouping(
+        RandomHypercube.build(chain_spec(), MACHINES, seed=3), "S"),
+    "hybrid-hypercube": lambda: HypercubeGrouping(
+        HybridHypercube.build(chain_spec(), MACHINES, seed=3), "T"),
+}
+
+
+class InterleavedSpout(Spout):
+    """Emits its share of a two-stream sequence (task ``i`` of ``p``
+    takes every ``p``-th emission).  With ``columnar`` on, a pull stops
+    where the stream changes and travels as one ColumnBatch."""
+
+    def __init__(self, emissions):
+        self.emissions = emissions
+        self.columnar = False
+
+    def open(self, task_index, parallelism):
+        self.emissions = self.emissions[task_index::parallelism]
+
+    def has_more(self):
+        return bool(self.emissions)
+
+    def next_batch(self, max_rows):
+        pulled = self.emissions[:max_rows]
+        if self.columnar and pulled:
+            stream = pulled[0][0]
+            same = next((i for i, (s, _row) in enumerate(pulled)
+                         if s != stream), len(pulled))
+            pulled = pulled[:same]
+        self.emissions = self.emissions[len(pulled):]
+        if self.columnar and pulled:
+            return ColumnEmissions(stream, ColumnBatch.from_rows(
+                [row for _stream, row in pulled]))
+        return pulled
+
+
+class Collector(Bolt):
+    def __init__(self):
+        self.seen = Counter()
+
+    def execute_batch(self, source, stream, rows):
+        if isinstance(rows, ColumnBatch):
+            rows = rows.to_rows()
+        self.seen.update((stream, tuple(row)) for row in rows)
+        return []
+
+
+def placement(grouping_name, emissions, spout_tasks, batch_size, columnar):
+    builder = TopologyBuilder()
+    builder.set_spout("src", lambda i, p: InterleavedSpout(emissions),
+                      parallelism=spout_tasks)
+    builder.set_bolt("dst", lambda i, p: Collector(), parallelism=MACHINES) \
+        .custom_grouping("src", GROUPINGS[grouping_name]())
+    cluster = LocalCluster(builder.build())
+    cluster.run(batch_size=batch_size, columnar=columnar)
+    return [cluster.task("dst", index).seen for index in range(MACHINES)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    streams=st.lists(st.sampled_from("ab"), min_size=1, max_size=150),
+    keys=st.lists(st.integers(0, 6), min_size=1, max_size=20),
+    spout_tasks=st.integers(1, 3),
+)
+@pytest.mark.parametrize("grouping_name", sorted(GROUPINGS))
+def test_placement_is_batch_size_invariant(grouping_name, streams, keys,
+                                           spout_tasks):
+    """Every ``(stream, row) -> task`` placement is the same whether a
+    spout task's rows are routed one by one (the depth-first schedule),
+    in batches of 7 or 64 (rounds), or all in one batch -- as row lists
+    or as ColumnBatches."""
+    emissions = [(stream, (keys[index % len(keys)], index))
+                 for index, stream in enumerate(streams)]
+    expected = placement(grouping_name, emissions, spout_tasks, 1, False)
+    assert sum(sum(seen.values()) for seen in expected) >= len(emissions)
+    for batch_size in (7, 64, len(emissions) + 1):
+        for columnar in (False, True):
+            assert placement(grouping_name, emissions, spout_tasks,
+                             batch_size, columnar) == expected, \
+                (batch_size, columnar)
+
+
+def test_the_row_and_batch_paths_place_random_dimensions_alike():
+    partitioner = RandomHypercube.build(chain_spec(), MACHINES, seed=3)
+    rows = [(key % 5, key) for key in range(200)]
+    matrix = partitioner.destination_matrix(
+        "S", ColumnBatch.from_rows(rows[50:]), (2, 50))
+    assert matrix.tolist() == [partitioner.destinations("S", row, (2, index))
+                               for index, row in enumerate(rows)][50:]
+
+
+@pytest.mark.parametrize("route", [
+    lambda: ShuffleGrouping().targets("s", (1,), 4),
+    lambda: RandomHypercube.build(chain_spec(), MACHINES).destinations(
+        "S", (1, 2)),
+    lambda: OneBucket("R", "S", 4).destinations("R", (1,)),
+], ids=["shuffle", "random-hypercube", "one-bucket"])
+def test_content_insensitive_routing_needs_a_position(route):
+    """Without a position there is nothing to place the row by: no
+    fallback, no silent default."""
+    with pytest.raises(ValueError, match="stream position"):
+        route()
+
+
+def test_random_draws_are_uniform():
+    partitioner = RandomHypercube.build(chain_spec(), MACHINES, seed=3)
+    loads = Counter()
+    for task in range(3):
+        matrix = partitioner.destination_matrix(
+            "S", ColumnBatch.from_rows([(0, i) for i in range(4000)]),
+            (task, 0))
+        loads.update(matrix.ravel().tolist())
+    assert len(loads) == MACHINES
+    assert max(loads.values()) / min(loads.values()) < 1.1
+
+
+def test_two_random_dimensions_of_one_relation_draw_independently():
+    """A relation owning two random dimensions reaches every cell of both
+    evenly; draws correlated across dimensions (a linear hash of the
+    index, whose parity alternates with it on every dimension) would
+    leave half of the cells empty."""
+    from repro.partitioning.hypercube import (
+        RANDOM,
+        DimensionSpec,
+        HypercubeConfig,
+        HypercubePartitioner,
+    )
+
+    dims = (DimensionSpec("a", RANDOM, frozenset({("S", "y")})),
+            DimensionSpec("b", RANDOM, frozenset({("S", "z")})))
+    partitioner = HypercubePartitioner(
+        HypercubeConfig(dims, (2, 2), 4, 0.0, 0.0),
+        {"S": Schema.of("y", "z")}, seed=3)
+    matrix = partitioner.destination_matrix(
+        "S", ColumnBatch.from_rows([(0, i) for i in range(4000)]), (0, 0))
+    loads = Counter(matrix.ravel().tolist())
+    assert sorted(loads) == [0, 1, 2, 3]
+    assert max(loads.values()) / min(loads.values()) < 1.15
+
+
+# -- replay ----------------------------------------------------------------
+
+
+def with_scheme(builder, scheme):
+    plan = builder()
+    return replace(plan, joins=[replace(join, scheme=scheme)
+                                for join in plan.joins])
+
+
+def final_digests(monkeypatch, plan, fault_injector=None):
+    """Per-task digests of the run's last (pre-flush) checkpoint."""
+    manifests = []
+    original = ResidentWorkerPool.checkpoint
+
+    def recorded(pool, known):
+        snapshots = original(pool, known)
+        manifests.append({key: digest
+                          for key, (digest, _blob) in snapshots.items()})
+        return snapshots
+
+    monkeypatch.setattr(ResidentWorkerPool, "checkpoint", recorded)
+    query = stream_plan(plan, options=ExecutionOptions(
+        executor="processes", batch_size=16, checkpoint_interval=2,
+        parallelism=2), fault_injector=fault_injector).run()
+    return manifests[-1], query
+
+
+@pytest.mark.parametrize("after_batches", [5, 7])
+@pytest.mark.parametrize("builder,joiner", [
+    (plan_join_only, "J"), (plan_two_joins, "J1")], ids=["one", "two"])
+@pytest.mark.parametrize("scheme", ["random", "hash"])
+def test_replay_places_every_row_where_the_crash_free_run_did(
+        monkeypatch, builder, joiner, scheme, after_batches):
+    """A joiner killed mid-stream is restored and the change log
+    replayed; every task's state then matches a crash-free run's, byte
+    for byte.  The hash plan is the control: it never depended on call
+    order.  The kill after five batches lands in the middle of a pump
+    round, after seven between two rounds: the recovered run resumes the
+    round it was cut in, so its sources interleave as the crash-free
+    run's do."""
+    crash_free, clean = final_digests(monkeypatch,
+                                      with_scheme(builder, scheme))
+    recovered, query = final_digests(
+        monkeypatch, with_scheme(builder, scheme),
+        FaultInjector().kill_worker_of(joiner, 0,
+                                       after_batches=after_batches))
+    assert query.checkpoint_stats()["recoveries"] >= 1
+    assert query.snapshot() == clean.snapshot()
+    assert sorted(recovered) == sorted(crash_free)
+    assert {key for key in crash_free
+            if recovered[key] != crash_free[key]} == set()

@@ -142,7 +142,8 @@ class TestIncrementalCheckpointing:
         blobs = store.restore_set(manifest)
         assert blobs  # every worker partition has a restorable blob
         coordinator = pickle.loads(manifest.coordinator)
-        assert "sinks" in coordinator and "router" in coordinator
+        assert "sinks" in coordinator and "wm" in coordinator
+        assert "router" not in coordinator  # routing keeps no state
 
 
 #: worker roles of the golden agg plan: the join owner and the agg owner
