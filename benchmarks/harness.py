@@ -1,9 +1,9 @@
 """Experiment harness shared by the benchmark files.
 
 Builds join specs (with sampled skew markings, exactly as the offline
-chooser of paper section 3.4 would), streams workloads through HyLD
-operators, and prices the measured counters with the calibrated cost
-model.
+chooser of paper section 3.4 would), runs workloads as physical plans
+through the engine's ``run_plan`` to completion, and prices the measured
+counters with the calibrated cost model's ``run_cost``.
 """
 
 from __future__ import annotations
@@ -12,12 +12,23 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation
 from repro.core.statistics import SkewDetector, profile_column
 from repro.costmodel import CostBreakdown, CostModel
-from repro.joins import HyLDOperator
-from repro.joins.hyld import HyLDStats
+from repro.engine import (
+    JoinComponent,
+    PhysicalPlan,
+    RunResult,
+    SourceComponent,
+    run_plan,
+)
+
+#: the join of a one-join plan; a pipeline's stages are J1, J2, ...
+JOIN = "J1"
+
+OPTIONS = ExecutionOptions(batch_size=64)
 
 
 def interleave(data: Dict[str, List[tuple]], seed: int = 0) -> List[Tuple[str, tuple]]:
@@ -67,20 +78,66 @@ def tpch9_partial_spec(tables: Dict[str, Relation], machines: int) -> JoinSpec:
 
 @dataclass
 class ExperimentResult:
-    """One scheme x local-join run: measured stats + modelled runtime."""
+    """One plan run to completion on the engine, plus its modelled runtime."""
 
-    label: str
-    stats: HyLDStats
+    run: RunResult
     cost: CostBreakdown
-    partitioning: str
+    #: False when some joiner task's final state outgrew the memory budget
+    completed: bool = True
 
     @property
     def runtime(self) -> float:
         return self.cost.total
 
     @property
-    def completed(self) -> bool:
-        return not self.stats.memory_overflow
+    def partitioning(self) -> str:
+        return self.run.partitioner_info[self.run.plan.joins[-1].name]
+
+    @property
+    def network(self) -> int:
+        """Tuples the joins received, shuffled intermediates included."""
+        return sum(self.run.metrics.component_input(join.name)
+                   for join in self.run.plan.joins)
+
+
+def run_pipeline_experiment(
+    specs_and_schemes: List[Tuple[JoinSpec, str]],
+    data: Dict[str, List[tuple]],
+    machines: int,
+    local_join: str = "dbtoaster",
+    memory_budget: Optional[int] = None,
+    seed: int = 0,
+    model: Optional[CostModel] = None,
+) -> ExperimentResult:
+    """Run a left-deep pipeline of joins as one plan.
+
+    Stage ``i`` is the join ``J<i+1>``; its output feeds the next stage,
+    whose spec names it as a relation.  Every relation of ``data`` is a
+    source holding its rows in :func:`interleave`'s order, read by
+    ``machines`` tasks (the paper's readers share the joiners' cluster).
+    The input is insert-only, so a joiner task's final state is its peak:
+    the run is over the memory budget when any task ends above it.
+    """
+    schemas = {info.name: info.schema
+               for spec, _scheme in specs_and_schemes for info in spec.relations}
+    arrivals: Dict[str, List[tuple]] = {name: [] for name in data}
+    for name, row in interleave(data, seed=seed):
+        arrivals[name].append(row)
+    plan = PhysicalPlan(
+        sources=[SourceComponent(name, Relation(name, schemas[name], rows),
+                                 parallelism=machines)
+                 for name, rows in arrivals.items()],
+        joins=[JoinComponent(f"J{i + 1}", spec, machines, scheme, local_join,
+                             seed=seed + i)
+               for i, (spec, scheme) in enumerate(specs_and_schemes)],
+    )
+    run = run_plan(plan, options=OPTIONS)
+    peak = max(max(states) for states in run.join_state.values())
+    return ExperimentResult(
+        run=run,
+        cost=(model or CostModel()).run_cost(run),
+        completed=memory_budget is None or peak <= memory_budget,
+    )
 
 
 def run_hyld_experiment(
@@ -93,68 +150,9 @@ def run_hyld_experiment(
     seed: int = 0,
     model: Optional[CostModel] = None,
 ) -> ExperimentResult:
-    """Route a whole workload through one HyLD configuration."""
-    model = model or CostModel()
-    operator = HyLDOperator(
-        spec, machines, scheme=scheme, local_join=local_join, seed=seed,
-        memory_budget=memory_budget, collect_outputs=False,
-    )
-    stats = operator.run(interleave(data, seed=seed))
-    cost = model.hyld_cost(stats, local_join=local_join)
-    if stats.memory_overflow:
-        # extrapolate like the paper: scale by the unprocessed fraction
-        total = sum(len(rows) for rows in data.values())
-        processed = stats.input_count or 1
-        cost = cost.scaled(total / processed)
-    return ExperimentResult(
-        label=f"{scheme}/{local_join}",
-        stats=stats,
-        cost=cost,
-        partitioning=operator.partitioner.describe(),
-    )
-
-
-def run_pipeline_experiment(
-    specs_and_schemes: List[Tuple[JoinSpec, str]],
-    data: Dict[str, List[tuple]],
-    machines: int,
-    local_join: str = "dbtoaster",
-    seed: int = 0,
-    model: Optional[CostModel] = None,
-) -> Tuple[List[HyLDStats], CostBreakdown, int]:
-    """Run a left-deep pipeline of 2-way joins.
-
-    Each stage's output feeds the next stage as relation ``J<i>``.
-    Returns per-stage stats, the combined modelled cost, and the total
-    network tuples (including the shuffled intermediate results, which is
-    what multi-way joins avoid).
-    """
-    model = model or CostModel()
-    operators = [
-        HyLDOperator(spec, machines, scheme=scheme, local_join=local_join,
-                     seed=seed + i, collect_outputs=False)
-        for i, (spec, scheme) in enumerate(specs_and_schemes)
-    ]
-
-    def feed(stage: int, rel_name: str, row: tuple):
-        outputs = operators[stage].insert(rel_name, row)
-        if stage + 1 < len(operators):
-            next_name = f"J{stage + 1}"
-            for out in outputs:
-                feed(stage + 1, next_name, out)
-
-    stage_inputs = [set(spec.relation_names) for spec, _ in specs_and_schemes]
-    for rel_name, row in interleave(data, seed=seed):
-        for stage, names in enumerate(stage_inputs):
-            if rel_name in names:
-                feed(stage, rel_name, row)
-                break
-    stats = [op.stats() for op in operators]
-    cost = model.pipeline_cost([
-        model.hyld_cost(s, local_join=local_join) for s in stats
-    ])
-    network = sum(s.total_network_tuples for s in stats)
-    return stats, cost, network
+    """Run one multi-way join (HyLD: hypercube scheme x local join)."""
+    return run_pipeline_experiment([(spec, scheme)], data, machines,
+                                   local_join, memory_budget, seed, model)
 
 
 def fmt(value, digits=2):

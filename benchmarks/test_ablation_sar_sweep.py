@@ -19,7 +19,7 @@ from benchmarks.harness import fmt, profiled_relation_info
 from repro.core.predicates import EquiCondition, JoinSpec
 from repro.core.schema import Relation, Schema
 from repro.datasets import ZipfGenerator
-from repro.joins.hyld import SCHEMES
+from repro.engine.runner import SCHEMES
 
 MACHINES = 16
 N = 1500

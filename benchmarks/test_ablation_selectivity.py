@@ -81,10 +81,9 @@ def test_selectivity_fluctuations(benchmark):
                     [RelationInfo("J1", j1, N * 4), RelationInfo("R", schema_r, N)],
                     [EquiCondition(("J1", "S.y"), ("R", "y"))],
                 )
-            stats, cost, network = run_pipeline_experiment(
+            return run_pipeline_experiment(
                 [(spec_1, "hash"), (spec_2, "hash")], data, MACHINES, seed=4,
             )
-            return stats, cost, network
 
         rs_first = pipeline("RS")
         st_first = pipeline("ST")
@@ -94,11 +93,11 @@ def test_selectivity_fluctuations(benchmark):
 
     rows = []
     rows.append(["multi-way hypercube", fmt(multiway.runtime),
-                 fmt(multiway.stats.total_network_tuples), "-"])
-    for label, (stats, cost, network) in (("pipeline, R><S first", rs_first),
-                                          ("pipeline, S><T first", st_first)):
-        rows.append([label, fmt(cost.total), fmt(network),
-                     fmt(stats[0].output_count)])
+                 fmt(multiway.network), "-"])
+    for label, pipeline in (("pipeline, R><S first", rs_first),
+                            ("pipeline, S><T first", st_first)):
+        rows.append([label, fmt(pipeline.runtime), fmt(pipeline.network),
+                     fmt(pipeline.run.metrics.component_output("J1"))])
     record_table(
         "ablation_selectivity",
         "Ablation: join selectivity fluctuations (two-phase stream)",
@@ -111,12 +110,12 @@ def test_selectivity_fluctuations(benchmark):
     )
 
     # all strategies must agree on the result
-    assert (multiway.stats.output_count == rs_first[0][-1].output_count
-            == st_first[0][-1].output_count)
+    assert (multiway.run.query_output == rs_first.run.query_output
+            == st_first.run.query_output)
     # the multi-way join must beat BOTH pipeline orders: whichever order a
     # (static) online optimizer picked, a phase punishes it
-    assert multiway.runtime < rs_first[1].total
-    assert multiway.runtime < st_first[1].total
+    assert multiway.runtime < rs_first.runtime
+    assert multiway.runtime < st_first.runtime
     # each pipeline order suffers a big intermediate in one phase
-    assert rs_first[0][0].output_count > 2 * N
-    assert st_first[0][0].output_count > 2 * N
+    assert rs_first.run.metrics.component_output("J1") > 2 * N
+    assert st_first.run.metrics.component_output("J1") > 2 * N

@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks.conftest import record_table
 from benchmarks.harness import (
+    JOIN,
     fmt,
     run_hyld_experiment,
     run_pipeline_experiment,
@@ -54,27 +55,26 @@ def test_fig6_multiway_vs_pipeline(webgraph_sample, benchmark):
              RelationInfo("W3", schema, len(arcs))],
             [EquiCondition(("J1", "W2.ToUrl"), ("W3", "FromUrl"))],
         )
-        pipeline_stats, pipeline_cost, pipeline_network = run_pipeline_experiment(
+        pipeline = run_pipeline_experiment(
             [(spec_12, "hash"), (spec_123, "hash")], data, MACHINES, seed=3,
         )
-        return multiway, pipeline_stats, pipeline_cost, pipeline_network
+        return multiway, pipeline
 
-    multiway, pipeline_stats, pipeline_cost, pipeline_network = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+    multiway, pipeline = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     # both strategies compute the same number of 3-paths
-    pipeline_outputs = pipeline_stats[-1].output_count
-    assert multiway.stats.output_count == pipeline_outputs
+    pipeline_outputs = pipeline.run.query_output
+    assert multiway.run.query_output == pipeline_outputs
 
-    multiway_network = multiway.stats.total_network_tuples
-    intermediate = pipeline_stats[0].output_count
-    speedup = pipeline_cost.total / multiway.runtime
+    multiway_network = multiway.network
+    pipeline_network = pipeline.network
+    intermediate = pipeline.run.metrics.component_output("J1")
+    speedup = pipeline.runtime / multiway.runtime
 
     rows = [
         ["multi-way (Hash/Hybrid-Hypercube)", fmt(multiway.runtime),
          fmt(multiway_network), multiway.partitioning],
-        ["pipeline of 2-way joins", fmt(pipeline_cost.total),
+        ["pipeline of 2-way joins", fmt(pipeline.runtime),
          fmt(pipeline_network), f"hash x2, intermediate |W><W| = {intermediate:,}"],
         ["multi-way speedup", f"{speedup:.2f}x (paper: 1.43x)", "", ""],
     ]
@@ -95,6 +95,6 @@ def test_fig6_multiway_vs_pipeline(webgraph_sample, benchmark):
     assert speedup > 1.1, "multi-way must beat the pipeline (paper: 1.43x)"
 
     # paper's replication arithmetic: 6x6 hypercube -> factor 6+6+1 = 13
-    replication = multiway.stats.replication_factor
+    replication = multiway.run.replication_factor(JOIN)
     assert replication == pytest.approx(13 / 3, rel=0.05), \
         "per-relation replication 6/1/6 averages to 13/3 over equal inputs"

@@ -65,7 +65,7 @@ class _RoutedLoads:
 
 
 def measured_max_load(spec_obj, data, scheme, seed=0):
-    from repro.joins.hyld import SCHEMES
+    from repro.engine.runner import SCHEMES
 
     partitioner = SCHEMES[scheme].build(spec_obj, MACHINES, seed=seed)
     received = [0] * partitioner.n_machines

@@ -11,7 +11,7 @@ schemes.
 
 
 from benchmarks.conftest import record_table
-from benchmarks.harness import fmt
+from benchmarks.harness import JOIN, fmt
 
 
 def test_table1_loads(tpch9_results, webanalytics_results, benchmark):
@@ -19,30 +19,31 @@ def test_table1_loads(tpch9_results, webanalytics_results, benchmark):
     for config in ("10G", "80G"):
         for scheme in ("hash", "random", "hybrid"):
             result = tpch9_results[(config, scheme)]
-            stats = result.stats
-            max_load = "N/A (overflow)" if not result.completed else fmt(stats.max_load)
+            metrics = result.run.metrics
+            max_load = ("N/A (overflow)" if not result.completed
+                        else fmt(metrics.max_load(JOIN)))
             rows.append([
                 f"TPCH9-Partial {config}", scheme, max_load,
-                fmt(stats.avg_load), fmt(stats.skew_degree),
+                fmt(metrics.avg_load(JOIN)), fmt(metrics.skew_degree(JOIN)),
             ])
     for scheme in ("hash", "random", "hybrid"):
-        stats = webanalytics_results[scheme].stats
+        metrics = webanalytics_results[scheme].run.metrics
         rows.append([
-            "WebAnalytics", scheme, fmt(stats.max_load),
-            fmt(stats.avg_load), fmt(stats.skew_degree),
+            "WebAnalytics", scheme, fmt(metrics.max_load(JOIN)),
+            fmt(metrics.avg_load(JOIN)), fmt(metrics.skew_degree(JOIN)),
         ])
 
     # shape assertions mirroring the paper's reading of Table 1
     for config in ("10G",):
-        random_stats = tpch9_results[(config, "random")].stats
-        hash_stats = tpch9_results[(config, "hash")].stats
-        hybrid_stats = tpch9_results[(config, "hybrid")].stats
+        random_metrics = tpch9_results[(config, "random")].run.metrics
+        hash_metrics = tpch9_results[(config, "hash")].run.metrics
+        hybrid_metrics = tpch9_results[(config, "hybrid")].run.metrics
         # Random: perfect load balancing (max ~ avg) but high average
-        assert random_stats.skew_degree < 1.25
+        assert random_metrics.skew_degree(JOIN) < 1.25
         # Hash: max far above average under zipf-2 skew
-        assert hash_stats.skew_degree > 2.0
+        assert hash_metrics.skew_degree(JOIN) > 2.0
         # Hybrid: average load below Random's (it replicates only when needed)
-        assert hybrid_stats.avg_load < random_stats.avg_load
+        assert hybrid_metrics.avg_load(JOIN) < random_metrics.avg_load(JOIN)
     record_table(
         "table1_loads",
         "Table 1: max / avg load per machine (input tuples received)",

@@ -12,6 +12,7 @@ Hybrid's barely moves.
 import pytest
 
 from benchmarks.conftest import record_table
+from benchmarks.harness import JOIN
 
 
 def test_table2_replication_factor(tpch9_results, benchmark):
@@ -23,7 +24,7 @@ def test_table2_replication_factor(tpch9_results, benchmark):
             if not result.completed:
                 rows.append([f"TPCH9-Partial {config}", scheme, "N/A (overflow)"])
                 continue
-            factor = result.stats.replication_factor
+            factor = result.run.replication_factor(JOIN)
             factors[(config, scheme)] = factor
             rows.append([f"TPCH9-Partial {config}", scheme, f"{factor:.2f}"])
 

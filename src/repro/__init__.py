@@ -10,8 +10,9 @@ full system in Python:
   M-Bucket, EWH, Hash-Hypercube, Random-Hypercube and the paper's novel
   Hybrid-Hypercube, plus the Adaptive 1-Bucket operator.
 - :mod:`repro.joins` -- local join algorithms: traditional index-based
-  online joins and the DBToaster-style higher-order incremental join, and
-  the HyLD operator that combines a hypercube scheme with local DBToaster.
+  online joins and the DBToaster-style higher-order incremental join.  A
+  plan's join component runs one of them per machine of a hypercube
+  scheme -- the paper's HyLD operator.
 - :mod:`repro.storm` -- a faithful in-process simulator of the Storm
   substrate (spouts, bolts, stream groupings, topologies, metrics).
 - :mod:`repro.engine` -- the online engine: components, relational
@@ -45,7 +46,6 @@ from repro.core.predicates import (
     JoinSpec,
     RelationInfo,
 )
-from repro.joins.hyld import HyLDOperator
 from repro.streaming.deltas import Delta, SubscriberOverflow, Subscription
 
 __version__ = "1.1.0"
@@ -116,7 +116,6 @@ __all__ = [
     "ThetaCondition",
     "JoinSpec",
     "RelationInfo",
-    "HyLDOperator",
     "ExecutionOptions",
     "Delta",
     "Subscription",

@@ -22,7 +22,7 @@ cost normalised to 1.0 per tuple):
 
 The traditional local join is priced at 12x DBToaster per abstract
 operation: the paper attributes part of DBToaster's order-of-magnitude
-win to avoided recomputation (which our simulator measures directly as
+win to avoided recomputation (which the engine measures directly as
 extra work) and part to constant factors of the generated code vs
 interpreted index plumbing -- 'these joins are orders of magnitude
 slower than the state-of-the-art online local join, DBToaster' (section

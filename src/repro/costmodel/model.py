@@ -16,11 +16,10 @@ element at a time):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.costmodel.calibration import CostConstants, DEFAULT_CONSTANTS
 from repro.engine.runner import RunResult
-from repro.joins.hyld import HyLDStats
 
 
 @dataclass
@@ -72,8 +71,6 @@ class CostModel:
     def __init__(self, constants: CostConstants = DEFAULT_CONSTANTS):
         self.constants = constants
 
-    # -- engine runs ----------------------------------------------------------
-
     def run_cost(self, result: RunResult) -> CostBreakdown:
         """Cost of a full engine run (sources, joins, aggregation)."""
         c = self.constants
@@ -94,39 +91,3 @@ class CostModel:
             breakdown.network += c.network_per_tuple * max(received)
         breakdown.output = c.output_per_tuple * result.query_output
         return breakdown.scaled(c.seconds_per_unit)
-
-    # -- HyLD operator runs ------------------------------------------------------
-
-    def hyld_cost(self, stats: HyLDStats, local_join: str = "dbtoaster",
-                  source_tasks: Optional[int] = None,
-                  selection_class: Optional[str] = None) -> CostBreakdown:
-        """Cost of a bare HyLD operator run (no engine around it).
-
-        ``source_tasks`` defaults to the joiner machine count: in the
-        paper's runs the reader tasks share the same cluster.
-        """
-        c = self.constants
-        machines = stats.machines or 1
-        readers = source_tasks if source_tasks is not None else machines
-        breakdown = CostBreakdown()
-        breakdown.read = c.read_per_tuple * stats.input_count / max(readers, 1)
-        if selection_class is not None:
-            breakdown.selection = (
-                c.selection_cost(selection_class) * stats.input_count
-                / max(readers, 1)
-            )
-        breakdown.network = c.network_per_tuple * stats.max_load
-        breakdown.join_cpu = c.join_cost(local_join) * stats.max_work
-        breakdown.output = c.output_per_tuple * stats.output_count
-        return breakdown.scaled(c.seconds_per_unit)
-
-    def pipeline_cost(self, results: "list[CostBreakdown]") -> CostBreakdown:
-        """Combine per-stage breakdowns of a pipeline of 2-way joins."""
-        combined = CostBreakdown()
-        for breakdown in results:
-            combined.read += breakdown.read
-            combined.selection += breakdown.selection
-            combined.network += breakdown.network
-            combined.join_cpu += breakdown.join_cpu
-            combined.output += breakdown.output
-        return combined

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions, sign_runs
 from repro.core.options import ExecutionOptions
+from repro.core.predicates import JoinSpec
 from repro.engine.component import (
     AggComponent,
     JoinComponent,
@@ -29,13 +30,38 @@ from repro.engine.windows import (
     WindowedJoinState,
 )
 from repro.joins.base import LocalJoin
-from repro.joins.hyld import LOCAL_JOINS, SCHEMES
+from repro.joins.dbtoaster import DBToasterJoin
+from repro.joins.traditional import TraditionalJoin
 from repro.partitioning.base import Partitioner
+from repro.partitioning.hash_hypercube import HashHypercube
+from repro.partitioning.hybrid_hypercube import HybridHypercube
+from repro.partitioning.random_hypercube import RandomHypercube
 from repro.storm.cluster import LocalCluster
 from repro.storm.groupings import FieldsGrouping, HypercubeGrouping, KeyMappedGrouping
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyBuilder
 from repro.util import round_robin_assignment
+
+#: a join component's ``scheme`` names one of these partitioners ...
+SCHEMES = {
+    "hash": HashHypercube,
+    "random": RandomHypercube,
+    "hybrid": HybridHypercube,
+}
+
+#: ... and its ``local_join`` one of these local algorithms
+LOCAL_JOINS: Dict[str, Callable[[JoinSpec], LocalJoin]] = {
+    "dbtoaster": DBToasterJoin,
+    "traditional": TraditionalJoin,
+}
+
+
+def _choice(registry: Dict[str, object], key: str, what: str):
+    try:
+        return registry[key]
+    except KeyError:
+        raise ValueError(f"unknown {what} {key!r}; expected one of "
+                         f"{sorted(registry)}") from None
 
 
 class SourceSpout(Spout):
@@ -452,13 +478,13 @@ def build_topology(
     partitioners: Dict[str, Partitioner] = {}
     for join in plan.joins:
         if isinstance(join.scheme, str):
-            partitioner = SCHEMES[join.scheme].build(
+            partitioner = _choice(SCHEMES, join.scheme, "scheme").build(
                 join.spec, join.machines, seed=join.seed
             )
         else:
             partitioner = join.scheme
         partitioners[join.name] = partitioner
-        local_factory = LOCAL_JOINS[join.local_join]
+        local_factory = _choice(LOCAL_JOINS, join.local_join, "local join")
 
         def bolt_factory(task_index: int, parallelism: int, join=join,
                          local_factory=local_factory) -> JoinBolt:

@@ -1,4 +1,4 @@
-"""Local join algorithms and the parallel HyLD operator.
+"""Local join algorithms.
 
 Online local joins process one incoming tuple at a time: the tuple is
 joined with the stored tuples of the other relations (producing a result
@@ -11,14 +11,15 @@ delta) and stored for use by future tuples.
   view maintenance) additionally materialises every connected 2-way ...
   (n-1)-way intermediate join, so each new tuple needs a single probe into
   the corresponding (n-1)-way view.
-- :class:`~repro.joins.hyld.HyLDOperator` runs one local join instance per
-  machine of a hypercube partitioning scheme -- the paper's HyLD operator.
+
+A plan's :class:`~repro.engine.component.JoinComponent` runs one instance
+per machine of a hypercube partitioning scheme -- the paper's HyLD
+operator.
 """
 
 from repro.joins.base import JoinSchema, LocalJoin, reference_join
 from repro.joins.traditional import TraditionalJoin
 from repro.joins.dbtoaster import DBToasterJoin
-from repro.joins.hyld import HyLDOperator
 
 __all__ = [
     "JoinSchema",
@@ -26,5 +27,4 @@ __all__ = [
     "reference_join",
     "TraditionalJoin",
     "DBToasterJoin",
-    "HyLDOperator",
 ]

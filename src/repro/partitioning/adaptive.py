@@ -73,6 +73,9 @@ class AdaptiveOneBucket(Partitioner):
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
+    def random_dimension(self, rel_name: str) -> Optional[int]:
+        return 0 if rel_name == self.left else 1
+
     def destinations(self, rel_name: str, row: tuple,
                      position=None) -> List[int]:
         machines, _tuple_id = self.route(rel_name, row)

@@ -113,6 +113,14 @@ class Partitioner:
         """
         raise NotImplementedError
 
+    def random_dimension(self, rel_name: str) -> Optional[int]:
+        """A dimension on which ``rel_name``'s rows are placed by a random
+        draw (:func:`random_coordinates`, or an rng), or None when none
+        is.  A retraction can only be placed where its insertion went by
+        a function of the row, so such a relation cannot take
+        retractions."""
+        return None
+
     def supports_task_local_routing(self) -> bool:
         """Whether a row's machines are a pure function of the row and its
         stream position: any process may route it, and a recovery replay

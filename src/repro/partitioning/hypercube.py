@@ -346,6 +346,10 @@ class HypercubePartitioner(Partitioner):
     def expected_replication(self, rel_name: str) -> int:
         return len(self._copies[rel_name])
 
+    def random_dimension(self, rel_name: str) -> Optional[int]:
+        return next((j for j, _field, kind in self._owned[rel_name]
+                     if kind == RANDOM), None)
+
     def owned_dimensions(self, rel_name: str) -> List[int]:
         return [j for j, _pos, _kind in self._owned[rel_name]]
 

@@ -127,6 +127,9 @@ class OneBucket(Partitioner):
             return [r * self.cols + matrix_col for r in range(self.rows)]
         raise KeyError(f"unknown relation {rel_name!r}")
 
+    def random_dimension(self, rel_name: str) -> Optional[int]:
+        return 0 if rel_name == self.left else 1
+
     def expected_replication(self, rel_name: str) -> int:
         if rel_name == self.left:
             return self.cols

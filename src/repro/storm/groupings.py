@@ -19,7 +19,8 @@ from repro.core.columnar import (
     hash_column,
     hash_key_columns,
 )
-from repro.partitioning.base import Partitioner, Position, require_position
+from repro.partitioning.base import (Partitioner, Position, UnsupportedJoinError,
+                                     require_position)
 from repro.util import stable_hash
 
 #: ordered per-task sub-batches produced by :meth:`Grouping.targets_batch`;
@@ -243,6 +244,14 @@ class HypercubeGrouping(Grouping):
             )
         rel_name = self.rel_name
         if isinstance(rows, ColumnBatch):
+            if rows.signs is not None and (rows.signs < 0).any():
+                dim = self.partitioner.random_dimension(rel_name)
+                if dim is not None:
+                    raise UnsupportedJoinError(
+                        f"relation {rel_name!r} retracts rows, but "
+                        f"{type(self.partitioner).__name__} places them on "
+                        f"random dimension {dim} by stream position, not "
+                        "where their insertions went")
             matrix = self.partitioner.destination_matrix(rel_name, rows,
                                                          position)
             if matrix is not None:

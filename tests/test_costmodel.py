@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from repro.core.expressions import TruePredicate
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation, Schema
 from repro.costmodel import CostBreakdown, CostConstants, CostModel
 from repro.engine import JoinComponent, PhysicalPlan, SourceComponent, run_plan
-from repro.joins import HyLDOperator
+from repro.joins import JoinSchema
 
-from tests.conftest import interleaved_stream, make_rst_data
+from tests.conftest import make_rst_data
 
 
 class TestCostBreakdown:
@@ -59,34 +61,68 @@ class TestConstants:
             CostConstants().join_cost("mystery")
 
 
+def rst_plan(spec, data, machines, scheme="hybrid", predicate=None,
+             cost_class="int"):
+    """R, S, T sources (``predicate`` on R's, priced as ``cost_class``)
+    -> one hypercube join -> sink."""
+    sources = [SourceComponent(name, Relation(name, spec.by_name[name].schema, rows))
+               for name, rows in data.items()]
+    sources[0].predicate = predicate
+    sources[0].selection_cost_class = cost_class
+    return PhysicalPlan(sources=sources,
+                        joins=[JoinComponent("J", spec, machines, scheme)])
+
+
 class TestHyLDCost:
+    """The paper's HyLD operator -- a plan's hypercube join -- priced by
+    ``CostModel.run_cost``."""
+
     def test_replication_increases_network_cost(self, rst_spec):
         data = make_rst_data(seed=90, n=200)
         model = CostModel()
-        costs = {}
-        for scheme in ("hash", "random"):
-            op = HyLDOperator(rst_spec, 16, scheme=scheme, collect_outputs=False)
-            stats = op.run(interleaved_stream(data))
-            costs[scheme] = model.hyld_cost(stats)
+        costs = {
+            scheme: model.run_cost(run_plan(rst_plan(rst_spec, data, 16, scheme),
+                                            options=ExecutionOptions(batch_size=64)))
+            for scheme in ("hash", "random")
+        }
         assert costs["random"].network > costs["hash"].network
 
     def test_selection_class_priced(self, rst_spec):
         data = make_rst_data(seed=91, n=50)
-        op = HyLDOperator(rst_spec, 4, collect_outputs=False)
-        stats = op.run(interleaved_stream(data))
+        keep_all = TruePredicate()
         model = CostModel()
-        with_date = model.hyld_cost(stats, selection_class="date")
-        with_int = model.hyld_cost(stats, selection_class="int")
-        plain = model.hyld_cost(stats)
+        with_date, with_int = (
+            model.run_cost(run_plan(rst_plan(rst_spec, data, 4, predicate=keep_all,
+                                             cost_class=cost_class)))
+            for cost_class in ("date", "int"))
+        plain = model.run_cost(run_plan(rst_plan(rst_spec, data, 4)))
         assert with_date.selection > with_int.selection > 0
         assert plain.selection == 0
 
     def test_pipeline_cost_combines(self):
-        model = CostModel()
-        combined = model.pipeline_cost([
-            CostBreakdown(read=1, network=2), CostBreakdown(join_cpu=3),
-        ])
-        assert combined.total == 6
+        """A pipeline of joins is one plan: each join adds its own
+        bottleneck network and local-join CPU."""
+        data = make_rst_data(seed=94, n=60)
+        schemas = {"R": Schema.of("x", "y"), "S": Schema.of("y", "z"),
+                   "T": Schema.of("z", "t")}
+        rs = JoinSpec([RelationInfo("R", schemas["R"]), RelationInfo("S", schemas["S"])],
+                      [EquiCondition(("R", "y"), ("S", "y"))])
+        j1 = JoinSchema.from_spec(rs).output_schema()
+        j1t = JoinSpec([RelationInfo("J1", j1), RelationInfo("T", schemas["T"])],
+                       [EquiCondition(("J1", "S.z"), ("T", "z"))])
+        result = run_plan(PhysicalPlan(
+            sources=[SourceComponent(name, Relation(name, schemas[name], rows))
+                     for name, rows in data.items()],
+            joins=[JoinComponent("J1", rs, 4, "hash"),
+                   JoinComponent("J2", j1t, 4, "hash")]))
+        c = CostConstants()
+        breakdown = CostModel(c).run_cost(result)
+        assert breakdown.network == pytest.approx(sum(
+            c.network_per_tuple * max(result.metrics.received[join])
+            for join in ("J1", "J2")))
+        assert breakdown.join_cpu == pytest.approx(sum(
+            c.join_cost("dbtoaster") * max(result.join_work[join])
+            for join in ("J1", "J2")))
 
 
 class TestRunCost:
@@ -114,7 +150,9 @@ class TestRunCost:
             + breakdown.join_cpu + breakdown.output
         )
 
-    def test_seconds_scaling(self):
-        constants = CostConstants(seconds_per_unit=0.5)
-        breakdown = CostModel(constants).pipeline_cost([CostBreakdown(read=10)])
-        assert breakdown.read == 10  # pipeline_cost does not rescale
+    def test_seconds_scaling(self, rst_spec):
+        result = run_plan(rst_plan(rst_spec, make_rst_data(seed=93, n=20), 4))
+        unit = CostModel().run_cost(result)
+        halved = CostModel(CostConstants(seconds_per_unit=0.5)).run_cost(result)
+        assert halved.read == pytest.approx(unit.read / 2)
+        assert halved.total == pytest.approx(unit.total / 2)

@@ -1,16 +1,35 @@
-"""Tests for the HyLD parallel join operator."""
+"""The paper's HyLD operator on the engine: a plan's join component runs
+one local join per machine of a hypercube scheme."""
 
 import random
 from collections import Counter
 
 import pytest
 
+from benchmarks.harness import run_hyld_experiment
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
-from repro.core.schema import Schema
-from repro.joins import HyLDOperator, reference_join
-from repro.joins.hyld import MemoryBudgetExceeded
+from repro.core.schema import Relation, Schema
+from repro.engine import JoinComponent, PhysicalPlan, SourceComponent, run_plan
+from repro.engine.runner import build_topology
+from repro.joins import reference_join
 
-from tests.conftest import interleaved_stream, make_rst_data
+from tests.conftest import make_rst_data
+
+
+def join_plan(spec, data, machines, scheme="hybrid", local_join="dbtoaster"):
+    """One source per relation of ``data`` -> the join ``J`` -> sink."""
+    return PhysicalPlan(
+        sources=[SourceComponent(name, Relation(name, spec.by_name[name].schema,
+                                                rows))
+                 for name, rows in data.items()],
+        joins=[JoinComponent("J", spec, machines, scheme, local_join)],
+    )
+
+
+def run_join(spec, data, machines, scheme="hybrid", local_join="dbtoaster"):
+    return run_plan(join_plan(spec, data, machines, scheme, local_join),
+                    options=ExecutionOptions(batch_size=64))
 
 
 @pytest.mark.parametrize("scheme", ["hash", "random", "hybrid"])
@@ -18,70 +37,49 @@ from tests.conftest import interleaved_stream, make_rst_data
 class TestCorrectness:
     def test_matches_reference(self, scheme, local_join, rst_spec):
         data = make_rst_data(seed=40)
-        op = HyLDOperator(rst_spec, 9, scheme=scheme, local_join=local_join)
-        for rel, row in interleaved_stream(data, seed=1):
-            op.insert(rel, row)
-        assert Counter(op.outputs) == Counter(reference_join(rst_spec, data))
+        result = run_join(rst_spec, data, 9, scheme, local_join)
+        assert Counter(result.results) == Counter(reference_join(rst_spec, data))
 
 
 class TestStats:
     def test_replication_factor_hash_is_bounded_by_dims(self, rst_spec):
-        op = HyLDOperator(rst_spec, 16, scheme="hash")
-        data = make_rst_data(seed=41)
-        op.run(interleaved_stream(data))
-        stats = op.stats()
+        result = run_join(rst_spec, make_rst_data(seed=41), 16, "hash")
         # 4x4 hypercube: R and T replicated 4x, S 1x -> factor (4+1+4)/3 = 3
-        assert stats.replication_factor == pytest.approx(3.0)
+        assert result.replication_factor("J") == pytest.approx(3.0)
 
     def test_random_scheme_has_higher_replication(self, rst_spec):
         data = make_rst_data(seed=42)
-        hash_op = HyLDOperator(rst_spec, 16, scheme="hash")
-        hash_op.run(interleaved_stream(data))
-        random_op = HyLDOperator(rst_spec, 16, scheme="random")
-        random_op.run(interleaved_stream(data))
-        assert (random_op.stats().replication_factor
-                > hash_op.stats().replication_factor)
+        hashed = run_join(rst_spec, data, 16, "hash")
+        randomised = run_join(rst_spec, data, 16, "random")
+        assert (randomised.replication_factor("J")
+                > hashed.replication_factor("J"))
 
     def test_skew_degree_random_is_balanced(self, rst_spec):
-        data = make_rst_data(seed=43, n=400)
-        op = HyLDOperator(rst_spec, 8, scheme="random", collect_outputs=False)
-        op.run(interleaved_stream(data))
-        assert op.stats().skew_degree < 1.3
+        result = run_join(rst_spec, make_rst_data(seed=43, n=400), 8, "random")
+        assert result.skew_degree("J") < 1.3
 
     def test_source_counts(self, rst_spec):
-        data = make_rst_data(seed=44, n=10)
-        op = HyLDOperator(rst_spec, 4)
-        op.run(interleaved_stream(data))
-        assert op.stats().source_counts == {"R": 10, "S": 10, "T": 10}
-
-    def test_collect_outputs_flag(self, rst_spec):
-        data = make_rst_data(seed=45, n=10)
-        op = HyLDOperator(rst_spec, 4, collect_outputs=False)
-        op.run(interleaved_stream(data))
-        assert op.outputs == []
-        assert op.output_count == len(reference_join(rst_spec, data))
+        result = run_join(rst_spec, make_rst_data(seed=44, n=10), 4)
+        assert result.reads == {"R": 10, "S": 10, "T": 10}
 
 
 class TestMemoryBudget:
-    def test_overflow_raised_and_recorded(self, rst_spec):
-        data = make_rst_data(seed=46, n=200)
-        op = HyLDOperator(rst_spec, 2, memory_budget=20)
-        with pytest.raises(MemoryBudgetExceeded):
-            for rel, row in interleaved_stream(data):
-                op.insert(rel, row)
-        assert op.memory_overflow
-        assert op.overflow_after is not None
-
     def test_run_swallows_overflow_and_reports(self, rst_spec):
+        """Over the budget the run still completes, with the full result,
+        and the harness reports the overflow."""
         data = make_rst_data(seed=46, n=200)
-        op = HyLDOperator(rst_spec, 2, memory_budget=20)
-        stats = op.run(interleaved_stream(data))
-        assert stats.memory_overflow
-        assert stats.overflow_after < 600
+        result = run_hyld_experiment(rst_spec, data, 2, "hybrid",
+                                     memory_budget=20)
+        assert not result.completed
+        assert max(result.run.join_state["J1"]) > 20
+        assert (Counter(result.run.results)
+                == Counter(reference_join(rst_spec, data)))
 
     def test_skew_resilient_scheme_survives_budget_hash_cannot(self):
         """Mirrors Figure 7's 80G case: under heavy skew the Hash-Hypercube
-        overflows one machine's memory while Hybrid completes."""
+        leaves one joiner task holding more state than the budget while
+        Hybrid completes under it (the harness's verdict on the final
+        ``join_state`` of an insert-only run)."""
         rng = random.Random(47)
         spec = JoinSpec(
             [
@@ -96,9 +94,8 @@ class TestMemoryBudget:
             "P": [(i, i) for i in range(30)],
         }
         budget = 120
-        hash_op = HyLDOperator(spec, 8, scheme="hash", memory_budget=budget,
-                               collect_outputs=False)
-        hash_stats = hash_op.run(interleaved_stream(data, seed=1))
+        hashed = run_hyld_experiment(spec, data, 8, "hash",
+                                     memory_budget=budget, seed=1)
         skewed_spec = JoinSpec(
             [
                 RelationInfo("L", Schema.of("k", "v"), 300, skewed={"k"},
@@ -107,46 +104,78 @@ class TestMemoryBudget:
             ],
             spec.conditions,
         )
-        hybrid_op = HyLDOperator(skewed_spec, 8, scheme="hybrid",
-                                 memory_budget=budget, collect_outputs=False)
-        hybrid_stats = hybrid_op.run(interleaved_stream(data, seed=1))
-        assert hash_stats.memory_overflow
-        assert not hybrid_stats.memory_overflow
+        hybrid = run_hyld_experiment(skewed_spec, data, 8, "hybrid",
+                                     memory_budget=budget, seed=1)
+        assert max(hashed.run.join_state["J1"]) > budget
+        assert not hashed.completed
+        assert max(hybrid.run.join_state["J1"]) <= budget
+        assert hybrid.completed
+        # both run to completion: the same result either way
+        assert hashed.run.query_output == hybrid.run.query_output > 0
 
 
 class TestConfiguration:
     def test_unknown_scheme_rejected(self, rst_spec):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            HyLDOperator(rst_spec, 4, scheme="mystery")
+        plan = join_plan(rst_spec, make_rst_data(n=4), 4, scheme="mystery")
+        with pytest.raises(ValueError,
+                           match=r"unknown scheme 'mystery'.*'hash'.*'hybrid'"):
+            run_plan(plan)
 
     def test_unknown_local_join_rejected(self, rst_spec):
-        with pytest.raises(ValueError, match="unknown local join"):
-            HyLDOperator(rst_spec, 4, local_join="mystery")
+        plan = join_plan(rst_spec, make_rst_data(n=4), 4, local_join="mystery")
+        with pytest.raises(ValueError, match=r"unknown local join 'mystery'"
+                                             r".*'dbtoaster'.*'traditional'"):
+            run_plan(plan)
 
     def test_partitioner_instance_accepted(self, rst_spec):
         from repro.partitioning import HashHypercube
         partitioner = HashHypercube.build(rst_spec, 4)
-        op = HyLDOperator(rst_spec, 4, scheme=partitioner)
-        assert op.partitioner is partitioner
+        plan = join_plan(rst_spec, make_rst_data(n=4), 4, scheme=partitioner)
+        _topology, partitioners = build_topology(plan)
+        assert partitioners["J"] is partitioner
 
-    def test_custom_local_join_factory(self, rst_spec):
+    def test_custom_local_join_factory(self, rst_spec, monkeypatch):
+        """A local join registered in ``LOCAL_JOINS`` is what the plan's
+        joiner tasks run."""
+        from repro.engine import runner
         from repro.joins import TraditionalJoin
-        op = HyLDOperator(rst_spec, 4, local_join=lambda spec: TraditionalJoin(spec))
-        assert type(op.locals[0]).__name__ == "TraditionalJoin"
+        built = []
+
+        def factory(spec):
+            built.append(TraditionalJoin(spec))
+            return built[-1]
+
+        monkeypatch.setitem(runner.LOCAL_JOINS, "custom", factory)
+        data = make_rst_data(seed=45, n=20)
+        result = run_join(rst_spec, data, 4, local_join="custom")
+        assert len(built) == 4
+        assert Counter(result.results) == Counter(reference_join(rst_spec, data))
 
     def test_describe(self, rst_spec):
-        op = HyLDOperator(rst_spec, 4)
-        assert "HyLD" in op.describe()
-        assert "DBToasterJoin" in op.describe()
+        from repro.partitioning import HybridHypercube
+        result = run_join(rst_spec, make_rst_data(n=4), 4)
+        described = result.partitioner_info["J"]
+        assert described == HybridHypercube.build(rst_spec, 4).describe()
+        assert described.startswith("hypercube ")
 
     def test_deletes_flow_through(self, rst_spec):
+        """Retracting an S row after the whole stream removes exactly the
+        join outputs that row took part in."""
+        from repro.storm import LocalCluster
+        from tests.conftest import interleaved_stream, retract
+        from tests.test_retractions import build_rst_topology
+
         data = make_rst_data(seed=48, n=20)
-        op = HyLDOperator(rst_spec, 6)
-        for rel, row in interleaved_stream(data):
-            op.insert(rel, row)
-        retracted = op.delete("S", data["S"][0])
+        script = list(interleaved_stream(data))
+        script.append(retract("S", data["S"][0]))
+        topology, results = build_rst_topology(rst_spec, script, "dbtoaster",
+                                               machines=6)
+        LocalCluster(topology).run(batch_size=8)
         without = dict(data)
         without["S"] = data["S"][1:]
+        retracted = (Counter(reference_join(rst_spec, data))
+                     - Counter(results))
         expected = (Counter(reference_join(rst_spec, data))
                     - Counter(reference_join(rst_spec, without)))
-        assert Counter(retracted) == expected
+        assert retracted == expected
+        assert expected  # the retracted row took part in some output

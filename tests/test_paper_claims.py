@@ -8,9 +8,10 @@ from collections import Counter
 
 import pytest
 
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
-from repro.core.schema import Schema
-from repro.joins import HyLDOperator
+from repro.core.schema import Relation, Schema
+from repro.engine import JoinComponent, PhysicalPlan, SourceComponent, run_plan
 from repro.partitioning import (
     HashHypercube,
     HybridHypercube,
@@ -190,15 +191,17 @@ class TestSARPrinciple:
             "T": [(0 if rng.random() < 0.5 else rng.randrange(40),
                    rng.randrange(50)) for _ in range(300)],
         }
+        sources = [SourceComponent(name, Relation(name, spec.by_name[name].schema,
+                                                  rows))
+                   for name, rows in data.items()]
         stats = {}
         for scheme in ("hash", "random", "hybrid"):
-            op = HyLDOperator(spec, 16, scheme=scheme, collect_outputs=False)
-            for name, rows in data.items():
-                for row in rows:
-                    op.insert(name, row)
-            stats[scheme] = op.stats()
+            plan = PhysicalPlan(sources=sources,
+                                joins=[JoinComponent("J", spec, 16, scheme)])
+            stats[scheme] = run_plan(
+                plan, options=ExecutionOptions(batch_size=64)).metrics
         # more replication buys balance: random stays near-perfectly
         # balanced, hash is visibly imbalanced, hybrid beats hash outright
-        assert stats["hybrid"].max_load < stats["hash"].max_load
-        assert stats["random"].skew_degree < 1.3
-        assert stats["hash"].skew_degree > 1.5 * stats["random"].skew_degree
+        assert stats["hybrid"].max_load("J") < stats["hash"].max_load("J")
+        assert stats["random"].skew_degree("J") < 1.3
+        assert stats["hash"].skew_degree("J") > 1.5 * stats["random"].skew_degree("J")

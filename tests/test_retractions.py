@@ -22,7 +22,14 @@ from repro.engine.runner import AggBolt, JoinBolt, SinkBolt
 from repro.engine.windows import WindowSpec
 from repro.joins.dbtoaster import DBToasterJoin
 from repro.joins.traditional import TraditionalJoin
-from repro.partitioning.hash_hypercube import HashHypercube
+from repro.partitioning import (
+    AdaptiveOneBucket,
+    HashHypercube,
+    HybridHypercube,
+    OneBucket,
+    RandomHypercube,
+    UnsupportedJoinError,
+)
 from repro.storm import LocalCluster, TopologyBuilder
 from repro.storm.groupings import HypercubeGrouping
 from tests.conftest import (  # noqa: F401  (ScriptSpout: re-exported)
@@ -197,10 +204,10 @@ class TestJoinBoltRetraction:
 
 
 def build_rst_topology(spec, emissions, local_join, machines=4,
-                       aggregate=False):
+                       aggregate=False, scheme=HashHypercube):
     """ScriptSpout -> hypercube-partitioned joiners -> [agg] -> sink."""
     builder = TopologyBuilder()
-    partitioner = HashHypercube.build(spec, machines, seed=3)
+    partitioner = scheme.build(spec, machines, seed=3)
     builder.set_spout("feed", lambda i, p: ScriptSpout(emissions))
     join = JoinComponent("J", spec, machines=machines)
     declarer = builder.set_bolt(
@@ -256,3 +263,52 @@ def test_compensated_failure_matches_clean_run(local_join, batch_size,
 
     assert Counter(faulty_results) == Counter(clean_results)
     assert clean_results  # the comparison is not vacuous
+
+
+@pytest.mark.parametrize("local_join", sorted(LOCAL_JOINS))
+@pytest.mark.parametrize("scheme", [HashHypercube, RandomHypercube])
+def test_retraction_on_a_random_dimension_fails_loudly(scheme, local_join):
+    """A random dimension places a retraction by its own stream position,
+    not where the row's insertion went, so the retraction would reach
+    machines that never stored the row: placing it is refused, naming the
+    relation and the dimension.  Hash dimensions compensate cleanly."""
+    spec = rst_spec()
+    data = make_rst_data(seed=33, n=24)
+    clean_topology, clean_results = build_rst_topology(
+        spec, list(interleaved_stream(data, seed=33)), local_join,
+        scheme=scheme)
+    LocalCluster(clean_topology).run(batch_size=8)
+    faulty_topology, faulty_results = build_rst_topology(
+        spec, faulty_script(data, seed=33), local_join, scheme=scheme)
+    if scheme is HashHypercube:
+        LocalCluster(faulty_topology).run(batch_size=8)
+        assert Counter(faulty_results) == Counter(clean_results)
+        return
+    with pytest.raises(UnsupportedJoinError,
+                       match=r"relation '\w' retracts rows.*random dimension"):
+        LocalCluster(faulty_topology).run(batch_size=8)
+
+
+def test_every_random_placing_scheme_refuses_retractions():
+    """Hybrid (on its random dimension), 1-Bucket and Adaptive 1-Bucket
+    refuse a signed batch with a retraction; an all-insert signed batch
+    still routes."""
+    skewed = JoinSpec(
+        [RelationInfo("R", Schema.of("x", "y"), 1000),
+         RelationInfo("S", Schema.of("y", "z"), 1000, skewed={"y"},
+                      top_freq={"y": 0.5})],
+        [EquiCondition(("R", "y"), ("S", "y"))])
+    hybrid = HybridHypercube.build(skewed, 8)
+    random_relation = next(name for name in ("R", "S")
+                           if hybrid.random_dimension(name) is not None)
+    cases = [(hybrid, random_relation), (OneBucket("R", "S", 4), "R"),
+             (OneBucket("R", "S", 4), "S"),
+             (AdaptiveOneBucket("R", "S", 4), "S")]
+    for partitioner, rel_name in cases:
+        grouping = HypercubeGrouping(partitioner, rel_name)
+        n = partitioner.n_machines
+        inserts = ColumnBatch.from_rows([(1, 2), (3, 4)], signs=[1, 1])
+        assert grouping.targets_batch(rel_name, inserts, n, position=(0, 0))
+        with pytest.raises(UnsupportedJoinError, match=repr(rel_name)):
+            grouping.targets_batch(rel_name, retracting([(1, 2)]), n,
+                                   position=(0, 2))
