@@ -14,14 +14,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
-from repro.core.schema import Relation
+from repro.core.schema import Relation, Schema
 from repro.core.statistics import SkewDetector, profile_column
 from repro.costmodel import CostBreakdown, CostModel
 from repro.engine import (
+    AggComponent,
     JoinComponent,
     PhysicalPlan,
     RunResult,
     SourceComponent,
+    count,
     run_plan,
 )
 
@@ -29,6 +31,47 @@ from repro.engine import (
 JOIN = "J1"
 
 OPTIONS = ExecutionOptions(batch_size=64)
+
+
+#: group-by key domain of ``multiway_join_plan``'s final aggregation
+KEY_DOMAIN = 64
+
+
+def multiway_join_plan(n_rows: int = 4000, machines: int = 8,
+                       seed: int = 7) -> PhysicalPlan:
+    """The CPU-bound R-S-T chain join + aggregation of the throughput
+    benchmarks.
+
+    Key domains of ``n/2`` give every probe a small expected match count,
+    so the joiners do real index work per tuple; ``output_positions``
+    projects the join output to one column and the grouped count keeps
+    the result (and the cross-worker traffic behind it) small.
+    """
+    rng = random.Random(seed)
+    n = n_rows
+    R = Relation("R", Schema.of("x", "y"),
+                 [(rng.randrange(n), rng.randrange(n // 2)) for _ in range(n)])
+    S = Relation("S", Schema.of("y", "z"),
+                 [(rng.randrange(n // 2), rng.randrange(n // 2))
+                  for _ in range(n)])
+    T = Relation("T", Schema.of("z", "t"),
+                 [(rng.randrange(n // 2), rng.randrange(KEY_DOMAIN))
+                  for _ in range(n)])
+    spec = JoinSpec(
+        [RelationInfo("R", R.schema, n), RelationInfo("S", S.schema, n),
+         RelationInfo("T", T.schema, n)],
+        [EquiCondition(("R", "y"), ("S", "y")),
+         EquiCondition(("S", "z"), ("T", "z"))],
+    )
+    return PhysicalPlan(
+        sources=[SourceComponent("R", R), SourceComponent("S", S),
+                 SourceComponent("T", T)],
+        joins=[JoinComponent("J", spec, machines=machines,
+                             output_positions=[5])],  # T.t only
+        aggregation=AggComponent("agg", group_positions=[0],
+                                 aggregates=[count()], parallelism=4,
+                                 key_domain=list(range(KEY_DOMAIN))),
+    )
 
 
 def interleave(data: Dict[str, List[tuple]], seed: int = 0) -> List[Tuple[str, tuple]]:

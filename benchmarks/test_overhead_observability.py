@@ -33,11 +33,11 @@ level.
 
 import pytest
 
-from repro.bench import multiway_join_plan
 from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 
 from benchmarks.conftest import interleaved_best_of, record_table
+from benchmarks.harness import multiway_join_plan
 
 N_ROWS = 2000
 #: the gate's run: long enough that timer and scheduler jitter is a

@@ -16,11 +16,11 @@ from collections import Counter
 
 import pytest
 
-from repro.bench import multiway_join_plan
 from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 
 from benchmarks.conftest import record_table
+from benchmarks.harness import multiway_join_plan
 
 N_ROWS = 4000
 MACHINES = 8

@@ -1,8 +1,8 @@
 """Throughput of the parallel execution backends vs the inline loop.
 
-Runs the CPU-bound multi-way join workload of :mod:`repro.bench` (the
-R-S-T chain join whose compute sits in 8 hypercube-partitioned joiner
-tasks) through both backends at parallelism 4 and micro-batch size 512.
+Runs the CPU-bound multi-way join workload of
+``benchmarks.harness.multiway_join_plan`` (the R-S-T chain join whose
+compute sits in 8 hypercube-partitioned joiner tasks) through both backends at parallelism 4 and micro-batch size 512.
 
 The per-backend timings are recorded through the ``benchmark`` fixture so
 the CI bench job's ``--benchmark-json`` output contains them; the gating
@@ -24,12 +24,12 @@ from collections import Counter
 
 import pytest
 
-from repro.bench import multiway_join_plan
 from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 from repro.util import usable_cores
 
 from benchmarks.conftest import interleaved_best_of, record_table
+from benchmarks.harness import multiway_join_plan
 
 N_ROWS = 4000
 MACHINES = 8

@@ -10,8 +10,9 @@ fan-out), with the probe subscription attached *last* so its deltas
 arrive only after every other ring has been extended.
 
 The gate: min-of-rounds p99 at 1000 subscribers must stay within
-``MAX_SCALING`` (2x) of the 1-subscriber p99.  That holds because the
-latency budget is dominated by work shared across subscribers (ingest
+``MAX_SCALING`` (2x) of the 1-subscriber p99, the rounds of the two
+counts taken alternately in one module-scoped fixture.  That holds
+because the latency budget is dominated by work shared across subscribers (ingest
 and per-batch selection over every event), while per-subscriber
 delivery is a lock + ring extend on the few rows that survive the
 selection.  The workload makes that shape explicit: large micro-batches
@@ -21,7 +22,7 @@ cheap" regime the serving layer exists for.
 
 GC is disabled inside the measured region (collector pauses land on
 arbitrary deltas and would dominate the p99 of both configurations);
-the wall-clock timing recorded through the ``benchmark`` fixture gates
+one more round per count, timed through the ``benchmark`` fixture, gates
 serving throughput against ``BENCH_baseline.json`` as usual.
 """
 
@@ -49,11 +50,6 @@ ROUNDS = 3
 SUBSCRIBER_COUNTS = (1, 1000)
 #: acceptance bound: p99 @ 1000 subscribers <= MAX_SCALING * p99 @ 1
 MAX_SCALING = 2.0
-
-#: min-of-rounds p99 (seconds) per subscriber count, filled as the
-#: parametrized cases run (pytest runs them in declaration order)
-_P99S = {}
-
 
 def selective_plan():
     relation = Relation("events", Schema.of("ts", "flag"), [])
@@ -110,48 +106,57 @@ def percentile(sorted_values, q):
     return sorted_values[int(q * (len(sorted_values) - 1))]
 
 
+@pytest.fixture(scope="module")
+def fanout_rounds():
+    """ROUNDS latency rounds per subscriber count, the counts taken in
+    turn, so both p99s see the same background load; taken in two test
+    cases, each saw whatever load the tests before it left."""
+    rounds = {n_subs: [] for n_subs in SUBSCRIBER_COUNTS}
+    for _ in range(ROUNDS):
+        for n_subs in SUBSCRIBER_COUNTS:
+            rounds[n_subs].append(measure_latencies(n_subs))
+    return rounds
+
+
 @pytest.mark.parametrize("n_subs", SUBSCRIBER_COUNTS,
                          ids=lambda n: f"subs{n}")
-def test_serving_fanout_p99_latency(benchmark, n_subs):
-    rounds = []
+def test_serving_fanout_p99_latency(benchmark, fanout_rounds, n_subs):
+    # the timed round gates serving throughput; the p99s come from the
+    # alternated rounds
+    timed = benchmark.pedantic(measure_latencies, args=(n_subs,), rounds=1,
+                               iterations=1)
 
-    def run():
-        latencies = measure_latencies(n_subs)
-        rounds.append(latencies)
-        return latencies
-
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-
-    p99 = min(percentile(latencies, 0.99) for latencies in rounds)
-    p50 = min(percentile(latencies, 0.50) for latencies in rounds)
-    samples = len(rounds[0])
+    p99s = {n: min(percentile(latencies, 0.99) for latencies in rounds)
+            for n, rounds in fanout_rounds.items()}
+    p50 = min(percentile(latencies, 0.50) for latencies in fanout_rounds[n_subs])
     seconds = benchmark.stats.stats.min
     benchmark.extra_info["subscribers"] = n_subs
-    benchmark.extra_info["p99_ms"] = round(p99 * 1e3, 3)
+    benchmark.extra_info["p99_ms"] = round(p99s[n_subs] * 1e3, 3)
     benchmark.extra_info["p50_ms"] = round(p50 * 1e3, 3)
     benchmark.extra_info["events_per_sec"] = round(N_EVENTS / seconds)
-    _P99S[n_subs] = p99
 
-    assert samples == N_EVENTS // SELECT_EVERY  # every delta reached the probe
+    # every delta reached the probe
+    assert len(timed) == N_EVENTS // SELECT_EVERY
+    assert all(len(latencies) == N_EVENTS // SELECT_EVERY
+               for latencies in fanout_rounds[n_subs])
 
-    if set(SUBSCRIBER_COUNTS) <= set(_P99S):
-        base = SUBSCRIBER_COUNTS[0]
-        scaling = {n: _P99S[n] / _P99S[base] for n in SUBSCRIBER_COUNTS}
+    base = SUBSCRIBER_COUNTS[0]
+    scaling = {n: p99s[n] / p99s[base] for n in SUBSCRIBER_COUNTS}
+    if n_subs == SUBSCRIBER_COUNTS[-1]:
         record_table(
             "throughput_serving",
             title=(f"Serving fan-out delta latency ({N_EVENTS} events, "
                    f"batch {BATCH_SIZE}, 1/{SELECT_EVERY} selectivity, "
-                   f"min of {ROUNDS} rounds)"),
+                   f"min of {ROUNDS} alternated rounds)"),
             headers=["subscribers", "p99 (ms)", f"vs {base} sub"],
-            rows=[[n, f"{_P99S[n] * 1e3:.3f}", f"{scaling[n]:.2f}x"]
+            rows=[[n, f"{p99s[n] * 1e3:.3f}", f"{scaling[n]:.2f}x"]
                   for n in SUBSCRIBER_COUNTS],
             notes=(f"shared-topology fan-out: p99 at "
                    f"{SUBSCRIBER_COUNTS[-1]} subscribers must stay within "
                    f"{MAX_SCALING:g}x of a single subscriber"),
         )
-        worst = max(scaling.values())
-        assert worst <= MAX_SCALING, (
-            f"p99 scaled {worst:.2f}x from {base} to "
-            f"{SUBSCRIBER_COUNTS[-1]} subscribers (bound {MAX_SCALING:g}x): "
-            + ", ".join(f"{n} subs = {_P99S[n] * 1e3:.3f}ms"
-                        for n in SUBSCRIBER_COUNTS))
+    assert scaling[n_subs] <= MAX_SCALING, (
+        f"p99 scaled {scaling[n_subs]:.2f}x from {base} to {n_subs} "
+        f"subscribers (bound {MAX_SCALING:g}x): "
+        + ", ".join(f"{n} subs = {p99s[n] * 1e3:.3f}ms"
+                    for n in SUBSCRIBER_COUNTS))

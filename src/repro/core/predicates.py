@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.core.schema import Schema
 
@@ -220,22 +220,6 @@ class JoinSpec:
     def is_equi_join(self) -> bool:
         return all(cond.is_equi for cond in self.conditions)
 
-    def conditions_between(self, rel_a: str, rel_b: str) -> List[JoinCondition]:
-        """All conditions linking two relations, oriented so left is ``rel_a``."""
-        found = []
-        for cond in self.conditions:
-            if cond.left[0] == rel_a and cond.right[0] == rel_b:
-                found.append(cond)
-            elif cond.left[0] == rel_b and cond.right[0] == rel_a:
-                found.append(cond.flipped())
-        return found
-
-    def conditions_involving(self, rel_name: str) -> List[JoinCondition]:
-        return [
-            cond for cond in self.conditions
-            if rel_name in (cond.left[0], cond.right[0])
-        ]
-
     def adjacency(self) -> Dict[str, set]:
         """Relation-level join graph."""
         graph = {name: set() for name in self.relation_names}
@@ -244,36 +228,6 @@ class JoinSpec:
             graph[a].add(b)
             graph[b].add(a)
         return graph
-
-    def is_connected(self) -> bool:
-        """True when no Cartesian product is hidden in the spec."""
-        graph = self.adjacency()
-        seen = set()
-        stack = [self.relation_names[0]]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(graph[node] - seen)
-        return len(seen) == len(self.relations)
-
-    def is_acyclic(self) -> bool:
-        """True when the relation-level join graph is a forest."""
-        edges = set()
-        for cond in self.conditions:
-            edge = frozenset((cond.left[0], cond.right[0]))
-            edges.add(edge)
-        return len(edges) <= len(self.relations) - 1 or not self._has_cycle(edges)
-
-    def _has_cycle(self, edges) -> bool:
-        uf = UnionFind()
-        for edge in edges:
-            a, b = sorted(edge)
-            if uf.find(a) == uf.find(b):
-                return True
-            uf.union(a, b)
-        return False
 
     def equality_classes(self) -> List[FrozenSet[AttrRef]]:
         """Connected components of attributes linked by equality conditions.
@@ -291,23 +245,6 @@ class JoinSpec:
                 uf.find(cond.right)
         return sorted(uf.groups(), key=lambda group: sorted(group))
 
-    def join_attributes(self, rel_name: str) -> List[str]:
-        """Attributes of ``rel_name`` that participate in any condition."""
-        attrs = []
-        for cond in self.conditions:
-            for ref in (cond.left, cond.right):
-                if ref[0] == rel_name and ref[1] not in attrs:
-                    attrs.append(ref[1])
-        return attrs
-
     def __repr__(self):
         rels = ", ".join(self.relation_names)
         return f"JoinSpec([{rels}], {self.conditions!r})"
-
-
-def equi_join_spec(
-    relations: Sequence[RelationInfo],
-    keys: Iterable[Tuple[AttrRef, AttrRef]],
-) -> JoinSpec:
-    """Convenience constructor for pure equi-joins from (left, right) pairs."""
-    return JoinSpec(relations, [EquiCondition(left, right) for left, right in keys])

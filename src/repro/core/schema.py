@@ -88,11 +88,6 @@ class Schema:
         ] + [Field(prefix_other + fld.name, fld.type) for fld in other.fields]
         return Schema(fields)
 
-    def row_getter(self, name: str):
-        """Compiled positional accessor for a field (fast path for operators)."""
-        position = self.index_of(name)
-        return lambda row: row[position]
-
     def __eq__(self, other):
         return isinstance(other, Schema) and self.fields == other.fields
 

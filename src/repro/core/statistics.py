@@ -1,51 +1,17 @@
-"""Online statistics: sampling, heavy hitters, skew detection.
+"""Online statistics: heavy hitters and skew detection.
 
 Squall collects statistics at run time and adjusts the operator's
 partitioning scheme (paper section 5).  The Hybrid-Hypercube only needs to
 know *whether* a join key is skew-free -- not the exact key frequencies --
 which is exactly what :class:`SkewDetector` provides.  The offline chooser
-(paper section 3.4) additionally uses the top-key frequency from a sample
-for the ``(L - Lmf)/p + Lmf`` load estimate.
+(paper section 3.4) additionally uses the top-key frequency of a profiled
+column for the ``(L - Lmf)/p + Lmf`` load estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.util import make_rng
-
-
-class ReservoirSample:
-    """Classic reservoir sampling: a uniform sample of a stream of unknown length."""
-
-    def __init__(self, capacity: int, seed: int = 0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._rng = make_rng(seed)
-        self._items: list = []
-        self.seen = 0
-
-    def offer(self, item):
-        self.seen += 1
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            return
-        index = self._rng.randrange(self.seen)
-        if index < self.capacity:
-            self._items[index] = item
-
-    def extend(self, items: Iterable):
-        for item in items:
-            self.offer(item)
-
-    @property
-    def items(self) -> list:
-        return list(self._items)
-
-    def __len__(self):
-        return len(self._items)
+from typing import Dict, Iterable, List, Tuple
 
 
 class SpaceSaving:
@@ -60,7 +26,6 @@ class SpaceSaving:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._counts: Dict[object, int] = {}
-        self._errors: Dict[object, int] = {}
         self.total = 0
 
     def offer(self, key, weight: int = 1):
@@ -70,13 +35,9 @@ class SpaceSaving:
             return
         if len(self._counts) < self.capacity:
             self._counts[key] = weight
-            self._errors[key] = 0
             return
         victim = min(self._counts, key=self._counts.__getitem__)
-        victim_count = self._counts.pop(victim)
-        self._errors.pop(victim)
-        self._counts[key] = victim_count + weight
-        self._errors[key] = victim_count
+        self._counts[key] = self._counts.pop(victim) + weight
 
     def extend(self, keys: Iterable):
         for key in keys:
@@ -90,10 +51,6 @@ class SpaceSaving:
     def estimate(self, key) -> int:
         return self._counts.get(key, 0)
 
-    def guaranteed_count(self, key) -> int:
-        """Lower bound on the true count of ``key``."""
-        return self._counts.get(key, 0) - self._errors.get(key, 0)
-
 
 @dataclass
 class AttributeStats:
@@ -103,11 +60,6 @@ class AttributeStats:
     distinct: int
     top_key: object
     top_frequency: float  # fraction of tuples carrying the top key
-
-    @property
-    def uniform_share(self) -> float:
-        """Expected top-key fraction if the attribute were uniform."""
-        return 1.0 / self.distinct if self.distinct else 1.0
 
 
 class AttributeProfiler:
@@ -183,23 +135,3 @@ def profile_column(values: Iterable, heavy_hitter_capacity: int = 64) -> Attribu
     profiler = AttributeProfiler(heavy_hitter_capacity=heavy_hitter_capacity)
     profiler.extend(values)
     return profiler.stats()
-
-
-def sample_relation(rows: Iterable[tuple], fraction: float, seed: int = 0,
-                    cap: Optional[int] = None) -> List[tuple]:
-    """Bernoulli sample of a relation, as the offline chooser would draw.
-
-    Sampling incurs negligible overheads compared to query execution
-    (paper section 3.4), so the benchmarks use it to mark skewed attributes
-    before constructing hypercube schemes.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    rng = make_rng(seed)
-    sample = []
-    for row in rows:
-        if rng.random() < fraction:
-            sample.append(row)
-            if cap is not None and len(sample) >= cap:
-                break
-    return sample

@@ -67,13 +67,3 @@ def generate_webgraph(
         for _ in range(out_degree):
             rows.append((hub, names[target_gen.draw()]))
     return Relation("webgraph", WEBGRAPH_SCHEMA, rows)
-
-
-def sample_arcs(graph: Relation, fraction: float, seed: int = 0) -> Relation:
-    """Uniform arc sample (the paper runs 3-reachability on a 0.5% sample
-    of the 'Host' graph so that the 2-way pipeline also finishes)."""
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
-    rng = make_rng(seed)
-    rows = [row for row in graph.rows if rng.random() < fraction]
-    return Relation(graph.name, graph.schema, rows)

@@ -2,11 +2,8 @@
 
 Equi-join attributes get hash indexes (the columnar join kernel's
 :class:`ArrayIndex` resolves whole key columns to row ids); band and
-inequality attributes get ordered indexes (the paper's "balanced binary
-tree indexes").  Two ordered implementations are provided: a treap
-(randomised balanced BST, O(log n) expected inserts) and a sorted-array
-index (bisect-based); they are interchangeable and property-tested
-against each other.
+inequality attributes get an ordered index (the paper's "balanced binary
+tree indexes"), a bisect-backed sorted array.
 
 All indexes support multiplicities so that deletions (window expiration,
 sliding-window retractions) work naturally.
@@ -20,8 +17,6 @@ from itertools import count, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.util import make_rng
 
 
 class HashIndex:
@@ -272,8 +267,7 @@ class SortedIndex:
 
     Insertion is O(n) worst case but with a C-level memmove; for the
     per-task state sizes the engine produces this is consistently faster
-    in CPython than pointer-chasing tree nodes.  The :class:`Treap` below
-    offers the textbook O(log n) alternative with the same interface.
+    in CPython than pointer-chasing tree nodes.
     """
 
     def __init__(self):
@@ -319,136 +313,3 @@ class SortedIndex:
 
     def __len__(self):
         return len(self._keys)
-
-
-class _TreapNode:
-    __slots__ = ("key", "rows", "priority", "left", "right")
-
-    def __init__(self, key, priority: float):
-        self.key = key
-        self.rows: Dict[tuple, int] = {}
-        self.priority = priority
-        self.left: Optional["_TreapNode"] = None
-        self.right: Optional["_TreapNode"] = None
-
-
-class Treap:
-    """Randomised balanced BST (treap) with the same range interface.
-
-    Provided as the faithful 'balanced binary tree index' of the paper;
-    property tests check it against :class:`SortedIndex`.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._root: Optional[_TreapNode] = None
-        self._rng = make_rng(seed)
-        self.size = 0
-
-    def insert(self, key, row: tuple):
-        self._root = self._insert(self._root, key, row)
-        self.size += 1
-
-    def _insert(self, node, key, row):
-        if node is None:
-            created = _TreapNode(key, self._rng.random())
-            created.rows[row] = 1
-            return created
-        if key == node.key:
-            node.rows[row] = node.rows.get(row, 0) + 1
-            return node
-        if key < node.key:
-            node.left = self._insert(node.left, key, row)
-            if node.left.priority > node.priority:
-                node = self._rotate_right(node)
-        else:
-            node.right = self._insert(node.right, key, row)
-            if node.right.priority > node.priority:
-                node = self._rotate_left(node)
-        return node
-
-    @staticmethod
-    def _rotate_right(node):
-        pivot = node.left
-        node.left = pivot.right
-        pivot.right = node
-        return pivot
-
-    @staticmethod
-    def _rotate_left(node):
-        pivot = node.right
-        node.right = pivot.left
-        pivot.left = node
-        return pivot
-
-    def delete(self, key, row: tuple) -> bool:
-        node = self._root
-        while node is not None:
-            if key == node.key:
-                if row not in node.rows:
-                    return False
-                node.rows[row] -= 1
-                if node.rows[row] == 0:
-                    del node.rows[row]
-                    if not node.rows:
-                        self._root = self._remove_node(self._root, key)
-                self.size -= 1
-                return True
-            node = node.left if key < node.key else node.right
-        return False
-
-    def _remove_node(self, node, key):
-        if node is None:
-            return None
-        if key < node.key:
-            node.left = self._remove_node(node.left, key)
-            return node
-        if key > node.key:
-            node.right = self._remove_node(node.right, key)
-            return node
-        # rotate the empty node down until it is a leaf
-        if node.left is None:
-            return node.right
-        if node.right is None:
-            return node.left
-        if node.left.priority > node.right.priority:
-            node = self._rotate_right(node)
-            node.right = self._remove_node(node.right, key)
-        else:
-            node = self._rotate_left(node)
-            node.left = self._remove_node(node.left, key)
-        return node
-
-    def range(self, low=None, high=None, include_low: bool = True,
-              include_high: bool = True) -> Iterator[tuple]:
-        """Rows with key in the given (optionally open) interval, in order."""
-        out: List[tuple] = []
-
-        def below_low(key) -> bool:
-            if low is None:
-                return False
-            return key < low or (key == low and not include_low)
-
-        def above_high(key) -> bool:
-            if high is None:
-                return False
-            return key > high or (key == high and not include_high)
-
-        def visit(node):
-            if node is None:
-                return
-            if below_low(node.key):
-                visit(node.right)  # the whole left subtree is below too
-                return
-            if above_high(node.key):
-                visit(node.left)  # the whole right subtree is above too
-                return
-            visit(node.left)
-            for row, count in node.rows.items():
-                out.extend([row] * count)
-            visit(node.right)
-
-        visit(self._root)
-        return iter(out)
-
-    def __len__(self):
-        return self.size

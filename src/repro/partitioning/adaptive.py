@@ -105,13 +105,6 @@ class AdaptiveOneBucket(Partitioner):
             self._maybe_reshape()
         return machines, tuple_id
 
-    def machines_for(self, rel_name: str, tuple_id: int) -> List[int]:
-        """Current home machines of a stored tuple (post-reshape aware)."""
-        coord = self._coords[(rel_name, tuple_id)]
-        if rel_name == self.left:
-            return [coord * self.cols + c for c in range(self.cols)]
-        return [r * self.cols + coord for r in range(self.rows)]
-
     # -- adaptivity ------------------------------------------------------
 
     def current_max_load(self) -> float:

@@ -26,9 +26,10 @@ from repro.partitioning.hypercube import (
 
 
 def _dimension_name(members: FrozenSet[AttrRef], taken: set) -> str:
-    """Name a dimension after its most common attribute name."""
+    """Name a dimension after its most common attribute name; a tie goes
+    to the first by name, not to the set's hash-seeded iteration order."""
     counts = Counter(attr for _rel, attr in members)
-    base = counts.most_common(1)[0][0]
+    base = min(counts, key=lambda attr: (-counts[attr], attr))
     name = base
     suffix = 1
     while name in taken:

@@ -252,14 +252,3 @@ class TopologyBuilder:
         topology = Topology(dict(self._components), list(self._edges))
         topology.topological_order()  # raises on cycles
         return topology
-
-
-def singleton_factory(instance) -> Callable[[int, int], object]:
-    """Factory that hands the same instance to a parallelism-1 component."""
-
-    def factory(task_index: int, parallelism: int):
-        if parallelism != 1:
-            raise TopologyError("singleton_factory requires parallelism 1")
-        return instance
-
-    return factory

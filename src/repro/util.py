@@ -78,11 +78,6 @@ def round_robin_assignment(keys, machines: int) -> dict:
     return {key: index % machines for index, key in enumerate(sorted(keys, key=repr))}
 
 
-def ceil_div(numerator: int, denominator: int) -> int:
-    """Integer ceiling division."""
-    return -(-numerator // denominator)
-
-
 def usable_cores() -> int:
     """Cores this process may run on: the size of its CPU affinity mask
     where the platform has one (``taskset``, cpusets and container limits

@@ -57,6 +57,22 @@ def rst_spec():
     )
 
 
+def triangle_spec():
+    """A cyclic join: R(x,y) >< S(y,z) >< T(z,x)."""
+    return JoinSpec(
+        [
+            RelationInfo("R", Schema.of("x", "y"), 1000),
+            RelationInfo("S", Schema.of("y", "z"), 1000),
+            RelationInfo("T", Schema.of("z", "x"), 1000),
+        ],
+        [
+            EquiCondition(("R", "y"), ("S", "y")),
+            EquiCondition(("S", "z"), ("T", "z")),
+            EquiCondition(("T", "x"), ("R", "x")),
+        ],
+    )
+
+
 def make_rst_data(seed=0, n=40, y_domain=6, z_domain=5, x_domain=20, t_domain=9):
     """Random data for the R-S-T chain join, sized to keep references fast."""
     rng = random.Random(seed)

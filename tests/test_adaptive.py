@@ -51,7 +51,9 @@ class TestAdaptiveOneBucket:
             machines, _tid = op.route("S", (i,))
             if i % 100 == 0:
                 for left_id in stored_left[:20]:
-                    left_machines = set(op.machines_for("R", left_id))
+                    # a left tuple's row of the current matrix
+                    row = op._coords[("R", left_id)]
+                    left_machines = {row * op.cols + c for c in range(op.cols)}
                     assert len(left_machines & set(machines)) == 1
 
     def test_load_tracks_optimal_within_factor(self):

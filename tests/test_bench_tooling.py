@@ -1,11 +1,12 @@
-"""The bench tooling: regression gate script and repro.bench helpers."""
+"""The bench tooling: the regression gate script and the harness's
+throughput workload."""
 
 import json
 
 import pytest
 
 from benchmarks.check_regression import main as check_main
-from repro.bench import multiway_join_plan, speedup_table
+from benchmarks.harness import multiway_join_plan
 from repro.core.options import ExecutionOptions
 
 
@@ -82,12 +83,6 @@ class TestBenchHelpers:
         assert a.sources[0].relation.rows == b.sources[0].relation.rows
         assert a.joins[0].machines == b.joins[0].machines
 
-    def test_speedup_table_reports_relative_throughput(self):
-        table = speedup_table([("inline", 2.0), ("processes x4", 0.5)],
-                              n_rows=100, machines=8)
-        assert "inline" in table and "processes x4" in table
-        assert "4.00x" in table  # 2.0s / 0.5s
-
     def test_plan_runs_under_every_backend(self):
         from collections import Counter
 
@@ -109,9 +104,11 @@ class TestBenchHelpers:
 
 @pytest.mark.parametrize("args", [["--help"]])
 def test_bench_cli_help_exits_cleanly(args, capsys):
-    from repro.bench import main
+    """The one benchmark CLI, squallbench, answers --help without running
+    a workload."""
+    from benchmarks.squallbench.cli import main
 
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 0
-    assert "speedup" in capsys.readouterr().out
+    assert "--workload" in capsys.readouterr().out

@@ -13,7 +13,6 @@ from repro.datasets import (
     zipf_frequencies,
 )
 from repro.datasets.crawlcontent import urls_of_webgraph
-from repro.datasets.webgraph import sample_arcs
 
 
 class TestZipf:
@@ -125,10 +124,15 @@ class TestWebGraph:
         top, second = [c for _k, c in in_degree.most_common(2)]
         assert top >= second  # heavy head exists
 
-    def test_sample_arcs(self):
-        graph = generate_webgraph(50, 2000, seed=11)
-        sample = sample_arcs(graph, 0.1, seed=1)
-        assert 100 <= len(sample) <= 320
+    def test_same_seed_same_graph(self):
+        first = generate_webgraph(50, 400, seed=13, hub="h", hub_fraction=0.2)
+        again = generate_webgraph(50, 400, seed=13, hub="h", hub_fraction=0.2)
+        other = generate_webgraph(50, 400, seed=14, hub="h", hub_fraction=0.2)
+        assert first.rows == again.rows
+        assert first.rows != other.rows
+        # the requested arcs, plus the hub's own out-links (half its share)
+        assert len(first.rows) == 400 + 40
+        assert sum(source == "h" for source, _target in first.rows) == 40
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")  # Python 3.11+
 
 ROOT = Path(__file__).resolve().parents[1]
-FIRST_PARTY = {"repro", "tests", "benchmarks"}
+FIRST_PARTY = {"repro", "tests", "benchmarks", "tools"}
 
 
 def normalized(name: str) -> str:

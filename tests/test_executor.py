@@ -529,7 +529,7 @@ class TestWaveCoalescing:
     BATCH_SIZE = 64
 
     def chain_plan(self):
-        from repro.bench import multiway_join_plan
+        from benchmarks.harness import multiway_join_plan
 
         return multiway_join_plan(n_rows=self.N_ROWS, machines=8)
 
@@ -627,7 +627,7 @@ class TestInlineRounds:
     BATCH_SIZE = 64
 
     def run_chain(self, batch_size, executor="inline"):
-        from repro.bench import multiway_join_plan
+        from benchmarks.harness import multiway_join_plan
         from repro.engine import run_plan
 
         return run_plan(multiway_join_plan(n_rows=self.N_ROWS, machines=8),
@@ -774,7 +774,7 @@ class TestInheritedRounds:
         return [step for step, _turn in events]
 
     def run_chain(self, executor, observe=None):
-        from repro.bench import multiway_join_plan
+        from benchmarks.harness import multiway_join_plan
         from repro.engine import run_plan
 
         return run_plan(multiway_join_plan(n_rows=self.N_ROWS, machines=8),

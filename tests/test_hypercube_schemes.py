@@ -1,5 +1,8 @@
 """Tests for Hash-, Random- and Hybrid-Hypercube scheme builders."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -22,7 +25,7 @@ from repro.partitioning import (
 from repro.partitioning.hybrid_hypercube import decide_skew_marking, hybrid_dimensions
 from repro.partitioning.hypercube import HASH, RANDOM
 
-from tests.conftest import make_rst_data
+from tests.conftest import make_rst_data, triangle_spec
 
 
 def rst_spec_skewed(top=0.5):
@@ -131,6 +134,41 @@ class TestHashHypercube:
     def test_content_sensitive(self, rst_spec):
         assert HashHypercube.build(rst_spec, 16).is_content_sensitive()
 
+    def test_routing_correctness_triangle(self):
+        """A cyclic join: three key dimensions, each output on one machine."""
+        spec = triangle_spec()
+        partitioner = HashHypercube.build(spec, 27, seed=2)
+        assert len(partitioner.config.dims) == 3
+        data = {name: [(i % 5, (i * 3) % 5) for i in range(20)]
+                for name in ("R", "S", "T")}
+        _assert_exactly_once(spec, partitioner, data)
+
+
+@pytest.mark.parametrize("builder", ["HashHypercube", "HybridHypercube"])
+def test_dimension_names_do_not_follow_the_hash_seed(builder):
+    """WebAnalytics' join keys tie on attribute names (ToUrl = FromUrl,
+    FromUrl = Url): every string hash seed names them alike."""
+    script = (
+        "from repro.core.predicates import EquiCondition, JoinSpec, "
+        "RelationInfo\n"
+        "from repro.core.schema import Schema\n"
+        f"from repro.partitioning import {builder}\n"
+        "web = Schema.of('FromUrl', 'ToUrl')\n"
+        "spec = JoinSpec([RelationInfo('W1', web, 1000), "
+        "RelationInfo('W2', web, 1000), "
+        "RelationInfo('C', Schema.of('Url', 'Body'), 1000)], "
+        "[EquiCondition(('W1', 'ToUrl'), ('W2', 'FromUrl')), "
+        "EquiCondition(('W1', 'FromUrl'), ('C', 'Url'))])\n"
+        f"print({builder}.plan(spec, 40).describe())\n")
+    described = {
+        subprocess.run(
+            [sys.executable, "-c", script], check=True,
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join(sys.path)}).stdout
+        for seed in ("0", "1", "2")}
+    assert len(described) == 1, described
+
 
 class TestRandomHypercube:
     def test_one_dim_per_relation(self, rst_spec):
@@ -157,6 +195,14 @@ class TestRandomHypercube:
 
     def test_content_insensitive(self, rst_spec):
         assert not RandomHypercube.build(rst_spec, 8).is_content_sensitive()
+
+    def test_routing_correctness_cartesian(self):
+        """No join condition at all: every pair meets on one machine."""
+        spec = JoinSpec([RelationInfo("A", Schema.of("a"), 6),
+                         RelationInfo("B", Schema.of("b"), 7)], [])
+        partitioner = RandomHypercube.build(spec, 8, seed=1)
+        data = {"A": [(i,) for i in range(6)], "B": [(i,) for i in range(7)]}
+        _assert_exactly_once(spec, partitioner, data)
 
 
 class TestHybridHypercube:

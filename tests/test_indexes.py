@@ -1,12 +1,10 @@
-"""Tests for on-the-fly join indexes: HashIndex, SortedIndex, Treap and
-the columnar kernel's ArrayIndex."""
-
-import random
+"""Tests for on-the-fly join indexes: HashIndex, SortedIndex and the
+columnar kernel's ArrayIndex."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.joins.indexes import ArrayIndex, HashIndex, SortedIndex, Treap
+from repro.joins.indexes import ArrayIndex, HashIndex, SortedIndex
 
 
 class TestHashIndex:
@@ -77,52 +75,81 @@ class TestSortedIndex:
         assert list(index.range(2, 2)) == [("b",)]
         assert not index.delete(2, ("zzz",))
 
-
-class TestTreap:
-    def test_matches_sorted_index_on_random_ops(self):
-        rng = random.Random(42)
-        treap = Treap(seed=1)
-        sorted_index = SortedIndex()
-        live = []
-        for _ in range(600):
-            action = rng.random()
-            if action < 0.7 or not live:
-                key = rng.randrange(60)
-                row = (key, rng.randrange(5))
-                treap.insert(key, row)
-                sorted_index.insert(key, row)
-                live.append((key, row))
-            else:
-                key, row = live.pop(rng.randrange(len(live)))
-                assert treap.delete(key, row) == sorted_index.delete(key, row)
-        for low, high in [(5, 20), (None, 30), (25, None), (None, None), (10, 10)]:
-            assert sorted(treap.range(low, high)) == sorted(sorted_index.range(low, high))
-
-    def test_balanced_depth(self):
-        treap = Treap(seed=0)
-        for i in range(2048):  # sorted insertion: worst case for plain BSTs
-            treap.insert(i, (i,))
-
-        def depth(node):
-            if node is None:
-                return 0
-            return 1 + max(depth(node.left), depth(node.right))
-
-        assert depth(treap._root) < 60  # ~4x log2(2048), very safe bound
-
     def test_delete_missing(self):
-        treap = Treap()
-        treap.insert(1, ("a",))
-        assert not treap.delete(1, ("b",))
-        assert not treap.delete(9, ("a",))
+        index = SortedIndex()
+        index.insert(1, ("a",))
+        assert not index.delete(1, ("b",))
+        assert not index.delete(9, ("a",))
+        assert list(index.range(None, None)) == [("a",)]
+
+    def test_empty_ranges(self):
+        index = SortedIndex()
+        assert list(index.range(None, None)) == []
+        for key in (1, 3, 5):
+            index.insert(key, (key,))
+        assert list(index.range(4, 2)) == []
+        assert list(index.range(3, 3, include_low=False)) == []
+        assert list(index.range(6, None)) == []
+
+    def test_size_follows_inserts_and_deletes(self):
+        index = SortedIndex()
+        for key in (4, 2, 2):
+            index.insert(key, (key,))
+        assert index.size == len(index) == 3
+        assert index.delete(2, (2,))
+        assert not index.delete(7, (7,))
+        assert index.size == len(index) == 2
 
     def test_multiplicity(self):
-        treap = Treap()
-        treap.insert(1, ("a",))
-        treap.insert(1, ("a",))
-        assert list(treap.range(1, 1)) == [("a",), ("a",)]
-        treap.delete(1, ("a",))
-        assert list(treap.range(1, 1)) == [("a",)]
+        index = SortedIndex()
+        index.insert(1, ("a",))
+        index.insert(1, ("a",))
+        assert list(index.range(1, 1)) == [("a",), ("a",)]
+        index.delete(1, ("a",))
+        assert list(index.range(1, 1)) == [("a",)]
+
+
+def sorted_model_range(model, low, high, include_low, include_high):
+    """The rows a sorted (key, row) list holds in the interval, in key
+    order."""
+    return [row for key, row in model
+            if (low is None or key > low or (include_low and key == low))
+            and (high is None or key < high or (include_high and key == high))]
+
+
+class TestSortedIndexModel:
+    """SortedIndex against a sorted-list model: inserts, deletes (present
+    and missing rows, repeated rows) and every kind of interval."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 20),
+                               st.integers(0, 3)), max_size=120),
+        bounds=st.lists(st.tuples(
+            st.none() | st.integers(-2, 22), st.none() | st.integers(-2, 22),
+            st.booleans(), st.booleans()), min_size=1, max_size=5),
+    )
+    def test_matches_sorted_index_on_random_ops(self, ops, bounds):
+        index = SortedIndex()
+        model = []
+        for is_insert, key, tag in ops:
+            row = (key, tag)
+            if is_insert:
+                index.insert(key, row)
+                model.append((key, row))
+                model.sort(key=lambda entry: entry[0])
+            else:
+                present = (key, row) in model
+                assert index.delete(key, row) == present
+                if present:
+                    model.remove((key, row))
+            assert len(index) == index.size == len(model)
+        for low, high, include_low, include_high in bounds:
+            got = list(index.range(low, high, include_low, include_high))
+            want = sorted_model_range(model, low, high, include_low,
+                                      include_high)
+            assert [row[0] for row in got] == [row[0] for row in want]
+            assert sorted(got) == sorted(want)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -132,11 +159,11 @@ class TestTreap:
     )
     def test_range_property(self, keys, low, span):
         high = low + span
-        treap = Treap(seed=3)
+        index = SortedIndex()
         for key in keys:
-            treap.insert(key, (key,))
+            index.insert(key, (key,))
         expected = sorted((k,) for k in keys if low <= k <= high)
-        assert sorted(treap.range(low, high)) == expected
+        assert list(index.range(low, high)) == expected
 
 
 #: ROADMAP 1(a)'s hazard keys: equal across types (``1``, ``1.0``,

@@ -24,7 +24,7 @@ from repro.joins import DBToasterJoin, TraditionalJoin, reference_join
 from repro.joins.base import JoinSchema
 from repro.joins.dbtoaster import connected_subsets
 
-from tests.conftest import interleaved_stream, make_rst_data
+from tests.conftest import interleaved_stream, make_rst_data, triangle_spec
 
 
 def run_stream(join, stream):
@@ -154,6 +154,15 @@ class TestAgainstReference:
             name: [(rng.randrange(4), rng.randrange(4)) for _ in range(15)]
             for name in "ABCD"
         }
+        out = run_stream(join_cls(spec), interleaved_stream(data))
+        assert Counter(out) == Counter(reference_join(spec, data))
+
+    def test_triangle_join(self, join_cls):
+        """A cyclic join graph: every relation meets both others."""
+        spec = triangle_spec()
+        rng = random.Random(9)
+        data = {name: [(rng.randrange(4), rng.randrange(4)) for _ in range(20)]
+                for name in ("R", "S", "T")}
         out = run_stream(join_cls(spec), interleaved_stream(data))
         assert Counter(out) == Counter(reference_join(spec, data))
 

@@ -9,7 +9,6 @@ from repro.core.predicates import (
     RelationInfo,
     ThetaCondition,
     UnionFind,
-    equi_join_spec,
 )
 from repro.core.schema import Schema
 
@@ -100,8 +99,6 @@ class TestJoinSpec:
     def test_chain_structure(self, rst_spec):
         assert rst_spec.relation_names == ["R", "S", "T"]
         assert rst_spec.is_equi_join
-        assert rst_spec.is_connected()
-        assert rst_spec.is_acyclic()
 
     def test_unknown_relation_in_condition(self):
         with pytest.raises(ValueError, match="unknown relation"):
@@ -120,9 +117,17 @@ class TestJoinSpec:
         with pytest.raises(ValueError, match="duplicate"):
             JoinSpec(infos, [])
 
+    def test_adjacency_of_a_chain(self, rst_spec):
+        adjacency = rst_spec.adjacency()
+        assert adjacency == {"R": {"S"}, "S": {"R", "T"}, "T": {"S"}}
+
     def test_disconnected_detected(self):
+        """A relation no condition touches has no neighbour: the local
+        joins read this to join it as a cartesian component."""
         spec = JoinSpec(rst_relations(), [EquiCondition(("R", "y"), ("S", "y"))])
-        assert not spec.is_connected()
+        adjacency = spec.adjacency()
+        assert adjacency["T"] == set()
+        assert adjacency["R"] == {"S"}
 
     def test_cycle_detected(self):
         spec = JoinSpec(
@@ -133,20 +138,9 @@ class TestJoinSpec:
                 EquiCondition(("T", "t"), ("R", "x")),
             ],
         )
-        assert not spec.is_acyclic()
-
-    def test_conditions_between_orients_left(self, rst_spec):
-        conds = rst_spec.conditions_between("S", "R")
-        assert len(conds) == 1
-        assert conds[0].left == ("S", "y")
-
-    def test_conditions_involving(self, rst_spec):
-        assert len(rst_spec.conditions_involving("S")) == 2
-        assert len(rst_spec.conditions_involving("R")) == 1
-
-    def test_join_attributes(self, rst_spec):
-        assert rst_spec.join_attributes("S") == ["y", "z"]
-        assert rst_spec.join_attributes("R") == ["y"]
+        adjacency = spec.adjacency()
+        assert all(len(adjacency[name]) == 2 for name in ("R", "S", "T"))
+        assert len(spec.equality_classes()) == 3
 
     def test_equality_classes_chain(self, rst_spec):
         classes = rst_spec.equality_classes()
@@ -182,13 +176,6 @@ class TestJoinSpec:
         )
         classes = spec.equality_classes()
         assert sorted(len(c) for c in classes) == [1, 1]
-
-    def test_equi_join_spec_helper(self):
-        spec = equi_join_spec(
-            rst_relations(), [(("R", "y"), ("S", "y")), (("S", "z"), ("T", "z"))]
-        )
-        assert spec.is_equi_join
-        assert len(spec.conditions) == 2
 
 
 class TestUnionFind:

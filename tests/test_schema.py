@@ -56,11 +56,6 @@ class TestSchema:
         with pytest.raises(ValueError):
             Schema.of("a").concat(Schema.of("a"))
 
-    def test_row_getter(self):
-        schema = Schema.of("a", "b")
-        get_b = schema.row_getter("b")
-        assert get_b((10, 20)) == 20
-
     def test_equality_and_hash(self):
         assert Schema.of("a", "b") == Schema.of("a", "b")
         assert hash(Schema.of("a")) == hash(Schema.of("a"))

@@ -1,14 +1,16 @@
 """Tests for repro.util: stable hashing and small helpers."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util import (
-    ceil_div,
     hash_to_bucket,
     make_rng,
     round_robin_assignment,
     stable_hash,
+    usable_cores,
 )
 
 
@@ -108,11 +110,8 @@ class TestRoundRobinAssignment:
 
 
 class TestSmallHelpers:
-    def test_ceil_div(self):
-        assert ceil_div(15, 8) == 2
-        assert ceil_div(16, 8) == 2
-        assert ceil_div(17, 8) == 3
-        assert ceil_div(0, 5) == 0
+    def test_usable_cores_within_the_installed_count(self):
+        assert 1 <= usable_cores() <= (os.cpu_count() or 1)
 
     def test_make_rng_reproducible(self):
         assert make_rng(7).random() == make_rng(7).random()
