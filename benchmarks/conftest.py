@@ -70,6 +70,26 @@ def interleaved_best_of(runs: Dict[str, Callable[[], object]], rounds: int
     return best, results
 
 
+def timed_pedantic(benchmark, run, rounds: int, args: tuple = ()):
+    """``benchmark.pedantic(run, args, rounds=rounds, iterations=1)``;
+    returns the last result and the best round's wall seconds:
+    pytest-benchmark's own minimum, or -- where ``--benchmark-disable``
+    leaves it without stats -- the best of the calls that ran, timed
+    here."""
+    seconds: List[float] = []
+
+    def timed(*call_args):
+        started = time.perf_counter()
+        result = run(*call_args)
+        seconds.append(time.perf_counter() - started)
+        return result
+
+    result = benchmark.pedantic(timed, args=args, rounds=rounds, iterations=1)
+    if benchmark.stats is not None:
+        return result, benchmark.stats.stats.min
+    return result, min(seconds)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _REPORT:
         return

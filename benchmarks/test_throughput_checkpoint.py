@@ -30,7 +30,7 @@ from repro.engine.component import (
 from repro.engine.operators import count, total
 from repro.streaming import stream_plan
 
-from benchmarks.conftest import record_table
+from benchmarks.conftest import record_table, timed_pedantic
 
 N_ROWS = 4_000
 KEYS = 512
@@ -76,9 +76,7 @@ def test_throughput_streaming_checkpointed(benchmark):
 
     benchmark.extra_info["rows"] = 2 * N_ROWS
     benchmark.extra_info["checkpoint_interval"] = CHECKPOINT_INTERVAL
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-
-    seconds = benchmark.stats.stats.min
+    _query, seconds = timed_pedantic(benchmark, run, ROUNDS)
     rows_per_sec = 2 * N_ROWS / seconds
     ckpt = stats_samples[-1]
     benchmark.extra_info["checkpoint_bytes"] = ckpt["bytes_persisted"]

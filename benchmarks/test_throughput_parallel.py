@@ -28,7 +28,11 @@ from repro.core.options import ExecutionOptions
 from repro.engine import run_plan
 from repro.util import usable_cores
 
-from benchmarks.conftest import interleaved_best_of, record_table
+from benchmarks.conftest import (
+    interleaved_best_of,
+    record_table,
+    timed_pedantic,
+)
 from benchmarks.harness import multiway_join_plan
 
 N_ROWS = 4000
@@ -75,9 +79,9 @@ def test_throughput_multiway_join(benchmark, executor, parallelism):
     benchmark.extra_info["executor"] = executor
     benchmark.extra_info["parallelism"] = parallelism or 1
     benchmark.extra_info["cpus"] = usable_cores()
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
+    _result, seconds = timed_pedantic(benchmark, run, ROUNDS)
     assert len(set(map(frozenset, (c.items() for c in outputs)))) == 1
-    _MEASURED[executor] = (benchmark.stats.stats.min, outputs[0])
+    _MEASURED[executor] = (seconds, outputs[0])
 
 
 def _require_measurements():

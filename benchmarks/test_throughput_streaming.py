@@ -23,7 +23,7 @@ from repro.engine.operators import count, total
 from repro.engine.windows import WindowSpec
 from repro.streaming import stream_plan
 
-from benchmarks.conftest import record_table
+from benchmarks.conftest import record_table, timed_pedantic
 
 N_EVENTS = 20_000
 KEYS = 32
@@ -62,9 +62,7 @@ def test_throughput_streaming_sliding_agg(benchmark):
 
     benchmark.extra_info["events"] = N_EVENTS
     benchmark.extra_info["window"] = WINDOW
-    benchmark.pedantic(run, rounds=ROUNDS, iterations=1)
-
-    seconds = benchmark.stats.stats.min
+    _query, seconds = timed_pedantic(benchmark, run, ROUNDS)
     events_per_sec = N_EVENTS / seconds
     final = stats_samples[-1]
     record_table(

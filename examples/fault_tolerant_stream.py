@@ -46,10 +46,12 @@ def main():
     expected = sorted(session.execute(SQL).results)
     print(f"batch answer: {len(expected)} groups")
 
+    # replayed at 150 rows/s: the stream is still in flight at the kill
     query = stream_plan(
         session.plan(SQL),
         options=repro.ExecutionOptions(
-            executor="processes", batch_size=16, checkpoint_interval=2),
+            executor="processes", batch_size=16, checkpoint_interval=2,
+            rate=150),
     )
 
     killed_pid = None

@@ -245,9 +245,11 @@ class Optimizer:
                     left = attr_map[oriented.left]
                     conditions.append(_rebind(oriented, left))
             spec = JoinSpec([current_info, infos[alias]], conditions)
-            is_skew_free_equi = spec.is_equi_join and not any(
-                info.skewed for info in spec.relations
-            )
+            # a step no condition joins is a Cartesian product: no key
+            # to hash on
+            is_skew_free_equi = (
+                bool(conditions) and spec.is_equi_join
+                and not any(info.skewed for info in spec.relations))
             scheme = "hash" if is_skew_free_equi else "random"
             join_name = f"join{step}"
             component = JoinComponent(

@@ -75,6 +75,13 @@ class HashHypercube:
                 "the Hash-Hypercube supports only equi-joins; "
                 "use the Hybrid- or Random-Hypercube for theta/band joins"
             )
+        if not spec.conditions:
+            raise UnsupportedJoinError(
+                "the Hash-Hypercube hashes join keys, and a join with no "
+                "condition (a Cartesian product) has none: it would run "
+                "on one machine; use the Hybrid- or Random-Hypercube, "
+                "which give such relations random dimensions"
+            )
         dims = join_key_dimensions(spec)
         relations = relations_to_opt(
             dims,

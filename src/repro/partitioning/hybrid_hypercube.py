@@ -38,10 +38,13 @@ from repro.partitioning.hypercube import (
     optimize_dimensions,
     relations_to_opt,
 )
+from repro.partitioning.random_hypercube import relation_dimensions
 
 
 def hybrid_dimensions(spec: JoinSpec) -> List[DimensionSpec]:
-    """Derive hash + renamed random dimensions from the join spec."""
+    """Derive hash + renamed random dimensions from the join spec; a
+    relation no condition covers (a Cartesian factor) gets a random
+    dimension of its own, as in the Random-Hypercube."""
     taken: Set[str] = set()
     dims: List[DimensionSpec] = []
     rename_counter: Dict[str, int] = {}
@@ -71,6 +74,9 @@ def hybrid_dimensions(spec: JoinSpec) -> List[DimensionSpec]:
                     frozenset(plain_members),
                 )
             )
+    covered = {rel for dim in dims for rel, _attr in dim.members}
+    dims.extend(dim for dim in relation_dimensions(spec)
+                if not {rel for rel, _attr in dim.members} & covered)
     return dims
 
 

@@ -1,43 +1,39 @@
-"""LocalCluster: executes a topology to completion in-process.
+"""LocalCluster: executes a topology in-process.
 
-The inline loop has two schedules, chosen from what the run itself shows
-and never from an option.
+One round schedule serves batch runs and streaming pumps alike, chosen
+from what the run itself shows and never from an option.
 
-**Depth-first** -- ``batch_size=1``, ``max_tuples`` runs, and any topology
-with a task whose state depends on arrival order (a windowed join or
-aggregation, :attr:`~repro.storm.topology.Bolt.order_sensitive`).  Tuples
-are pulled from spouts round-robin (interleaving the sources the way
-concurrent spout tasks would) and each pull is pushed through the stream
-groupings as ``(component, stream, rows)`` micro-batches on an explicit
-work stack to quiescence -- no recursion, so arbitrarily deep topologies
-run without hitting the interpreter's recursion limit.  ``batch_size=1``
-reproduces Storm's per-tuple, pipelined execution model exactly (the
-model the paper contrasts with Spark Streaming, section 8.1): every
-emission is routed individually and the work stack unwinds in the same
-order as the seed engine's recursive dispatch.  ``max_tuples`` defines
-its prefix by this pull order, and a window expires state in it.
+**Rounds** -- ``batch_size > 1``, unless a task's state depends on
+arrival order (a windowed join or aggregation,
+:attr:`~repro.storm.topology.Bolt.order_sensitive`).  A round pulls every
+live source -- a spout, or a streaming pump -- in ``batch_size`` pulls,
+source after source, until it has given its share of
+:data:`ROUND_BUDGET` rows or a pull comes back short
+(:meth:`LocalCluster._fill_round`, the one round-filling loop), routes
+every pull into one :class:`~repro.storm.executor.WaveBuffer`, and then
+runs the bolt tasks once each in topological order (one level pass), each
+handed its deliveries merged per ``(source, stream)`` run.  A joiner fed
+16 batches of one relation executes one batch of their rows; results are
+the same multiset, only the interleaving and the number of executed
+batches differ.  ``run`` drains its spouts in rounds; a streaming pump
+round (:meth:`LocalCluster.inject`) is one round, then a watermark.
 
-**Rounds** -- everything else at ``batch_size > 1``.  A round pulls up to
-:data:`ROUND_BUDGET` rows from the spouts in ``batch_size`` pulls, spout
-after spout, routes them into one
-:class:`~repro.storm.executor.WaveBuffer`, and then runs the bolt tasks
-once each in topological order (one level pass,
-:func:`repro.storm.kernel.run_level` per component), every task handed
-its deliveries merged per ``(source, stream)`` run.  A joiner fed 16
-spout batches of one relation executes one batch of their rows;
-per-tuple *results* are unchanged (the engine's operators are
-order-insensitive up to the final multiset), only the interleaving and
-the number of executed batches differ.
+**Depth-first** -- ``batch_size=1``, ``max_tuples`` runs and
+order-sensitive topologies.  Each pull (a pump round's: one per source)
+is pushed through the groupings on an explicit work stack to quiescence
+before the next.  ``batch_size=1`` reproduces Storm's per-tuple,
+pipelined execution model (the one the paper contrasts with Spark
+Streaming, section 8.1); ``max_tuples`` cuts its prefix by this pull
+order, and a window expires state in it.
 
 The cluster is the one coordinator driver of both executors.  Under
 ``processes`` it holds a :class:`~repro.storm.executor.ResidentWorkerPool`
-(:attr:`LocalCluster.pool`; set by a batch run's
-:class:`~repro.storm.executor.StagedExecutor` and by a streaming
-:class:`~repro.streaming.cluster.StreamingCluster`) and every drain is a
-level pass: a component's turn is one command to the workers that own
-its tasks, :meth:`~repro.storm.executor.ResidentWorkerPool.run_level`,
-instead of :func:`~repro.storm.kernel.run_level`, which still takes the
-turns of the components the coordinator keeps (streaming's delta sinks).
+(set by a batch run's :class:`~repro.storm.executor.StagedExecutor` and
+by a :class:`~repro.streaming.cluster.StreamingCluster`) and every drive
+is a level pass: a component's turn is one command to the workers that
+own its tasks instead of :func:`~repro.storm.kernel.run_level`, which
+takes the turns of the components the coordinator keeps (streaming's
+delta sinks).  A streaming pump takes the same rounds on both executors.
 """
 
 from __future__ import annotations
@@ -54,18 +50,18 @@ from repro.storm.executor import (
     StagedExecutor,
     WaveBuffer,
 )
-from repro.storm.kernel import deliver, pull, run_level, source_hop
-from repro.storm.kernel import stream_position
+from repro.storm.kernel import (
+    deliver, pull, run_level, source_hop, stream_position)
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyError
 
 
-#: rows one inline round pulls from the spouts (all of them together)
-#: before the bolts run.  Large enough that a joiner sees a few thousand
-#: rows per relation and pays its per-batch costs once a round; a bound,
-#: so a high-fan-out join cannot buffer its whole output the way an
-#: unbounded level barrier would.  Chosen from the sweep in CHANGES.md
-#: (PR 17).
+#: rows one round pulls from its sources (all of them together) before
+#: the bolts run, batch or streaming.  Large enough that a joiner sees a
+#: few thousand rows per relation and pays its per-batch costs once a
+#: round; a bound, so a high-fan-out join cannot buffer its whole output
+#: the way an unbounded level barrier would.  Chosen from the budget
+#: sweep recorded in CHANGES.md.
 ROUND_BUDGET = 32_768
 
 #: rounds a batch ``processes`` run may pull and route before its workers
@@ -255,7 +251,7 @@ class LocalCluster:
                 if not emissions:
                     continue
                 pulled += len(emissions)
-                self.drain(name, emissions, position, ctx)
+                self._drain(name, emissions, position, ctx)
                 if max_tuples is not None and pulled >= max_tuples:
                     return False
                 if more:
@@ -264,24 +260,17 @@ class LocalCluster:
         return True
 
     def _pull_rounds(self, active, batch_size):
-        """Rounds of :data:`ROUND_BUDGET` rows: every active spout pulls
-        its share in ``batch_size`` pulls -- spout after spout, so a
-        joiner's deliveries from one relation are adjacent and merge --
-        and one level pass executes what was routed (this starts the
-        cluster's pool, if it has one).
+        """Rounds until the spouts run dry, each one level pass (this
+        starts the cluster's pool, if it has one).
 
         On the pool, when the run is unobserved and every edge routes
-        task-locally (no adaptive partitioner), up to
-        :data:`INHERITED_ROUNDS` rounds are pulled and routed before the
-        workers fork: each
-        inherits its tasks' deliveries to the first component (whose
-        input is all spout rows), so they never cross a pipe, and runs
-        those rounds' turns back to back; then each later component
-        takes its turns of those rounds the same way, one command per
-        worker.  Any later round is pulled and run on its own.
-        Either way every task executes the batches it executes inline,
-        and every row lands where it lands inline.
-        """
+        task-locally, up to :data:`INHERITED_ROUNDS` rounds are pulled
+        and routed before the workers fork: each inherits its tasks'
+        deliveries to the first component, so they never cross a pipe,
+        and runs those rounds' turns back to back; each later component
+        then takes its turns of those rounds the same way, one command
+        per worker.  Either way every task executes the batches it
+        executes inline, and every row lands where it lands inline."""
         router, pool = self.router, self.pool
         if (pool is not None and self._observer is None
                 and router.task_local and self._bolt_order):
@@ -303,31 +292,48 @@ class LocalCluster:
             self._level_pass(buffer)
 
     def _pull_round(self, active, batch_size):
-        """One round's pulls, routed into a fresh buffer; returns it and
-        the spouts that may have rows left."""
-        route = self.router.route
+        """One round's pulls in a fresh buffer: ``(buffer, live spouts)``."""
         buffer = WaveBuffer()
-        share = max(1, ROUND_BUDGET // len(active))
-        still_active = []
-        for name, task_index, spout in active:
+        return buffer, self._fill_round(list(active), batch_size, buffer)
+
+    def _fill_round(self, pending, batch_size, buffer=None, polled=None):
+        """The one round-filling loop: every source of ``pending``,
+        ``(component, index, spout)``, is pulled in ``batch_size`` pulls
+        -- source after source, so a joiner's deliveries from one
+        relation are adjacent and merge -- until it gave its share of
+        :data:`ROUND_BUDGET` rows or a pull came back short, each pull
+        routed into ``buffer``; without one each source is pulled once
+        and the pull drained at once.  ``pending`` is consumed front to
+        back (a round cut short by a dead worker resumes with the rest);
+        ``polled(component, emissions, position)`` sees every pull before
+        it is routed.  Returns the sources that may have rows left."""
+        route = self.router.route
+        share = (max(1, ROUND_BUDGET // len(pending))
+                 if buffer is not None and pending else 1)
+        live = []
+        while pending:
+            name, task_index, source = entry = pending.pop(0)
             pulled, more = 0, True
             while more and pulled < share:
                 emissions, position, ctx, more = pull(
-                    spout, name, task_index, batch_size, self.metrics,
+                    source, name, task_index, batch_size, self.metrics,
                     self._observer)
-                if emissions:
-                    pulled += len(emissions)
+                if polled is not None:
+                    polled(name, emissions, position)
+                if not emissions:
+                    continue
+                pulled += len(emissions)
+                if buffer is None:
+                    self._drain(name, emissions, position, ctx)
+                else:
                     buffer.add(route(name, emissions, position), ctx)
             if more:
-                still_active.append((name, task_index, spout))
-        return buffer, still_active
+                live.append(entry)
+        return live
 
     def _set_columnar(self, enabled: bool):
-        """Flag every columnar-capable spout before draining starts.
-
-        The spouts stay in this process on every executor, so the flag
-        is read where it is set.
-        """
+        """Flag every columnar-capable spout before draining starts (the
+        spouts stay in this process on every executor)."""
         for name, spec in self.topology.components.items():
             if not spec.is_spout:
                 continue
@@ -338,35 +344,38 @@ class LocalCluster:
     # -- external drivers (continuous runtime) -----------------------------
 
     def set_coalescing(self, coalesce: bool):
-        """Batch-mode routing toggle for external drivers.
-
-        With coalescing on, consecutive emissions on one stream are routed
-        as a single micro-batch and -- unless a task's state is
-        arrival-order-sensitive -- every drain runs as one level pass over
-        a :class:`~repro.storm.executor.WaveBuffer` (on a pool every
-        drain does); off reproduces the seed engine's per-tuple dispatch
-        order.  ``run`` derives this from its ``batch_size``; push-based
-        drivers (the streaming pump) set it once up front."""
+        """Batch-mode toggle: on, consecutive emissions on one stream
+        route as one micro-batch and -- unless a task's state is
+        arrival-order-sensitive -- the rounds schedule holds; off is the
+        seed engine's per-tuple dispatch.  ``run`` derives it from its
+        ``batch_size``; the streaming pump sets it once up front."""
         self._coalesce = coalesce
         self._waves = coalesce and not self._order_sensitive
 
-    def inject(self, source: str, emissions: List[Tuple[str, tuple]],
-               position: Tuple[int, Dict[str, int]]):
-        """Route externally produced emissions and run them to quiescence.
+    def inject(self, pending, batch_size: int, polled):
+        """One pump round of a resident topology (the push-based entry
+        point of :class:`repro.streaming.cluster.StreamingCluster`) over
+        its live sources ``pending``, ``(component, 0, source)``: a
+        round of the level schedule where it holds, one pull per source
+        driven to quiescence otherwise (see :meth:`_fill_round`)."""
+        buffer = WaveBuffer() if self._waves else None
+        self._fill_round(pending, batch_size, buffer, polled)
+        if buffer is not None:
+            self._level_pass(buffer)
 
-        The push-based entry point of the continuous runtime
-        (:class:`repro.streaming.cluster.StreamingCluster`): each arriving
-        micro-batch of a *resident* topology is fed here, from stream
-        ``position`` of component ``source``, and driven through the same
-        drain as spout batches."""
-        if not emissions:
-            return
-        # a new source batch starts a new trace; watermark-driven
-        # injections (bolt components) stay untraced punctuations
-        is_source = self.topology.components[source].is_spout
-        ctx = source_hop(source, position[0], len(emissions), 0.0,
-                         self.metrics, self._observer if is_source else None)
-        self.drain(source, emissions, position, ctx)
+    def replay(self, polls):
+        """Drive one logged pump round's polls ``(component, emissions,
+        position)`` again as :meth:`inject` drove them, so a recovered
+        run executes the batches a crash-free run executes; no source
+        hop is counted."""
+        buffer = WaveBuffer() if self._waves else None
+        for source, emissions, position in polls:
+            if buffer is None:
+                self._drain(source, emissions, position)
+            else:
+                buffer.add(self.router.route(source, emissions, position))
+        if buffer is not None:
+            self._level_pass(buffer)
 
     def advance_watermark(self, watermark: float):
         """Apply one watermark punctuation to every windowed bolt task and
@@ -378,7 +387,7 @@ class LocalCluster:
         if pool is not None:
             for name, _task_index, emissions, position in \
                     pool.broadcast_watermark(watermark):
-                self.inject(name, emissions, position)
+                self._punctuate(name, emissions, position)
         for name, task_index in self._bolt_keys:
             if pool is not None and pool.owner(name, task_index) is not None:
                 continue
@@ -386,8 +395,14 @@ class LocalCluster:
             hook = getattr(task, "advance_watermark", None)
             emissions = hook(watermark) if hook is not None else None
             if emissions:
-                self.inject(name, emissions,
-                            stream_position(task, task_index, emissions))
+                self._punctuate(name, emissions,
+                                stream_position(task, task_index, emissions))
+
+    def _punctuate(self, name, emissions, position):
+        """Count a watermark hook's emissions as a batch of ``name``'s
+        and drive them, untraced, to quiescence."""
+        source_hop(name, position[0], len(emissions), 0.0, self.metrics, None)
+        self._drain(name, emissions, position)
 
     def flush_bolts(self):
         """Run every bolt's ``finish()`` in topological order (end of
@@ -407,8 +422,8 @@ class LocalCluster:
                 self.metrics.record_emit(name, task_index, len(emissions))
                 # flush emissions are end-of-stream punctuations, not
                 # part of any source batch's trace
-                self.drain(name, emissions,
-                           stream_position(task, task_index, emissions))
+                self._drain(name, emissions,
+                            stream_position(task, task_index, emissions))
 
     @contextmanager
     def unobserved(self):
@@ -423,16 +438,14 @@ class LocalCluster:
 
     # -- work queue --------------------------------------------------------
 
-    def drain(self, source: str, emissions: List[Tuple[str, tuple]],
-              position: Tuple[int, Dict[str, int]], ctx=None):
+    def _drain(self, source: str, emissions: List[Tuple[str, tuple]],
+               position: Tuple[int, Dict[str, int]], ctx=None):
         """Route one component's emissions, from stream ``position``, and
         run them, and everything they cause downstream, to exhaustion:
         one level pass (always on the pool), or depth-first where that
         schedule is kept.  ``ctx`` is the span context of the hop that
         produced the emissions (None unless the run is traced, and for
-        punctuation batches).  Unlike :meth:`inject` no source hop is
-        counted: a recovery replay drains emissions that entered the
-        dataplane once already."""
+        punctuation batches).  No source hop is counted here."""
         if self._waves or self.pool is not None:
             buffer = WaveBuffer()
             buffer.add(self.router.route(source, emissions, position), ctx)

@@ -14,30 +14,20 @@ of two interchangeable backends:
 Batch and streaming ``processes`` run on one worker protocol and one
 driver: a :class:`ResidentWorkerPool` forks workers over the topology's
 bolt tasks (the spouts, and streaming's delta sinks, stay in the
-coordinator), the cluster that holds it hands a worker each delivery for
-its tasks in a level pass, and the worker returns the raw emissions with
-their stream positions for the cluster's :class:`Router` to route.  A
-worker that dies in a turn raises :class:`WorkerDied`; the streaming
-supervisor recovers from it, a batch run fails naming the component.
-
-A finite run (:class:`StagedExecutor`) is the inline rounds of
-:class:`~repro.storm.cluster.LocalCluster` -- :data:`~repro.storm.\
-cluster.ROUND_BUDGET` rows pulled per round, then one level pass, then one
-finishing pass -- with each component's turn handed to
-:meth:`ResidentWorkerPool.run_level` instead of
-:func:`repro.storm.kernel.run_level`: the coordinator's
-:class:`WaveBuffer` coalesces a task's deliveries per ``(source, stream)``
-run, the owning workers execute them concurrently, and the emissions are
-routed in task order.  When every edge routes task-locally
-(:attr:`Router.task_local`), the first rounds (up to
-:data:`~repro.storm.cluster.INHERITED_ROUNDS`) are pulled and routed
-before the pool forks: each worker inherits its tasks' deliveries to the
-first component and runs those rounds' turns back to back (see
-:meth:`~repro.storm.cluster.LocalCluster._pull_rounds` and
-:meth:`ResidentWorkerPool.run_rounds`).  So a batch ``processes`` run
-places every row where inline does -- same results, same executed
-batches -- and what it adds over ``inline`` is its workers, not its
-schedule.
+coordinator), each pinned to one CPU of the coordinator's mask; the
+cluster that holds the pool hands a worker each delivery for its tasks in
+a level pass of its rounds (:class:`WaveBuffer` coalesces a task's
+deliveries per ``(source, stream)`` run), and the worker returns the raw
+emissions with their stream positions for the cluster's :class:`Router`
+to route in task order.  A worker that dies in a turn raises
+:class:`WorkerDied`; the streaming supervisor recovers from it, a batch
+run (:class:`StagedExecutor`) fails naming the component.  When every
+edge routes task-locally (:attr:`Router.task_local`), a batch run routes
+its first rounds (up to :data:`~repro.storm.cluster.INHERITED_ROUNDS`)
+before the pool forks, and each worker inherits its tasks' deliveries to
+the first component (:meth:`ResidentWorkerPool.run_rounds`).  Either way
+a ``processes`` run places every row where inline does -- same results,
+same executed batches -- and adds its workers, not a schedule.
 """
 
 from __future__ import annotations
@@ -150,11 +140,12 @@ class Router:
 # Wave coalescing
 # ---------------------------------------------------------------------------
 
-#: what a task is handed for one run: ``(source, stream, rows, ctx)``;
-#: ``ctx`` is the span context of the hop that produced the rows -- a
-#: :class:`~repro.obs.tracing.FanIn` of them when the run was merged from
-#: several traced hops, None unless the run is traced
-Delivery = Tuple[str, str, object, object]
+#: what a task is handed for one run: ``(source, stream, rows, ctx,
+#: parts)``; ``ctx`` is the span context of the hop that produced the
+#: rows -- a :class:`~repro.obs.tracing.FanIn` of them when the run was
+#: merged from several traced hops, None unless the run is traced -- and
+#: ``parts`` the number of routed batches the run merged
+Delivery = Tuple[str, str, object, object, int]
 
 
 def _layout(payload):
@@ -229,7 +220,8 @@ class WaveBuffer:
         for source, stream, _, payloads, traced in self._runs.pop(key, ()):
             rows = _concat(payloads)
             deliveries.append((source, stream, rows,
-                               merged_context(traced, len(rows))))
+                               merged_context(traced, len(rows)),
+                               len(payloads)))
         return deliveries
 
 
@@ -270,10 +262,10 @@ class ResidentWorkerState:
     row where the original delivery did: there is no routing state.
 
     ``kill_after`` arms deterministic fault injection
-    (:class:`repro.storm.failures.FaultInjector`): after the worker has
-    executed that many micro-batches *in this incarnation*, it SIGKILLs
-    itself mid-protocol -- the test harness for the recovery path.
-    """
+    (:class:`repro.storm.failures.FaultInjector`): once the deliveries it
+    executed *in this incarnation* merged that many routed micro-batches
+    (however many runs they came in), the worker SIGKILLs itself
+    mid-protocol -- the test harness for the recovery path."""
 
     #: shipped whole to freshly spawned workers on respawn -- opt into
     #: squall-lint's pickle-safety and determinism rules
@@ -294,6 +286,7 @@ class ResidentWorkerState:
         #: component -> parallelism of every owned component: the shape
         #: of the counters each reply ships home
         self.shape = shape
+        #: routed micro-batches the executed deliveries merged
         self.batches_executed = 0
         #: [(after_batches, signal), ...], sorted; consumed front to back
         self.kill_after = sorted(kill_after or [])
@@ -312,14 +305,13 @@ class ResidentWorkerState:
 
     def execute(self, items: List[tuple], finish: Optional[str] = None):
         """Run delivered batches in order (the armed kill points count
-        them one by one); with ``finish``, then flush that component's
-        owned tasks (end of stream: their last delivery has run).
+        the routed batches each merges); with ``finish``, then flush that
+        component's owned tasks (end of stream).
 
-        ``items`` are work items with the span context of the hop that
-        produced them appended, ``(target, task, source, stream, rows,
-        ctx)``; returns ``(outputs, counters, obs_payload)``: the raw
-        emissions ``(target, task, emissions, child_ctx, position)`` for
-        the coordinator to route, what this call counted as a
+        ``items`` are ``(target, task)`` and a :data:`Delivery`; returns
+        ``(outputs, counters, obs_payload)``: the raw emissions
+        ``(target, task, emissions, child_ctx, position)`` for the
+        coordinator to route, what this call counted as a
         ``TopologyMetrics`` of the worker's own for the coordinator to
         ``merge``, and the ``WorkerObs.drain()`` payload (None when the
         run is unobserved).  Both contexts are None unless the run is
@@ -328,11 +320,11 @@ class ResidentWorkerState:
         obs = self.obs
         counters = TopologyMetrics.of(self.shape)
         outputs: List[tuple] = []
-        for target, task_index, source, stream, rows, ctx in items:
+        for target, task_index, source, stream, rows, ctx, parts in items:
             task = self.owned[(target, task_index)]
             emissions, child = deliver(task, target, task_index, source,
                                        stream, rows, ctx, counters, obs)
-            self.batches_executed += 1
+            self.batches_executed += parts
             if emissions:
                 outputs.append((target, task_index, emissions, child,
                                 stream_position(task, task_index, emissions)))
@@ -500,6 +492,12 @@ class ForkedWorker:
 
 
 def _forked_worker_main(state, conn):
+    if hasattr(os, "sched_setaffinity"):
+        # one CPU of the coordinator's mask per worker: two forked
+        # CPU-bound children left to the scheduler can share one core
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[state.worker_id % len(cpus)]})
+
     def send(reply):
         try:
             conn.send(reply)
@@ -681,16 +679,11 @@ class ResidentWorkerPool:
                 if not worker.alive()]
 
     def respawn(self, worker_ids: List[int]):
-        """Replace dead workers with fresh forks (initial task state).
-
-        The new incarnation starts from the parent's pristine task
-        instances; the supervisor is expected to follow up with a
-        ``restore`` command carrying the latest checkpoint blobs.  The
-        armed fault that killed the dead incarnation (its lowest kill
-        point) is consumed; later armed kills re-arm against the new
-        incarnation's batch counter, so multi-kill scenarios stay
-        deterministic.
-        """
+        """Replace dead workers with fresh forks of the parent's
+        pristine task instances (the supervisor follows up with a
+        ``restore``).  The armed fault that killed the dead incarnation
+        (its lowest kill point) is consumed; later ones re-arm against
+        the new incarnation's batch counter."""
         for worker_id in worker_ids:
             worker = self._workers.get(worker_id)
             if worker is not None:
@@ -752,13 +745,11 @@ class ResidentWorkerPool:
         execute` items) and, with ``finish``, flush that component's
         tasks after them on every worker that owns one.
 
-        Workers execute their slices concurrently (each in its own
-        process).  Their outputs are returned, their counters merged into
-        ``counters`` and their obs payloads into ``obs`` (an
-        :class:`~repro.obs.Observer`, or None to drop them), all in
-        worker-id order, so delivery stays deterministic for a fixed
-        assignment.
-        """
+        Workers execute their slices concurrently.  Their outputs are
+        returned, their counters merged into ``counters`` and their obs
+        payloads into ``obs`` (an :class:`~repro.obs.Observer`, or None
+        to drop them), all in worker-id order, so delivery stays
+        deterministic for a fixed assignment."""
         recipients = {worker_id: ("execute", items, finish)
                       for worker_id, items in per_worker.items() if items}
         if finish is not None:
@@ -769,8 +760,8 @@ class ResidentWorkerPool:
 
     @staticmethod
     def _merge(replies: Dict[int, object], counters, obs) -> List[tuple]:
-        """Fold ``execute`` replies in worker-id order: the outputs are
-        returned, counters and obs payloads merged in."""
+        """Fold ``execute`` replies in worker-id order: outputs returned,
+        counters and obs payloads merged in."""
         outputs: List[tuple] = []
         for worker_id in sorted(replies):
             worker_outputs, worker_counters, obs_payload = replies[worker_id]
@@ -782,13 +773,10 @@ class ResidentWorkerPool:
 
     def run_level(self, component: str, work, route, out, counters, obs,
                   finish: bool = False):
-        """:func:`repro.storm.kernel.run_level` on the workers: one
-        component's turn in a level pass.
-
-        Each task's deliveries go to its owner in one ``execute``
-        command, which on the finishing pass also flushes the tasks.  A
-        dead worker raises :class:`WorkerDied` naming the component.
-        """
+        """:func:`repro.storm.kernel.run_level` on the workers: each
+        task's deliveries go to its owner in one ``execute`` command,
+        which on the finishing pass also flushes the tasks.  A dead
+        worker raises :class:`WorkerDied` naming the component."""
         try:
             outputs = self.execute(self._items(component, work), counters,
                                    obs, component if finish else None)

@@ -17,9 +17,9 @@ Two recovery mechanisms, per the paper (section 5):
 
 :class:`FaultInjector` is the test harness for the checkpoint path: it
 arms deterministic worker crashes (a resident worker SIGKILLs itself
-after N executed micro-batches), resolved against the supervisor's task
-assignment so a test can kill exactly the worker owning a chosen
-operator partition.
+once its executed deliveries merged N routed micro-batches), resolved
+against the supervisor's task assignment so a test can kill exactly the
+worker owning a chosen operator partition.
 """
 
 from __future__ import annotations
@@ -132,9 +132,11 @@ class WorkerKill:
 
     ``component``/``task_index`` pick the operator partition whose
     *owning resident worker* is the victim; ``after_batches`` is the
-    number of micro-batches that worker executes (across all its owned
-    tasks) before killing itself -- a deterministic kill point in the
-    stream rather than a racy timer.
+    number of *routed* micro-batches that worker's executed deliveries
+    merge (across all its owned tasks; a delivery that merged three
+    polls counts three) before it kills itself -- a deterministic kill
+    point in the stream rather than a racy timer, and one a round that
+    merges more polls per delivery does not move.
     """
 
     component: str

@@ -1,10 +1,8 @@
 """The step kernel: the one place a task's ``execute_batch`` is called.
 
 One coordinator driver, :class:`~repro.storm.cluster.LocalCluster`, runs
-every topology on both executors, batch and streaming alike.  Its level
-pass hands each component's turn to :func:`run_level` -- or, for the
-components a resident worker pool owns, to
-:meth:`~repro.storm.executor.ResidentWorkerPool.run_level`, whose workers
+every topology on both executors.  Its level pass hands each component's
+turn to :func:`run_level` -- or to the workers of a resident pool, which
 run the same loop in :meth:`~repro.storm.executor.ResidentWorkerState.\
 execute`; its depth-first schedule works a stack.  All three hand each
 routed micro-batch to :func:`deliver`, so what happens to a batch at a
@@ -89,14 +87,14 @@ def run_level(component: str, work, route, out, counters, obs,
     routed into ``out`` for the components downstream.
 
     ``work`` yields ``(index, task, deliveries)``, a delivery being
-    ``(source, stream, rows, ctx)`` as a wave buffer hands them over (one
-    per coalesced run); ``route`` is the driver's ``Router.route`` and
-    ``out`` anything with a wave buffer's ``add``.  With ``finish`` each
+    ``(source, stream, rows, ctx, parts)`` as a wave buffer hands them
+    over (one per coalesced run); ``route`` is the driver's
+    ``Router.route`` and ``out`` anything with a wave buffer's ``add``.  With ``finish`` each
     task is flushed after its last delivery (end of stream: every
     upstream component has already had its turn); flush emissions are
     punctuations and travel untraced."""
     for index, task, deliveries in work:
-        for source, stream, rows, ctx in deliveries:
+        for source, stream, rows, ctx, _parts in deliveries:
             emissions, child = deliver(task, component, index, source,
                                        stream, rows, ctx, counters, obs)
             if emissions:

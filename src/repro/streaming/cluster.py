@@ -4,37 +4,35 @@ Where :class:`~repro.storm.cluster.LocalCluster` *drains* a finite
 topology and stops, the streaming cluster keeps the topology alive:
 sources push micro-batches in whenever they have data, every batch runs
 through the exact same ``Grouping.targets_batch`` / ``execute_batch``
-dataplane (no per-tuple regression), watermark punctuations drive window
-expiration between batches, and the :class:`~repro.streaming.deltas.\
-DeltaSink` at the bottom feeds live ``+row/-row`` deltas to subscribers.
+dataplane, watermark punctuations drive window expiration between
+rounds, and the :class:`~repro.streaming.deltas.DeltaSink` at the bottom
+feeds live ``+row/-row`` deltas to subscribers.
 
-One pump round (:meth:`StreamingCluster.step`) polls every source for one
-micro-batch, ``inject``s it, then ``advance_watermark``s the merged
-watermark -- and at end of stream ``flush_bolts`` -- on the resident
-``LocalCluster``, the one coordinator driver of both executors.  Each
-injected batch is driven to quiescence before the watermark advances.
-At ``batch_size > 1`` that drive is one level pass (the bolt tasks run
-once each in topological order on their deliveries coalesced per
-``(source, stream)``: ``LocalCluster.run``'s rounds with one poll per
-round); at ``batch_size=1``, and for plans holding windowed (arrival-
-order-sensitive) state, ``inline`` drives it depth-first, as
-``LocalCluster.run`` does there.
+One pump round (:meth:`StreamingCluster.step`) is one round of the
+resident ``LocalCluster``'s schedule (:meth:`LocalCluster.inject`), then
+an ``advance_watermark`` of the merged watermark -- and at end of stream
+``flush_bolts``.  At ``batch_size > 1`` it is ``LocalCluster.run``'s
+round: every live source polled in full micro-batches up to its share
+of ``ROUND_BUDGET`` rows (or a short poll), all polls routed into one
+buffer, one level pass.  At ``batch_size=1``, and for plans holding
+windowed (arrival-order-sensitive) state, each source is polled once and
+its poll driven to quiescence before the next.  Both executors take the
+same rounds.
 
-Under ``processes`` the cluster holds a :class:`~repro.storm.executor.\
-ResidentWorkerPool` and every drive is a level pass: the forked workers
-take the turns of the join/aggregation components over long-lived pipes
--- the fault-tolerant shared-nothing deployment of the paper's Storm
-runtime -- and the coordinator keeps everything a crash must not lose:
-source pumps, the routing table, the delta sinks with their
-subscriptions, the change log and the checkpoint store.  It logs every
-batch (with its stream position) and watermark before driving it,
-checkpoints operator state incrementally every ``checkpoint_interval``
-rounds (hash-diffed, so unchanged partitions persist zero bytes; see
-:mod:`repro.checkpoint`), and when a worker dies respawns it, restores
-every worker from the latest snapshot, rolls the sinks back, and replays
-the log through the cluster unobserved, so the final snapshot is
-byte-identical to a crash-free (and to a batch) run.  Partitioners that
-adapt to the globally observed stream are refused up front
+Under ``processes`` the forked workers take the turns of the
+join/aggregation components over long-lived pipes -- the fault-tolerant
+shared-nothing deployment of the paper's Storm runtime -- and the
+coordinator keeps everything a crash must not lose: source pumps, the
+routing table, the delta sinks with their subscriptions, the change log
+and the checkpoint store.  It logs every poll (with its stream position,
+in its round) and watermark before driving it, checkpoints operator
+state incrementally every ``checkpoint_interval`` rounds (hash-diffed,
+so unchanged partitions persist zero bytes; see :mod:`repro.checkpoint`),
+and when a worker dies respawns it, restores every worker from the
+latest snapshot, rolls the sinks back, and replays the log round by
+round, unobserved, so the final snapshot is byte-identical to a
+crash-free (and to a batch) run.  Partitioners that adapt to the
+globally observed stream are refused up front
 (:func:`ensure_task_local_routing`): a replay could not route the way
 the original delivery did.  The walkthrough is
 ``docs/FAULT_TOLERANCE.md``.
@@ -49,7 +47,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
-from repro.checkpoint.log import DATA as _LOG_DATA
+from repro.checkpoint.log import ROUND as _LOG_ROUND
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.core.options import EXECUTOR_NAMES
 from repro.engine.operators import Projection, Selection
@@ -57,7 +55,6 @@ from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
 from repro.storm.executor import ExecutorError, ResidentWorkerPool, WorkerDied
 from repro.storm.failures import FaultInjector
-from repro.storm.kernel import stream_position
 from repro.storm.metrics import CheckpointMetrics, StreamMetrics
 from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
@@ -114,6 +111,8 @@ class SourcePump:
         #: raw rows the last poll pulled, pre-selection: a fully filtered
         #: batch still *advanced the source* and counts as progress
         self.last_poll_raw = 0
+        #: the row limit of the last poll
+        self._limit = 1
 
     def poll(self, max_rows: int):
         """One poll of the source, filtered and projected.
@@ -127,6 +126,7 @@ class SourcePump:
         stream and goes row by row."""
         emissions = self.source.poll(max_rows)
         self.last_poll_raw = len(emissions)
+        self._limit = max_rows
         if not emissions:
             return emissions
         if isinstance(emissions, ColumnEmissions):
@@ -145,6 +145,13 @@ class SourcePump:
         if isinstance(rows, ColumnBatch):
             return ColumnEmissions(stream, rows) if rows else []
         return [(stream, row) for row in rows]
+
+    def next_batch(self, max_rows: int):  # the spout interface rounds use
+        return self.poll(max_rows)
+
+    def has_more(self) -> bool:
+        """The last poll was full, however much the selection kept."""
+        return self.last_poll_raw >= self._limit
 
     def _per_row(self, emissions):
         if self.selection is not None:
@@ -237,12 +244,11 @@ class StreamingCluster:
         )
         self.columnar = columnar and batch_size > 1
         self._finished_sources: set = set()
-        #: the pumps the current round has still to poll
-        self._unpolled: List[str] = []
+        #: the pumps the current round has still to poll, as the
+        #: cluster's rounds take them: ``(name, 0, pump)``
+        self._unpolled: List[Tuple[str, int, SourcePump]] = []
         self._final_watermarks: List[float] = []
         self._broadcast_wm: Optional[float] = None
-        #: the last pump round polled a full micro-batch from some source
-        self._backlog = False
         self._done = threading.Event()
         self._stop = threading.Event()
         #: a run() loop drives the query: stop(wait=True) may wait on it
@@ -335,15 +341,12 @@ class StreamingCluster:
         return self.metrics
 
     def stop(self, wait: bool = True, timeout: Optional[float] = 10.0):
-        """Tear a resident query down without waiting for exhaustion.
-
-        Sets the stop flag; the driver (the ``run()`` / ``step()`` loop)
-        notices at its next round, stops polling the sources, flushes the
-        topology -- so every subscription receives its final deltas and
-        is closed -- and sets :attr:`done`.  ``wait=True`` blocks until
-        that teardown completes (requires a live driver: the broker's
-        per-topology driver thread, or a ``run()`` in progress).
-        Idempotent; a no-op once done."""
+        """Tear a resident query down without waiting for exhaustion:
+        the driver (the ``run()`` / ``step()`` loop) notices at its next
+        round, stops polling, flushes the topology -- every subscription
+        receives its final deltas and is closed -- and sets :attr:`done`.
+        ``wait=True`` blocks until then (given a live driver: the
+        broker's driver thread, or a ``run()`` in progress).  Idempotent."""
         self._stop.set()
         if self.done:
             return
@@ -358,32 +361,28 @@ class StreamingCluster:
         return self.done
 
     def _pace(self):
-        """Between two pump rounds: run flat out while a source still had
-        a full micro-batch to give, otherwise yield one idle tick.  A
-        short poll means the pump has caught up with its producers; one
-        that spins on the trickle pays a whole round (a fan-out to every
-        subscriber) per handful of rows, so the cost of a burst would
-        depend on how producer and pump happen to interleave."""
-        if not (self._backlog or self.done):
+        """Between two pump rounds: run flat out while some source's last
+        poll was full (more may be waiting), otherwise yield one idle
+        tick.  A pump that spins on the trickle pays a whole round (a
+        fan-out to every subscriber) per handful of rows, so the cost of
+        a burst would depend on how producer and pump interleave."""
+        if not (self.done or any(pump.has_more()
+                                 for pump in self._pumps.values())):
             time.sleep(self.idle_sleep)
 
     # -- the pump round ----------------------------------------------------
 
     def step(self) -> bool:
-        """One pump round; returns whether any progress was made.
-
-        Polls every live source for at most one micro-batch, drives each
-        batch to quiescence, then -- at the quiescent point, where no
-        data is in flight anywhere -- advances the merged watermark and
-        finally flushes the topology once all sources are exhausted.
+        """One pump round (see the module docstring): the watermark
+        advances at its quiescent point and the topology flushes once
+        every source is exhausted; returns whether it made progress.
 
         Under ``processes`` the round is supervised: a worker death
         detected anywhere in it (EOF on a pipe, the liveness sweep)
         abandons the round and runs the recovery protocol; the change log
-        guarantees nothing injected this round is lost and nothing already
+        guarantees nothing polled this round is lost and nothing already
         checkpointed is applied twice.  Anything else that escapes a round
-        tears the query down (:meth:`_abort`) before it propagates.
-        """
+        tears the query down (:meth:`_abort`) before it propagates."""
         if self.done:
             return False
         try:
@@ -415,44 +414,17 @@ class StreamingCluster:
             # their final deltas and close, and declare the query done
             self._finish()
             return True
-        progressed = False
-        self._backlog = False
-        self._unpolled = self._unpolled or [
-            name for name in self._pumps if name not in self._finished_sources]
-        while self._unpolled:
-            # a worker dying in this batch's drive leaves it to the
-            # replay; the round resumes at the next pump, so the sources
-            # interleave as in a crash-free run
-            name = self._unpolled.pop(0)
-            pump = self._pumps[name]
-            emissions = pump.poll(self.batch_size)
-            if pump.last_poll_raw:
-                progressed = True  # even a fully filtered batch advanced
-                if pump.last_poll_raw >= self.batch_size:
-                    self._backlog = True  # more may be waiting: see _pace
-            if emissions:
-                self.stats.record_events(
-                    len(emissions), pump.source.max_event_time)
-                position = stream_position(pump, 0, emissions)
-                if self._pool is not None:
-                    self._log.record_data(name, emissions, position)
-                self.cluster.inject(name, emissions, position)
-            if pump.exhausted():
-                # also reached by sources that were empty to begin with:
-                # they must still mark themselves done, or the merged
-                # watermark stays undefined for the whole run.  The final
-                # watermark is recorded first -- it covers the last batch.
-                progressed = True
-                watermark = pump.watermark()
-                if watermark is not None and watermark != math.inf:
-                    self._source_wm.update(name, watermark)
-                    self._final_watermarks.append(watermark)
-                self._finished_sources.add(name)
-                self._source_wm.mark_done(name)
-            else:
-                watermark = pump.watermark()
-                if watermark is not None:
-                    self._source_wm.update(name, watermark)
+        self._progressed = False  # set by _polled
+        if not self._unpolled:
+            # a round cut short by a dead worker resumes with the
+            # sources it had left, so they interleave as in a crash-free
+            # run; a fresh one polls every live source
+            self._unpolled = [(name, 0, pump)
+                              for name, pump in self._pumps.items()
+                              if name not in self._finished_sources]
+            self._log.begin_round()
+        self.cluster.inject(self._unpolled, self.batch_size, self._polled)
+        progressed = self._progressed
         if self._event_time and self._advance_watermark(
                 self._source_wm.merged()):
             progressed = True
@@ -465,6 +437,34 @@ class StreamingCluster:
             self._finish()
             progressed = True
         return progressed
+
+    def _polled(self, name: str, emissions, position):
+        """One poll of source ``name``, seen before the cluster routes
+        it: progress, stats, the change log (``processes``: the poll and
+        its stream position are logged before they are driven), and the
+        source's watermark or end."""
+        pump = self._pumps[name]
+        if pump.last_poll_raw:
+            self._progressed = True  # even a fully filtered batch advanced
+        if emissions:
+            self.stats.record_events(len(emissions), pump.source.max_event_time)
+            if self._pool is not None:
+                self._log.record_data(name, emissions, position)
+        watermark = pump.watermark()
+        if not pump.exhausted():
+            if watermark is not None:
+                self._source_wm.update(name, watermark)
+        elif name not in self._finished_sources:
+            # also reached by sources that were empty to begin with:
+            # they must still mark themselves done, or the merged
+            # watermark stays undefined for the whole run.  The final
+            # watermark is recorded first -- it covers the last batch.
+            self._progressed = True
+            if watermark is not None and watermark != math.inf:
+                self._source_wm.update(name, watermark)
+                self._final_watermarks.append(watermark)
+            self._finished_sources.add(name)
+            self._source_wm.mark_done(name)
 
     def _advance_watermark(self, merged: Optional[float]) -> bool:
         """Broadcast a *finite* watermark advance to every windowed task.
@@ -603,14 +603,14 @@ class StreamingCluster:
         self._broadcast_wm = coordinator["wm"]
         replayed_entries = replayed_rows = 0
         with self.cluster.unobserved():
-            for entry in self._log.replay():
-                if entry[0] == _LOG_DATA:
-                    _kind, source, emissions, position = entry
-                    replayed_entries += 1
-                    replayed_rows += len(emissions)
-                    self.cluster.drain(source, emissions, position)
+            for kind, value in self._log.replay():
+                if kind == _LOG_ROUND:
+                    replayed_entries += len(value)
+                    replayed_rows += sum(len(emissions)
+                                         for _source, emissions, _at in value)
+                    self.cluster.replay(value)
                 else:
-                    self._broadcast_wm = entry[1]
-                    self.cluster.advance_watermark(entry[1])
+                    self._broadcast_wm = value
+                    self.cluster.advance_watermark(value)
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)

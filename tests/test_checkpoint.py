@@ -154,17 +154,25 @@ class TestDirectoryBackend:
 
 class TestChangeLog:
     def test_replay_preserves_order_and_kinds(self):
+        """Polls are logged into the round they were routed in; a
+        watermark, or a marked round boundary, closes it."""
         log = ChangeLog()
         log.record_data("R", [("R", (1, 2))], (0, {}))
+        log.record_data("S", [("S", (3,))], (0, {}))
         log.record_watermark(5.0)
         log.record_data("S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7}))
+        log.begin_round()
+        log.begin_round()  # a round that polled nothing logs nothing
+        log.record_data("R", [("R", (7, 8))], (0, {"R": 1}))
         entries = list(log.replay())
         assert entries == [
-            ("data", "R", [("R", (1, 2))], (0, {})),
+            ("round", [("R", [("R", (1, 2))], (0, {})),
+                       ("S", [("S", (3,))], (0, {}))]),
             ("wm", 5.0),
-            ("data", "S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7})),
+            ("round", [("S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7}))]),
+            ("round", [("R", [("R", (7, 8))], (0, {"R": 1}))]),
         ]
-        assert log.rows == 3
+        assert log.rows == 5
 
     def test_truncate_empties_the_log(self):
         log = ChangeLog()

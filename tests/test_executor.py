@@ -336,14 +336,14 @@ def _shape(deliveries):
     return [(source, stream,
              ("columns" if isinstance(rows, ColumnBatch) else "rows",
               list(rows)), ctx)
-            for source, stream, rows, ctx in deliveries]
+            for source, stream, rows, ctx, _parts in deliveries]
 
 
 class TestWaveBuffer:
     """The coalescing rule itself: per (target, task), every maximal run
     of deliveries sharing (source, stream) and representation becomes
     one batch, in arrival order, carrying the span contexts of all its
-    parts."""
+    parts and their number."""
 
     def test_a_run_of_one_stream_becomes_one_batch_per_task(self):
         buffer = WaveBuffer()
@@ -352,8 +352,8 @@ class TestWaveBuffer:
         buffer.add([("J", 0, "R", "R", [(4,)])])
         assert buffer.depth() == 2
         assert buffer.pop(("J", 0)) == [
-            ("R", "R", [(1,), (2,), (4,)], None)]
-        assert buffer.pop(("J", 1)) == [("R", "R", [(3,)], None)]
+            ("R", "R", [(1,), (2,), (4,)], None, 2)]
+        assert buffer.pop(("J", 1)) == [("R", "R", [(3,)], None, 1)]
         assert not buffer and buffer.pop(("J", 0)) == []
 
     def test_a_single_delivery_is_handed_over_untouched(self):
@@ -374,7 +374,7 @@ class TestWaveBuffer:
             buffer.add([("J", 0, source, stream, ColumnBatch.from_rows(
                 [(source, stream)], [sign]))])
         assert [(source, stream, rows.signs.tolist())
-                for source, stream, rows, _ctx in buffer.pop(("J", 0))] == [
+                for source, stream, rows, _ctx, _n in buffer.pop(("J", 0))] == [
             ("R", "R", [1, 1, -1, 1]), ("S", "R", [1, -1]), ("S", "T", [1])]
 
     def test_a_row_list_run_then_a_column_batch_run_are_two_batches(self):
@@ -394,7 +394,7 @@ class TestWaveBuffer:
                       ColumnBatch.from_rows([(3,), (5,)], [1, -1]),
                       ColumnBatch.from_rows([(4, 4)], [-1])):
             buffer.add([("J", 0, "R", "R", batch)])
-        merged = [rows for _s, _t, rows, _c in buffer.pop(("J", 0))]
+        merged = [rows for _s, _t, rows, _c, _n in buffer.pop(("J", 0))]
         assert [(batch.signs.tolist(), batch.to_rows())
                 for batch in merged] == [
             ([1, -1, 1, -1], [(1,), (2,), (3,), (5,)]), ([-1], [(4, 4)])]
@@ -409,8 +409,9 @@ class TestWaveBuffer:
         buffer = WaveBuffer()
         for rows in (full([(1,)]), empty, full([(2,)]), full([(3,)])):
             buffer.add([("J", 0, "R", "R", rows)])
-        assert [list(rows) for _s, _t, rows, _c in buffer.pop(("J", 0))] == [
-            [(1,)], [], [(2,), (3,)]]
+        assert [(list(rows), parts)
+                for _s, _t, rows, _c, parts in buffer.pop(("J", 0))] == [
+            ([(1,)], 1), ([], 1), ([(2,), (3,)], 2)]
 
     def test_a_run_merged_from_traced_hops_names_every_parent(self):
         """Tracing does not split a run: k traced parts pop as one
@@ -426,11 +427,11 @@ class TestWaveBuffer:
         buffer.add([("agg", 0, "R", "R", [(4,)])])  # an untraced flush
         buffer.add([("agg", 0, "R", "R", [(5,)])], first)
         buffer.add([("agg", 1, "R", "R", [(6,)])], second)
-        [(_source, _stream, rows, ctx)] = buffer.pop(("agg", 0))
+        [(_source, _stream, rows, ctx, _parts)] = buffer.pop(("agg", 0))
         assert rows == [(1,), (2,), (3,), (4,), (5,)]
         assert isinstance(ctx, FanIn)
         assert ctx == ((first, 2), (second, 1), (first, 1))
-        assert buffer.pop(("agg", 1)) == [("R", "R", [(6,)], second)]
+        assert buffer.pop(("agg", 1)) == [("R", "R", [(6,)], second, 1)]
 
     def test_downstream_of_a_fan_in_every_parent_gets_an_equal_share(self):
         parents = FanIn(((SpanContext("R.0.1", "c.7"), 40),
@@ -439,7 +440,7 @@ class TestWaveBuffer:
         buffer = WaveBuffer()
         buffer.add([("sink", 0, "agg", "agg", [(i,) for i in range(8)])],
                    parents)
-        [(_source, _stream, _rows, ctx)] = buffer.pop(("sink", 0))
+        [(_source, _stream, _rows, ctx, _parts)] = buffer.pop(("sink", 0))
         assert [parent for parent, _rows in ctx] == \
             [parent for parent, _rows in parents]
         assert [rows for _parent, rows in ctx] == [3, 3, 2]
@@ -460,7 +461,7 @@ class TestWaveBuffer:
         for root, rows in zip(roots, (3, 1, 4)):
             buffer.add([("sink", 0, "R", "R", [(i,) for i in range(rows)])],
                        root)
-        [(source, stream, rows, ctx)] = buffer.pop(("sink", 0))
+        [(source, stream, rows, ctx, _parts)] = buffer.pop(("sink", 0))
         _emissions, child = deliver(
             SinkBolt(), "sink", 0, source, stream, rows, ctx,
             TopologyMetrics.of({"sink": 1}), obs)
@@ -487,7 +488,7 @@ class TestWaveBuffer:
         buffer = WaveBuffer()
         buffer.add([("sink", 0, "R", "R", [(1,), (2,)])], root)
         buffer.add([("sink", 0, "R", "R", [(3,), (4,)])])  # a flush
-        [(_source, _stream, rows, ctx)] = buffer.pop(("sink", 0))
+        [(_source, _stream, rows, ctx, _parts)] = buffer.pop(("sink", 0))
         assert len(rows) == 4 and ctx == ((root, 2),)
         obs.span(ctx, "sink", 0, len(rows), 0.008)
         [hop] = [span for span in obs.traces.spans()

@@ -74,6 +74,15 @@ class TestHashHypercube:
         with pytest.raises(UnsupportedJoinError):
             HashHypercube.plan(theta_spec(), 16)
 
+    def test_refuses_a_join_with_no_condition_naming_the_schemes(self):
+        """No join key to hash: the plan would put a Cartesian product
+        on one machine of eight."""
+        spec = JoinSpec([RelationInfo("A", Schema.of("a"), 10),
+                         RelationInfo("B", Schema.of("b"), 20)], [])
+        with pytest.raises(UnsupportedJoinError,
+                           match="Cartesian.*Hybrid- or Random-Hypercube"):
+            HashHypercube.plan(spec, 8)
+
     def test_skew_degrades_load(self):
         """The skew-adjusted estimate (analysis mode) shows the overload the
         scheme's own uniform-data optimiser cannot see."""
@@ -223,6 +232,33 @@ class TestHybridHypercube:
         assert config.size_of("z'") == 1
         assert config.max_load == pytest.approx(0.3651 * 1000, rel=0.001)
         assert config.total_communication == pytest.approx(23_000)
+
+    def test_subsumes_random_on_a_cartesian_product(self):
+        """A relation no condition covers gets a random dimension, so a
+        join with no condition spreads over every machine, as the
+        Random-Hypercube's does, and stays correct."""
+        spec = JoinSpec([RelationInfo("A", Schema.of("a"), 10),
+                         RelationInfo("B", Schema.of("b"), 20)], [])
+        hybrid, random_ = (HybridHypercube.plan(spec, 8),
+                           RandomHypercube.plan(spec, 8))
+        assert [(d.name, d.kind) for d in hybrid.dims] == [
+            ("~A", RANDOM), ("~B", RANDOM)]
+        assert hybrid.sizes == random_.sizes == (2, 4)
+        assert hybrid.max_load == random_.max_load
+        data = {"A": [(i,) for i in range(10)],
+                "B": [(i,) for i in range(20)]}
+        _assert_exactly_once(spec, HybridHypercube.build(spec, 8, seed=1),
+                             data)
+
+    def test_a_relation_outside_every_condition_gets_a_random_dim(self):
+        spec = JoinSpec([RelationInfo("A", Schema.of("a", "k"), 10),
+                         RelationInfo("B", Schema.of("k"), 10),
+                         RelationInfo("C", Schema.of("c"), 40)],
+                        [EquiCondition(("A", "k"), ("B", "k"))])
+        config = HybridHypercube.plan(spec, 8)
+        assert [(d.name, d.kind) for d in config.dims] == [
+            ("k", HASH), ("~C", RANDOM)]
+        assert config.size_of("~C") > 1
 
     def test_subsumes_hash_when_no_skew(self, rst_spec):
         hybrid = HybridHypercube.plan(rst_spec, 64)

@@ -90,6 +90,23 @@ class TestCompilation:
         result_b = run_plan(pipeline)
         assert sorted(result_a.results) == sorted(result_b.results)
 
+    def test_pipeline_spreads_a_cartesian_step_over_every_machine(self):
+        """A pipeline step no condition joins has no key to hash: it
+        takes the Random-Hypercube, not a hash plan on one machine."""
+        from repro.sql.catalog import SqlSession
+
+        session = SqlSession(options=OptimizerOptions(machines=8,
+                                                      mode="pipeline"))
+        session.register(Relation("a", Schema.of("x"),
+                                  [(i,) for i in range(6)]))
+        session.register(Relation("b", Schema.of("y"),
+                                  [(i,) for i in range(7)]))
+        sql = "SELECT a.x, b.y FROM a, b"
+        [join] = session.plan(sql).joins
+        assert join.scheme == "random"
+        assert sorted(session.execute(sql).results) == [
+            (x, y) for x in range(6) for y in range(7)]
+
     def test_selection_pushdown_reduces_join_input(self):
         catalog = catalog_rst(seed=72)
         logical = rst_logical()

@@ -242,10 +242,10 @@ def test_replay_places_every_row_where_the_crash_free_run_did(
     """A joiner killed mid-stream is restored and the change log
     replayed; every task's state then matches a crash-free run's, byte
     for byte.  The hash plan is the control: it never depended on call
-    order.  The kill after five batches lands in the middle of a pump
-    round, after seven between two rounds: the recovered run resumes the
-    round it was cut in, so its sources interleave as the crash-free
-    run's do."""
+    order.  The stream is one pump round; the kills after five and seven
+    routed batches land in different deliveries of its level pass, and
+    the recovered run replays the logged round as one level pass, so its
+    tasks execute the crash-free run's batches."""
     crash_free, clean = final_digests(monkeypatch,
                                       with_scheme(builder, scheme))
     recovered, query = final_digests(

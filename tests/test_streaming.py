@@ -15,6 +15,7 @@ from repro.engine.operators import count, total
 from repro.engine.runner import run_plan
 from repro.engine.windows import WindowClause, WindowSpec
 from repro.sql.catalog import SqlSession
+from repro.storm import cluster as storm_cluster
 from repro.storm.executor import ExecutorError
 from repro.storm.metrics import StreamMetrics
 from repro.streaming import (
@@ -578,13 +579,18 @@ class TestPumpPacing:
     """The driver loop runs flat out while a source has a full
     micro-batch to give and yields one idle tick once the pump has
     caught up: the cost of a burst must not depend on how the producer
-    and the pump happen to interleave."""
+    and the pump happen to interleave.  A pump round takes a source's
+    share of ``ROUND_BUDGET`` rows in full polls; the one-poll cases
+    shrink the budget to one poll."""
 
     @pytest.fixture
     def paced(self, monkeypatch):
+        return self.start(monkeypatch)
+
+    def start(self, monkeypatch, capacity=1024):
         naps = []
         monkeypatch.setattr("repro.streaming.cluster.time.sleep", naps.append)
-        source = CallbackSource()
+        source = CallbackSource(capacity=capacity)
         relation = Relation("events", Schema.of("seq"), [])
         query = stream_plan(
             PhysicalPlan(sources=[SourceComponent("events", relation)]),
@@ -596,14 +602,17 @@ class TestPumpPacing:
         for seq in range(count):
             source.push((seq,), stream="events")
 
-    def test_a_backlog_is_pumped_without_a_pause(self, paced):
+    def test_a_backlog_is_pumped_without_a_pause(self, paced, monkeypatch):
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 4)
         source, cluster, naps = paced
         self.push(source, 8)
         cluster.advance()
         cluster.advance()
         assert naps == [] and cluster.stats.total_events == 8
 
-    def test_a_short_poll_is_processed_then_the_pump_yields(self, paced):
+    def test_a_short_poll_is_processed_then_the_pump_yields(
+            self, paced, monkeypatch):
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 4)
         source, cluster, naps = paced
         self.push(source, 6)
         cluster.advance()  # a full batch: more may be waiting
@@ -613,6 +622,25 @@ class TestPumpPacing:
         assert naps == [cluster.idle_sleep]  # ... then one idle tick
         cluster.advance()  # nothing there
         assert naps == [cluster.idle_sleep] * 2
+
+    def test_a_round_drains_what_one_round_may_take(self, paced):
+        source, cluster, naps = paced
+        self.push(source, 10)
+        cluster.advance()  # 4 + 4 + 2: the short poll ends the round ...
+        assert cluster.stats.total_events == 10
+        assert naps == [cluster.idle_sleep]  # ... and the backlog
+
+    def test_a_backlog_over_one_round_is_pumped_across_rounds(
+            self, monkeypatch):
+        budget = storm_cluster.ROUND_BUDGET
+        source, cluster, naps = self.start(monkeypatch, budget + 6)
+        self.push(source, budget + 6)
+        cluster.advance()  # one round: the source's whole share ...
+        assert cluster.stats.total_events == budget
+        assert naps == []  # ... and the next round follows at once
+        cluster.advance()
+        assert cluster.stats.total_events == budget + 6
+        assert naps == [cluster.idle_sleep]
 
     def test_a_finished_query_never_sleeps(self, paced):
         source, cluster, naps = paced

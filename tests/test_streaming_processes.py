@@ -16,6 +16,7 @@ FaultInjector`) still converges to a snapshot byte-identical to batch.
 import multiprocessing
 import os
 import pickle
+import random
 import signal
 
 import pytest
@@ -23,9 +24,27 @@ import pytest
 from repro.checkpoint import CheckpointStore
 from repro.core.options import ExecutionOptions
 from repro.engine.runner import run_plan
+from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
+from repro.core.schema import Relation, Schema
+from repro.engine import (
+    AggComponent,
+    JoinComponent,
+    PhysicalPlan,
+    SourceComponent,
+    count,
+)
+from repro.storm import TopologyBuilder
+from repro.storm import cluster as storm_cluster
 from repro.storm.executor import ExecutorError
 from repro.storm.failures import FaultInjector, WorkerKill
-from repro.streaming import DeltaSink, stream_plan
+from repro.storm.topology import Bolt
+from repro.streaming import (
+    CallbackSource,
+    DeltaSink,
+    StreamingCluster,
+    stream_plan,
+)
+from repro.streaming.runner import _IdleSpout
 from tests.batching_plans import (
     GOLDEN_PLANS,
     plan_join_only,
@@ -44,6 +63,28 @@ def processes_options(**overrides):
                     checkpoint_interval=2)
     defaults.update(overrides)
     return ExecutionOptions(**defaults)
+
+
+def long_join_agg() -> PhysicalPlan:
+    """R(x,y) >< S(y,z) >< T(z,t), 200 rows each, into COUNT by R.y:
+    long enough for a small round budget to cut it into rounds."""
+    rng = random.Random(66)
+    n = 200
+    R = Relation("R", Schema.of("x", "y"),
+                 [(i, rng.randrange(40)) for i in range(n)])
+    S = Relation("S", Schema.of("y", "z"),
+                 [(rng.randrange(40), rng.randrange(30)) for _ in range(n)])
+    T = Relation("T", Schema.of("z", "t"),
+                 [(rng.randrange(30), i) for i in range(n)])
+    spec = JoinSpec(
+        [RelationInfo(rel.name, rel.schema, n) for rel in (R, S, T)],
+        [EquiCondition(("R", "y"), ("S", "y")),
+         EquiCondition(("S", "z"), ("T", "z"))])
+    return PhysicalPlan(
+        sources=[SourceComponent(rel.name, rel) for rel in (R, S, T)],
+        joins=[JoinComponent("J", spec, machines=4, output_positions=[1])],
+        aggregation=AggComponent("agg", group_positions=[0],
+                                 aggregates=[count()], parallelism=2))
 
 
 class TestEquivalence:
@@ -72,6 +113,28 @@ class TestEquivalence:
             assert getattr(forked.cluster.metrics, counter) == \
                 getattr(inline.cluster.metrics, counter), counter
 
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    def test_rounds_of_many_polls_agree_across_executors(
+            self, monkeypatch, batch_size):
+        """A round budget of 48 rows a source cuts each stream into
+        rounds of three 16-row polls (or one 64-row poll): both
+        executors take the same rounds, so every task executes the same
+        batches, and both answer what ``run_plan`` answers."""
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 3 * 48)
+        expected = batch_snapshot(long_join_agg())
+        inline = stream_plan(long_join_agg(), options=ExecutionOptions(
+            batch_size=batch_size)).run()
+        forked = stream_plan(long_join_agg(), options=processes_options(
+            batch_size=batch_size, parallelism=2)).run()
+        assert inline.snapshot() == forked.snapshot() == expected
+        for counter in ("batches", "received", "emitted"):
+            assert getattr(forked.cluster.metrics, counter) == \
+                getattr(inline.cluster.metrics, counter), counter
+        # a joiner executes one batch per relation and round
+        polls = -(-200 // batch_size)
+        rounds = -(-polls // max(1, 48 // batch_size))
+        assert sum(inline.cluster.metrics.batches["J"]) <= 3 * 4 * rounds
+
     def test_parallelism_caps_worker_count(self):
         query = stream_plan(plan_join_only(),
                             options=processes_options(parallelism=2)).run()
@@ -92,6 +155,43 @@ class TestEquivalence:
         # and the pre-flush barrier
         assert stats["commits"] == 2
         assert stats["recoveries"] == 0
+
+
+class TestWorkerPlacement:
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two usable cores")
+    def test_each_worker_runs_on_its_own_cpu_of_the_parents_mask(
+            self, monkeypatch):
+        """Left to the scheduler, two freshly forked CPU-bound workers
+        can share one core for a whole run; each is pinned to one CPU
+        of the coordinator's mask instead, a respawned one too."""
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 3 * 16)
+        parent = os.sched_getaffinity(0)
+        query = stream_plan(plan_join_only(),
+                            options=processes_options(parallelism=2))
+
+        def pinned():
+            cpus = [os.sched_getaffinity(pid)
+                    for pid in query.worker_pids().values()]
+            assert len(cpus) == 2 and cpus[0] != cpus[1]
+            assert all(len(cpu) == 1 and cpu <= parent for cpu in cpus)
+            return cpus
+
+        try:
+            query.cluster.step()  # forks, commits epoch 0, runs a round
+            before = pinned()
+            os.kill(query.worker_pids()[0], signal.SIGKILL)
+            query.cluster.step()  # the liveness sweep: respawn, replay
+            assert query.checkpoint_stats()["recoveries"] == 1
+            assert pinned() == before
+            query.run()
+        finally:
+            if not query.done:  # a failed assertion: stop the workers
+                query.stop(wait=False)
+                query.cluster.step()
+        assert query.snapshot() == batch_snapshot(plan_join_only())
 
 
 class TestIncrementalCheckpointing:
@@ -146,6 +246,40 @@ class TestIncrementalCheckpointing:
         assert "router" not in coordinator  # routing keeps no state
 
 
+class BatchShapes(Bolt):
+    """Emits one row per batch it executes: ``(task, batch number,
+    source, rows)``.  A sink below it lists the batches every task
+    executed, so two runs with equal snapshots executed equal batches."""
+
+    def __init__(self, task_index: int):
+        self.task_index = task_index
+        self.executed = 0
+
+    def execute_batch(self, source, stream, rows):
+        self.executed += 1
+        return [("shape", (self.task_index, self.executed, source,
+                           len(rows)))]
+
+
+def batch_shapes_cluster(executor, fault_injector=None):
+    """Sources A and B, 40 rows each, shuffled over two BatchShapes
+    tasks into a delta sink; batch size 4."""
+    builder = TopologyBuilder()
+    for name in ("A", "B"):
+        builder.set_spout(name, lambda i, p: _IdleSpout())
+    builder.set_bolt("shapes", lambda i, p: BatchShapes(i), parallelism=2) \
+        .shuffle_grouping("A").shuffle_grouping("B")
+    builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
+        "shapes")
+    sources = {name: CallbackSource(iter([(name, (name, i))
+                                          for i in range(40)]))
+               for name in ("A", "B")}
+    extra = {} if executor == "inline" else dict(
+        parallelism=2, checkpoint_interval=2, fault_injector=fault_injector)
+    return StreamingCluster(builder.build(), sources, batch_size=4,
+                            executor=executor, **extra)
+
+
 #: worker roles of the golden agg plan: the join owner and the agg owner
 KILL_ROLES = [("J", 0), ("J", 3), ("agg", 0), ("agg", 2)]
 
@@ -171,6 +305,33 @@ class TestKillRecovery:
         assert stats["recoveries"] >= 1
         assert query.snapshot() == expected
 
+    def test_kill_inside_a_round_of_many_polls(self, monkeypatch):
+        """Rounds of three 4-row polls a source: a task executes one
+        6-row batch per source and round, 8 in all.  Task 0's worker
+        dies after 15 routed batches, inside round 3's level pass (its
+        A run merged them to 15, B's has not run), after the checkpoint
+        of round 2.  The replay drives round 3 as one level pass again,
+        so the recovered run executed the crash-free batches."""
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 2 * 12)
+        crash_free = batch_shapes_cluster("processes")
+        crash_free.run()
+        expected = crash_free.snapshot()
+        inline = batch_shapes_cluster("inline")
+        inline.run()
+        assert inline.snapshot() == expected
+        assert sorted((task, executed) for task, executed, _s, _n
+                      in expected) == [
+            (task, executed) for task in (0, 1) for executed in range(1, 9)]
+        assert {rows for *_key, rows in expected} == {6, 2}
+
+        recovered = batch_shapes_cluster("processes", FaultInjector(
+            ).kill_worker_of("shapes", 0, after_batches=15))
+        recovered.run()
+        stats = recovered.stats_snapshot()["checkpoints"]
+        assert stats["recoveries"] == 1
+        assert stats["replayed_rows"] == 24  # round 3: 12 rows a source
+        assert recovered.snapshot() == expected
+
     def test_two_workers_killed_in_one_run(self):
         expected = batch_snapshot(plan_snapshot_agg())
         injector = FaultInjector([
@@ -184,8 +345,9 @@ class TestKillRecovery:
         assert query.snapshot() == expected
 
     def test_kill_near_end_of_stream_recovers_through_flush(self):
-        # 120 source rows at batch_size=64 -> the armed worker dies deep
-        # into the run, close to (or inside) the final flush waves
+        # 120 source rows at batch_size=64 are one pump round: the armed
+        # worker dies in its level pass, and the replayed round is the
+        # last thing before the end-of-stream flush
         expected = batch_snapshot(plan_snapshot_agg())
         injector = FaultInjector().kill_worker_of("agg", 1, after_batches=6)
         query = stream_plan(plan_snapshot_agg(),
@@ -194,9 +356,11 @@ class TestKillRecovery:
         assert query.checkpoint_stats()["recoveries"] >= 1
         assert query.snapshot() == expected
 
-    def test_external_sigkill_mid_iteration(self):
+    def test_external_sigkill_mid_iteration(self, monkeypatch):
         """The demo scenario: a worker killed from outside (no armed
-        fault), detected by the liveness sweep / a dead pipe."""
+        fault), detected by the liveness sweep / a dead pipe.  A round
+        is one poll per source, so the stream spans many rounds."""
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 3 * 4)
         expected = batch_snapshot(plan_join_only())
         query = stream_plan(plan_join_only(),
                             options=processes_options(batch_size=4))
@@ -235,7 +399,8 @@ class TestKillRecovery:
         """The matrix above dies before a columnar join state was ever
         committed.  Here the restore point holds one: the blobs carry
         columns without indexes or probe plans, and the replayed batches
-        probe the rebuilt ones."""
+        probe the rebuilt ones.  A round is one poll per source, so the
+        stream spans five rounds and the kill lands in a later one."""
         import random
 
         from repro.core.predicates import (
@@ -272,6 +437,7 @@ class TestKillRecovery:
             ResidentWorkerPool, "restore",
             lambda self, blobs: (shipped.append(dict(blobs)),
                                  restore(self, blobs))[1])
+        monkeypatch.setattr(storm_cluster, "ROUND_BUDGET", 3 * 64)
         expected = batch_snapshot(plan())
         injector = FaultInjector().kill_worker_of("J", 0, after_batches=9)
         query = stream_plan(
