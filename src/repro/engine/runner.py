@@ -64,6 +64,23 @@ def _choice(registry: Dict[str, object], key: str, what: str):
                          f"{sorted(registry)}") from None
 
 
+def source_operators(
+    component: SourceComponent,
+) -> Tuple[Optional[Selection], Optional[Projection]]:
+    """The co-located selection and projection of a source component
+    (None where it has none): a batch spout and a streaming pump
+    apply the same ones."""
+    selection = projection = None
+    if component.predicate is not None:
+        selection = Selection(component.predicate, component.relation.schema,
+                              cost_class=component.selection_cost_class)
+    if component.projection is not None:
+        projection = Projection(component.projection,
+                                component.relation.schema,
+                                names=component.projection_names)
+    return selection, projection
+
+
 class SourceSpout(Spout):
     """Reads a stripe of a relation, applying co-located selection/projection."""
 
@@ -75,18 +92,7 @@ class SourceSpout(Spout):
         self.read = 0
         #: columnar-path toggle, set by LocalCluster.run before draining
         self.columnar = False
-        self.selection: Optional[Selection] = None
-        self.projection: Optional[Projection] = None
-        if component.predicate is not None:
-            self.selection = Selection(
-                component.predicate, component.relation.schema,
-                cost_class=component.selection_cost_class,
-            )
-        if component.projection is not None:
-            self.projection = Projection(
-                component.projection, component.relation.schema,
-                names=component.projection_names,
-            )
+        self.selection, self.projection = source_operators(component)
 
     def open(self, task_index: int, parallelism: int):
         self._position = task_index
@@ -204,7 +210,6 @@ class JoinBolt(Bolt):
             list(component.output_positions)
             if component.output_positions is not None else None
         )
-        self.emitted_outputs = 0
 
     @property
     def order_sensitive(self) -> bool:
@@ -215,7 +220,6 @@ class JoinBolt(Bolt):
         for sign, run in sign_runs(rows):
             if sign > 0:
                 delta = self.state.insert_batch(stream, run)
-                self.emitted_outputs += len(delta)
             else:
                 delta = self.state.delete_batch(stream, run)
             signs.append(sign)
@@ -424,7 +428,7 @@ class RunResult:
         """EXPLAIN-ANALYZE-style per-operator report of this run.
 
         Always includes rows/batches/skew from the topology counters;
-        per-operator p50/p95/p99 batch latencies (and, at the trace
+        per-operator p50/p95/p99 batch latency (and, at the trace
         level, span counts) require the run to have executed with
         ``ExecutionOptions(observe='metrics')`` or ``'trace'``."""
         from repro.obs.profile import profile_report

@@ -78,7 +78,7 @@ def profile_report(topology, metrics, observer=None,
     footer.append(metrics.path_summary())
     if observer is None:
         footer.append(
-            "latencies unavailable: run with "
+            "batch latency unavailable: run with "
             "ExecutionOptions(observe='metrics') or 'trace'")
     elif observer.trace:
         footer.append(

@@ -4,9 +4,9 @@ A :class:`SpanContext` is the two-string tag that rides a micro-batch
 through the dataplane — over the inline work stack, through the thread
 executors' queues, and across the resident-process pipes (it pickles
 to a tiny tuple).  Each operator hop appends one *span record* — a
-plain dict on the wire from a worker, a tuple of :data:`SPAN_FIELDS` in
-the buffer — to the :class:`TraceBuffer`, whose JSON export makes one
-source batch followable spout→join→agg→sink with per-hop timings.  A
+tuple of :data:`SPAN_FIELDS`, on a worker's reply as in the buffer — to
+the :class:`TraceBuffer`, whose JSON export makes one source batch
+followable spout→join→agg→sink with per-hop timings.  A
 batch the dataplane *coalesced* from several hops carries a
 :class:`FanIn` of their contexts instead, and its one execution records
 one span per contributing hop (kept together as one :class:`SpanBlock`):
@@ -179,18 +179,11 @@ SPAN_FIELDS = ("trace", "span", "parent", "component", "task", "rows",
                "duration_ms")
 
 
-def make_span(trace_id: str, span_id: str, parent_id: Optional[str],
-              component: str, task: int, rows: int,
-              duration_s: float) -> Dict[str, object]:
-    """One hop of one batch, as a JSON-ready record."""
-    return dict(zip(SPAN_FIELDS, span_record(
-        trace_id, span_id, parent_id, component, task, rows, duration_s)))
-
-
 def span_record(trace_id: str, span_id: str, parent_id: Optional[str],
                 component: str, task: int, rows: int,
                 duration_s: float) -> tuple:
-    """:func:`make_span` as the tuple a :class:`TraceBuffer` keeps."""
+    """One hop of one batch, as the tuple a :class:`TraceBuffer` keeps
+    (read back as a dict keyed by :data:`SPAN_FIELDS`)."""
     return (trace_id, span_id, parent_id, component, task, rows,
             duration_s * 1000.0)
 
@@ -226,7 +219,7 @@ class SpanBlock(NamedTuple):
 
 
 def fan_in_spans(parent: FanIn, span_ids, component: str, task: int,
-                 rows: int, duration_s: float, lock=None):
+                 rows: int, duration_s: float, lock):
     """The spans of one executed batch coalesced from several traced
     hops, and the context its emissions carry.
 
@@ -236,8 +229,7 @@ def fan_in_spans(parent: FanIn, span_ids, component: str, task: int,
     rows merged into the batch).  Returns ``(block, child)``: the spans
     as one :class:`SpanBlock`, and a deferred fan-in of them, whose span
     ids ``span_ids(n)`` issues as a tuple when it is first read -- under
-    ``lock``, so that racing readers agree on them (None: issued at
-    once)."""
+    ``lock``, so that racing readers agree on them."""
     def build():
         trace_ids, _parent_ids, part_rows = parent.columns()
         with lock:
@@ -246,9 +238,6 @@ def fan_in_spans(parent: FanIn, span_ids, component: str, task: int,
             return child._columns
 
     child = FanIn.deferred(parent.size, build)
-    if lock is None:
-        trace_ids, _parent_ids, part_rows = parent.columns()
-        child._set((trace_ids, span_ids(len(part_rows)), part_rows))
     block = SpanBlock(parent, child, component, task,
                       duration_s * 1000.0 / rows if rows else 0.0)
     return block, child
@@ -262,8 +251,8 @@ class TraceBuffer:
     bound, and a profile run cares about recent batches anyway.  A span
     is kept as a :func:`span_record` tuple, a fan-in's spans as one
     :class:`SpanBlock` -- a traced run records one span per hop, and a
-    tuple costs a fraction of a dict -- and read back as
-    :func:`make_span` dicts.
+    tuple costs a fraction of a dict -- and read back as dicts keyed by
+    :data:`SPAN_FIELDS`.
     """
 
     GUARDED_BY = {
@@ -295,30 +284,19 @@ class TraceBuffer:
             self._count -= evict
             self.dropped += evict
 
-    def add(self, span: Dict[str, object]) -> None:
-        self.add_record(tuple(span[field] for field in SPAN_FIELDS))
-
-    def extend(self, spans) -> None:
-        """Add span dicts (:func:`make_span`), in order."""
-        records = [tuple(span[field] for field in SPAN_FIELDS)
-                   for span in spans]
+    def append(self, entry) -> None:
+        """Add one :func:`span_record` tuple or :class:`SpanBlock`."""
         with self._lock:
-            self._spans.extend(records)
-            self._count += len(records)
+            self._spans.append(entry)
+            self._count += entry.size if type(entry) is SpanBlock else 1
             self._evict_locked()
 
-    def add_record(self, record: tuple) -> None:
-        """Add one :func:`span_record` tuple."""
+    def extend(self, entries) -> None:
+        """Add span records and span blocks, in order."""
         with self._lock:
-            self._spans.append(record)
-            self._count += 1
-            self._evict_locked()
-
-    def add_block(self, block: SpanBlock) -> None:
-        """Add the spans of one :class:`SpanBlock`."""
-        with self._lock:
-            self._spans.append(block)
-            self._count += block.size
+            for entry in entries:
+                self._spans.append(entry)
+                self._count += entry.size if type(entry) is SpanBlock else 1
             self._evict_locked()
 
     def __len__(self) -> int:

@@ -245,10 +245,11 @@ class QueryBroker:
         """Export-time metric samples for a ``/metrics`` scrape.
 
         Per-tenant serving counters, then every sample of each resident
-        topology's registry -- topology/stream/checkpoint counters and,
-        when the resident runs observed, the observer's instruments
-        (latency histograms, row counters, skew gauges) -- under that
-        topology's ``fingerprint`` label."""
+        topology's registry -- topology/stream/checkpoint counters with
+        the ``partition_skew`` gauge and, when the resident runs
+        observed, the observer's batch-latency histograms and
+        queue-depth gauges -- under that topology's ``fingerprint``
+        label."""
         samples = self.metrics.collect()
         with self._lock:
             residents = list(self._registry.values())
@@ -264,7 +265,7 @@ class QueryBroker:
                        options: Optional[ExecutionOptions] = None,
                        tenant: str = "default",
                        sources: Optional[Dict[str, PushSource]] = None,
-                       track_latency: bool = False) -> BrokerSubscription:
+                       ) -> BrokerSubscription:
         """Attach to the resident topology for ``plan`` (starting one if
         none is running).
 
@@ -313,7 +314,6 @@ class QueryBroker:
                 max_buffer=resolved.max_buffer,
                 on_overflow=resolved.on_overflow,
                 tenant=tenant,
-                track_latency=track_latency,
                 on_detach=self._release_hook(resident),
             )
         return BrokerSubscription(self, resident, subscription)

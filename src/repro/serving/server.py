@@ -30,9 +30,10 @@ samples in Prometheus text exposition format (v0.0.4), ``GET
 /metrics.json`` the same samples as a flat JSON object; anything else
 404s.  The samples cover per-tenant serving counters and, under a
 ``fingerprint`` label per resident topology, everything in that
-topology's registry: its topology/stream/checkpoint counters and -- for
-topologies running with ``observe='metrics'``/``'trace'`` -- the
-observer's latency histograms, row counters and skew gauges.
+topology's registry: its topology/stream/checkpoint counters with the
+``partition_skew`` gauge and -- for topologies running with
+``observe='metrics'``/``'trace'`` -- the observer's latency histograms
+and queue-depth gauges.
 
 The blocking subscription drains run in the event loop's default
 executor (`run_in_executor`), so one stalled client never blocks the

@@ -109,8 +109,7 @@ class SqlSession:
 
     def stream(self, sql: str,
                options: Optional[ExecutionOptions] = None,
-               tenant: Optional[str] = None,
-               track_latency: bool = False):
+               tenant: Optional[str] = None):
         """Run a query *continuously*: the registered relations are
         replayed as rate-limited push sources and the query stays
         resident, emitting live ``(+row / -row)`` result deltas.
@@ -130,7 +129,6 @@ class SqlSession:
                 64).
             tenant: overrides the session's tenant for this
                 subscription (broker mode).
-            track_latency: record publish-to-pop delta latencies.
 
         Returns:
             Without a broker: a private
@@ -178,7 +176,6 @@ class SqlSession:
         if self.broker is not None:
             return self.broker.subscribe_plan(
                 physical, ts_positions=ts_positions, options=merged,
-                tenant=tenant if tenant is not None else self.tenant,
-                track_latency=track_latency)
+                tenant=tenant if tenant is not None else self.tenant)
         return stream_plan(physical, ts_positions=ts_positions,
                            options=merged)

@@ -124,7 +124,7 @@ class SquallShell:
         if sql:
             execution = self.execution
             if (execution.observe or "off") == "off":
-                # a profile without latencies answers nothing: observe
+                # a profile without batch timings answers nothing: observe
                 # at least 'metrics' for this one run
                 execution = execution.replace(observe="metrics")
             try:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import ExecutionOptions
@@ -71,6 +72,20 @@ ROUND_BUDGET = 32_768
 INHERITED_ROUNDS = 4
 
 
+def _skew_groupings(topology: Topology) -> Dict[str, str]:
+    """The ``grouping`` label of each component's ``partition_skew``
+    gauge: the groupings of its in-edges, ``+``-joined, for every
+    component one of whose in-edges can skew
+    (:meth:`~repro.storm.groupings.Grouping.skew_possible`)."""
+    labels = {}
+    for name in topology.components:
+        edges = topology.in_edges(name)
+        if any(edge.grouping.skew_possible() for edge in edges):
+            labels[name] = "+".join(dict.fromkeys(
+                edge.grouping.routing_description() for edge in edges))
+    return labels
+
+
 class LocalCluster:
     """Instantiates every task of a topology and runs it to completion."""
 
@@ -80,7 +95,8 @@ class LocalCluster:
         #: the topology's one export surface: every counter class of the
         #: run registers here once, and the observer (if any) records here
         self.registry = MetricsRegistry()
-        self.registry.register_collector(self.metrics.collect)
+        self.registry.register_collector(
+            partial(self.metrics.collect, _skew_groupings(topology)))
         self._tasks: Dict[str, List[object]] = {}
         for name, spec in topology.components.items():
             instances = []
@@ -154,21 +170,7 @@ class LocalCluster:
     def observe(self, level: str):
         """Run observed at ``level`` ('metrics' | 'trace'): the observer
         records into the cluster's registry, next to its counters."""
-        observer = self._observer = Observer(level, registry=self.registry)
-        # tell the skew gauge which edges are key-partitioned: one
-        # entry per component, folding all of its in-edge groupings
-        groupings: Dict[str, Tuple[str, bool]] = {}
-        for name in self.topology.components:
-            for edge in self.topology.out_edges(name):
-                description, possible = groupings.get(
-                    edge.target, ("", False))
-                label = edge.grouping.routing_description()
-                if label not in description.split("+"):
-                    description = (f"{description}+{label}"
-                                   if description else label)
-                groupings[edge.target] = (
-                    description, possible or edge.grouping.skew_possible())
-        observer.set_groupings(groupings)
+        self._observer = Observer(level, registry=self.registry)
 
     # -- execution ---------------------------------------------------------
 

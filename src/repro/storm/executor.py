@@ -41,7 +41,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
-from repro.obs import WorkerObs
+from repro.obs import Observer
 from repro.obs.tracing import merged_context
 from repro.storm.kernel import deliver, stream_position
 from repro.storm.metrics import TopologyMetrics
@@ -290,8 +290,9 @@ class ResidentWorkerState:
         self.batches_executed = 0
         #: [(after_batches, signal), ...], sorted; consumed front to back
         self.kill_after = sorted(kill_after or [])
-        #: worker-side observability accumulator (None = observe='off')
-        self.obs = None if observe == "off" else WorkerObs(worker_id, observe)
+        #: the worker's own observer (None = observe='off')
+        self.obs = (None if observe == "off"
+                    else Observer(observe, worker=worker_id))
         #: round -> the work items of that round this worker was forked
         #: with (:meth:`ResidentWorkerPool.start`)
         self.inherited: Dict[int, List[tuple]] = {}
@@ -313,9 +314,10 @@ class ResidentWorkerState:
         ``(target, task, emissions, child_ctx, position)`` for the
         coordinator to route, what this call counted as a
         ``TopologyMetrics`` of the worker's own for the coordinator to
-        ``merge``, and the ``WorkerObs.drain()`` payload (None when the
-        run is unobserved).  Both contexts are None unless the run is
-        traced; flush emissions are punctuations and travel untraced.
+        ``merge``, and its observer's :meth:`~repro.obs.Observer.drain`
+        payload (None when the run is unobserved).  Both contexts are
+        None unless the run is traced; flush emissions are punctuations
+        and travel untraced.
         """
         obs = self.obs
         counters = TopologyMetrics.of(self.shape)
@@ -604,7 +606,6 @@ class ResidentWorkerPool:
         self._kill_plan = {w: list(specs)
                            for w, specs in (kill_plan or {}).items()}
         self._workers: Dict[int, ForkedWorker] = {}
-        self.respawn_count = 0
         #: observability level shipped into every worker incarnation
         self._observe = observe
 
@@ -692,7 +693,6 @@ class ResidentWorkerPool:
             if remaining:
                 self._kill_plan[worker_id] = remaining
             self._fork(worker_id)
-            self.respawn_count += 1
 
     # -- command fan-out ---------------------------------------------------
 

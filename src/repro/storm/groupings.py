@@ -108,7 +108,7 @@ supports_task_local_routing` explains."""
         repartitioning consumes.  Round-robin, broadcast and single-task
         edges are balanced (or trivially equal) by construction, so a
         skew gauge over them would only report batching noise; the
-        observer skips those components.
+        topology counters export none for those components.
         """
         return self.is_content_sensitive()
 

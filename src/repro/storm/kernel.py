@@ -13,11 +13,10 @@ differs:
 - ``counters`` -- where the step is counted: the cluster's
   :class:`~repro.storm.metrics.TopologyMetrics` or a worker's own (folded
   in by the coordinator's ``merge``).
-- ``obs`` -- the :class:`~repro.obs.Observer` or a worker's
-  :class:`~repro.obs.WorkerObs`; both answer ``record`` / ``span`` /
-  ``root``.  ``None`` is ``observe='off'`` (and a recovery replay): no
-  observer object exists and one ``is None`` test per batch is the whole
-  cost.
+- ``obs`` -- the cluster's :class:`~repro.obs.Observer` or a worker's
+  own (folded in by the coordinator's ``merge_worker_obs``).  ``None`` is
+  ``observe='off'`` (and a recovery replay): no observer object exists
+  and one ``is None`` test per batch is the whole cost.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def deliver(task, component: str, index: int, source: str, stream: str,
         started = perf_counter()
         emissions = task.execute_batch(source, stream, rows)
         seconds = perf_counter() - started
-        obs.record(component, index, count, seconds)
+        obs.record(component, index, seconds)
         child = obs.span(ctx, component, index, count, seconds)
     if emissions:
         counters.record_emit(component, index, len(emissions))
@@ -118,7 +117,7 @@ def source_hop(component: str, index: int, rows: int, seconds: float,
     counters.record_batch(component, index)
     if obs is None:
         return None
-    obs.record(component, index, rows, seconds)
+    obs.record(component, index, seconds)
     return obs.root(component, index, rows, seconds)
 
 

@@ -40,7 +40,7 @@ class TopologyMetrics:
     row_rows: int = 0
     row_batches: int = 0
     #: wall-clock seconds of the run that produced these counters (set by
-    #: LocalCluster.run); basis for the per-component rows/sec monitor
+    #: LocalCluster.run; the profile's footer)
     elapsed: float = 0.0
 
     @classmethod
@@ -100,12 +100,6 @@ class TopologyMetrics:
         self.columnar_batches += other.columnar_batches
         self.row_rows += other.row_rows
         self.row_batches += other.row_batches
-
-    def rows_per_second(self, component: str) -> float:
-        """Input rows of ``component`` over the run's wall-clock time."""
-        if not self.elapsed:
-            return 0.0
-        return self.component_input(component) / self.elapsed
 
     def path_summary(self) -> str:
         """Which execution path the run's bolt deliveries actually took."""
@@ -171,9 +165,16 @@ class TopologyMetrics:
         lines.append(f"network tuples: {self.total_network_tuples()}")
         return "\n".join(lines)
 
-    def collect(self) -> List[tuple]:
+    def collect(self, groupings: Dict[str, str]) -> List[tuple]:
         """Registry-collector view: export-time samples, zero cost on the
-        recording path (see :class:`repro.obs.registry.MetricsRegistry`)."""
+        recording path (see :class:`repro.obs.registry.MetricsRegistry`).
+
+        ``groupings`` names, for each component whose load can skew, the
+        groupings that feed it: each such component with input gets its
+        :meth:`skew_degree` as ``partition_skew{component,grouping}``.
+        A shuffle, broadcast or single-task edge is balanced by
+        construction (:meth:`~repro.storm.groupings.Grouping.\
+skew_possible`), so a gauge over it would only echo batching noise."""
         out = []
         for component in sorted(self.batches):
             for name, per_task in (
@@ -184,9 +185,11 @@ class TopologyMetrics:
                     out.append((name,
                                 {"component": component, "task": str(task)},
                                 float(count), "counter"))
-            if self.component_input(component):
-                out.append(("topology_skew_degree", {"component": component},
-                            self.skew_degree(component), "gauge"))
+            if component in groupings and self.component_input(component):
+                out.append(("partition_skew", {
+                    "component": component,
+                    "grouping": groupings[component]},
+                    self.skew_degree(component), "gauge"))
         out.append(("topology_network_tuples_total", {},
                     float(self.total_network_tuples()), "counter"))
         return out

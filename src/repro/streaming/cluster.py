@@ -26,7 +26,7 @@ coordinator keeps everything a crash must not lose: source pumps, the
 routing table, the delta sinks with their subscriptions, the change log
 and the checkpoint store.  It logs every poll (with its stream position,
 in its round) and watermark before driving it, checkpoints operator
-state incrementally every ``checkpoint_interval`` rounds (hash-diffed,
+state incrementally every ``checkpoint_interval`` full rounds (hash-diffed,
 so unchanged partitions persist zero bytes; see :mod:`repro.checkpoint`),
 and when a worker dies respawns it, restores every worker from the
 latest snapshot, rolls the sinks back, and replays the log round by
@@ -61,7 +61,7 @@ from repro.streaming.deltas import DeltaSink, Subscription
 from repro.streaming.sources import PushSource
 from repro.streaming.watermarks import WatermarkTracker
 
-#: checkpoint cadence (pump rounds) when none is configured
+#: checkpoint cadence (full pump rounds) when none is configured
 DEFAULT_CHECKPOINT_INTERVAL = 8
 
 
@@ -275,7 +275,12 @@ class StreamingCluster:
         self._fault_injector = fault_injector
         self._store = CheckpointStore(directory=checkpoint_dir)
         self._epoch = 0
-        self._rounds_since_checkpoint = 0
+        #: full rounds since the last commit: a round counts as the raw
+        #: rows it polled over ``batch_size`` per source it polled, at
+        #: most 1, so a paced trickle does not checkpoint every few rows
+        self._rounds_since_checkpoint = 0.0
+        self._round_rows = 0
+        self._round_capacity = 1
         self._recoveries = 0
         #: what entered the dataplane since the last checkpoint, logged
         #: before it is driven (``processes`` only): a worker that dies
@@ -313,7 +318,7 @@ class StreamingCluster:
         """Subscribe to the sink's delta feed.
 
         Keyword arguments (``max_buffer``, ``on_overflow``, ``tenant``,
-        ``track_latency``, ``on_detach``) pass through to
+        ``on_detach``) pass through to
         :meth:`~repro.streaming.deltas.DeltaSink.subscribe`."""
         return self.sink.subscribe(**kwargs)
 
@@ -395,7 +400,8 @@ class StreamingCluster:
                     raise WorkerDied(dead)
                 progressed = self._pump_round()
                 if not self.done:
-                    self._rounds_since_checkpoint += 1
+                    self._rounds_since_checkpoint += min(
+                        1.0, self._round_rows / self._round_capacity)
                     if (progressed and self._log
                             and self._rounds_since_checkpoint
                             >= self.checkpoint_interval):
@@ -422,6 +428,9 @@ class StreamingCluster:
             self._unpolled = [(name, 0, pump)
                               for name, pump in self._pumps.items()
                               if name not in self._finished_sources]
+            self._round_rows = 0
+            self._round_capacity = self.batch_size * max(
+                1, len(self._unpolled))
             self._log.begin_round()
         self.cluster.inject(self._unpolled, self.batch_size, self._polled)
         progressed = self._progressed
@@ -444,6 +453,7 @@ class StreamingCluster:
         its stream position are logged before they are driven), and the
         source's watermark or end."""
         pump = self._pumps[name]
+        self._round_rows += pump.last_poll_raw
         if pump.last_poll_raw:
             self._progressed = True  # even a fully filtered batch advanced
         if emissions:
@@ -557,7 +567,7 @@ class StreamingCluster:
             self._epoch, snapshots, self._coordinator_blob())
         self.checkpoints.record_commit(result)
         self._epoch += 1
-        self._rounds_since_checkpoint = 0
+        self._rounds_since_checkpoint = 0.0
         self._log.truncate()
 
     def _recover(self, dead: List[int]):

@@ -35,7 +35,6 @@ the pipeline (and therefore its co-subscribers) to that consumer's pace.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from itertools import count, repeat
 from operator import itemgetter
@@ -103,8 +102,6 @@ class Subscription:
             never stalls the pipeline; ``'block'`` backpressures the
             publisher instead.
         tenant: the tenant the serving counters attribute this feed to.
-        track_latency: record publish-to-pop latencies (exposed through
-            the serving stats).
         on_detach: callback invoked once when the subscription detaches
             (shed, closed, or query end).
 
@@ -149,12 +146,10 @@ class Subscription:
         "_detached": "_cond",
         "published": "_cond",
         "delivered": "_cond",
-        "latencies": "_cond",
     }
 
     def __init__(self, max_buffer: Optional[int] = None,
                  on_overflow: str = "shed", tenant: str = "default",
-                 track_latency: bool = False,
                  on_detach: Optional[Callable[["Subscription"], None]] = None):
         if max_buffer is not None and max_buffer < 1:
             raise ValueError(f"max_buffer must be >= 1, got {max_buffer}")
@@ -179,16 +174,10 @@ class Subscription:
         #: deltas that entered the ring / were popped by the consumer
         self.published = 0
         self.delivered = 0
-        #: publish-to-ring delivery latencies (seconds), sampled when
-        #: ``track_latency`` -- the serving benchmark's p99 source
-        self.latencies: Optional[Deque[float]] = (
-            deque(maxlen=65536) if track_latency else None)
 
     # -- sink side ---------------------------------------------------------
 
-    def _publish(self, chunk: Chunk,
-                 produced_at: Optional[float] = None,
-                 force: bool = False) -> bool:
+    def _publish(self, chunk: Chunk, force: bool = False) -> bool:
         """Append one chunk to the ring; False = drop me from the sink.
 
         Never blocks under ``on_overflow='shed'``: a full ring marks the
@@ -230,8 +219,6 @@ class Subscription:
                                  end - index)
                     index = end
                     self._cond.notify_all()
-            if self.latencies is not None and produced_at is not None:
-                self.latencies.append(time.monotonic() - produced_at)
             self._cond.notify_all()
             return True
 
@@ -459,10 +446,9 @@ class DeltaSink(Bolt):
     def _fan_out(self, subscriptions: Tuple[Subscription, ...],
                  chunk: Chunk):
         """Publish one chunk of deltas to every subscriber ring."""
-        produced_at = time.monotonic()
         dead: List[Subscription] = []
         for subscription in subscriptions:
-            if not subscription._publish(chunk, produced_at):
+            if not subscription._publish(chunk):
                 dead.append(subscription)
         if dead:
             gone = set(dead)
@@ -529,7 +515,6 @@ class DeltaSink(Bolt):
 
     def subscribe(self, max_buffer: Optional[int] = None,
                   on_overflow: str = "shed", tenant: str = "default",
-                  track_latency: bool = False,
                   on_detach: Optional[Callable[[Subscription], None]] = None,
                   ) -> Subscription:
         """New subscription; starts with the current state as +deltas, so
@@ -545,7 +530,7 @@ class DeltaSink(Bolt):
         broker's refcounting hook."""
         subscription = Subscription(
             max_buffer=max_buffer, on_overflow=on_overflow, tenant=tenant,
-            track_latency=track_latency, on_detach=on_detach)
+            on_detach=on_detach)
         subscription._sink = self
         with self._lock:
             catch_up = [
@@ -561,7 +546,7 @@ class DeltaSink(Bolt):
                 # changelog semantics, leaving the subscriber's converged
                 # multiset permanently stale).  force=True never blocks.
                 subscription._publish(([1] * len(catch_up), catch_up),
-                                      time.monotonic(), force=True)
+                                      force=True)
             if not completed:
                 self._subscriptions += (subscription,)
         if completed:

@@ -23,13 +23,12 @@ engine plus incrementality, never a different answer.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions, sign_runs
 from repro.core.options import ExecutionOptions
-from repro.engine.component import PhysicalPlan, SourceComponent
-from repro.engine.operators import Projection, Selection
-from repro.engine.runner import AggBolt, build_topology
+from repro.engine.component import PhysicalPlan
+from repro.engine.runner import AggBolt, build_topology, source_operators
 from repro.storm.executor import ExecutorError
 from repro.storm.topology import Spout
 from repro.streaming.cluster import StreamingCluster
@@ -196,19 +195,6 @@ consume_changelog`).  What the kernel cannot match bit for bit
         return super().finish()
 
 
-def _source_operators(
-    source: SourceComponent,
-) -> Tuple[Optional[Selection], Optional[Projection]]:
-    selection = projection = None
-    if source.predicate is not None:
-        selection = Selection(source.predicate, source.relation.schema,
-                              cost_class=source.selection_cost_class)
-    if source.projection is not None:
-        projection = Projection(source.projection, source.relation.schema,
-                                names=source.projection_names)
-    return selection, projection
-
-
 def _plan_ts_positions(plan: PhysicalPlan) -> Dict[str, int]:
     """Event-time columns per source, read off the plan's window specs.
 
@@ -275,7 +261,7 @@ def stream_plan(plan: PhysicalPlan,
     ``options.executor='processes'`` runs the query on resident forked
     workers with incremental checkpointing and crash recovery
     (``options.parallelism`` workers, a checkpoint every
-    ``options.checkpoint_interval`` pump rounds; see
+    ``options.checkpoint_interval`` full pump rounds; see
     ``docs/FAULT_TOLERANCE.md``).  ``fault_injector`` arms deterministic
     worker kills (:class:`~repro.storm.failures.FaultInjector`) and
     ``checkpoint_dir`` persists snapshots to disk; both are
@@ -319,7 +305,7 @@ def stream_plan(plan: PhysicalPlan,
     pumps: Dict[str, PushSource] = dict(sources or {})
     operators = {}
     for source in plan.sources:
-        operators[source.name] = _source_operators(source)
+        operators[source.name] = source_operators(source)
         if source.name not in pumps:
             pumps[source.name] = ReplaySource(
                 source.relation.rows, stream=source.name,
@@ -454,7 +440,7 @@ class StreamingQuery:
         """EXPLAIN-ANALYZE-style report over the live topology.
 
         Per-operator batch counts, routed rows, p50/p95/p99 batch
-        latencies (when the query runs with
+        latency (when the query runs with
         ``ExecutionOptions(observe='metrics')`` or ``'trace'``) and the
         per-grouping skew degree.  Valid mid-run; numbers are the
         counters' current values."""

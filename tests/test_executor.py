@@ -30,7 +30,7 @@ from repro.storm import (
     LocalCluster,
     TopologyBuilder,
 )
-from repro.obs import FanIn, Observer, SpanContext, WorkerObs
+from repro.obs import FanIn, Observer, SpanContext
 from repro.storm.executor import (
     StagedExecutor,
     WaveBuffer,
@@ -446,7 +446,7 @@ class TestWaveBuffer:
         assert [rows for _parent, rows in ctx] == [3, 3, 2]
 
     @pytest.mark.parametrize("obs_factory", [
-        lambda: Observer("trace"), lambda: WorkerObs(0, "trace")],
+        lambda: Observer("trace"), lambda: Observer("trace", worker=0)],
         ids=["observer", "worker"])
     def test_delivering_a_fan_in_records_one_span_per_part(self, obs_factory):
         """The k spans carry their traces' rows (summing to the batch)
@@ -465,8 +465,11 @@ class TestWaveBuffer:
         _emissions, child = deliver(
             SinkBolt(), "sink", 0, source, stream, rows, ctx,
             TopologyMetrics.of({"sink": 1}), obs)
-        if isinstance(obs, WorkerObs):
-            spans, call = obs.spans, obs.timings[-1][3]
+        if obs.registry is None:  # a worker's: what its reply carries
+            timings, entries = obs.drain()
+            merged = Observer("trace")
+            merged.merge_worker_obs(([], entries))
+            spans, call = merged.traces.spans(), timings[-1][2]
         else:
             spans, call = obs.traces.spans(), obs.registry.merged_histogram(
                 "operator_batch_seconds", component="sink").total

@@ -44,13 +44,13 @@ from repro.obs import (
     MetricsRegistry,
     Observer,
     TraceBuffer,
-    WorkerObs,
-    make_span,
 )
 from repro.obs.prometheus import parse, render
 from repro.obs.registry import as_dict
+from repro.obs.tracing import SpanBlock, span_record
 from repro.serving import DeltaServer
 from repro.storm.failures import FaultInjector
+from repro.storm.metrics import TopologyMetrics
 from repro.streaming import stream_plan
 from tests.batching_plans import (
     plan_online_agg,
@@ -263,7 +263,8 @@ class TestTraceBuffer:
     def test_capacity_evicts_oldest(self):
         buffer = TraceBuffer(capacity=2)
         for index in range(3):
-            buffer.add(make_span("t.0.1", f"c.{index}", None, "R", 0, 1, 0.0))
+            buffer.append(span_record("t.0.1", f"c.{index}", None, "R", 0, 1,
+                                      0.0))
         assert len(buffer) == 2
         assert buffer.dropped == 1
         assert [span["span"] for span in buffer.spans()] == ["c.1", "c.2"]
@@ -286,16 +287,16 @@ class TestTraceBuffer:
             pytest.approx([2.0, 1.0])
         # evicted spans still parent the batch's emissions
         assert [rows for _parent, rows in child] == [1, 2, 1]
-        observer.traces.add(make_span("t", "c.9", None, "R", 0, 1, 0.0))
+        observer.traces.append(span_record("t", "c.9", None, "R", 0, 1, 0.0))
         assert observer.traces.dropped == 4
         assert [span["span"] for span in observer.traces.spans()] == [
             spans[1]["span"], "c.9"]
 
     def test_edges_and_tree(self):
         buffer = TraceBuffer()
-        buffer.add(make_span("t", "c.1", None, "R", 0, 4, 0.0))
-        buffer.add(make_span("t", "c.2", "c.1", "J", 1, 4, 0.001))
-        buffer.add(make_span("t", "c.3", "c.2", "sink", 0, 2, 0.0))
+        buffer.append(span_record("t", "c.1", None, "R", 0, 4, 0.0))
+        buffer.append(span_record("t", "c.2", "c.1", "J", 1, 4, 0.001))
+        buffer.append(span_record("t", "c.3", "c.2", "sink", 0, 2, 0.0))
         assert buffer.edges("t") == [
             (("J", 1), ("sink", 0)), (("R", 0), ("J", 1))]
         forest = buffer.tree("t")
@@ -312,13 +313,13 @@ class TestObserver:
         with pytest.raises(ValueError):
             Observer("off")
         with pytest.raises(ValueError):
-            WorkerObs(0, "off")
+            Observer("off", worker=0)
 
     def test_metrics_level_records_no_spans(self):
         observer = Observer("metrics")
         assert observer.root("R", 0, 10, 0.0) is None
         assert observer.span(None, "J", 0, 10, 0.0) is None
-        observer.on_execute("J", 0, 10, 0.002)
+        observer.record("J", 0, 0.002)
         assert len(observer.traces) == 0
         hist = observer.registry.merged_histogram(
             "operator_batch_seconds", component="J")
@@ -332,12 +333,12 @@ class TestObserver:
         import repro.obs.observer
 
         observer = Observer("metrics")
-        observer.record("J", 0, 10, 0.002)
-        observer.record("J", 1, 5, 0.2)
-        observer.record("J", 0, 1, 0.004)
+        observer.record("J", 0, 0.002)
+        observer.record("J", 1, 0.2)
+        observer.record("J", 0, 0.004)
         flat = as_dict(observer.registry.samples())
-        assert flat['routed_rows_total{component="J",task="0"}'] == 11
-        assert flat['routed_rows_total{component="J",task="1"}'] == 5
+        assert flat['operator_batch_seconds_count{component="J",task="0"}'] == 2
+        assert flat['operator_batch_seconds_count{component="J",task="1"}'] == 1
         hist = observer.registry.merged_histogram(
             "operator_batch_seconds", component="J")
         assert hist.count == 3
@@ -345,12 +346,12 @@ class TestObserver:
 
         monkeypatch.setattr(repro.obs.observer, "PENDING_RECORDS", 2)
         unread = Observer("metrics")
-        unread.record("J", 0, 10, 0.002)
+        unread.record("J", 0, 0.002)
         # the instrument itself, fetched without a read of the registry
         hist = unread.registry.histogram(
             "operator_batch_seconds", component="J", task="0")
         assert hist.count == 0
-        unread.record("J", 0, 10, 0.002)
+        unread.record("J", 0, 0.002)
         assert hist.count == 2
 
     def test_a_fan_in_issues_its_span_ids_once_whoever_reads_first(self):
@@ -378,6 +379,46 @@ class TestObserver:
                 for span in hops]
             assert len({span["span"] for span in spans}) == 4
 
+    def test_span_ids_stay_unique_while_other_threads_read_fan_ins(self):
+        """Coordinator span ids are issued under one lock: threads that
+        record hops, and threads whose reads issue a deferred fan-in's
+        ids, never draw the same id."""
+        import sys
+        import threading
+
+        observer = Observer("trace")
+        roots = [observer.root("R", 0, 1, 0.0) for _ in range(4)]
+        children = []
+
+        def record(task):
+            for _ in range(300):
+                observer.span(roots[task], "J", task, 1, 0.0)
+                children.append(observer.span(
+                    FanIn([(root, 1) for root in roots]), "J", task, 4,
+                    0.0))
+
+        def read():
+            for _ in range(300):
+                for child in list(children[-8:]):
+                    list(child)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = ([threading.Thread(target=record, args=(task,))
+                        for task in range(4)]
+                       + [threading.Thread(target=read) for _ in range(2)])
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        spans = observer.traces.spans()
+        assert len(spans) == 4 + 4 * 300 * 5
+        assert len({span["span"] for span in spans}) == len(spans)
+
     def test_trace_ids_are_deterministic_per_source_task(self):
         observer = Observer("trace")
         first = observer.root("R", 0, 4, 0.0)
@@ -391,9 +432,9 @@ class TestObserver:
 
     def test_worker_obs_payload_merges_in(self):
         observer = Observer("trace")
-        worker = WorkerObs(3, "trace")
+        worker = Observer("trace", worker=3)
         root = observer.root("R", 0, 8, 0.0)
-        worker.record("J", 1, 8, 0.004)
+        worker.record("J", 1, 0.004)
         child = worker.span(root, "J", 1, 8, 0.004)
         assert child.span_id.startswith("w3.")
         observer.merge_worker_obs(worker.drain())
@@ -403,20 +444,68 @@ class TestObserver:
             "operator_batch_seconds", component="J")
         assert hist.count == 1
 
+    def test_a_worker_observer_pickles_and_ships_the_coordinators_forms(self):
+        """A worker's observer holds no lock, registry or buffer, so it
+        forks and pickles with the worker state; its reply carries span
+        records and span blocks, the forms the coordinator's buffer
+        keeps, with ids under the worker's own prefix."""
+        observer = Observer("trace")
+        roots = [observer.root("R", 0, rows, 0.0) for rows in (3, 1)]
+        worker = pickle.loads(pickle.dumps(Observer("trace", worker=2)))
+        child = worker.span(roots[0], "J", 0, 3, 0.003)
+        worker.span(FanIn([(roots[0], 3), (roots[1], 1)]), "J", 1, 4, 0.004)
+        worker = pickle.loads(pickle.dumps(worker))
+        timings, entries = pickle.loads(pickle.dumps(worker.drain())) or \
+            ([], [])
+        assert timings == []
+        assert [type(entry) for entry in entries] == [tuple, SpanBlock]
+        observer.merge_worker_obs((timings, entries))
+        spans = [span for span in observer.traces.spans()
+                 if span["component"] == "J"]
+        assert spans[0]["span"] == child.span_id == "w2.1"
+        assert [span["span"] for span in spans[1:]] == ["w2.2", "w2.3"]
+        assert [span["parent"] for span in spans] == [
+            roots[0].span_id, roots[0].span_id, roots[1].span_id]
+
     def test_skew_gauge_skips_balanced_groupings(self):
-        observer = Observer("metrics")
-        observer.set_groupings({"J": ("the hash partitioner", True),
-                                "sink": ("GlobalGrouping", False)})
+        """The topology counters export the one skew gauge, for the
+        components the cluster names as fed by a grouping that can skew
+        (a GlobalGrouping sink is not one)."""
+        metrics = TopologyMetrics.of({"R": 1, "J": 2, "sink": 1})
         for task, rows in enumerate((30, 10)):
-            observer.on_execute("J", task, rows, 0.001)
-        observer.on_execute("sink", 0, 40, 0.001)
+            metrics.record_receive("R", "J", task, rows)
+        metrics.record_receive("J", "sink", 0, 40)
         skews = {labels["component"]: (labels["grouping"], value)
-                 for name, labels, value, _kind in observer.registry.samples()
+                 for name, labels, value, _kind in metrics.collect(
+                     {"J": "the hash partitioner"})
                  if name == "partition_skew"}
         assert "sink" not in skews  # balanced by construction
         grouping, value = skews["J"]
         assert grouping == "the hash partitioner"
         assert value == pytest.approx(30 / 20)
+
+    def test_an_unobserved_join_exports_rows_and_skew(self):
+        """Per-task rows and the skew gauge are the always-on topology
+        counters': a hash-partitioned join run at observe='off' exports
+        both for its joiner, and no skew for its GlobalGrouping sink."""
+        query = stream_plan(skewed_join_plan(), options=ExecutionOptions(
+            observe="off", batch_size=16)).run()
+        assert query.observer is None
+        samples = query.cluster.registry.samples()
+        received = {labels["task"]: value
+                    for name, labels, value, _kind in samples
+                    if name == "topology_rows_received_total"
+                    and labels["component"] == "J"}
+        assert len(received) == 4 and sum(received.values()) > 0
+        skews = {labels["component"]: (labels["grouping"], value)
+                 for name, labels, value, _kind in samples
+                 if name == "partition_skew"}
+        assert set(skews) == {"J"}
+        grouping, skew = skews["J"]
+        assert "partitioner" in grouping
+        assert skew == pytest.approx(
+            max(received.values()) / (sum(received.values()) / 4))
+        assert skew > 1.0
 
 
 # -- observe='off' is invisible -----------------------------------------
@@ -625,10 +714,10 @@ class TestProfileAndSkew:
                                      observe="metrics")).run()
         samples = query.observer.registry.samples()
 
-        # per-task routed-row counters for the joiner, multiple tasks
+        # per-task received-row counters for the joiner, multiple tasks
         routed = {labels["task"]: value
                   for name, labels, value, _kind in samples
-                  if name == "routed_rows_total"
+                  if name == "topology_rows_received_total"
                   and labels.get("component") == "J"}
         assert len(routed) > 1
         assert sum(routed.values()) > 0
@@ -809,7 +898,7 @@ class TestMetricsEndpoint:
             fingerprints.add(dict(labels)["fingerprint"])
         assert len(fingerprints) == 2
         for family in ("topology_rows_received_total", "stream_events_total",
-                       "checkpoint_commits_total", "routed_rows_total",
+                       "checkpoint_commits_total", "partition_skew",
                        "operator_batch_seconds_count"):
             assert len({dict(labels)["fingerprint"]
                         for name, labels in parsed if name == family}) == 2

@@ -157,6 +157,46 @@ class TestEquivalence:
         assert stats["recoveries"] == 0
 
 
+class TestCheckpointCadence:
+    """``checkpoint_interval`` counts full pump rounds: a round counts as
+    the raw rows it polled over ``batch_size`` per source it polled, at
+    most one, so a trickle does not commit every few rows."""
+
+    @staticmethod
+    def commits_in(rows_per_round, rounds=8):
+        builder = TopologyBuilder()
+        builder.set_spout("A", lambda i, p: _IdleSpout())
+        builder.set_bolt("shapes", lambda i, p: BatchShapes(i),
+                         parallelism=2).shuffle_grouping("A")
+        builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
+            "shapes")
+        source = CallbackSource()
+        cluster = StreamingCluster(builder.build(), {"A": source},
+                                   batch_size=4, executor="processes",
+                                   parallelism=1, checkpoint_interval=2)
+        try:
+            cluster.step()  # forks and commits epoch 0; nothing to poll
+            before = cluster.checkpoints.commits
+            for index in range(rounds):
+                for offset in range(rows_per_round):
+                    source.push(("A", index * 10 + offset), stream="A")
+                cluster.step()
+            return cluster.checkpoints.commits - before
+        finally:
+            source.close()
+            cluster.run()
+
+    def test_full_rounds_keep_the_interval(self):
+        assert self.commits_in(rows_per_round=4) == 4  # 8 rounds / 2
+
+    def test_a_trickle_counts_as_the_share_it_filled(self):
+        # 8 rounds of 1 row at batch_size 4 are two full rounds' worth
+        assert self.commits_in(rows_per_round=1) == 1
+
+    def test_a_round_never_counts_more_than_once(self):
+        assert self.commits_in(rows_per_round=40) == 4
+
+
 class TestWorkerPlacement:
     @pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity")
