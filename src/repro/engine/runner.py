@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,102 +82,133 @@ def source_operators(
     return selection, projection
 
 
-class SourceSpout(Spout):
-    """Reads a stripe of a relation, applying co-located selection/projection."""
+class SourcePump(Spout):
+    """The one source task of every topology: polls a push source and
+    applies the source component's co-located selection/projection.
 
-    def __init__(self, component: SourceComponent):
-        self.component = component
-        self.rows = component.relation.rows
-        self._position = 0
-        self._step = 1
-        self.read = 0
-        #: columnar-path toggle, set by LocalCluster.run before draining
+    A batch run's pumps replay stripes of stored relations
+    (:class:`SourceSpout`); a streaming query's poll the caller's push
+    sources, or replays of the stored ones.  Either way a relation
+    enters the topology the same way.
+    """
+
+    def __init__(self, name: str, source,
+                 selection: Optional[Selection] = None,
+                 projection: Optional[Projection] = None):
+        self.name = name
+        self.source = source
+        self.selection = selection
+        self.projection = projection
+        #: coalesce single-stream polls into a ColumnBatch so downstream
+        #: bolts take their vectorized paths; set by the driving cluster
         self.columnar = False
-        self.selection, self.projection = source_operators(component)
+        #: raw rows polled so far, pre-selection
+        self.read = 0
+        #: raw rows the last poll pulled, pre-selection: a fully filtered
+        #: batch still *advanced the source* and counts as progress
+        self.last_poll_raw = 0
+        #: whether the last poll was full (see :meth:`has_more`)
+        self._full = False
+        #: a stored replay's row reader (``ReplaySource.take``): the row
+        #: path hands it the selection's predicate
+        self._take = getattr(source, "take", None)
 
-    def open(self, task_index: int, parallelism: int):
-        self._position = task_index
-        self._step = parallelism
+    def poll(self, max_rows: int):
+        """One poll of the source, filtered and projected.
 
-    def next_tuple(self):
-        while self._position < len(self.rows):
-            row = self.rows[self._position]
-            self._position += self._step
-            self.read += 1
-            if self.selection is not None and self.selection.apply(row) is None:
-                continue
-            if self.projection is not None:
-                row = self.projection.apply(row)
-            return (self.component.name, row)
-        return None
+        A single-stream poll runs the operators' batch forms on the
+        whole poll: a :class:`ColumnBatch` with ``columnar`` on, a row
+        list with it off (an unsigned polled batch is read as its rows),
+        so a vectorizable predicate or projection runs as whole-column
+        kernels only on the columnar path.  A signed batch (the one way
+        to push retractions) stays a batch, signs and all.  A poll
+        mixing streams keeps each row's stream and goes row by row.  A
+        stored replay's row path reads past the rows the selection
+        rejects (:meth:`_take_rows`)."""
+        if self._take is not None and not self.columnar:
+            return self._take_rows(max_rows)
+        emissions = self.source.poll(max_rows)
+        self.last_poll_raw = len(emissions)
+        self.read += len(emissions)
+        self._full = len(emissions) >= max_rows
+        if not emissions:
+            return emissions
+        if isinstance(emissions, ColumnEmissions):
+            stream, rows = emissions.stream, emissions.batch
+            if rows.signs is None and not self.columnar:
+                rows = rows.to_rows()
+        else:
+            streams, rows = zip(*emissions)
+            stream = streams[0]
+            if streams.count(stream) != len(streams):
+                return self._per_row(emissions)
+            rows = ColumnBatch.from_rows(rows) if self.columnar \
+                else list(rows)
+        if self.selection is not None:
+            rows = self.selection.apply_batch(rows)
+        if self.projection is not None:
+            rows = self.projection.apply_batch(rows)
+        if isinstance(rows, ColumnBatch):
+            return ColumnEmissions(stream, rows) if rows else []
+        return [(stream, row) for row in rows]
 
-    def has_more(self) -> bool:
-        """Unread stripe rows remain (a columnar batch thinned by the
-        selection can be short without meaning exhaustion)."""
-        return self._position < len(self.rows)
+    def next_batch(self, max_rows: int):  # the spout interface rounds use
+        return self.poll(max_rows)
 
-    def next_batch(self, max_rows: int):
-        """Read a stripe of up to ``max_rows`` *passing* tuples in one pass.
-
-        The raw stripe is scanned with the selection predicate inlined and
-        the projection applied batch-at-a-time, so per-tuple Python call
-        overhead is paid once per batch instead of once per row.
-        """
-        if self.columnar:
-            return self._next_batch_columnar(max_rows)
-        rows = self.rows
-        n = len(rows)
-        position = self._position
-        step = self._step
-        stream = self.component.name
+    def _take_rows(self, max_rows: int):
+        """A stored replay's poll on the row path: up to ``max_rows``
+        rows that pass the selection, which runs inside the read, so
+        the poll is full whenever that many pass."""
         selection = self.selection
-        select = selection._fn if selection is not None else None
-        out: list = []
-        read = 0
-        while position < n and len(out) < max_rows:
-            row = rows[position]
-            position += step
-            read += 1
-            if select is not None and not select(row):
-                continue
-            out.append(row)
-        self._position = position
+        rows, read = self._take(
+            max_rows, None if selection is None else selection._fn)
+        self.last_poll_raw = read
         self.read += read
+        self._full = len(rows) >= max_rows
         if selection is not None:
             selection.seen += read
-            selection.passed += len(out)
+            selection.passed += len(rows)
         if self.projection is not None:
-            out = self.projection.apply_batch(out)
-        return [(stream, row) for row in out]
+            rows = self.projection.apply_batch(rows)
+        stream = self.source.stream
+        return [(stream, row) for row in rows]
 
-    def _next_batch_columnar(self, max_rows: int):
-        """Read one stripe chunk as a :class:`ColumnBatch`.
+    def has_more(self) -> bool:
+        """The last poll was full, however much the selection kept."""
+        return self._full
 
-        Selection/projection run as whole-column kernels; a chunk the
-        predicate empties entirely is skipped and the scan continues, so
-        an empty return still means exhaustion (the cluster's spout-drop
-        contract)."""
-        rows = self.rows
-        n = len(rows)
-        selection = self.selection
-        projection = self.projection
-        while self._position < n:
-            position = self._position
-            step = self._step
-            if step == 1:
-                chunk = rows[position:position + max_rows]
-            else:
-                chunk = rows[position:position + step * max_rows:step]
-            self._position = position + step * len(chunk)
-            self.read += len(chunk)
-            batch = ColumnBatch.from_rows(chunk)
-            if selection is not None:
-                batch = selection.apply_batch(batch)
-            if projection is not None:
-                batch = projection.apply_batch(batch)
-            if len(batch):
-                return ColumnEmissions(self.component.name, batch)
-        return []
+    def _per_row(self, emissions):
+        if self.selection is not None:
+            apply = self.selection.apply
+            emissions = [(stream, row) for stream, row in emissions
+                         if apply(row) is not None]
+        if self.projection is not None:
+            apply = self.projection.apply
+            emissions = [(stream, apply(row)) for stream, row in emissions]
+        return emissions
+
+    def watermark(self) -> Optional[float]:
+        return self.source.watermark()
+
+    def exhausted(self) -> bool:
+        return self.source.exhausted()
+
+
+class SourceSpout(SourcePump):
+    """Task ``task_index`` of a stored relation's source component: the
+    pump over its stripe of the rows (``task_index``, ``task_index +
+    parallelism``, ...)."""
+
+    def __init__(self, component: SourceComponent, task_index: int,
+                 parallelism: int):
+        # repro.streaming imports this module
+        from repro.streaming.sources import ReplaySource
+
+        super().__init__(
+            component.name,
+            ReplaySource(component.relation.rows, component.name,
+                         start=task_index, step=parallelism),
+            *source_operators(component))
 
 
 @dataclass(frozen=True)
@@ -443,41 +475,49 @@ class RunResult:
 
 def build_topology(
     plan: PhysicalPlan,
-    spout_factory: Optional[Callable[[SourceComponent], Callable]] = None,
+    sources: Optional[Dict[str, object]] = None,
     agg_bolt_factory: Optional[Callable[[AggComponent], Bolt]] = None,
     sink_factory: Optional[Callable[[int, int], Bolt]] = None,
-    source_parallelism: Optional[int] = None,
 ) -> Tuple[Topology, Dict[str, Partitioner]]:
     """Compile a physical plan into a topology (plus its partitioners).
 
     This is the shared Squall-to-Storm translation used by both the
     finite executor (:func:`run_plan`) and the continuous runtime
-    (:mod:`repro.streaming`), which swaps in push-driven spouts, a
-    delta-emitting aggregation bolt and a delta sink through the three
-    factory hooks:
+    (:mod:`repro.streaming`).  Every source component's tasks are
+    :class:`SourcePump` s:
 
-    - ``spout_factory(source)`` returns the per-task factory for one
-      source component (default: :class:`SourceSpout` over the stored
-      relation);
+    - without ``sources``, ``source.parallelism`` :class:`SourceSpout`
+      tasks, each replaying its stripe of the stored relation;
+    - with ``sources`` (component name -> push source, one for each
+      source component of the plan), one pump per component over its
+      push source (the continuous runtime's).
+
+    The continuous runtime also swaps in a delta-emitting aggregation
+    bolt and a delta sink through the two factory hooks:
+
     - ``agg_bolt_factory(agg)`` builds one aggregation task (default
       :class:`AggBolt`);
-    - ``sink_factory`` builds the sink task (default :class:`SinkBolt`);
-    - ``source_parallelism`` overrides every source component's task
-      count (the continuous runtime runs one pump per source).
+    - ``sink_factory`` builds the sink task (default :class:`SinkBolt`).
     """
     plan.validate()
+    names = sorted(source.name for source in plan.sources)
+    if sources is not None and sorted(sources) != names:
+        raise ValueError(f"sources {sorted(sources)} do not match the "
+                         f"plan's source components {names}")
     builder = TopologyBuilder()
 
     for source in plan.sources:
-        if spout_factory is not None:
-            factory = spout_factory(source)
-        else:
-            def factory(task_index: int, parallelism: int,
-                        source=source) -> SourceSpout:
-                return SourceSpout(source)
+        if sources is None:
+            builder.set_spout(source.name, partial(SourceSpout, source),
+                              source.parallelism)
+            continue
 
-        builder.set_spout(source.name, factory,
-                          source_parallelism or source.parallelism)
+        def factory(task_index: int, parallelism: int,
+                    source=source) -> SourcePump:
+            return SourcePump(source.name, sources[source.name],
+                              *source_operators(source))
+
+        builder.set_spout(source.name, factory)
 
     partitioners: Dict[str, Partitioner] = {}
     for join in plan.joins:
@@ -541,7 +581,7 @@ def build_topology(
     return builder.build(), partitioners
 
 
-def run_plan(plan: PhysicalPlan, max_tuples: Optional[int] = None,
+def run_plan(plan: PhysicalPlan,
              options: Optional[ExecutionOptions] = None) -> RunResult:
     """Compile a physical plan to a topology and execute it locally.
 
@@ -581,8 +621,7 @@ def run_plan(plan: PhysicalPlan, max_tuples: Optional[int] = None,
     resolved = (options or ExecutionOptions()).resolve(default_batch_size=1)
     topology, partitioners = build_topology(plan)
     cluster = LocalCluster(topology)
-    metrics = cluster.run(max_tuples=max_tuples,
-                          batch_size=resolved.batch_size,
+    metrics = cluster.run(batch_size=resolved.batch_size,
                           executor=resolved.executor,
                           parallelism=resolved.parallelism,
                           columnar=resolved.columnar,

@@ -14,7 +14,6 @@ tuples cross the network, while running in a single process.
 from repro.core.options import EXECUTOR_NAMES
 from repro.storm.topology import (
     Bolt,
-    ListSpout,
     Spout,
     Topology,
     TopologyBuilder,
@@ -44,7 +43,6 @@ __all__ = [
     "Router",
     "StagedExecutor",
     "Bolt",
-    "ListSpout",
     "Spout",
     "Topology",
     "TopologyBuilder",

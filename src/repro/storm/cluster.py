@@ -6,9 +6,10 @@ from what the run itself shows and never from an option.
 **Rounds** -- ``batch_size > 1``, unless a task's state depends on
 arrival order (a windowed join or aggregation,
 :attr:`~repro.storm.topology.Bolt.order_sensitive`).  A round pulls every
-live source -- a spout, or a streaming pump -- in ``batch_size`` pulls,
-source after source, until it has given its share of
-:data:`ROUND_BUDGET` rows or a pull comes back short
+live source -- a spout task, on both engines a pump -- in
+``batch_size`` pulls, source after source, until it has given its share
+of :data:`ROUND_BUDGET` rows, a pull comes back short or it has been
+pulled ``ROUND_BUDGET // batch_size`` times
 (:meth:`LocalCluster._fill_round`, the one round-filling loop), routes
 every pull into one :class:`~repro.storm.executor.WaveBuffer`, and then
 runs the bolt tasks once each in topological order (one level pass), each
@@ -18,13 +19,12 @@ the same multiset, only the interleaving and the number of executed
 batches differ.  ``run`` drains its spouts in rounds; a streaming pump
 round (:meth:`LocalCluster.inject`) is one round, then a watermark.
 
-**Depth-first** -- ``batch_size=1``, ``max_tuples`` runs and
-order-sensitive topologies.  Each pull (a pump round's: one per source)
-is pushed through the groupings on an explicit work stack to quiescence
-before the next.  ``batch_size=1`` reproduces Storm's per-tuple,
-pipelined execution model (the one the paper contrasts with Spark
-Streaming, section 8.1); ``max_tuples`` cuts its prefix by this pull
-order, and a window expires state in it.
+**Depth-first** -- ``batch_size=1`` and order-sensitive topologies.
+The same rounds, but each source is pulled once, and each pull is
+pushed through the groupings on an explicit work stack to quiescence
+before the next.  ``batch_size=1`` reproduces Storm's
+per-tuple, pipelined execution model (the one the paper contrasts with
+Spark Streaming, section 8.1), and a window expires state in it.
 
 The cluster is the one coordinator driver of both executors.  Under
 ``processes`` it holds a :class:`~repro.storm.executor.ResidentWorkerPool`
@@ -45,12 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.options import ExecutionOptions
 from repro.obs import MetricsRegistry, Observer
-from repro.storm.executor import (
-    ExecutorError,
-    Router,
-    StagedExecutor,
-    WaveBuffer,
-)
+from repro.storm.executor import Router, StagedExecutor, WaveBuffer
 from repro.storm.kernel import (
     deliver, pull, run_level, source_hop, stream_position)
 from repro.storm.metrics import TopologyMetrics
@@ -174,7 +169,7 @@ class LocalCluster:
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, max_tuples: Optional[int] = None, batch_size: int = 1,
+    def run(self, batch_size: int = 1,
             executor: str = "inline", parallelism: Optional[int] = None,
             columnar: Optional[bool] = None,
             observe: Optional[str] = None) -> TopologyMetrics:
@@ -202,64 +197,30 @@ class LocalCluster:
             batch_size=batch_size, executor=executor,
             parallelism=parallelism, columnar=columnar,
             observe=observe).resolve()
-        batch_size, columnar = resolved.batch_size, resolved.columnar
+        batch_size = resolved.batch_size
         if resolved.observe != "off" and self._observer is None:
             self.observe(resolved.observe)
-        self._set_columnar(columnar)
+        self.set_columnar(resolved.columnar)
         started = time.perf_counter()
         try:
             if resolved.executor == "inline":
-                return self._run_to_end(max_tuples, batch_size)
-            if max_tuples is not None:
-                raise ExecutorError(
-                    "max_tuples is only supported by the inline executor "
-                    "(its prefix is cut by the per-batch depth-first pulls; "
-                    "'processes' runs rounds)"
-                )
+                return self._run_to_end(batch_size)
             return StagedExecutor(self, parallelism).run(batch_size=batch_size)
         finally:
             self.metrics.elapsed = time.perf_counter() - started
 
-    def _run_to_end(self, max_tuples, batch_size):
+    def _run_to_end(self, batch_size):
         """Pull every spout dry, then flush: rounds on the pool or where
         the level schedule holds, depth-first otherwise."""
         self.set_coalescing(batch_size > 1)
-        if max_tuples is not None:
-            # the prefix is defined by the per-batch round-robin pulls
-            self._waves = False
         if self._waves or self.pool is not None:
             self._pull_rounds(self._spouts, batch_size)
-        elif not self._pull_depth_first(self._spouts, batch_size, max_tuples):
-            return self.metrics  # stopped at max_tuples: nothing flushes
+        else:
+            active = self._spouts
+            while active:
+                active = self._fill_round(list(active), batch_size)
         self.flush_bolts()
         return self.metrics
-
-    def _pull_depth_first(self, active, batch_size, max_tuples) -> bool:
-        """Round-robin over the spouts, one pull each, every pull driven
-        to quiescence before the next.  Returns whether the spouts ran
-        dry (False: stopped at ``max_tuples``)."""
-        pulled = 0
-        while active:
-            still_active = []
-            for name, task_index, spout in active:
-                limit = batch_size
-                if max_tuples is not None:
-                    limit = min(limit, max_tuples - pulled)
-                    if limit <= 0:
-                        return False
-                emissions, position, ctx, more = pull(
-                    spout, name, task_index, limit, self.metrics,
-                    self._observer)
-                if not emissions:
-                    continue
-                pulled += len(emissions)
-                self._drain(name, emissions, position, ctx)
-                if max_tuples is not None and pulled >= max_tuples:
-                    return False
-                if more:
-                    still_active.append((name, task_index, spout))
-            active = still_active
-        return True
 
     def _pull_rounds(self, active, batch_size):
         """Rounds until the spouts run dry, each one level pass (this
@@ -303,20 +264,29 @@ class LocalCluster:
         ``(component, index, spout)``, is pulled in ``batch_size`` pulls
         -- source after source, so a joiner's deliveries from one
         relation are adjacent and merge -- until it gave its share of
-        :data:`ROUND_BUDGET` rows or a pull came back short, each pull
-        routed into ``buffer``; without one each source is pulled once
-        and the pull drained at once.  ``pending`` is consumed front to
-        back (a round cut short by a dead worker resumes with the rest);
-        ``polled(component, emissions, position)`` sees every pull before
-        it is routed.  Returns the sources that may have rows left."""
+        :data:`ROUND_BUDGET` rows, a pull came back short, or it was
+        pulled ``ROUND_BUDGET // batch_size`` times (a source whose
+        rows the selection all rejects still yields its turn), each
+        pull routed into ``buffer``; without one each source is pulled
+        once and the pull drained at once.  A pull the selection
+        emptied is not short: the source's ``has_more`` decides, and
+        ``exhausted`` whether it stays live.  ``pending`` is consumed
+        front to back (a round cut short by a dead worker resumes with
+        the rest); ``polled(component, emissions, position)`` sees every
+        pull before it is routed.  Returns the sources not yet
+        exhausted."""
         route = self.router.route
-        share = (max(1, ROUND_BUDGET // len(pending))
-                 if buffer is not None and pending else 1)
+        if buffer is not None and pending:
+            share = max(1, ROUND_BUDGET // len(pending))
+            pulls = max(1, ROUND_BUDGET // batch_size)
+        else:
+            share = pulls = 1
         live = []
         while pending:
             name, task_index, source = entry = pending.pop(0)
-            pulled, more = 0, True
-            while more and pulled < share:
+            pulled, more, left = 0, True, pulls
+            while more and pulled < share and left:
+                left -= 1
                 emissions, position, ctx, more = pull(
                     source, name, task_index, batch_size, self.metrics,
                     self._observer)
@@ -329,21 +299,18 @@ class LocalCluster:
                     self._drain(name, emissions, position, ctx)
                 else:
                     buffer.add(route(name, emissions, position), ctx)
-            if more:
+            if not source.exhausted():
                 live.append(entry)
         return live
 
-    def _set_columnar(self, enabled: bool):
+    # -- external drivers (continuous runtime) -----------------------------
+
+    def set_columnar(self, enabled: bool):
         """Flag every columnar-capable spout before draining starts (the
         spouts stay in this process on every executor)."""
-        for name, spec in self.topology.components.items():
-            if not spec.is_spout:
-                continue
-            for instance in self._tasks[name]:
-                if hasattr(instance, "columnar"):
-                    instance.columnar = enabled
-
-    # -- external drivers (continuous runtime) -----------------------------
+        for _name, _task_index, spout in self._spouts:
+            if hasattr(spout, "columnar"):
+                spout.columnar = enabled
 
     def set_coalescing(self, coalesce: bool):
         """Batch-mode toggle: on, consecutive emissions on one stream

@@ -543,7 +543,7 @@ class StagedExecutor:
         cluster, pool = self.cluster, self.pool
         cluster.pool = pool
         try:
-            cluster._run_to_end(None, batch_size)
+            cluster._run_to_end(batch_size)
             for (name, task_index), task in pool.collect().items():
                 cluster._tasks[name][task_index] = task
         except WorkerDied as death:

@@ -126,10 +126,9 @@ def pull(spout, component: str, index: int, limit: int, counters, obs):
 
     Returns ``(emissions, position, root_ctx, more)``, ``position``
     their :func:`stream_position`; an empty pull counts nothing.
-    ``more`` is whether the spout may have rows left: a short pull
-    normally means exhaustion, but a columnar spout's selection can thin
-    a mid-stream chunk below the limit, so a spout that says it
-    ``has_more`` is believed."""
+    ``more`` is the spout's ``has_more``, not the pull's length: a
+    selection can thin a mid-stream poll, even to nothing, without the
+    source running dry."""
     if obs is None:
         emissions = spout.next_batch(limit)
         seconds = 0.0
@@ -137,10 +136,9 @@ def pull(spout, component: str, index: int, limit: int, counters, obs):
         started = perf_counter()
         emissions = spout.next_batch(limit)
         seconds = perf_counter() - started
+    more = spout.has_more()
     if not emissions:
-        return emissions, None, None, False
-    has_more = getattr(spout, "has_more", None)
-    more = len(emissions) == limit or (has_more is not None and has_more())
+        return emissions, None, None, more
     return (emissions, stream_position(spout, index, emissions),
             source_hop(component, index, len(emissions), seconds, counters,
                        obs), more)

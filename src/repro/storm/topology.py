@@ -26,67 +26,27 @@ class TopologyError(ValueError):
 
 
 class Spout:
-    """A data source: pull-based, one tuple per call, None when exhausted."""
+    """A data source, pulled a micro-batch at a time."""
 
     #: rows emitted so far per stream (replaced, never mutated, by
     #: :func:`repro.storm.kernel.stream_position`)
     emitted: Dict[str, int] = {}
 
     def open(self, task_index: int, parallelism: int):
-        """Called once before the first ``next_tuple``."""
+        """Called once before the first ``next_batch``."""
 
-    def next_tuple(self) -> Optional[Emission]:
+    def next_batch(self, max_rows: int) -> List[Emission]:
+        """Up to ``max_rows`` emissions; empty when none are ready."""
         raise NotImplementedError
 
-    def next_batch(self, max_rows: int) -> List[Emission]:
-        """Pull up to ``max_rows`` emissions in one call.
+    def has_more(self) -> bool:
+        """Whether pulling again now may yield rows: a pull that comes
+        back short -- even empty -- does not end a spout that says so."""
+        raise NotImplementedError
 
-        Returning fewer than ``max_rows`` emissions signals exhaustion (the
-        per-tuple contract's ``None``).  The default implementation loops
-        ``next_tuple``; sources with cheap bulk access override it.
-        """
-        emissions: List[Emission] = []
-        while len(emissions) < max_rows:
-            emission = self.next_tuple()
-            if emission is None:
-                break
-            emissions.append(emission)
-        return emissions
-
-
-class ListSpout(Spout):
-    """Emits a pre-materialised list of rows on one stream.
-
-    Rows are striped across the spout's tasks, mirroring a partitioned
-    input file read by parallel reader tasks.
-    """
-
-    def __init__(self, rows: Sequence[tuple], stream: str = "default"):
-        self.rows = rows
-        self.stream = stream
-        self._position = 0
-        self._step = 1
-
-    def open(self, task_index: int, parallelism: int):
-        self._position = task_index
-        self._step = parallelism
-
-    def next_tuple(self) -> Optional[Emission]:
-        if self._position >= len(self.rows):
-            return None
-        row = self.rows[self._position]
-        self._position += self._step
-        return (self.stream, row)
-
-    def next_batch(self, max_rows: int) -> List[Emission]:
-        rows = self.rows
-        stream = self.stream
-        position = self._position
-        step = self._step
-        stop = min(len(rows), position + step * max_rows)
-        emissions = [(stream, rows[i]) for i in range(position, stop, step)]
-        self._position = position + step * len(emissions)
-        return emissions
+    def exhausted(self) -> bool:
+        """True once the spout will never emit again."""
+        return not self.has_more()
 
 
 class Bolt:

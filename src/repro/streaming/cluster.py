@@ -13,7 +13,8 @@ resident ``LocalCluster``'s schedule (:meth:`LocalCluster.inject`), then
 an ``advance_watermark`` of the merged watermark -- and at end of stream
 ``flush_bolts``.  At ``batch_size > 1`` it is ``LocalCluster.run``'s
 round: every live source polled in full micro-batches up to its share
-of ``ROUND_BUDGET`` rows (or a short poll), all polls routed into one
+of ``ROUND_BUDGET`` rows (or a short poll, or ``ROUND_BUDGET //
+batch_size`` polls the selection thinned), all polls routed into one
 buffer, one level pass.  At ``batch_size=1``, and for plans holding
 windowed (arrival-order-sensitive) state, each source is polled once and
 its poll driven to quiescence before the next.  Both executors take the
@@ -48,9 +49,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
 from repro.checkpoint.log import ROUND as _LOG_ROUND
-from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.core.options import EXECUTOR_NAMES
-from repro.engine.operators import Projection, Selection
+from repro.engine.runner import SourcePump
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
 from repro.storm.executor import ExecutorError, ResidentWorkerPool, WorkerDied
@@ -58,7 +58,6 @@ from repro.storm.failures import FaultInjector
 from repro.storm.metrics import CheckpointMetrics, StreamMetrics
 from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
-from repro.streaming.sources import PushSource
 from repro.streaming.watermarks import WatermarkTracker
 
 #: checkpoint cadence (full pump rounds) when none is configured
@@ -86,105 +85,18 @@ def ensure_task_local_routing(topology: Topology, executor: str):
             )
 
 
-class SourcePump:
-    """Feeds one push source into the dataplane.
-
-    Applies the source component's co-located selection/projection (the
-    same operators the batch :class:`~repro.engine.runner.SourceSpout`
-    runs in-task), so a replayed relation enters the topology exactly as
-    it would in a finite run.
-    """
-
-    def __init__(self, name: str, source: PushSource,
-                 selection: Optional[Selection] = None,
-                 projection: Optional[Projection] = None,
-                 columnar: bool = False):
-        self.name = name
-        self.source = source
-        self.selection = selection
-        self.projection = projection
-        #: coalesce single-stream polls into a ColumnBatch so downstream
-        #: bolts take their vectorized paths (opt-in; see stream_plan)
-        self.columnar = columnar
-        #: rows emitted so far per stream, as a spout task's
-        self.emitted = {}
-        #: raw rows the last poll pulled, pre-selection: a fully filtered
-        #: batch still *advanced the source* and counts as progress
-        self.last_poll_raw = 0
-        #: the row limit of the last poll
-        self._limit = 1
-
-    def poll(self, max_rows: int):
-        """One poll of the source, filtered and projected.
-
-        A single-stream poll runs the operators' batch forms on the
-        whole poll: with ``columnar`` on it becomes one
-        :class:`ColumnBatch` first, so a vectorizable predicate or
-        projection runs as whole-column kernels.  A source that polls a
-        :class:`ColumnEmissions` (the one way to push retractions) stays
-        a batch, signs and all.  A poll mixing streams keeps each row's
-        stream and goes row by row."""
-        emissions = self.source.poll(max_rows)
-        self.last_poll_raw = len(emissions)
-        self._limit = max_rows
-        if not emissions:
-            return emissions
-        if isinstance(emissions, ColumnEmissions):
-            stream, rows = emissions.stream, emissions.batch
-        else:
-            streams, rows = zip(*emissions)
-            stream = streams[0]
-            if streams.count(stream) != len(streams):
-                return self._per_row(emissions)
-            rows = ColumnBatch.from_rows(rows) if self.columnar \
-                else list(rows)
-        if self.selection is not None:
-            rows = self.selection.apply_batch(rows)
-        if self.projection is not None:
-            rows = self.projection.apply_batch(rows)
-        if isinstance(rows, ColumnBatch):
-            return ColumnEmissions(stream, rows) if rows else []
-        return [(stream, row) for row in rows]
-
-    def next_batch(self, max_rows: int):  # the spout interface rounds use
-        return self.poll(max_rows)
-
-    def has_more(self) -> bool:
-        """The last poll was full, however much the selection kept."""
-        return self.last_poll_raw >= self._limit
-
-    def _per_row(self, emissions):
-        if self.selection is not None:
-            apply = self.selection.apply
-            emissions = [(stream, row) for stream, row in emissions
-                         if apply(row) is not None]
-        if self.projection is not None:
-            apply = self.projection.apply
-            emissions = [(stream, apply(row)) for stream, row in emissions]
-        return emissions
-
-    def watermark(self) -> Optional[float]:
-        return self.source.watermark()
-
-    def exhausted(self) -> bool:
-        return self.source.exhausted()
-
-
 class StreamingCluster:
     """A continuously running topology over push sources.
 
-    ``sources`` maps each spout component name to the
-    :class:`PushSource` that stands in for it; emissions are attributed
-    to task 0 of that component.  Use :meth:`subscribe` before running to
-    observe deltas, :meth:`run` (or repeated :meth:`step`) to drive the
-    query, and :meth:`snapshot` for the current result multiset.
+    Each spout component of ``topology`` is one
+    :class:`~repro.engine.runner.SourcePump` task over the push source
+    that feeds it.  Use :meth:`subscribe` before running to observe
+    deltas, :meth:`run` (or repeated :meth:`step`) to drive the query,
+    and :meth:`snapshot` for the current result multiset.
     """
 
-    def __init__(self, topology: Topology, sources: Dict[str, PushSource],
+    def __init__(self, topology: Topology,
                  batch_size: int = 64, executor: str = "inline",
-                 source_operators: Optional[
-                     Dict[str, Tuple[Optional[Selection],
-                                     Optional[Projection]]]] = None,
                  clock: Callable[[], float] = time.monotonic,
                  idle_sleep: float = 0.0005,
                  columnar: bool = False,
@@ -201,14 +113,6 @@ class StreamingCluster:
                 f"unknown streaming executor {executor!r}; choose one of "
                 f"{EXECUTOR_NAMES}"
             )
-        spout_names = sorted(
-            name for name, spec in topology.components.items() if spec.is_spout
-        )
-        if sorted(sources) != spout_names:
-            raise ValueError(
-                f"sources {sorted(sources)} do not match the topology's "
-                f"spout components {spout_names}"
-            )
         if executor == "processes":
             ensure_task_local_routing(topology, executor)
         self.topology = topology
@@ -217,6 +121,21 @@ class StreamingCluster:
         self.idle_sleep = idle_sleep
         self.cluster = LocalCluster(topology)
         self.cluster.set_coalescing(batch_size > 1)
+        #: polls become ColumnBatches (columnar pumps)
+        self.columnar = columnar and batch_size > 1
+        self.cluster.set_columnar(self.columnar)
+        #: each spout component's one task: the pump its rounds poll
+        self._pumps: Dict[str, SourcePump] = {}
+        for name, spec in topology.components.items():
+            if not spec.is_spout:
+                continue
+            pump = self.cluster.task(name, 0)
+            if spec.parallelism != 1 or not isinstance(pump, SourcePump):
+                raise ValueError(
+                    f"streaming spout {name!r} must be one SourcePump "
+                    f"task, not {spec.parallelism} "
+                    f"{type(pump).__name__} task(s)")
+            self._pumps[name] = pump
         self.metrics = self.cluster.metrics
         #: the inner cluster's registry: this topology's one export path
         self.registry = self.cluster.registry
@@ -227,12 +146,6 @@ class StreamingCluster:
         #: one Observer per observed run: the inner cluster's, which times
         #: every batch it drives; None = observe='off'
         self.observer: Optional[Observer] = self.cluster.observer
-        operators = source_operators or {}
-        self._pumps: Dict[str, SourcePump] = {
-            name: SourcePump(name, source, *operators.get(name, (None, None)),
-                             columnar=columnar and batch_size > 1)
-            for name, source in sources.items()
-        }
         self._source_wm = WatermarkTracker()
         for name in self._pumps:
             self._source_wm.register(name)
@@ -242,7 +155,6 @@ class StreamingCluster:
         self._event_time = all(
             pump.source.has_event_time() for pump in self._pumps.values()
         )
-        self.columnar = columnar and batch_size > 1
         self._finished_sources: set = set()
         #: the pumps the current round has still to poll, as the
         #: cluster's rounds take them: ``(name, 0, pump)``

@@ -4,10 +4,11 @@ Reuses the batch engine's Squall-to-Storm translation
 (:func:`repro.engine.runner.build_topology`) with three streaming
 substitutions:
 
-- every source component becomes a :class:`~repro.streaming.sources.\
-ReplaySource` pump over the stored relation (event-time timestamps from
-  the plan's window specs, optional rate limit) -- or any
-  :class:`PushSource` the caller supplies;
+- every source component is one pump (a batch run has one per stripe)
+  over a :class:`~repro.streaming.sources.ReplaySource` of the whole
+  stored relation (event-time timestamps from the plan's window specs,
+  optional rate limit) -- or over any :class:`PushSource` the caller
+  supplies;
 - the aggregation bolt becomes :class:`DeltaAggBolt`, which emits a
   live ``(+row / -row)`` delta -- a row with its sign -- for every
   group-state change instead of waiting for end of stream;
@@ -28,19 +29,11 @@ from typing import Callable, Dict, Iterator, List, Optional
 from repro.core.columnar import ColumnBatch, ColumnEmissions, sign_runs
 from repro.core.options import ExecutionOptions
 from repro.engine.component import PhysicalPlan
-from repro.engine.runner import AggBolt, build_topology, source_operators
+from repro.engine.runner import AggBolt, build_topology
 from repro.storm.executor import ExecutorError
-from repro.storm.topology import Spout
 from repro.streaming.cluster import StreamingCluster
 from repro.streaming.deltas import Delta, DeltaSink, Subscription
 from repro.streaming.sources import PushSource, ReplaySource
-
-
-class _IdleSpout(Spout):
-    """Placeholder spout: the pump feeds this component's rows."""
-
-    def next_tuple(self):
-        return None
 
 
 class DeltaAggBolt(AggBolt):
@@ -292,30 +285,23 @@ def stream_plan(plan: PhysicalPlan,
             "executor: 'inline' runs every task in the calling thread "
             "(drop parallelism=, or set executor='processes')"
         )
-    topology, partitioners = build_topology(
-        plan,
-        spout_factory=lambda source: (lambda i, p: _IdleSpout()),
-        agg_bolt_factory=DeltaAggBolt,
-        sink_factory=lambda i, p: DeltaSink(),
-        source_parallelism=1,
-    )
     positions = _plan_ts_positions(plan)
     if ts_positions:
         positions.update(ts_positions)
-    pumps: Dict[str, PushSource] = dict(sources or {})
-    operators = {}
+    push_sources: Dict[str, PushSource] = dict(sources or {})
     for source in plan.sources:
-        operators[source.name] = source_operators(source)
-        if source.name not in pumps:
-            pumps[source.name] = ReplaySource(
+        if source.name not in push_sources:
+            push_sources[source.name] = ReplaySource(
                 source.relation.rows, stream=source.name,
                 ts_position=positions.get(source.name), rate=resolved.rate,
                 clock=clock,
             )
+    topology, partitioners = build_topology(
+        plan, sources=push_sources, agg_bolt_factory=DeltaAggBolt,
+        sink_factory=lambda i, p: DeltaSink())
     cluster = StreamingCluster(
-        topology, pumps, batch_size=resolved.batch_size,
-        executor=resolved.executor, source_operators=operators,
-        clock=clock, columnar=resolved.columnar,
+        topology, batch_size=resolved.batch_size,
+        executor=resolved.executor, clock=clock, columnar=resolved.columnar,
         parallelism=resolved.parallelism,
         checkpoint_interval=resolved.checkpoint_interval,
         checkpoint_dir=checkpoint_dir, fault_injector=fault_injector,

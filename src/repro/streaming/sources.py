@@ -1,11 +1,12 @@
-"""Push-based unbounded sources for the continuous runtime.
+"""Push-based sources: what every topology's source tasks poll.
 
-A :class:`PushSource` produces ``(stream, row)`` emissions over time
-instead of draining a stored relation once.  The streaming cluster polls
-each source for at most one micro-batch per round, so a source's own
-pacing (a rate limit, a generator that blocks, a producer that has not
-pushed yet) directly throttles the whole pipeline -- the pull side of the
-backpressure story.  The push side is :meth:`CallbackSource.push`, whose
+A :class:`PushSource` produces ``(stream, row)`` emissions over time; a
+stored relation is one too, replayed by :class:`ReplaySource`.  Each
+source is polled by one :class:`~repro.engine.runner.SourcePump` task a
+micro-batch at a time, so a source's own pacing (a rate limit, a
+generator that blocks, a producer that has not pushed yet) directly
+throttles the whole pipeline -- the pull side of the backpressure
+story.  The push side is :meth:`CallbackSource.push`, whose
 bounded buffer blocks producers when the pipeline falls behind.
 
 Event time: a source that knows its rows' timestamps reports a
@@ -27,6 +28,8 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.columnar import ColumnBatch, ColumnEmissions
+
 Emission = Tuple[str, tuple]  # (stream id, values)
 
 
@@ -37,9 +40,10 @@ class PushSource:
         """Up to ``max_rows`` emissions that are ready *now*.
 
         An empty list means "nothing ready yet", not end of stream --
-        check :meth:`exhausted`.  A source that emits retractions polls
-        a :class:`~repro.core.columnar.ColumnEmissions` instead, whose
-        batch carries the rows' ``signs``."""
+        check :meth:`exhausted`.  A single-stream source may poll one
+        :class:`~repro.core.columnar.ColumnEmissions` instead: its batch
+        carries the rows (and, for retractions, their ``signs``)
+        without a ``(stream, row)`` pair per row."""
         raise NotImplementedError
 
     def watermark(self) -> Optional[float]:
@@ -72,11 +76,14 @@ class PushSource:
 class ReplaySource(PushSource):
     """Replays a stored dataset as an event-time stream.
 
-    The workhorse of streaming/batch equivalence testing and of
-    ``SqlSession.stream``: any relation becomes an unbounded-looking
-    push source that emits its rows in order, optionally throttled to
-    ``rate`` rows per second (a token bucket over ``clock``), with
-    watermarks taken from the ``ts_position`` column.
+    The one reader of a stored relation: a batch run's spout tasks each
+    replay their stripe of it (rows ``start``, ``start + step``, ...),
+    and ``SqlSession.stream`` replays it whole as an unbounded-looking
+    push source, optionally throttled to ``rate`` rows per second (a
+    token bucket over ``clock``), with watermarks taken from the
+    ``ts_position`` column.  A poll is one
+    :class:`~repro.core.columnar.ColumnEmissions` whose batch holds the
+    polled rows; its columns are built only if a reader asks for them.
 
     Watermarks assume the replayed rows are in non-decreasing timestamp
     order (the stored-relation case); the watermark is the *maximum*
@@ -88,7 +95,8 @@ class ReplaySource(PushSource):
                  ts_position: Optional[int] = None,
                  rate: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 burst: Optional[float] = None):
+                 burst: Optional[float] = None,
+                 start: int = 0, step: int = 1):
         if rate is not None and rate <= 0:
             raise ValueError("rate must be positive (None = unlimited)")
         self.rows = rows
@@ -96,7 +104,8 @@ class ReplaySource(PushSource):
         self.ts_position = ts_position
         self.rate = rate
         self._clock = clock
-        self._position = 0
+        self._position = start
+        self._step = step
         # the bucket must be able to hold >= 1 whole token, or a rate
         # below 1 row/sec never accumulates enough to emit anything
         capacity = burst if burst is not None else (rate or 0)
@@ -115,21 +124,45 @@ class ReplaySource(PushSource):
         allowed = min(max_rows, int(self._tokens))
         return allowed
 
-    def poll(self, max_rows: int) -> List[Emission]:
-        allowed = self._allowance(max_rows)
-        if allowed <= 0:
+    def poll(self, max_rows: int):
+        batch, _read = self.take(max_rows)
+        if not batch:
             return []
-        stop = min(len(self.rows), self._position + allowed)
-        batch = self.rows[self._position:stop]
-        self._position = stop
+        return ColumnEmissions(self.stream, ColumnBatch.from_rows(batch))
+
+    def take(self, max_rows: int,
+             keep: Optional[Callable[[tuple], object]] = None
+             ) -> Tuple[List[tuple], int]:
+        """The next up to ``max_rows`` rows of the stripe as a list, and
+        how many rows were read.  ``keep``, a row predicate, reads past
+        the rows it rejects, so a selective scan pays one predicate call
+        per rejected row rather than one poll (the row path of
+        :class:`~repro.engine.runner.SourcePump`); a rate limit bounds
+        the rows read either way."""
+        rows, position, step = self.rows, self._position, self._step
+        allowed = self._allowance(max_rows if keep is None else len(rows))
+        stop = min(len(rows), position + step * allowed)
+        if keep is None:
+            batch = rows[position:stop:step]
+            end = position + step * len(batch)
+        else:
+            batch, end = [], position
+            while end < stop and len(batch) < max_rows:
+                row = rows[end]
+                end += step
+                if keep(row):
+                    batch.append(row)
+        read = (end - position) // step
+        if not read:
+            return batch, 0
+        self._position = end
         if self.rate is not None:
-            self._tokens -= len(batch)
-        if batch and self.ts_position is not None:
-            ts = batch[-1][self.ts_position]
+            self._tokens -= read
+        if self.ts_position is not None:
+            ts = rows[end - step][self.ts_position]
             if self.max_event_time is None or ts > self.max_event_time:
                 self.max_event_time = ts
-        stream = self.stream
-        return [(stream, row) for row in batch]
+        return batch, read
 
     def watermark(self) -> Optional[float]:
         if self.ts_position is None:

@@ -131,6 +131,37 @@ def script_emissions(script, position, max_rows, columnar=False):
     return ColumnEmissions(head[0], batch), end
 
 
+class ListSpout(Spout):
+    """Emits a pre-materialised list of rows on one stream.
+
+    Rows are striped across the spout's tasks, mirroring a partitioned
+    input file read by parallel reader tasks.
+    """
+
+    def __init__(self, rows, stream: str = "default"):
+        self.rows = rows
+        self.stream = stream
+        self._position = 0
+        self._step = 1
+
+    def open(self, task_index: int, parallelism: int):
+        self._position = task_index
+        self._step = parallelism
+
+    def has_more(self) -> bool:
+        return self._position < len(self.rows)
+
+    def next_batch(self, max_rows: int):
+        rows = self.rows
+        stream = self.stream
+        position = self._position
+        step = self._step
+        stop = min(len(rows), position + step * max_rows)
+        emissions = [(stream, rows[i]) for i in range(position, stop, step)]
+        self._position = position + step * len(emissions)
+        return emissions
+
+
 class ScriptSpout(Spout):
     """Replays a fixed script of insertions and retractions."""
 

@@ -24,14 +24,13 @@ from repro.storm import (
     FieldsGrouping,
     GlobalGrouping,
     KeyMappedGrouping,
-    ListSpout,
     LocalCluster,
     ShuffleGrouping,
     TopologyBuilder,
 )
 from repro.storm.groupings import HypercubeGrouping
 from repro.util import round_robin_assignment
-from tests.conftest import interleaved_stream, make_rst_data
+from tests.conftest import ListSpout, interleaved_stream, make_rst_data
 
 
 def rst_spec():
@@ -199,32 +198,17 @@ class TestTargetsBatch:
 
 
 class TestSpoutBatch:
-    def test_list_spout_next_batch_matches_next_tuple(self):
+    def test_list_spout_next_batch_reads_its_stripe(self):
         rows = [(i,) for i in range(11)]
         batched = ListSpout(rows, "s")
         batched.open(1, 2)
         pulled = []
-        while True:
+        while batched.has_more():
             chunk = batched.next_batch(3)
+            assert len(chunk) == 3 or not batched.has_more()
             pulled.extend(chunk)
-            if len(chunk) < 3:
-                break
-        reference = ListSpout(rows, "s")
-        reference.open(1, 2)
-        expected = []
-        while True:
-            emission = reference.next_tuple()
-            if emission is None:
-                break
-            expected.append(emission)
-        assert pulled == expected
-
-    def test_base_spout_batch_falls_back_to_next_tuple(self):
-        from repro.storm.topology import Spout
-
-        spout = ListSpout([(1,), (2,)], "s")
-        assert Spout.next_batch(spout, 5) == [("s", (1,)), ("s", (2,))]
-        assert Spout.next_batch(spout, 5) == []
+        assert pulled == [("s", row) for row in rows[1::2]]
+        assert batched.exhausted() and batched.next_batch(3) == []
 
     def test_bolt_execute_batch_default_loops_execute(self):
         class Doubler(Bolt):
@@ -386,13 +370,6 @@ class TestClusterBatching:
         assert sorted(store) == [(i,) for i in range(40)]
         assert metrics.component_input("sink") == 40
         assert metrics.component_output("src") == 40
-
-    @pytest.mark.parametrize("batch_size", [1, 4, 64])
-    def test_max_tuples_respected_with_batches(self, batch_size):
-        store = []
-        LocalCluster(self.build_pipeline(store)).run(
-            max_tuples=10, batch_size=batch_size)
-        assert len(store) == 10
 
     def test_batch_size_validated(self):
         store = []

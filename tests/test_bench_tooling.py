@@ -112,3 +112,21 @@ def test_bench_cli_help_exits_cleanly(args, capsys):
         main(args)
     assert exc.value.code == 0
     assert "--workload" in capsys.readouterr().out
+
+
+def test_every_tracer_target_resolves():
+    """squallbench's tracer wraps ``(module, class, attribute)`` names
+    of ``src/``: each must still name an attribute, so a rename fails
+    here and not only in a traced benchmark run."""
+    import importlib
+
+    from benchmarks.squallbench.tracer import TARGETS
+
+    missing = []
+    for module_name, class_name, attribute, _span, _rows in TARGETS:
+        owner = importlib.import_module(module_name)
+        if class_name is not None:
+            owner = getattr(owner, class_name, None)
+        if owner is None or not hasattr(owner, attribute):
+            missing.append(f"{module_name}.{class_name}.{attribute}")
+    assert not missing

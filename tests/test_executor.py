@@ -26,7 +26,6 @@ from repro.engine.runner import AggBolt, SinkBolt
 from repro.storm import (
     Bolt,
     ExecutorError,
-    ListSpout,
     LocalCluster,
     TopologyBuilder,
 )
@@ -37,6 +36,7 @@ from repro.storm.executor import (
     default_parallelism,
 )
 from repro.storm.metrics import TopologyMetrics
+from tests.conftest import ListSpout
 
 PARALLEL = ["processes"]
 
@@ -148,11 +148,6 @@ class TestErrors:
         topology, _sink = diamond_topology()
         with pytest.raises(ExecutorError, match="parallelism"):
             StagedExecutor(LocalCluster(topology), parallelism=0)
-
-    def test_max_tuples_needs_inline(self):
-        topology, _sink = diamond_topology()
-        with pytest.raises(ExecutorError, match="max_tuples"):
-            LocalCluster(topology).run(max_tuples=5, executor="processes")
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_worker_failure_surfaces_with_traceback(self, executor):
@@ -583,14 +578,12 @@ class TestWaveCoalescing:
             plan_stream_count_sum,
             retraction_script,
         )
-        from tests.test_retractions import ScriptSpout
+        from tests.conftest import ScriptSource
 
         def run(executor):
             plan = plan_stream_count_sum()
             topology, _partitioners = build_topology(
-                plan,
-                spout_factory=lambda source: (
-                    lambda i, p: ScriptSpout(retraction_script())),
+                plan, sources={"events": ScriptSource(retraction_script())},
                 agg_bolt_factory=LoggingAggBolt)
             cluster = LocalCluster(topology)
             cluster.run(batch_size=16, executor=executor, parallelism=2,
@@ -621,11 +614,10 @@ class TestWaveCoalescing:
 class TestInlineRounds:
     """The inline executor's two schedules: rounds with per-task wave
     coalescing at ``batch_size > 1``; the depth-first work stack for
-    ``batch_size=1``, ``max_tuples`` and windowed plans -- whose output
-    *order* ``tests/golden/depth_first_schedules.json`` pins as captured
-    at the commit before the rounds existed (PR 16: ``run_plan(...)
-    .results`` / the streaming delta feed of ``WINDOWED_PLANS`` at
-    ``batch_size`` 16 and 64, and ``join_only`` cut at ``max_tuples=75``)."""
+    ``batch_size=1`` and windowed plans -- whose output *order*
+    ``tests/golden/depth_first_schedules.json`` pins as captured before
+    the rounds existed (``run_plan(...).results`` / the streaming delta
+    feed of ``WINDOWED_PLANS`` at ``batch_size`` 16 and 64)."""
 
     N_ROWS = 400
     BATCH_SIZE = 64
@@ -702,19 +694,6 @@ class TestInlineRounds:
         assert [[delta.sign, list(delta.row)]
                 for delta in stream_plan(build(), options=options)] == \
             golden[f"{name}/streaming/{batch_size}"]
-
-    @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_max_tuples_stops_at_the_same_tuple(self, batch_size, golden):
-        from repro.engine import run_plan
-        from tests.batching_plans import GOLDEN_PLANS
-
-        result = run_plan(GOLDEN_PLANS["join_only"](), max_tuples=75,
-                          options=ExecutionOptions(batch_size=batch_size))
-        expected = golden[f"max_tuples/{batch_size}"]
-        assert [list(row) for row in result.results] == expected["results"]
-        assert result.metrics.emitted == expected["emitted"]
-        assert sum(sum(result.metrics.emitted[name])
-                   for name in ("R", "S", "T")) == 75
 
 
 class NthPullFails(ListSpout):

@@ -37,7 +37,7 @@ from repro.engine.runner import build_topology
 from repro.joins.base import reference_join
 from repro.storm import LocalCluster
 from repro.streaming import stream_plan
-from tests.conftest import ScriptSource, ScriptSpout, retract
+from tests.conftest import ScriptSource, retract
 from tests.test_retractions import rst_spec
 
 #: ``1``, ``1.0`` and ``True`` are one key; 2 and 3 are others
@@ -90,10 +90,9 @@ def model(script, aggregate):
 
 
 def run_batch(script, plan, batch_size, columnar):
-    parts = per_relation(script)
-    topology, _partitioners = build_topology(
-        plan, spout_factory=lambda source: (
-            lambda i, p: ScriptSpout(parts[source.name])))
+    sources = {rel: ScriptSource(part)
+               for rel, part in per_relation(script).items()}
+    topology, _partitioners = build_topology(plan, sources=sources)
     cluster = LocalCluster(topology)
     cluster.run(batch_size=batch_size, columnar=columnar)
     return Counter(cluster.task(plan.sink.name, 0).store)

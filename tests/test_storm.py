@@ -11,13 +11,13 @@ from repro.storm import (
     FieldsGrouping,
     GlobalGrouping,
     KeyMappedGrouping,
-    ListSpout,
     LocalCluster,
     ShuffleGrouping,
     TopologyBuilder,
     TopologyError,
 )
 from repro.util import round_robin_assignment
+from tests.conftest import ListSpout
 
 
 class CollectBolt(Bolt):
@@ -162,11 +162,8 @@ class TestListSpout:
         spout1.open(1, 2)
         seen = []
         for spout in (spout0, spout1):
-            while True:
-                emission = spout.next_tuple()
-                if emission is None:
-                    break
-                seen.append(emission[1])
+            while spout.has_more():
+                seen.extend(row for _stream, row in spout.next_batch(1))
         assert sorted(seen) == rows
 
 
@@ -218,16 +215,6 @@ class TestLocalCluster:
         builder.set_bolt("sink", factory).shuffle_grouping("src", streams=["other"])
         LocalCluster(builder.build()).run()
         assert all(not bolt.rows for bolt in CollectBolt.instances)
-
-    def test_max_tuples_stops_early(self):
-        builder = TopologyBuilder()
-        builder.set_spout("src", lambda i, p: ListSpout([(i,) for i in range(100)], "src"))
-        factory = fresh_collectors()
-        builder.set_bolt("sink", factory).shuffle_grouping("src")
-        cluster = LocalCluster(builder.build())
-        cluster.run(max_tuples=10)
-        rows = [row for bolt in CollectBolt.instances for row in bolt.rows]
-        assert len(rows) == 10
 
     def test_bad_grouping_target_caught(self):
         builder = TopologyBuilder()

@@ -59,13 +59,50 @@ def sliding_agg_plan(events, size=50, parallelism=2):
     )
 
 
+def polled_rows(emissions):
+    """A replay poll as ``(stream, rows)``."""
+    return emissions.stream, emissions.batch.to_rows()
+
+
 class TestReplaySource:
     def test_replays_rows_in_order_on_the_relation_stream(self):
         source = ReplaySource([(1,), (2,), (3,)], stream="R")
-        assert source.poll(2) == [("R", (1,)), ("R", (2,))]
+        assert polled_rows(source.poll(2)) == ("R", [(1,), (2,)])
         assert not source.exhausted()
-        assert source.poll(5) == [("R", (3,))]
+        assert polled_rows(source.poll(5)) == ("R", [(3,)])
         assert source.exhausted()
+        assert source.poll(5) == []
+
+    def test_a_stripe_replays_every_step_th_row_from_start(self):
+        rows = [(i,) for i in range(11)]
+        stripes = [ReplaySource(rows, stream="R", start=task, step=3)
+                   for task in range(3)]
+        polled = []
+        for task, stripe in enumerate(stripes):
+            first = polled_rows(stripe.poll(2))
+            assert first == ("R", rows[task:task + 6:3])
+            rest = stripe.poll(10)
+            assert stripe.exhausted()
+            polled.append(first[1] + rest.batch.to_rows())
+        assert polled == [rows[0::3], rows[1::3], rows[2::3]]
+        assert stripes[0].poll(10) == []
+
+    def test_take_reads_past_the_rows_keep_rejects(self):
+        source = ReplaySource([(i,) for i in range(10)], stream="R",
+                              start=1, step=2)
+        keep = lambda row: row[0] > 4  # noqa: E731
+        assert source.take(2, keep) == ([(5,), (7,)], 4)
+        assert source.take(2, keep) == ([(9,)], 1)
+        assert source.exhausted()
+        assert source.take(2) == ([], 0)
+
+    def test_a_rate_limit_bounds_the_rows_take_reads(self):
+        clock = FakeClock()
+        source = ReplaySource([(i,) for i in range(100)], stream="R",
+                              rate=10, clock=clock)
+        keep = lambda row: row[0] >= 8  # noqa: E731
+        assert source.take(5, keep) == ([(8,), (9,)], 10)
+        assert source.take(5, keep) == ([], 0)  # bucket drained
 
     def test_rate_limit_is_a_token_bucket_over_the_clock(self):
         clock = FakeClock()
@@ -381,16 +418,26 @@ class TestStreamingClusterValidation:
         assert query.snapshot() == sorted(run_plan(plan).results)
 
     def test_sources_must_match_spouts(self):
+        """A push source named for no source of the plan is refused, not
+        ignored (the stored relation would be replayed in its place)."""
         plan = sliding_agg_plan(make_events(10))
+        with pytest.raises(ValueError, match="source components"):
+            stream_plan(plan, sources={
+                "evnts": ReplaySource([], stream="evnts")})
+
+    def test_a_streaming_source_is_one_pump(self):
+        """A stored relation's batch spouts (one pump per stripe) do not
+        make a streaming topology: a streaming source is one pump."""
+        plan = sliding_agg_plan(make_events(10))
+        plan.sources[0].parallelism = 2
         from repro.engine.runner import build_topology
-        from repro.streaming.runner import DeltaAggBolt, _IdleSpout
+        from repro.streaming.runner import DeltaAggBolt
 
         topology, _ = build_topology(
-            plan, spout_factory=lambda s: (lambda i, p: _IdleSpout()),
-            agg_bolt_factory=DeltaAggBolt,
-            sink_factory=lambda i, p: DeltaSink(), source_parallelism=1)
-        with pytest.raises(ValueError, match="spout components"):
-            StreamingCluster(topology, {"wrong": ReplaySource([], stream="w")})
+            plan, agg_bolt_factory=DeltaAggBolt,
+            sink_factory=lambda i, p: DeltaSink())
+        with pytest.raises(ValueError, match="one SourcePump task"):
+            StreamingCluster(topology)
 
     @pytest.mark.parametrize("executor", ["threads", "fibers"])
     def test_cluster_names_the_two_executors(self, executor):
@@ -398,16 +445,15 @@ class TestStreamingClusterValidation:
         against, for callers that build it without ``stream_plan``."""
         from repro.core.options import EXECUTOR_NAMES
         from repro.engine.runner import build_topology
-        from repro.streaming.runner import DeltaAggBolt, _IdleSpout
+        from repro.streaming.runner import DeltaAggBolt
 
         topology, _ = build_topology(
             sliding_agg_plan(make_events(10)),
-            spout_factory=lambda s: (lambda i, p: _IdleSpout()),
+            sources={"events": ReplaySource([], stream="events")},
             agg_bolt_factory=DeltaAggBolt,
-            sink_factory=lambda i, p: DeltaSink(), source_parallelism=1)
-        sources = {"events": ReplaySource([], stream="events")}
+            sink_factory=lambda i, p: DeltaSink())
         with pytest.raises(ExecutorError, match=repr(executor)) as excinfo:
-            StreamingCluster(topology, sources, executor=executor)
+            StreamingCluster(topology, executor=executor)
         assert EXECUTOR_NAMES == ("inline", "processes")
         assert str(EXECUTOR_NAMES) in str(excinfo.value)
 
@@ -573,6 +619,42 @@ class TestIncrementalDeltas:
         assert (selection.seen, selection.passed) == (seen, passed)
         assert seen == 300 and 0 < passed < 300
         assert query.snapshot() == sorted(batch.results)
+
+
+class TestFilteredEndlessSource:
+    """An endless generator whose every row the selection rejects: each
+    poll comes back empty yet full, so the source never runs dry, and a
+    pump round must still end after a bounded read."""
+
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_a_round_ends_and_stop_ends_the_query(self, batch_size):
+        import itertools
+
+        from repro.core.expressions import col
+
+        budget = storm_cluster.ROUND_BUDGET
+
+        def feed():
+            for seq in itertools.count():
+                if seq > 4 * budget:
+                    raise AssertionError("one pump round read on unbounded")
+                yield "events", (seq,)
+
+        relation = Relation("events", Schema.of("seq"), [])
+        query = stream_plan(
+            PhysicalPlan(sources=[SourceComponent(
+                "events", relation, predicate=col("seq").lt(0))]),
+            options=ExecutionOptions(batch_size=batch_size),
+            sources={"events": CallbackSource(feed())})
+        cluster = query.cluster
+        pump = cluster._pumps["events"]
+        assert cluster.step()  # rows were read, though none passed
+        # depth-first at batch_size=1: one poll; rounds: the pull bound
+        assert pump.read == (1 if batch_size == 1 else budget)
+        assert pump.has_more() and not cluster.done
+        cluster.stop(wait=False)
+        cluster.step()
+        assert cluster.done and cluster.snapshot() == []
 
 
 class TestPumpPacing:

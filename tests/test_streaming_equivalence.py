@@ -21,6 +21,7 @@ from repro.core.options import ExecutionOptions
 from repro.engine.runner import run_plan
 from repro.streaming import (
     DeltaSink,
+    SourcePump,
     StreamingCluster,
     stream_plan,
 )
@@ -93,7 +94,7 @@ class TestRetractionPlanEquivalence:
     retracting the duplicates must converge to the clean run's results --
     now through push sources and delta subscriptions."""
 
-    def build_streaming_topology(self, spec, local_join, machines=4,
+    def build_streaming_topology(self, spec, local_join, source, machines=4,
                                  aggregate=False):
         from repro.engine.component import AggComponent, JoinComponent
         from repro.engine.operators import count, total
@@ -103,13 +104,12 @@ class TestRetractionPlanEquivalence:
         from repro.partitioning.hash_hypercube import HashHypercube
         from repro.storm import TopologyBuilder
         from repro.storm.groupings import HypercubeGrouping
-        from repro.streaming.runner import _IdleSpout
 
         local = {"dbtoaster": DBToasterJoin,
                  "traditional": TraditionalJoin}[local_join]
         builder = TopologyBuilder()
         partitioner = HashHypercube.build(spec, machines, seed=3)
-        builder.set_spout("feed", lambda i, p: _IdleSpout())
+        builder.set_spout("feed", lambda i, p: SourcePump("feed", source))
         join = JoinComponent("J", spec, machines=machines)
         declarer = builder.set_bolt(
             "J", lambda i, p: JoinBolt(join, lambda: local(spec)),
@@ -154,10 +154,9 @@ class TestRetractionPlanEquivalence:
         LocalCluster(clean_topology).run(batch_size=8)
 
         topology = self.build_streaming_topology(
-            spec, local_join, aggregate=aggregate)
-        source = ScriptSource(faulty_script(data, seed=33))
-        cluster = StreamingCluster(topology, {"feed": source},
-                                   batch_size=8, executor=executor)
+            spec, local_join, ScriptSource(faulty_script(data, seed=33)),
+            aggregate=aggregate)
+        cluster = StreamingCluster(topology, batch_size=8, executor=executor)
         subscription = cluster.subscribe()
         cluster.run()
         assert cluster.snapshot() == sorted(clean_results)

@@ -41,10 +41,10 @@ from repro.storm.topology import Bolt
 from repro.streaming import (
     CallbackSource,
     DeltaSink,
+    SourcePump,
     StreamingCluster,
     stream_plan,
 )
-from repro.streaming.runner import _IdleSpout
 from tests.batching_plans import (
     GOLDEN_PLANS,
     plan_join_only,
@@ -164,16 +164,16 @@ class TestCheckpointCadence:
 
     @staticmethod
     def commits_in(rows_per_round, rounds=8):
+        source = CallbackSource()
         builder = TopologyBuilder()
-        builder.set_spout("A", lambda i, p: _IdleSpout())
+        builder.set_spout("A", lambda i, p: SourcePump("A", source))
         builder.set_bolt("shapes", lambda i, p: BatchShapes(i),
                          parallelism=2).shuffle_grouping("A")
         builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
             "shapes")
-        source = CallbackSource()
-        cluster = StreamingCluster(builder.build(), {"A": source},
-                                   batch_size=4, executor="processes",
-                                   parallelism=1, checkpoint_interval=2)
+        cluster = StreamingCluster(builder.build(), batch_size=4,
+                                   executor="processes", parallelism=1,
+                                   checkpoint_interval=2)
         try:
             cluster.step()  # forks and commits epoch 0; nothing to poll
             before = cluster.checkpoints.commits
@@ -306,17 +306,16 @@ def batch_shapes_cluster(executor, fault_injector=None):
     tasks into a delta sink; batch size 4."""
     builder = TopologyBuilder()
     for name in ("A", "B"):
-        builder.set_spout(name, lambda i, p: _IdleSpout())
+        source = CallbackSource(iter([(name, (name, i)) for i in range(40)]))
+        builder.set_spout(name, lambda i, p, name=name, source=source:
+                          SourcePump(name, source))
     builder.set_bolt("shapes", lambda i, p: BatchShapes(i), parallelism=2) \
         .shuffle_grouping("A").shuffle_grouping("B")
     builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
         "shapes")
-    sources = {name: CallbackSource(iter([(name, (name, i))
-                                          for i in range(40)]))
-               for name in ("A", "B")}
     extra = {} if executor == "inline" else dict(
         parallelism=2, checkpoint_interval=2, fault_injector=fault_injector)
-    return StreamingCluster(builder.build(), sources, batch_size=4,
+    return StreamingCluster(builder.build(), batch_size=4,
                             executor=executor, **extra)
 
 
@@ -547,7 +546,6 @@ class TestRefusals:
         from repro.storm import TopologyBuilder
         from repro.storm.topology import Bolt
         from repro.streaming import CallbackSource, StreamingCluster
-        from repro.streaming.runner import _IdleSpout
 
         class ClosureBolt(Bolt):
             def __init__(self):
@@ -556,15 +554,15 @@ class TestRefusals:
             def execute_batch(self, source, stream, rows):
                 return [("out", self.transform(row)) for row in rows]
 
+        source = CallbackSource(iter([("R", (1,)), ("R", (2,))]))
         builder = TopologyBuilder()
-        builder.set_spout("feed", lambda i, p: _IdleSpout())
+        builder.set_spout("feed", lambda i, p: SourcePump("feed", source))
         builder.set_bolt("op", lambda i, p: ClosureBolt()).global_grouping(
             "feed", streams=["R"])
         builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
             "op", streams=["out"])
-        source = CallbackSource(iter([("R", (1,)), ("R", (2,))]))
-        cluster = StreamingCluster(builder.build(), {"feed": source},
-                                   batch_size=4, executor="processes")
+        cluster = StreamingCluster(builder.build(), batch_size=4,
+                                   executor="processes")
         with pytest.raises(ExecutorError, match="ClosureBolt") as err:
             cluster.run()
         assert "inline" in str(err.value)  # the advice names a fallback
