@@ -313,9 +313,10 @@ class AggBolt(Bolt):
 
     def __init__(self, component: AggComponent):
         self.component = component
-        def factory():
-            return Aggregation(component.group_positions, component.aggregates)
-
+        # a partial, not a closure: a window keeps it, and task state
+        # must pickle (checkpoints, a processes run's collect)
+        factory = partial(Aggregation, component.group_positions,
+                          component.aggregates)
         self.window_state: Optional[WindowedAggregation] = None
         self.sliding_state: Optional[SlidingWindowedAggregation] = None
         if component.window is not None:

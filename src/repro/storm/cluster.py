@@ -18,13 +18,18 @@ handed its deliveries merged per ``(source, stream)`` run.  A joiner fed
 the same multiset, only the interleaving and the number of executed
 batches differ.  ``run`` drains its spouts in rounds; a streaming pump
 round (:meth:`LocalCluster.inject`) is one round, then a watermark.
+A punctuation -- end of stream (:meth:`LocalCluster.flush_bolts`) or a
+watermark -- is one more level pass, over an empty buffer, in which each
+task is punctuated after its deliveries.
 
 **Depth-first** -- ``batch_size=1`` and order-sensitive topologies.
 The same rounds, but each source is pulled once, and each pull is
 pushed through the groupings on an explicit work stack to quiescence
 before the next.  ``batch_size=1`` reproduces Storm's
 per-tuple, pipelined execution model (the one the paper contrasts with
-Spark Streaming, section 8.1), and a window expires state in it.
+Spark Streaming, section 8.1), and a window expires state in it.  A
+punctuation visits the bolt tasks in the same order, each task's
+emissions drained before the next is punctuated.
 
 The cluster is the one coordinator driver of both executors.  Under
 ``processes`` it holds a :class:`~repro.storm.executor.ResidentWorkerPool`
@@ -47,7 +52,7 @@ from repro.core.options import ExecutionOptions
 from repro.obs import MetricsRegistry, Observer
 from repro.storm.executor import Router, StagedExecutor, WaveBuffer
 from repro.storm.kernel import (
-    deliver, pull, run_level, source_hop, stream_position)
+    END, deliver, pull, punctuate, run_level, stream_position)
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyError
 
@@ -120,8 +125,8 @@ class LocalCluster:
             name for name in topology.topological_order()
             if not topology.components[name].is_spout
         ]
-        #: every bolt task in that order: the order punctuations
-        #: (watermarks, the depth-first end-of-stream flush) visit them in
+        #: every bolt task in that order: the order a depth-first
+        #: punctuation pass visits them in
         self._bolt_keys: List[Tuple[str, int]] = [
             (name, task_index)
             for name in self._bolt_order
@@ -188,8 +193,10 @@ class LocalCluster:
 
         ``columnar`` turns the columnar execution path on/off; the
         default (None) enables it for ``batch_size >= COLUMNAR_MIN_BATCH``
-        -- below that the per-batch vector overhead outweighs the win, and
-        ``batch_size=1`` keeps the seed engine's byte-identical path.
+        (64).  That is today's default, not a measured crossover: columnar
+        was no slower at any ``batch_size`` from 2 to 512 (ROADMAP item
+        23), and ``batch_size=1`` keeps the seed engine's byte-identical
+        path.
         """
         # ExecutionOptions.resolve is the single owner of the knob
         # defaults (incl. columnar-on-at-batch_size>=COLUMNAR_MIN_BATCH)
@@ -244,10 +251,10 @@ class LocalCluster:
             head = self._bolt_order[0]
             pool.start(head, [self._turn(buffer, head) for buffer in buffers])
             for name in self._bolt_order:
-                pool.run_rounds(
+                pool.run_level(
                     name, [None if name == head else self._turn(buffer, name)
                            for buffer in buffers],
-                    router.route, buffers, self.metrics)
+                    router.route, buffers, self.metrics, None)
         elif pool is not None:
             pool.start()
         while active:
@@ -347,52 +354,34 @@ class LocalCluster:
             self._level_pass(buffer)
 
     def advance_watermark(self, watermark: float):
-        """Apply one watermark punctuation to every windowed bolt task and
-        run the expirations to quiescence: the pool's tasks first, all
-        punctuated by one broadcast, then the coordinator's in
-        topological order, each hook's expirations drained before the
-        next hook runs."""
-        pool = self.pool
-        if pool is not None:
-            for name, _task_index, emissions, position in \
-                    pool.broadcast_watermark(watermark):
-                self._punctuate(name, emissions, position)
-        for name, task_index in self._bolt_keys:
-            if pool is not None and pool.owner(name, task_index) is not None:
-                continue
-            task = self._tasks[name][task_index]
-            hook = getattr(task, "advance_watermark", None)
-            emissions = hook(watermark) if hook is not None else None
-            if emissions:
-                self._punctuate(name, emissions,
-                                stream_position(task, task_index, emissions))
-
-    def _punctuate(self, name, emissions, position):
-        """Count a watermark hook's emissions as a batch of ``name``'s
-        and drive them, untraced, to quiescence."""
-        source_hop(name, position[0], len(emissions), 0.0, self.metrics, None)
-        self._drain(name, emissions, position)
+        """A punctuation pass of one watermark: every windowed task
+        expires or closes its windows (see :meth:`_punctuation_pass`)."""
+        self._punctuation_pass(watermark)
 
     def flush_bolts(self):
-        """Run every bolt's ``finish()`` in topological order (end of
-        stream): upstream components finish before downstream ones, so a
-        snapshot aggregation flushes only after all its input arrived.
+        """End of stream: a punctuation pass of every bolt's ``finish()``
+        -- upstream components finish before downstream ones, so a
+        snapshot aggregation flushes only after all its input arrived."""
+        self._punctuation_pass(END)
 
-        By level, one component's tasks flush through one buffer (a sink
-        below four aggregation tasks executes one batch); depth-first,
-        each finishing task is drained on its own."""
+    def _punctuation_pass(self, punctuation):
+        """Punctuate every bolt task, upstream components first, each
+        after the deliveries its upstream's punctuations caused
+        (:func:`~repro.storm.kernel.punctuate`).  By level -- where the
+        level schedule or the pool holds -- one pass over an empty buffer
+        (a sink below four aggregation tasks executes one batch);
+        depth-first, each task's emissions are drained before the next
+        task is punctuated."""
         if self._waves or self.pool is not None:
-            self._level_pass(WaveBuffer(), finish=True)
+            self._level_pass(WaveBuffer(), punctuation)
             return
         for name, task_index in self._bolt_keys:
             task = self._tasks[name][task_index]
-            emissions = task.finish()
+            emissions = punctuate(task, name, task_index, punctuation,
+                                  self.metrics)
             if emissions:
-                self.metrics.record_emit(name, task_index, len(emissions))
-                # flush emissions are end-of-stream punctuations, not
-                # part of any source batch's trace
-                self._drain(name, emissions,
-                            stream_position(task, task_index, emissions))
+                self._unwind(name, emissions, stream_position(
+                    task, task_index, emissions), None)
 
     @contextmanager
     def unobserved(self):
@@ -457,14 +446,14 @@ class LocalCluster:
         return ((task_index, task, buffer.pop((name, task_index)))
                 for task_index, task in enumerate(self._tasks[name]))
 
-    def _level_pass(self, buffer: WaveBuffer, finish: bool = False):
+    def _level_pass(self, buffer: WaveBuffer, punctuation=None):
         """Run every bolt component once, upstream first, on what
-        ``buffer`` holds for its tasks; emissions route back into the
-        buffer for the components still to come (every edge goes
-        forward in topological order, so one pass empties it).  With
-        ``finish`` each component is flushed on its turn.  A component's
-        turn is the same call on the pool's workers when they own its
-        tasks, :func:`~repro.storm.kernel.run_level` here otherwise."""
+        ``buffer`` holds for its tasks, then the ``punctuation`` (if any);
+        emissions route back into the buffer for the components still to
+        come (every edge goes forward in topological order, so one pass
+        empties it).  A component's turn is the same call on the pool's
+        workers when they own its tasks,
+        :func:`~repro.storm.kernel.run_level` here otherwise."""
         observer, pool = self._observer, self.pool
         route = self.router.route
         queue = "inline" if pool is None else "processes"
@@ -473,8 +462,8 @@ class LocalCluster:
                 observer.on_queue_depth(queue, buffer.depth())
             work = self._turn(buffer, name)
             if pool is not None and pool.owner(name, 0) is not None:
-                pool.run_level(name, work, route, buffer, self.metrics,
-                               observer, finish)
+                pool.run_level(name, [work], route, [buffer], self.metrics,
+                               observer, punctuation)
             else:
                 run_level(name, work, route, buffer, self.metrics, observer,
-                          finish)
+                          punctuation)

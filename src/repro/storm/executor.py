@@ -25,9 +25,12 @@ run (:class:`StagedExecutor`) fails naming the component.  When every
 edge routes task-locally (:attr:`Router.task_local`), a batch run routes
 its first rounds (up to :data:`~repro.storm.cluster.INHERITED_ROUNDS`)
 before the pool forks, and each worker inherits its tasks' deliveries to
-the first component (:meth:`ResidentWorkerPool.run_rounds`).  Either way
-a ``processes`` run places every row where inline does -- same results,
-same executed batches -- and adds its workers, not a schedule.
+the first component (:meth:`ResidentWorkerPool.start`).  Either way a
+component's turn on a worker is one ``execute`` command, carrying its
+rounds and the punctuation (end of stream or a watermark) that follows
+them (:meth:`ResidentWorkerPool.run_level`), and a ``processes`` run
+places every row where inline does -- same results, same executed
+batches -- and adds its workers, not a schedule.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.obs import Observer
 from repro.obs.tracing import merged_context
-from repro.storm.kernel import deliver, stream_position
+from repro.storm.kernel import deliver, punctuate, stream_position
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Topology, TopologyError
 from repro.util import usable_cores
@@ -272,10 +275,8 @@ class ResidentWorkerState:
     PIPE_PICKLED = True
 
     #: coordinator command -> method (see :func:`worker_loop`)
-    COMMANDS = {"execute": "execute", "rounds": "execute_rounds",
-                "watermark": "advance_watermark",
-                "checkpoint": "checkpoint", "restore": "restore",
-                "collect": "exports"}
+    COMMANDS = {"execute": "execute", "checkpoint": "checkpoint",
+                "restore": "restore", "collect": "exports"}
 
     def __init__(self, worker_id: int, owned: Dict[Tuple[str, int], object],
                  shape: Dict[str, int],
@@ -304,66 +305,49 @@ class ResidentWorkerState:
         if self.batches_executed >= after:
             os.kill(os.getpid(), signal)  # SIGKILL: never returns
 
-    def execute(self, items: List[tuple], finish: Optional[str] = None):
-        """Run delivered batches in order (the armed kill points count
-        the routed batches each merges); with ``finish``, then flush that
-        component's owned tasks (end of stream).
+    def execute(self, component: str, rounds: list, punctuation=None):
+        """One turn of ``component`` on the owned tasks: its ``rounds``
+        back to back, each a list of deliveries or the index of a round
+        handed down at fork time, then the ``punctuation`` (if any) on
+        every owned task of the component.  The armed kill points count
+        the routed batches each delivery merges.
 
-        ``items`` are ``(target, task)`` and a :data:`Delivery`; returns
-        ``(outputs, counters, obs_payload)``: the raw emissions
-        ``(target, task, emissions, child_ctx, position)`` for the
-        coordinator to route, what this call counted as a
-        ``TopologyMetrics`` of the worker's own for the coordinator to
-        ``merge``, and its observer's :meth:`~repro.obs.Observer.drain`
-        payload (None when the run is unobserved).  Both contexts are
-        None unless the run is traced; flush emissions are punctuations
-        and travel untraced.
-        """
+        A delivery is ``(task,)`` and a :data:`Delivery`; returns
+        ``(outputs, counters, obs_payload)``: per round, the raw
+        emissions ``(task, emissions, child_ctx, position)`` for the
+        coordinator to route (the punctuation's in the last round's),
+        what this call counted as a ``TopologyMetrics`` of the worker's
+        own for the coordinator to ``merge``, and its observer's
+        :meth:`~repro.obs.Observer.drain` payload (None when the run is
+        unobserved).  Both contexts are None unless the run is traced."""
         obs = self.obs
         counters = TopologyMetrics.of(self.shape)
-        outputs: List[tuple] = []
-        for target, task_index, source, stream, rows, ctx, parts in items:
-            task = self.owned[(target, task_index)]
-            emissions, child = deliver(task, target, task_index, source,
-                                       stream, rows, ctx, counters, obs)
-            self.batches_executed += parts
-            if emissions:
-                outputs.append((target, task_index, emissions, child,
-                                stream_position(task, task_index, emissions)))
-            self._maybe_die()
-        for name, task_index in sorted(self.owned):
-            if name != finish:
-                continue
-            task = self.owned[(name, task_index)]
-            emissions = task.finish()
-            if emissions:
-                counters.record_emit(name, task_index, len(emissions))
-                outputs.append((name, task_index, emissions, None,
-                                stream_position(task, task_index, emissions)))
-        return outputs, counters, None if obs is None else obs.drain()
-
-    def execute_rounds(self, rounds: list) -> list:
-        """:meth:`execute` one component's turns in several rounds, one
-        after the other: each a list of work items, or the index of a
-        round handed down at fork time."""
-        return [self.execute(self.inherited.pop(work, [])
-                             if isinstance(work, int) else work)
-                for work in rounds]
-
-    def advance_watermark(self, watermark: float):
-        """Apply one watermark punctuation to every owned windowed task;
-        returns the ``(component, task, emissions, position)`` of each
-        task that emitted."""
-        outputs: List[Tuple[str, int, object, tuple]] = []
+        outputs: List[List[tuple]] = []
+        for work in rounds:
+            emitted: List[tuple] = []
+            for task_index, source, stream, rows, ctx, parts in (
+                    self.inherited.pop(work, []) if isinstance(work, int)
+                    else work):
+                task = self.owned[(component, task_index)]
+                emissions, child = deliver(task, component, task_index,
+                                           source, stream, rows, ctx,
+                                           counters, obs)
+                self.batches_executed += parts
+                if emissions:
+                    emitted.append((task_index, emissions, child,
+                                    stream_position(task, task_index,
+                                                    emissions)))
+                self._maybe_die()
+            outputs.append(emitted)
         for (name, task_index), task in sorted(self.owned.items()):
-            hook = getattr(task, "advance_watermark", None)
-            if hook is None:
-                continue
-            emissions = hook(watermark)
-            if emissions:
-                outputs.append((name, task_index, emissions, stream_position(
-                    task, task_index, emissions)))
-        return outputs
+            if name == component and punctuation is not None:
+                emissions = punctuate(task, name, task_index, punctuation,
+                                      counters)
+                if emissions:
+                    outputs[-1].append((task_index, emissions, None,
+                                        stream_position(task, task_index,
+                                                        emissions)))
+        return outputs, counters, None if obs is None else obs.drain()
 
     def checkpoint(self, known: Dict[Tuple[str, int], str]):
         """Hash-diff snapshot of every owned task.
@@ -650,8 +634,8 @@ class ResidentWorkerPool:
         """Fork the workers.  ``rounds`` are ``component``'s turns in
         rounds already routed, each the ``(index, task, deliveries)`` of
         a level pass's turn: every worker is forked holding its tasks'
-        deliveries, so they never cross a pipe, and executes them in
-        :meth:`run_rounds`."""
+        deliveries, so they never cross a pipe, and executes them when
+        :meth:`run_level` names those rounds."""
         if not self.assignment:
             return
         inherited: Dict[int, Dict[int, List[tuple]]] = {}
@@ -739,61 +723,47 @@ class ResidentWorkerPool:
             raise WorkerDied(dead)
         return replies
 
-    def execute(self, per_worker: Dict[int, List[tuple]], counters, obs,
-                finish: Optional[str] = None) -> List[tuple]:
-        """Deliver routed micro-batches (:meth:`ResidentWorkerState.
-        execute` items) and, with ``finish``, flush that component's
-        tasks after them on every worker that owns one.
+    def execute(self, component: str, per_worker: Dict[int, list],
+                counters, obs, punctuation=None) -> List[List[tuple]]:
+        """Send each worker its rounds of ``component``'s turn, and the
+        ``punctuation``, in one ``execute`` command
+        (:meth:`ResidentWorkerState.execute`).
 
         Workers execute their slices concurrently.  Their outputs are
-        returned, their counters merged into ``counters`` and their obs
-        payloads into ``obs`` (an :class:`~repro.obs.Observer`, or None
-        to drop them), all in worker-id order, so delivery stays
-        deterministic for a fixed assignment."""
-        recipients = {worker_id: ("execute", items, finish)
-                      for worker_id, items in per_worker.items() if items}
-        if finish is not None:
-            for (name, _task_index), owner in self.assignment.items():
-                if name == finish:
-                    recipients.setdefault(owner, ("execute", [], finish))
-        return self._merge(self._command(recipients), counters, obs)
-
-    @staticmethod
-    def _merge(replies: Dict[int, object], counters, obs) -> List[tuple]:
-        """Fold ``execute`` replies in worker-id order: outputs returned,
-        counters and obs payloads merged in."""
-        outputs: List[tuple] = []
+        returned per round, their counters merged into ``counters`` and
+        their obs payloads into ``obs`` (an :class:`~repro.obs.Observer`,
+        or None to drop them), all in worker-id order, so delivery stays
+        deterministic for a fixed assignment.  A dead worker raises
+        :class:`WorkerDied` naming the component."""
+        try:
+            replies = self._command({
+                worker_id: ("execute", component, rounds, punctuation)
+                for worker_id, rounds in per_worker.items()})
+        except WorkerDied as death:
+            raise WorkerDied(death.worker_ids, component) from None
+        outputs = []
         for worker_id in sorted(replies):
             worker_outputs, worker_counters, obs_payload = replies[worker_id]
-            outputs.extend(worker_outputs)
+            outputs.append(worker_outputs)
             counters.merge(worker_counters)
             if obs is not None:
                 obs.merge_worker_obs(obs_payload)
-        return outputs
+        return [[output for emitted in round_outputs for output in emitted]
+                for round_outputs in zip(*outputs)]
 
-    def run_level(self, component: str, work, route, out, counters, obs,
-                  finish: bool = False):
-        """:func:`repro.storm.kernel.run_level` on the workers: each
-        task's deliveries go to its owner in one ``execute`` command,
-        which on the finishing pass also flushes the tasks.  A dead
-        worker raises :class:`WorkerDied` naming the component."""
-        try:
-            outputs = self.execute(self._items(component, work), counters,
-                                   obs, component if finish else None)
-        except WorkerDied as death:
-            raise WorkerDied(death.worker_ids, component) from None
-        self._route(component, outputs, route, out)
-
-    def run_rounds(self, component: str, rounds: list, route, buffers,
-                   counters):
-        """``component``'s turns in several rounds, in one ``rounds``
-        command per worker: ``rounds[k]`` is round ``k``'s turn (the
-        ``(index, task, deliveries)`` of a level pass's), or None for a
-        round the workers were forked with (:meth:`start`).  A worker
-        runs the rounds back to back; the replies are routed once all are
-        in -- so the coordinator takes no core from a worker while they
-        run -- round ``k``'s emissions into ``buffers[k]``, round after
-        round and in task order."""
+    def run_level(self, component: str, rounds: list, route, outs: list,
+                  counters, obs, punctuation=None):
+        """:func:`repro.storm.kernel.run_level` on the workers, for
+        ``component``'s turns in one or more rounds: ``rounds[k]`` is
+        round ``k``'s turn (the ``(index, task, deliveries)`` of a level
+        pass's), or None for a round the workers were forked holding
+        (:meth:`start`).  Every worker that owns a delivery -- or, with a
+        ``punctuation``, a task of the component -- gets one ``execute``
+        command and runs the rounds back to back, then the punctuation;
+        the replies are routed once all are in -- so the coordinator
+        takes no core from a worker while they run -- round ``k``'s
+        emissions into ``outs[k]``, round after round and in task
+        order."""
         per_worker: Dict[int, list] = {}
         for round_index, work in enumerate(rounds):
             held = (dict.fromkeys(self._workers, round_index)
@@ -801,25 +771,24 @@ class ResidentWorkerPool:
             for worker_id, items in held.items():
                 per_worker.setdefault(
                     worker_id, [[]] * len(rounds))[round_index] = items
-        try:
-            replies = self._command({worker_id: ("rounds", work)
-                                     for worker_id, work in per_worker.items()})
-        except WorkerDied as death:
-            raise WorkerDied(death.worker_ids, component) from None
-        for round_index, out in enumerate(buffers):
-            self._route(component, self._merge(
-                {worker_id: reply[round_index]
-                 for worker_id, reply in replies.items()}, counters, None),
-                route, out)
+        if punctuation is not None:
+            for (name, _task_index), owner in self.assignment.items():
+                if name == component:
+                    per_worker.setdefault(owner, [[]] * len(rounds))
+        outputs = self.execute(component, per_worker, counters, obs,
+                               punctuation)
+        for emitted, out in zip(outputs, outs):
+            self._route(component, emitted, route, out)
 
     def _items(self, component: str, work) -> Dict[int, List[tuple]]:
-        """A turn's deliveries as each owning worker's work items."""
+        """A turn's deliveries as each owning worker's, ``(task,)`` and a
+        :data:`Delivery`; a worker with none gets no entry."""
         per_worker: Dict[int, List[tuple]] = {}
         for index, _task, deliveries in work:
-            items = per_worker.setdefault(
-                self.assignment[(component, index)], [])
-            items.extend((component, index) + delivery
-                         for delivery in deliveries)
+            if deliveries:
+                per_worker.setdefault(
+                    self.assignment[(component, index)], []).extend(
+                        (index,) + delivery for delivery in deliveries)
         return per_worker
 
     def exit_code(self, worker_id: int) -> Optional[int]:
@@ -831,8 +800,8 @@ class ResidentWorkerPool:
         """Route a turn's emissions into ``out`` in task order -- a
         task's own in the order it made them, which is the order an
         inline pass routes them in."""
-        outputs.sort(key=itemgetter(1))  # stable: per task, as emitted
-        for _component, _index, emissions, child, position in outputs:
+        outputs.sort(key=itemgetter(0))  # stable: per task, as emitted
+        for _index, emissions, child, position in outputs:
             out.add(route(component, emissions, position), child)
 
     def collect(self) -> Dict[Tuple[str, int], object]:
@@ -842,15 +811,6 @@ class ResidentWorkerPool:
                                  for worker_id in self._workers})
         return {key: task for worker_id in sorted(replies)
                 for key, task in replies[worker_id].items()}
-
-    def broadcast_watermark(self, watermark: float):
-        """Punctuate every worker; returns merged hook emissions."""
-        replies = self._command({
-            worker_id: ("watermark", watermark)
-            for worker_id in self._workers
-        })
-        return [output for worker_id in sorted(replies)
-                for output in replies[worker_id]]
 
     def checkpoint(self, known: Dict[Tuple[str, int], str]):
         """Collect one hash-diff snapshot from every worker."""

@@ -7,8 +7,10 @@ run the same loop in :meth:`~repro.storm.executor.ResidentWorkerState.\
 execute`; its depth-first schedule works a stack.  All three hand each
 routed micro-batch to :func:`deliver`, so what happens to a batch at a
 task is written once: count the receive, run the task, time and span it
-iff the run is observed, count the emit.  Two parameters carry what
-differs:
+iff the run is observed, count the emit.  A punctuation -- end of stream
+or a watermark -- is the last step of a task's turn, after its
+deliveries, and :func:`punctuate` is the one place it is applied.  Two
+parameters carry what differs:
 
 - ``counters`` -- where the step is counted: the cluster's
   :class:`~repro.storm.metrics.TopologyMetrics` or a worker's own (folded
@@ -79,19 +81,34 @@ def deliver(task, component: str, index: int, source: str, stream: str,
     return emissions, child
 
 
+#: the end-of-stream punctuation; any other punctuation is a watermark
+END = "end"
+
+
+def punctuate(task, component: str, index: int, punctuation, counters):
+    """Apply ``punctuation`` to task ``index`` of ``component`` -- at
+    :data:`END` its ``finish``, otherwise its ``advance_watermark`` --
+    and count what it emits.  Returns the emissions, which travel
+    untraced: a punctuation is no source batch's."""
+    emissions = (task.finish() if punctuation == END
+                 else task.advance_watermark(punctuation))
+    if emissions:
+        counters.record_emit(component, index, len(emissions))
+    return emissions
+
+
 def run_level(component: str, work, route, out, counters, obs,
-              finish: bool = False):
+              punctuation=None):
     """One component's turn in a level pass: each of its tasks executes
-    the deliveries waiting for it, in arrival order, and what it emits is
-    routed into ``out`` for the components downstream.
+    the deliveries waiting for it, in arrival order, then the
+    ``punctuation`` if there is one (every upstream component has
+    already had its turn), and what it emits is routed into ``out`` for
+    the components downstream.
 
     ``work`` yields ``(index, task, deliveries)``, a delivery being
     ``(source, stream, rows, ctx, parts)`` as a wave buffer hands them
     over (one per coalesced run); ``route`` is the driver's
-    ``Router.route`` and ``out`` anything with a wave buffer's ``add``.  With ``finish`` each
-    task is flushed after its last delivery (end of stream: every
-    upstream component has already had its turn); flush emissions are
-    punctuations and travel untraced."""
+    ``Router.route`` and ``out`` anything with a wave buffer's ``add``."""
     for index, task, deliveries in work:
         for source, stream, rows, ctx, _parts in deliveries:
             emissions, child = deliver(task, component, index, source,
@@ -99,39 +116,26 @@ def run_level(component: str, work, route, out, counters, obs,
             if emissions:
                 out.add(route(component, emissions, stream_position(
                     task, index, emissions)), child)
-        if finish:
-            emissions = task.finish()
+        if punctuation is not None:
+            emissions = punctuate(task, component, index, punctuation,
+                                  counters)
             if emissions:
-                counters.record_emit(component, index, len(emissions))
                 out.add(route(component, emissions, stream_position(
                     task, index, emissions)))
 
 
-def source_hop(component: str, index: int, rows: int, seconds: float,
-               counters, obs):
-    """Count one source batch entering the dataplane and open its trace.
-
-    Returns the root span context every batch routed from it is parented
-    by (None below the trace level)."""
-    counters.record_emit(component, index, rows)
-    counters.record_batch(component, index)
-    if obs is None:
-        return None
-    obs.record(component, index, seconds)
-    return obs.root(component, index, rows, seconds)
-
-
 def pull(spout, component: str, index: int, limit: int, counters, obs):
-    """One spout pull of at most ``limit`` tuples, as a source hop.
+    """One spout pull of at most ``limit`` tuples, as a source hop: the
+    batch is counted entering the dataplane and opens its trace.
 
     Returns ``(emissions, position, root_ctx, more)``, ``position``
-    their :func:`stream_position`; an empty pull counts nothing.
-    ``more`` is the spout's ``has_more``, not the pull's length: a
-    selection can thin a mid-stream poll, even to nothing, without the
-    source running dry."""
+    their :func:`stream_position` and ``root_ctx`` the span context every
+    batch routed from them is parented by (None below the trace level);
+    an empty pull counts nothing.  ``more`` is the spout's ``has_more``,
+    not the pull's length: a selection can thin a mid-stream poll, even
+    to nothing, without the source running dry."""
     if obs is None:
         emissions = spout.next_batch(limit)
-        seconds = 0.0
     else:
         started = perf_counter()
         emissions = spout.next_batch(limit)
@@ -139,6 +143,11 @@ def pull(spout, component: str, index: int, limit: int, counters, obs):
     more = spout.has_more()
     if not emissions:
         return emissions, None, None, more
-    return (emissions, stream_position(spout, index, emissions),
-            source_hop(component, index, len(emissions), seconds, counters,
-                       obs), more)
+    rows = len(emissions)
+    counters.record_emit(component, index, rows)
+    counters.record_batch(component, index)
+    ctx = None
+    if obs is not None:
+        obs.record(component, index, seconds)
+        ctx = obs.root(component, index, rows, seconds)
+    return emissions, stream_position(spout, index, emissions), ctx, more

@@ -84,6 +84,11 @@ class Bolt:
         """Called once after every upstream component finished (flush)."""
         return []
 
+    def advance_watermark(self, watermark) -> List[Emission]:
+        """Called with each watermark punctuation, after the deliveries
+        it vouches for (a windowed task expires or closes its windows)."""
+        return []
+
     def export(self) -> object:
         """What a finished batch ``processes`` run ships home in this
         task's place, for result extraction: the task itself, unless a

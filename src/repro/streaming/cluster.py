@@ -26,14 +26,14 @@ shared-nothing deployment of the paper's Storm runtime -- and the
 coordinator keeps everything a crash must not lose: source pumps, the
 routing table, the delta sinks with their subscriptions, the change log
 and the checkpoint store.  It logs every poll (with its stream position,
-in its round) and watermark before driving it, checkpoints operator
-state incrementally every ``checkpoint_interval`` full rounds (hash-diffed,
-so unchanged partitions persist zero bytes; see :mod:`repro.checkpoint`),
-and when a worker dies respawns it, restores every worker from the
-latest snapshot, rolls the sinks back, and replays the log round by
-round, unobserved, so the final snapshot is byte-identical to a
-crash-free (and to a batch) run.  Partitioners that adapt to the
-globally observed stream are refused up front
+in its round), and the watermark that closes the round, before driving
+it, checkpoints operator state incrementally every ``checkpoint_interval``
+full rounds (hash-diffed, so unchanged partitions persist zero bytes; see
+:mod:`repro.checkpoint`), and when a worker dies respawns it, restores
+every worker from the latest snapshot, rolls the sinks back, and replays
+the log round by round, unobserved, so the final snapshot is
+byte-identical to a crash-free (and to a batch) run.  Partitioners that
+adapt to the globally observed stream are refused up front
 (:func:`ensure_task_local_routing`): a replay could not route the way
 the original delivery did.  The walkthrough is
 ``docs/FAULT_TOLERANCE.md``.
@@ -48,7 +48,6 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
-from repro.checkpoint.log import ROUND as _LOG_ROUND
 from repro.core.options import EXECUTOR_NAMES
 from repro.engine.runner import SourcePump
 from repro.obs import Observer
@@ -160,7 +159,7 @@ class StreamingCluster:
         #: cluster's rounds take them: ``(name, 0, pump)``
         self._unpolled: List[Tuple[str, int, SourcePump]] = []
         self._final_watermarks: List[float] = []
-        self._broadcast_wm: Optional[float] = None
+        self._applied_wm: Optional[float] = None
         self._done = threading.Event()
         self._stop = threading.Event()
         #: a run() loop drives the query: stop(wait=True) may wait on it
@@ -389,7 +388,7 @@ class StreamingCluster:
             self._source_wm.mark_done(name)
 
     def _advance_watermark(self, merged: Optional[float]) -> bool:
-        """Broadcast a *finite* watermark advance to every windowed task.
+        """Punctuate every bolt task with a *finite* watermark advance.
 
         ``inf`` (no live input constrains event time) is never used to
         expire windows: end-of-stream closure is the flush's job, and
@@ -397,16 +396,16 @@ class StreamingCluster:
         batch engine's final snapshot."""
         if merged is None or merged == math.inf:
             return False
-        if self._broadcast_wm is not None and merged <= self._broadcast_wm:
+        if self._applied_wm is not None and merged <= self._applied_wm:
             return False
-        self._broadcast_wm = merged
+        self._applied_wm = merged
         self.stats.record_watermark(merged)
         if self._pool is not None:
-            # logged before the broadcast, so a worker that dies
-            # mid-fanout still sees the punctuation once: global restore
-            # rewinds the survivors that already applied it, and the
-            # replay re-delivers it to everyone
-            self._log.record_watermark(merged)
+            # logged before it is driven, so a worker that dies in the
+            # punctuation pass still sees it once: global restore rewinds
+            # the survivors that already applied it, and the replay
+            # re-delivers it to everyone
+            self._log.close_round(merged)
         self.cluster.advance_watermark(merged)
         return True
 
@@ -458,12 +457,12 @@ class StreamingCluster:
 
     def _coordinator_blob(self) -> bytes:
         """The coordinator's own state for a manifest: sink multisets and
-        the broadcast watermark -- everything the replay path needs
+        the applied watermark -- everything the replay path needs
         rewound."""
         return pickle.dumps({
             "sinks": {key: sink.counts_snapshot()
                       for key, sink in sorted(self._sinks.items())},
-            "wm": self._broadcast_wm,
+            "wm": self._applied_wm,
         }, protocol=pickle.HIGHEST_PROTOCOL)
 
     def _checkpoint(self):
@@ -522,17 +521,16 @@ class StreamingCluster:
         coordinator = pickle.loads(manifest.coordinator)
         for key, counts in coordinator["sinks"].items():
             self._sinks[key].rollback(counts)
-        self._broadcast_wm = coordinator["wm"]
+        self._applied_wm = coordinator["wm"]
         replayed_entries = replayed_rows = 0
         with self.cluster.unobserved():
-            for kind, value in self._log.replay():
-                if kind == _LOG_ROUND:
-                    replayed_entries += len(value)
-                    replayed_rows += sum(len(emissions)
-                                         for _source, emissions, _at in value)
-                    self.cluster.replay(value)
-                else:
-                    self._broadcast_wm = value
-                    self.cluster.advance_watermark(value)
+            for polls, watermark in self._log.replay():
+                replayed_entries += len(polls)
+                replayed_rows += sum(len(emissions)
+                                     for _source, emissions, _at in polls)
+                self.cluster.replay(polls)
+                if watermark is not None:
+                    self._applied_wm = watermark
+                    self.cluster.advance_watermark(watermark)
         self.checkpoints.record_recovery(list(respawned), replayed_entries,
                                          replayed_rows)

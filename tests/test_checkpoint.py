@@ -154,23 +154,26 @@ class TestDirectoryBackend:
 
 class TestChangeLog:
     def test_replay_preserves_order_and_kinds(self):
-        """Polls are logged into the round they were routed in; a
-        watermark, or a marked round boundary, closes it."""
+        """One entry kind: polls are logged into the round they were
+        routed in, and a round carries the watermark that closed it, or
+        None when a marked round boundary did; a watermark with no round
+        open closes a round that polled nothing."""
         log = ChangeLog()
         log.record_data("R", [("R", (1, 2))], (0, {}))
         log.record_data("S", [("S", (3,))], (0, {}))
-        log.record_watermark(5.0)
+        log.close_round(5.0)
+        log.close_round(6.0)
         log.record_data("S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7}))
         log.begin_round()
         log.begin_round()  # a round that polled nothing logs nothing
         log.record_data("R", [("R", (7, 8))], (0, {"R": 1}))
         entries = list(log.replay())
         assert entries == [
-            ("round", [("R", [("R", (1, 2))], (0, {})),
-                       ("S", [("S", (3,))], (0, {}))]),
-            ("wm", 5.0),
-            ("round", [("S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7}))]),
-            ("round", [("R", [("R", (7, 8))], (0, {"R": 1}))]),
+            ([("R", [("R", (1, 2))], (0, {})),
+              ("S", [("S", (3,))], (0, {}))], 5.0),
+            ([], 6.0),
+            ([("S", [("S", (3, 4)), ("S", (5, 6))], (0, {"S": 7}))], None),
+            ([("R", [("R", (7, 8))], (0, {"R": 1}))], None),
         ]
         assert log.rows == 5
 

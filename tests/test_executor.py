@@ -736,17 +736,23 @@ class TestInheritedRounds:
         import repro.storm.cluster
         from repro.storm.executor import ResidentWorkerPool
 
+        def level(args):
+            # a level pass hands the pool one round; the inherited
+            # rounds go to it as one turn of several
+            rounds = len(args[2])
+            return (("run_level", args[1]) if rounds == 1
+                    else ("run_rounds", (args[1], rounds)))
+
         events = []
-        steps = [(LocalCluster, "_pull_round", lambda args: None),
+        steps = [(LocalCluster, "_pull_round",
+                  lambda args: ("_pull_round", None)),
                  (ResidentWorkerPool, "start",
-                  lambda args: args[1] if len(args) > 1 else None),
-                 (ResidentWorkerPool, "run_rounds",
-                  lambda args: (args[1], len(args[2]))),
-                 (ResidentWorkerPool, "run_level", lambda args: args[1])]
-        for cls, name, turn in steps:
-            def recorded(*args, _original=getattr(cls, name), _name=name,
-                         _turn=turn, **kwargs):
-                events.append((_name, _turn(args)))
+                  lambda args: ("start", args[1] if len(args) > 1 else None)),
+                 (ResidentWorkerPool, "run_level", level)]
+        for cls, name, step in steps:
+            def recorded(*args, _original=getattr(cls, name), _step=step,
+                         **kwargs):
+                events.append(_step(args))
                 return _original(*args, **kwargs)
             monkeypatch.setattr(cls, name, recorded)
         monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", budget)
@@ -930,3 +936,93 @@ class TestInheritedRounds:
         assert len(counts) == 40 and min(counts) > 0
         # the coordinator's own collector is left as it was
         assert gc.get_freeze_count() == before
+
+
+class WatermarkEchoBolt(Bolt):
+    """Doubles each row it is delivered; a watermark emits one row
+    naming the task and how many rows it had been delivered by then."""
+
+    def prepare(self, task_index, parallelism):
+        self.task_index, self.seen = task_index, 0
+
+    def execute(self, source, stream, values):
+        self.seen += 1
+        return [("default", tuple(v * 2 for v in values))]
+
+    def advance_watermark(self, watermark):
+        return [("default", (watermark, self.task_index, self.seen))]
+
+
+class TestPunctuation:
+    """A watermark is the last step of a task's turn, as end of stream
+    is: each task takes the deliveries its upstream's punctuations
+    caused, then the punctuation, on every schedule and executor."""
+
+    @staticmethod
+    def topology():
+        builder = TopologyBuilder()
+        builder.set_spout("spout", lambda i, p: ListSpout([]))
+        builder.set_bolt("echo", lambda i, p: WatermarkEchoBolt(),
+                         parallelism=3).shuffle_grouping("spout")
+        builder.set_bolt("mid", lambda i, p: WatermarkEchoBolt(),
+                         parallelism=2).shuffle_grouping("echo")
+        builder.set_bolt("sink", lambda i, p: SinkBolt()).global_grouping(
+            "mid")
+        return builder.build()
+
+    def punctuated(self, coalesce, pool=False):
+        """The sink's rows and the cluster's counters after one
+        watermark, 7, on a fresh topology."""
+        from repro.storm.executor import ResidentWorkerPool
+
+        topology = self.topology()
+        cluster = LocalCluster(topology)
+        cluster.set_coalescing(coalesce)
+        if not pool:
+            cluster.advance_watermark(7)
+        else:
+            cluster.pool = ResidentWorkerPool(
+                topology, {name: cluster.tasks(name)
+                           for name in topology.components},
+                parallelism=2, exclude={"sink"})
+            cluster.pool.start()
+            try:
+                cluster.advance_watermark(7)
+            finally:
+                cluster.pool.stop()
+        return Counter(cluster.task("sink", 0).store), cluster.metrics
+
+    def test_every_schedule_punctuates_after_the_deliveries(
+            self, monkeypatch):
+        from repro.storm.executor import ResidentWorkerPool
+
+        commands = []
+        command = ResidentWorkerPool._command
+
+        def recorded(pool, recipients):
+            commands.extend((message[0], message[1], worker_id)
+                            for worker_id, message in recipients.items())
+            return command(pool, recipients)
+
+        monkeypatch.setattr(ResidentWorkerPool, "_command", recorded)
+        depth_first, metrics = self.punctuated(coalesce=False)
+        # the three echo rows, doubled by mid, then mid's own watermark
+        # rows: mid took its deliveries before its punctuation
+        assert sorted(depth_first) == sorted(
+            [(14, 2 * index, 0) for index in range(3)]
+            + [(7, index, seen) for index, seen
+               in enumerate(metrics.batch_counts("mid"))])
+        assert sum(metrics.batch_counts("mid")) == 3
+        # a punctuation's emissions are counted, as no batch
+        assert metrics.emitted["echo"] == [1, 1, 1]
+        assert metrics.batch_counts("echo") == [0, 0, 0]
+        by_level, _metrics = self.punctuated(coalesce=True)
+        assert by_level == depth_first
+        commands.clear()
+        forked, forked_metrics = self.punctuated(coalesce=True, pool=True)
+        assert forked == depth_first
+        assert forked_metrics.emitted["echo"] == [1, 1, 1]
+        # one execute per owning worker, per worker-owned component
+        assert sorted(commands) == [
+            ("execute", "echo", 0), ("execute", "echo", 1),
+            ("execute", "mid", 0), ("execute", "mid", 1)]

@@ -18,6 +18,7 @@ import os
 import pickle
 import random
 import signal
+from collections import Counter
 
 import pytest
 
@@ -598,3 +599,57 @@ class TestDeltaSinkRollback:
         sink.execute_batch("J", "J", [(1,), (2,)])
         sink.rollback({})
         assert sink.snapshot() == []
+
+
+def tumbling_agg_plan() -> PhysicalPlan:
+    """240 event-time rows into COUNT/SUM by key over 60-unit tumbling
+    windows, on two aggregation tasks."""
+    from repro.engine.operators import total
+    from repro.engine.windows import WindowSpec
+
+    rng = random.Random(17)
+    events = Relation("events", Schema.of("ts", "key", "value"),
+                      [(ts, rng.randrange(5), rng.randrange(20))
+                       for ts in range(240)])
+    return PhysicalPlan(
+        sources=[SourceComponent("events", events)],
+        joins=[],
+        aggregation=AggComponent(
+            "agg", group_positions=[1], aggregates=[count(), total(2)],
+            parallelism=2,
+            window=WindowSpec.tumbling(60, ts_positions={"": 0})),
+    )
+
+
+class TestTumblingWindows:
+    """A tumbling window's aggregation state pickles, so it runs on
+    ``processes`` in a batch run and in a checkpointed stream."""
+
+    def test_batch_run_equals_inline(self):
+        expected = batch_snapshot(tumbling_agg_plan())
+        forked = run_plan(tumbling_agg_plan(), options=ExecutionOptions(
+            executor="processes", parallelism=2, batch_size=16))
+        assert sorted(forked.results) == expected and expected
+
+    def test_stream_equals_batch_and_inline_feed(self):
+        """The tasks of a level pass run in index order, not
+        depth-first, so the delta feed is compared as a multiset."""
+        def feed(options):
+            query = stream_plan(tumbling_agg_plan(), options=options)
+            deltas = Counter((delta.sign, delta.row) for delta in query)
+            return query, deltas
+
+        _inline, inline_feed = feed(ExecutionOptions(batch_size=16))
+        query, forked_feed = feed(processes_options(parallelism=2))
+        assert query.snapshot() == batch_snapshot(tumbling_agg_plan())
+        assert forked_feed == inline_feed
+
+    @pytest.mark.parametrize("after_batches", [1, 3, 6])
+    def test_killed_worker_recovers_to_batch_snapshot(self, after_batches):
+        injector = FaultInjector().kill_worker_of(
+            "agg", 0, after_batches=after_batches)
+        query = stream_plan(tumbling_agg_plan(),
+                            options=processes_options(parallelism=2),
+                            fault_injector=injector).run()
+        assert query.checkpoint_stats()["recoveries"] == 1
+        assert query.snapshot() == batch_snapshot(tumbling_agg_plan())
