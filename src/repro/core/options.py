@@ -10,7 +10,12 @@ owner of those knobs and of their defaulting rules:
 - every field defaults to ``None`` = "not set";
 - :meth:`ExecutionOptions.resolve` fills the defaults *once*, including
   the ``columnar``-on-at-``batch_size >= COLUMNAR_MIN_BATCH`` rule, so
-  batch and streaming execution resolve identically;
+  batch and streaming execution resolve identically, and is the only
+  code that range-checks a knob;
+- the clusters below the front ends (``LocalCluster.run``,
+  ``StreamingCluster``) take the resolved object and apply it as it is,
+  so an explicit ``columnar`` runs columnar at any ``batch_size`` on
+  either engine; the REPL's ``\\set`` checks each new value with it;
 - :meth:`ExecutionOptions.overlay` layers per-call options over
   session / context / broker defaults.
 
@@ -24,6 +29,7 @@ producer backpressure instead).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,7 +94,7 @@ class ExecutionOptions:
     #: never stalls the pipeline) | 'block' (producer backpressure)
     on_overflow: Optional[str] = None
     #: pump rounds between operator-state checkpoints (streaming
-    #: executor='processes' only); None = the executor default (8)
+    #: executor='processes' only); None = 8
     checkpoint_interval: Optional[int] = None
     #: observability level: 'off' (no observer, hot paths untouched) |
     #: 'metrics' (latency histograms, row counters, skew/queue gauges) |
@@ -103,7 +109,9 @@ class ExecutionOptions:
         ``batch_size >= COLUMNAR_MIN_BATCH`` for batch and streaming
         execution alike (the batch engine and ``stream_plan`` used to
         disagree here).  ``parallelism`` stays ``None`` when unset --
-        "let the backend pick" is itself the default.
+        "let the backend pick" is itself the default -- and so does
+        ``rate`` (unthrottled).  Resolving a resolved object returns an
+        equal one.
         """
         batch_size = (default_batch_size if self.batch_size is None
                       else self.batch_size)
@@ -121,12 +129,14 @@ class ExecutionOptions:
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError(
                 f"parallelism must be >= 1, got {self.parallelism}")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+        if self.rate is not None and not 0 < self.rate < math.inf:
             raise ValueError(
-                f"checkpoint_interval must be >= 1, "
-                f"got {self.checkpoint_interval}")
+                f"rate must be positive and finite, got {self.rate}")
+        checkpoint_interval = (8 if self.checkpoint_interval is None
+                               else self.checkpoint_interval)
+        if checkpoint_interval < 1:
+            raise ValueError(
+                f"checkpoint_interval must be >= 1, got {checkpoint_interval}")
         columnar = self.columnar
         if columnar is None:
             columnar = batch_size >= COLUMNAR_MIN_BATCH
@@ -151,7 +161,7 @@ class ExecutionOptions:
             rate=self.rate,
             max_buffer=max_buffer,
             on_overflow=on_overflow,
-            checkpoint_interval=self.checkpoint_interval,
+            checkpoint_interval=checkpoint_interval,
             observe=observe,
         )
 

@@ -587,9 +587,10 @@ def run_plan(plan: PhysicalPlan,
     """Compile a physical plan to a topology and execute it locally.
 
     Execution knobs are carried by ``options``
-    (:class:`~repro.core.options.ExecutionOptions`).  Unset knobs
-    resolve to the finite engine's defaults: ``batch_size=1`` (the
-    golden per-tuple path), ``executor='inline'``.
+    (:class:`~repro.core.options.ExecutionOptions`), resolved once --
+    unset knobs take the finite engine's defaults: ``batch_size=1`` (the
+    golden per-tuple path), ``executor='inline'`` -- and handed as one
+    resolved object to ``LocalCluster.run``.
 
     ``options.batch_size`` is the number of tuples pulled from each
     spout per round; downstream micro-batches follow from it but are not
@@ -622,11 +623,7 @@ def run_plan(plan: PhysicalPlan,
     resolved = (options or ExecutionOptions()).resolve(default_batch_size=1)
     topology, partitioners = build_topology(plan)
     cluster = LocalCluster(topology)
-    metrics = cluster.run(batch_size=resolved.batch_size,
-                          executor=resolved.executor,
-                          parallelism=resolved.parallelism,
-                          columnar=resolved.columnar,
-                          observe=resolved.observe)
+    metrics = cluster.run(resolved)
 
     # all measurement state is read back from the cluster's tasks *after*
     # the run: under the processes backend these are what the tasks

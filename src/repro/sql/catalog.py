@@ -123,10 +123,13 @@ class SqlSession:
                 subscriber's delta ring, broker mode),
                 ``parallelism`` and ``checkpoint_interval`` (the
                 fault-tolerant ``executor='processes'`` resident
-                workers -- see ``docs/FAULT_TOLERANCE.md``).  Unset
-                knobs resolve exactly as in the batch engine (columnar
-                on at batch_size >= 64; streaming default batch size
-                64).
+                workers -- see ``docs/FAULT_TOLERANCE.md``).  Layered
+                over the session's execution options and resolved once,
+                exactly as in the batch engine (columnar on at
+                batch_size >= 64; streaming default batch size 64); the
+                streaming cluster applies the resolved object as it is,
+                so an explicit ``columnar`` is honoured at any batch
+                size.
             tenant: overrides the session's tenant for this
                 subscription (broker mode).
 

@@ -6,6 +6,14 @@ section 2).  This is the Python counterpart: a line-oriented shell over
 :class:`~repro.sql.catalog.SqlSession` with meta-commands for inspecting
 the catalog, explaining plans and tuning execution options.
 
+The shell's execution knobs are one
+:class:`~repro.core.options.ExecutionOptions` (``shell.execution``),
+layered under every SQL line and ``\\watch``.  ``\\set <knob> <value>``
+only parses the word; the new options are checked by
+:meth:`~repro.core.options.ExecutionOptions.resolve`, whose message is
+the answer to a rejected value, and a bare ``\\set`` lists the resolved
+values -- what a SQL line runs with.
+
 Meta-commands (everything else is executed as SQL):
 
     \\tables                 list registered relations
@@ -34,15 +42,35 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.options import (
-    EXECUTOR_NAMES,
-    OBSERVE_LEVELS,
-    OVERFLOW_POLICIES,
-    ExecutionOptions,
-)
+from repro.core.options import ExecutionOptions
 from repro.sql.catalog import SqlSession
 
 HELP_TEXT = __doc__.split("Meta-commands", 1)[1]
+
+#: the optimizer knobs ``\\set`` edits: knob -> (attribute of the
+#: session's OptimizerOptions, the words it takes; None = an integer)
+PLAN_KNOBS = {
+    "machines": ("machines", None),
+    "scheme": ("scheme", ("auto", "hash", "random", "hybrid")),
+    "mode": ("mode", ("multiway", "pipeline")),
+    "local": ("local_join", ("dbtoaster", "traditional")),
+}
+
+#: the ExecutionOptions fields ``\\set`` edits: knob -> (parser of a
+#: word, what a word that does not parse should be, the word that
+#: unsets the knob).  Only parsing lives here: the value is then checked
+#: by ``ExecutionOptions.resolve``, whose error is the answer.
+EXECUTION_KNOBS = {
+    "batch_size": (int, "an integer", None),
+    "executor": (str, None, None),
+    "parallelism": (int, "an integer or auto", "auto"),
+    "columnar": ({"on": True, "off": False}.__getitem__,
+                 "auto | on | off", "auto"),
+    "rate": (float, "a number or none", "none"),
+    "max_buffer": (int, "an integer or none", "none"),
+    "on_overflow": (str, None, None),
+    "observe": (str, None, "off"),
+}
 
 
 class SquallShell:
@@ -123,7 +151,7 @@ class SquallShell:
         the last executed query when called bare."""
         if sql:
             execution = self.execution
-            if (execution.observe or "off") == "off":
+            if execution.resolve().observe == "off":
                 # a profile without batch timings answers nothing: observe
                 # at least 'metrics' for this one run
                 execution = execution.replace(observe="metrics")
@@ -142,127 +170,56 @@ class SquallShell:
             return f"error: {exc}"
 
     def _list_options(self) -> str:
-        options = self.session.options
-        execution = self.execution
-        parallelism = "auto" if execution.parallelism is None else execution.parallelism
-        columnar = ("auto" if execution.columnar is None
-                    else ("on" if execution.columnar else "off"))
-        rate = "none" if execution.rate is None else f"{execution.rate:g}"
-        max_buffer = ("none" if execution.max_buffer is None
-                      else execution.max_buffer)
-        return "\n".join([
-            f"machines = {options.machines}",
-            f"scheme = {options.scheme}",
-            f"mode = {options.mode}",
-            f"local = {options.local_join}",
-            f"batch_size = {execution.batch_size or 1}",
-            f"executor = {execution.executor or 'inline'}",
-            f"parallelism = {parallelism}",
-            f"columnar = {columnar}",
-            f"rate = {rate}",
-            f"max_buffer = {max_buffer}",
-            f"on_overflow = {execution.on_overflow or 'shed'}",
-            f"observe = {execution.observe or 'off'}",
-        ])
+        """Every knob's current value; the execution knobs as resolved
+        (:meth:`ExecutionOptions.resolve`), i.e. as a SQL line runs."""
+        lines = [f"{knob} = {getattr(self.session.options, attribute)}"
+                 for knob, (attribute, _words) in PLAN_KNOBS.items()]
+        resolved = self.execution.resolve()
+        for knob, (_parse, _expected, unset) in EXECUTION_KNOBS.items():
+            value = getattr(resolved, knob)
+            if value is None:
+                value = unset
+            elif isinstance(value, bool):
+                value = "on" if value else "off"
+            elif isinstance(value, float):
+                value = f"{value:g}"
+            lines.append(f"{knob} = {value}")
+        return "\n".join(lines)
 
     def _set_option(self, args: List[str]) -> str:
         if not args:
             return self._list_options()
         if len(args) != 2:
-            return ("usage: \\set <machines|scheme|mode|local|batch_size"
-                    "|executor|parallelism|columnar|rate|max_buffer"
-                    "|on_overflow|observe> <value>  (\\set alone lists all)")
-        option, value = args
-        options = self.session.options
-        if option == "machines":
-            try:
-                options.machines = int(value)
-            except ValueError:
-                return "machines must be an integer"
-            return f"machines = {options.machines}"
-        if option == "scheme":
-            if value not in ("auto", "hash", "random", "hybrid"):
-                return "scheme must be auto | hash | random | hybrid"
-            options.scheme = value
-            return f"scheme = {value}"
-        if option == "mode":
-            if value not in ("multiway", "pipeline"):
-                return "mode must be multiway | pipeline"
-            options.mode = value
-            return f"mode = {value}"
-        if option == "local":
-            if value not in ("dbtoaster", "traditional"):
-                return "local must be dbtoaster | traditional"
-            options.local_join = value
-            return f"local = {value}"
-        if option == "batch_size":
-            try:
-                batch_size = int(value)
-            except ValueError:
-                return "batch_size must be an integer"
-            if batch_size < 1:
-                return "batch_size must be >= 1"
-            self.execution = self.execution.replace(batch_size=batch_size)
-            return f"batch_size = {batch_size}"
-        if option == "executor":
-            if value not in EXECUTOR_NAMES:
-                return "executor must be " + " | ".join(EXECUTOR_NAMES)
-            self.execution = self.execution.replace(executor=value)
-            return f"executor = {value}"
-        if option == "parallelism":
-            if value == "auto":
-                self.execution = self.execution.replace(parallelism=None)
-                return "parallelism = auto"
-            try:
-                parallelism = int(value)
-            except ValueError:
-                return "parallelism must be an integer or auto"
-            if parallelism < 1:
-                return "parallelism must be >= 1"
-            self.execution = self.execution.replace(parallelism=parallelism)
-            return f"parallelism = {parallelism}"
-        if option == "columnar":
-            if value not in ("auto", "on", "off"):
-                return "columnar must be auto | on | off"
-            self.execution = self.execution.replace(
-                columnar=None if value == "auto" else value == "on")
-            return f"columnar = {value}"
-        if option in ("rate", "watch_rate"):  # watch_rate: pre-1.1 name
-            if value == "none":
-                self.execution = self.execution.replace(rate=None)
-                return "rate = none"
-            try:
-                rate = float(value)
-            except ValueError:
-                return "rate must be a number or none"
-            if rate <= 0:
-                return "rate must be positive"
-            self.execution = self.execution.replace(rate=rate)
-            return f"rate = {rate:g}"
-        if option == "max_buffer":
-            if value == "none":
-                self.execution = self.execution.replace(max_buffer=None)
-                return "max_buffer = none"
-            try:
-                max_buffer = int(value)
-            except ValueError:
-                return "max_buffer must be an integer or none"
-            if max_buffer < 1:
-                return "max_buffer must be >= 1"
-            self.execution = self.execution.replace(max_buffer=max_buffer)
-            return f"max_buffer = {max_buffer}"
-        if option == "on_overflow":
-            if value not in OVERFLOW_POLICIES:
-                return "on_overflow must be " + " | ".join(OVERFLOW_POLICIES)
-            self.execution = self.execution.replace(on_overflow=value)
-            return f"on_overflow = {value}"
-        if option == "observe":
-            if value not in OBSERVE_LEVELS:
-                return "observe must be " + " | ".join(OBSERVE_LEVELS)
-            self.execution = self.execution.replace(
-                observe=None if value == "off" else value)
-            return f"observe = {value}"
-        return f"unknown option {option!r}"
+            knobs = "|".join([*PLAN_KNOBS, *EXECUTION_KNOBS])
+            return f"usage: \\set <{knobs}> <value>  (\\set alone lists all)"
+        knob, word = args
+        if knob in PLAN_KNOBS:
+            attribute, words = PLAN_KNOBS[knob]
+            if words is None:
+                try:
+                    value = int(word)
+                except ValueError:
+                    return f"{knob} must be an integer"
+            elif word in words:
+                value = word
+            else:
+                return f"{knob} must be {' | '.join(words)}"
+            setattr(self.session.options, attribute, value)
+            return f"{knob} = {value}"
+        if knob not in EXECUTION_KNOBS:
+            return f"unknown option {knob!r}"
+        parse, expected, unset = EXECUTION_KNOBS[knob]
+        try:
+            value = None if word == unset else parse(word)
+        except (KeyError, ValueError):
+            return f"{knob} must be {expected}"
+        execution = self.execution.replace(**{knob: value})
+        try:
+            execution.resolve()  # the one range check of every knob
+        except ValueError as exc:
+            return str(exc)
+        self.execution = execution
+        return f"{knob} = {word}"
 
     def _watch_sql(self, sql: str) -> str:
         """Continuous execution: stream the query, render its deltas.

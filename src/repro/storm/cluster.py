@@ -144,9 +144,11 @@ class LocalCluster:
         self._order_sensitive = any(
             self._tasks[name][task_index].order_sensitive
             for name, task_index in self._bolt_keys)
+        #: route consecutive emissions on one stream as one micro-batch
+        #: (``batch_size > 1``); off is the seed engine's per-tuple dispatch
         self._coalesce = False
         #: schedule by level (rounds, one level pass per drain) instead
-        #: of depth-first; see set_coalescing
+        #: of depth-first: coalescing, and no order-sensitive task
         self._waves = False
         #: per-run observability context; None = observe='off': no
         #: observer object, one ``is None`` test per executed batch
@@ -167,59 +169,56 @@ class LocalCluster:
     def observer(self) -> Optional[Observer]:
         return self._observer
 
-    def observe(self, level: str):
-        """Run observed at ``level`` ('metrics' | 'trace'): the observer
-        records into the cluster's registry, next to its counters."""
-        self._observer = Observer(level, registry=self.registry)
+    def apply(self, options: ExecutionOptions):
+        """Set the cluster up to run under resolved ``options`` -- the
+        one step that turns knobs into cluster state, for ``run`` and
+        for :class:`~repro.streaming.cluster.StreamingCluster` alike:
+        coalescing (and with it the level schedule) at ``batch_size >
+        1``, the columnar flag of every columnar-capable spout (they stay
+        in this process on every executor), and an observer recording
+        into the cluster's registry, next to its counters, unless
+        ``observe`` is 'off'."""
+        self._coalesce = options.batch_size > 1
+        self._waves = self._coalesce and not self._order_sensitive
+        for _name, _task_index, spout in self._spouts:
+            if hasattr(spout, "columnar"):
+                spout.columnar = options.columnar
+        if options.observe != "off":
+            self._observer = Observer(options.observe, registry=self.registry)
 
     # -- execution ---------------------------------------------------------
 
-    def run(self, batch_size: int = 1,
-            executor: str = "inline", parallelism: Optional[int] = None,
-            columnar: Optional[bool] = None,
-            observe: Optional[str] = None) -> TopologyMetrics:
-        """Drain all spouts, then flush bolts in topological order.
+    def run(self, options: ExecutionOptions = ExecutionOptions().resolve()
+            ) -> TopologyMetrics:
+        """Drain all spouts, then flush bolts in topological order, under
+        resolved ``options`` (:meth:`ExecutionOptions.resolve`; the
+        default is the finite engine's: ``batch_size=1``, ``inline``).
 
         ``batch_size`` is the number of tuples pulled from each spout per
         round; 1 gives exact per-tuple interleaving.  Downstream batches
         derive from the spout batches but are not re-chunked: a bolt
         emitting more rows than ``batch_size`` forwards them as one batch.
 
-        ``executor`` selects the backend: ``"inline"`` (default) runs
-        every task in this thread; ``"processes"`` spreads the bolt tasks
-        over ``parallelism`` forked shared-nothing workers (see
+        ``executor`` selects the backend: ``"inline"`` runs every task in
+        this thread; ``"processes"`` spreads the bolt tasks over
+        ``parallelism`` forked shared-nothing workers (see
         :mod:`repro.storm.executor`).  Both backends produce the same
-        result multiset and per-component totals.
-
-        ``columnar`` turns the columnar execution path on/off; the
-        default (None) enables it for ``batch_size >= COLUMNAR_MIN_BATCH``
-        (64).  That is today's default, not a measured crossover: columnar
-        was no slower at any ``batch_size`` from 2 to 512 (ROADMAP item
-        23), and ``batch_size=1`` keeps the seed engine's byte-identical
-        path.
+        result multiset and per-component totals, with ``columnar`` on
+        or off.
         """
-        # ExecutionOptions.resolve is the single owner of the knob
-        # defaults (incl. columnar-on-at-batch_size>=COLUMNAR_MIN_BATCH)
-        resolved = ExecutionOptions(
-            batch_size=batch_size, executor=executor,
-            parallelism=parallelism, columnar=columnar,
-            observe=observe).resolve()
-        batch_size = resolved.batch_size
-        if resolved.observe != "off" and self._observer is None:
-            self.observe(resolved.observe)
-        self.set_columnar(resolved.columnar)
+        self.apply(options)
         started = time.perf_counter()
         try:
-            if resolved.executor == "inline":
-                return self._run_to_end(batch_size)
-            return StagedExecutor(self, parallelism).run(batch_size=batch_size)
+            if options.executor == "inline":
+                return self._run_to_end(options.batch_size)
+            return StagedExecutor(self, options.parallelism).run(
+                batch_size=options.batch_size)
         finally:
             self.metrics.elapsed = time.perf_counter() - started
 
     def _run_to_end(self, batch_size):
         """Pull every spout dry, then flush: rounds on the pool or where
         the level schedule holds, depth-first otherwise."""
-        self.set_coalescing(batch_size > 1)
         if self._waves or self.pool is not None:
             self._pull_rounds(self._spouts, batch_size)
         else:
@@ -311,22 +310,6 @@ class LocalCluster:
         return live
 
     # -- external drivers (continuous runtime) -----------------------------
-
-    def set_columnar(self, enabled: bool):
-        """Flag every columnar-capable spout before draining starts (the
-        spouts stay in this process on every executor)."""
-        for _name, _task_index, spout in self._spouts:
-            if hasattr(spout, "columnar"):
-                spout.columnar = enabled
-
-    def set_coalescing(self, coalesce: bool):
-        """Batch-mode toggle: on, consecutive emissions on one stream
-        route as one micro-batch and -- unless a task's state is
-        arrival-order-sensitive -- the rounds schedule holds; off is the
-        seed engine's per-tuple dispatch.  ``run`` derives it from its
-        ``batch_size``; the streaming pump sets it once up front."""
-        self._coalesce = coalesce
-        self._waves = coalesce and not self._order_sensitive
 
     def inject(self, pending, batch_size: int, polled):
         """One pump round of a resident topology (the push-based entry

@@ -48,7 +48,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import ChangeLog, CheckpointStore
-from repro.core.options import EXECUTOR_NAMES
+from repro.core.options import ExecutionOptions
 from repro.engine.runner import SourcePump
 from repro.obs import Observer
 from repro.storm.cluster import LocalCluster
@@ -59,11 +59,8 @@ from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
 from repro.streaming.watermarks import WatermarkTracker
 
-#: checkpoint cadence (full pump rounds) when none is configured
-DEFAULT_CHECKPOINT_INTERVAL = 8
 
-
-def ensure_task_local_routing(topology: Topology, executor: str):
+def ensure_task_local_routing(topology: Topology):
     """Refuse topologies whose routing a recovery replay cannot repeat:
     a partitioner that *adapts to the globally observed stream* (e.g.
     :class:`~repro.partitioning.adaptive.AdaptiveOneBucket`) would route
@@ -75,7 +72,7 @@ def ensure_task_local_routing(topology: Topology, executor: str):
     for edge in topology.edges:
         if not edge.grouping.supports_task_local_routing():
             raise ExecutorError(
-                f"the {executor!r} streaming executor cannot run this "
+                "the 'processes' streaming executor cannot run this "
                 f"topology: edge {edge.source}->{edge.target} routes "
                 f"through {edge.grouping.routing_description()}, whose "
                 f"decisions adapt to the globally observed stream; a "
@@ -89,40 +86,30 @@ class StreamingCluster:
 
     Each spout component of ``topology`` is one
     :class:`~repro.engine.runner.SourcePump` task over the push source
-    that feeds it.  Use :meth:`subscribe` before running to observe
-    deltas, :meth:`run` (or repeated :meth:`step`) to drive the query,
-    and :meth:`snapshot` for the current result multiset.
+    that feeds it.  ``options`` are resolved
+    (:meth:`~repro.core.options.ExecutionOptions.resolve`) and applied as
+    they are: ``batch_size`` per poll, ``executor``, ``parallelism``,
+    ``columnar``, ``checkpoint_interval`` and ``observe``.  Use
+    :meth:`subscribe` before running to observe deltas, :meth:`run` (or
+    repeated :meth:`step`) to drive the query, and :meth:`snapshot` for
+    the current result multiset.
     """
 
-    def __init__(self, topology: Topology,
-                 batch_size: int = 64, executor: str = "inline",
+    def __init__(self, topology: Topology, options: ExecutionOptions, *,
                  clock: Callable[[], float] = time.monotonic,
                  idle_sleep: float = 0.0005,
-                 columnar: bool = False,
-                 parallelism: Optional[int] = None,
-                 checkpoint_interval: Optional[int] = None,
                  checkpoint_dir: Optional[str] = None,
                  fault_injector: Optional[FaultInjector] = None,
-                 max_recoveries: int = 5,
-                 observe: str = "off"):
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if executor not in EXECUTOR_NAMES:
-            raise ExecutorError(
-                f"unknown streaming executor {executor!r}; choose one of "
-                f"{EXECUTOR_NAMES}"
-            )
-        if executor == "processes":
-            ensure_task_local_routing(topology, executor)
+                 max_recoveries: int = 5):
+        if options.executor == "processes":
+            ensure_task_local_routing(topology)
         self.topology = topology
-        self.batch_size = batch_size
-        self.executor = executor
+        #: the resolved execution options the query runs under
+        #: (:meth:`ExecutionOptions.resolve`), applied as they are
+        self.options = options
         self.idle_sleep = idle_sleep
         self.cluster = LocalCluster(topology)
-        self.cluster.set_coalescing(batch_size > 1)
-        #: polls become ColumnBatches (columnar pumps)
-        self.columnar = columnar and batch_size > 1
-        self.cluster.set_columnar(self.columnar)
+        self.cluster.apply(options)
         #: each spout component's one task: the pump its rounds poll
         self._pumps: Dict[str, SourcePump] = {}
         for name, spec in topology.components.items():
@@ -140,8 +127,6 @@ class StreamingCluster:
         self.registry = self.cluster.registry
         self.stats = StreamMetrics(clock=clock)
         self.registry.register_collector(self.stats.collect)
-        if observe != "off":
-            self.cluster.observe(observe)
         #: one Observer per observed run: the inner cluster's, which times
         #: every batch it drives; None = observe='off'
         self.observer: Optional[Observer] = self.cluster.observer
@@ -175,9 +160,6 @@ class StreamingCluster:
             if isinstance(task, DeltaSink)
         }
         # -- processes executor: checkpointed resident workers ------------
-        self.checkpoint_interval = (
-            DEFAULT_CHECKPOINT_INTERVAL if checkpoint_interval is None
-            else checkpoint_interval)
         self.max_recoveries = max_recoveries
         #: checkpoint/recovery accounting (always present; only the
         #: processes executor feeds it)
@@ -198,15 +180,15 @@ class StreamingCluster:
         #: mid-delivery gets it again from the replay
         self._log = ChangeLog()
         self._pool: Optional[ResidentWorkerPool] = None
-        if executor == "processes":
+        if options.executor == "processes":
             # forked on first use (_start_pool), not here; the cluster
             # hands the pool the turns of every component it owns
             self._pool = self.cluster.pool = ResidentWorkerPool(
                 topology, {name: self.cluster.tasks(name)
                            for name in topology.components},
-                parallelism=parallelism,
+                parallelism=options.parallelism,
                 exclude={name for name, _task_index in self._sinks},
-                observe=observe,
+                observe=options.observe,
             )
 
     # -- public surface ----------------------------------------------------
@@ -315,7 +297,7 @@ class StreamingCluster:
                         1.0, self._round_rows / self._round_capacity)
                     if (progressed and self._log
                             and self._rounds_since_checkpoint
-                            >= self.checkpoint_interval):
+                            >= self.options.checkpoint_interval):
                         self._checkpoint()
                 return progressed
             except WorkerDied as death:
@@ -340,10 +322,11 @@ class StreamingCluster:
                               for name, pump in self._pumps.items()
                               if name not in self._finished_sources]
             self._round_rows = 0
-            self._round_capacity = self.batch_size * max(
+            self._round_capacity = self.options.batch_size * max(
                 1, len(self._unpolled))
             self._log.begin_round()
-        self.cluster.inject(self._unpolled, self.batch_size, self._polled)
+        self.cluster.inject(self._unpolled, self.options.batch_size,
+                            self._polled)
         progressed = self._progressed
         if self._event_time and self._advance_watermark(
                 self._source_wm.merged()):

@@ -42,6 +42,7 @@ from typing import (
     Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple)
 
 from repro.core.columnar import ColumnBatch
+from repro.core.options import OVERFLOW_POLICIES
 from repro.storm.topology import Bolt
 
 #: one published changelog as a ring holds it: signs and rows, in order
@@ -153,9 +154,10 @@ class Subscription:
                  on_detach: Optional[Callable[["Subscription"], None]] = None):
         if max_buffer is not None and max_buffer < 1:
             raise ValueError(f"max_buffer must be >= 1, got {max_buffer}")
-        if on_overflow not in ("shed", "block"):
+        if on_overflow not in OVERFLOW_POLICIES:
             raise ValueError(
-                f"on_overflow must be 'shed' or 'block', got {on_overflow!r}")
+                f"on_overflow must be one of {OVERFLOW_POLICIES}, "
+                f"got {on_overflow!r}")
         self.max_buffer = max_buffer
         self.on_overflow = on_overflow
         self.tenant = tenant

@@ -245,11 +245,13 @@ def stream_plan(plan: PhysicalPlan,
     """Compile a physical plan into a continuously running query.
 
     Execution knobs ride on ``options``
-    (:class:`~repro.core.options.ExecutionOptions`).  Unset knobs
-    resolve exactly as in the batch engine -- in particular
+    (:class:`~repro.core.options.ExecutionOptions`).  They are resolved
+    once, exactly as in the batch engine -- in particular
     ``columnar=None`` turns the columnar path on at ``batch_size >= 64``
-    (both engines go through ``ExecutionOptions.resolve``).  The
-    streaming default batch size is 64.
+    -- and the :class:`StreamingCluster` takes the resolved object and
+    applies it as it is, so an explicit ``columnar=True`` runs columnar
+    at ``batch_size=1`` too, as ``run_plan`` does.  The streaming
+    default batch size is 64; ``query.options`` is what runs.
 
     ``options.executor='processes'`` runs the query on resident forked
     workers with incremental checkpointing and crash recovery
@@ -300,17 +302,12 @@ def stream_plan(plan: PhysicalPlan,
         plan, sources=push_sources, agg_bolt_factory=DeltaAggBolt,
         sink_factory=lambda i, p: DeltaSink())
     cluster = StreamingCluster(
-        topology, batch_size=resolved.batch_size,
-        executor=resolved.executor, clock=clock, columnar=resolved.columnar,
-        parallelism=resolved.parallelism,
-        checkpoint_interval=resolved.checkpoint_interval,
-        checkpoint_dir=checkpoint_dir, fault_injector=fault_injector,
-        observe=resolved.observe,
-    )
+        topology, resolved, clock=clock, checkpoint_dir=checkpoint_dir,
+        fault_injector=fault_injector)
     return StreamingQuery(cluster, partitioner_info={
         name: partitioner.describe()
         for name, partitioner in partitioners.items()
-    }, options=resolved)
+    })
 
 
 class StreamingQuery:
@@ -325,12 +322,11 @@ class StreamingQuery:
     """
 
     def __init__(self, cluster: StreamingCluster,
-                 partitioner_info: Optional[Dict[str, str]] = None,
-                 options: Optional[ExecutionOptions] = None):
+                 partitioner_info: Optional[Dict[str, str]] = None):
         self.cluster = cluster
         self.partitioner_info = partitioner_info or {}
         #: the resolved execution options this query runs under
-        self.options = options
+        self.options: ExecutionOptions = cluster.options
         self._subscription: Optional[Subscription] = None
         #: deltas drained from the subscription but not yet handed to a
         #: consumer (an iterator over the last drained chunk); held on

@@ -97,8 +97,9 @@ class ReplaySource(PushSource):
                  clock: Callable[[], float] = time.monotonic,
                  burst: Optional[float] = None,
                  start: int = 0, step: int = 1):
-        if rate is not None and rate <= 0:
-            raise ValueError("rate must be positive (None = unlimited)")
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValueError(
+                "rate must be positive and finite (None = unlimited)")
         self.rows = rows
         self.stream = stream
         self.ts_position = ts_position

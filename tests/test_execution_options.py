@@ -22,6 +22,8 @@ from repro.engine.runner import run_plan
 from repro.functional.stream_api import GroupedStream, QueryContext, Stream
 from repro.serving import QueryBroker
 from repro.sql.catalog import SqlSession
+from repro.storm.cluster import LocalCluster
+from repro.streaming.cluster import StreamingCluster
 from repro.streaming.runner import stream_plan
 
 
@@ -111,7 +113,8 @@ class TestResolve:
 
     @pytest.mark.parametrize("bad", [
         dict(batch_size=0), dict(parallelism=0), dict(rate=0.0),
-        dict(rate=-1.0), dict(max_buffer=0), dict(on_overflow="panic"),
+        dict(rate=-1.0), dict(rate=float("nan")), dict(rate=float("inf")),
+        dict(max_buffer=0), dict(on_overflow="panic"),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
@@ -165,12 +168,27 @@ class TestColumnarParityRegression:
             batch_size=batch_size))
         expected = batch_size >= COLUMNAR_MIN_BATCH
         assert query.options.columnar is expected
-        assert query.cluster.columnar is (expected and batch_size > 1)
+        assert query.cluster.options is query.options
         query.run()
         assert query.snapshot() == sorted(batch_result.results)
         # the batch run resolved through the same rule
         if expected and batch_size > 1:
             assert batch_result.metrics.columnar_batches > 0
+
+    @pytest.mark.parametrize("executor", ["inline", "processes"])
+    def test_explicit_columnar_runs_columnar_at_batch_size_one(
+            self, session, executor):
+        """The streaming cluster applies the resolved options as they
+        are: it used to run rows at batch_size=1 while ``query.options``
+        said columnar, where ``run_plan`` ran columnar."""
+        options = ExecutionOptions(batch_size=1, columnar=True,
+                                   executor=executor)
+        batch_result = run_plan(session.plan(SQL), options=options)
+        query = session.stream(SQL, options=options).run()
+        assert query.options.columnar is True
+        assert batch_result.metrics.columnar_rows > 0
+        assert query.cluster.metrics.columnar_rows > 0
+        assert query.snapshot() == sorted(batch_result.results)
 
     def test_streaming_columnar_actually_vectorizes(self, session):
         query = session.stream(SQL, options=ExecutionOptions(batch_size=96))
@@ -260,6 +278,16 @@ class TestOneSpelling:
         "front_end", FRONT_ENDS, ids=lambda f: f.__qualname__)
     def test_no_signature_names_an_execution_knob(self, front_end):
         parameters = inspect.signature(front_end).parameters
+        assert "options" in parameters
+        assert not KNOBS & set(parameters)
+
+    @pytest.mark.parametrize("cluster_entry", [
+        LocalCluster.run, StreamingCluster.__init__],
+        ids=lambda f: f.__qualname__)
+    def test_clusters_take_one_resolved_options_object(self, cluster_entry):
+        """Below the front ends the clusters take the resolved object
+        itself: one ``options`` parameter, no knob beside it."""
+        parameters = inspect.signature(cluster_entry).parameters
         assert "options" in parameters
         assert not KNOBS & set(parameters)
 

@@ -41,6 +41,11 @@ from tests.conftest import ListSpout
 PARALLEL = ["processes"]
 
 
+def resolved(**knobs) -> ExecutionOptions:
+    """What ``LocalCluster.run`` takes: resolved execution options."""
+    return ExecutionOptions(**knobs).resolve()
+
+
 class DoublerBolt(Bolt):
     def execute(self, source, stream, values):
         return [("default", tuple(v * 2 for v in values))]
@@ -142,7 +147,7 @@ class TestErrors:
         topology, _sink = diamond_topology()
         cluster = LocalCluster(topology)
         with pytest.raises(ValueError, match="unknown executor"):
-            cluster.run(executor="goroutines")
+            cluster.run(resolved(executor="goroutines"))
 
     def test_zero_parallelism_rejected(self):
         topology, _sink = diamond_topology()
@@ -155,7 +160,8 @@ class TestErrors:
             bolt_factory=lambda i, p: FailingBolt())
         cluster = LocalCluster(topology)
         with pytest.raises(ExecutorError, match="boom in worker"):
-            cluster.run(batch_size=4, executor=executor, parallelism=2)
+            cluster.run(
+                resolved(batch_size=4, executor=executor, parallelism=2))
 
     def test_dead_process_worker_fails_loudly_and_leaves_no_survivor(self):
         """Task 0 of ``left`` and ``right`` lives on worker 0; worker 1
@@ -165,7 +171,8 @@ class TestErrors:
             SelfKillingBolt() if i == 0 else DoublerBolt())
         cluster = LocalCluster(topology)
         with pytest.raises(ExecutorError) as err:
-            cluster.run(batch_size=4, executor="processes", parallelism=2)
+            cluster.run(
+                resolved(batch_size=4, executor="processes", parallelism=2))
         message = str(err.value)
         assert "worker 0 died" in message
         assert "'left'" in message  # the component it was running
@@ -178,11 +185,11 @@ class TestParallelExecution:
     def test_matches_inline_results(self, executor):
         rows = [(i,) for i in range(50)]
         inline_topology, inline_sink = diamond_topology(rows)
-        LocalCluster(inline_topology).run(batch_size=8)
+        LocalCluster(inline_topology).run(resolved(batch_size=8))
 
         topology, _sink = diamond_topology(rows)
         cluster = LocalCluster(topology)
-        cluster.run(batch_size=8, executor=executor, parallelism=3)
+        cluster.run(resolved(batch_size=8, executor=executor, parallelism=3))
         # read the sink's post-run store from the cluster: under the
         # processes backend the pre-fork sink object is never mutated
         store = cluster.task("sink", 0).store
@@ -194,7 +201,7 @@ class TestParallelExecution:
         rows = [(i,) for i in range(10)]
         topology, _sink = diamond_topology(rows)
         cluster = LocalCluster(topology)
-        cluster.run(batch_size=4, executor=executor, parallelism=1)
+        cluster.run(resolved(batch_size=4, executor=executor, parallelism=1))
         assert len(cluster.task("sink", 0).store) == 2 * len(rows)
 
     @pytest.mark.parametrize("executor", PARALLEL)
@@ -204,7 +211,8 @@ class TestParallelExecution:
         for _run in range(2):
             topology, _sink = diamond_topology()
             cluster = LocalCluster(topology)
-            result = cluster.run(batch_size=4, executor=executor, parallelism=3)
+            result = cluster.run(
+                resolved(batch_size=4, executor=executor, parallelism=3))
             stores.append(list(cluster.task("sink", 0).store))
             metrics.append((result.received, result.emitted, result.batches))
         assert stores[0] == stores[1]  # same order, not just same multiset
@@ -219,7 +227,7 @@ class TestBatchMetrics:
     def test_inline_records_spout_batches_per_task(self):
         topology, _sink = diamond_topology(rows=[(i,) for i in range(40)])
         cluster = LocalCluster(topology)
-        metrics = cluster.run(batch_size=8)
+        metrics = cluster.run(resolved(batch_size=8))
         counts = metrics.batch_counts("spout")
         assert len(counts) == 2
         # 40 rows striped over 2 tasks = 20 rows/task = 3 pulls of 8 each
@@ -227,14 +235,15 @@ class TestBatchMetrics:
 
     def test_inline_records_bolt_batches(self):
         topology, _sink = diamond_topology()
-        metrics = LocalCluster(topology).run(batch_size=8)
+        metrics = LocalCluster(topology).run(resolved(batch_size=8))
         assert sum(metrics.batch_counts("sink")) > 0
 
     @pytest.mark.parametrize("executor", PARALLEL)
     def test_parallel_backends_balance_spout_batches(self, executor):
         topology, _sink = diamond_topology(rows=[(i,) for i in range(64)])
         cluster = LocalCluster(topology)
-        metrics = cluster.run(batch_size=8, executor=executor, parallelism=2)
+        metrics = cluster.run(
+            resolved(batch_size=8, executor=executor, parallelism=2))
         counts = metrics.batch_counts("spout")
         # both striped spout tasks pulled the same number of micro-batches
         assert counts == [4, 4]
@@ -586,8 +595,9 @@ class TestWaveCoalescing:
                 plan, sources={"events": ScriptSource(retraction_script())},
                 agg_bolt_factory=LoggingAggBolt)
             cluster = LocalCluster(topology)
-            cluster.run(batch_size=16, executor=executor, parallelism=2,
-                        columnar=False)
+            cluster.run(
+                resolved(batch_size=16, executor=executor, parallelism=2,
+                         columnar=False))
             return cluster
 
         staged, inline = run(executor), run("inline")
@@ -859,11 +869,11 @@ class TestInheritedRounds:
 
         events = self.record_schedule(monkeypatch, budget=8)
         forked = LocalCluster(topology())
-        forked.run(batch_size=4, executor="processes", parallelism=2)
+        forked.run(resolved(batch_size=4, executor="processes", parallelism=2))
         assert events[0] == ("start", None)
         assert "run_rounds" not in self.steps(events)
         inline = LocalCluster(topology())
-        inline.run(batch_size=4)
+        inline.run(resolved(batch_size=4))
         assert [forked.task("J", index).store for index in range(4)] == \
             [inline.task("J", index).store for index in range(4)]
         assert self.counters(forked.metrics) == self.counters(inline.metrics)
@@ -890,12 +900,13 @@ class TestInheritedRounds:
         topology = builder.build()
         events = self.record_schedule(monkeypatch, budget=8)
         cluster = LocalCluster(topology)
-        cluster.run(batch_size=4, executor="processes", parallelism=2)
+        cluster.run(
+            resolved(batch_size=4, executor="processes", parallelism=2))
         steps = self.steps(events)
         assert steps[0] == "_pull_round" and "run_rounds" in steps
         assert events[steps.index("start")] == ("start", "left")
         inline = LocalCluster(topology)
-        inline.run(batch_size=4)
+        inline.run(resolved(batch_size=4))
         assert [cluster.task("sink", index).store for index in range(2)] == \
             [inline.task("sink", index).store for index in range(2)]
         assert self.counters(cluster.metrics) == self.counters(inline.metrics)
@@ -920,7 +931,8 @@ class TestInheritedRounds:
             "double")
         cluster = LocalCluster(builder.build())
         with pytest.raises(RuntimeError, match=f"pull {fail_at}"):
-            cluster.run(batch_size=4, executor="processes", parallelism=2)
+            cluster.run(
+                resolved(batch_size=4, executor="processes", parallelism=2))
         assert multiprocessing.active_children() == []
 
     def test_workers_fork_with_the_inherited_heap_frozen(self):
@@ -930,7 +942,8 @@ class TestInheritedRounds:
         topology, _sink = diamond_topology(
             bolt_factory=lambda i, p: FreezeCountBolt())
         cluster = LocalCluster(topology)
-        cluster.run(batch_size=4, executor="processes", parallelism=2)
+        cluster.run(
+            resolved(batch_size=4, executor="processes", parallelism=2))
         counts = [row[0] for row in cluster.task("sink", 0).store]
         # 20 rows through both branches
         assert len(counts) == 40 and min(counts) > 0
@@ -977,7 +990,8 @@ class TestPunctuation:
 
         topology = self.topology()
         cluster = LocalCluster(topology)
-        cluster.set_coalescing(coalesce)
+        # coalescing is what a batch_size above 1 turns on
+        cluster.apply(resolved(batch_size=2 if coalesce else 1))
         if not pool:
             cluster.advance_watermark(7)
         else:

@@ -126,7 +126,9 @@ def run_retraction_topology(script, local_join, executor, aggregate,
                                             aggregate=aggregate)
     cluster = LocalCluster(topology)
     kwargs = {} if executor == "inline" else {"parallelism": 3}
-    cluster.run(batch_size=batch_size, executor=executor, **kwargs)
+    cluster.run(
+        options=ExecutionOptions(batch_size=batch_size, executor=executor,
+                                 **kwargs).resolve())
     # read the post-run sink store from the cluster (the closure-captured
     # list is never mutated in the parent under the processes backend)
     return list(cluster.task("sink", 0).store)

@@ -94,7 +94,9 @@ def run_batch(script, plan, batch_size, columnar):
                for rel, part in per_relation(script).items()}
     topology, _partitioners = build_topology(plan, sources=sources)
     cluster = LocalCluster(topology)
-    cluster.run(batch_size=batch_size, columnar=columnar)
+    cluster.run(
+        options=ExecutionOptions(batch_size=batch_size,
+                                 columnar=columnar).resolve())
     return Counter(cluster.task(plan.sink.name, 0).store)
 
 

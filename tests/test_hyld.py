@@ -170,7 +170,8 @@ class TestConfiguration:
         script.append(retract("S", data["S"][0]))
         topology, results = build_rst_topology(rst_spec, script, "dbtoaster",
                                                machines=6)
-        LocalCluster(topology).run(batch_size=8)
+        LocalCluster(topology).run(
+            options=ExecutionOptions(batch_size=8).resolve())
         without = dict(data)
         without["S"] = data["S"][1:]
         retracted = (Counter(reference_join(rst_spec, data))

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
-from repro.core.options import ExecutionOptions
+from repro.core.options import DEFAULT_MAX_BUFFER, ExecutionOptions
 from repro.datasets import TPCHGenerator
 from repro.sql.catalog import SqlSession
 from repro.sql.repl import SquallShell
@@ -113,17 +113,25 @@ class TestSetOption:
         assert shell.execution.executor == "processes"
 
     def test_set_executor_invalid(self, shell):
-        assert "must be" in shell.handle_line("\\set executor goroutines")
+        assert "unknown executor 'goroutines'" in shell.handle_line(
+            "\\set executor goroutines")
         assert shell.execution.executor is None
 
     def test_set_executor_threads_names_the_two_backends(self, shell):
-        assert shell.handle_line("\\set executor threads") == \
-            "executor must be inline | processes"
+        """A rejected value is answered with ``resolve()``'s message:
+        for the removed backend, the note on where it went."""
+        with pytest.raises(ValueError) as excinfo:
+            ExecutionOptions(executor="threads").resolve()
+        output = shell.handle_line("\\set executor threads")
+        assert output == str(excinfo.value)
+        assert "('inline', 'processes')" in output
+        assert "'threads' backend is gone" in output
         assert shell.execution.executor is None
 
     def test_rejected_executor_keeps_the_current_one(self, shell):
         shell.handle_line("\\set executor processes")
-        assert "must be" in shell.handle_line("\\set executor threads")
+        assert "unknown executor" in shell.handle_line(
+            "\\set executor threads")
         assert shell.execution.executor == "processes"
 
     def test_set_parallelism(self, shell):
@@ -140,12 +148,15 @@ class TestSetOption:
         assert ">= 1" in shell.handle_line("\\set parallelism 0")
 
     def test_set_without_args_lists_all_options(self, shell):
+        """The listing shows the resolved values: columnar defaults on
+        at batch_size 64, max_buffer to the serving default."""
         shell.handle_line("\\set batch_size 64")
         output = shell.handle_line("\\set")
         for line in ("machines = 2", "scheme = auto", "mode = multiway",
                      "local = dbtoaster", "batch_size = 64",
                      "executor = inline", "parallelism = auto",
-                     "columnar = auto", "rate = none", "max_buffer = none",
+                     "columnar = on", "rate = none",
+                     f"max_buffer = {DEFAULT_MAX_BUFFER}",
                      "on_overflow = shed"):
             assert line in output
 
@@ -156,10 +167,6 @@ class TestSetOption:
         assert shell.execution.rate is None
         assert "positive" in shell.handle_line("\\set rate -3")
         assert "number" in shell.handle_line("\\set rate fast")
-
-    def test_set_watch_rate_alias_still_accepted(self, shell):
-        assert shell.handle_line("\\set watch_rate 500") == "rate = 500"
-        assert shell.execution.rate == 500.0
 
     def test_set_columnar(self, shell):
         assert shell.handle_line("\\set columnar on") == "columnar = on"

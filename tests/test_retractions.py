@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
 from repro.engine.component import AggComponent, JoinComponent
@@ -255,11 +256,13 @@ def test_compensated_failure_matches_clean_run(local_join, batch_size,
     clean_script = list(interleaved_stream(data, seed=33))
     clean_topology, clean_results = build_rst_topology(
         spec, clean_script, local_join, aggregate=aggregate)
-    LocalCluster(clean_topology).run(batch_size=batch_size)
+    LocalCluster(clean_topology).run(
+        options=ExecutionOptions(batch_size=batch_size).resolve())
 
     faulty_topology, faulty_results = build_rst_topology(
         spec, faulty_script(data, seed=33), local_join, aggregate=aggregate)
-    LocalCluster(faulty_topology).run(batch_size=batch_size)
+    LocalCluster(faulty_topology).run(
+        options=ExecutionOptions(batch_size=batch_size).resolve())
 
     assert Counter(faulty_results) == Counter(clean_results)
     assert clean_results  # the comparison is not vacuous
@@ -277,16 +280,19 @@ def test_retraction_on_a_random_dimension_fails_loudly(scheme, local_join):
     clean_topology, clean_results = build_rst_topology(
         spec, list(interleaved_stream(data, seed=33)), local_join,
         scheme=scheme)
-    LocalCluster(clean_topology).run(batch_size=8)
+    LocalCluster(clean_topology).run(
+        options=ExecutionOptions(batch_size=8).resolve())
     faulty_topology, faulty_results = build_rst_topology(
         spec, faulty_script(data, seed=33), local_join, scheme=scheme)
     if scheme is HashHypercube:
-        LocalCluster(faulty_topology).run(batch_size=8)
+        LocalCluster(faulty_topology).run(
+            options=ExecutionOptions(batch_size=8).resolve())
         assert Counter(faulty_results) == Counter(clean_results)
         return
     with pytest.raises(UnsupportedJoinError,
                        match=r"relation '\w' retracts rows.*random dimension"):
-        LocalCluster(faulty_topology).run(batch_size=8)
+        LocalCluster(faulty_topology).run(
+            options=ExecutionOptions(batch_size=8).resolve())
 
 
 def test_every_random_placing_scheme_refuses_retractions():

@@ -120,7 +120,9 @@ def placement(grouping_name, emissions, spout_tasks, batch_size, columnar):
     builder.set_bolt("dst", lambda i, p: Collector(), parallelism=MACHINES) \
         .custom_grouping("src", GROUPINGS[grouping_name]())
     cluster = LocalCluster(builder.build())
-    cluster.run(batch_size=batch_size, columnar=columnar)
+    cluster.run(
+        options=ExecutionOptions(batch_size=batch_size,
+                                 columnar=columnar).resolve())
     return [cluster.task("dst", index).seen for index in range(MACHINES)]
 
 

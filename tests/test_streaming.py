@@ -140,9 +140,12 @@ class TestReplaySource:
         source = ReplaySource([(1,)], stream="R")
         assert source.watermark() == math.inf
 
-    def test_rejects_non_positive_rate(self):
+    @pytest.mark.parametrize("rate", [0, math.inf, math.nan])
+    def test_rejects_non_positive_rate(self, rate):
+        """A rate that is not a positive finite number is refused up
+        front, not in the first poll's token count."""
         with pytest.raises(ValueError):
-            ReplaySource([], stream="R", rate=0)
+            ReplaySource([], stream="R", rate=rate)
 
 
 class TestCallbackSource:
@@ -437,12 +440,13 @@ class TestStreamingClusterValidation:
             plan, agg_bolt_factory=DeltaAggBolt,
             sink_factory=lambda i, p: DeltaSink())
         with pytest.raises(ValueError, match="one SourcePump task"):
-            StreamingCluster(topology)
+            StreamingCluster(topology, ExecutionOptions().resolve())
 
     @pytest.mark.parametrize("executor", ["threads", "fibers"])
     def test_cluster_names_the_two_executors(self, executor):
-        """The cluster checks the same one list the options resolve
-        against, for callers that build it without ``stream_plan``."""
+        """A cluster built without ``stream_plan`` takes resolved
+        options: ``resolve()``, the one check, names the two executors
+        before any cluster exists."""
         from repro.core.options import EXECUTOR_NAMES
         from repro.engine.runner import build_topology
         from repro.streaming.runner import DeltaAggBolt
@@ -452,8 +456,9 @@ class TestStreamingClusterValidation:
             sources={"events": ReplaySource([], stream="events")},
             agg_bolt_factory=DeltaAggBolt,
             sink_factory=lambda i, p: DeltaSink())
-        with pytest.raises(ExecutorError, match=repr(executor)) as excinfo:
-            StreamingCluster(topology, executor=executor)
+        with pytest.raises(ValueError, match=repr(executor)) as excinfo:
+            StreamingCluster(topology, ExecutionOptions(
+                executor=executor).resolve())
         assert EXECUTOR_NAMES == ("inline", "processes")
         assert str(EXECUTOR_NAMES) in str(excinfo.value)
 

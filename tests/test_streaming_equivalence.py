@@ -55,7 +55,7 @@ class TestGoldenPlanEquivalence:
         assert query.snapshot() == expected
 
     @pytest.mark.parametrize("plan_name", sorted(GOLDEN_PLANS))
-    @pytest.mark.parametrize("batch_size", [7, 64])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_other_layout_snapshot_equals_run_plan(self, plan_name,
                                                    batch_size):
         """The inline column above runs rows below ``COLUMNAR_MIN_BATCH``
@@ -151,12 +151,14 @@ class TestRetractionPlanEquivalence:
         clean_script = list(interleaved_stream(data, seed=33))
         clean_topology, clean_results = build_rst_topology(
             spec, clean_script, local_join, aggregate=aggregate)
-        LocalCluster(clean_topology).run(batch_size=8)
+        LocalCluster(clean_topology).run(
+            options=ExecutionOptions(batch_size=8).resolve())
 
         topology = self.build_streaming_topology(
             spec, local_join, ScriptSource(faulty_script(data, seed=33)),
             aggregate=aggregate)
-        cluster = StreamingCluster(topology, batch_size=8, executor=executor)
+        cluster = StreamingCluster(topology, ExecutionOptions(
+            batch_size=8, executor=executor).resolve())
         subscription = cluster.subscribe()
         cluster.run()
         assert cluster.snapshot() == sorted(clean_results)

@@ -172,9 +172,9 @@ class TestCheckpointCadence:
                          parallelism=2).shuffle_grouping("A")
         builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
             "shapes")
-        cluster = StreamingCluster(builder.build(), batch_size=4,
-                                   executor="processes", parallelism=1,
-                                   checkpoint_interval=2)
+        cluster = StreamingCluster(builder.build(), ExecutionOptions(
+            batch_size=4, executor="processes", parallelism=1,
+            checkpoint_interval=2).resolve())
         try:
             cluster.step()  # forks and commits epoch 0; nothing to poll
             before = cluster.checkpoints.commits
@@ -314,10 +314,11 @@ def batch_shapes_cluster(executor, fault_injector=None):
         .shuffle_grouping("A").shuffle_grouping("B")
     builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
         "shapes")
-    extra = {} if executor == "inline" else dict(
-        parallelism=2, checkpoint_interval=2, fault_injector=fault_injector)
-    return StreamingCluster(builder.build(), batch_size=4,
-                            executor=executor, **extra)
+    knobs = {} if executor == "inline" else dict(
+        parallelism=2, checkpoint_interval=2)
+    return StreamingCluster(builder.build(), ExecutionOptions(
+        batch_size=4, executor=executor, **knobs).resolve(),
+        fault_injector=fault_injector)
 
 
 #: worker roles of the golden agg plan: the join owner and the agg owner
@@ -562,8 +563,8 @@ class TestRefusals:
             "feed", streams=["R"])
         builder.set_bolt("sink", lambda i, p: DeltaSink()).global_grouping(
             "op", streams=["out"])
-        cluster = StreamingCluster(builder.build(), batch_size=4,
-                                   executor="processes")
+        cluster = StreamingCluster(builder.build(), ExecutionOptions(
+            batch_size=4, executor="processes").resolve())
         with pytest.raises(ExecutorError, match="ClosureBolt") as err:
             cluster.run()
         assert "inline" in str(err.value)  # the advice names a fallback
