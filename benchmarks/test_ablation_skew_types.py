@@ -33,13 +33,15 @@ def test_hash_imperfections_small_domains(benchmark):
         outcomes = {}
         for d, p in ((5, 4), (7, 4), (15, 8), (25, 8)):
             keys = [f"key{i}" for i in range(d)]
-            hashed = Counter()
-            for key in keys:
-                hashed[FieldsGrouping([0]).targets("s", (key,), p)[0]] += 1
-            mapped = Counter()
-            grouping = KeyMappedGrouping(0, round_robin_assignment(keys, p))
-            for key in keys:
-                mapped[grouping.targets("s", (key,), p)[0]] += 1
+
+            def keys_per_task(grouping):
+                return Counter({task: len(rows) for task, rows in
+                                grouping.targets_batch(
+                                    "s", [(key,) for key in keys], p)})
+
+            hashed = keys_per_task(FieldsGrouping([0]))
+            mapped = keys_per_task(
+                KeyMappedGrouping(0, round_robin_assignment(keys, p)))
             optimal = -(-d // p)
             outcomes[(d, p)] = (max(hashed.values()), max(mapped.values()), optimal)
             rows.append([f"d={d}, p={p}", str(max(hashed.values())),
@@ -81,7 +83,8 @@ def test_temporal_skew_sorted_arrival(benchmark):
     def run():
         grouping = FieldsGrouping([0])
         hash_active = active_machines_per_burst(
-            lambda v: grouping.targets("s", (v,), machines)
+            lambda v: [task for task, _rows in
+                       grouping.targets_batch("s", [(v,)], machines)]
         )
         bucket = OneBucket("R", "S", machines, seed=9)
         positions = itertools.count()  # the stream position of each row

@@ -9,7 +9,9 @@ attaches both to a single resident topology), a third issues a
 different query and gets its own.  A deliberately slow consumer with a
 tiny ring buffer is shed with :class:`SubscriberOverflow` while the
 others keep receiving deltas -- a stalled client never stalls the
-pipeline.
+pipeline.  A fourth feed is held in a ``with`` block, which releases its
+seat on the way out, and is taken in bulk with ``drain()``; its
+``stats()`` report what it was published and delivered.
 
 Run:  python examples/serving_fanout.py
 """
@@ -46,6 +48,8 @@ def main():
                           execution=shared)
     bob = repro.connect(catalog, broker=broker, tenant="bob",
                         execution=shared)
+    carol = repro.connect(catalog, broker=broker, tenant="carol",
+                          execution=shared)
 
     # same SQL from two tenants -> one resident topology, two feeds
     feed_a = alice.stream(by_page)
@@ -57,6 +61,24 @@ def main():
     print(f"resident topologies: {broker.topology_count} "
           f"(alice and bob share {feed_a.fingerprint[:8]}...)")
     assert feed_a.fingerprint == feed_b.fingerprint
+    for info in broker.topologies():
+        print(f"  {info['fingerprint'][:8]}: tenants {info['tenants']}")
+
+    # the same SQL once more, held in a with block and taken in bulk:
+    # each drain() is everything buffered, under one lock acquisition
+    with carol.stream(by_page) as feed_c:
+        assert feed_c.tenant == "carol"
+        assert feed_c.fingerprint == feed_a.fingerprint
+        chunks = []
+        while not feed_c.closed:
+            chunk = feed_c.drain(block=True, timeout=1.0)
+            if chunk:
+                chunks.append(len(chunk))
+        stats = feed_c.stats()
+    assert not feed_c.overflowed and stats["delivered"] == sum(chunks)
+    print(f"carol drained {sum(chunks)} deltas in {len(chunks)} chunks; "
+          f"published {stats['published']}, backlog {stats['backlog']}, "
+          f"{stats['events']} source events")
 
     deltas_a = sum(1 for _ in feed_a)
     deltas_b = sum(1 for _ in feed_b)

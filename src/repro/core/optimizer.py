@@ -266,7 +266,6 @@ class Optimizer:
             out_schema = JoinSchema.from_spec(spec).output_schema()
             new_map: Dict[Tuple[str, str], Tuple[str, str]] = {}
             for (orig_alias, orig_attr), (prev_rel, prev_attr) in attr_map.items():
-                qualified = f"{current_info.name}.{prev_attr}" if prev_rel == current_info.name else None
                 new_map[(orig_alias, orig_attr)] = (
                     join_name, f"{prev_rel}.{prev_attr}"
                 )

@@ -38,6 +38,10 @@ from repro.core.columnar import COLUMNAR_MIN_BATCH
 #: default per-subscriber delta ring capacity in the serving layer
 DEFAULT_MAX_BUFFER = 4096
 
+#: the ``batch_size`` a stream runs at when none is set (``stream_plan``
+#: and ``QueryBroker``); the finite engine's is 1
+STREAM_BATCH_SIZE = 64
+
 #: what happens when a subscriber's delta ring fills up
 OVERFLOW_POLICIES = ("shed", "block")
 

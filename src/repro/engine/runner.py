@@ -38,7 +38,7 @@ from repro.partitioning.hash_hypercube import HashHypercube
 from repro.partitioning.hybrid_hypercube import HybridHypercube
 from repro.partitioning.random_hypercube import RandomHypercube
 from repro.storm.cluster import LocalCluster
-from repro.storm.groupings import FieldsGrouping, HypercubeGrouping, KeyMappedGrouping
+from repro.storm.groupings import HypercubeGrouping, KeyMappedGrouping
 from repro.storm.metrics import TopologyMetrics
 from repro.storm.topology import Bolt, Spout, Topology, TopologyBuilder
 from repro.util import round_robin_assignment
@@ -562,11 +562,8 @@ def build_topology(
                 streams=streams,
             )
         elif agg.group_positions:
-            declarer.custom_grouping(
-                upstream_of_agg,
-                FieldsGrouping(agg.group_positions),
-                streams=streams,
-            )
+            declarer.fields_grouping(upstream_of_agg, agg.group_positions,
+                                     streams=streams)
         else:
             declarer.global_grouping(upstream_of_agg, streams=streams)
 

@@ -17,14 +17,13 @@ per machine of a hypercube partitioning scheme -- the paper's HyLD
 operator.
 """
 
-from repro.joins.base import JoinSchema, LocalJoin, reference_join
+from repro.joins.base import JoinSchema, LocalJoin
 from repro.joins.traditional import TraditionalJoin
 from repro.joins.dbtoaster import DBToasterJoin
 
 __all__ = [
     "JoinSchema",
     "LocalJoin",
-    "reference_join",
     "TraditionalJoin",
     "DBToasterJoin",
 ]

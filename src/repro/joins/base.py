@@ -1,4 +1,4 @@
-"""Local join interface, composite row layout, and a naive reference join.
+"""Local join interface and the composite row layout.
 
 Output rows are flattened tuples: the concatenation of the base relations'
 rows in the :class:`~repro.core.predicates.JoinSpec` relation order.
@@ -7,8 +7,7 @@ rows in the :class:`~repro.core.predicates.JoinSpec` relation order.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.predicates import JoinSpec
 from repro.core.schema import Schema
@@ -128,39 +127,3 @@ class LocalJoin:
     def reset(self):
         """Drop all state (tumbling window boundary)."""
         raise NotImplementedError
-
-
-def satisfies_all(spec: JoinSpec, join_schema: JoinSchema,
-                  rows_by_relation: Dict[str, tuple]) -> bool:
-    """Check every condition among the bound relations."""
-    for cond in spec.conditions:
-        left_rel, left_attr = cond.left
-        right_rel, right_attr = cond.right
-        if left_rel not in rows_by_relation or right_rel not in rows_by_relation:
-            continue
-        left_value = rows_by_relation[left_rel][
-            join_schema.schemas[left_rel].index_of(left_attr)
-        ]
-        right_value = rows_by_relation[right_rel][
-            join_schema.schemas[right_rel].index_of(right_attr)
-        ]
-        if not cond.evaluate(left_value, right_value):
-            return False
-    return True
-
-
-def reference_join(spec: JoinSpec, data: Dict[str, Iterable[tuple]]) -> List[tuple]:
-    """Naive nested-loop multi-way join -- ground truth for tests.
-
-    Evaluates the full Cartesian product filtered by every condition, so it
-    is only usable on small inputs, but it is obviously correct.
-    """
-    join_schema = JoinSchema.from_spec(spec)
-    names = join_schema.order
-    pools = [list(data.get(name, ())) for name in names]
-    output = []
-    for combo in itertools.product(*pools):
-        rows_by_relation = dict(zip(names, combo))
-        if satisfies_all(spec, join_schema, rows_by_relation):
-            output.append(join_schema.flatten(rows_by_relation))
-    return output

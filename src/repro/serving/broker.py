@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.core.options import ExecutionOptions
+from repro.core.options import STREAM_BATCH_SIZE, ExecutionOptions
 from repro.engine.component import PhysicalPlan
 from repro.serving.fingerprint import describe_plan, plan_fingerprint
 from repro.storm.metrics import ServingMetrics
@@ -279,7 +279,8 @@ class QueryBroker:
         Raises :class:`AdmissionError` when a limit would be exceeded.
         """
         resolved = self.options.overlay(
-            options or ExecutionOptions()).resolve(default_batch_size=64)
+            options or ExecutionOptions()).resolve(
+                default_batch_size=STREAM_BATCH_SIZE)
         fingerprint = plan_fingerprint(plan, ts_positions, resolved)
         if sources:
             fingerprint += "+" + ",".join(

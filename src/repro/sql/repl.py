@@ -12,7 +12,8 @@ layered under every SQL line and ``\\watch``.  ``\\set <knob> <value>``
 only parses the word; the new options are checked by
 :meth:`~repro.core.options.ExecutionOptions.resolve`, whose message is
 the answer to a rejected value, and a bare ``\\set`` lists the resolved
-values -- what a SQL line runs with.
+values -- what a SQL line runs with, and what ``\\watch`` streams with
+where that differs (``batch_size = 1 (\\watch: 64)``).
 
 Meta-commands (everything else is executed as SQL):
 
@@ -30,8 +31,8 @@ Meta-commands (everything else is executed as SQL):
     \\set parallelism <n>    shared-nothing workers (auto = pick)
     \\set columnar <v>       vectorized path: auto | on | off
     \\set rate <n>           \\watch replay rows/sec (none = unthrottled)
-    \\set max_buffer <n>     \\watch subscriber ring capacity (none = default)
-    \\set on_overflow <v>    slow-subscriber policy: shed | block
+    \\set max_buffer <n>     broker subscriptions' ring capacity (none = default)
+    \\set on_overflow <v>    broker subscriptions' full ring: shed | block
     \\set observe <v>        observability: off | metrics | trace
     \\stats [sql]            per-operator profile (last query, or run <sql>)
     \\help                   this text
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.options import ExecutionOptions
+from repro.core.options import STREAM_BATCH_SIZE, ExecutionOptions
 from repro.sql.catalog import SqlSession
 
 HELP_TEXT = __doc__.split("Meta-commands", 1)[1]
@@ -71,6 +72,10 @@ EXECUTION_KNOBS = {
     "on_overflow": (str, None, None),
     "observe": (str, None, "off"),
 }
+
+#: the knobs only a ``QueryBroker`` subscription reads: a SQL line and
+#: ``\\watch``'s private query take neither
+BROKER_KNOBS = ("max_buffer", "on_overflow")
 
 
 class SquallShell:
@@ -171,19 +176,31 @@ class SquallShell:
 
     def _list_options(self) -> str:
         """Every knob's current value; the execution knobs as resolved
-        (:meth:`ExecutionOptions.resolve`), i.e. as a SQL line runs."""
+        (:meth:`ExecutionOptions.resolve`) for a SQL line and, where it
+        differs, for ``\\watch``."""
         lines = [f"{knob} = {getattr(self.session.options, attribute)}"
                  for knob, (attribute, _words) in PLAN_KNOBS.items()]
         resolved = self.execution.resolve()
-        for knob, (_parse, _expected, unset) in EXECUTION_KNOBS.items():
-            value = getattr(resolved, knob)
+        watched = self.execution.resolve(default_batch_size=STREAM_BATCH_SIZE)
+
+        def word(value, unset):
             if value is None:
-                value = unset
-            elif isinstance(value, bool):
-                value = "on" if value else "off"
-            elif isinstance(value, float):
-                value = f"{value:g}"
-            lines.append(f"{knob} = {value}")
+                return unset
+            if isinstance(value, bool):
+                return "on" if value else "off"
+            if isinstance(value, float):
+                return f"{value:g}"
+            return str(value)
+
+        for knob, (_parse, _expected, unset) in EXECUTION_KNOBS.items():
+            value = word(getattr(resolved, knob), unset)
+            streamed = word(getattr(watched, knob), unset)
+            line = f"{knob} = {value}"
+            if streamed != value:
+                line += f" (\\watch: {streamed})"
+            if knob in BROKER_KNOBS:
+                line += " (broker subscriptions)"
+            lines.append(line)
         return "\n".join(lines)
 
     def _set_option(self, args: List[str]) -> str:

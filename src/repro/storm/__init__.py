@@ -21,7 +21,6 @@ from repro.storm.topology import (
 )
 from repro.storm.groupings import (
     AllGrouping,
-    CustomGrouping,
     FieldsGrouping,
     GlobalGrouping,
     Grouping,
@@ -52,7 +51,6 @@ __all__ = [
     "FieldsGrouping",
     "AllGrouping",
     "GlobalGrouping",
-    "CustomGrouping",
     "HypercubeGrouping",
     "KeyMappedGrouping",
     "LocalCluster",

@@ -1,7 +1,7 @@
 """Stream groupings: how a stream is partitioned among a bolt's tasks.
 
-Mirrors Storm's grouping vocabulary (shuffle, fields, all, global, custom)
-plus two Squall-specific groupings: the hypercube grouping that implements
+Mirrors Storm's grouping vocabulary (shuffle, fields, all, global) plus
+two Squall-specific groupings: the hypercube grouping that implements
 the partitioning schemes, and the key-mapped grouping that round-robins a
 small predefined key domain to avoid hash imperfections (paper section 5).
 """
@@ -32,7 +32,8 @@ def _route_rows(rows, destinations: Callable[..., List[int]],
                 position: Optional[Position] = None) -> TaskBatches:
     """Per-row routing: ``destinations(row, position)`` names the tasks of
     one row at its stream position (None if the batch has none); the row
-    path of every grouping, and the fallback of the vectorized ones.
+    path of the fields, hypercube and key-mapped groupings, and the
+    fallback of their column paths.
 
     A :class:`ColumnBatch` is bucketed by row index and split with
     ``take``, so each row keeps its sign (and the batch its columns)."""
@@ -57,27 +58,20 @@ class Grouping:
     ``position``, unless :meth:`supports_task_local_routing` says False.
     """
 
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position: Optional[Position] = None) -> List[int]:
-        raise NotImplementedError
-
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int,
                       position: Optional[Position] = None) -> TaskBatches:
-        """Partition a whole batch into per-task sub-batches in one pass;
-        ``position`` is the stream position of its first row (the rest
-        follow it on).
+        """Partition a whole batch -- a row list or a :class:`ColumnBatch`
+        -- into per-task sub-batches in one pass; ``position`` is the
+        stream position of its first row (the rest follow it on).
 
         Returns ``[(task, rows), ...]``: row order is preserved within each
-        sub-batch and tasks appear in order of first assignment, so for a
-        single-row batch the task order equals ``targets``.  The base
-        implementation falls back to per-tuple ``targets``; subclasses
-        override it with a vectorized single pass.
+        sub-batch, and tasks appear in order of first assignment (on a
+        hypercube's column path that replicates: ascending).  A row list
+        and the same rows as a ``ColumnBatch`` land on the same tasks;
+        the sub-batches keep the input's form.
         """
-        targets = self.targets
-        return _route_rows(
-            rows, lambda row, at: targets(stream, row, n_tasks, at),
-            position)
+        raise NotImplementedError
 
     def is_content_sensitive(self) -> bool:
         """Content-sensitive groupings route by value and are prone to
@@ -117,11 +111,6 @@ class ShuffleGrouping(Grouping):
     """Round-robin distribution -- content-insensitive: row ``i`` of
     emitting task ``t`` goes to task ``(t + i) % n_tasks``."""
 
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        return [sum(require_position(position, "a shuffle grouping"))
-                % n_tasks]
-
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
         start = sum(require_position(position, "a shuffle grouping"))
@@ -144,11 +133,6 @@ class FieldsGrouping(Grouping):
             raise ValueError("fields grouping needs at least one position")
         self.positions = tuple(positions)
 
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        key = tuple(values[p] for p in self.positions)
-        return [stable_hash(key) % n_tasks]
-
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
         positions = self.positions
@@ -162,10 +146,6 @@ class FieldsGrouping(Grouping):
 
 class AllGrouping(Grouping):
     """Broadcast to every task (dimension replication, small dimension tables)."""
-
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        return list(range(n_tasks))
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
@@ -181,10 +161,6 @@ class AllGrouping(Grouping):
 class GlobalGrouping(Grouping):
     """Everything to task 0 (final single-task aggregation)."""
 
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        return [0]
-
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
         if isinstance(rows, ColumnBatch):
@@ -193,25 +169,6 @@ class GlobalGrouping(Grouping):
 
     def is_content_sensitive(self) -> bool:
         return False
-
-
-class CustomGrouping(Grouping):
-    """Delegates to a user function ``fn(stream, values, n_tasks) -> [task]``.
-
-    ``fn`` must be pure: any process may call it, for any row, in any
-    order, and a recovery replay calls it again for the rows it replays."""
-
-    def __init__(self, fn: Callable[[str, tuple, int], List[int]],
-                 content_sensitive: bool = True):
-        self.fn = fn
-        self._content_sensitive = content_sensitive
-
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        return self.fn(stream, values, n_tasks)
-
-    def is_content_sensitive(self) -> bool:
-        return self._content_sensitive
 
 
 class HypercubeGrouping(Grouping):
@@ -225,15 +182,6 @@ class HypercubeGrouping(Grouping):
     def __init__(self, partitioner: Partitioner, rel_name: str):
         self.partitioner = partitioner
         self.rel_name = rel_name
-
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        if n_tasks != self.partitioner.n_machines:
-            raise ValueError(
-                f"joiner parallelism {n_tasks} does not match the scheme's "
-                f"{self.partitioner.n_machines} machines"
-            )
-        return self.partitioner.destinations(self.rel_name, values, position)
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
@@ -300,6 +248,11 @@ class KeyMappedGrouping(Grouping):
     DENSE_SPAN = 1 << 16
 
     def __init__(self, position: int, mapping: Dict[object, int]):
+        if any(type(task) is not int or task < 0
+               for task in mapping.values()):
+            # the column path's lookup table marks an unmapped key -1
+            raise ValueError("a key-mapped grouping maps keys to task "
+                             "indices >= 0")
         self.position = position
         self.mapping = dict(mapping)
         #: (sorted keys, their tasks) for ``int64`` key columns, or None
@@ -324,14 +277,13 @@ class KeyMappedGrouping(Grouping):
                 table[keys - low] = tasks
                 self._table = (low, table)
 
-    def targets(self, stream: str, values: tuple, n_tasks: int,
-                position=None) -> List[int]:
-        key = values[self.position]
+    def _task_of(self, key, n_tasks: int) -> int:
+        """The row path's task for one key."""
         try:
-            return [self.mapping[key] % n_tasks]
+            return self.mapping[key] % n_tasks
         except KeyError:
             # unseen key: fall back to hashing rather than dropping data
-            return [stable_hash(key) % n_tasks]
+            return stable_hash(key) % n_tasks
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
@@ -353,9 +305,9 @@ class KeyMappedGrouping(Grouping):
                 tasks = assigned[slot]
                 unseen = keys[slot] != column
             if unseen.any():
-                # unseen key: hash, as ``targets`` does
+                # unseen key: hash, as the row path does
                 tasks[unseen] = hash_column(column[unseen])
             return bucket_by_task(rows, tasks % n_tasks)
-        targets = self.targets
-        return _route_rows(rows, lambda row, _at: targets(stream, row,
-                                                          n_tasks))
+        position, task_of = self.position, self._task_of
+        return _route_rows(rows, lambda row, _at: [task_of(row[position],
+                                                           n_tasks)])

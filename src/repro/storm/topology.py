@@ -50,7 +50,7 @@ class Spout:
 
 
 class Bolt:
-    """A computation node: consumes tuples, returns emissions."""
+    """A computation node: consumes micro-batches, returns emissions."""
 
     #: whether this task's state depends on the order its input arrives
     #: in (a window expiring per arrival).  One such task keeps the whole
@@ -61,24 +61,15 @@ class Bolt:
     emitted: Dict[str, int] = {}  # as Spout.emitted
 
     def prepare(self, task_index: int, parallelism: int):
-        """Called once before the first ``execute``."""
-
-    def execute(self, source: str, stream: str, values: tuple) -> List[Emission]:
-        raise NotImplementedError
+        """Called once before the first ``execute_batch``."""
 
     def execute_batch(self, source: str, stream: str,
                       rows: Sequence[tuple]) -> List[Emission]:
         """Consume a micro-batch of tuples from one (source, stream).
 
-        Emissions are returned in per-tuple order, so batched execution
-        preserves the per-tuple semantics.  The default implementation
-        loops ``execute``; hot bolts override it with a vectorized pass.
-        """
-        emissions: List[Emission] = []
-        execute = self.execute
-        for row in rows:
-            emissions.extend(execute(source, stream, row))
-        return emissions
+        Emissions are returned in per-tuple order, so a batch's result
+        does not depend on how its rows were cut into batches."""
+        raise NotImplementedError
 
     def finish(self) -> List[Emission]:
         """Called once after every upstream component finished (flush)."""
@@ -125,9 +116,6 @@ class Topology:
 
     def in_edges(self, target: str) -> List[EdgeSpec]:
         return [edge for edge in self.edges if edge.target == target]
-
-    def upstream(self, target: str) -> List[str]:
-        return sorted({edge.source for edge in self.in_edges(target)})
 
     def topological_order(self) -> List[str]:
         """Component names, sources first; raises on cycles."""

@@ -59,6 +59,14 @@ from repro.storm.topology import Topology
 from repro.streaming.deltas import DeltaSink, Subscription
 from repro.streaming.watermarks import WatermarkTracker
 
+#: seconds a pump yields between two rounds once it caught up with every
+#: source (see :meth:`StreamingCluster._pace`)
+IDLE_SLEEP = 0.0005
+
+#: worker recoveries one query may run before it gives up: past that,
+#: the failure is taken to be a crash loop, not transient
+MAX_RECOVERIES = 5
+
 
 def ensure_task_local_routing(topology: Topology):
     """Refuse topologies whose routing a recovery replay cannot repeat:
@@ -97,17 +105,14 @@ class StreamingCluster:
 
     def __init__(self, topology: Topology, options: ExecutionOptions, *,
                  clock: Callable[[], float] = time.monotonic,
-                 idle_sleep: float = 0.0005,
                  checkpoint_dir: Optional[str] = None,
-                 fault_injector: Optional[FaultInjector] = None,
-                 max_recoveries: int = 5):
+                 fault_injector: Optional[FaultInjector] = None):
         if options.executor == "processes":
             ensure_task_local_routing(topology)
         self.topology = topology
         #: the resolved execution options the query runs under
         #: (:meth:`ExecutionOptions.resolve`), applied as they are
         self.options = options
-        self.idle_sleep = idle_sleep
         self.cluster = LocalCluster(topology)
         self.cluster.apply(options)
         #: each spout component's one task: the pump its rounds poll
@@ -139,7 +144,6 @@ class StreamingCluster:
         self._event_time = all(
             pump.source.has_event_time() for pump in self._pumps.values()
         )
-        self._finished_sources: set = set()
         #: the pumps the current round has still to poll, as the
         #: cluster's rounds take them: ``(name, 0, pump)``
         self._unpolled: List[Tuple[str, int, SourcePump]] = []
@@ -160,7 +164,6 @@ class StreamingCluster:
             if isinstance(task, DeltaSink)
         }
         # -- processes executor: checkpointed resident workers ------------
-        self.max_recoveries = max_recoveries
         #: checkpoint/recovery accounting (always present; only the
         #: processes executor feeds it)
         self.checkpoints = CheckpointMetrics()
@@ -266,7 +269,7 @@ class StreamingCluster:
         a burst would depend on how producer and pump interleave."""
         if not (self.done or any(pump.has_more()
                                  for pump in self._pumps.values())):
-            time.sleep(self.idle_sleep)
+            time.sleep(IDLE_SLEEP)
 
     # -- the pump round ----------------------------------------------------
 
@@ -320,7 +323,7 @@ class StreamingCluster:
             # run; a fresh one polls every live source
             self._unpolled = [(name, 0, pump)
                               for name, pump in self._pumps.items()
-                              if name not in self._finished_sources]
+                              if not self._source_wm.is_done(name)]
             self._round_rows = 0
             self._round_capacity = self.options.batch_size * max(
                 1, len(self._unpolled))
@@ -331,7 +334,7 @@ class StreamingCluster:
         if self._event_time and self._advance_watermark(
                 self._source_wm.merged()):
             progressed = True
-        if len(self._finished_sources) == len(self._pumps):
+        if self._source_wm.all_done():
             if self._event_time and self._final_watermarks:
                 # all promises are in: catch windows up to the final
                 # watermark before the flush (same rows either way; this
@@ -358,7 +361,7 @@ class StreamingCluster:
         if not pump.exhausted():
             if watermark is not None:
                 self._source_wm.update(name, watermark)
-        elif name not in self._finished_sources:
+        elif not self._source_wm.is_done(name):
             # also reached by sources that were empty to begin with:
             # they must still mark themselves done, or the merged
             # watermark stays undefined for the whole run.  The final
@@ -367,7 +370,6 @@ class StreamingCluster:
             if watermark is not None and watermark != math.inf:
                 self._source_wm.update(name, watermark)
                 self._final_watermarks.append(watermark)
-            self._finished_sources.add(name)
             self._source_wm.mark_done(name)
 
     def _advance_watermark(self, merged: Optional[float]) -> bool:
@@ -469,9 +471,9 @@ class StreamingCluster:
         respawned: List[int] = []
         while True:
             self._recoveries += 1
-            if self._recoveries > self.max_recoveries:
+            if self._recoveries > MAX_RECOVERIES:
                 raise ExecutorError(
-                    f"giving up after {self.max_recoveries} worker "
+                    f"giving up after {MAX_RECOVERIES} worker "
                     f"recoveries (workers {dead} died); the failure is "
                     f"not transient"
                 )

@@ -27,7 +27,7 @@ import time
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions, sign_runs
-from repro.core.options import ExecutionOptions
+from repro.core.options import STREAM_BATCH_SIZE, ExecutionOptions
 from repro.engine.component import PhysicalPlan
 from repro.engine.runner import AggBolt, build_topology
 from repro.storm.executor import ExecutorError
@@ -280,7 +280,8 @@ def stream_plan(plan: PhysicalPlan,
     :meth:`~StreamingQuery.run` to drive it to exhaustion, and
     :meth:`~StreamingQuery.snapshot` for the current result multiset.
     """
-    resolved = (options or ExecutionOptions()).resolve(default_batch_size=64)
+    resolved = (options or ExecutionOptions()).resolve(
+        default_batch_size=STREAM_BATCH_SIZE)
     if resolved.parallelism is not None and resolved.executor != "processes":
         raise ExecutorError(
             "parallelism only applies to the streaming 'processes' "

@@ -43,9 +43,6 @@ class WatermarkTracker:
         if key not in self._marks:
             self._marks[key] = None
 
-    def keys(self):
-        return list(self._marks)
-
     def update(self, key: Hashable, watermark: float):
         """Record an input's promise (watermarks never regress)."""
         current = self._marks[key]
@@ -55,6 +52,10 @@ class WatermarkTracker:
     def mark_done(self, key: Hashable):
         """End of stream on one input: it promises everything."""
         self._done.add(key)
+
+    def is_done(self, key: Hashable) -> bool:
+        """Whether ``key`` reached end of stream."""
+        return key in self._done
 
     def all_done(self) -> bool:
         """True once every *registered* input reached end of stream."""

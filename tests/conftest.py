@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import faulthandler
+import itertools
 import os
 import random
 import sys
+from typing import Dict, Iterable, List
 
 import pytest
 
 from repro.core.columnar import ColumnBatch, ColumnEmissions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
+from repro.joins.base import JoinSchema
 from repro.storm import Spout
 from repro.streaming.sources import PushSource
 
@@ -227,3 +230,42 @@ def changes_of(emissions, stream=None):
     batch = emissions.batch
     signs = [1] * len(batch) if batch.signs is None else batch.signs.tolist()
     return list(zip(signs, batch.to_rows()))
+
+
+# -- join oracles --------------------------------------------------------------
+
+
+def satisfies_all(spec: JoinSpec, join_schema: JoinSchema,
+                  rows_by_relation: Dict[str, tuple]) -> bool:
+    """Check every condition among the bound relations."""
+    for cond in spec.conditions:
+        left_rel, left_attr = cond.left
+        right_rel, right_attr = cond.right
+        if left_rel not in rows_by_relation or right_rel not in rows_by_relation:
+            continue
+        left_value = rows_by_relation[left_rel][
+            join_schema.schemas[left_rel].index_of(left_attr)
+        ]
+        right_value = rows_by_relation[right_rel][
+            join_schema.schemas[right_rel].index_of(right_attr)
+        ]
+        if not cond.evaluate(left_value, right_value):
+            return False
+    return True
+
+
+def reference_join(spec: JoinSpec, data: Dict[str, Iterable[tuple]]) -> List[tuple]:
+    """Naive nested-loop multi-way join -- the tests' ground truth.
+
+    Evaluates the full Cartesian product filtered by every condition, so it
+    is only usable on small inputs, but it is obviously correct.
+    """
+    join_schema = JoinSchema.from_spec(spec)
+    names = join_schema.order
+    pools = [list(data.get(name, ())) for name in names]
+    output = []
+    for combo in itertools.product(*pools):
+        rows_by_relation = dict(zip(names, combo))
+        if satisfies_all(spec, join_schema, rows_by_relation):
+            output.append(join_schema.flatten(rows_by_relation))
+    return output

@@ -18,19 +18,23 @@ from repro.core.expressions import col
 from repro.engine.operators import Aggregation, Projection, Selection, avg, count, total
 from repro.joins.dbtoaster import DBToasterJoin
 from repro.joins.traditional import TraditionalJoin
+from repro.partitioning.hash_hypercube import HashHypercube
+from repro.partitioning.hybrid_hypercube import HybridHypercube
+from repro.partitioning.random_hypercube import RandomHypercube
 from repro.storm import (
     AllGrouping,
     Bolt,
-    CustomGrouping,
     FieldsGrouping,
     GlobalGrouping,
+    Grouping,
     KeyMappedGrouping,
     LocalCluster,
     ShuffleGrouping,
     TopologyBuilder,
 )
+from repro.storm import groupings as groupings_module
 from repro.storm.groupings import HypercubeGrouping
-from repro.util import round_robin_assignment
+from repro.util import round_robin_assignment, stable_hash
 from tests.conftest import ListSpout, interleaved_stream, make_rst_data
 
 
@@ -61,27 +65,19 @@ def _flatten(task_batches):
 class TestTargetsBatch:
     ROWS = [(i, i % 3, f"k{i % 5}") for i in range(23)]
 
-    def check_matches_per_tuple(self, make_grouping, n_tasks=4):
-        batch_grouping = make_grouping()
-        tuple_grouping = make_grouping()
-        got = _flatten(batch_grouping.targets_batch("s", self.ROWS, n_tasks,
-                                                    (0, 0)))
-        expected = [
-            (task, row)
-            for index, row in enumerate(self.ROWS)
-            for task in tuple_grouping.targets("s", row, n_tasks, (0, index))
-        ]
-        assert Counter(got) == Counter(expected)
-        # row order within each task bucket must follow the batch order
-        per_task = {}
-        for task, row in got:
-            per_task.setdefault(task, []).append(row)
-        for task, rows in per_task.items():
-            reference = [row for t, row in expected if t == task]
-            assert rows == reference
+    def check_routes(self, grouping, tasks_of, n_tasks=4):
+        """Every row lands on ``tasks_of(index, row)`` -- a reference
+        worked out without the grouping -- in batch order, the tasks in
+        order of first assignment."""
+        expected = {}
+        for index, row in enumerate(self.ROWS):
+            for task in tasks_of(index, row):
+                expected.setdefault(task, []).append(row)
+        assert grouping.targets_batch("s", self.ROWS, n_tasks, (0, 0)) == \
+            list(expected.items())
 
     def test_shuffle(self):
-        self.check_matches_per_tuple(ShuffleGrouping)
+        self.check_routes(ShuffleGrouping(), lambda index, _row: [index % 4])
 
     def test_shuffle_continues_round_robin_across_batches(self):
         grouping = ShuffleGrouping()
@@ -94,10 +90,11 @@ class TestTargetsBatch:
         ]
 
     def test_fields(self):
-        self.check_matches_per_tuple(lambda: FieldsGrouping([1, 2]))
+        self.check_routes(FieldsGrouping([1, 2]), lambda _index, row: [
+            stable_hash((row[1], row[2])) % 4])
 
     def test_all(self):
-        self.check_matches_per_tuple(AllGrouping)
+        self.check_routes(AllGrouping(), lambda _index, _row: range(4))
 
     def test_all_broadcasts_whole_batch(self):
         batches = AllGrouping().targets_batch("s", self.ROWS, 3)
@@ -105,17 +102,13 @@ class TestTargetsBatch:
         assert all(rows == list(self.ROWS) for _task, rows in batches)
 
     def test_global(self):
-        self.check_matches_per_tuple(GlobalGrouping)
-
-    def test_custom_uses_per_tuple_fallback(self):
-        def make():
-            return CustomGrouping(lambda stream, values, n: [values[0] % n])
-
-        self.check_matches_per_tuple(make)
+        self.check_routes(GlobalGrouping(), lambda _index, _row: [0])
 
     def test_key_mapped_including_unseen_keys(self):
         mapping = round_robin_assignment(["k0", "k1", "k2"], 4)  # k3, k4 unseen
-        self.check_matches_per_tuple(lambda: KeyMappedGrouping(2, mapping))
+        self.check_routes(KeyMappedGrouping(2, mapping), lambda _index, row: [
+            mapping[row[2]] % 4 if row[2] in mapping
+            else stable_hash(row[2]) % 4])
 
     _EDGE_KEYS = [0, 1, -1, 2**31, 2**32, 2**32 + 1, -2**32, 2**63 - 1,
                   -2**63]
@@ -132,10 +125,11 @@ class TestTargetsBatch:
     def test_key_mapped_int64_column_routes_like_per_row_targets(
             self, mapped, keys, n_tasks, extra):
         """The vectorised lookup (sorted keys + searchsorted, unseen
-        keys through ``hash_column``) lands every row where ``targets``
-        does -- unseen, negative and >= 2**32 keys included; a mapping
-        with a key that is not a plain int (``1.0 == True == 1`` to a
-        dict) keeps the per-row path, and must still agree."""
+        keys through ``hash_column``) lands every row where the mapping
+        (or, for an unseen key, its hash) says -- unseen, negative and
+        >= 2**32 keys included; a mapping with a key that is not a plain
+        int (``1.0 == True == 1`` to a dict) keeps the per-row path, and
+        must still agree."""
         from repro.core.columnar import ColumnBatch
 
         mapping = {key: 3 * slot + 1 for slot, key in enumerate(mapped)}
@@ -149,7 +143,8 @@ class TestTargetsBatch:
         rows = [(i, key) for i, key in enumerate(keys)]
         expected = {}
         for row in rows:
-            (task,) = grouping.targets("s", row, n_tasks)
+            task = (mapping[row[1]] if row[1] in mapping
+                    else stable_hash(row[1])) % n_tasks
             expected.setdefault(task, []).append(row)
         got = grouping.targets_batch("s", ColumnBatch.from_rows(rows),
                                      n_tasks)
@@ -172,7 +167,7 @@ class TestTargetsBatch:
         batch = ColumnBatch.from_rows(rows) if columnar else rows
         got = _flatten(grouping.targets_batch(rel, batch, 8))
         expected = [(t, row) for row in rows
-                    for t in grouping.targets(rel, row, 8)]
+                    for t in partitioner.destinations(rel, row)]
         assert Counter(got) == Counter(expected)
         per_task = {}
         for task, row in got:
@@ -188,9 +183,65 @@ class TestTargetsBatch:
             HypercubeGrouping(partitioner, "S").targets_batch("S", [(1, 2)], 5)
 
     def test_single_row_batch_preserves_target_order(self):
-        # AllGrouping targets [0, 1, 2]; the batch API must keep that order
+        # a broadcast lists its tasks in order, for one row as for many
         batches = AllGrouping().targets_batch("s", [(1,)], 3)
         assert batches == [(0, [(1,)]), (1, [(1,)]), (2, [(1,)])]
+
+
+def _hypercube(scheme):
+    def make():
+        return HypercubeGrouping(scheme.build(rst_spec(), 8, seed=3), "R")
+    return make
+
+
+#: one instance of every grouping of ``repro.storm.groupings``, by the
+#: paths its ``targets_batch`` takes
+ROUTINGS = {
+    "shuffle": ShuffleGrouping,
+    "fields": lambda: FieldsGrouping([1, 2]),
+    "all": AllGrouping,
+    "global": GlobalGrouping,
+    "hash-hypercube": _hypercube(HashHypercube),
+    "random-hypercube": _hypercube(RandomHypercube),
+    "hybrid-hypercube": _hypercube(HybridHypercube),
+    "key-mapped-dense": lambda: KeyMappedGrouping(
+        1, {key: key + 3 for key in range(-2, 8)}),
+    "key-mapped-sparse": lambda: KeyMappedGrouping(
+        1, {key: slot for slot, key in enumerate((-2**40, -1, 3, 2**40))}),
+    "key-mapped-strings": lambda: KeyMappedGrouping(
+        2, round_robin_assignment(["k0", "k1", "k2"], 4)),
+}
+
+
+def test_key_mapped_refuses_a_task_below_zero():
+    """A negative task would read as an unmapped key on the column
+    path, and route elsewhere than on the row path."""
+    with pytest.raises(ValueError, match="task indices >= 0"):
+        KeyMappedGrouping(1, {0: 1, 1: -5})
+
+
+def test_routings_cover_every_grouping():
+    declared = {value for value in vars(groupings_module).values()
+                if isinstance(value, type) and issubclass(value, Grouping)
+                and value is not Grouping}
+    assert {type(make()) for make in ROUTINGS.values()} == declared
+
+
+@pytest.mark.parametrize("name", sorted(ROUTINGS))
+def test_rows_and_column_batch_route_alike(name):
+    """A row list and the same rows as a ``ColumnBatch`` land on the
+    same tasks, each task's rows in the same (batch) order."""
+    from repro.core.columnar import ColumnBatch
+
+    rows = [(i, i % 7 - 2, f"k{i % 5}") for i in range(40)]
+    grouping, n_tasks = ROUTINGS[name](), 8
+    as_rows = grouping.targets_batch("R", rows, n_tasks, (1, 3))
+    as_batch = grouping.targets_batch(
+        "R", ColumnBatch.from_rows(rows), n_tasks, (1, 3))
+    assert all(isinstance(batch, ColumnBatch) for _task, batch in as_batch)
+    assert {task: batch.to_rows() for task, batch in as_batch} == \
+        dict(as_rows)
+    assert len(as_batch) == len(as_rows) > 1 or name == "global"
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +262,6 @@ class TestSpoutBatch:
         assert pulled == [("s", row) for row in rows[1::2]]
         assert batched.exhausted() and batched.next_batch(3) == []
 
-    def test_bolt_execute_batch_default_loops_execute(self):
-        class Doubler(Bolt):
-            def execute(self, source, stream, values):
-                return [("out", values), ("out", values)]
-
-        emissions = Doubler().execute_batch("src", "s", [(1,), (2,)])
-        assert emissions == [("out", (1,)), ("out", (1,)),
-                             ("out", (2,)), ("out", (2,))]
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +392,8 @@ class CollectBolt(Bolt):
     def __init__(self, store):
         self.store = store
 
-    def execute(self, source, stream, values):
-        self.store.append(values)
+    def execute_batch(self, source, stream, rows):
+        self.store.extend(rows)
         return []
 
 
@@ -385,8 +428,8 @@ class TestClusterBatching:
             def __init__(self):
                 self.counts = CCounter()
 
-            def execute(self, source, stream, values):
-                self.counts[values[0]] += 1
+            def execute_batch(self, source, stream, rows):
+                self.counts.update(row[0] for row in rows)
                 return []
 
             def finish(self):
@@ -416,8 +459,8 @@ class TestClusterBatching:
         store = []
 
         class Forward(Bolt):
-            def execute(self, source, stream, values):
-                return [("fwd", values)]
+            def execute_batch(self, source, stream, rows):
+                return [("fwd", row) for row in rows]
 
         builder = TopologyBuilder()
         builder.set_spout("src", lambda i, p: ListSpout([(1,), (2,)], "src"))

@@ -16,7 +16,7 @@ from repro.core.predicates import BandCondition, EquiCondition, JoinSpec, Relati
 from repro.core.schema import Relation, Schema
 from repro.datasets import GoogleClusterGenerator
 from repro.engine import JoinComponent, PhysicalPlan, SourceComponent, run_plan
-from repro.joins import reference_join
+from tests.conftest import reference_join
 from repro.partitioning import EWHScheme, OneBucket
 from repro.partitioning.adaptive import AdaptiveOneBucket
 from repro.sql.catalog import SqlSession

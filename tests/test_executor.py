@@ -47,12 +47,12 @@ def resolved(**knobs) -> ExecutionOptions:
 
 
 class DoublerBolt(Bolt):
-    def execute(self, source, stream, values):
-        return [("default", tuple(v * 2 for v in values))]
+    def execute_batch(self, source, stream, rows):
+        return [("default", tuple(v * 2 for v in row)) for row in rows]
 
 
 class FailingBolt(Bolt):
-    def execute(self, source, stream, values):
+    def execute_batch(self, source, stream, rows):
         raise RuntimeError("boom in worker")
 
 
@@ -60,7 +60,7 @@ class SelfKillingBolt(Bolt):
     """Dies the way an OOM-killed or segfaulting worker does: no
     traceback, no reply, just a closed pipe."""
 
-    def execute(self, source, stream, values):
+    def execute_batch(self, source, stream, rows):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
@@ -607,7 +607,8 @@ class TestWaveCoalescing:
         for task_index in range(2):
             expected = []  # this task's share of the script, as runs
             for stream, row, *retracted in retraction_script():
-                if grouping.targets(stream, row, 2) != [task_index]:
+                if grouping.targets_batch(stream, [row], 2)[0][0] != \
+                        task_index:
                     continue
                 sign = -1 if retracted else 1
                 if expected and expected[-1][0] == sign:
@@ -723,10 +724,10 @@ class NthPullFails(ListSpout):
 class FreezeCountBolt(Bolt):
     """Emits how many objects its process's collector treats as frozen."""
 
-    def execute(self, source, stream, values):
+    def execute_batch(self, source, stream, rows):
         import gc
 
-        return [("default", (gc.get_freeze_count(),))]
+        return [("default", (gc.get_freeze_count(),))] * len(rows)
 
 
 class TestInheritedRounds:
@@ -958,9 +959,9 @@ class WatermarkEchoBolt(Bolt):
     def prepare(self, task_index, parallelism):
         self.task_index, self.seen = task_index, 0
 
-    def execute(self, source, stream, values):
-        self.seen += 1
-        return [("default", tuple(v * 2 for v in values))]
+    def execute_batch(self, source, stream, rows):
+        self.seen += len(rows)
+        return [("default", tuple(v * 2 for v in row)) for row in rows]
 
     def advance_watermark(self, watermark):
         return [("default", (watermark, self.task_index, self.seen))]

@@ -34,10 +34,9 @@ from repro.engine.component import (
 )
 from repro.engine.operators import count, total
 from repro.engine.runner import build_topology
-from repro.joins.base import reference_join
 from repro.storm import LocalCluster
 from repro.streaming import stream_plan
-from tests.conftest import ScriptSource, retract
+from tests.conftest import ScriptSource, reference_join, retract
 from tests.test_retractions import rst_spec
 
 #: ``1``, ``1.0`` and ``True`` are one key; 2 and 3 are others

@@ -12,9 +12,8 @@ from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation, Schema
 from repro.engine import JoinComponent, PhysicalPlan, SourceComponent, run_plan
 from repro.engine.runner import build_topology
-from repro.joins import reference_join
 
-from tests.conftest import make_rst_data
+from tests.conftest import make_rst_data, reference_join
 
 
 def join_plan(spec, data, machines, scheme="hybrid", local_join="dbtoaster"):

@@ -15,7 +15,6 @@ from repro.core.predicates import (
 )
 from repro.core.schema import Schema
 from repro.core.statistics import AttributeStats
-from repro.joins.base import reference_join
 from repro.partitioning import (
     HashHypercube,
     HybridHypercube,
@@ -25,7 +24,7 @@ from repro.partitioning import (
 from repro.partitioning.hybrid_hypercube import decide_skew_marking, hybrid_dimensions
 from repro.partitioning.hypercube import HASH, RANDOM
 
-from tests.conftest import make_rst_data, triangle_spec
+from tests.conftest import make_rst_data, reference_join, satisfies_all, triangle_spec
 
 
 def rst_spec_skewed(top=0.5):
@@ -399,7 +398,7 @@ def _assert_exactly_once(spec, partitioner, data):
     produced = Counter()
     # count, for each joinable combination, on how many machines all parts meet
     names = list(spec.relation_names)
-    from repro.joins.base import JoinSchema, satisfies_all
+    from repro.joins.base import JoinSchema
     join_schema = JoinSchema.from_spec(spec)
     import itertools
     pools = [placements[name] for name in names]

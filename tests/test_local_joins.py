@@ -20,11 +20,12 @@ from repro.core.predicates import (
     ThetaCondition,
 )
 from repro.core.schema import Schema
-from repro.joins import DBToasterJoin, TraditionalJoin, reference_join
+from repro.joins import DBToasterJoin, TraditionalJoin
 from repro.joins.base import JoinSchema
 from repro.joins.dbtoaster import connected_subsets
 
-from tests.conftest import interleaved_stream, make_rst_data, triangle_spec
+from tests.conftest import (interleaved_stream, make_rst_data, reference_join,
+                            triangle_spec)
 
 
 def run_stream(join, stream):

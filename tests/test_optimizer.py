@@ -11,7 +11,7 @@ from repro.core.optimizer import Catalog, Optimizer, OptimizerOptions
 from repro.core.predicates import EquiCondition
 from repro.core.schema import Relation, Schema
 from repro.engine.runner import run_plan
-from repro.joins import reference_join
+from tests.conftest import reference_join
 
 
 def catalog_rst(seed=70, n=40, hot_fraction=0.0):

@@ -11,7 +11,7 @@ from repro.core.optimizer import Optimizer, OptimizerOptions
 from repro.core.predicates import EquiCondition
 from repro.engine.runner import run_plan
 from repro.engine.windows import WindowClause
-from repro.joins import reference_join
+from tests.conftest import reference_join
 
 from tests.test_optimizer import catalog_rst
 

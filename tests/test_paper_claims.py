@@ -116,14 +116,15 @@ class TestSection5SkewTypes:
         """d=15 keys on p=8 machines: hashing very likely gives some machine
         3 keys (1.5x optimum); the round-robin key mapping never does."""
         keys = [f"key{i}" for i in range(15)]
-        hashed = Counter()
-        grouping = FieldsGrouping([0])
-        for key in keys:
-            hashed[grouping.targets("s", (key,), 8)[0]] += 1
-        mapped = Counter()
-        km = KeyMappedGrouping(0, round_robin_assignment(keys, 8))
-        for key in keys:
-            mapped[km.targets("s", (key,), 8)[0]] += 1
+
+        def keys_per_task(grouping):
+            return Counter({task: len(rows) for task, rows in
+                            grouping.targets_batch(
+                                "s", [(key,) for key in keys], 8)})
+
+        hashed = keys_per_task(FieldsGrouping([0]))
+        mapped = keys_per_task(
+            KeyMappedGrouping(0, round_robin_assignment(keys, 8)))
         assert max(mapped.values()) == 2  # optimal ceil(15/8)
         assert max(hashed.values()) >= max(mapped.values())
 
@@ -137,7 +138,9 @@ class TestSection5SkewTypes:
         active_counts = []
         window = []
         for value in stream:
-            window.append(grouping.targets("s", (value,), machines)[0])
+            ((task, _rows),) = grouping.targets_batch("s", [(value,)],
+                                                      machines)
+            window.append(task)
             if len(window) == 50:
                 active_counts.append(len(set(window)))
                 window = []

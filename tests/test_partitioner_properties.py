@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo, ThetaCondition
 from repro.core.schema import Schema
-from repro.joins.base import JoinSchema, satisfies_all
+from repro.joins.base import JoinSchema
 from repro.partitioning import HashHypercube, HybridHypercube, RandomHypercube
+from tests.conftest import satisfies_all
 
 
 def chain_spec(sizes, skew_s, skew_t):

@@ -160,6 +160,30 @@ class TestSetOption:
                      "on_overflow = shed"):
             assert line in output
 
+    def test_set_lists_what_watch_streams_with(self, shell):
+        """Unset, batch_size and columnar resolve differently for a SQL
+        line and for ``\\watch``: the listing names both."""
+        output = shell.handle_line("\\set").splitlines()
+        assert "batch_size = 1 (\\watch: 64)" in output
+        assert "columnar = off (\\watch: on)" in output
+        assert "executor = inline" in output
+        shell.handle_line("\\set batch_size 8")
+        output = shell.handle_line("\\set").splitlines()
+        assert "batch_size = 8" in output and "columnar = off" in output
+
+    def test_subscriber_knobs_are_labelled_broker_only(self, shell):
+        """A SQL line and ``\\watch``'s private query take neither
+        max_buffer nor on_overflow: the help and the listing say that
+        they size broker subscriptions."""
+        help_text = shell.handle_line("\\help")
+        output = shell.handle_line("\\set").splitlines()
+        for knob, value in (("max_buffer", DEFAULT_MAX_BUFFER),
+                            ("on_overflow", "shed")):
+            (entry,) = [line for line in help_text.splitlines()
+                        if f"\\set {knob} " in line]
+            assert "broker subscriptions" in entry
+            assert f"{knob} = {value} (broker subscriptions)" in output
+
     def test_set_rate(self, shell):
         assert shell.handle_line("\\set rate 500") == "rate = 500"
         assert shell.execution.rate == 500.0

@@ -22,9 +22,8 @@ from repro.engine import (
 )
 from repro.engine.operators import Projection, Selection
 from repro.engine.runner import SourcePump
-from repro.joins import reference_join
 from repro.streaming import PushSource, ReplaySource
-from tests.conftest import retracting
+from tests.conftest import reference_join, retracting
 
 
 def make_setup(seed=0, n=40):

@@ -7,9 +7,9 @@ import pytest
 from repro.storm import (
     AllGrouping,
     Bolt,
-    CustomGrouping,
     FieldsGrouping,
     GlobalGrouping,
+    Grouping,
     KeyMappedGrouping,
     LocalCluster,
     ShuffleGrouping,
@@ -29,8 +29,8 @@ class CollectBolt(Bolt):
         self.rows = []
         CollectBolt.instances.append(self)
 
-    def execute(self, source, stream, values):
-        self.rows.append(values)
+    def execute_batch(self, source, stream, rows):
+        self.rows.extend(rows)
         return []
 
 
@@ -40,8 +40,8 @@ class EchoBolt(Bolt):
     def __init__(self, stream="echo"):
         self.stream = stream
 
-    def execute(self, source, stream, values):
-        return [(self.stream, values)]
+    def execute_batch(self, source, stream, rows):
+        return [(self.stream, row) for row in rows]
 
 
 class CountBolt(Bolt):
@@ -50,8 +50,8 @@ class CountBolt(Bolt):
     def __init__(self):
         self.counts = Counter()
 
-    def execute(self, source, stream, values):
-        self.counts[values[0]] += 1
+    def execute_batch(self, source, stream, rows):
+        self.counts.update(row[0] for row in rows)
         return []
 
     def finish(self):
@@ -63,17 +63,22 @@ def fresh_collectors():
     return lambda i, p: CollectBolt()
 
 
+def rows_per_task(grouping, rows, n_tasks, position=None):
+    """``{task: rows}`` of one routed batch."""
+    return dict(grouping.targets_batch("s", rows, n_tasks, position))
+
+
 class TestGroupings:
     def test_shuffle_round_robins(self):
         grouping = ShuffleGrouping()
-        targets = [grouping.targets("s", (i,), 4, (0, i))[0]
-                   for i in range(8)]
-        assert targets == [0, 1, 2, 3, 0, 1, 2, 3]
+        rows = [(i,) for i in range(8)]
+        assert rows_per_task(grouping, rows, 4, (0, 0)) == {
+            task: [(task,), (task + 4,)] for task in range(4)}
         assert not grouping.is_content_sensitive()
 
     def test_fields_grouping_consistent(self):
         grouping = FieldsGrouping([0])
-        assert grouping.targets("s", (42, "x"), 8) == grouping.targets("s", (42, "y"), 8)
+        assert len(rows_per_task(grouping, [(42, "x"), (42, "y")], 8)) == 1
         assert grouping.is_content_sensitive()
 
     def test_fields_grouping_requires_positions(self):
@@ -81,28 +86,24 @@ class TestGroupings:
             FieldsGrouping([])
 
     def test_all_grouping_broadcasts(self):
-        assert AllGrouping().targets("s", (1,), 3) == [0, 1, 2]
+        assert AllGrouping().targets_batch("s", [(1,)], 3) == [
+            (0, [(1,)]), (1, [(1,)]), (2, [(1,)])]
 
     def test_global_grouping(self):
-        assert GlobalGrouping().targets("s", (1,), 5) == [0]
-
-    def test_custom_grouping(self):
-        grouping = CustomGrouping(lambda stream, values, n: [values[0] % n])
-        assert grouping.targets("s", (7,), 4) == [3]
+        assert GlobalGrouping().targets_batch("s", [(1,), (2,)], 5) == [
+            (0, [(1,), (2,)])]
 
     def test_key_mapped_grouping_balances_small_domain(self):
         keys = [f"prio{i}" for i in range(8)]
         mapping = round_robin_assignment(keys, 4)
         grouping = KeyMappedGrouping(0, mapping)
-        loads = Counter()
-        for key in keys:
-            loads[grouping.targets("s", (key,), 4)[0]] += 1
-        assert sorted(loads.values()) == [2, 2, 2, 2]
+        loads = rows_per_task(grouping, [(key,) for key in keys], 4)
+        assert sorted(map(len, loads.values())) == [2, 2, 2, 2]
 
     def test_key_mapped_grouping_falls_back_to_hash(self):
         grouping = KeyMappedGrouping(0, {"known": 1})
-        target = grouping.targets("s", ("unknown",), 4)
-        assert len(target) == 1 and 0 <= target[0] < 4
+        ((task, rows),) = grouping.targets_batch("s", [("unknown",)], 4)
+        assert 0 <= task < 4 and rows == [("unknown",)]
 
 
 class TestTopologyBuilder:
@@ -187,8 +188,8 @@ class TestLocalCluster:
         order = []
 
         class OrderBolt(Bolt):
-            def execute(self, source, stream, values):
-                order.append(values[0])
+            def execute_batch(self, source, stream, rows):
+                order.extend(row[0] for row in rows)
                 return []
 
         builder.set_bolt("sink", lambda i, p: OrderBolt()).shuffle_grouping(
@@ -217,10 +218,14 @@ class TestLocalCluster:
         assert all(not bolt.rows for bolt in CollectBolt.instances)
 
     def test_bad_grouping_target_caught(self):
+        class OffTheEnd(Grouping):
+            def targets_batch(self, stream, rows, n_tasks, position=None):
+                return [(99, list(rows))]
+
         builder = TopologyBuilder()
         builder.set_spout("src", lambda i, p: ListSpout([(1,)], "src"))
         builder.set_bolt("sink", lambda i, p: EchoBolt()).custom_grouping(
-            "src", CustomGrouping(lambda s, v, n: [99]))
+            "src", OffTheEnd())
         with pytest.raises(TopologyError, match="outside"):
             LocalCluster(builder.build()).run()
 

@@ -160,7 +160,7 @@ def test_the_row_and_batch_paths_place_random_dimensions_alike():
 
 
 @pytest.mark.parametrize("route", [
-    lambda: ShuffleGrouping().targets("s", (1,), 4),
+    lambda: ShuffleGrouping().targets_batch("s", [(1,)], 4),
     lambda: RandomHypercube.build(chain_spec(), MACHINES).destinations(
         "S", (1, 2)),
     lambda: OneBucket("R", "S", 4).destinations("R", (1,)),

@@ -27,6 +27,7 @@ from repro.streaming import (
     WatermarkTracker,
     stream_plan,
 )
+from repro.streaming.cluster import IDLE_SLEEP
 from tests.conftest import changelog, retracting
 
 
@@ -253,6 +254,7 @@ class TestWatermarkTracker:
         assert tracker.merged() == math.inf
         assert not tracker.all_done()
         tracker.mark_done("a")
+        assert tracker.is_done("a") and not tracker.is_done("b")
         assert not tracker.all_done()
         tracker.mark_done("b")
         assert tracker.all_done()
@@ -706,16 +708,16 @@ class TestPumpPacing:
         assert naps == []
         cluster.advance()  # the 2 rows left: processed at once ...
         assert cluster.stats.total_events == 6
-        assert naps == [cluster.idle_sleep]  # ... then one idle tick
+        assert naps == [IDLE_SLEEP]  # ... then one idle tick
         cluster.advance()  # nothing there
-        assert naps == [cluster.idle_sleep] * 2
+        assert naps == [IDLE_SLEEP] * 2
 
     def test_a_round_drains_what_one_round_may_take(self, paced):
         source, cluster, naps = paced
         self.push(source, 10)
         cluster.advance()  # 4 + 4 + 2: the short poll ends the round ...
         assert cluster.stats.total_events == 10
-        assert naps == [cluster.idle_sleep]  # ... and the backlog
+        assert naps == [IDLE_SLEEP]  # ... and the backlog
 
     def test_a_backlog_over_one_round_is_pumped_across_rounds(
             self, monkeypatch):
@@ -727,7 +729,7 @@ class TestPumpPacing:
         assert naps == []  # ... and the next round follows at once
         cluster.advance()
         assert cluster.stats.total_events == budget + 6
-        assert naps == [cluster.idle_sleep]
+        assert naps == [IDLE_SLEEP]
 
     def test_a_finished_query_never_sleeps(self, paced):
         source, cluster, naps = paced
