@@ -30,11 +30,9 @@ def drifting_stream():
 def run_static(shape, stream, seed=0):
     scheme = OneBucket("R", "S", MACHINES, shape=shape, seed=seed)
     received = [0] * (shape[0] * shape[1])
-    seen = {"R": 0, "S": 0}  # a row's index in its relation's stream
     for rel, row in stream:
-        for machine in scheme.destinations(rel, row, (0, seen[rel])):
+        for machine in scheme.destinations(rel, row):
             received[machine] += 1
-        seen[rel] += 1
     return max(received)
 
 

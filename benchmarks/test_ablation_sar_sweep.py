@@ -44,8 +44,8 @@ def route_loads(spec, data, scheme, seed=0):
     partitioner = SCHEMES[scheme].build(spec, MACHINES, seed=seed)
     received = [0] * partitioner.n_machines
     for name, rows in data.items():
-        for index, row in enumerate(rows):
-            for machine in partitioner.destinations(name, row, (0, index)):
+        for row in rows:
+            for machine in partitioner.destinations(name, row):
                 received[machine] += 1
     total_in = sum(len(rows) for rows in data.values())
     return max(received), sum(received) / total_in

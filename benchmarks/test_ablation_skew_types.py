@@ -11,7 +11,6 @@ Three section-5 phenomena that motivate Squall's scheme choices:
    lands on few machines; EWH balances estimated output.
 """
 
-import itertools
 import random
 from collections import Counter
 
@@ -87,9 +86,14 @@ def test_temporal_skew_sorted_arrival(benchmark):
                        grouping.targets_batch("s", [(v,)], machines)]
         )
         bucket = OneBucket("R", "S", machines, seed=9)
-        positions = itertools.count()  # the stream position of each row
+        copies = Counter()  # occurrence numbers, as the emitting task counts
+
+        def copy_of(v):
+            copies[v] += 1
+            return copies[v] - 1
+
         random_active = active_machines_per_burst(
-            lambda v: bucket.destinations("R", (v,), (0, next(positions)))
+            lambda v: bucket.destinations("R", (v,), copy_of(v))
         )
         return hash_active, random_active
 
@@ -127,15 +131,18 @@ def test_ewh_vs_mbucket_product_skew(benchmark):
         def output_load_profile(scheme, rel_left="R", rel_right="S"):
             loads = Counter()
             replication = 0
-            right_positions = itertools.count()
-            for index, l_val in enumerate(left):
+            # occurrence numbers, as the emitting tasks count them
+            left_copies, right_copies = Counter(), Counter()
+            for l_val in left:
                 l_dest = set(scheme.destinations(rel_left, (l_val,),
-                                                 (0, index)))
+                                                 left_copies[l_val]))
+                left_copies[l_val] += 1
                 replication += len(l_dest)
                 for r_val in (499, 500, 501, 502, 503):
                     if cond.evaluate(l_val, r_val):
                         r_dest = scheme.destinations(
-                            rel_right, (r_val,), (0, next(right_positions)))
+                            rel_right, (r_val,), right_copies[r_val])
+                        right_copies[r_val] += 1
                         for m in l_dest & set(r_dest):
                             loads[m] += 1
             return loads, replication / len(left)

@@ -70,8 +70,8 @@ def measured_max_load(spec_obj, data, scheme, seed=0):
     partitioner = SCHEMES[scheme].build(spec_obj, MACHINES, seed=seed)
     received = [0] * partitioner.n_machines
     for name, rows in data.items():
-        for index, row in enumerate(rows):
-            for machine in partitioner.destinations(name, row, (0, index)):
+        for row in rows:
+            for machine in partitioner.destinations(name, row):
                 received[machine] += 1
     return _RoutedLoads(received)
 

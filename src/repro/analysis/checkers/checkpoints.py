@@ -4,9 +4,11 @@ Recovery replays from checkpointed state; any mutable field the
 checkpoint protocol does not capture is silently reset on restore.  Two
 past-incident shapes are enforced:
 
-1. **Routing state.**  Routing must be a pure function of a row and its
-   stream position, so a recovery replay places every row where it first
-   landed with nothing to checkpoint.  A ``Grouping``/``Partitioner``
+1. **Routing state.**  Routing must be a pure function of a row and of
+   what its emitting task counts and checkpoints (its stream position,
+   which the shuffle reads; its occurrence number, which random
+   dimensions read), so a recovery replay places every row where it
+   first landed with nothing to checkpoint.  A ``Grouping``/``Partitioner``
    subclass that mutates an instance attribute outside ``__init__`` (a
    round-robin cursor, an adaptive histogram; a draw from a
    ``random.Random`` attribute counts) must say it is not pure, by
@@ -69,8 +71,9 @@ class CheckpointCompletenessChecker(Checker):
                     f"'{cls.name}' mutates routing state ({attrs}) outside "
                     f"__init__ but does not return False from "
                     f"supports_task_local_routing(); routing must be a "
-                    f"pure function of a row and its stream position, or "
-                    f"a recovery replay re-routes the rows elsewhere"))
+                    f"pure function of a row and what its emitting task "
+                    f"counts (stream position, occurrence number), or a "
+                    f"recovery replay re-routes the rows elsewhere"))
 
     # -- part 2: __getstate__ drops a key, __setstate__ never restores --
 

@@ -316,15 +316,89 @@ def hash_column(col: ColumnData) -> np.ndarray:
 
     ``int64`` vectors use the same fold-and-multiply arithmetic as the
     scalar hash (NumPy's ``>>`` is an arithmetic shift, matching Python's
-    for every in-range int); any other representation falls back to the
-    scalar hash per value.  Returns a ``uint64`` vector of 32-bit hashes.
+    for every in-range int); from :data:`_CRC_MIN_ROWS` rows on,
+    ``float64`` vectors and all-``str`` columns replay its CRC-32 a byte
+    position at a time (:func:`_hash_floats`, :func:`_hash_strings`);
+    any other column hashes per value.  Returns a ``uint64`` vector of
+    32-bit hashes.
     """
     if isinstance(col, np.ndarray) and col.dtype == np.int64:
-        folded = (col ^ (col >> np.int64(32))).astype(np.uint64) & _MASK32
-        return (folded * _KNUTH) & _MASK32
+        return _hash_ints(col)
+    large = len(col) >= _CRC_MIN_ROWS
+    if large and isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return _hash_floats(col)
     values = col.tolist() if isinstance(col, np.ndarray) else col
+    hashes = _hash_strings(values) \
+        if large and set(map(type, values)) == {str} else None
+    if hashes is not None:
+        return hashes
     return np.fromiter((stable_hash(v) for v in values), dtype=np.uint64,
                        count=len(values))
+
+
+#: from this many rows on, a float or string column hashes in whole-column
+#: CRC-32 passes; below it the fixed cost of a pass per byte position
+#: exceeds the per-value hash (a float column breaks even near 150 rows
+#: on 2 vCPUs; a string column's bound grows with its width)
+_CRC_MIN_ROWS = 512
+
+
+def _hash_ints(col: np.ndarray) -> np.ndarray:
+    folded = (col ^ (col >> np.int64(32))).astype(np.uint64) & _MASK32
+    return (folded * _KNUTH) & _MASK32
+
+
+def _crc32_table() -> np.ndarray:
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320),
+                         table >> 1)
+    return table
+
+
+_CRC32 = _crc32_table()
+
+
+def _crc32_rows(data: np.ndarray, lengths=None) -> np.ndarray:
+    """``zlib.crc32`` of every row of a matrix of byte values -- of its
+    ``lengths[i]`` bytes where ``lengths`` is given -- as ``uint64``."""
+    crc = np.full(len(data), 0xFFFFFFFF, dtype=np.uint32)
+    for j in range(data.shape[1]):
+        step = _CRC32[(crc ^ data[:, j]) & 0xFF] ^ (crc >> 8)
+        crc = step if lengths is None else np.where(lengths > j, step, crc)
+    return (crc ^ np.uint32(0xFFFFFFFF)).astype(np.uint64)
+
+
+def _hash_floats(col: np.ndarray) -> np.ndarray:
+    """An integral value hashes as its int (``1.0`` as ``1``, ``-0.0`` as
+    ``0``), any other as the CRC-32 of its big-endian bytes."""
+    hashes = np.empty(len(col), dtype=np.uint64)
+    with np.errstate(invalid="ignore"):
+        integral = np.isfinite(col) & (np.floor(col) == col)
+    small = integral & (np.abs(col) < 2.0 ** 63)
+    hashes[small] = _hash_ints(col[small].astype(np.int64))
+    fractional = ~integral
+    hashes[fractional] = _crc32_rows(
+        col[fractional].astype(">f8").view(np.uint8).reshape(-1, 8))
+    for index in np.flatnonzero(integral & ~small):  # past 64 bits
+        hashes[index] = stable_hash(float(col[index]))
+    return hashes
+
+
+def _hash_strings(values: list) -> Optional[np.ndarray]:
+    """The CRC-32 of each string's bytes, read as fixed-width rows of
+    code points; None unless every string is ASCII (whose code points
+    are its UTF-8 bytes) and free of NUL (which the padding hides), and
+    where a pass per character costs more than the per-value hash (under
+    100 rows a character: 2 vCPUs read 1,024 rows of 10 characters 213
+    against 267 ns a row, of 20 characters 322 against 289)."""
+    if len(values) < 100 * max(map(len, values)):
+        return None
+    text = np.array(values, dtype=str)
+    points = text.view(np.uint32).reshape(len(values), -1)
+    if (points >= 128).any() or "\0" in "".join(values):
+        return None
+    return _crc32_rows(points, np.char.str_len(text))
 
 
 def hash_key_columns(batch: ColumnBatch,

@@ -65,7 +65,9 @@ class AdaptiveOneBucket(Partitioner):
     def supports_task_local_routing(self) -> bool:
         # routing depends on the globally observed stream (reshapes,
         # stored-tuple coordinates, the rng's draws); a recovery replay
-        # would route differently, so streaming 'processes' refuses this
+        # would route differently, so streaming 'processes' refuses this,
+        # and a retraction would miss its insertion's machines, so the
+        # grouping refuses one
         return False
 
     # -- routing ---------------------------------------------------------
@@ -73,11 +75,7 @@ class AdaptiveOneBucket(Partitioner):
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def random_dimension(self, rel_name: str) -> Optional[int]:
-        return 0 if rel_name == self.left else 1
-
-    def destinations(self, rel_name: str, row: tuple,
-                     position=None) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
         machines, _tuple_id = self.route(rel_name, row)
         return machines
 

@@ -1,28 +1,20 @@
 """Partitioner interface shared by all schemes.
 
 A partitioner maps an input tuple of one join relation to the set of
-machines (joiner tasks) that must receive it.  Schemes differ in how they
-trade replication for skew resilience (the paper's SAR principle).
+machines (joiner tasks) that must receive it, as a pure function of the
+tuple's values: hash dimensions hash one attribute, random ones
+(:func:`random_coordinates`) the whole row and its occurrence number.
+Schemes differ in how they trade replication for skew resilience (the
+paper's SAR principle).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List
 
 import numpy as np
 
-#: where a row stands in its stream: ``(emitting task, the row's index
-#: among that task's emissions on the stream)``
-Position = Tuple[int, int]
-
 _MASK64 = (1 << 64) - 1
-
-
-def require_position(position: Optional[Position], what: str) -> Position:
-    """``position``, which content-insensitive placement has to go by."""
-    if position is None:
-        raise ValueError(f"{what} places a row by its stream position")
-    return position
 
 
 def _mix64(value):
@@ -33,19 +25,25 @@ def _mix64(value):
     return value ^ (value >> 31)
 
 
-def random_coordinates(seed: int, dim: int, position: Optional[Position],
-                       size: int, rows: Optional[int] = None):
-    """Random dimension ``dim``'s coordinate in ``[0, size)`` for the row
-    at ``position`` (with ``rows``: a vector, for that many rows from it
-    on): a hash of ``(seed, dim, task, index)``, never of the row's
-    values, and the same wherever and in whatever batches it is taken."""
-    task, first = require_position(position, f"random dimension {dim}")
-    start = (_mix64(_mix64(seed & _MASK64) ^ dim ^ (task << 32)) + first) \
-        & _MASK64
-    if rows is None:
-        return _mix64(start) % size
-    draws = _mix64(np.arange(rows, dtype=np.uint64) + np.uint64(start))
-    return (draws % np.uint64(size)).astype(np.int64)
+def random_coordinates(seed: int, dim: int, row_hash, size: int,
+                       occurrence=0):
+    """Random dimension ``dim``'s coordinate in ``[0, size)`` of the
+    ``occurrence``-th copy of the row whose ``stable_hash`` is
+    ``row_hash``: Python ints, or ``uint64`` vectors over a batch
+    (``hash_key_columns`` of every column; occurrence None for all first
+    copies), whose coordinates come back as an ``int64`` vector.
+
+    SplitMix64 mixes the hash with ``(seed, dim)`` and the occurrence
+    number (it maps 0 to 0: a first copy keeps the row's cell), so two
+    random dimensions of one relation draw independently, copies of one
+    row spread, and a retraction given its copy's number lands there."""
+    salt = _mix64(_mix64(seed & _MASK64) ^ dim)
+    if not isinstance(row_hash, np.ndarray):
+        return _mix64(row_hash ^ salt ^ _mix64(occurrence)) % size
+    keys = row_hash ^ np.uint64(salt)
+    if occurrence is not None:
+        keys ^= _mix64(np.asarray(occurrence, dtype=np.uint64))
+    return (_mix64(keys) % np.uint64(size)).astype(np.int64)
 
 
 class UnsupportedJoinError(ValueError):
@@ -61,16 +59,18 @@ class Partitioner:
 
     #: total number of joiner machines used by this scheme
     n_machines: int
+    #: the relations a random dimension places: it sets copies of one row
+    #: apart by their occurrence number, which their emitting task counts
+    counts_copies_of: FrozenSet[str] = frozenset()
 
-    def destinations(self, rel_name: str, row: tuple,
-                     position: Optional[Position] = None) -> List[int]:
-        """Machine ids in ``[0, n_machines)`` that must receive this tuple
-        at stream ``position`` (which only random schemes read)."""
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
+        """Machine ids in ``[0, n_machines)`` that must receive this tuple,
+        the ``occurrence``-th copy of it (read for :attr:`counts_copies_of`)."""
         raise NotImplementedError
 
-    def destination_matrix(self, rel_name: str, batch,
-                           position: Optional[Position] = None):
-        """Vectorized ``destinations`` of a ``ColumnBatch`` from ``position``.
+    def destination_matrix(self, rel_name: str, batch, occurrences=None):
+        """Vectorized ``destinations`` of a ``ColumnBatch`` whose rows are
+        the ``occurrences``-th copies (None: all first copies).
 
         Returns an ``(n_rows, n_copies)`` machine-id matrix (row ``i``
         lists every machine that must receive tuple ``i``), or None when
@@ -108,28 +108,24 @@ class Partitioner:
     def is_content_sensitive(self) -> bool:
         """Content-sensitive schemes (hash/range) are prone to temporal skew.
 
-        Content-insensitive schemes route independently of tuple values and
-        therefore perform the same regardless of arrival order (section 5).
+        Content-insensitive schemes route independently of the join keys
+        (a random dimension hashes the whole row and its occurrence
+        number) and so perform the same regardless of arrival order
+        (section 5).
         """
         raise NotImplementedError
 
-    def random_dimension(self, rel_name: str) -> Optional[int]:
-        """A dimension on which ``rel_name``'s rows are placed by a random
-        draw (:func:`random_coordinates`, or an rng), or None when none
-        is.  A retraction can only be placed where its insertion went by
-        a function of the row, so such a relation cannot take
-        retractions."""
-        return None
-
     def supports_task_local_routing(self) -> bool:
-        """Whether a row's machines are a pure function of the row and its
-        stream position: any process may route it, and a recovery replay
-        routes it the way the original delivery did.
+        """Whether a row's machines are a pure function of the row (and
+        its occurrence number): any process may route it, a recovery
+        replay routes it the way the original delivery did, and a
+        retraction reaches the machines that stored its insertion.
 
         True for the static schemes (hash dimensions hash a value, random
-        ones the position).  Schemes that *adapt to the observed stream*
+        ones the whole row).  Schemes that *adapt to the observed stream*
         (reshaping matrices) must return False: the replay would meet the
         post-failure shape and silently lose matches.  The streaming
-        ``processes`` executor refuses such schemes.
+        ``processes`` executor refuses such schemes, and their groupings
+        refuse a retraction.
         """
         return True

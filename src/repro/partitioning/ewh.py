@@ -222,8 +222,7 @@ class EWHScheme(Partitioner):
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def destinations(self, rel_name: str, row: tuple,
-                     position=None) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
         value = row[self._positions[rel_name]]
         if rel_name == self.left:
             bucket = min(_bucket_of(self.row_boundaries, value),

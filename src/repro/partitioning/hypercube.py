@@ -7,7 +7,10 @@ machine covers a unique cell.  A *dimension* is either
   an attribute in the class pins its coordinate by hashing that attribute;
 - a **random** dimension: owned by exactly one relation, whose tuples pick
   a uniformly random coordinate (the skew-resilient 1-Bucket behaviour):
-  a hash of the tuple's stream position, never of its values.
+  a hash of the whole tuple and of its occurrence number (how many
+  copies of it its emitting task sent before), so a heavy join key
+  spreads over the dimension while a retraction, which takes the latest
+  occurrence, follows its insertion.
 
 Relations without an attribute on a dimension replicate across it.  The
 optimiser chooses integer dimension sizes whose product does not exceed
@@ -23,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import hash_column
+from repro.core.columnar import hash_column, hash_key_columns
 from repro.core.predicates import AttrRef
 from repro.core.schema import Schema
 from repro.partitioning.base import Partitioner, random_coordinates
@@ -251,9 +254,9 @@ class HypercubePartitioner(Partitioner):
     """Routes tuples through a configured hypercube.
 
     For every dimension a relation owns, the tuple's coordinate is pinned
-    (by hashing its attribute, or on a random dimension by hashing its
-    stream position with ``seed``); the tuple is replicated across all
-    remaining dimensions.  Each potential output tuple is therefore
+    (by hashing its attribute, or on a random dimension by hashing the
+    whole tuple and its occurrence number with ``seed``); the tuple is
+    replicated across all remaining dimensions.  Each potential output tuple is therefore
     assigned to exactly one machine.
     """
 
@@ -276,9 +279,9 @@ class HypercubePartitioner(Partitioner):
         for j in range(len(sizes) - 1, -1, -1):
             self._strides[j] = stride
             stride *= sizes[j]
-        # per-relation routing plan: the owned dimensions, ``(j, field
-        # hashed or None, kind)``, and the machine offsets of a tuple's
-        # copies across the replicated ones
+        # per-relation routing plan: the owned dimensions of size > 1
+        # (size 1 pins coordinate 0 unhashed), ``(j, field hashed or None,
+        # kind)``, and the offsets of a tuple's copies across the rest
         self._owned: Dict[str, List[Tuple[int, Optional[int], str]]] = {}
         self._copies: Dict[str, List[int]] = {}
         for rel_name, schema in self.schemas.items():
@@ -286,7 +289,7 @@ class HypercubePartitioner(Partitioner):
             copies = [0]
             for j, dim in enumerate(config.dims):
                 attr = dim.attribute_of(rel_name)
-                if attr is None:
+                if attr is None or sizes[j] == 1:
                     copies = [offset + value * self._strides[j]
                               for offset in copies
                               for value in range(sizes[j])]
@@ -296,6 +299,9 @@ class HypercubePartitioner(Partitioner):
                     owned.append((j, None, RANDOM))
             self._owned[rel_name] = owned
             self._copies[rel_name] = copies
+        self.counts_copies_of = frozenset(
+            rel for rel, owned in self._owned.items()
+            if any(kind == RANDOM for _j, _field, kind in owned))
 
     def relation_names(self) -> List[str]:
         return sorted(self.schemas)
@@ -309,49 +315,42 @@ class HypercubePartitioner(Partitioner):
             coord.append((machine // self._strides[j]) % size)
         return tuple(coord)
 
-    def destinations(self, rel_name: str, row: tuple,
-                     position=None) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
         sizes = self.config.sizes
         base = 0
+        row_hash = stable_hash(row) if rel_name in self.counts_copies_of \
+            else None
         for j, field, kind in self._owned[rel_name]:
             coord = stable_hash(row[field]) % sizes[j] if kind == HASH else \
-                random_coordinates(self.seed, j, position, sizes[j])
+                random_coordinates(self.seed, j, row_hash, sizes[j], occurrence)
             base += coord * self._strides[j]
         return [base + offset for offset in self._copies[rel_name]]
 
-    def destination_matrix(self, rel_name: str, batch,
-                           position=None) -> np.ndarray:
+    def destination_matrix(self, rel_name: str, batch, occurrences=None) -> np.ndarray:
         """Vectorized ``destinations``: an ``(n_rows, n_copies)`` matrix.
 
-        Hash dimensions pin coordinates via the vectorized stable hash,
-        random dimensions via the vectorized position hash; both are
-        bit-identical to the row path, so placement is batch-size
-        invariant.  Replicated dimensions become a per-row offset
-        cross-product.
+        Hash dimensions pin coordinates via the vectorized stable hash of
+        their attribute, random dimensions via that of the whole row and
+        its occurrence number; both are bit-identical to the row path, so
+        placement is batch-size invariant.  Replicated dimensions become a
+        per-row offset cross-product.
         """
         sizes = self.config.sizes
-        n = len(batch)
-        base = np.zeros(n, dtype=np.int64)
+        base = np.zeros(len(batch), dtype=np.int64)
+        if rel_name in self.counts_copies_of:
+            row_hashes = hash_key_columns(batch, range(batch.width))
         for j, field, kind in self._owned[rel_name]:
             if kind == HASH:
                 coord = (hash_column(batch.columns[field])
                          % np.uint64(sizes[j])).astype(np.int64)
             else:
-                coord = random_coordinates(self.seed, j, position, sizes[j],
-                                           rows=n)
+                coord = random_coordinates(self.seed, j, row_hashes, sizes[j], occurrences)
             base += coord * self._strides[j]
         copies = np.array(self._copies[rel_name], dtype=np.int64)
         return base[:, None] + copies[None, :]
 
     def expected_replication(self, rel_name: str) -> int:
         return len(self._copies[rel_name])
-
-    def random_dimension(self, rel_name: str) -> Optional[int]:
-        return next((j for j, _field, kind in self._owned[rel_name]
-                     if kind == RANDOM), None)
-
-    def owned_dimensions(self, rel_name: str) -> List[int]:
-        return [j for j, _pos, _kind in self._owned[rel_name]]
 
     def peer_machines(self, machine: int, rel_name: str) -> List[int]:
         """Machines holding replicas of this relation's slice at ``machine``.
@@ -363,15 +362,10 @@ class HypercubePartitioner(Partitioner):
         dimension (no replication to recover from).
         """
         coord = self.delinearize(machine)
-        owned = set(self.owned_dimensions(rel_name))
-        peers = [()]
-        for j, size in enumerate(self.config.sizes):
-            if j in owned:
-                peers = [p + (coord[j],) for p in peers]
-            else:
-                peers = [p + (v,) for p in peers for v in range(size)]
-        result = [self.linearize(p) for p in peers if self.linearize(p) != machine]
-        return result
+        base = sum(coord[j] * self._strides[j]
+                   for j, _field, _kind in self._owned[rel_name])
+        return [base + offset for offset in self._copies[rel_name]
+                if base + offset != machine]
 
     def is_content_sensitive(self) -> bool:
         """Hash dimensions with size > 1 make the scheme content-sensitive."""

@@ -14,9 +14,9 @@ import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.predicates import BandCondition, JoinCondition, ThetaCondition
-from repro.partitioning.base import Partitioner, UnsupportedJoinError
-from repro.partitioning.base import random_coordinates
-from repro.util import hash_to_bucket
+from repro.partitioning.base import (Partitioner, UnsupportedJoinError,
+                                     random_coordinates)
+from repro.util import hash_to_bucket, stable_hash
 
 
 def choose_matrix(machines: int, size_left: int, size_right: int) -> Tuple[int, int]:
@@ -78,8 +78,7 @@ class HashTwoWay(Partitioner):
     def relation_names(self) -> List[str]:
         return sorted(self._positions)
 
-    def destinations(self, rel_name: str, row: tuple,
-                     position=None) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
         return [hash_to_bucket(row[self._positions[rel_name]],
                                self.n_machines)]
 
@@ -99,8 +98,9 @@ class OneBucket(Partitioner):
     Content-insensitive, so resilient to data and temporal skew and to skew
     fluctuations -- at the cost of replicating each left tuple ``cols``
     times and each right tuple ``rows`` times (the SAR principle).
-    Supports arbitrary theta-joins because routing ignores tuple values: a
-    tuple's matrix row (left) or column (right) hashes its stream position.
+    Supports arbitrary theta-joins because routing ignores the join key:
+    a tuple's matrix row (left) or column (right) hashes the whole tuple
+    and its occurrence number, so a retraction meets its insertion.
     """
 
     def __init__(self, left: str, right: str, machines: int,
@@ -111,24 +111,20 @@ class OneBucket(Partitioner):
         self.rows, self.cols = shape or choose_matrix(machines, size_left, size_right)
         self.n_machines = self.rows * self.cols
         self.seed = seed
+        self.counts_copies_of = frozenset({left, right})
 
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def destinations(self, rel_name: str, row: tuple,
-                     position=None) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
+        row_hash = stable_hash(row)
         if rel_name == self.left:
-            matrix_row = random_coordinates(self.seed, 0, position,
-                                            self.rows)
+            matrix_row = random_coordinates(self.seed, 0, row_hash, self.rows, occurrence)
             return [matrix_row * self.cols + c for c in range(self.cols)]
         if rel_name == self.right:
-            matrix_col = random_coordinates(self.seed, 1, position,
-                                            self.cols)
+            matrix_col = random_coordinates(self.seed, 1, row_hash, self.cols, occurrence)
             return [r * self.cols + matrix_col for r in range(self.rows)]
         raise KeyError(f"unknown relation {rel_name!r}")
-
-    def random_dimension(self, rel_name: str) -> Optional[int]:
-        return 0 if rel_name == self.left else 1
 
     def expected_replication(self, rel_name: str) -> int:
         if rel_name == self.left:
@@ -199,8 +195,7 @@ class MBucket(Partitioner):
     def relation_names(self) -> List[str]:
         return [self.left, self.right]
 
-    def destinations(self, rel_name: str, row: tuple,
-                     position=None) -> List[int]:
+    def destinations(self, rel_name: str, row: tuple, occurrence: int = 0) -> List[int]:
         value = row[self._positions[rel_name]]
         if rel_name == self.left:
             return [self._stripe_of(value)]

@@ -95,7 +95,11 @@ class _Parser:
             scan.predicates.append(predicate)
             if cost_class == "date":
                 scan.cost_class = "date"
-        aggregates = [item for item in items if isinstance(item, AggItem)]
+        # an aggregate's column resolves as SELECT and GROUP BY columns do
+        aggregates = [
+            item if item.column is None
+            else AggItem(item.kind, self.qualify(item.column))
+            for item in items if isinstance(item, AggItem)]
         plain = [item for item in items if not isinstance(item, AggItem)]
         resolved_group = [self.qualify(name) for name in group_by]
         resolved_plain = [self.qualify(name) for name in plain]

@@ -135,6 +135,9 @@ class LocalCluster:
         #: static routing table over the topology's own groupings: routing
         #: is identical to the seed engine's per-dispatch edge walk
         self.router = Router(topology)
+        for name in self.router.counting:
+            for task in self._tasks[name]:
+                task.copies = {}
         #: the ``ResidentWorkerPool`` whose workers take the turns of
         #: the components they own (``processes``); None runs every task
         #: here
@@ -380,7 +383,7 @@ class LocalCluster:
     # -- work queue --------------------------------------------------------
 
     def _drain(self, source: str, emissions: List[Tuple[str, tuple]],
-               position: Tuple[int, Dict[str, int]], ctx=None):
+               position: Tuple[int, Dict[str, int], Optional[List[int]]], ctx=None):
         """Route one component's emissions, from stream ``position``, and
         run them, and everything they cause downstream, to exhaustion:
         one level pass (always on the pool), or depth-first where that
@@ -395,7 +398,7 @@ class LocalCluster:
             self._unwind(source, emissions, position, ctx)
 
     def _unwind(self, source: str, emissions: List[Tuple[str, tuple]],
-                position: Tuple[int, Dict[str, int]], ctx):
+                position: Tuple[int, Dict[str, int], Optional[List[int]]], ctx):
         """The depth-first schedule, iteratively on an explicit stack.
 
         In per-tuple mode every emission is routed individually (exactly

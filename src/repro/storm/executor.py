@@ -71,16 +71,23 @@ class Router:
     """Routing: one component's emissions -> routed work items.
 
     A static table of each component's out-edges.  Every grouping is a
-    pure function of a row and its stream position, so a batch lands
-    where it lands whoever routes it, in whatever order -- except on an
-    adaptive partitioner (:attr:`task_local` is then False).
+    pure function of a row and of what its emitting task counts (the
+    stream position the shuffle reads, the occurrence number random
+    dimensions read), so a batch lands where it lands whoever routes it,
+    in whatever order -- except on an adaptive partitioner
+    (:attr:`task_local` is then False).
     """
 
     def __init__(self, topology: Topology):
         self._edges: Dict[str, List] = {
-            name: [(edge, edge.grouping) for edge in topology.out_edges(name)]
+            name: [(edge, edge.grouping, edge.grouping.counts_copies())
+                   for edge in topology.out_edges(name)]
             for name in topology.components
         }
+        #: components whose tasks count copies
+        #: (:func:`~repro.storm.kernel.count_copies`)
+        self.counting = {name for name, edges in self._edges.items()
+                         if any(counts for _edge, _grouping, counts in edges)}
         self._parallelism = {
             name: spec.parallelism for name, spec in topology.components.items()
         }
@@ -90,7 +97,7 @@ class Router:
                               for edge in topology.edges)
 
     def route(self, source: str, emissions: List[Tuple[str, tuple]],
-              position: Tuple[int, Dict[str, int]],
+              position: Tuple[int, Dict[str, int], Optional[List[int]]],
               coalesce: bool = True) -> List[WorkItem]:
         """Partition one component's emissions, from stream ``position``
         (:func:`~repro.storm.kernel.stream_position`), across subscriber
@@ -101,9 +108,10 @@ class Router:
         individually (the seed engine's per-tuple dispatch order) -- a
         columnar one as one-row ``take``s, which keep each row's sign.
         """
-        task, first = position
+        task, first, occurrences = position
         first = dict(first)
         items: List[WorkItem] = []
+        done = 0  # rows of the emissions routed so far
         if isinstance(emissions, ColumnEmissions):
             # already a single-stream batch: no coalescing scan and no
             # row materialization
@@ -114,23 +122,30 @@ class Router:
         for stream, rows in runs:
             start = first.get(stream, 0)
             first[stream] = start + len(rows)
+            copies = None if occurrences is None else \
+                occurrences[done:done + len(rows)]
+            done += len(rows)
             if coalesce:
-                self._route_one(items, source, stream, rows, (task, start))
+                self._route_one(items, source, stream, rows, (task, start),
+                                copies)
                 continue
             for index in range(len(rows)):
                 self._route_one(items, source, stream, rows.take([index])
                                 if isinstance(rows, ColumnBatch)
-                                else [rows[index]], (task, start + index))
+                                else [rows[index]], (task, start + index),
+                                None if copies is None else copies[index:index + 1])
         return items
 
     def _route_one(self, items: List[WorkItem], source: str, stream: str,
-                   rows: List[tuple], position: Tuple[int, int]):
-        for edge, grouping in self._edges[source]:
+                   rows: List[tuple], position: Tuple[int, int],
+                   occurrences: Optional[List[int]]):
+        for edge, grouping, counts in self._edges[source]:
             if not edge.subscribes(stream):
                 continue
             parallelism = self._parallelism[edge.target]
+            at = (position, occurrences) if counts else (position,)
             for target_task, sub_rows in grouping.targets_batch(
-                    stream, rows, parallelism, position):
+                    stream, rows, parallelism, *at):
                 if not 0 <= target_task < parallelism:
                     raise TopologyError(
                         f"grouping for {edge.source}->{edge.target} returned "

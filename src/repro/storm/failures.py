@@ -61,14 +61,9 @@ class ReplicatedStateTracker:
         self.state: Dict[int, Dict[str, List[tuple]]] = {
             machine: {} for machine in range(partitioner.n_machines)
         }
-        #: rows inserted per relation: the next row's stream position
-        self.inserted: Dict[str, int] = {}
 
     def insert(self, rel_name: str, row: tuple):
-        index = self.inserted.get(rel_name, 0)
-        self.inserted[rel_name] = index + 1
-        for machine in self.partitioner.destinations(rel_name, row,
-                                                     (0, index)):
+        for machine in self.partitioner.destinations(rel_name, row):
             self.state[machine].setdefault(rel_name, []).append(row)
 
     def slice_of(self, machine: int, rel_name: str) -> List[tuple]:

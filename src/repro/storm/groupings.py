@@ -4,11 +4,13 @@ Mirrors Storm's grouping vocabulary (shuffle, fields, all, global) plus
 two Squall-specific groupings: the hypercube grouping that implements
 the partitioning schemes, and the key-mapped grouping that round-robins a
 small predefined key domain to avoid hash imperfections (paper section 5).
+
+Every grouping but the shuffle places a row by its values (and its
+occurrence number); the shuffle by its stream position (:data:`Position`).
 """
 
 from __future__ import annotations
 
-from itertools import count, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,30 +21,37 @@ from repro.core.columnar import (
     hash_column,
     hash_key_columns,
 )
-from repro.partitioning.base import (Partitioner, Position, UnsupportedJoinError,
-                                     require_position)
+from repro.partitioning.base import Partitioner, UnsupportedJoinError
 from repro.util import stable_hash
 
 #: ordered per-task sub-batches produced by :meth:`Grouping.targets_batch`;
 #: under the columnar path the per-task rows are ``ColumnBatch`` instances
 TaskBatches = List[Tuple[int, List[tuple]]]
 
+#: where a row stands in its stream: ``(emitting task, the row's index
+#: among that task's emissions on the stream)``
+Position = Tuple[int, int]
 
-def _route_rows(rows, destinations: Callable[..., List[int]],
-                position: Optional[Position] = None) -> TaskBatches:
-    """Per-row routing: ``destinations(row, position)`` names the tasks of
-    one row at its stream position (None if the batch has none); the row
-    path of the fields, hypercube and key-mapped groupings, and the
-    fallback of their column paths.
+
+def require_position(position: Optional[Position], what: str) -> Position:
+    """``position``, which the shuffle places a row by."""
+    if position is None:
+        raise ValueError(f"{what} places a row by its stream position")
+    return position
+
+
+def _route_rows(rows, destinations: Callable[[tuple], List[int]]
+                ) -> TaskBatches:
+    """Per-row routing: ``destinations(row)`` names the tasks of one row;
+    the row path of the fields, hypercube and key-mapped groupings, and
+    the fallback of their column paths.
 
     A :class:`ColumnBatch` is bucketed by row index and split with
     ``take``, so each row keeps its sign (and the batch its columns)."""
-    positions = repeat(None) if position is None else \
-        zip(repeat(position[0]), count(position[1]))
     buckets: Dict[int, List] = {}
     columnar = isinstance(rows, ColumnBatch)
-    for index, (row, row_position) in enumerate(zip(rows, positions)):
-        for task in destinations(row, row_position):
+    for index, row in enumerate(rows):
+        for task in destinations(row):
             bucket = buckets.get(task)
             if bucket is None:
                 buckets[task] = bucket = []
@@ -54,8 +63,9 @@ def _route_rows(rows, destinations: Callable[..., List[int]],
 
 class Grouping:
     """Chooses target task indices for each tuple of a stream: a pure
-    function of the row and, if content-insensitive, of its stream
-    ``position``, unless :meth:`supports_task_local_routing` says False.
+    function of the row (the shuffle's: of its stream ``position``; a
+    random dimension's: also of its occurrence number), unless
+    :meth:`supports_task_local_routing` says False.
     """
 
     def targets_batch(self, stream: str, rows: Sequence[tuple],
@@ -63,7 +73,8 @@ class Grouping:
                       position: Optional[Position] = None) -> TaskBatches:
         """Partition a whole batch -- a row list or a :class:`ColumnBatch`
         -- into per-task sub-batches in one pass; ``position`` is the
-        stream position of its first row (the rest follow it on).
+        stream position of its first row (the rest follow it on), which
+        only the shuffle reads.
 
         Returns ``[(task, rows), ...]``: row order is preserved within each
         sub-batch, and tasks appear in order of first assignment (on a
@@ -77,6 +88,11 @@ class Grouping:
         """Content-sensitive groupings route by value and are prone to
         temporal skew (section 5); content-insensitive ones are not."""
         return True
+
+    def counts_copies(self) -> bool:
+        """Whether a random dimension places the rows: their emitting task
+        counts occurrence numbers, which ``targets_batch`` then takes."""
+        return False
 
     def supports_task_local_routing(self) -> bool:
         """Whether this grouping is pure (see the class docstring); False
@@ -140,7 +156,7 @@ class FieldsGrouping(Grouping):
             tasks = (hash_key_columns(rows, positions)
                      % np.uint64(n_tasks)).astype(np.int64)
             return bucket_by_task(rows, tasks)
-        return _route_rows(rows, lambda row, _at: [
+        return _route_rows(rows, lambda row: [
             stable_hash(tuple(row[p] for p in positions)) % n_tasks])
 
 
@@ -183,8 +199,8 @@ class HypercubeGrouping(Grouping):
         self.partitioner = partitioner
         self.rel_name = rel_name
 
-    def targets_batch(self, stream: str, rows: Sequence[tuple],
-                      n_tasks: int, position=None) -> TaskBatches:
+    def targets_batch(self, stream: str, rows: Sequence[tuple], n_tasks: int,
+                      position=None, occurrences=None) -> TaskBatches:
         if n_tasks != self.partitioner.n_machines:
             raise ValueError(
                 f"joiner parallelism {n_tasks} does not match the scheme's "
@@ -192,16 +208,13 @@ class HypercubeGrouping(Grouping):
             )
         rel_name = self.rel_name
         if isinstance(rows, ColumnBatch):
-            if rows.signs is not None and (rows.signs < 0).any():
-                dim = self.partitioner.random_dimension(rel_name)
-                if dim is not None:
-                    raise UnsupportedJoinError(
-                        f"relation {rel_name!r} retracts rows, but "
-                        f"{type(self.partitioner).__name__} places them on "
-                        f"random dimension {dim} by stream position, not "
-                        "where their insertions went")
+            if (rows.signs is not None and (rows.signs < 0).any()
+                    and not self.partitioner.supports_task_local_routing()):
+                raise UnsupportedJoinError(
+                    f"relation {rel_name!r} retracts rows, but {type(self.partitioner).__name__}"
+                    " places rows by what it has seen, so a retraction would miss its insertion")
             matrix = self.partitioner.destination_matrix(rel_name, rows,
-                                                         position)
+                                                         occurrences)
             if matrix is not None:
                 if matrix.shape[1] == 1 or not len(matrix):
                     return bucket_by_task(rows, matrix[:, 0])
@@ -219,11 +232,14 @@ class HypercubeGrouping(Grouping):
                 return [(int(tasks[lo]), rows.take(row_ids[lo:hi]))
                         for lo, hi in zip(bounds, bounds[1:])]
         destinations = self.partitioner.destinations
-        return _route_rows(rows, lambda row, at: destinations(rel_name, row,
-                                                              at), position)
+        copies = iter(() if occurrences is None else occurrences)  # in row order
+        return _route_rows(rows, lambda row: destinations(rel_name, row, next(copies, 0)))
 
     def is_content_sensitive(self) -> bool:
         return self.partitioner.is_content_sensitive()
+
+    def counts_copies(self) -> bool:
+        return self.rel_name in self.partitioner.counts_copies_of
 
     def supports_task_local_routing(self) -> bool:
         return self.partitioner.supports_task_local_routing()
@@ -309,5 +325,5 @@ class KeyMappedGrouping(Grouping):
                 tasks[unseen] = hash_column(column[unseen])
             return bucket_by_task(rows, tasks % n_tasks)
         position, task_of = self.position, self._task_of
-        return _route_rows(rows, lambda row, _at: [task_of(row[position],
-                                                           n_tasks)])
+        return _route_rows(rows, lambda row: [task_of(row[position],
+                                                      n_tasks)])

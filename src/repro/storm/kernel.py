@@ -31,11 +31,13 @@ from repro.core.columnar import ColumnBatch, ColumnEmissions
 
 
 def stream_position(task, index: int, emissions):
-    """``(index, {stream: index of its first row there})``: where task
-    ``index``'s ``emissions`` stand in its streams, which
+    """``(index, {stream: index of its first row there}, occurrences)``:
+    where task ``index``'s ``emissions`` stand in its streams, which
     :meth:`~repro.storm.executor.Router.route` places them by.  Counts
     them into ``task.emitted``: the count lives, and is checkpointed,
-    with the task."""
+    with the task.  ``occurrences`` is None unless the task counts
+    copies (``task.copies``, set where a random dimension places what it
+    emits): then each row's occurrence number, from :func:`count_copies`."""
     start = task.emitted
     counts = dict(start)
     if isinstance(emissions, ColumnEmissions):
@@ -48,7 +50,34 @@ def stream_position(task, index: int, emissions):
     for stream, rows in runs:
         counts[stream] = counts.get(stream, 0) + rows
     task.emitted = counts
-    return index, start
+    copies = task.copies
+    return index, start, None if copies is None else count_copies(copies, emissions)
+
+
+def count_copies(copies, emissions):
+    """Each emitted row's occurrence number: how many copies of it, on its
+    stream, the task emitted and has not retracted before it.  A
+    retraction takes the latest occurrence, so it follows the copy placed
+    last.  ``copies`` (``{(stream, row): live copies}``) is updated."""
+    if isinstance(emissions, ColumnEmissions):
+        batch = emissions.batch
+        signs = [1] * len(batch) if batch.signs is None else batch.signs.tolist()
+        emissions = zip([(emissions.stream, row) for row in batch], signs)
+    else:
+        emissions = zip(emissions, [1] * len(emissions))
+    numbers = []
+    for key, sign in emissions:
+        live = copies.get(key, 0)
+        if sign < 0:
+            live = number = max(live - 1, 0)
+        else:
+            number, live = live, live + 1
+        if live:
+            copies[key] = live
+        else:
+            copies.pop(key, None)
+        numbers.append(number)
+    return numbers
 
 
 def deliver(task, component: str, index: int, source: str, stream: str,

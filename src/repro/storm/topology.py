@@ -31,6 +31,10 @@ class Spout:
     #: rows emitted so far per stream (replaced, never mutated, by
     #: :func:`repro.storm.kernel.stream_position`)
     emitted: Dict[str, int] = {}
+    #: ``{(stream, row): live copies}`` where a random dimension places
+    #: what the task emits, else None (see
+    #: :func:`repro.storm.kernel.count_copies`)
+    copies: Optional[Dict[tuple, int]] = None
 
     def open(self, task_index: int, parallelism: int):
         """Called once before the first ``next_batch``."""
@@ -59,6 +63,7 @@ class Bolt:
     order_sensitive = False
 
     emitted: Dict[str, int] = {}  # as Spout.emitted
+    copies: Optional[Dict[tuple, int]] = None  # as Spout.copies
 
     def prepare(self, task_index: int, parallelism: int):
         """Called once before the first ``execute_batch``."""

@@ -272,6 +272,22 @@ class TestHashParity:
         assert hashes == [stable_hash(v) for v in (1.0, -0.0, -7.0, 2.5)]
 
     @settings(max_examples=50, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(width=64), min_size=1, max_size=20),
+        st.lists(st.sampled_from([2.0 ** 63, -2.0 ** 63, 1e300, -0.0]),
+                 min_size=1, max_size=4),
+        st.lists(_STRINGS, min_size=1, max_size=20),
+        st.lists(st.text(alphabet="ab\x00\x7f", max_size=4), min_size=1,
+                 max_size=8)))
+    def test_a_long_float_or_string_column_matches_stable_hash(self, values):
+        """Columns long enough for the whole-column CRC-32 passes (NaN,
+        infinities, ints past 64 bits, non-ASCII and NUL included)."""
+        rows = 100 * max(len(v) if isinstance(v, str) else 8 for v in values)
+        column = make_column(values * (max(rows, 512) // len(values) + 1))
+        expected = [stable_hash(v) for v in column]
+        assert [int(h) for h in hash_column(column)] == expected
+
+    @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(_INTS, _STRINGS, _FLOATS), min_size=1,
                     max_size=15))
     def test_key_columns_match_tuple_stable_hash(self, rows):

@@ -391,9 +391,9 @@ def _assert_exactly_once(spec, partitioner, data):
     """Every reference-join output must be produced at exactly one machine."""
     placements = {name: [] for name in data}
     for name, rows in data.items():
-        for index, row in enumerate(rows):
+        for row in rows:
             placements[name].append(
-                (row, set(partitioner.destinations(name, row, (0, index)))))
+                (row, set(partitioner.destinations(name, row))))
     expected = Counter(reference_join(spec, data))
     produced = Counter()
     # count, for each joinable combination, on how many machines all parts meet

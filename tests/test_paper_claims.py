@@ -149,8 +149,10 @@ class TestSection5SkewTypes:
         bucket = OneBucket("R", "S", machines, seed=4)
         window = []
         spread = []
-        for index, value in enumerate(stream):
-            window.extend(bucket.destinations("R", (value,), (0, index)))
+        copies = Counter()  # occurrence numbers, as the emitting task counts
+        for value in stream:
+            window.extend(bucket.destinations("R", (value,), copies[value]))
+            copies[value] += 1
             if len(window) >= 50:
                 spread.append(len(set(window)))
                 window = []
@@ -163,8 +165,8 @@ class TestSection5SkewTypes:
         loads = Counter()
         for phase in range(4):
             hot = phase * 1000  # distribution shifts every phase
-            for index in range(phase * 500, (phase + 1) * 500):
-                for machine in bucket.destinations("R", (hot,), (0, index)):
+            for occurrence in range(500):  # the hot row's copies
+                for machine in bucket.destinations("R", (hot,), occurrence):
                     loads[machine] += 1
         assert max(loads.values()) / min(loads.values()) < 1.3
 

@@ -43,8 +43,8 @@ def make_data(seed, n, y_dom, z_dom):
 
 def assert_exactly_once(spec, partitioner, data):
     placements = {
-        name: [(row, set(partitioner.destinations(name, row, (0, index))))
-               for index, row in enumerate(rows)]
+        name: [(row, set(partitioner.destinations(name, row)))
+               for row in rows]
         for name, rows in data.items()
     }
     join_schema = JoinSchema.from_spec(spec)
@@ -132,5 +132,5 @@ def test_replication_consistency(machines, sizes, skew_s, skew_t):
     for builder in (RandomHypercube, HybridHypercube):
         partitioner = builder.build(spec, machines, seed=1)
         for rel, row in (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 4))):
-            fanout = len(partitioner.destinations(rel, row, (0, 0)))
+            fanout = len(partitioner.destinations(rel, row))
             assert fanout == partitioner.expected_replication(rel)

@@ -32,6 +32,7 @@ from repro.partitioning import (
     UnsupportedJoinError,
 )
 from repro.storm import LocalCluster, TopologyBuilder
+from repro.partitioning.hypercube import RANDOM
 from repro.storm.groupings import HypercubeGrouping
 from tests.conftest import (  # noqa: F401  (ScriptSpout: re-exported)
     ScriptSpout,
@@ -268,53 +269,179 @@ def test_compensated_failure_matches_clean_run(local_join, batch_size,
     assert clean_results  # the comparison is not vacuous
 
 
+def skewed_rst_spec():
+    """The R-S-T chain with ``z`` skewed: the Hybrid places a relation on
+    ``z`` by a random dimension."""
+    skewed = dict(skewed=frozenset({"z"}), top_freq={"z": 0.5})
+    return JoinSpec(
+        [RelationInfo("R", Schema.of("x", "y"), 1000),
+         RelationInfo("S", Schema.of("y", "z"), 1000, **skewed),
+         RelationInfo("T", Schema.of("z", "t"), 1000, **skewed)],
+        rst_spec().conditions)
+
+
+#: name -> (scheme, spec); hash is the control, the other two place rows
+#: on random dimensions
+SCHEMES = {
+    "hash": (HashHypercube, rst_spec),
+    "random": (RandomHypercube, rst_spec),
+    "hybrid-skewed": (HybridHypercube, skewed_rst_spec),
+}
+
+
+def random_relations(partitioner):
+    """The relations a hypercube places on a random dimension of size > 1."""
+    return {rel for dim, size in zip(partitioner.config.dims,
+                                     partitioner.config.sizes)
+            if dim.kind == RANDOM and size > 1
+            for rel in dim.owner_relations()}
+
+
+def sink_rows(spec, script, local_join, scheme, options):
+    """The final multiset of an R-S-T run of ``script``."""
+    topology, _results = build_rst_topology(spec, script, local_join,
+                                            scheme=scheme)
+    cluster = LocalCluster(topology)
+    cluster.run(options)
+    # under processes the sink's store lives in its worker until the run
+    # hands the final task state back
+    return Counter(cluster.task("sink", 0).store)
+
+
+@pytest.mark.parametrize("columnar", [False, True], ids=["rows", "columnar"])
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+@pytest.mark.parametrize("executor", ["inline", "processes"])
 @pytest.mark.parametrize("local_join", sorted(LOCAL_JOINS))
-@pytest.mark.parametrize("scheme", [HashHypercube, RandomHypercube])
-def test_retraction_on_a_random_dimension_fails_loudly(scheme, local_join):
-    """A random dimension places a retraction by its own stream position,
-    not where the row's insertion went, so the retraction would reach
-    machines that never stored the row: placing it is refused, naming the
-    relation and the dimension.  Hash dimensions compensate cleanly."""
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_every_scheme_removes_exactly_a_retractions_insertion(
+        scheme_name, local_join, executor, batch_size, columnar):
+    """A random dimension hashes the whole row, so a retraction reaches
+    the machines that stored its insertion, as on a hash dimension: the
+    compensated run ends with the clean run's results."""
+    scheme, make_spec = SCHEMES[scheme_name]
+    spec = make_spec()
+    if scheme is not HashHypercube:
+        assert random_relations(scheme.build(spec, 4, seed=3))
+    data = make_rst_data(seed=33, n=24)
+    options = ExecutionOptions(executor=executor, parallelism=2,
+                               batch_size=batch_size,
+                               columnar=columnar).resolve()
+    clean = sink_rows(spec, list(interleaved_stream(data, seed=33)),
+                      local_join, scheme, options)
+    assert clean  # the comparison is not vacuous
+    assert sink_rows(spec, faulty_script(data, seed=33), local_join, scheme,
+                     options) == clean
+
+
+@pytest.mark.parametrize("columnar", [False, True], ids=["rows", "columnar"])
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+@pytest.mark.parametrize("executor", ["inline", "processes"])
+@pytest.mark.parametrize("local_join", sorted(LOCAL_JOINS))
+@pytest.mark.parametrize("scheme_name", ["hybrid-skewed", "random"])
+def test_a_relation_of_copies_compensates_on_a_random_dimension(
+        scheme_name, local_join, executor, batch_size, columnar):
+    """T, placed on a random dimension of size 2 by both schemes, is three
+    copies each of eight rows, so copies are placed apart by their
+    occurrence numbers.  A fourth copy of each is replayed mid-stream
+    and retracted at the end; the retraction takes the latest
+    occurrence, and the run ends with the clean run's results."""
+    scheme, make_spec = SCHEMES[scheme_name]
+    spec = make_spec()
+    assert "T" in random_relations(scheme.build(spec, 4, seed=3))
+    data = make_rst_data(seed=34, n=24)
+    copied = [(1, t) for t in range(8)]
+    data["T"] = copied * 3
+    data["S"] += [(y, 1) for y in range(6)]
+    options = ExecutionOptions(executor=executor, parallelism=2,
+                               batch_size=batch_size,
+                               columnar=columnar).resolve()
+    script = list(interleaved_stream(data, seed=34))
+    clean = sink_rows(spec, script, local_join, scheme, options)
+    assert clean  # the comparison is not vacuous
+    faulty = script[:20] + [("T", row) for row in copied] + script[20:] \
+        + [retract("T", row) for row in copied]
+    assert sink_rows(spec, faulty, local_join, scheme, options) == clean
+
+
+#: an inserted key and an equal spelling of another type
+EQUAL_SPELLINGS = [(1, 1.0), (1, True), (0.0, -0.0)]
+
+
+@pytest.mark.parametrize("inserted,retracted", EQUAL_SPELLINGS,
+                         ids=["float-for-int", "bool-for-int",
+                              "negative-zero"])
+def test_an_equal_value_of_another_type_is_placed_with_its_insertion(
+        inserted, retracted):
+    """Placement agrees with ``==``: a row spelled with an equal value of
+    another type lands on the same machines, by the row path and by the
+    column path of a signed batch alike."""
+    spec = skewed_rst_spec()
+    for partitioner in (RandomHypercube.build(spec, 8, seed=3),
+                        HybridHypercube.build(spec, 8, seed=3),
+                        OneBucket("S", "T", 8, seed=3)):
+        for rel in ("S", "T"):
+            row, equal_row = (inserted, 2), (retracted, 2)
+            expected = partitioner.destinations(rel, row)
+            assert partitioner.destinations(rel, equal_row) == expected
+            routed = HypercubeGrouping(partitioner, rel).targets_batch(
+                rel, ColumnBatch.from_rows([equal_row], signs=[-1]),
+                partitioner.n_machines)
+            assert sorted(task for task, _rows in routed) == \
+                sorted(expected)
+
+
+@pytest.mark.parametrize("columnar", [False, True], ids=["rows", "columnar"])
+@pytest.mark.parametrize("inserted,retracted", EQUAL_SPELLINGS,
+                         ids=["float-for-int", "bool-for-int",
+                              "negative-zero"])
+def test_a_retraction_spelled_with_an_equal_value_removes_its_insertion(
+        inserted, retracted, columnar):
+    """On a random dimension, retracting ``S(retracted, z)`` removes
+    exactly what inserting ``S(inserted, z)`` produced."""
     spec = rst_spec()
     data = make_rst_data(seed=33, n=24)
-    clean_topology, clean_results = build_rst_topology(
-        spec, list(interleaved_stream(data, seed=33)), local_join,
-        scheme=scheme)
-    LocalCluster(clean_topology).run(
-        options=ExecutionOptions(batch_size=8).resolve())
-    faulty_topology, faulty_results = build_rst_topology(
-        spec, faulty_script(data, seed=33), local_join, scheme=scheme)
-    if scheme is HashHypercube:
-        LocalCluster(faulty_topology).run(
-            options=ExecutionOptions(batch_size=8).resolve())
-        assert Counter(faulty_results) == Counter(clean_results)
-        return
-    with pytest.raises(UnsupportedJoinError,
-                       match=r"relation '\w' retracts rows.*random dimension"):
-        LocalCluster(faulty_topology).run(
-            options=ExecutionOptions(batch_size=8).resolve())
+    data["R"] += [(7, 0), (8, 1)]  # partners for keys 0 and 1 of y
+    clean_script = list(interleaved_stream(data, seed=33))
+    extra = [("S", (inserted, z)) for z in range(3)]
+    faulty = clean_script[:30] + extra + clean_script[30:]
+    faulty += [retract("S", (retracted, z)) for z in range(3)]
+    options = ExecutionOptions(batch_size=8, columnar=columnar).resolve()
+    clean = sink_rows(spec, clean_script, "dbtoaster", RandomHypercube,
+                      options)
+    assert sink_rows(spec, clean_script[:30] + extra, "dbtoaster",
+                     RandomHypercube, options) != clean  # extra joins
+    assert sink_rows(spec, faulty, "dbtoaster", RandomHypercube,
+                     options) == clean
 
 
-def test_every_random_placing_scheme_refuses_retractions():
-    """Hybrid (on its random dimension), 1-Bucket and Adaptive 1-Bucket
-    refuse a signed batch with a retraction; an all-insert signed batch
-    still routes."""
+def test_only_the_adaptive_scheme_refuses_a_retraction():
+    """Every static scheme routes a retraction to the machines its
+    insertion went to; Adaptive 1-Bucket places rows by what it has
+    seen, so it refuses one, naming the relation and the partitioner."""
     skewed = JoinSpec(
         [RelationInfo("R", Schema.of("x", "y"), 1000),
          RelationInfo("S", Schema.of("y", "z"), 1000, skewed={"y"},
                       top_freq={"y": 0.5})],
         [EquiCondition(("R", "y"), ("S", "y"))])
     hybrid = HybridHypercube.build(skewed, 8)
-    random_relation = next(name for name in ("R", "S")
-                           if hybrid.random_dimension(name) is not None)
+    (random_relation,) = random_relations(hybrid)
     cases = [(hybrid, random_relation), (OneBucket("R", "S", 4), "R"),
              (OneBucket("R", "S", 4), "S"),
-             (AdaptiveOneBucket("R", "S", 4), "S")]
+             (RandomHypercube.build(skewed, 8), "R")]
+    rows = [(1, 2), (3, 4), (5, 6)]
     for partitioner, rel_name in cases:
         grouping = HypercubeGrouping(partitioner, rel_name)
         n = partitioner.n_machines
-        inserts = ColumnBatch.from_rows([(1, 2), (3, 4)], signs=[1, 1])
-        assert grouping.targets_batch(rel_name, inserts, n, position=(0, 0))
-        with pytest.raises(UnsupportedJoinError, match=repr(rel_name)):
-            grouping.targets_batch(rel_name, retracting([(1, 2)]), n,
-                                   position=(0, 2))
+
+        def placed(batch):
+            return sorted((task, row) for task, sub in grouping.targets_batch(
+                rel_name, batch, n) for row in sub)
+
+        assert placed(retracting(rows)) == placed(
+            ColumnBatch.from_rows(rows, signs=[1] * len(rows)))
+    adaptive = HypercubeGrouping(AdaptiveOneBucket("R", "S", 4), "S")
+    assert adaptive.targets_batch(
+        "S", ColumnBatch.from_rows(rows, signs=[1] * len(rows)), 4)
+    with pytest.raises(UnsupportedJoinError,
+                       match="relation 'S' .*AdaptiveOneBucket"):
+        adaptive.targets_batch("S", retracting(rows), 4)

@@ -5,7 +5,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from repro.core.optimizer import OptimizerOptions
-from repro.core.schema import Schema
+from repro.core.schema import Relation, Schema
 from repro.datasets import TPCHGenerator
 from repro.sql import SqlError, parse_query, tokenize
 from repro.sql.catalog import SqlSession
@@ -148,6 +148,23 @@ class TestParser:
         )
         assert [a.kind for a in plan.aggregates] == ["sum", "avg"]
 
+    @pytest.mark.parametrize("kind", ["SUM", "AVG"])
+    def test_unqualified_aggregate_column_resolved(self, kind):
+        """An aggregate's column resolves by the rule of SELECT and GROUP
+        BY columns: unqualified, it names the one relation that has it."""
+        plan = parse_query(
+            f"SELECT okey, {kind}(price) FROM O GROUP BY okey", SCHEMAS)
+        assert [(a.kind, a.column) for a in plan.aggregates] == \
+            [(kind.lower(), "O.price")]
+        assert plan.group_by == ["O.okey"]
+        plan = parse_query(f"SELECT {kind}(c) FROM R, S WHERE R.b = S.b",
+                           SCHEMAS)
+        assert plan.aggregates[0].column == "S.c"
+
+    def test_ambiguous_aggregate_column_rejected(self):
+        with pytest.raises(KeyError, match="column 'b' is ambiguous"):
+            parse_query("SELECT SUM(b) FROM R, S WHERE R.b = S.b", SCHEMAS)
+
     def test_unqualified_unique_column_resolved(self):
         plan = parse_query("SELECT COUNT(*) FROM R, S WHERE a = c", SCHEMAS)
         assert plan.conditions[0].left == ("R", "a")
@@ -239,3 +256,15 @@ class TestExecution:
         )
         assert "LogicalPlan" in text
         assert "scheme=" in text
+
+    def test_unqualified_aggregate_column_runs(self):
+        session = SqlSession(options=OptimizerOptions(machines=2))
+        session.register(Relation("clicks", Schema.of("page:str", "ms"), [
+            ("home", 10), ("cart", 5), ("home", 30), ("cart", 7)]))
+        for text in ("SELECT page, SUM(ms) FROM clicks GROUP BY page",
+                     "SELECT page, SUM(clicks.ms) FROM clicks GROUP BY page"):
+            assert sorted(session.execute(text).results) == \
+                [("cart", 12), ("home", 40)]
+        result = session.execute(
+            "SELECT page, AVG(ms) FROM clicks GROUP BY page")
+        assert sorted(result.results) == [("cart", 6.0), ("home", 20.0)]

@@ -1,12 +1,16 @@
-"""Placement as a pure function of a row's stream position.
+"""Placement as a pure function of a row.
 
-A content-insensitive grouping -- the shuffle, a random hypercube
-dimension -- places a row by ``(edge, emitting task, the row's index
-among that task's emissions on its stream)``, never by call order.  Two
-consequences are checked end to end:
+A grouping places a row by its values -- a random hypercube dimension
+hashes the whole row and its occurrence number, which the emitting task
+counts -- and only the shuffle by its stream position, ``(edge, emitting
+task, the row's index among that task's emissions on its stream)``;
+nothing depends on call order.  Checked end to end:
 
 - placement does not depend on how the rows are batched, on which
   executor schedule routes them, or on the row/columnar layout;
+- a few rows' random cells are pinned, so a change of the row hash
+  fails here instead of silently moving state between releases;
+- copies of one row spread over a random dimension as distinct rows do;
 - a streaming ``processes`` run that loses a worker and replays its
   change log ends with every task's state byte-identical to a crash-free
   run's, on random schemes as on hash ones.
@@ -24,6 +28,12 @@ from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
 from repro.core.schema import Schema
 from repro.partitioning.hash_hypercube import HashHypercube
 from repro.partitioning.hybrid_hypercube import HybridHypercube
+from repro.partitioning.hypercube import (
+    RANDOM,
+    DimensionSpec,
+    HypercubeConfig,
+    HypercubePartitioner,
+)
 from repro.partitioning.random_hypercube import RandomHypercube
 from repro.partitioning.two_way import OneBucket
 from repro.storm import (
@@ -38,9 +48,11 @@ from repro.storm import (
 from repro.storm.executor import ResidentWorkerPool
 from repro.storm.failures import FaultInjector
 from repro.storm.groupings import HypercubeGrouping
+from repro.storm.kernel import count_copies
 from repro.streaming import stream_plan
 from repro.util import round_robin_assignment
 from tests.batching_plans import plan_join_only, plan_two_joins
+from tests.conftest import retracting
 
 MACHINES = 8
 
@@ -150,21 +162,20 @@ def test_placement_is_batch_size_invariant(grouping_name, streams, keys,
                 (batch_size, columnar)
 
 
-def test_the_row_and_batch_paths_place_random_dimensions_alike():
+@pytest.mark.parametrize("second", [
+    lambda key: key, lambda key: key / 4, lambda key: f"s{key}",
+], ids=["int", "float", "str"])
+def test_the_row_and_batch_paths_place_random_dimensions_alike(second):
     partitioner = RandomHypercube.build(chain_spec(), MACHINES, seed=3)
-    rows = [(key % 5, key) for key in range(200)]
-    matrix = partitioner.destination_matrix(
-        "S", ColumnBatch.from_rows(rows[50:]), (2, 50))
-    assert matrix.tolist() == [partitioner.destinations("S", row, (2, index))
-                               for index, row in enumerate(rows)][50:]
+    rows = [(key % 5, second(key)) for key in range(200)]
+    matrix = partitioner.destination_matrix("S", ColumnBatch.from_rows(rows))
+    assert matrix.tolist() == [partitioner.destinations("S", row)
+                               for row in rows]
 
 
 @pytest.mark.parametrize("route", [
     lambda: ShuffleGrouping().targets_batch("s", [(1,)], 4),
-    lambda: RandomHypercube.build(chain_spec(), MACHINES).destinations(
-        "S", (1, 2)),
-    lambda: OneBucket("R", "S", 4).destinations("R", (1,)),
-], ids=["shuffle", "random-hypercube", "one-bucket"])
+], ids=["shuffle"])
 def test_content_insensitive_routing_needs_a_position(route):
     """Without a position there is nothing to place the row by: no
     fallback, no silent default."""
@@ -172,40 +183,151 @@ def test_content_insensitive_routing_needs_a_position(route):
         route()
 
 
+#: (partitioner, relation, row, machines): random cells pinned across
+#: releases -- state checkpointed by one release is restored by the next
+PINNED = [
+    (lambda: RandomHypercube.build(chain_spec(), MACHINES, seed=3), "S",
+     (1, 2), [2, 3, 6, 7]),
+    (lambda: RandomHypercube.build(chain_spec(), MACHINES, seed=3), "S",
+     (1.5, "x"), [0, 1, 4, 5]),
+    (lambda: RandomHypercube.build(chain_spec(), MACHINES, seed=3), "T",
+     (7, None), [1, 3, 5, 7]),
+    (lambda: HybridHypercube.build(chain_spec(), MACHINES, seed=3), "T",
+     (2, 3), [0, 2, 4, 6]),
+    (lambda: OneBucket("R", "S", 8, seed=0), "R", (10, 20), [4, 5, 6, 7]),
+    (lambda: OneBucket("R", "S", 8, seed=0), "S", ("a", 0.25), [3, 7]),
+]
+
+
+@pytest.mark.parametrize("make,rel,row,machines", PINNED)
+def test_a_rows_random_cells_are_pinned(make, rel, row, machines):
+    partitioner = make()
+    assert partitioner.destinations(rel, row) == machines
+    matrix = partitioner.destination_matrix(rel, ColumnBatch.from_rows([row]))
+    assert matrix is None or matrix.tolist() == [machines]
+
+
+def test_copies_of_one_row_are_set_apart_by_their_occurrence_number():
+    """The first copy of a row keeps the row's cells; later copies reach
+    the cells distinct rows reach, by the row and the column path alike."""
+    partitioner = RandomHypercube.build(chain_spec(), MACHINES, seed=3)
+    numbers = list(range(400))
+    matrix = partitioner.destination_matrix(
+        "S", ColumnBatch.from_rows([(4, 4)] * 400), numbers)
+    assert matrix.tolist() == [partitioner.destinations("S", (4, 4), number)
+                               for number in numbers]
+    assert matrix[0].tolist() == partitioner.destinations("S", (4, 4))
+    assert {tuple(cells) for cells in matrix.tolist()} == {
+        tuple(partitioner.destinations("S", (4, key))) for key in numbers}
+
+
+def test_a_task_numbers_the_copies_it_emits():
+    """Each copy of a row on a stream takes the next occurrence number, a
+    retraction the latest one; rows and a signed batch count alike, and
+    a row spelled with an equal value of another type is the same row."""
+    copies = {}
+    assert count_copies(copies, [("a", (1,)), ("a", (1,)), ("b", (1,)),
+                                 ("a", (2,)), ("a", (1,))]) == [0, 1, 0, 0, 2]
+    signed = ColumnEmissions("a", ColumnBatch.from_rows(
+        [(1,), (1,), (1.0,), (2,)], signs=[-1, -1, 1, -1]))
+    assert count_copies(copies, signed) == [2, 1, 1, 0]
+    assert copies == {("a", (1,)): 2, ("b", (1,)): 1}
+    assert count_copies(copies, ColumnEmissions("b", retracting([(1,), (1,)]))) == [0, 0]
+    assert copies == {("a", (1,)): 2}  # an unmatched retraction counts 0
+
+
+@pytest.mark.parametrize("columnar", [False, True], ids=["rows", "columnar"])
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+@pytest.mark.parametrize("executor", ["inline", "processes"])
+def test_a_relation_of_copies_spreads_as_distinct_rows_do(executor,
+                                                          batch_size,
+                                                          columnar):
+    """A relation projected down to one hot key -- every row a copy --
+    reaches the machines its copies' occurrence numbers place it on,
+    whatever the batching, layout or executor: 1-Bucket keeps it off a
+    single matrix row."""
+    bucket = OneBucket("R", "S", MACHINES, seed=3)
+    emissions = [("R", (7,))] * 200
+    builder = TopologyBuilder()
+    builder.set_spout("src", lambda i, p: InterleavedSpout(emissions))
+    builder.set_bolt("dst", lambda i, p: Collector(), parallelism=MACHINES) \
+        .custom_grouping("src", HypercubeGrouping(bucket, "R"))
+    cluster = LocalCluster(builder.build())
+    cluster.run(options=ExecutionOptions(
+        executor=executor, parallelism=2, batch_size=batch_size,
+        columnar=columnar).resolve())
+    loads = Counter({index: sum(cluster.task("dst", index).seen.values())
+                     for index in range(MACHINES)})
+    assert loads == Counter(machine for number in range(200)
+                            for machine in bucket.destinations("R", (7,),
+                                                               number))
+    assert len(loads) == MACHINES
+
+
+def two_random_dims():
+    """Two random dimensions of one relation S."""
+    return (DimensionSpec("a", RANDOM, frozenset({("S", "y")})),
+            DimensionSpec("b", RANDOM, frozenset({("S", "z")})))
+
+
+def test_one_machine_and_a_random_dimension_of_size_one_place_every_row():
+    rows = [(key, key * 3) for key in range(50)]
+    single = RandomHypercube.build(chain_spec(), 1, seed=3)
+    for rel in ("R", "S", "T"):
+        assert {tuple(single.destinations(rel, row)) for row in rows} == \
+            {(0,)}
+    # the size-1 random dimension pins every row's coordinate to 0; the
+    # size-4 one spreads them
+    partitioner = HypercubePartitioner(
+        HypercubeConfig(two_random_dims(), (1, 4), 4, 0.0, 0.0),
+        {"S": Schema.of("y", "z")}, seed=3)
+    matrix = partitioner.destination_matrix("S", ColumnBatch.from_rows(rows))
+    assert set(matrix.ravel().tolist()) == {0, 1, 2, 3}
+    bucket = OneBucket("R", "S", 4, shape=(1, 4))
+    for row in rows:
+        assert bucket.destinations("R", row) == [0, 1, 2, 3]
+        assert len(bucket.destinations("S", row)) == 1
+
+
 def test_random_draws_are_uniform():
     partitioner = RandomHypercube.build(chain_spec(), MACHINES, seed=3)
-    loads = Counter()
-    for task in range(3):
-        matrix = partitioner.destination_matrix(
-            "S", ColumnBatch.from_rows([(0, i) for i in range(4000)]),
-            (task, 0))
-        loads.update(matrix.ravel().tolist())
+    matrix = partitioner.destination_matrix(
+        "S", ColumnBatch.from_rows([(0, i) for i in range(12000)]))
+    loads = Counter(matrix.ravel().tolist())
     assert len(loads) == MACHINES
     assert max(loads.values()) / min(loads.values()) < 1.1
 
 
-def test_two_random_dimensions_of_one_relation_draw_independently():
-    """A relation owning two random dimensions reaches every cell of both
-    evenly; draws correlated across dimensions (a linear hash of the
-    index, whose parity alternates with it on every dimension) would
-    leave half of the cells empty."""
-    from repro.partitioning.hypercube import (
-        RANDOM,
-        DimensionSpec,
-        HypercubeConfig,
-        HypercubePartitioner,
-    )
+#: name -> (rows, their occurrence numbers): distinct rows of three
+#: column types, and 4,000 copies of one row
+ROW_SETS = {
+    "sequential": ([(0, i) for i in range(4000)], None),
+    "strings": ([(i % 7, f"k{i}") for i in range(4000)], None),
+    "floats": ([(i / 8, i % 3) for i in range(4000)], None),
+    "copies": ([(5, 5)] * 4000, list(range(4000))),
+}
 
-    dims = (DimensionSpec("a", RANDOM, frozenset({("S", "y")})),
-            DimensionSpec("b", RANDOM, frozenset({("S", "z")})))
+
+@pytest.mark.parametrize("rows_name", sorted(ROW_SETS))
+@pytest.mark.parametrize("sizes,bound", [((2, 2), 1.15), ((4, 4), 1.4)],
+                         ids=["2x2", "4x4"])
+def test_two_random_dimensions_of_one_relation_draw_independently(
+        sizes, bound, rows_name):
+    """A relation owning two random dimensions reaches every cell of both
+    evenly; draws correlated across dimensions (a linear hash, whose
+    parity alternates alike on every dimension) would leave cells empty.
+    The bound widens with the grid: 4,000 rows give a 4x4 cell 250 rows,
+    whose spread is twice a 2x2 cell's relative to its mean."""
+    rows, occurrences = ROW_SETS[rows_name]
+    cells = sizes[0] * sizes[1]
     partitioner = HypercubePartitioner(
-        HypercubeConfig(dims, (2, 2), 4, 0.0, 0.0),
+        HypercubeConfig(two_random_dims(), sizes, cells, 0.0, 0.0),
         {"S": Schema.of("y", "z")}, seed=3)
     matrix = partitioner.destination_matrix(
-        "S", ColumnBatch.from_rows([(0, i) for i in range(4000)]), (0, 0))
+        "S", ColumnBatch.from_rows(rows), occurrences)
     loads = Counter(matrix.ravel().tolist())
-    assert sorted(loads) == [0, 1, 2, 3]
-    assert max(loads.values()) / min(loads.values()) < 1.15
+    assert sorted(loads) == list(range(cells))
+    assert max(loads.values()) / min(loads.values()) < bound
 
 
 # -- replay ----------------------------------------------------------------

@@ -78,9 +78,9 @@ class TestHashTwoWay:
 class TestOneBucket:
     def test_every_pair_meets_exactly_once(self):
         scheme = OneBucket("R", "S", 12, 100, 100, seed=3)
-        r_placements = [set(scheme.destinations("R", (i,), (0, i)))
+        r_placements = [set(scheme.destinations("R", (i,)))
                         for i in range(40)]
-        s_placements = [set(scheme.destinations("S", (j,), (0, j)))
+        s_placements = [set(scheme.destinations("S", (j,)))
                         for j in range(40)]
         for r_set in r_placements:
             for s_set in s_placements:
@@ -97,7 +97,7 @@ class TestOneBucket:
         scheme = OneBucket("R", "S", 16, 100, 100, seed=1)
         loads = Counter()
         for i in range(1600):  # sorted keys
-            for machine in scheme.destinations("R", (i,), (0, i)):
+            for machine in scheme.destinations("R", (i,)):
                 loads[machine] += 1
         assert not scheme.is_content_sensitive()
         assert max(loads.values()) / min(loads.values()) < 1.5
