@@ -5,88 +5,127 @@ Squall supports full-history *and* window semantics, implementing
 tumbling and sliding windows by adding expiration logic on top of the
 full-history engine (paper section 2).  This example simulates an
 algorithmic-trading-style stream: orders and executions that must join
-only when close in time.
+only when close in time.  Each join runs continuously (``stream_plan``)
+over two event-time sources; their watermarks let the joiners drop
+state that no later event can match, and a late execution -- behind
+what its source already delivered -- is dropped and counted, never
+joined.  Every answer is checked against a nested-loop model.
 
 Run:  python examples/windowed_stream.py
 """
 
 import random
+from collections import Counter
 
+from repro.core.optimizer import OptimizerOptions
+from repro.core.options import ExecutionOptions
 from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
-from repro.core.schema import Schema
-from repro.engine.windows import WindowedJoinState, WindowSpec
-from repro.joins import DBToasterJoin
+from repro.core.schema import Relation, Schema
+from repro.engine.component import JoinComponent, PhysicalPlan, SourceComponent
+from repro.engine.windows import WindowClause, WindowSpec
+from repro.sql.catalog import SqlSession
+from repro.streaming import CallbackSource, stream_plan
+
+SCHEMA = Schema.of("ts", "symbol:str", "price")
 
 
-def make_stream(n=400, symbols=6, seed=11):
+def make_events(n=400, symbols=6, seed=11):
+    """``{relation: rows}``, each relation in timestamp order."""
     rng = random.Random(seed)
-    stream = []
+    events = {"orders": [], "execs": []}
     for ts in range(n):
-        symbol = f"SYM{rng.randrange(symbols)}"
-        if rng.random() < 0.5:
-            stream.append(("orders", (ts, symbol, rng.randrange(100, 200))))
-        else:
-            stream.append(("execs", (ts, symbol, rng.randrange(100, 200))))
-    return stream
+        relation = "orders" if rng.random() < 0.5 else "execs"
+        events[relation].append(
+            (ts, f"SYM{rng.randrange(symbols)}", rng.randrange(100, 200)))
+    return events
 
 
-def run_windowed(window: WindowSpec, stream):
+def window_plan(window: WindowSpec) -> PhysicalPlan:
     spec = JoinSpec(
-        [
-            RelationInfo("orders", Schema.of("ts", "symbol:str", "price"), 200),
-            RelationInfo("execs", Schema.of("ts", "symbol:str", "price"), 200),
-        ],
+        [RelationInfo(name, SCHEMA, 200) for name in ("orders", "execs")],
         [EquiCondition(("orders", "symbol"), ("execs", "symbol"))],
     )
-    state = WindowedJoinState(DBToasterJoin(spec), window)
-    matches = 0
-    max_state = 0
-    for rel, row in stream:
-        matches += len(state.insert(rel, row))
-        max_state = max(max_state, state.state_size())
-    return matches, max_state, state.expired_tuples
+    return PhysicalPlan(
+        sources=[SourceComponent(name, Relation(name, SCHEMA, []))
+                 for name in ("orders", "execs")],
+        joins=[JoinComponent("J", spec, machines=2, scheme="hash",
+                             window=window)],
+    )
+
+
+def model(window: WindowSpec, orders, execs):
+    """Every same-symbol pair the window predicate admits."""
+    def admitted(a, b):
+        if window.kind == "tumbling":
+            return a // window.size == b // window.size
+        return abs(a - b) < window.size
+
+    return sorted(order + execution for order in orders for execution in execs
+                  if order[1] == execution[1]
+                  and admitted(order[0], execution[0]))
+
+
+def run(window: WindowSpec, events, late=None):
+    """Stream ``events`` through the windowed join; ``late``, an
+    execution pushed after every other one, arrives behind its source."""
+    def source(name, rows):
+        return CallbackSource(((name, row) for row in rows), ts_position=0)
+
+    sources = {"orders": source("orders", events["orders"]),
+               "execs": source("execs", events["execs"] + ([late] if late
+                                                          else []))}
+    query = stream_plan(window_plan(window), sources=sources,
+                        options=ExecutionOptions(batch_size=16)).run()
+    joiners = query.cluster.cluster.tasks("J")
+    assert query.snapshot() == model(window, events["orders"],
+                                     events["execs"])
+    return (len(query.snapshot()),
+            sum(joiner.state_size() for joiner in joiners),
+            sum(joiner.state.expired_tuples for joiner in joiners),
+            query.stats())
 
 
 def main():
-    stream = make_stream()
-    print(f"streaming {len(stream)} order/execution events "
-          f"(timestamps are the first column)\n")
-
+    events = make_events()
+    print(f"streaming {sum(map(len, events.values()))} order/execution "
+          f"events (timestamps are the first column)\n")
     ts_positions = {"orders": 0, "execs": 0}
+    for kind in ("tumbling", "sliding"):
+        for size in (100, 25):
+            window = (WindowSpec.tumbling if kind == "tumbling"
+                      else WindowSpec.sliding)(size, ts_positions)
+            matched, held, expired, stats = run(window, events)
+            print(f"{kind} window of {size} time units:")
+            print(f"  matches: {matched} (= the model), state left: "
+                  f"{held} entries, expired rows: {expired}, watermark: "
+                  f"{stats['watermark']}")
 
-    print("full-history semantics (incremental view maintenance):")
-    full = WindowedJoinState(
-        DBToasterJoin(JoinSpec(
-            [
-                RelationInfo("orders", Schema.of("ts", "symbol:str", "price"), 200),
-                RelationInfo("execs", Schema.of("ts", "symbol:str", "price"), 200),
-            ],
-            [EquiCondition(("orders", "symbol"), ("execs", "symbol"))],
-        )),
-        WindowSpec.sliding(10**9, ts_positions=ts_positions),  # effectively unbounded
-    )
-    matches = 0
-    for rel, row in stream:
-        matches += len(full.insert(rel, row))
-    print(f"  matches: {matches}, retained state: {full.state_size()} entries\n")
+    late = (5, "SYM0", 150)  # an execution behind everything its source sent
+    window = WindowSpec.sliding(25, ts_positions)
+    matched, _held, _expired, stats = run(window, events, late=late)
+    print(f"\nsliding window of 25 with a late execution at ts 5: "
+          f"matches {matched} (= the model without it), late rows "
+          f"{stats['late_rows']}")
 
-    for size in (100, 25):
-        window = WindowSpec.tumbling(size, ts_positions=ts_positions)
-        matched, max_state, expired = run_windowed(window, stream)
-        print(f"tumbling window of {size} time units:")
-        print(f"  matches: {matched}, peak state: {max_state}, "
-              f"expired tuples: {expired}")
+    # a tumbling aggregation through SQL: a window's counts are emitted
+    # once the watermark passes its end
+    session = SqlSession(options=OptimizerOptions(
+        machines=2, agg_window=WindowClause("tumbling", 100, "execs.ts")))
+    session.register(Relation("execs", SCHEMA, events["execs"]))
+    query = session.stream("SELECT execs.symbol, COUNT(*) FROM execs "
+                           "GROUP BY execs.symbol",
+                           options=ExecutionOptions(batch_size=16)).run()
+    expected = Counter((ts // 100, symbol) for ts, symbol, _price
+                       in events["execs"])
+    assert query.snapshot() == sorted(
+        key + (n,) for key, n in expected.items())
+    print(f"\ntumbling COUNT(*) per symbol and 100 time units: "
+          f"{len(query.snapshot())} (window, symbol) rows (= the model)")
 
-    for size in (100, 25):
-        window = WindowSpec.sliding(size, ts_positions=ts_positions)
-        matched, max_state, expired = run_windowed(window, stream)
-        print(f"sliding window of {size} time units:")
-        print(f"  matches: {matched}, peak state: {max_state}, "
-              f"expired (retracted) tuples: {expired}")
-
-    print("\nSmaller windows match fewer pairs and keep less state; sliding"
-          "\nwindows retract expired tuples as negative deltas through the"
-          "\nsame DBToaster views that serve the full-history engine.")
+    print("\nSmaller windows match fewer pairs and keep less state: a "
+          "stored row goes once\nthe other relation's watermark has "
+          "passed its window, through the same\nDBToaster views that "
+          "serve the full-history engine.")
 
 
 if __name__ == "__main__":

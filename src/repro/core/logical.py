@@ -51,6 +51,9 @@ class LogicalPlan:
     conditions: List[JoinCondition] = field(default_factory=list)
     group_by: List[str] = field(default_factory=list)  # qualified alias.attr
     aggregates: List[AggItem] = field(default_factory=list)
+    #: a query without aggregation: its SELECT list, qualified, which is
+    #: the result's columns in order (empty: every column)
+    select: List[str] = field(default_factory=list)
 
     def alias_names(self) -> List[str]:
         return [scan.alias for scan in self.scans]

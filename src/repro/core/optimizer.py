@@ -21,8 +21,10 @@ Responsibilities (paper section 2):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.expressions import col
 from repro.core.logical import LogicalPlan, ScanDef, resolve_column
 from repro.core.predicates import JoinCondition, JoinSpec, RelationInfo
 from repro.core.schema import Relation, Schema, split_qualified
@@ -110,6 +112,11 @@ class Optimizer:
         else:
             joins = [self._multiway_join(logical, infos)]
         aggregation = self._aggregation(logical, schemas, joins[-1], filtered_rows)
+        if aggregation is None and logical.select:
+            output_schema = JoinSchema.from_spec(joins[-1].spec).output_schema()
+            joins[-1].output_positions = [
+                output_schema.index_of(self._output_name(name, schemas))
+                for name in logical.select]
         plan = PhysicalPlan(sources=sources, joins=joins, aggregation=aggregation)
         return plan.validate()
 
@@ -122,7 +129,8 @@ class Optimizer:
             predicate = scan.predicates[0]
             for extra in scan.predicates[1:]:
                 predicate = predicate & extra
-        parallelism = self._source_parallelism(relation.size)
+        parallelism = (1 if self.options.window is not None  # in order
+                       else self._source_parallelism(relation.size))
         return SourceComponent(
             name=scan.alias,
             relation=Relation(scan.alias, relation.schema, relation.rows),
@@ -294,13 +302,7 @@ class Optimizer:
             raise ValueError("aggregation without join is compiled separately")
         output_schema = JoinSchema.from_spec(last_join.spec).output_schema()
 
-        def qualified_output_name(name: str) -> str:
-            alias, attr = resolve_column(name, schemas)
-            if self.options.mode == "pipeline":
-                rel, mapped = self._pipeline_attr_map[(alias, attr)]
-                return mapped
-            return f"{alias}.{attr}"
-
+        qualified_output_name = partial(self._output_name, schemas=schemas)
         group_cols = [qualified_output_name(name) for name in logical.group_by]
         agg_cols = [
             qualified_output_name(item.column)
@@ -308,8 +310,8 @@ class Optimizer:
         ]
         clause = self.options.agg_window
         ts_cols = []
-        if clause is not None and clause.ts_column is not None:
-            ts_cols = [qualified_output_name(clause.ts_column)]
+        if clause is not None:
+            ts_cols = [self._window_column(clause, qualified_output_name)]
         # output scheme: ship only the needed columns out of the joiner
         # (the window's event-time column must survive the projection)
         needed: List[str] = []
@@ -339,10 +341,8 @@ class Optimizer:
         )
         window = None
         if clause is not None:
-            ts_positions = None
-            if ts_cols:
-                ts_positions = {"": projected_index[ts_cols[0]]}
-            window = WindowSpec(clause.kind, clause.size, ts_positions)
+            window = WindowSpec(clause.kind, clause.size,
+                                {"": projected_index[ts_cols[0]]})
         return AggComponent(
             name="agg",
             group_positions=group_positions,
@@ -351,6 +351,20 @@ class Optimizer:
             key_domain=key_domain,
             window=window,
         )
+
+    def _output_name(self, name: str, schemas: Dict[str, Schema]) -> str:
+        """A column's name in the last join's output rows."""
+        alias, attr = resolve_column(name, schemas)
+        if self.options.mode == "pipeline":
+            return self._pipeline_attr_map[(alias, attr)][1]
+        return f"{alias}.{attr}"
+
+    @staticmethod
+    def _window_column(clause: WindowClause, resolve):
+        try:  # a column that does not resolve fails naming its clause
+            return resolve(clause.ts_column)
+        except (KeyError, ValueError) as err:
+            raise ValueError(f"{clause!r}: {err}") from None
 
     def _small_key_domain(self, logical, schemas, filtered_rows, parallelism):
         """If the single group-by column has a small known domain, return it
@@ -389,12 +403,9 @@ class Optimizer:
             window = None
             clause = self.options.agg_window
             if clause is not None:
-                ts_positions = None
-                if clause.ts_column is not None:
-                    ts_positions = {
-                        "": schema.index_of(split_qualified(clause.ts_column)[1])
-                    }
-                window = WindowSpec(clause.kind, clause.size, ts_positions)
+                position = self._window_column(
+                    clause, lambda name: schema.index_of(split_qualified(name)[1]))
+                window = WindowSpec(clause.kind, clause.size, {"": position})
             aggregation = AggComponent(
                 name="agg",
                 group_positions=group_positions,
@@ -402,6 +413,11 @@ class Optimizer:
                 parallelism=self.options.agg_parallelism or 1,
                 window=window,
             )
+        elif logical.select:
+            source = sources[0]
+            source.projection_names = [split_qualified(name)[1]
+                                       for name in logical.select]
+            source.projection = [col(name) for name in source.projection_names]
         return PhysicalPlan(sources=sources, joins=[], aggregation=aggregation).validate()
 
 

@@ -107,6 +107,7 @@ class PhysicalPlan:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate component names in plan: {names}")
         known = {source.name for source in self.sources}
+        stripes = {source.name: source.parallelism for source in self.sources}
         for join in self.joins:
             for rel_name in join.spec.relation_names:
                 if rel_name not in known:
@@ -114,6 +115,8 @@ class PhysicalPlan:
                         f"join {join.name!r} references {rel_name!r}, which is "
                         f"not an upstream component ({sorted(known)})"
                     )
+                if join.window is not None:
+                    _check_windowed_input(join.name, rel_name, stripes)
             known.add(join.name)
         if self.aggregation is not None and not self.joins and not self.sources:
             raise ValueError("aggregation needs an upstream component")
@@ -125,3 +128,13 @@ class PhysicalPlan:
         if self.joins:
             return self.joins[-1].name
         return self.sources[-1].name
+
+
+def _check_windowed_input(join: str, rel_name: str, stripes: dict):
+    """A windowed join must see each input in event-time order: not
+    another join's output, nor a source read in several stripes."""
+    if stripes.get(rel_name, 0) != 1:
+        feed = (f"from {stripes[rel_name]} source tasks" if rel_name in stripes
+                else "as another join's output")
+        raise ValueError(f"windowed join {join!r} reads {rel_name!r} {feed}, "
+                         f"whose rows arrive in no event-time order")

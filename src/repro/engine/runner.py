@@ -244,8 +244,8 @@ class JoinBolt(Bolt):
         )
 
     @property
-    def order_sensitive(self) -> bool:
-        return self.component.window is not None
+    def late_rows(self) -> int:
+        return 0 if self.state is self._local else self.state.late_rows
 
     def execute_batch(self, source: str, stream: str, rows):
         signs, parts = [], []
@@ -286,27 +286,21 @@ class JoinBolt(Bolt):
         return JoinTotals(self.work, self.state_size())
 
     def advance_watermark(self, watermark) -> List[Tuple[str, tuple]]:
-        """Punctuation hook of the continuous runtime: expire windowed
-        state up to ``watermark``.  Watermarks carry *event time*, so
-        arrival-order windows (no ts columns) ignore them.  Expired join
-        outputs are not retracted downstream (batch parity: window
-        expiration bounds state, it does not rewrite already-emitted
-        results)."""
-        window = self.component.window
-        if (self.state is not self._local and window is not None
-                and window.ts_positions is not None):
-            self.state.advance_time(watermark)
+        """Punctuation hook: expire windowed state up to ``watermark``
+        (state only: the window predicate decided what the output is)."""
+        if self.state is not self._local:
+            self.state.advance_watermark(watermark)
         return []
 
 
 class AggBolt(Bolt):
     """One aggregation task: incremental grouped sum/count/avg.
 
-    Windowed variants: a *tumbling* window closes and emits
-    ``(window id, group row)`` tuples as event time crosses boundaries; a
-    *sliding* window keeps the aggregate over the trailing ``size`` time
-    units by retracting expired input rows (sign -1), and emits its
-    snapshot at end of stream (the continuous runtime's
+    Windowed variants: a *tumbling* window emits ``(window id, group
+    row)`` tuples when the watermark passes its end, or at end of
+    stream; a *sliding* window keeps the aggregate over the trailing
+    ``size`` time units by retracting expired input rows (sign -1), and
+    emits its snapshot at end of stream (the continuous runtime's
     :class:`repro.streaming.runner.DeltaAggBolt` instead turns every
     state change into live ``+row/-row`` deltas).
     """
@@ -337,20 +331,17 @@ class AggBolt(Bolt):
         )
 
     @property
-    def order_sensitive(self) -> bool:
-        return self.component.window is not None
+    def late_rows(self) -> int:
+        window = self.sliding_state or self.window_state
+        return 0 if window is None else window.late_rows
 
     def execute_batch(self, source: str, stream: str, rows):
         emissions: list = []
+        window = self.sliding_state or self.window_state
         for sign, run in sign_runs(rows):
-            # windows expire or close per arrival, so they go row by row
-            if self.sliding_state is not None:
+            if window is not None:  # each row goes by its own timestamp
                 for row in run:
-                    self.sliding_state.consume(row, sign)
-            elif self.window_state is not None:
-                for row in run:
-                    emissions.extend(self._closed(
-                        self.window_state.consume(row, sign)))
+                    window.consume(row, sign)
             elif self.component.online:
                 name = self.component.name
                 emissions.extend((name, row) for row in
@@ -360,11 +351,9 @@ class AggBolt(Bolt):
         return emissions
 
     def _closed(self, closed) -> list:
-        """A tumbling window's ``(window id, rows)`` as emissions."""
-        if closed is None:
-            return []
-        window_id, rows = closed
-        return [(self.component.name, (window_id,) + row) for row in rows]
+        """Closed tumbling windows, ``(window id, rows)``, as emissions."""
+        return [(self.component.name, (window_id,) + row)
+                for window_id, rows in closed for row in rows]
 
     def finish(self):
         if self.window_state is not None:
@@ -374,19 +363,11 @@ class AggBolt(Bolt):
         return [(self.component.name, row) for row in self.aggregation.snapshot()]
 
     def advance_watermark(self, watermark) -> List[Tuple[str, tuple]]:
-        """Punctuation hook: close/expire windows up to ``watermark``.
-
-        Watermarks carry event time; arrival-order windows (no ts
-        columns) ignore them and close per arrival / at end of stream."""
-        window = self.component.window
-        if window is None or window.ts_positions is None:
+        """Punctuation hook: close the tumbling windows ``watermark``
+        has passed the end of."""
+        if self.window_state is None:
             return []
-        if self.sliding_state is not None:
-            self.sliding_state.advance_time(watermark)
-            return []
-        if self.window_state is not None:
-            return self._closed(self.window_state.advance_watermark(watermark))
-        return []
+        return self._closed(self.window_state.advance_watermark(watermark))
 
 
 class SinkBolt(Bolt):
@@ -595,13 +576,7 @@ def run_plan(plan: PhysicalPlan,
     batch).  The default of 1 reproduces the per-tuple engine's
     interleaving exactly; larger values amortize dispatch overhead
     without changing per-tuple results (the final result multiset and
-    all per-component totals are identical).  Exception: *windowed*
-    operators downstream of a join expire state in arrival order, and a
-    join can re-emit stored rows with old event timestamps, so windowed
-    results over join outputs are interleaving-sensitive -- they are
-    only batch-size-invariant when the windowed operator's input arrives
-    in event-time order (windows directly over a source, the common
-    case).
+    all per-component totals are identical; windows included).
 
     ``options.executor`` picks the execution backend (``"inline"`` or
     ``"processes"``) and ``options.parallelism`` the number of

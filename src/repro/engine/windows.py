@@ -1,31 +1,27 @@
 """Window semantics on top of the full-history engine (paper section 2).
 
-Squall implements tumbling and sliding windows by adding expiration logic
-over its full-history operators.  Timestamps are either explicit (a column
-of each input relation) or implicit (global arrival order).
+Squall gets windows by adding expiration to its full-history operators.
+Here a window is a *predicate* that decides which results exist plus a
+*state horizon* that decides when stored state may go, both over an
+event-time column of every input (:attr:`WindowSpec.ts_positions`), so
+no answer depends on the arrival order, the schedule or the batch size.
 
-- **Tumbling** windows of size ``size`` partition time into fixed ranges
-  ``[k*size, (k+1)*size)``; on crossing a boundary the operator state is
-  reset.
-- **Sliding** windows keep the last ``size`` time units: on every arrival,
-  stored tuples older than ``ts - size`` are retracted via the local
-  join's ``delete`` (DBToaster views handle this as a negative delta).
-  :class:`SlidingWindowedAggregation` applies the same idea to grouped
-  aggregates: expired input rows are consumed with sign -1, and a row
-  that arrives behind the window's horizon is dropped and counted.
+- **Joins** (:class:`WindowedJoinState`): a tumbling window joins rows
+  of one window ``[k*size, (k+1)*size)``, a sliding one rows less than
+  ``size`` apart.  A relation's *progress* at a task is the largest
+  timestamp the task consumed from it, or the last watermark if larger;
+  a stored row goes once every other relation's progress has passed its
+  window (:meth:`WindowSpec.horizon`).
+- **Tumbling aggregations** (:class:`WindowedAggregation`) keep one open
+  aggregation per window, closed by the watermark or at end of stream.
+- **Sliding aggregations** (:class:`SlidingWindowedAggregation`) consume
+  a row that slides out of the window with sign -1.
 
-Expiration is driven from two sides.  In a finite (batch) run, every
-arriving tuple's own timestamp advances the clock, and the final window
-closes at end of stream.  In a *continuous* run
-(:class:`repro.streaming.cluster.StreamingCluster`), the watermark
-punctuations of the push sources additionally advance event time through
-the ``advance_time`` / ``advance_watermark`` hooks below, so windows
-close and state expires with bounded lag even when a source goes quiet
--- see :mod:`repro.streaming.watermarks` for the punctuation protocol.
-Watermarks only ever advance the clock to a time at or below the maximum
-timestamp the sources promise not to precede, so a watermark-driven
-expiration performs exactly the work the next arrival would have; final
-results are identical to the batch run's.
+A row behind its relation's progress, in a closed window or behind a
+sliding window's horizon may have lost the rows it would have met: it
+is dropped and counted in ``late_rows``, never used silently.  The
+continuous runtime's watermarks reach every task through the
+``advance_watermark`` hooks (:mod:`repro.streaming.watermarks`).
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -54,189 +50,222 @@ _INT64_LIMIT = 1 << 63
 KERNEL_MIN_ROWS = 32
 
 
+def _check_window(kind: str, size) -> None:
+    if kind not in ("tumbling", "sliding"):
+        raise ValueError(f"unknown window kind {kind!r}")
+    if size <= 0:
+        raise ValueError("window size must be positive")
+
+
 @dataclass(frozen=True)
 class WindowClause:
     """A front-end window request, by column *name*.
 
-    What ``SqlSession`` / the functional API accept: kind, size and the
-    event-time column (None = arrival order).  The optimizer resolves the
-    column against the physical plan's projections and lowers it to a
-    positional :class:`WindowSpec` on the aggregation component.
-
-    Exact-answer caveat: window expiration is arrival-driven, so the
-    aggregate is only independent of batching/interleaving when its input
-    arrives in event-time order -- true for windows directly over a
-    source, best-effort when a join sits in between (joins re-emit stored
-    rows with old timestamps)."""
+    What ``SqlSession`` / the functional API accept; the optimizer
+    lowers it to a positional :class:`WindowSpec` on the aggregation."""
 
     kind: str  # 'tumbling' | 'sliding'
     size: int
-    ts_column: Optional[str] = None
+    ts_column: str
 
     def __post_init__(self):
-        if self.kind not in ("tumbling", "sliding"):
-            raise ValueError(f"unknown window kind {self.kind!r}")
-        if self.size <= 0:
-            raise ValueError("window size must be positive")
+        _check_window(self.kind, self.size)
+        if not self.ts_column:
+            raise ValueError(f"{self!r} names no event-time column")
 
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window definition shared by join and aggregation operators."""
+    """Window definition shared by join and aggregation operators:
+    ``ts_positions`` maps each input relation to the position of its
+    event-time column (an aggregation names its one input ``""``)."""
 
     kind: str  # 'tumbling' | 'sliding'
     size: int
-    #: per-relation timestamp column position; None = arrival order
-    ts_positions: Optional[Dict[str, int]] = None
+    ts_positions: Dict[str, int]
 
     def __post_init__(self):
-        if self.kind not in ("tumbling", "sliding"):
-            raise ValueError(f"unknown window kind {self.kind!r}")
-        if self.size <= 0:
-            raise ValueError("window size must be positive")
+        _check_window(self.kind, self.size)
+        if not self.ts_positions:
+            raise ValueError("a window needs the event-time column of "
+                             "every input (ts_positions)")
 
     @classmethod
-    def tumbling(cls, size: int, ts_positions: Optional[Dict[str, int]] = None):
+    def tumbling(cls, size: int, ts_positions: Dict[str, int]):
         return cls("tumbling", size, ts_positions)
 
     @classmethod
-    def sliding(cls, size: int, ts_positions: Optional[Dict[str, int]] = None):
+    def sliding(cls, size: int, ts_positions: Dict[str, int]):
         return cls("sliding", size, ts_positions)
 
-    def timestamp(self, rel_name: str, row: tuple, arrival_index: int):
-        if self.ts_positions is None:
-            return arrival_index
-        return row[self.ts_positions[rel_name]]
+    def horizon(self, ts):
+        """The event time from which no row shares a window with a row
+        at ``ts``: the end of its tumbling window, or ``ts + size``."""
+        if self.kind == "tumbling":
+            return (ts // self.size + 1) * self.size
+        return ts + self.size
+
+    def admits(self, stamps: np.ndarray) -> np.ndarray:
+        """The window predicate over joined rows: ``stamps[i][j]`` is
+        the timestamp relation ``i`` contributes to row ``j``."""
+        if self.kind == "tumbling":
+            ids = stamps // self.size
+            return (ids == ids[0]).all(axis=0)
+        return stamps.max(axis=0) - stamps.min(axis=0) < self.size
+
+
+def _column(rows, position: int) -> np.ndarray:
+    """Column ``position`` of a row list or :class:`ColumnBatch`."""
+    if isinstance(rows, ColumnBatch):
+        return np.asarray(rows.columns[position])
+    return np.array([row[position] for row in rows])
+
+
+def _kept(rows, keep: np.ndarray):
+    """The rows of ``rows`` whose ``keep`` entry is true."""
+    if isinstance(rows, ColumnBatch):
+        return rows.take(np.flatnonzero(keep))
+    return list(compress(rows, keep.tolist()))
 
 
 class WindowedJoinState(LocalJoin):
-    """Wraps a :class:`LocalJoin` with window expiration logic.
+    """A :class:`LocalJoin` behind a window predicate and a state horizon.
 
-    A local join itself, whose batch methods are the base class's
-    row-by-row loops: every arrival may expire state first."""
+    ``insert_batch`` drops the late rows (behind their relation's
+    progress or an earlier row of the batch), joins the rest, filters
+    the output by the window predicate, and only then advances progress
+    and expires, so the answer is the same at every batch size.  A
+    retraction deletes a stored instance and advances nothing."""
 
     def __init__(self, local_join: LocalJoin, window: WindowSpec):
         super().__init__(local_join.spec)
         self.local = local_join
         self.window = window
-        self._arrivals = 0
-        self._stored: Deque[Tuple[object, str, tuple]] = deque()
-        self._current_window: Optional[int] = None
+        names = local_join.spec.relation_names
+        offsets = self.join_schema.offsets
+        #: each relation's timestamp position in an output row
+        self._output_ts = [offsets[name] + window.ts_positions[name]
+                           for name in names]
+        #: per relation: how far its event time has progressed here
+        self.progress: Dict[str, object] = dict.fromkeys(names)
+        #: per relation: its stored rows, ``(ts, row)`` in timestamp order
+        self._stored = {name: deque() for name in names}
         self.expired_tuples = 0
+        self.late_rows = 0
 
-    def insert(self, rel_name: str, row: tuple) -> List[tuple]:
-        ts = self.window.timestamp(rel_name, row, self._arrivals)
-        self._arrivals += 1
-        self._expire(ts)
-        delta = self.local.insert(rel_name, row)
-        self._stored.append((ts, rel_name, row))
+    def insert_batch(self, rel_name: str, rows):
+        stamps = _column(rows, self.window.ts_positions[rel_name])
+        progress = self.progress[rel_name]
+        ahead = np.maximum.accumulate(stamps)
+        bound = np.concatenate((stamps[:1], ahead[:-1]))
+        late = stamps < (bound if progress is None
+                         else np.maximum(bound, progress))
+        if late.any():
+            self.late_rows += int(late.sum())
+            rows, stamps = _kept(rows, ~late), stamps[~late]
+        if not len(stamps):
+            return []
+        delta = self._admitted(self.local.insert_batch(rel_name, rows))
+        if isinstance(rows, ColumnBatch):
+            rows = rows.to_rows()
+        self._stored[rel_name].extend(zip(stamps.tolist(), rows))
+        newest = ahead[-1:].tolist()[0]
+        if progress is None or newest > progress:
+            self.progress[rel_name] = newest
+        self._expire()
         return delta
 
-    def delete(self, rel_name: str, row: tuple) -> List[tuple]:
-        """Retract one stored instance of ``row`` from the window store
-        and the local join together, so expiry or a tumbling reset never
-        deletes it again; a no-op when none is stored, as in
-        :meth:`SlidingWindowedAggregation.consume`.  A retraction carries
-        an old event time and does not advance the clock."""
-        for i, (_ts, stored_rel, stored_row) in enumerate(self._stored):
-            if stored_rel == rel_name and stored_row == row:
-                del self._stored[i]
-                return self.local.delete(rel_name, row)
-        return []
+    def delete_batch(self, rel_name: str, rows):
+        stored, held = self._stored[rel_name], []
+        for row in rows:
+            for i, (_ts, stored_row) in enumerate(stored):
+                if stored_row == row:
+                    del stored[i]
+                    held.append(stored_row)
+                    break
+        if not held:
+            return []
+        return self._admitted(self.local.delete_batch(rel_name, held))
 
-    def _expire(self, now):
-        if self.window.kind == "tumbling":
-            window_id = now // self.window.size
-            if self._current_window is None:
-                self._current_window = window_id
-            elif window_id != self._current_window:
-                self.expired_tuples += len(self._stored)
-                self._stored.clear()
-                self.local.reset()
-                self._current_window = window_id
-            return
-        # sliding: retract everything strictly older than now - size
-        horizon = now - self.window.size
-        while self._stored and self._stored[0][0] <= horizon:
-            _ts, rel_name, row = self._stored.popleft()
-            self.local.delete(rel_name, row)
-            self.expired_tuples += 1
+    def _admitted(self, delta):
+        """The rows of a local join delta the window predicate admits."""
+        if not len(delta):
+            return delta
+        keep = self.window.admits(np.array(
+            [_column(delta, position) for position in self._output_ts]))
+        return delta if keep.all() else _kept(delta, keep)
 
-    def advance_time(self, now):
-        """Watermark hook: expire state as if a tuple at ``now`` arrived.
+    def advance_watermark(self, watermark):
+        """Punctuation hook: every relation has progressed to at least
+        ``watermark``; delete what that expires."""
+        for name, progress in self.progress.items():
+            if progress is None or watermark > progress:
+                self.progress[name] = watermark
+        self._expire()
 
-        The continuous runtime calls this when the sources' merged
-        watermark advances, so join state stays bounded even while a
-        relation receives no tuples.  Performs exactly the expiration the
-        next ``insert`` at time >= ``now`` would perform."""
-        self._expire(now)
+    def _expire(self):
+        """Delete the rows every *other* relation has progressed past."""
+        horizon = self.window.horizon
+        for name, stored in self._stored.items():
+            others = [progress for other, progress in self.progress.items()
+                      if other != name]
+            if not stored or None in others:
+                continue
+            bound, expired = min(others), []
+            while stored and horizon(stored[0][0]) <= bound:
+                expired.append(stored.popleft()[1])
+            if expired:
+                self.expired_tuples += len(expired)
+                self.local.delete_batch(name, expired)
 
     def state_size(self) -> int:
         return self.local.state_size()
 
-    @property
-    def work(self) -> int:
-        return self.local.work
-
 
 class WindowedAggregation:
-    """Per-window grouped aggregation; emits a window's rows when it closes."""
+    """Tumbling-window grouped aggregation: one open aggregation per
+    window id; a window's rows are emitted when it closes."""
 
     def __init__(self, aggregation_factory, window: WindowSpec):
         if window.kind != "tumbling":
-            raise ValueError(
-                "windowed aggregation supports tumbling windows; sliding "
-                "aggregates are expressed as join-side retractions"
-            )
+            raise ValueError("WindowedAggregation needs a tumbling window; "
+                             "sliding ones use SlidingWindowedAggregation")
         self._factory = aggregation_factory
         self.window = window
-        self._arrivals = 0
-        self._current_window: Optional[int] = None
-        self._aggregation = aggregation_factory()
-        self.closed_windows: List[Tuple[int, List[tuple]]] = []
+        self._position = window.ts_positions[""]
+        #: open windows: window id -> its aggregation
+        self._open: Dict[object, object] = {}
+        #: every window below this id is closed (None: none is)
+        self._closed_below = None
+        self.late_rows = 0
 
-    def consume(self, row: tuple, sign: int = 1,
-                rel_name: str = "") -> Optional[Tuple[int, List[tuple]]]:
-        """Feed one row (sign -1 = retraction: a row whose batch sign is
-        -1); returns (window id, rows) when a window closes."""
-        ts = self.window.timestamp(rel_name, row, self._arrivals)
-        self._arrivals += 1
-        window_id = ts // self.window.size
-        closed = None
-        if self._current_window is None:
-            self._current_window = window_id
-        elif window_id != self._current_window:
-            closed = (self._current_window, self._aggregation.snapshot())
-            self.closed_windows.append(closed)
-            self._aggregation = self._factory()
-            self._current_window = window_id
-        self._aggregation.consume(row, sign)
-        return closed
+    def consume(self, row: tuple, sign: int = 1):
+        """Feed one row (sign -1 = retraction)."""
+        window_id = row[self._position] // self.window.size
+        if self._closed_below is not None and window_id < self._closed_below:
+            self.late_rows += 1
+            return
+        aggregation = self._open.get(window_id)
+        if aggregation is None:
+            aggregation = self._open[window_id] = self._factory()
+        aggregation.consume(row, sign)
 
-    def flush(self) -> Optional[Tuple[int, List[tuple]]]:
-        """Close the final window at end of stream."""
-        if self._current_window is None:
-            return None
-        closed = (self._current_window, self._aggregation.snapshot())
-        self.closed_windows.append(closed)
-        self._aggregation = self._factory()
-        self._current_window = None
-        return closed
+    def advance_watermark(self, watermark) -> List[Tuple[object, List[tuple]]]:
+        """Close every window whose end the watermark has passed (it can
+        gain no rows); returns the closed ``(window id, rows)``."""
+        limit = watermark // self.window.size
+        if self._closed_below is None or limit > self._closed_below:
+            self._closed_below = limit
+        return self._close([window_id for window_id in self._open
+                            if window_id < limit])
 
-    def advance_watermark(self, watermark) -> Optional[Tuple[int, List[tuple]]]:
-        """Close the open window once the watermark passes its end.
+    def flush(self) -> List[Tuple[object, List[tuple]]]:
+        """Close every open window at end of stream."""
+        return self._close(list(self._open))
 
-        The continuous runtime's punctuation hook: with the promise that
-        no tuple with timestamp <= ``watermark`` is still in flight, a
-        window ending at or before it can never gain rows, so it is
-        emitted now instead of waiting for the next arrival (or end of
-        stream) to close it.  Returns the closed ``(window id, rows)`` or
-        None if the open window is still live."""
-        if self._current_window is None:
-            return None
-        if watermark < (self._current_window + 1) * self.window.size:
-            return None
-        return self.flush()
+    def _close(self, window_ids):
+        return [(window_id, self._open.pop(window_id).snapshot())
+                for window_id in sorted(window_ids)]
 
 
 class SlidingWindowedAggregation:
@@ -246,24 +275,18 @@ class SlidingWindowedAggregation:
     full-history operator: an input row entering the window is consumed
     with sign +1, a row sliding out of it with sign -1 (exactly what a
     retracted row -- sign -1 in its batch -- does upstream).  Every
-    state change is
-    reported as an ``(old output row, new output row)`` pair -- either
-    side may be None for group birth/death -- which is what the
-    continuous runtime's delta sinks forward to subscribers as
-    ``(+row / -row)`` deltas.
-
-    Event time advances with every arrival (batch runs) and through
-    :meth:`advance_time` (watermark punctuations of the continuous
-    runtime); :meth:`snapshot` is always the aggregate over rows whose
-    timestamps are within ``(now - size, now]``.
+    state change is reported as an ``(old output row, new output row)``
+    pair -- either side None for group birth/death -- which the
+    continuous runtime's delta sinks forward as ``(+row / -row)``
+    deltas.
 
     Rows are stored in timestamp order and expire from the front against
-    ``max_ts - size`` (``max_ts``: the newest event time consumed).
-    Late rows, drop and count: a row with ``ts <= max_ts - size`` never
-    enters state and counts in ``late_events``; a late row still inside
-    the window is placed by its timestamp (after rows of equal ``ts``).
-    Batch and streaming runs share the policy; when a join reorders
-    tuples upstream, which rows count as late depends on arrival order.
+    ``max_ts - size`` (``max_ts``: the newest event time consumed), so
+    :meth:`snapshot` is the aggregate over ``(max_ts - size, max_ts]``
+    whatever order the rows came in.  A row with ``ts <= max_ts - size``
+    never enters state and counts in ``late_rows``; a late row still
+    inside the window is placed by its timestamp (after rows of equal
+    ``ts``).
     """
 
     #: one reported state change: (old output row | None, new output row | None)
@@ -271,31 +294,28 @@ class SlidingWindowedAggregation:
 
     def __init__(self, aggregation_factory, window: WindowSpec):
         if window.kind != "sliding":
-            raise ValueError(
-                "SlidingWindowedAggregation needs a sliding window; tumbling "
-                "aggregations use WindowedAggregation"
-            )
+            raise ValueError("SlidingWindowedAggregation needs a sliding "
+                             "window; tumbling ones use WindowedAggregation")
         self.window = window
         self.aggregation = aggregation_factory()
-        self._arrivals = 0
+        self._position = window.ts_positions[""]
         self._stored: Deque[Tuple[object, tuple]] = deque()
         self._max_ts = None  # newest event time this operator has consumed
         self.expired_rows = 0
         #: rows dropped for arriving at or behind the window's horizon
-        self.late_events = 0
+        self.late_rows = 0
 
-    def consume(self, row: tuple, sign: int = 1,
-                rel_name: str = "") -> List["SlidingWindowedAggregation.Change"]:
+    def consume(self, row: tuple,
+                sign: int = 1) -> List["SlidingWindowedAggregation.Change"]:
         """Feed one (possibly retracted) row; returns the state changes."""
         changes: List[SlidingWindowedAggregation.Change] = []
-        ts = self.window.timestamp(rel_name, row, self._arrivals)
-        self._arrivals += 1
+        ts = row[self._position]
         if self._max_ts is None or ts > self._max_ts:
             self._max_ts = ts
         horizon = self._max_ts - self.window.size
         self._expire(horizon, changes)
         if ts <= horizon:
-            self.late_events += 1  # outside the window: never stored
+            self.late_rows += 1  # outside the window: never stored
         elif sign >= 0:
             self._apply(row, sign, changes)
             if self._stored and self._stored[-1][0] > ts:  # late, inside
@@ -303,13 +323,10 @@ class SlidingWindowedAggregation:
             else:
                 self._stored.append((ts, row))
         else:
-            # a compensating retraction removes one stored instance so the
-            # row is not retracted a second time when it expires; if no
-            # instance is stored (the row already slid out of the window,
-            # or was never in it) the retraction is a no-op -- applying it
-            # anyway would double-subtract and leave phantom groups.
-            # O(window) scan: compensation is the rare failure-recovery
-            # path, and the window bounds the cost
+            # a retraction removes one stored instance, so the row is not
+            # retracted again when it expires; with none stored (it slid
+            # out, or never came in) it is a no-op -- applying it anyway
+            # would leave phantom groups.  O(window): compensation is rare
             for i, (_stored_ts, stored_row) in enumerate(self._stored):
                 if stored_row == row:
                     del self._stored[i]
@@ -321,21 +338,15 @@ class SlidingWindowedAggregation:
         """Consume an in-order insert batch in one vectorised pass.
 
         The batch becomes the signed sequence :meth:`consume` applies row
-        by row -- each arrival's expiries at -1 (the stored rows, or
-        earlier rows of this batch, at or behind ``ts - size``), then
-        the arrival at +1 -- and
+        by row -- each arrival's expiries at -1, then the arrival at +1
+        (one ``np.searchsorted`` places every expiry) -- which
         :meth:`~repro.engine.operators.Aggregation.consume_changelog`
-        turns that into the changelog ``DeltaAggBolt``'s row loop emits.
-        One ``np.searchsorted`` of the arrivals' horizons over the
-        expiring timestamps places every expiry.  The stored rows,
-        ``expired_rows`` and the group state end as the row loop leaves
-        them.
-
-        Returns None, consuming nothing, for what only the row loop
-        reproduces: fewer than :data:`KERNEL_MIN_ROWS` rows,
-        arrival-order windows, retractions, timestamps that are not
-        ``int64`` or not in order from the newest one consumed, and
-        whatever the aggregation's kernel refuses.
+        turns into the changelog ``DeltaAggBolt``'s row loop emits; the
+        state ends as the row loop leaves it.  Returns None, consuming
+        nothing, for fewer than :data:`KERNEL_MIN_ROWS` rows,
+        retractions, timestamps that are not ``int64`` or not in order
+        from the newest one consumed, and what the aggregation's kernel
+        refuses.
 
         >>> from repro.core.columnar import ColumnBatch
         >>> from repro.engine.operators import Aggregation, count
@@ -349,11 +360,9 @@ class SlidingWindowedAggregation:
         >>> window.state_size(), window.snapshot()
         (5, [(0, 2), (1, 3)])
         """
-        position = (self.window.ts_positions or {}).get("")
-        size, stored = self.window.size, self._stored
-        if (len(batch) < KERNEL_MIN_ROWS or position is None
-                or batch.signs is not None or type(size) is not int
-                or size >= _INT64_LIMIT):
+        position, size, stored = self._position, self.window.size, self._stored
+        if (len(batch) < KERNEL_MIN_ROWS or batch.signs is not None
+                or type(size) is not int or size >= _INT64_LIMIT):
             return None
         ts = batch.columns[position]
         if not (isinstance(ts, np.ndarray) and ts.dtype == np.int64
@@ -363,7 +372,6 @@ class SlidingWindowedAggregation:
         if (self._max_ts is not None and not first >= self._max_ts
                 or first - size < -_INT64_LIMIT):
             return None
-        # the stored rows this batch expires: a prefix, in timestamp order
         held = bisect_right(stored, newest - size, key=itemgetter(0))
         window_rows = ColumnBatch.concat([ColumnBatch.from_rows(
             [row for _ts, row in islice(stored, held)]), batch])
@@ -371,7 +379,6 @@ class SlidingWindowedAggregation:
         if not (isinstance(window_ts, np.ndarray)
                 and window_ts.dtype == np.int64):
             return None
-        # how many rows have expired by each arrival, which goes after them
         expired = window_ts.searchsorted(ts - size, side="right")
         n, gone = len(batch), int(expired[-1])
         arrivals = expired + np.arange(n)
@@ -390,20 +397,14 @@ class SlidingWindowedAggregation:
         kept = gone - held  # this batch's first rows expired in it
         stored.extend(zip(ts[kept:].tolist(), batch.to_rows()[kept:]))
         self.expired_rows += gone
-        self._arrivals += n
         self._max_ts = newest
         return changes
 
     def advance_time(self, now) -> List["SlidingWindowedAggregation.Change"]:
-        """Watermark hook: expire rows older than ``now - size``.
-
-        Expiry is capped at this operator's own newest arrival: a
-        watermark reflects *global* progress, but the snapshot contract
-        with the batch engine is per-partition arrival-driven expiry, and
-        with in-order inputs any arrival at or past the watermark would
-        expire the same rows anyway.  The cap only defers expiry for a
-        partition whose stream went quiet -- it never changes what a
-        later arrival (or the final snapshot) observes."""
+        """Watermark hook: expire rows at or behind ``now - size``,
+        capped at this operator's newest arrival (whose own expiry
+        already went that far), so a task whose input went quiet keeps
+        its last window, as in a batch run."""
         if self._max_ts is None:
             return []
         changes: List[SlidingWindowedAggregation.Change] = []
@@ -425,8 +426,7 @@ class SlidingWindowedAggregation:
             changes.append((old, new))
 
     def snapshot(self) -> List[tuple]:
-        """Current within-window groups (what the batch engine emits at
-        end of stream)."""
+        """Current within-window groups."""
         return self.aggregation.snapshot()
 
     def state_size(self) -> int:

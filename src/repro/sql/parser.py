@@ -116,6 +116,7 @@ class _Parser:
             conditions=conditions,
             group_by=resolved_group,
             aggregates=aggregates,
+            select=[] if aggregates or resolved_group else resolved_plain,
         )
         return plan.validate(self.alias_schemas)
 

@@ -1,11 +1,9 @@
 """LocalCluster: executes a topology in-process.
 
 One round schedule serves batch runs and streaming pumps alike, chosen
-from what the run itself shows and never from an option.
+from ``batch_size`` alone.
 
-**Rounds** -- ``batch_size > 1``, unless a task's state depends on
-arrival order (a windowed join or aggregation,
-:attr:`~repro.storm.topology.Bolt.order_sensitive`).  A round pulls every
+**Rounds** -- ``batch_size > 1``.  A round pulls every
 live source -- a spout task, on both engines a pump -- in
 ``batch_size`` pulls, source after source, until it has given its share
 of :data:`ROUND_BUDGET` rows, a pull comes back short or it has been
@@ -22,14 +20,13 @@ A punctuation -- end of stream (:meth:`LocalCluster.flush_bolts`) or a
 watermark -- is one more level pass, over an empty buffer, in which each
 task is punctuated after its deliveries.
 
-**Depth-first** -- ``batch_size=1`` and order-sensitive topologies.
-The same rounds, but each source is pulled once, and each pull is
-pushed through the groupings on an explicit work stack to quiescence
-before the next.  ``batch_size=1`` reproduces Storm's
-per-tuple, pipelined execution model (the one the paper contrasts with
-Spark Streaming, section 8.1), and a window expires state in it.  A
-punctuation visits the bolt tasks in the same order, each task's
-emissions drained before the next is punctuated.
+**Depth-first** -- ``batch_size=1``.  The same rounds, but each source
+is pulled once, and each pull is pushed through the groupings on an
+explicit work stack to quiescence before the next: Storm's per-tuple,
+pipelined execution model (the one the paper contrasts with Spark
+Streaming, section 8.1).  A punctuation visits the bolt tasks in the
+same order, each task's emissions drained before the next is
+punctuated.  No answer depends on the schedule, windowed ones included.
 
 The cluster is the one coordinator driver of both executors.  Under
 ``processes`` it holds a :class:`~repro.storm.executor.ResidentWorkerPool`
@@ -142,17 +139,11 @@ class LocalCluster:
         #: the components they own (``processes``); None runs every task
         #: here
         self.pool = None
-        #: some task's state depends on the order its input arrives in:
-        #: the whole topology keeps the depth-first schedule
-        self._order_sensitive = any(
-            self._tasks[name][task_index].order_sensitive
-            for name, task_index in self._bolt_keys)
-        #: route consecutive emissions on one stream as one micro-batch
-        #: (``batch_size > 1``); off is the seed engine's per-tuple dispatch
+        #: ``batch_size > 1``: schedule by level (rounds, one level pass
+        #: per drain) and route consecutive emissions on one stream as
+        #: one micro-batch; off is the seed engine's per-tuple,
+        #: depth-first dispatch
         self._coalesce = False
-        #: schedule by level (rounds, one level pass per drain) instead
-        #: of depth-first: coalescing, and no order-sensitive task
-        self._waves = False
         #: per-run observability context; None = observe='off': no
         #: observer object, one ``is None`` test per executed batch
         self._observer: Optional[Observer] = None
@@ -182,7 +173,6 @@ class LocalCluster:
         into the cluster's registry, next to its counters, unless
         ``observe`` is 'off'."""
         self._coalesce = options.batch_size > 1
-        self._waves = self._coalesce and not self._order_sensitive
         for _name, _task_index, spout in self._spouts:
             if hasattr(spout, "columnar"):
                 spout.columnar = options.columnar
@@ -222,7 +212,7 @@ class LocalCluster:
     def _run_to_end(self, batch_size):
         """Pull every spout dry, then flush: rounds on the pool or where
         the level schedule holds, depth-first otherwise."""
-        if self._waves or self.pool is not None:
+        if self._coalesce or self.pool is not None:
             self._pull_rounds(self._spouts, batch_size)
         else:
             active = self._spouts
@@ -320,9 +310,9 @@ class LocalCluster:
         its live sources ``pending``, ``(component, 0, source)``: a
         round of the level schedule where it holds, one pull per source
         driven to quiescence otherwise (see :meth:`_fill_round`)."""
-        buffer = WaveBuffer() if self._waves else None
+        buffer = WaveBuffer() if self._coalesce else None
         self._fill_round(pending, batch_size, buffer, polled)
-        if buffer is not None:
+        if buffer:  # an idle round (nothing polled) runs no level pass
             self._level_pass(buffer)
 
     def replay(self, polls):
@@ -330,13 +320,13 @@ class LocalCluster:
         position)`` again as :meth:`inject` drove them, so a recovered
         run executes the batches a crash-free run executes; no source
         hop is counted."""
-        buffer = WaveBuffer() if self._waves else None
+        buffer = WaveBuffer() if self._coalesce else None
         for source, emissions, position in polls:
             if buffer is None:
                 self._drain(source, emissions, position)
             else:
                 buffer.add(self.router.route(source, emissions, position))
-        if buffer is not None:
+        if buffer:
             self._level_pass(buffer)
 
     def advance_watermark(self, watermark: float):
@@ -358,7 +348,7 @@ class LocalCluster:
         (a sink below four aggregation tasks executes one batch);
         depth-first, each task's emissions are drained before the next
         task is punctuated."""
-        if self._waves or self.pool is not None:
+        if self._coalesce or self.pool is not None:
             self._level_pass(WaveBuffer(), punctuation)
             return
         for name, task_index in self._bolt_keys:
@@ -390,7 +380,7 @@ class LocalCluster:
         schedule is kept.  ``ctx`` is the span context of the hop that
         produced the emissions (None unless the run is traced, and for
         punctuation batches).  No source hop is counted here."""
-        if self._waves or self.pool is not None:
+        if self._coalesce or self.pool is not None:
             buffer = WaveBuffer()
             buffer.add(self.router.route(source, emissions, position), ctx)
             self._level_pass(buffer)
@@ -429,8 +419,8 @@ class LocalCluster:
     def _turn(self, buffer: WaveBuffer, name: str):
         """One component's work in a level pass: each task, in index
         order, with its deliveries popped from ``buffer``."""
-        return ((task_index, task, buffer.pop((name, task_index)))
-                for task_index, task in enumerate(self._tasks[name]))
+        return [(task_index, task, buffer.pop((name, task_index)))
+                for task_index, task in enumerate(self._tasks[name])]
 
     def _level_pass(self, buffer: WaveBuffer, punctuation=None):
         """Run every bolt component once, upstream first, on what

@@ -176,8 +176,6 @@ def _layout(payload):
 
 
 def _concat(parts: list):
-    if len(parts) == 1:
-        return parts[0]
     if isinstance(parts[0], ColumnBatch):
         return ColumnBatch.concat(parts)
     return [row for part in parts for row in part]
@@ -236,10 +234,9 @@ class WaveBuffer:
         """Remove and return one task's deliveries, each run merged."""
         deliveries = []
         for source, stream, _, payloads, traced in self._runs.pop(key, ()):
-            rows = _concat(payloads)
-            deliveries.append((source, stream, rows,
-                               merged_context(traced, len(rows)),
-                               len(payloads)))
+            rows = payloads[0] if len(payloads) == 1 else _concat(payloads)
+            deliveries.append((source, stream, rows, merged_context(
+                traced, len(rows)) if traced else None, len(payloads)))
         return deliveries
 
 

@@ -152,6 +152,8 @@ class FieldsGrouping(Grouping):
     def targets_batch(self, stream: str, rows: Sequence[tuple],
                       n_tasks: int, position=None) -> TaskBatches:
         positions = self.positions
+        if n_tasks == 1 and len(rows):  # one task: nothing to hash for
+            return GlobalGrouping.targets_batch(self, stream, rows, 1)
         if isinstance(rows, ColumnBatch):
             tasks = (hash_key_columns(rows, positions)
                      % np.uint64(n_tasks)).astype(np.int64)

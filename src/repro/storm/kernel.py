@@ -7,10 +7,10 @@ run the same loop in :meth:`~repro.storm.executor.ResidentWorkerState.\
 execute`; its depth-first schedule works a stack.  All three hand each
 routed micro-batch to :func:`deliver`, so what happens to a batch at a
 task is written once: count the receive, run the task, time and span it
-iff the run is observed, count the emit.  A punctuation -- end of stream
-or a watermark -- is the last step of a task's turn, after its
-deliveries, and :func:`punctuate` is the one place it is applied.  Two
-parameters carry what differs:
+iff the run is observed, count the emit and the late rows.  A
+punctuation -- end of stream or a watermark -- is the last step of a
+task's turn, after its deliveries, and :func:`punctuate` is the one
+place it is applied.  Two parameters carry what differs:
 
 - ``counters`` -- where the step is counted: the cluster's
   :class:`~repro.storm.metrics.TopologyMetrics` or a worker's own (folded
@@ -96,6 +96,7 @@ def deliver(task, component: str, index: int, source: str, stream: str,
     # so only an unsigned batch says the run took the columnar path
     counters.record_path(
         isinstance(rows, ColumnBatch) and rows.signs is None, count)
+    late = task.late_rows
     if obs is None:
         emissions = task.execute_batch(source, stream, rows)
         child = None
@@ -107,6 +108,8 @@ def deliver(task, component: str, index: int, source: str, stream: str,
         child = obs.span(ctx, component, index, count, seconds)
     if emissions:
         counters.record_emit(component, index, len(emissions))
+    if task.late_rows != late:
+        counters.record_late(component, task.late_rows - late)
     return emissions, child
 
 

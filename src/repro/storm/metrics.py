@@ -39,6 +39,8 @@ class TopologyMetrics:
     columnar_batches: int = 0
     row_rows: int = 0
     row_batches: int = 0
+    #: per component: the late rows its windows dropped (none if absent)
+    late_rows: Dict[str, int] = field(default_factory=dict)
     #: wall-clock seconds of the run that produced these counters (set by
     #: LocalCluster.run; the profile's footer)
     elapsed: float = 0.0
@@ -70,6 +72,10 @@ class TopologyMetrics:
         only per-task activity signal they get."""
         self.batches[component][task] += count
 
+    def record_late(self, component: str, count: int):
+        """Rows a task of ``component`` dropped as late."""
+        self.late_rows[component] = self.late_rows.get(component, 0) + count
+
     def batch_counts(self, component: str) -> List[int]:
         return list(self.batches.get(component, ()))
 
@@ -96,6 +102,8 @@ class TopologyMetrics:
                     per_task[task] += count
         for edge, count in other.edge_transfers.items():
             self.edge_transfers[edge] = self.edge_transfers.get(edge, 0) + count
+        for component, count in other.late_rows.items():
+            self.record_late(component, count)
         self.columnar_rows += other.columnar_rows
         self.columnar_batches += other.columnar_batches
         self.row_rows += other.row_rows
@@ -190,6 +198,9 @@ skew_possible`), so a gauge over it would only echo batching noise."""
                     "component": component,
                     "grouping": groupings[component]},
                     self.skew_degree(component), "gauge"))
+        out.extend(("late_rows_total", {"component": component},
+                    float(count), "counter")
+                   for component, count in sorted(self.late_rows.items()))
         out.append(("topology_network_tuples_total", {},
                     float(self.total_network_tuples()), "counter"))
         return out

@@ -56,11 +56,9 @@ class Spout:
 class Bolt:
     """A computation node: consumes micro-batches, returns emissions."""
 
-    #: whether this task's state depends on the order its input arrives
-    #: in (a window expiring per arrival).  One such task keeps the whole
-    #: topology on the inline loop's depth-first schedule: coalescing a
-    #: level's deliveries reorders arrivals across sources and tasks.
-    order_sensitive = False
+    #: rows this task dropped for arriving behind its event-time
+    #: progress (a window's late rows); the kernel counts what it adds
+    late_rows = 0
 
     emitted: Dict[str, int] = {}  # as Spout.emitted
     copies: Optional[Dict[tuple, int]] = None  # as Spout.copies

@@ -15,10 +15,9 @@ an ``advance_watermark`` of the merged watermark -- and at end of stream
 round: every live source polled in full micro-batches up to its share
 of ``ROUND_BUDGET`` rows (or a short poll, or ``ROUND_BUDGET //
 batch_size`` polls the selection thinned), all polls routed into one
-buffer, one level pass.  At ``batch_size=1``, and for plans holding
-windowed (arrival-order-sensitive) state, each source is polled once and
-its poll driven to quiescence before the next.  Both executors take the
-same rounds.
+buffer, one level pass.  At ``batch_size=1`` each source is polled once
+and its poll driven to quiescence before the next.  Both executors take
+the same rounds.
 
 Under ``processes`` the forked workers take the turns of the
 join/aggregation components over long-lived pipes -- the fault-tolerant
@@ -229,6 +228,7 @@ class StreamingCluster:
         snapshot = self.stats.snapshot()
         snapshot["deltas"] = sum(sink.delta_count
                                  for sink in self._sinks.values())
+        snapshot["late_rows"] = dict(self.metrics.late_rows)
         snapshot["checkpoints"] = self.checkpoints.snapshot()
         return snapshot
 

@@ -72,11 +72,9 @@ consume_changelog`).  What the kernel cannot match bit for bit
     batches) takes the row loop, one same-sign run (:func:`sign_runs`)
     at a time.
 
-    Modes: unwindowed and sliding-window snapshot aggregations get the
-    upsert treatment (sliding expirations -- arrival- or
-    watermark-driven -- also emit deltas); tumbling windows and online
-    aggregations already emit incrementally in batch mode and keep their
-    semantics unchanged.
+    Unwindowed and sliding-window snapshot aggregations get the upsert
+    treatment; tumbling windows and online aggregations emit
+    incrementally in batch mode already and keep their semantics.
 
     >>> from repro.core.columnar import ColumnBatch
     >>> from repro.engine.component import AggComponent
@@ -175,9 +173,6 @@ consume_changelog`).  What the kernel cannot match bit for bit
 
     def advance_watermark(self, watermark):
         if self._upsert and self.sliding_state is not None:
-            window = self.component.window
-            if window.ts_positions is None:
-                return []
             return self._emit(self._changelog(
                 self.sliding_state.advance_time(watermark)))
         return super().advance_watermark(watermark)
@@ -196,28 +191,20 @@ def _plan_ts_positions(plan: PhysicalPlan) -> Dict[str, int]:
     to a source column only in single-relation plans (source rows feed
     the aggregation unchanged) -- join plans must pass ``ts_positions``
     explicitly (the SQL/functional front-ends resolve the event-time
-    column and do)."""
-    # window positions index the rows the *operator* sees; they map back
-    # to the replayed raw rows only for sources without a co-located
-    # projection (the pump applies the projection after polling)
-    unprojected = {
-        source.name for source in plan.sources if source.projection is None
-    }
+    column and do).  Positions index the rows the *operator* sees, so
+    they map back to the raw rows only for sources without a co-located
+    projection (the pump applies it after polling)."""
+    unprojected = [source.name for source in plan.sources
+                   if source.projection is None]
     positions: Dict[str, int] = {}
     for join in plan.joins:
-        window = join.window
-        if window is not None and window.ts_positions is not None:
-            for rel_name, position in window.ts_positions.items():
-                if rel_name in unprojected:
-                    positions[rel_name] = position
-    aggregation = plan.aggregation
-    if (aggregation is not None and not plan.joins
-            and aggregation.window is not None
-            and aggregation.window.ts_positions is not None):
-        position = next(iter(aggregation.window.ts_positions.values()))
-        for source in plan.sources:
-            if source.projection is None:
-                positions.setdefault(source.name, position)
+        if join.window is not None:
+            positions.update((name, position) for name, position
+                             in join.window.ts_positions.items()
+                             if name in unprojected)
+    window = plan.aggregation and plan.aggregation.window
+    if window and not plan.joins:
+        positions.update(dict.fromkeys(unprojected, window.ts_positions[""]))
     return positions
 
 
@@ -225,7 +212,7 @@ def agg_window_ts_positions(catalog, scans, clause) -> Dict[str, int]:
     """Resolve a front-end :class:`WindowClause`'s event-time column to
     ``{source component name: raw column position}`` for the replay
     sources' watermarks.  Shared by the SQL and functional front-ends."""
-    if clause is None or clause.ts_column is None:
+    if clause is None:
         return {}
     from repro.core.logical import resolve_column
 

@@ -145,9 +145,9 @@ def plan_stream_sliding() -> PhysicalPlan:
 
 
 def plan_window_join() -> PhysicalPlan:
-    """A >< B on k inside a sliding event-time window: a joiner expires
-    stored rows per arrival, so its output depends on the order the two
-    relations' batches interleave in."""
+    """A >< B on k inside a sliding event-time window: two sources at
+    different rates, so the relations' batches interleave differently at
+    every batch size."""
     from repro.engine.windows import WindowSpec
 
     rng = random.Random(81)
@@ -171,7 +171,7 @@ def plan_window_join() -> PhysicalPlan:
 def plan_tumbling_over_join() -> PhysicalPlan:
     """A tumbling COUNT over a join against a timestamp-less relation:
     the join re-emits event times in whatever order its inputs arrive,
-    and the window closes per arrival."""
+    and the windows close at end of stream."""
     from repro.engine.windows import WindowSpec
 
     rng = random.Random(5)
@@ -195,9 +195,8 @@ def plan_tumbling_over_join() -> PhysicalPlan:
     )
 
 
-#: plans holding arrival-order-sensitive (windowed) state: the inline
-#: loop keeps its depth-first schedule for them at every batch size, so
-#: ``tests/golden/depth_first_schedules.json`` pins their output *order*
+#: plans holding windowed state: ``tests/test_window_model.py`` checks
+#: their answers against models at every batch size and executor
 WINDOWED_PLANS = {
     "window_join": plan_window_join,
     "tumbling_over_join": plan_tumbling_over_join,

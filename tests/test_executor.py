@@ -624,11 +624,9 @@ class TestWaveCoalescing:
 
 class TestInlineRounds:
     """The inline executor's two schedules: rounds with per-task wave
-    coalescing at ``batch_size > 1``; the depth-first work stack for
-    ``batch_size=1`` and windowed plans -- whose output *order*
-    ``tests/golden/depth_first_schedules.json`` pins as captured before
-    the rounds existed (``run_plan(...).results`` / the streaming delta
-    feed of ``WINDOWED_PLANS`` at ``batch_size`` 16 and 64)."""
+    coalescing at ``batch_size > 1``; the depth-first work stack at
+    ``batch_size=1``, windowed plans included (their answers are checked
+    against models in ``tests/test_window_model.py``)."""
 
     N_ROWS = 400
     BATCH_SIZE = 64
@@ -679,32 +677,6 @@ class TestInlineRounds:
         assert all(4 <= count <= 3 * 4 for count in batches("J"))
         monkeypatch.undo()
         self.assert_same_rows(bounded, self.run_chain(self.BATCH_SIZE))
-
-    @pytest.fixture(scope="class")
-    def golden(self):
-        import json
-
-        path = os.path.join(os.path.dirname(__file__), "golden",
-                            "depth_first_schedules.json")
-        with open(path) as handle:
-            return json.load(handle)
-
-    @pytest.mark.parametrize("batch_size", [16, 64])
-    @pytest.mark.parametrize("name", ["window_join", "tumbling_over_join",
-                                      "sliding_agg"])
-    def test_windowed_plans_keep_the_depth_first_order(self, name, batch_size,
-                                                       golden):
-        from repro.engine import run_plan
-        from repro.streaming import stream_plan
-        from tests.batching_plans import WINDOWED_PLANS
-
-        build = WINDOWED_PLANS[name]
-        options = ExecutionOptions(batch_size=batch_size)
-        assert [list(row) for row in run_plan(build(), options=options)
-                .results] == golden[f"{name}/batch/{batch_size}"]
-        assert [[delta.sign, list(delta.row)]
-                for delta in stream_plan(build(), options=options)] == \
-            golden[f"{name}/streaming/{batch_size}"]
 
 
 class NthPullFails(ListSpout):

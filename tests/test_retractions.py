@@ -188,21 +188,24 @@ class TestJoinBoltRetraction:
         bolt = self.make_windowed(
             local_join, WindowSpec.tumbling(10, {"R": 1, "S": 1}))
         bolt.execute_batch("R", "R", [(1, 0)])
-        bolt.execute_batch("S", "S", [(2, 15)])  # the window resets
+        bolt.execute_batch("S", "S", [(2, 15)])  # S passed R's window
         assert bolt.execute_batch("R", "R", retracting([(1, 0)])) == []
         assert signed(bolt.execute_batch("R", "R", [(2, 16)])) == [
             ("J", 1, (2, 16, 2, 15))]
 
     def test_expiry_never_deletes_an_instance_a_retraction_took(self,
                                                                  local_join):
-        """Arrival-order window of 2: the retracted first instance must
-        not expire later and take the live second one with it."""
-        bolt = self.make_windowed(local_join, WindowSpec.sliding(2))
-        bolt.execute_batch("R", "R", [(1, 1)])             # arrival 0
+        """Window of 2: the retracted first instance must not expire
+        later and take the live second one with it."""
+        bolt = self.make_windowed(local_join,
+                                  WindowSpec.sliding(2, {"R": 1, "S": 1}))
+        bolt.execute_batch("R", "R", [(1, 1)])
         bolt.execute_batch("R", "R", retracting([(1, 1)]))
-        bolt.execute_batch("R", "R", [(1, 1)])             # arrival 1
-        assert signed(bolt.execute_batch("S", "S", [(1, 9)])) == [
-            ("J", 1, (1, 1, 1, 9))]                        # arrival 2
+        bolt.execute_batch("R", "R", [(1, 1)])
+        assert signed(bolt.execute_batch("S", "S", [(1, 2)])) == [
+            ("J", 1, (1, 1, 1, 2))]
+        bolt.execute_batch("S", "S", [(1, 3)])  # expires R's one instance
+        assert bolt.state_size() == 2           # S's two rows, nothing else
 
 
 def build_rst_topology(spec, emissions, local_join, machines=4,

@@ -268,3 +268,47 @@ class TestExecution:
         result = session.execute(
             "SELECT page, AVG(ms) FROM clicks GROUP BY page")
         assert sorted(result.results) == [("cart", 6.0), ("home", 20.0)]
+
+
+class TestSelectList:
+    """A query without aggregation returns its SELECT list, in order."""
+
+    @staticmethod
+    def session(mode="multiway"):
+        session = SqlSession(options=OptimizerOptions(machines=4, mode=mode))
+        session.register(Relation("a", Schema.of("x", "k"),
+                                  [(x, x % 3) for x in range(6)]))
+        session.register(Relation("b", Schema.of("k", "y:str"),
+                                  [(k, f"y{k}") for k in range(3)]))
+        session.register(Relation("c", Schema.of("y:str", "z"),
+                                  [(f"y{k}", 10 * k) for k in range(3)]))
+        return session
+
+    @pytest.mark.parametrize("mode", ["multiway", "pipeline"])
+    def test_a_join_returns_its_select_list(self, mode):
+        result = self.session(mode).execute(
+            "SELECT b.y, a.x FROM a, b WHERE a.k = b.k")
+        assert sorted(result.results) == sorted(
+            (f"y{x % 3}", x) for x in range(6))
+
+    @pytest.mark.parametrize("mode", ["multiway", "pipeline"])
+    def test_a_three_way_join_returns_its_select_list(self, mode):
+        result = self.session(mode).execute(
+            "SELECT c.z, a.x, b.k FROM a, b, c "
+            "WHERE a.k = b.k AND b.y = c.y")
+        assert sorted(result.results) == sorted(
+            (10 * (x % 3), x, x % 3) for x in range(6))
+
+    def test_one_relation_returns_its_select_list(self):
+        session = self.session()
+        sql = "SELECT a.k, a.x FROM a WHERE a.x > 2"
+        assert sorted(session.execute(sql).results) == [
+            (0, 3), (1, 4), (2, 5)]
+        assert session.stream(sql).run().snapshot() == [
+            (0, 3), (1, 4), (2, 5)]
+
+    def test_a_streamed_join_returns_its_select_list(self):
+        query = self.session().stream(
+            "SELECT b.y, a.x FROM a, b WHERE a.k = b.k").run()
+        assert query.snapshot() == sorted(
+            (f"y{x % 3}", x) for x in range(6))

@@ -466,9 +466,14 @@ class TestStreamingClusterValidation:
 
 
 class TestIncrementalDeltas:
-    def test_deltas_arrive_while_the_query_runs(self):
+    def test_deltas_arrive_while_the_query_runs(self, monkeypatch):
         """The core new-workload property: a rate-limited replay emits
-        incremental result deltas long before the sources are drained."""
+        incremental result deltas long before the sources are drained
+        (a round drains what the source has ready, so a small budget
+        spreads the replay over several)."""
+        import repro.storm.cluster
+
+        monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", 16)
         plan = sliding_agg_plan(make_events(300))
         query = stream_plan(plan,
                             options=ExecutionOptions(batch_size=8,
@@ -523,7 +528,7 @@ class TestIncrementalDeltas:
     def test_timestampless_source_disables_punctuation(self):
         """A join against a timestamp-less relation can emit old event
         times after any global watermark, so mixed plans must not
-        punctuate -- window maintenance stays arrival-driven and the
+        punctuate -- the windows close at end of stream and the
         snapshot matches the batch engine at the same batch size."""
         from repro.core.predicates import EquiCondition, JoinSpec, RelationInfo
         from repro.engine.component import JoinComponent
@@ -756,7 +761,12 @@ class TestSqlStreamAcceptance:
            "FROM events GROUP BY events.key")
 
     @pytest.mark.parametrize("executor", ["inline"])
-    def test_sliding_window_sql_stream_matches_batch(self, executor):
+    def test_sliding_window_sql_stream_matches_batch(self, executor,
+                                                     monkeypatch):
+        import repro.storm.cluster
+
+        # several rounds, so deltas flow before the replay is drained
+        monkeypatch.setattr(repro.storm.cluster, "ROUND_BUDGET", 64)
         session = self.make_session()
         batch = session.execute(self.SQL,
                                 options=ExecutionOptions(batch_size=16))

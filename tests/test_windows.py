@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,13 +15,15 @@ from repro.engine.operators import AggregateSpec, Aggregation, count, total
 from repro.engine.windows import (
     KERNEL_MIN_ROWS,
     SlidingWindowedAggregation,
+    WindowClause,
     WindowedAggregation,
     WindowedJoinState,
     WindowSpec,
 )
 from repro.joins import DBToasterJoin, TraditionalJoin
+from repro.joins.base import JoinSchema
 from repro.streaming.runner import DeltaAggBolt
-from tests.conftest import changes_of
+from tests.conftest import changes_of, reference_join
 
 
 def two_way_spec():
@@ -33,38 +36,24 @@ def two_way_spec():
     )
 
 
-def windowed_reference(stream, window, spec):
-    """Naive windowed join: pair (a, b) joins iff both are within the
-    window at the time the later one arrives."""
-    out = Counter()
-    arrivals = 0
-    current_window = None
-    stored = []
-    for rel, row in stream:
-        ts = window.timestamp(rel, row, arrivals)
-        arrivals += 1
-        if window.kind == "tumbling":
-            wid = ts // window.size
-            if current_window is None:
-                current_window = wid
-            elif wid != current_window:
-                stored = []
-                current_window = wid
-        else:
-            horizon = ts - window.size
-            stored = [(t, r, w) for (t, r, w) in stored if t > horizon]
-        for _t, other_rel, other_row in stored:
-            if other_rel != rel:
-                a_row = row if rel == "A" else other_row
-                b_row = other_row if rel == "A" else row
-                if a_row[1] == b_row[1]:
-                    out[a_row + b_row] += 1
-        stored.append((ts, rel, row))
-    return out
+def in_window(window, stamps):
+    """The window predicate, by hand: every timestamp in one tumbling
+    window, or all of them less than ``size`` apart."""
+    if window.kind == "tumbling":
+        return len({ts // window.size for ts in stamps}) == 1
+    return max(stamps) - min(stamps) < window.size
+
+
+def windowed_reference(spec, window, data):
+    """The model: ``reference_join`` filtered by the window predicate."""
+    schema = JoinSchema.from_spec(spec)
+    positions = [schema.offsets[name] + window.ts_positions[name]
+                 for name in schema.order]
+    return Counter(row for row in reference_join(spec, data)
+                   if in_window(window, [row[p] for p in positions]))
 
 
 def make_stream(n=60, k_domain=4, seed=0):
-    import random
     rng = random.Random(seed)
     stream = []
     for ts in range(n):
@@ -73,20 +62,38 @@ def make_stream(n=60, k_domain=4, seed=0):
     return stream
 
 
+def by_relation(stream):
+    data = {"A": [], "B": []}
+    for rel, row in stream:
+        data[rel].append(row)
+    return data
+
+
+def run_stream(state, stream):
+    produced = Counter()
+    for rel, row in stream:
+        produced.update(state.insert_batch(rel, [row]))
+    return produced
+
+
 class TestWindowSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
-            WindowSpec("hopping", 10)
+            WindowSpec("hopping", 10, {"": 0})
         with pytest.raises(ValueError):
-            WindowSpec.tumbling(0)
+            WindowSpec.tumbling(0, {"": 0})
+        with pytest.raises(ValueError, match="event-time"):
+            WindowSpec.sliding(5, {})
+        with pytest.raises(ValueError, match="event-time"):
+            WindowClause("sliding", 5, "")
 
-    def test_timestamp_arrival_order(self):
-        window = WindowSpec.sliding(5)
-        assert window.timestamp("A", ("x",), 17) == 17
-
-    def test_timestamp_explicit_column(self):
-        window = WindowSpec.sliding(5, ts_positions={"A": 0})
-        assert window.timestamp("A", (99, "x"), 17) == 99
+    def test_horizon_and_predicate(self):
+        tumbling = WindowSpec.tumbling(10, {"A": 0})
+        sliding = WindowSpec.sliding(10, {"A": 0})
+        assert tumbling.horizon(13) == 20 and sliding.horizon(13) == 23
+        stamps = np.array([[3, 9, 9], [9, 10, 19]])
+        assert tumbling.admits(stamps).tolist() == [True, False, False]
+        assert sliding.admits(stamps).tolist() == [True, True, False]
 
 
 @pytest.mark.parametrize("join_cls", [DBToasterJoin, TraditionalJoin])
@@ -96,44 +103,39 @@ class TestWindowedJoin:
         window = WindowSpec.tumbling(10, ts_positions={"A": 0, "B": 0})
         state = WindowedJoinState(join_cls(spec), window)
         stream = make_stream(seed=1)
-        produced = Counter()
-        for rel, row in stream:
-            for out in state.insert(rel, row):
-                produced[out] += 1
-        assert produced == windowed_reference(stream, window, spec)
+        assert run_stream(state, stream) == windowed_reference(
+            spec, window, by_relation(stream))
         assert state.expired_tuples > 0
 
-    def test_sliding_retracts_old_tuples(self, join_cls):
+    def test_sliding_matches_the_model(self, join_cls):
         spec = two_way_spec()
         window = WindowSpec.sliding(8, ts_positions={"A": 0, "B": 0})
         state = WindowedJoinState(join_cls(spec), window)
         stream = make_stream(seed=2)
-        produced = Counter()
-        for rel, row in stream:
-            for out in state.insert(rel, row):
-                produced[out] += 1
-        assert produced == windowed_reference(stream, window, spec)
+        assert run_stream(state, stream) == windowed_reference(
+            spec, window, by_relation(stream))
 
     def test_sliding_state_stays_bounded(self, join_cls):
+        """Alternating relations: a row goes once the other relation's
+        progress passes ``ts + size``."""
         spec = two_way_spec()
         window = WindowSpec.sliding(5, ts_positions={"A": 0, "B": 0})
         state = WindowedJoinState(join_cls(spec), window)
-        for rel, row in make_stream(n=200, seed=3):
-            state.insert(rel, row)
-        # at most window-size base tuples retained (plus views over them)
-        assert len(state._stored) <= 6
+        for ts in range(200):
+            state.insert_batch("AB"[ts % 2], [(ts, ts % 3)])
+            assert sum(map(len, state._stored.values())) <= 6
 
-    def test_arrival_order_windows(self, join_cls):
-        """Without ts columns the global arrival index is the clock."""
+    def test_a_row_behind_its_relation_is_dropped_and_counted(self,
+                                                             join_cls):
         spec = two_way_spec()
-        window = WindowSpec.sliding(4)
+        window = WindowSpec.sliding(10, ts_positions={"A": 0, "B": 0})
         state = WindowedJoinState(join_cls(spec), window)
-        stream = make_stream(seed=4, n=40)
-        produced = Counter()
-        for rel, row in stream:
-            for out in state.insert(rel, row):
-                produced[out] += 1
-        assert produced == windowed_reference(stream, window, spec)
+        state.insert_batch("B", [(4, 0)])
+        # A(3, 0) is behind A(5, 0) in its own batch: never joined
+        assert state.insert_batch("A", [(5, 0), (3, 0)]) == [(5, 0, 4, 0)]
+        assert state.insert_batch("A", [(4, 0)]) == []   # behind progress 5
+        assert state.late_rows == 2
+        assert state.insert_batch("A", [(5, 0)]) == [(5, 0, 4, 0)]
 
 
 class TestWindowedAggregation:
@@ -144,88 +146,68 @@ class TestWindowedAggregation:
 
         return WindowedAggregation(factory, window)
 
-    def test_emits_on_window_close(self):
-        wagg = self.make(size=10)
-        assert wagg.consume((1, "a", 5)) is None
-        assert wagg.consume((5, "a", 5)) is None
-        closed = wagg.consume((12, "b", 1))
-        assert closed is not None
-        window_id, rows = closed
-        assert window_id == 0
-        assert rows == [("a", 2, 10)]
-
-    def test_flush_closes_final_window(self):
+    def test_a_window_closes_by_watermark_not_by_arrival(self):
         wagg = self.make(size=10)
         wagg.consume((1, "a", 5))
-        window_id, rows = wagg.flush()
-        assert window_id == 0
-        assert rows == [("a", 1, 5)]
-        assert wagg.flush() is None
+        wagg.consume((12, "b", 1))   # a later window opens; 0 stays open
+        wagg.consume((5, "a", 5))
+        assert wagg.advance_watermark(10) == [(0, [("a", 2, 10)])]
+        assert wagg.flush() == [(1, [("b", 1, 1)])]
+
+    def test_flush_closes_every_window_oldest_first(self):
+        wagg = self.make(size=5)
+        for ts in (17, 3, 9, 0, 12):
+            wagg.consume((ts, "k", 1))
+        assert [window_id for window_id, _rows in wagg.flush()] == \
+            [0, 1, 2, 3]
+        assert wagg.flush() == []
 
     def test_sliding_rejected(self):
-        window = WindowSpec.sliding(10)
+        window = WindowSpec.sliding(10, {"": 0})
         with pytest.raises(ValueError):
             WindowedAggregation(lambda: Aggregation([0], [count()]), window)
-
-    def test_closed_windows_recorded(self):
-        wagg = self.make(size=5)
-        for ts in range(0, 20):
-            wagg.consume((ts, "k", 1))
-        wagg.flush()
-        assert len(wagg.closed_windows) == 4
 
     def test_watermark_closes_window_early(self):
         wagg = self.make(size=10)
         wagg.consume((3, "a", 5))
-        assert wagg.advance_watermark(8) is None  # window [0, 10) still live
-        window_id, rows = wagg.advance_watermark(10)
-        assert window_id == 0
-        assert rows == [("a", 1, 5)]
+        assert wagg.advance_watermark(8) == []  # window [0, 10) still live
+        assert wagg.advance_watermark(10) == [(0, [("a", 1, 5)])]
         # idempotent: nothing left to close until new rows arrive
-        assert wagg.advance_watermark(25) is None
-        assert wagg.flush() is None
+        assert wagg.advance_watermark(25) == []
+        assert wagg.flush() == []
 
-    def test_watermark_close_matches_arrival_close(self):
-        """A watermark-closed window has exactly the rows an arrival-driven
-        close would have emitted."""
-        by_arrival, by_watermark = self.make(size=10), self.make(size=10)
-        rows = [(1, "a", 5), (4, "b", 2), (9, "a", 1)]
-        for row in rows:
-            by_arrival.consume(row)
-            by_watermark.consume(row)
-        closed_arrival = by_arrival.consume((12, "c", 7))
-        closed_watermark = by_watermark.advance_watermark(10)
-        assert closed_arrival == closed_watermark
+    def test_a_row_of_a_closed_window_is_dropped_and_counted(self):
+        wagg = self.make(size=10)
+        wagg.consume((3, "a", 5))
+        wagg.advance_watermark(20)
+        wagg.consume((9, "a", 1))     # window 0 closed
+        wagg.consume((20, "a", 1))    # window 2 still open
+        assert wagg.late_rows == 1
+        assert wagg.flush() == [(2, [("a", 1, 1)])]
 
 
-class TestWindowedJoinAdvanceTime:
-    def test_sliding_watermark_expires_like_next_arrival(self):
+class TestWindowedJoinWatermarks:
+    def test_a_watermark_bounds_state_without_changing_the_answer(self):
         spec = two_way_spec()
         window = WindowSpec.sliding(8, ts_positions={"A": 0, "B": 0})
-        by_arrival = WindowedJoinState(DBToasterJoin(spec), window)
-        by_watermark = WindowedJoinState(DBToasterJoin(spec), window)
-        stream = make_stream(seed=7, n=30)
-        for rel, row in stream[:20]:
-            by_arrival.insert(rel, row)
-            by_watermark.insert(rel, row)
-        # the watermark advance does the expiration work up front ...
-        by_watermark.advance_time(stream[20][1][0])
-        assert by_watermark.expired_tuples >= by_arrival.expired_tuples
-        # ... so after the next arrivals both states agree exactly
-        produced_arrival, produced_watermark = Counter(), Counter()
-        for rel, row in stream[20:]:
-            produced_arrival.update(by_arrival.insert(rel, row))
-            produced_watermark.update(by_watermark.insert(rel, row))
-        assert produced_arrival == produced_watermark
-        assert by_arrival.state_size() == by_watermark.state_size()
+        plain = WindowedJoinState(DBToasterJoin(spec), window)
+        punctuated = WindowedJoinState(DBToasterJoin(spec), window)
+        produced_plain, produced_punctuated = Counter(), Counter()
+        for rel, row in make_stream(seed=7, n=30):
+            produced_plain.update(plain.insert_batch(rel, [row]))
+            produced_punctuated.update(punctuated.insert_batch(rel, [row]))
+            punctuated.advance_watermark(row[0])  # in order: a sound promise
+        assert produced_plain == produced_punctuated
+        assert punctuated.state_size() <= plain.state_size()
+        assert punctuated.expired_tuples >= plain.expired_tuples
 
-    def test_tumbling_watermark_resets_state(self):
+    def test_tumbling_watermark_expires_closed_windows(self):
         spec = two_way_spec()
         window = WindowSpec.tumbling(10, ts_positions={"A": 0, "B": 0})
         state = WindowedJoinState(DBToasterJoin(spec), window)
-        state.insert("A", (1, 0))
-        state.insert("B", (2, 0))
-        state.advance_time(15)  # crosses the window boundary
+        state.insert_batch("A", [(1, 0)])
+        state.insert_batch("B", [(2, 0)])
+        state.advance_watermark(15)  # past the end of window 0
         assert state.state_size() == 0
         assert state.expired_tuples == 2
 
@@ -238,8 +220,8 @@ class TestSlidingWindowedAggregation:
 
     def test_rejects_tumbling(self):
         with pytest.raises(ValueError):
-            SlidingWindowedAggregation(
-                lambda: Aggregation([0], [count()]), WindowSpec.tumbling(5))
+            SlidingWindowedAggregation(lambda: Aggregation([0], [count()]),
+                                       WindowSpec.tumbling(5, {"": 0}))
 
     def test_changes_report_old_and_new_rows(self):
         sagg = self.make()
@@ -321,10 +303,10 @@ class TestSlidingWindowedAggregation:
         sagg = self.make(size=10)
         sagg.consume((29, "a", 1))
         assert sagg.consume((19, "a", 1)) == []  # 19 <= 29 - 10
-        assert sagg.late_events == 1 and sagg.state_size() == 1
+        assert sagg.late_rows == 1 and sagg.state_size() == 1
         assert sagg.snapshot() == [("a", 1, 1)]
         sagg.consume((20, "a", 1))               # inside: stored
-        assert sagg.late_events == 1 and sagg.snapshot() == [("a", 2, 2)]
+        assert sagg.late_rows == 1 and sagg.snapshot() == [("a", 2, 2)]
 
     def test_a_late_row_inside_the_window_expires_on_time(self):
         sagg = self.make(size=10)
@@ -335,7 +317,7 @@ class TestSlidingWindowedAggregation:
             (20, "a", 20), (22, "a", 22), (25, "a", 25), (25, "a", 25),
             (29, "a", 29)]
         changes = sagg.consume((32, "a", 32))    # horizon 22
-        assert sagg.expired_rows == 2 and sagg.late_events == 0
+        assert sagg.expired_rows == 2 and sagg.late_rows == 0
         assert changes[-1] == (("a", 3, 79), ("a", 4, 111))
 
 
@@ -384,17 +366,24 @@ class TestLateEventsEndToEnd:
 
     @pytest.mark.parametrize("probe", sorted(PROBES))
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
-    def test_inline_stream_plan(self, probe, batch_size):
+    @pytest.mark.parametrize("executor", ["inline", "processes"])
+    def test_stream_plan_exports_the_late_rows(self, probe, batch_size,
+                                               executor):
+        """``late_rows_total{component}`` on /metrics and
+        ``query.stats()["late_rows"]`` count the dropped row."""
         from repro.core.options import ExecutionOptions
+        from repro.obs.prometheus import parse, render
         from repro.streaming import stream_plan
 
         plan = self.plan(self.moved_after(*self.PROBES[probe]))
         query = stream_plan(plan, options=ExecutionOptions(
-            executor="inline", batch_size=batch_size)).run()
+            executor=executor, batch_size=batch_size)).run()
         assert query.snapshot() == [(0, 10)]
-        late = sum(task.sliding_state.late_events
-                   for task in query.cluster.cluster.tasks("agg"))
-        assert late == (probe == "behind_the_horizon")
+        late = int(probe == "behind_the_horizon")
+        assert query.stats()["late_rows"].get("agg", 0) == late
+        exported = parse(render(query.cluster.registry.samples()))
+        assert exported.get(("late_rows_total", (("component", "agg"),)),
+                            0) == late
 
 
 # -- the sliding changelog kernel is the row loop, to the bit ---------------
@@ -416,7 +405,7 @@ WINDOW_STEP = st.tuples(
 )
 
 
-def sliding_twins(kinds, size, arrival_order=False):
+def sliding_twins(kinds, size):
     """A kernel bolt and a row-loop twin over one sliding window
     ``(ts, key, value)``; the kernel bolt's ``used`` counts the batches
     its kernel consumed."""
@@ -424,7 +413,7 @@ def sliding_twins(kinds, size, arrival_order=False):
         "agg", group_positions=[1],
         aggregates=[AggregateSpec(kind, None if kind == "count" else 2)
                     for kind in kinds],
-        window=WindowSpec.sliding(size, None if arrival_order else {"": 0}))
+        window=WindowSpec.sliding(size, {"": 0}))
     kernel_bolt, loop_bolt = DeltaAggBolt(component), DeltaAggBolt(component)
     loop_bolt.aggregation.consume_changelog = lambda *args: None
     kernel = kernel_bolt.sliding_state.consume_changelog
@@ -446,7 +435,7 @@ def window_state(bolt):
             repr([(key, state.counts, state.sums) for key, state
                   in window.aggregation._groups.items()]),
             repr(list(window._stored)), window.expired_rows,
-            window.late_events, window._arrivals, repr(window._max_ts),
+            window.late_rows, repr(window._max_ts),
             window.aggregation.consumed)
 
 
@@ -521,8 +510,8 @@ class TestSlidingKernelCases:
     the kernel path or not."""
 
     @staticmethod
-    def both(batches, kinds=("count", "sum"), size=10, arrival_order=False):
-        kernel_bolt, loop_bolt = sliding_twins(kinds, size, arrival_order)
+    def both(batches, kinds=("count", "sum"), size=10):
+        kernel_bolt, loop_bolt = sliding_twins(kinds, size)
         for rows, signs in batches:
             expected = changes_of(loop_bolt.execute_batch(
                 "events", "events", ColumnBatch.from_rows(rows, signs)))
@@ -569,10 +558,7 @@ class TestSlidingKernelCases:
                                     (behind_first, None),
                                     (behind_later, None), retract])
         assert bolt.used == 0
-        assert bolt.sliding_state.late_events == 2
-        _changes, bolt = self.both([(self.in_order(64), None)],
-                                   arrival_order=True)
-        assert bolt.used == 0
+        assert bolt.sliding_state.late_rows == 2
 
     def test_sums_the_kernel_cannot_keep_exact_fall_back(self):
         n = KERNEL_MIN_ROWS
