@@ -47,15 +47,17 @@ _FNV_OFFSET = np.uint64(0x811C9DC5)
 _FNV_PRIME = np.uint64(0x01000193)
 
 
-def make_column(values: Sequence) -> ColumnData:
+def make_column(values: Sequence, kinds=None) -> ColumnData:
     """Pick the columnar representation for one column's values.
 
     All-``int`` (``bool`` is excluded: ``type(True) is not int``) becomes
     an ``int64`` vector, all-``float`` a ``float64`` vector; anything
     else -- strings, None, mixed types, ints beyond 64 bits -- stays a
     Python list so no value changes type through the adapters.
+    ``kinds``, where the caller has it, is the set of the values' types.
     """
-    kinds = set(map(type, values))
+    if kinds is None:
+        kinds = set(map(type, values))
     if kinds == {int}:
         try:
             return np.array(values, dtype=np.int64)
@@ -66,11 +68,14 @@ def make_column(values: Sequence) -> ColumnData:
     return list(values)
 
 
-def columns_of(rows: Sequence[tuple]) -> List[ColumnData]:
+def columns_of(rows: Sequence[tuple], check=None) -> List[ColumnData]:
     """Equal-width ``rows`` as columns, each typed by :func:`make_column`.
 
     Read one position at a time: ``zip(*rows)`` would make an iterator
     per row, and every one counts towards a cyclic collection.
+    ``check(position, kinds)``, where given, sees the set of each
+    column's value types before the column is built (a stored
+    relation's schema check shares this pass).
 
     >>> from repro.core.columnar import columns_of
     >>> numbers, names = columns_of([(1, "a"), (2, "b")])
@@ -79,8 +84,25 @@ def columns_of(rows: Sequence[tuple]) -> List[ColumnData]:
     """
     if not rows:
         return []
-    return [make_column(list(map(itemgetter(position), rows)))
-            for position in range(len(rows[0]))]
+    columns = []
+    for position in range(len(rows[0])):
+        values = list(map(itemgetter(position), rows))
+        kinds = set(map(type, values))
+        if check is not None:
+            check(position, kinds)
+        columns.append(make_column(values, kinds))
+    return columns
+
+
+def stored_columns(rows: Sequence[tuple], check=None) -> List[ColumnData]:
+    """:func:`columns_of` for columns held at rest and sliced by every
+    scan: each NumPy column is read-only, so no reader writes through its
+    view into the store (a slice of a list column is a copy)."""
+    columns = columns_of(rows, check)
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return columns
 
 
 class ColumnBatch:
@@ -94,18 +116,20 @@ class ColumnBatch:
     after the first ``to_rows`` so repeated row-oriented consumers pay
     the conversion once; a batch made from rows builds its columns on
     first use, so one that only row consumers read (a changelog on its
-    way to the sink) never builds them.
+    way to the sink) never builds them.  A batch given both ``columns``
+    and ``rows`` (a scan of a stored relation: views of its stored
+    columns and a slice of its rows) builds neither.
     """
 
     __slots__ = ("_columns", "length", "signs", "_rows")
 
     def __init__(self, columns: Optional[Sequence[ColumnData]], length: int,
-                 signs=None):
+                 signs=None, rows: Optional[List[tuple]] = None):
         self._columns = None if columns is None else list(columns)
         self.length = length
         self.signs: Optional[np.ndarray] = (
             None if signs is None else np.asarray(signs, dtype=np.int8))
-        self._rows: Optional[List[tuple]] = None
+        self._rows = rows
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple], signs=None) -> "ColumnBatch":

@@ -133,7 +133,7 @@ class Optimizer:
                        else self._source_parallelism(relation.size))
         return SourceComponent(
             name=scan.alias,
-            relation=Relation(scan.alias, relation.schema, relation.rows),
+            relation=relation.renamed(scan.alias),
             predicate=predicate,
             selection_cost_class=scan.cost_class,
             parallelism=parallelism,

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.core.schema import Schema
+from repro.core.schema import TYPE_FAMILIES, Schema
 
 AttrRef = Tuple[str, str]  # (relation name, attribute name)
 
@@ -186,7 +186,13 @@ class UnionFind:
 
 
 class JoinSpec:
-    """A multi-way join: relations plus the conditions between them."""
+    """A multi-way join: relations plus the conditions between them.
+
+    Each equality condition compares two columns of one type family
+    (:data:`~repro.core.schema.TYPE_FAMILIES`): ``int`` with ``float``,
+    ``str`` with ``date``.  Any other pairing raises, naming the
+    condition, since no row could ever match it.
+    """
 
     def __init__(self, relations: Sequence[RelationInfo], conditions: Sequence[JoinCondition]):
         if not relations:
@@ -202,15 +208,22 @@ class JoinSpec:
 
     def _validate(self):
         for cond in self.conditions:
+            types = []
             for rel_name, attr in (cond.left, cond.right):
                 if rel_name not in self.by_name:
                     raise ValueError(f"condition references unknown relation {rel_name!r}")
-                self.by_name[rel_name].schema.index_of(attr)
+                types.append(self.by_name[rel_name].schema.field(attr).type)
             if cond.left[0] == cond.right[0]:
                 raise ValueError(
                     "join conditions must relate two distinct relations; "
                     f"got {cond!r} (self-joins need aliased relations)"
                 )
+            left, right = types
+            if cond.is_equi and TYPE_FAMILIES[left] != TYPE_FAMILIES[right]:
+                raise ValueError(
+                    f"join condition {cond!r} compares {left} with "
+                    f"{right}: no value of one equals a value of the other "
+                    f"(int pairs with float, str with date)")
 
     @property
     def relation_names(self) -> List[str]:

@@ -89,7 +89,10 @@ class SourcePump(Spout):
     A batch run's pumps replay stripes of stored relations
     (:class:`SourceSpout`); a streaming query's poll the caller's push
     sources, or replays of the stored ones.  Either way a relation
-    enters the topology the same way.
+    enters the topology the same way: on the columnar path as views of
+    its stored columns (built once per relation, not per poll), on the
+    row path as row slices read through ``ReplaySource.take``, which
+    builds no columns.
     """
 
     def __init__(self, name: str, source,
@@ -206,7 +209,7 @@ class SourceSpout(SourcePump):
 
         super().__init__(
             component.name,
-            ReplaySource(component.relation.rows, component.name,
+            ReplaySource(component.relation, component.name,
                          start=task_index, step=parallelism),
             *source_operators(component))
 

@@ -28,7 +28,7 @@ ring, not the shared pipeline.
 
 Relation identity is **by object, not by value**: the canonical token
 for a relation is its name, schema, row count and the identity of its
-``rows`` list.  Sessions that share a catalog (the serving deployment
+stored rows (``Relation.rows_id``, shared by a query's aliases).  Sessions that share a catalog (the serving deployment
 shape -- ``repro.connect(broker=...)`` with one registry) dedupe;
 sessions that register equal but separately-built copies of a dataset
 do not (safe: never deduping is always correct, wrongly deduping never
@@ -48,7 +48,7 @@ from repro.engine.component import PhysicalPlan
 
 def _relation_token(relation: Relation) -> str:
     return (f"{relation.name}({','.join(relation.schema.names)})"
-            f"#{len(relation.rows)}@{id(relation.rows):x}")
+            f"#{len(relation.rows)}@{relation.rows_id:x}")
 
 
 def _scheme_token(scheme) -> str:

@@ -132,9 +132,10 @@ class LocalCluster:
         #: static routing table over the topology's own groupings: routing
         #: is identical to the seed engine's per-dispatch edge walk
         self.router = Router(topology)
-        for name in self.router.counting:
+        for name, streams in self.router.counting.items():
             for task in self._tasks[name]:
                 task.copies = {}
+                task.copy_streams = streams
         #: the ``ResidentWorkerPool`` whose workers take the turns of
         #: the components they own (``processes``); None runs every task
         #: here

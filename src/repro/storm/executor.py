@@ -84,10 +84,16 @@ class Router:
                    for edge in topology.out_edges(name)]
             for name in topology.components
         }
-        #: components whose tasks count copies
-        #: (:func:`~repro.storm.kernel.count_copies`)
-        self.counting = {name for name, edges in self._edges.items()
-                         if any(counts for _edge, _grouping, counts in edges)}
+        #: ``{component: the streams its tasks count copies on}`` (None:
+        #: every stream) for each component with an out-edge that places
+        #: rows by their copies (:func:`~repro.storm.kernel.count_copies`)
+        self.counting: Dict[str, Optional[frozenset]] = {}
+        for name, edges in self._edges.items():
+            streams = [edge.streams for edge, _grouping, counts in edges
+                       if counts]
+            if streams:
+                self.counting[name] = None if None in streams \
+                    else frozenset().union(*streams)
         self._parallelism = {
             name: spec.parallelism for name, spec in topology.components.items()
         }

@@ -37,7 +37,8 @@ def stream_position(task, index: int, emissions):
     them into ``task.emitted``: the count lives, and is checkpointed,
     with the task.  ``occurrences`` is None unless the task counts
     copies (``task.copies``, set where a random dimension places what it
-    emits): then each row's occurrence number, from :func:`count_copies`."""
+    emits): then each row's occurrence number, from :func:`count_copies`,
+    on the streams that dimension places (``task.copy_streams``)."""
     start = task.emitted
     counts = dict(start)
     if isinstance(emissions, ColumnEmissions):
@@ -51,22 +52,30 @@ def stream_position(task, index: int, emissions):
         counts[stream] = counts.get(stream, 0) + rows
     task.emitted = counts
     copies = task.copies
-    return index, start, None if copies is None else count_copies(copies, emissions)
+    return index, start, None if copies is None else count_copies(
+        copies, emissions, task.copy_streams)
 
 
-def count_copies(copies, emissions):
+def count_copies(copies, emissions, streams=None):
     """Each emitted row's occurrence number: how many copies of it, on its
     stream, the task emitted and has not retracted before it.  A
     retraction takes the latest occurrence, so it follows the copy placed
-    last.  ``copies`` (``{(stream, row): live copies}``) is updated."""
+    last.  ``copies`` (``{(stream, row): live copies}``) is updated.
+    Only the rows on ``streams`` (None: every stream) are counted; any
+    other row, which nothing places by its copies, is numbered 0."""
     if isinstance(emissions, ColumnEmissions):
         batch = emissions.batch
+        if streams is not None and emissions.stream not in streams:
+            return [0] * len(batch)
         signs = [1] * len(batch) if batch.signs is None else batch.signs.tolist()
         emissions = zip([(emissions.stream, row) for row in batch], signs)
     else:
         emissions = zip(emissions, [1] * len(emissions))
     numbers = []
     for key, sign in emissions:
+        if streams is not None and key[0] not in streams:
+            numbers.append(0)
+            continue
         live = copies.get(key, 0)
         if sign < 0:
             live = number = max(live - 1, 0)

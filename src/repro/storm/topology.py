@@ -35,6 +35,8 @@ class Spout:
     #: what the task emits, else None (see
     #: :func:`repro.storm.kernel.count_copies`)
     copies: Optional[Dict[tuple, int]] = None
+    #: the streams ``copies`` counts (None: every stream)
+    copy_streams: Optional[frozenset] = None
 
     def open(self, task_index: int, parallelism: int):
         """Called once before the first ``next_batch``."""
@@ -62,6 +64,7 @@ class Bolt:
 
     emitted: Dict[str, int] = {}  # as Spout.emitted
     copies: Optional[Dict[tuple, int]] = None  # as Spout.copies
+    copy_streams: Optional[frozenset] = None  # as Spout.copy_streams
 
     def prepare(self, task_index: int, parallelism: int):
         """Called once before the first ``execute_batch``."""

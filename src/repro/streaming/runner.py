@@ -282,7 +282,7 @@ def stream_plan(plan: PhysicalPlan,
     for source in plan.sources:
         if source.name not in push_sources:
             push_sources[source.name] = ReplaySource(
-                source.relation.rows, stream=source.name,
+                source.relation, stream=source.name,
                 ts_position=positions.get(source.name), rate=resolved.rate,
                 clock=clock,
             )

@@ -26,9 +26,11 @@ import time
 from collections import deque
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
-from repro.core.columnar import ColumnBatch, ColumnEmissions
+from repro.core.columnar import ColumnBatch, ColumnEmissions, stored_columns
+from repro.core.schema import Relation
 
 Emission = Tuple[str, tuple]  # (stream id, values)
 
@@ -81,9 +83,18 @@ class ReplaySource(PushSource):
     and ``SqlSession.stream`` replays it whole as an unbounded-looking
     push source, optionally throttled to ``rate`` rows per second (a
     token bucket over ``clock``), with watermarks taken from the
-    ``ts_position`` column.  A poll is one
-    :class:`~repro.core.columnar.ColumnEmissions` whose batch holds the
-    polled rows; its columns are built only if a reader asks for them.
+    ``ts_position`` column.
+
+    ``rows`` is a :class:`~repro.core.schema.Relation` (its first scan
+    checks it against its schema) or a bare row sequence, held as a
+    tuple.  A poll is one :class:`~repro.core.columnar.ColumnEmissions`
+    whose batch is views ``column[position:stop:step]`` of the stored
+    columns (:meth:`Relation.stored_columns
+    <repro.core.schema.Relation.stored_columns>`, built once, at the
+    first poll of any replay of the relation; a bare sequence's at this
+    replay's first poll) with the slice of the rows as its row view: a
+    poll transposes nothing.  The row path (:meth:`take`) builds no
+    columns.
 
     Watermarks assume the replayed rows are in non-decreasing timestamp
     order (the stored-relation case); the watermark is the *maximum*
@@ -91,7 +102,7 @@ class ReplaySource(PushSource):
     conservative (early) watermark, never a wrong one.
     """
 
-    def __init__(self, rows: Sequence[tuple], stream: str,
+    def __init__(self, rows: Union[Relation, Sequence[tuple]], stream: str,
                  ts_position: Optional[int] = None,
                  rate: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic,
@@ -100,7 +111,11 @@ class ReplaySource(PushSource):
         if rate is not None and not 0 < rate < math.inf:
             raise ValueError(
                 "rate must be positive and finite (None = unlimited)")
-        self.rows = rows
+        #: the replayed relation; None for a bare row sequence, whose
+        #: rows and columns this source holds itself
+        self.relation = rows if isinstance(rows, Relation) else None
+        self._rows = None if self.relation is not None else tuple(rows)
+        self._columns: Optional[list] = None
         self.stream = stream
         self.ts_position = ts_position
         self.rate = rate
@@ -115,6 +130,18 @@ class ReplaySource(PushSource):
         self._last_refill = clock()
         self.max_event_time: Optional[float] = None
 
+    def _stored_rows(self) -> Sequence[tuple]:
+        if self.relation is not None:
+            return self.relation.checked_rows()
+        return self._rows
+
+    def _stored_columns(self) -> list:
+        if self.relation is not None:
+            return self.relation.stored_columns()
+        if self._columns is None:
+            self._columns = stored_columns(self._rows)
+        return self._columns
+
     def _allowance(self, max_rows: int) -> int:
         if self.rate is None:
             return max_rows
@@ -126,25 +153,29 @@ class ReplaySource(PushSource):
         return allowed
 
     def poll(self, max_rows: int):
+        columns = self._stored_columns()
+        start = self._position
         batch, _read = self.take(max_rows)
         if not batch:
             return []
-        return ColumnEmissions(self.stream, ColumnBatch.from_rows(batch))
+        window = slice(start, self._position, self._step)
+        return ColumnEmissions(self.stream, ColumnBatch(
+            [column[window] for column in columns], len(batch), rows=batch))
 
     def take(self, max_rows: int,
              keep: Optional[Callable[[tuple], object]] = None
              ) -> Tuple[List[tuple], int]:
-        """The next up to ``max_rows`` rows of the stripe as a list, and
+        """The next up to ``max_rows`` rows of the stripe, as a list, and
         how many rows were read.  ``keep``, a row predicate, reads past
         the rows it rejects, so a selective scan pays one predicate call
         per rejected row rather than one poll (the row path of
         :class:`~repro.engine.runner.SourcePump`); a rate limit bounds
         the rows read either way."""
-        rows, position, step = self.rows, self._position, self._step
+        rows, position, step = self._stored_rows(), self._position, self._step
         allowed = self._allowance(max_rows if keep is None else len(rows))
         stop = min(len(rows), position + step * allowed)
         if keep is None:
-            batch = rows[position:stop:step]
+            batch = list(rows[position:stop:step])
             end = position + step * len(batch)
         else:
             batch, end = [], position
@@ -174,7 +205,7 @@ class ReplaySource(PushSource):
         return self.ts_position is not None
 
     def exhausted(self) -> bool:
-        return self._position >= len(self.rows)
+        return self._position >= len(self._stored_rows())
 
 
 class Backpressure(RuntimeError):

@@ -177,7 +177,7 @@ def plan_tumbling_over_join() -> PhysicalPlan:
     rng = random.Random(5)
     events = Relation("events", Schema.of("ts", "k"),
                       [(ts, rng.randrange(4)) for ts in range(80)])
-    dims = Relation("dims", Schema.of("k", "name"),
+    dims = Relation("dims", Schema.of("k", "name:str"),
                     [(k, f"k{k}") for k in range(4)])
     spec = JoinSpec(
         [RelationInfo("events", events.schema, len(events)),

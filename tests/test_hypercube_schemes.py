@@ -428,7 +428,7 @@ class TestCrossTypeEquiKeys:
         from repro.core.schema import Relation
 
         R = Relation("R", Schema.of("x", "y"), [(i, i % 7) for i in range(50)])
-        S = Relation("S", Schema.of("y", "z"),
+        S = Relation("S", Schema.of("y:float", "z"),
                      [(float(i % 7), i) for i in range(50)])
         spec = JoinSpec(
             [RelationInfo("R", R.schema, 50), RelationInfo("S", S.schema, 50)],

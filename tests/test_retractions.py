@@ -366,6 +366,22 @@ def test_a_relation_of_copies_compensates_on_a_random_dimension(
     assert sink_rows(spec, faulty, local_join, scheme, options) == clean
 
 
+@pytest.mark.parametrize("columnar", [False, True], ids=["rows", "columnar"])
+def test_a_task_counts_copies_only_on_the_streams_a_random_dimension_places(
+        columnar):
+    """The Hybrid places T alone on a random dimension.  The one feed
+    spout emits R, S and T, and ends holding copy counts of T only."""
+    spec = skewed_rst_spec()
+    assert random_relations(HybridHypercube.build(spec, 4, seed=3)) == {"T"}
+    topology, _results = build_rst_topology(
+        spec, list(interleaved_stream(make_rst_data(seed=33, n=24), seed=33)),
+        "dbtoaster", scheme=HybridHypercube)
+    cluster = LocalCluster(topology)
+    cluster.run(ExecutionOptions(batch_size=8, columnar=columnar).resolve())
+    copies = cluster.task("feed", 0).copies
+    assert copies and {stream for stream, _row in copies} == {"T"}
+
+
 #: an inserted key and an equal spelling of another type
 EQUAL_SPELLINGS = [(1, 1.0), (1, True), (0.0, -0.0)]
 

@@ -536,7 +536,7 @@ class TestIncrementalDeltas:
         rng = random.Random(5)
         events = Relation("events", Schema.of("ts", "k"),
                           [(t, rng.randrange(4)) for t in range(80)])
-        dims = Relation("dims", Schema.of("k", "name"),
+        dims = Relation("dims", Schema.of("k", "name:str"),
                         [(k, f"k{k}") for k in range(4)])
         spec = JoinSpec(
             [RelationInfo("events", events.schema, 80),
